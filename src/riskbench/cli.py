@@ -701,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     ratios.add_argument("--manifest")
     ratios.add_argument("--scales")
     ratios.add_argument("--lifecycle-csv", dest="lifecycle_csv")
-    ratios.add_argument("--jobs", type=int, default=1)
     ratios.add_argument("--out", required=True)
     ratios.set_defaults(func=_cmd_lifecycle_ratios)
 
@@ -710,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     styles.add_argument("--scales")
     styles.add_argument("--lifecycle-csv", dest="lifecycle_csv")
     styles.add_argument("--thresholds", help="style threshold JSON")
-    styles.add_argument("--jobs", type=int, default=1)
     styles.add_argument("--out", required=True)
     styles.set_defaults(func=_cmd_lifecycle_styles)
 

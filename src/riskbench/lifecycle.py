@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .corpus import Corpus, ProjectRecord
 from .errors import LifecycleError, ParseError, StatTestError, TransitionError
@@ -486,7 +485,11 @@ def hotelling_t2(
         raise StatTestError("pooled covariance matrix is singular")
 
     t_squared = float(na * nb / (na + nb) * diff @ solved)
-    critical = float(p * nu / (nu - p + 1) * stats.f.ppf(1.0 - alpha, p, nu - p + 1))
+    # fdtri is the F quantile that scipy.stats.f.ppf computes; imported here
+    # so that importing riskbench never loads scipy.
+    from scipy.special import fdtri
+
+    critical = float(p * nu / (nu - p + 1) * fdtri(p, nu - p + 1, 1.0 - alpha))
     return HotellingResult(
         t_squared=t_squared,
         group_sizes=(na, nb),

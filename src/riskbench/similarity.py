@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from scipy import stats
-
 from .corpus import Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
 from .errors import CorpusError, EmptyReportError, StatTestError
 from .vectorize import (
@@ -465,7 +463,11 @@ def two_sample_t_test(
             (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
         )
     statistic = (mean_a - mean_b) / se
-    p_value = 2.0 * float(stats.t.sf(abs(statistic), df))
+    # stdtr(df, -|t|) is the upper tail that scipy.stats.t.sf computes; the
+    # import stays local so that importing riskbench never loads scipy.
+    from scipy.special import stdtr
+
+    p_value = 2.0 * float(stdtr(df, -abs(statistic)))
     return TTestResult(
         statistic=statistic, degrees_of_freedom=df, p_value=min(p_value, 1.0), variant=variant
     )

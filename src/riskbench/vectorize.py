@@ -134,12 +134,19 @@ def _snap_unit(value: float) -> float:
 
 
 def unit_rows(backend: "EmbeddingBackend", texts: Sequence[str]) -> np.ndarray:
-    """Stack embeddings as unit rows; all-zero embeddings stay zero rows."""
+    """Stack embeddings as unit rows; all-zero embeddings stay zero rows.
+
+    Each distinct text is embedded once, in first-occurrence order, so a
+    missing sentence vector is reported for the same text as a row-by-row
+    pass would report it.
+    """
     if not texts:
         return np.zeros((0, backend.dimension))
-    matrix = np.stack([embed_text(backend, text).vector for text in texts])
+    first: dict[str, int] = {}
+    rows = [first.setdefault(text, len(first)) for text in texts]
+    matrix = np.stack([embed_text(backend, text).vector for text in first])
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.where(norms == 0.0, 1.0, norms)
+    return (matrix / np.where(norms == 0.0, 1.0, norms))[rows]
 
 
 def cosine_table(unit_a: np.ndarray, unit_b: np.ndarray) -> np.ndarray:
@@ -238,6 +245,30 @@ def load_word_vectors(
     if dimension <= 0:
         raise ParseError(f"{path}, line 1: dimension must be positive")
 
+    table, count = _parse_word_lines_bulk(path, lines, dimension) or _parse_word_lines(
+        path, lines, dimension
+    )
+    if declared != count:
+        warnings.warn(f"{path}: header declares {declared} tokens, file holds {count}")
+    if not table:
+        raise ParseError(f"{path}: word-vector file holds no vectors")
+    return EmbeddingBackend(
+        kind=WORD_AVERAGE,
+        dimension=dimension,
+        word_table=table,
+        stop_words=default_stopwords() if stop_words is None else stop_words,
+        source=str(path),
+    )
+
+
+def _parse_word_lines(
+    path: Path, lines: Sequence[str], dimension: int
+) -> tuple[dict[str, np.ndarray], int]:
+    """Parse the data lines one by one with Python's float().
+
+    This is the reference reader: it raises the ParseError for the first bad
+    line and accepts every spelling float() accepts.
+    """
     table: dict[str, np.ndarray] = {}
     parsed = 0
     for number, line in enumerate(lines[1:], start=2):
@@ -257,17 +288,46 @@ def load_word_vectors(
             warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
         table[token] = vector
         parsed += 1
-    if declared != parsed:
-        warnings.warn(f"{path}: header declares {declared} tokens, file holds {parsed}")
-    if not table:
-        raise ParseError(f"{path}: word-vector file holds no vectors")
-    return EmbeddingBackend(
-        kind=WORD_AVERAGE,
-        dimension=dimension,
-        word_table=table,
-        stop_words=default_stopwords() if stop_words is None else stop_words,
-        source=str(path),
-    )
+    return table, parsed
+
+
+def _parse_word_lines_bulk(
+    path: Path, lines: Sequence[str], dimension: int
+) -> tuple[dict[str, np.ndarray], int] | None:
+    """Parse all data lines with numpy's C float parser into one matrix.
+
+    Returns None, having warned about nothing, when any line is not plainly
+    well formed (a short or long line, a component the C parser rejects, or
+    no data at all); `_parse_word_lines` then gives the exact error or reads
+    spellings only float() accepts, such as "1_0". Both parsers round
+    correctly, so the values are bit-identical.
+    """
+    tokens: list[str] = []
+    rests: list[str] = []
+    numbers: list[int] = []
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1:
+            return None
+        tokens.append(parts[0])
+        rests.append(parts[1])
+        numbers.append(number)
+    if not rests:
+        return None
+    try:
+        matrix = np.loadtxt(rests, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if matrix.shape != (len(rests), dimension):
+        return None
+    table: dict[str, np.ndarray] = {}
+    for number, token, vector in zip(numbers, tokens, matrix):
+        if token in table:
+            warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
+        table[token] = vector
+    return table, len(tokens)
 
 
 def load_sentence_vectors(

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,15 @@ def test_lifecycle_styles(manifest, tmp_path):
     assert set(rows) == {pid for members in groups.values() for pid in members}
 
 
+@pytest.mark.parametrize("mode", ["ratios", "styles"])
+def test_lifecycle_rejects_jobs(manifest, tmp_path, mode):
+    argv = ["lifecycle", mode, "--manifest", manifest, "--jobs", "2",
+            "--out", str(tmp_path / "r.json")]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == 2
+
+
 def test_lifecycle_compare(tmp_path):
     groups_path = tmp_path / "groups.json"
     groups_path.write_text(json.dumps({
@@ -284,3 +297,23 @@ def test_jobs_flag_does_not_change_output(manifest, tmp_path):
     assert run(base + ["--jobs", "1", "--out", str(first)]) == 0
     assert run(base + ["--jobs", "4", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats alone costs most of a CLI process's start-up; scipy is
+    # imported inside the two statistics that need it, never at import time.
+    import riskbench
+
+    src = str(Path(riskbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, riskbench.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(','.join(loaded))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

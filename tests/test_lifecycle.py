@@ -451,6 +451,20 @@ def test_hotelling_critical_value_from_f():
     expected = p * nu / (nu - p + 1) * stats.f.ppf(0.95, p, nu - p + 1)
     assert result.critical_value == pytest.approx(expected, abs=1e-12)
 
+    # Over a grid of (alpha, p, nu) the critical value is exactly the one
+    # scipy.stats gives.
+    rng = np.random.default_rng(11)
+    for p in (1, 2, 3, 5):
+        for na, nb in ((p + 1, 2), (6, 5), (20, 35), (150, 120)):
+            a = rng.normal(0.0, 1.0, (na, p))
+            b = rng.normal(0.5, 1.5, (nb, p))
+            nu = na + nb - 2
+            for alpha in (0.001, 0.01, 0.05, 0.1, 0.5, 0.9):
+                result = hotelling_t2(a, b, alpha=alpha)
+                expected = float(
+                    p * nu / (nu - p + 1) * stats.f.ppf(1.0 - alpha, p, nu - p + 1))
+                assert result.critical_value == expected
+
 
 def test_hotelling_singular_covariance():
     group_a = [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]  # second column = 2x first

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from riskbench.corpus import (
@@ -498,6 +499,19 @@ def test_t_test_welch_matches_scipy():
     ref = stats.ttest_ind(a, b, equal_var=False)
     assert mine.statistic == pytest.approx(ref.statistic, abs=1e-12)
     assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+
+    # Over a grid of (t, df), from |t| near 0 to far tails and df from 1 to
+    # hundreds, the p-value is exactly the one scipy.stats gives.
+    rng = np.random.default_rng(7)
+    for na, nb in ((2, 2), (2, 3), (5, 4), (12, 30), (200, 150)):
+        for shift in (0.0, 0.01, 0.3, 1.0, 3.0, 10.0, 40.0):
+            group_a = rng.normal(0.0, 1.0, na).tolist()
+            group_b = rng.normal(shift, 2.0, nb).tolist()
+            for variant in ("welch", "pooled"):
+                mine = two_sample_t_test(group_a, group_b, variant=variant)
+                expected = 2.0 * float(
+                    stats.t.sf(abs(mine.statistic), mine.degrees_of_freedom))
+                assert mine.p_value == min(expected, 1.0)
 
 
 def test_t_test_p_value_monotone_in_mean_gap():

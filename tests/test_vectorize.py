@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from riskbench import vectorize
 from riskbench.errors import DimensionError, MissingEmbeddingError, ParseError
+from riskbench.resources import data_path
 from riskbench.vectorize import (
+    EmbeddingBackend,
     SparseVector,
     cosine,
     embed_text,
@@ -18,6 +23,7 @@ from riskbench.vectorize import (
     tfidf_fit,
     tfidf_vector,
     tokenize,
+    unit_rows,
 )
 
 from .conftest import toy_backend
@@ -189,6 +195,46 @@ def test_embed_respects_stop_words():
     assert np.allclose(embed_text(backend, "the a").vector, [1.0, 0.0])
 
 
+def test_unit_rows_embeds_each_distinct_text_once(reference_backend, monkeypatch):
+    texts = [
+        "unknown utilities encountered during excavation",
+        "right of way acquisition delays",
+        "unknown utilities encountered during excavation",
+        "zzqx qqzz",
+        "design changes on structures",
+        "right of way acquisition delays",
+        "zzqx qqzz",
+        "unknown utilities encountered during excavation",
+    ]
+    # Row by row, as every text was embedded before the dedupe.
+    matrix = np.stack([embed_text(reference_backend, text).vector for text in texts])
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    expected = matrix / np.where(norms == 0.0, 1.0, norms)
+
+    embedded = []
+    original = vectorize.embed_text
+
+    def counting(backend, text):
+        embedded.append(text)
+        return original(backend, text)
+
+    monkeypatch.setattr(vectorize, "embed_text", counting)
+    got = unit_rows(reference_backend, texts)
+    assert embedded == list(dict.fromkeys(texts))
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_unit_rows_missing_sentence_names_first_missing_text():
+    backend = EmbeddingBackend(
+        kind="precomputed_sentence",
+        dimension=2,
+        sentence_table={"known": np.array([1.0, 0.0])},
+    )
+    with pytest.raises(MissingEmbeddingError, match="'gone'"):
+        unit_rows(backend, ["known", "gone", "known", "lost", "gone"])
+
+
 # ----------------------------------------------------------- word vector files
 
 
@@ -234,6 +280,122 @@ def test_load_word_vectors_bad_header(tmp_path):
     path.write_text("3\nfoo 1.0\n")
     with pytest.raises(ParseError, match="header"):
         load_word_vectors(path)
+
+
+# The bulk parser (numpy's C float parser) must give what the per-line
+# reference reader gives: the same table bit for bit, the same warnings and
+# the same ParseError.
+
+
+def _load_outcome(path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load_word_vectors(path).word_table
+        except ParseError as exc:
+            return None, [str(w.message) for w in caught], str(exc)
+    return table, [str(w.message) for w in caught], None
+
+
+def _bulk_and_reference(path, monkeypatch):
+    bulk = _load_outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorize, "_parse_word_lines_bulk", lambda *args: None)
+        reference = _load_outcome(path)
+    return bulk, reference
+
+
+def _takes_bulk_path(path, dimension):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return vectorize._parse_word_lines_bulk(Path(path), lines, dimension) is not None
+
+
+def _assert_same_tables(bulk, reference):
+    assert list(bulk) == list(reference)
+    for token, vector in reference.items():
+        assert bulk[token].dtype == vector.dtype
+        assert bulk[token].shape == vector.shape
+        assert bulk[token].tobytes() == vector.tobytes(), token
+
+
+def _write_300d(path, rng):
+    formats = ("{!r}", "{:.6f}", "{:.8e}", "{:.3g}")
+    lines = ["120 300"]
+    for row in range(120):
+        values = rng.normal(0.0, 0.3, 300)
+        values[row % 300] = -0.0
+        fmt = formats[row % len(formats)]
+        lines.append(f"tok{row} " + " ".join(fmt.format(float(x)) for x in values))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_load_word_vectors_bulk_matches_reference_on_bundled_file(monkeypatch):
+    path = data_path("embeddings", "reference_word_vectors.txt")
+    assert _takes_bulk_path(path, 32)
+    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    _assert_same_tables(bulk[0], reference[0])
+    assert bulk[1:] == reference[1:]
+
+
+def test_load_word_vectors_bulk_matches_reference_on_300d_file(tmp_path, monkeypatch):
+    path = tmp_path / "w300.txt"
+    _write_300d(path, np.random.default_rng(3))
+    assert _takes_bulk_path(path, 300)
+    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    _assert_same_tables(bulk[0], reference[0])
+    assert bulk[1:] == reference[1:] == ([], None)
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("2 3\nfoo 1.0 0.0 0.0\nbar 1.0 0.0\n", 3, "expected 3 components, got 2"),
+        ("2 3\nfoo 1.0 0.0 0.0\nbar 1.0 0.0 0.0 5.0\n", 3, "expected 3 components, got 4"),
+        ("2 3\nfoo 1.0 0.0 0.0\nbar\n", 3, "expected 3 components, got 0"),
+        ("2 2\nfoo 1.0 0.0 0.0\nbar 0.0 1.0 0.0\n", 2, "expected 2 components, got 3"),
+        ("2 3\nfoo 1.0 0.0 0.0\nbar 1.0 x 0.0\n", 3, "non-numeric component"),
+        ("3 2\nfoo 1 2\n\n   \n\t\nbar 1 2 3\nbaz 1 2\n", 6, "expected 2 components, got 3"),
+        ("3 2\n\nfoo 1 2\n\nbar 1 2\nbaz 1 two\n", 6, "non-numeric component"),
+    ],
+    ids=["short", "extra", "token-only", "all-too-long", "non-numeric", "after-blanks", "non-numeric-after-blanks"],
+)
+def test_load_word_vectors_bulk_raises_reference_error(tmp_path, monkeypatch, body, line, message):
+    path = tmp_path / "w.txt"
+    path.write_text(body, encoding="utf-8")
+    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    assert bulk == reference
+    assert bulk[2] == f"{path}, line {line}: {message}"
+
+
+def test_load_word_vectors_bulk_duplicates_and_header_count(tmp_path, monkeypatch):
+    path = tmp_path / "w.txt"
+    path.write_text(
+        "5 2\nfoo 1 0\nbar 0 1\n\nfoo 2 0\nbaz 1 1\nfoo 3 0\nbar 0 4\n", encoding="utf-8"
+    )
+    assert _takes_bulk_path(path, 2)
+    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    _assert_same_tables(bulk[0], reference[0])
+    assert bulk[1:] == reference[1:]
+    assert bulk[1] == [
+        f"{path}, line 5: duplicate token 'foo', last wins",
+        f"{path}, line 7: duplicate token 'foo', last wins",
+        f"{path}, line 8: duplicate token 'bar', last wins",
+        f"{path}: header declares 5 tokens, file holds 6",
+    ]
+    assert bulk[0]["foo"].tolist() == [3.0, 0.0]
+    assert bulk[0]["bar"].tolist() == [0.0, 4.0]
+
+
+def test_load_word_vectors_accepts_python_float_spellings(tmp_path, monkeypatch):
+    path = tmp_path / "w.txt"
+    path.write_text("3 2\nfoo 1_0 nan\nbar -inf 2.5\nbaz +1e500 -0.0\n", encoding="utf-8")
+    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    _assert_same_tables(bulk[0], reference[0])
+    assert bulk[1:] == reference[1:] == ([], None)
+    assert bulk[0]["foo"][0] == 10.0 and math.isnan(bulk[0]["foo"][1])
+    assert bulk[0]["bar"][0] == -math.inf
 
 
 # ----------------------------------------------------------- sentence vector files
