@@ -65,6 +65,7 @@ from .template import (
     parse_filter,
 )
 from .vectorize import (
+    WORD_AVERAGE,
     default_stopwords,
     load_sentence_vectors,
     load_stopwords,
@@ -109,12 +110,13 @@ def _load_backends(args, stop_words):
     return word, None
 
 
-def _backend_digests(args) -> dict[str, str]:
-    digests = {}
-    if getattr(args, "embeddings", None):
-        digests["embeddings"] = file_digest(args.embeddings)
-    if getattr(args, "sentence_embeddings", None):
-        digests["sentence_embeddings"] = file_digest(args.sentence_embeddings)
+def _backend_digests(args, *backends) -> dict[str, str]:
+    """Digests of the loaded backends (of the bytes they parsed) and the stop words."""
+    digests = {
+        "embeddings" if backend.kind == WORD_AVERAGE else "sentence_embeddings": backend.digest
+        for backend in backends
+        if backend is not None
+    }
     if getattr(args, "stopwords", None):
         digests["stopwords"] = file_digest(args.stopwords)
     else:
@@ -133,25 +135,6 @@ def _scale_digests(args) -> dict[str, str]:
     if getattr(args, "scales", None):
         return {"scales": file_digest(args.scales)}
     return {}
-
-
-def _report_dict(report) -> dict:
-    payload = {
-        "level": report.level.value,
-        "pairs": [{"a": p.a, "b": p.b, "score": p.score} for p in report.pairs],
-        "aggregates": report.aggregates,
-        "metadata": report.metadata,
-    }
-    if report.test is not None:
-        payload["test"] = {
-            "statistic": report.test.statistic,
-            "degrees_of_freedom": report.test.degrees_of_freedom,
-            "p_value": report.test.p_value,
-            "variant": report.test.variant,
-        }
-    else:
-        payload["test"] = None
-    return payload
 
 
 def _emit(args, command: str, config: dict, digests: dict, result) -> int:
@@ -225,14 +208,14 @@ def _cmd_similarity_docs(args) -> int:
     )
     return _emit(
         args, "riskbench similarity docs", _similarity_config(args, "docs"), digests,
-        _report_dict(report),
+        report.to_dict(),
     )
 
 
 def _cmd_similarity_risks(args) -> int:
     corpus = _load_corpus(args)
     stop_words = _load_stopwords(args)
-    backend, _ = _load_backends(args, stop_words)
+    backend, fallback = _load_backends(args, stop_words)
     if len(corpus.projects) < 2:
         raise EmptyReportError("risk-level similarity needs at least 2 projects")
     ids, matrix = directional_mean_matrix(
@@ -280,7 +263,7 @@ def _cmd_similarity_risks(args) -> int:
             for name, scores in sorted(groups.items())
         }
     digests = _manifest_digests(args.manifest)
-    digests.update(_backend_digests(args))
+    digests.update(_backend_digests(args, backend, fallback))
     return _emit(
         args, "riskbench similarity risks", _similarity_config(args, "risks"), digests, result
     )
@@ -289,7 +272,7 @@ def _cmd_similarity_risks(args) -> int:
 def _cmd_similarity_pooling(args) -> int:
     corpus = _load_corpus(args)
     stop_words = _load_stopwords(args)
-    backend, _ = _load_backends(args, stop_words)
+    backend, fallback = _load_backends(args, stop_words)
     if len(corpus.projects) < 2:
         raise EmptyReportError("pooling needs at least 2 projects")
 
@@ -309,7 +292,7 @@ def _cmd_similarity_pooling(args) -> int:
         "mean_fraction_at_least_0.5": sum(r["fraction_at_least_0.5"] for r in rows) / len(rows),
     }
     digests = _manifest_digests(args.manifest)
-    digests.update(_backend_digests(args))
+    digests.update(_backend_digests(args, backend, fallback))
     return _emit(
         args, "riskbench similarity pooling", _similarity_config(args, "pooling"), digests, result
     )
@@ -318,12 +301,12 @@ def _cmd_similarity_pooling(args) -> int:
 def _cmd_similarity_evaluation(args) -> int:
     corpus = _load_corpus(args)
     stop_words = _load_stopwords(args)
-    backend, _ = _load_backends(args, stop_words)
+    backend, fallback = _load_backends(args, stop_words)
     base = args.threshold if args.threshold is not None else 0.5
     thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
     matches = match_registers(corpus, backend, min_score=base, use_description=args.use_description)
     report = evaluation_level_report(matches, corpus, thresholds)
-    result = _report_dict(report)
+    result = report.to_dict()
     if args.group_by:
         membership = {
             p.project_id: str(getattr(getattr(p, args.group_by), "value", getattr(p, args.group_by)))
@@ -344,7 +327,7 @@ def _cmd_similarity_evaluation(args) -> int:
                 by_group[name] = {"skipped": str(exc)}
         result["by_group"] = by_group
     digests = _manifest_digests(args.manifest)
-    digests.update(_backend_digests(args))
+    digests.update(_backend_digests(args, backend, fallback))
     return _emit(
         args,
         "riskbench similarity evaluation",
@@ -360,7 +343,7 @@ def _cmd_similarity_evaluation(args) -> int:
 def _cmd_template_build(args) -> int:
     corpus = _load_corpus(args)
     stop_words = _load_stopwords(args)
-    backend, _ = _load_backends(args, stop_words)
+    backend, fallback = _load_backends(args, stop_words)
     criteria = parse_filter(args.filter)
     selected = filter_projects(corpus, criteria)
     if not selected:
@@ -378,7 +361,7 @@ def _cmd_template_build(args) -> int:
     result = template.to_dict()
     result["group_count"] = len(groups)
     digests = _manifest_digests(args.manifest)
-    digests.update(_backend_digests(args))
+    digests.update(_backend_digests(args, backend, fallback))
     if args.categories:
         digests["categories"] = file_digest(args.categories)
     config = {
@@ -400,7 +383,7 @@ def _load_template_file(path: str) -> RiskTemplate:
 
 def _cmd_template_eval(args) -> int:
     stop_words = _load_stopwords(args)
-    backend, _ = _load_backends(args, stop_words)
+    backend, fallback = _load_backends(args, stop_words)
     template = _load_template_file(args.template)
     register_path = Path(args.register)
     if not register_path.exists():
@@ -412,7 +395,7 @@ def _cmd_template_eval(args) -> int:
         "template": file_digest(args.template),
         "register": file_digest(args.register),
     }
-    digests.update(_backend_digests(args))
+    digests.update(_backend_digests(args, backend, fallback))
     config = {"label_threshold": args.label_threshold}
     return _emit(args, "riskbench template eval", config, digests, counts.to_dict())
 
@@ -561,7 +544,7 @@ def _cmd_rbs_coverage(args) -> int:
         },
     }
     digests = _manifest_digests(args.manifest)
-    digests.update(_backend_digests(args))
+    digests.update(_backend_digests(args, backend, fallback))
     digests["rbs"] = file_digest(args.rbs) if args.rbs else file_digest(data_path("rbs_table21.json"))
     config = {"threshold": args.threshold}
     return _emit(args, "riskbench rbs coverage", config, digests, result)
@@ -608,7 +591,7 @@ def _cmd_rbs_cooccur(args) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _add_common(parser, manifest=True, backend=False, out=True):
+def _add_common(parser, manifest=True, backend=False, jobs=False, out=True):
     if manifest:
         parser.add_argument("--manifest", required=True, help="corpus manifest JSON")
         parser.add_argument("--scales", help="scale config JSON (band edges, risk matrix)")
@@ -620,7 +603,8 @@ def _add_common(parser, manifest=True, backend=False, out=True):
             help="JSON-Lines precomputed sentence vectors",
         )
     parser.add_argument("--stopwords", help="stop-word list, one per line")
-    parser.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
     if out:
         parser.add_argument("--out", required=True, help="report output path")
 
@@ -644,14 +628,14 @@ def build_parser() -> argparse.ArgumentParser:
     docs.set_defaults(func=_cmd_similarity_docs, threshold=None, use_description=False)
 
     risks = modes.add_parser("risks", help="risk-level embedding matching")
-    _add_common(risks, backend=True)
+    _add_common(risks, backend=True, jobs=True)
     risks.add_argument("--group-by", dest="group_by", default="delivery_method")
     risks.add_argument("--use-description", dest="use_description", action="store_true")
     risks.add_argument("--heatmap", help="write the directional mean matrix CSV")
     risks.set_defaults(func=_cmd_similarity_risks, threshold=None)
 
     pooling = modes.add_parser("pooling", help="match risks against pooled projects")
-    _add_common(pooling, backend=True)
+    _add_common(pooling, backend=True, jobs=True)
     pooling.add_argument("--use-description", dest="use_description", action="store_true")
     pooling.set_defaults(func=_cmd_similarity_pooling, threshold=None, group_by=None)
 
@@ -725,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     rbs_modes = rbs.add_subparsers(dest="mode", required=True)
 
     cover = rbs_modes.add_parser("coverage", help="semantic coverage of registers")
-    _add_common(cover, backend=True)
+    _add_common(cover, backend=True, jobs=True)
     cover.add_argument("--rbs", help="RBS JSON (default: bundled)")
     cover.add_argument("--threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD)
     cover.set_defaults(func=_cmd_rbs_coverage)

@@ -68,6 +68,21 @@ class SimilarityReport:
     test: TTestResult | None = None
     metadata: dict = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        """The report's JSON payload, as `similarity docs` / `evaluation` write it."""
+        return {
+            "level": self.level.value,
+            "pairs": [{"a": p.a, "b": p.b, "score": p.score} for p in self.pairs],
+            "aggregates": self.aggregates,
+            "metadata": self.metadata,
+            "test": None if self.test is None else {
+                "statistic": self.test.statistic,
+                "degrees_of_freedom": self.test.degrees_of_freedom,
+                "p_value": self.test.p_value,
+                "variant": self.test.variant,
+            },
+        }
+
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)

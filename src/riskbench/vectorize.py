@@ -8,10 +8,14 @@ Natural log is used throughout.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import re
 import warnings
+import zipfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +34,16 @@ PRECOMPUTED_SENTENCE = "precomputed_sentence"
 # Snap tolerance for cosine values that are 1.0 up to float rounding;
 # exactly repeated texts must score exactly 1.0.
 _UNIT_EPS = 1e-12
+
+# Below this norm the squared components are subnormal and lose bits, so
+# cosine() rescales such vectors first; larger ones are computed as they are.
+_TINY_NORM = 1e-150
+
+# Parsed vector files are kept per content under the user cache directory.
+# Bump the format when the entry layout or the parsers' results change;
+# entries of any format count against the per-kind cap, so old ones age out.
+_CACHE_FORMAT = 1
+_CACHE_ENTRIES = 8
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -180,6 +194,8 @@ def cosine(v, w) -> float:
         raise DimensionError(f"dimension mismatch: {av.shape} vs {aw.shape}")
     norm_v = float(np.linalg.norm(av))
     norm_w = float(np.linalg.norm(aw))
+    if min(norm_v, norm_w) < _TINY_NORM and av.any() and aw.any():
+        return cosine(av / np.abs(av).max(), aw / np.abs(aw).max())
     if norm_v == 0.0 or norm_w == 0.0:
         return 0.0
     return _snap_unit(float(np.dot(av, aw)) / (norm_v * norm_w))
@@ -195,6 +211,7 @@ class EmbeddingBackend:
     sentence_table: dict[str, np.ndarray] = field(default_factory=dict)
     stop_words: frozenset[str] = frozenset()
     source: str = ""
+    digest: str = ""  # SHA-256 of the bytes the table was read from
 
     def __post_init__(self) -> None:
         if self.kind not in (WORD_AVERAGE, PRECOMPUTED_SENTENCE):
@@ -230,9 +247,38 @@ def embed_text(backend: EmbeddingBackend, text: str) -> EmbeddedText:
 def load_word_vectors(
     path: str | Path, stop_words: frozenset[str] | None = None
 ) -> EmbeddingBackend:
-    """Read the textual interchange format: header line, then token + floats."""
+    """Read the textual interchange format: header line, then token + floats.
+
+    A file that parses without a warning is cached by content; later loads
+    of the same bytes skip the parse.
+    """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    digest, cached, lines = _read_source(path, WORD_AVERAGE)
+    if cached is not None:
+        table, dimension = cached
+    else:
+        table, dimension, matrix = _parse_word_file(path, lines)
+        if matrix is not None:
+            _cache_write(WORD_AVERAGE, digest, list(table), matrix)
+    return EmbeddingBackend(
+        kind=WORD_AVERAGE,
+        dimension=dimension,
+        word_table=table,
+        stop_words=default_stopwords() if stop_words is None else stop_words,
+        source=str(path),
+        digest=digest,
+    )
+
+
+def _parse_word_file(
+    path: Path, lines: Sequence[str]
+) -> tuple[dict[str, np.ndarray], int, np.ndarray | None]:
+    """The table and dimension of a word-vector file, plus its cacheable matrix.
+
+    The matrix holds the table's vectors in key order; it is None when the
+    file warned (so the warning repeats on every load) or when only the
+    per-line reader could read it.
+    """
     if not lines:
         raise ParseError(f"{path}: empty word-vector file")
     header = lines[0].split()
@@ -245,29 +291,26 @@ def load_word_vectors(
     if dimension <= 0:
         raise ParseError(f"{path}, line 1: dimension must be positive")
 
-    table, count = _parse_word_lines_bulk(path, lines, dimension) or _parse_word_lines(
+    table, count, matrix = _parse_word_lines_bulk(path, lines, dimension) or _parse_word_lines(
         path, lines, dimension
     )
     if declared != count:
         warnings.warn(f"{path}: header declares {declared} tokens, file holds {count}")
     if not table:
         raise ParseError(f"{path}: word-vector file holds no vectors")
-    return EmbeddingBackend(
-        kind=WORD_AVERAGE,
-        dimension=dimension,
-        word_table=table,
-        stop_words=default_stopwords() if stop_words is None else stop_words,
-        source=str(path),
-    )
+    # count > len(table) exactly when a duplicate token was warned about
+    clean = declared == count == len(table)
+    return table, dimension, matrix if clean else None
 
 
 def _parse_word_lines(
     path: Path, lines: Sequence[str], dimension: int
-) -> tuple[dict[str, np.ndarray], int]:
+) -> tuple[dict[str, np.ndarray], int, None]:
     """Parse the data lines one by one with Python's float().
 
     This is the reference reader: it raises the ParseError for the first bad
-    line and accepts every spelling float() accepts.
+    line and accepts every spelling float() accepts. Its vectors are separate
+    arrays, so it returns no matrix and what it reads is not cached.
     """
     table: dict[str, np.ndarray] = {}
     parsed = 0
@@ -288,15 +331,16 @@ def _parse_word_lines(
             warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
         table[token] = vector
         parsed += 1
-    return table, parsed
+    return table, parsed, None
 
 
 def _parse_word_lines_bulk(
     path: Path, lines: Sequence[str], dimension: int
-) -> tuple[dict[str, np.ndarray], int] | None:
+) -> tuple[dict[str, np.ndarray], int, np.ndarray] | None:
     """Parse all data lines with numpy's C float parser into one matrix.
 
-    Returns None, having warned about nothing, when any line is not plainly
+    Returns the table (row views of the matrix), the data line count and the
+    matrix, or None, having warned about nothing, when any line is not plainly
     well formed (a short or long line, a component the C parser rejects, or
     no data at all); `_parse_word_lines` then gives the exact error or reads
     spellings only float() accepts, such as "1_0". Both parsers round
@@ -327,17 +371,43 @@ def _parse_word_lines_bulk(
         if token in table:
             warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
         table[token] = vector
-    return table, len(tokens)
+    return table, len(tokens), matrix
 
 
 def load_sentence_vectors(
     path: str | Path, stop_words: frozenset[str] | None = None
 ) -> EmbeddingBackend:
-    """Read JSON-Lines {"text": ..., "vector": [...]} into a lookup table."""
+    """Read JSON-Lines {"text": ..., "vector": [...]} into a lookup table.
+
+    A file that parses is cached by content; later loads of the same bytes
+    skip the parse.
+    """
     path = Path(path)
+    digest, cached, lines = _read_source(path, PRECOMPUTED_SENTENCE)
+    if cached is not None:
+        table, dimension = cached
+    else:
+        table, dimension = _parse_sentence_file(path, lines)
+        del lines  # free the text before stacking a copy of the vectors
+        matrix = np.stack(list(table.values()))
+        _cache_write(PRECOMPUTED_SENTENCE, digest, list(table), matrix)
+    return EmbeddingBackend(
+        kind=PRECOMPUTED_SENTENCE,
+        dimension=dimension,
+        sentence_table=table,
+        stop_words=default_stopwords() if stop_words is None else stop_words,
+        source=str(path),
+        digest=digest,
+    )
+
+
+def _parse_sentence_file(
+    path: Path, lines: Sequence[str]
+) -> tuple[dict[str, np.ndarray], int]:
+    """The table and dimension of a sentence-vector file's lines."""
     table: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -367,10 +437,102 @@ def load_sentence_vectors(
         table[key] = vector
     if dimension is None:
         raise ParseError(f"{path}: sentence-vector file holds no vectors")
-    return EmbeddingBackend(
-        kind=PRECOMPUTED_SENTENCE,
-        dimension=dimension,
-        sentence_table=table,
-        stop_words=default_stopwords() if stop_words is None else stop_words,
-        source=str(path),
-    )
+    return table, dimension
+
+
+# ----------------------------------------------------------- parse cache
+#
+# An entry is an uncompressed .npz named by the kind, the format and the
+# SHA-256 of the source bytes. It holds "keys" (the table's keys in order,
+# UTF-8 joined by newlines, as uint8; neither tokens nor normalized sentences
+# contain a newline) and "matrix" (float64, one row per key). The zip CRC
+# and the checks in `_cache_read` turn a torn or foreign entry into a miss.
+
+
+def _read_source(
+    path: Path, kind: str
+) -> tuple[str, tuple[dict[str, np.ndarray], int] | None, list[str] | None]:
+    """Read and hash a vector file once: its SHA-256, then either the cached
+    (table, dimension) of those bytes or, on a miss, the file's lines to parse."""
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    cached = _cache_read(kind, digest)
+    if cached is not None:
+        return digest, cached, None
+    text = data.decode("utf-8")
+    del data  # hold at most two copies of the file at once, as reading text does
+    return digest, None, text.splitlines()
+
+
+def _cache_entry(kind: str, digest: str) -> Path | None:
+    """$XDG_CACHE_HOME/riskbench/<entry>, else ~/.cache/riskbench; None without a home."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: ignored, as the spec says
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):
+        return None
+    return Path(base, "riskbench", f"{kind}-v{_CACHE_FORMAT}-{digest}.npz")
+
+
+def _cache_read(kind: str, digest: str) -> tuple[dict[str, np.ndarray], int] | None:
+    """The cached (table, dimension) of a digest, or None for a missing or invalid entry."""
+    entry = _cache_entry(kind, digest)
+    if entry is None:
+        return None
+    try:
+        # numpy leaves a file it opened itself open when the archive is torn
+        with open(entry, "rb") as handle:
+            archive = np.load(handle, allow_pickle=False)  # an ndarray for a lone .npy
+            raw, matrix = archive["keys"], archive["matrix"]
+        keys = raw.tobytes().decode("utf-8", "surrogatepass").split("\n")
+    except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
+        return None
+    if (
+        raw.dtype != np.uint8
+        or raw.ndim != 1
+        or matrix.dtype != np.float64
+        or matrix.ndim != 2
+        or matrix.shape[1] == 0
+        or matrix.shape[0] != len(keys)
+    ):
+        return None
+    table = dict(zip(keys, matrix))
+    if len(table) != len(keys):
+        return None
+    return table, matrix.shape[1]
+
+
+def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) -> None:
+    """Store a parsed table, then drop the oldest entries of its kind past the cap.
+
+    Nothing is stored, and nothing is said, when the directory cannot be
+    created or written.
+    """
+    import tempfile
+
+    entry = _cache_entry(kind, digest)
+    if entry is None:
+        return
+    encoded = np.frombuffer("\n".join(keys).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        handle, temp = tempfile.mkstemp(prefix=f".{kind}-", suffix=".tmp", dir=entry.parent)
+    except OSError:
+        return
+    try:
+        with os.fdopen(handle, "wb") as out:
+            np.savez(out, keys=encoded, matrix=matrix)
+        # No fsync: an entry torn by a crash fails its CRC and is rewritten.
+        os.replace(temp, entry)
+    except OSError:
+        return
+    finally:
+        with suppress(OSError):
+            os.unlink(temp)  # already gone after a successful replace
+    ages = []
+    for other in entry.parent.glob(f"{kind}-*.npz"):
+        with suppress(OSError):
+            ages.append((other.stat().st_mtime_ns, other.name))
+    for _, name in sorted(ages)[:-_CACHE_ENTRIES]:
+        with suppress(OSError):
+            os.unlink(entry.parent / name)

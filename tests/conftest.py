@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,30 @@ from riskbench.resources import data_path
 from riskbench.vectorize import EmbeddingBackend, default_stopwords, load_word_vectors
 
 
+@pytest.fixture(scope="session", autouse=True)
+def cache_home(tmp_path_factory):
+    """Keep the embedding parse cache out of the user's home for the whole session.
+
+    Set through os.environ, before any session fixture loads vectors, so that
+    CLI subprocesses inherit it too.
+    """
+    home = tmp_path_factory.mktemp("xdg-cache")
+    previous = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(home)
+    yield home
+    if previous is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = previous
+
+
 @pytest.fixture(scope="session")
 def stopwords():
     return default_stopwords()
 
 
 @pytest.fixture(scope="session")
-def reference_backend():
+def reference_backend(cache_home):
     return load_word_vectors(data_path("embeddings", "reference_word_vectors.txt"))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from riskbench.cli import main
+from riskbench import vectorize
+from riskbench.cli import build_parser, main
 from riskbench.resources import data_path
 
 WORD_VECTORS = str(data_path("embeddings", "reference_word_vectors.txt"))
@@ -229,6 +231,30 @@ def test_lifecycle_rejects_jobs(manifest, tmp_path, mode):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, accepts",
+    [
+        (["ingest"], False),
+        (["similarity", "docs"], False),
+        (["similarity", "evaluation"], False),
+        (["template", "build"], False),
+        (["template", "eval", "--template", "t.json", "--register", "r.csv"], False),
+        (["similarity", "risks"], True),
+        (["similarity", "pooling"], True),
+        (["rbs", "coverage"], True),
+    ],
+)
+def test_jobs_only_where_it_is_used(command, accepts):
+    manifest = [] if command[:2] == ["template", "eval"] else ["--manifest", "m.json"]
+    argv = command + manifest + ["--jobs", "2", "--out", "o.json"]
+    if accepts:
+        assert build_parser().parse_args(argv).jobs == 2
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+
 def test_lifecycle_compare(tmp_path):
     groups_path = tmp_path / "groups.json"
     groups_path.write_text(json.dumps({
@@ -317,3 +343,38 @@ def test_cli_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    words = ["--embeddings", WORD_VECTORS]
+    # the bundled sentence table does not cover the fixture, so the sentence
+    # backend is exercised where the word fallback is wired: rbs coverage
+    commands = {
+        "risks": ["similarity", "risks", "--manifest", manifest, *words],
+        "template": ["template", "build", "--manifest", manifest, *words],
+        "coverage": [
+            "rbs", "coverage", "--manifest", manifest,
+            "--sentence-embeddings", SENTENCE_VECTORS, *words,
+        ],
+    }
+    reports = {}
+    for state in ("cold", "warm"):
+        if state == "warm":  # every load must now be served without parsing
+            for parser in ("_parse_word_file", "_parse_sentence_file"):
+                monkeypatch.setattr(vectorize, parser, None)
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{state}.json"
+            assert run(argv + ["--out", str(out)]) == 0
+            reports[name, state] = out.read_bytes()
+        assert len(list((cache / "riskbench").glob("*.npz"))) == 2
+    sha256 = {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in (WORD_VECTORS, SENTENCE_VECTORS)
+    }
+    for name in commands:
+        assert reports[name, "cold"] == reports[name, "warm"]
+        assert json.loads(reports[name, "warm"])["inputs"]["embeddings"] == sha256[WORD_VECTORS]
+    inputs = json.loads(reports["coverage", "warm"])["inputs"]
+    assert inputs["sentence_embeddings"] == sha256[SENTENCE_VECTORS]

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -139,6 +141,15 @@ def test_cosine_dimension_mismatch():
         cosine((1.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(DimensionError):
         cosine(SparseVector(((0, 1.0),)), np.ones(3))
+
+
+def test_cosine_of_tiny_vectors_keeps_precision():
+    # squares of these components are subnormal (or zero) before rescaling
+    v = [0.0, 4.142467035308623e-156, 4.142467035308623e-156]
+    w = [0.0, 0.0, 1.0]
+    assert cosine(v, w) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert cosine([x * 0.00390625 for x in v], w) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert cosine([1e-170, 0.0], [1e-170, 1e-170]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 def test_cosine_sparse_matches_dense():
@@ -284,25 +295,46 @@ def test_load_word_vectors_bad_header(tmp_path):
 
 # The bulk parser (numpy's C float parser) must give what the per-line
 # reference reader gives: the same table bit for bit, the same warnings and
-# the same ParseError.
+# the same ParseError. A load served by the parse cache must give what the
+# parse gave, and a file that warns or fails is never cached, so it warns or
+# fails again on every load.
 
 
-def _load_outcome(path):
+def _load_outcome(path, loader=load_word_vectors):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            table = load_word_vectors(path).word_table
+            backend = loader(path)
         except ParseError as exc:
             return None, [str(w.message) for w in caught], str(exc)
+    table = backend.word_table or backend.sentence_table
     return table, [str(w.message) for w in caught], None
 
 
-def _bulk_and_reference(path, monkeypatch):
-    bulk = _load_outcome(path)
+def _entries(tmp_path):
+    return sorted((tmp_path / "cache" / "riskbench").glob("*.npz"))
+
+
+def _no_parse(*args):
+    raise AssertionError("a cache hit must not parse")
+
+
+def _cold_warm_reference(path, monkeypatch, tmp_path, cached):
+    """Loads with an empty cache, with the cache that load left (a hit that
+    runs no parser when `cached`, else a parse again), and through the
+    per-line reader with nothing to hit."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    cold = _load_outcome(path)
     with monkeypatch.context() as patch:
+        if cached:
+            patch.setattr(vectorize, "_parse_word_file", _no_parse)
+        warm = _load_outcome(path)
+    assert len(_entries(tmp_path)) == int(cached)
+    with monkeypatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
         patch.setattr(vectorize, "_parse_word_lines_bulk", lambda *args: None)
         reference = _load_outcome(path)
-    return bulk, reference
+    return cold, warm, reference
 
 
 def _takes_bulk_path(path, dimension):
@@ -317,7 +349,7 @@ def _assert_same_tables(bulk, reference):
     for token, vector in reference.items():
         assert bulk[token].dtype == vector.dtype
         assert bulk[token].shape == vector.shape
-        assert bulk[token].tobytes() == vector.tobytes(), token
+        assert np.array_equal(bulk[token].view(np.int64), vector.view(np.int64)), token
 
 
 def _write_300d(path, rng):
@@ -331,21 +363,23 @@ def _write_300d(path, rng):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_load_word_vectors_bulk_matches_reference_on_bundled_file(monkeypatch):
+def test_load_word_vectors_bulk_matches_reference_on_bundled_file(tmp_path, monkeypatch):
     path = data_path("embeddings", "reference_word_vectors.txt")
     assert _takes_bulk_path(path, 32)
-    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    bulk, hit, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=True)
     _assert_same_tables(bulk[0], reference[0])
-    assert bulk[1:] == reference[1:]
+    _assert_same_tables(hit[0], bulk[0])
+    assert bulk[1:] == hit[1:] == reference[1:] == ([], None)
 
 
 def test_load_word_vectors_bulk_matches_reference_on_300d_file(tmp_path, monkeypatch):
     path = tmp_path / "w300.txt"
     _write_300d(path, np.random.default_rng(3))
     assert _takes_bulk_path(path, 300)
-    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    bulk, hit, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=True)
     _assert_same_tables(bulk[0], reference[0])
-    assert bulk[1:] == reference[1:] == ([], None)
+    _assert_same_tables(hit[0], bulk[0])
+    assert bulk[1:] == hit[1:] == reference[1:] == ([], None)
 
 
 @pytest.mark.parametrize(
@@ -364,8 +398,8 @@ def test_load_word_vectors_bulk_matches_reference_on_300d_file(tmp_path, monkeyp
 def test_load_word_vectors_bulk_raises_reference_error(tmp_path, monkeypatch, body, line, message):
     path = tmp_path / "w.txt"
     path.write_text(body, encoding="utf-8")
-    bulk, reference = _bulk_and_reference(path, monkeypatch)
-    assert bulk == reference
+    bulk, again, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=False)
+    assert bulk == again == reference
     assert bulk[2] == f"{path}, line {line}: {message}"
 
 
@@ -375,9 +409,10 @@ def test_load_word_vectors_bulk_duplicates_and_header_count(tmp_path, monkeypatc
         "5 2\nfoo 1 0\nbar 0 1\n\nfoo 2 0\nbaz 1 1\nfoo 3 0\nbar 0 4\n", encoding="utf-8"
     )
     assert _takes_bulk_path(path, 2)
-    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    bulk, again, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=False)
     _assert_same_tables(bulk[0], reference[0])
-    assert bulk[1:] == reference[1:]
+    _assert_same_tables(again[0], bulk[0])
+    assert bulk[1:] == again[1:] == reference[1:]
     assert bulk[1] == [
         f"{path}, line 5: duplicate token 'foo', last wins",
         f"{path}, line 7: duplicate token 'foo', last wins",
@@ -388,12 +423,31 @@ def test_load_word_vectors_bulk_duplicates_and_header_count(tmp_path, monkeypatc
     assert bulk[0]["bar"].tolist() == [0.0, 4.0]
 
 
+@pytest.mark.parametrize(
+    "body, warning",
+    [
+        ("3 2\nfoo 3 0\nbar 0 4\n", ": header declares 3 tokens, file holds 2"),
+        ("3 2\nfoo 1 0\nbar 0 4\nfoo 3 0\n", ", line 4: duplicate token 'foo', last wins"),
+    ],
+    ids=["header-only", "duplicates-only"],
+)
+def test_load_word_vectors_warning_alone_is_not_cached(tmp_path, monkeypatch, body, warning):
+    path = tmp_path / "w.txt"
+    path.write_text(body, encoding="utf-8")
+    bulk, again, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=False)
+    _assert_same_tables(again[0], bulk[0])
+    assert bulk[1:] == again[1:] == reference[1:] == ([f"{path}{warning}"], None)
+    assert bulk[0]["foo"].tolist() == [3.0, 0.0]
+
+
 def test_load_word_vectors_accepts_python_float_spellings(tmp_path, monkeypatch):
     path = tmp_path / "w.txt"
     path.write_text("3 2\nfoo 1_0 nan\nbar -inf 2.5\nbaz +1e500 -0.0\n", encoding="utf-8")
-    bulk, reference = _bulk_and_reference(path, monkeypatch)
+    # only the per-line reader takes "1_0"; what it reads is not cached
+    bulk, again, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=False)
     _assert_same_tables(bulk[0], reference[0])
-    assert bulk[1:] == reference[1:] == ([], None)
+    _assert_same_tables(again[0], bulk[0])
+    assert bulk[1:] == again[1:] == reference[1:] == ([], None)
     assert bulk[0]["foo"][0] == 10.0 and math.isnan(bulk[0]["foo"][1])
     assert bulk[0]["bar"][0] == -math.inf
 
@@ -423,24 +477,42 @@ def test_load_sentence_vectors_duplicate_identical_ok(tmp_path):
     assert len(backend.sentence_table) == 1
 
 
-def test_load_sentence_vectors_duplicate_differing(tmp_path):
+def test_load_sentence_vectors_duplicate_differing(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     path = tmp_path / "s.jsonl"
     _write_jsonl(path, [
         {"text": "same", "vector": [1.0]},
         {"text": "Same", "vector": [2.0]},
     ])
-    with pytest.raises(ParseError, match="differing"):
-        load_sentence_vectors(path)
+    for _ in range(2):
+        with pytest.raises(ParseError, match="differing"):
+            load_sentence_vectors(path)
+    assert _entries(tmp_path) == []
 
 
-def test_load_sentence_vectors_mixed_dimensions(tmp_path):
+def test_load_sentence_vectors_mixed_dimensions(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     path = tmp_path / "s.jsonl"
     _write_jsonl(path, [
         {"text": "a", "vector": [0.1] * 768},
         {"text": "b", "vector": [0.1] * 767},
     ])
-    with pytest.raises(ParseError, match="length"):
-        load_sentence_vectors(path)
+    for _ in range(2):
+        with pytest.raises(ParseError, match="length"):
+            load_sentence_vectors(path)
+    assert _entries(tmp_path) == []
+
+
+def test_load_sentence_vectors_cache_hit_matches_parse(tmp_path, monkeypatch):
+    path = data_path("embeddings", "reference_sentence_vectors.jsonl")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    parsed = _load_outcome(path, load_sentence_vectors)
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorize, "_parse_sentence_file", _no_parse)
+        hit = _load_outcome(path, load_sentence_vectors)
+    assert len(_entries(tmp_path)) == 1
+    _assert_same_tables(hit[0], parsed[0])
+    assert parsed[1:] == hit[1:] == ([], None)
 
 
 def test_sentence_lookup_miss_names_text(tmp_path):
@@ -454,6 +526,123 @@ def test_sentence_lookup_miss_names_text(tmp_path):
 
 def test_normalize_sentence():
     assert normalize_sentence("  Utility \t Relocation  ") == "utility relocation"
+
+
+# ----------------------------------------------------------- parse cache
+
+
+def test_session_cache_lies_in_a_tmp_dir(cache_home, tmp_path_factory, tmp_path):
+    assert cache_home.is_relative_to(tmp_path_factory.getbasetemp())
+    path = tmp_path / "w.txt"
+    path.write_text("1 2\nsession 1 2\n", encoding="utf-8")
+    entry = vectorize._cache_entry("word_average", load_word_vectors(path).digest)
+    assert entry.parent == cache_home / "riskbench"
+    assert entry.is_file()
+
+
+def _damage(entry, how):
+    if how == "truncated":
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    elif how == "flipped-byte":
+        data = bytearray(entry.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        entry.write_bytes(bytes(data))
+    elif how == "garbage":
+        entry.write_bytes(b"not a cache entry\n" * 64)
+    elif how == "lone-array":
+        with open(entry, "wb") as out:
+            np.save(out, np.zeros((3, 2)))
+    else:
+        with np.load(entry, allow_pickle=False) as archive:
+            keys, matrix = archive["keys"], archive["matrix"]
+        if how == "wrong-dtype":
+            matrix = matrix.astype(np.float32)
+        elif how == "wrong-row-count":
+            matrix = matrix[:-1]
+        elif how == "duplicate-keys":
+            keys = np.frombuffer(b"\n".join([b"tok0"] * len(matrix)), dtype=np.uint8)
+        with open(entry, "wb") as out:
+            np.savez(out, keys=keys, matrix=matrix)
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        "truncated", "flipped-byte", "garbage", "lone-array",
+        "wrong-dtype", "wrong-row-count", "duplicate-keys",
+    ],
+)
+def test_invalid_cache_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how):
+    path = tmp_path / "w300.txt"
+    _write_300d(path, np.random.default_rng(5))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    parsed = _load_outcome(path)
+    [entry] = _entries(tmp_path)
+    _damage(entry, how)
+    parses = []
+    original = vectorize._parse_word_file
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorize, "_parse_word_file", lambda *a: parses.append(1) or original(*a))
+        reparsed = _load_outcome(path)
+    assert parses == [1]
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorize, "_parse_word_file", _no_parse)
+        hit = _load_outcome(path)
+    for outcome in (reparsed, hit):
+        _assert_same_tables(outcome[0], parsed[0])
+        assert outcome[1:] == ([], None)
+    assert _entries(tmp_path) == [entry]
+
+
+def test_unusable_cache_dir_still_loads(tmp_path, monkeypatch):
+    path = tmp_path / "w300.txt"
+    _write_300d(path, np.random.default_rng(6))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    expected = _load_outcome(path)
+    [entry] = _entries(tmp_path)
+    # an entry path taken by a directory can be neither read nor replaced
+    entry.unlink()
+    entry.mkdir()
+    assert _load_outcome(path)[1:] == ([], None)
+    assert sorted(entry.parent.iterdir()) == [entry]  # no temp file left behind
+    # a cache home that is a file: the cache dir cannot be created
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    for _ in range(2):
+        outcome = _load_outcome(path)
+        _assert_same_tables(outcome[0], expected[0])
+        assert outcome[1:] == ([], None)
+
+
+def test_changed_source_byte_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "w.txt"
+    path.write_text("2 3\nfoo 1.0 0.0 0.0\nbar 0.0 1.0 0.0\n", encoding="utf-8")
+    first = load_word_vectors(path)
+    path.write_text("2 3\nfoo 1.0 0.0 0.0\nbar 0.0 1.0 0.5\n", encoding="utf-8")
+    second = load_word_vectors(path)
+    assert second.word_table["bar"].tolist() == [0.0, 1.0, 0.5]
+    assert first.digest != second.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(_entries(tmp_path)) == 2
+
+
+def test_cache_keeps_the_newest_entries_per_kind(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    sentences = tmp_path / "s.jsonl"
+    _write_jsonl(sentences, [{"text": "kept", "vector": [1.0]}])
+    load_sentence_vectors(sentences)
+    names = []
+    for i in range(vectorize._CACHE_ENTRIES + 2):
+        path = tmp_path / f"w{i}.txt"
+        path.write_text(f"1 2\nw{i} {i} 1\n", encoding="utf-8")
+        entry = vectorize._cache_entry("word_average", load_word_vectors(path).digest)
+        os.utime(entry, ns=(i * 10**9, i * 10**9))  # strictly ordered ages
+        names.append(entry.name)
+    kinds = [entry.name.split("-")[0] for entry in _entries(tmp_path)]
+    assert kinds.count("precomputed_sentence") == 1
+    kept = [entry.name for entry in _entries(tmp_path) if entry.name.startswith("word_average-")]
+    assert kept == sorted(names[2:])
 
 
 # ----------------------------------------------------------- oracle equivalence
