@@ -73,16 +73,6 @@ from .vectorize import (
 )
 
 
-def _manifest_digests(manifest_path: str) -> dict[str, str]:
-    digests = {"manifest": file_digest(manifest_path)}
-    base = Path(manifest_path).parent
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    for project in manifest.get("projects", []):
-        for register in project.get("registers", []):
-            digests[register["path"]] = file_digest(base / register["path"])
-    return digests
-
-
 def _load_stopwords(args) -> frozenset[str]:
     if getattr(args, "stopwords", None):
         return load_stopwords(args.stopwords)
@@ -170,7 +160,7 @@ def _cmd_ingest(args) -> int:
             }
         )
     result = {"project_count": len(corpus.projects), "total_rows": total, "projects": projects}
-    digests = _manifest_digests(args.manifest)
+    digests = dict(corpus.digests)
     digests.update(_scale_digests(args))
     return _emit(args, "riskbench ingest", {}, digests, result)
 
@@ -202,7 +192,7 @@ def _cmd_similarity_docs(args) -> int:
             for a in ids
         ]
         write_heatmap_csv(args.heatmap, ids, ids, matrix)
-    digests = _manifest_digests(args.manifest)
+    digests = dict(corpus.digests)
     digests["stopwords"] = (
         file_digest(args.stopwords) if args.stopwords else file_digest(data_path("stopwords_en.txt"))
     )
@@ -262,7 +252,7 @@ def _cmd_similarity_risks(args) -> int:
             }
             for name, scores in sorted(groups.items())
         }
-    digests = _manifest_digests(args.manifest)
+    digests = dict(corpus.digests)
     digests.update(_backend_digests(args, backend, fallback))
     return _emit(
         args, "riskbench similarity risks", _similarity_config(args, "risks"), digests, result
@@ -291,7 +281,7 @@ def _cmd_similarity_pooling(args) -> int:
         "projects": rows,
         "mean_fraction_at_least_0.5": sum(r["fraction_at_least_0.5"] for r in rows) / len(rows),
     }
-    digests = _manifest_digests(args.manifest)
+    digests = dict(corpus.digests)
     digests.update(_backend_digests(args, backend, fallback))
     return _emit(
         args, "riskbench similarity pooling", _similarity_config(args, "pooling"), digests, result
@@ -326,7 +316,7 @@ def _cmd_similarity_evaluation(args) -> int:
             except EmptyReportError as exc:
                 by_group[name] = {"skipped": str(exc)}
         result["by_group"] = by_group
-    digests = _manifest_digests(args.manifest)
+    digests = dict(corpus.digests)
     digests.update(_backend_digests(args, backend, fallback))
     return _emit(
         args,
@@ -360,7 +350,7 @@ def _cmd_template_build(args) -> int:
     template = build_template(groups, args.sort, args.top, criteria, len(selected))
     result = template.to_dict()
     result["group_count"] = len(groups)
-    digests = _manifest_digests(args.manifest)
+    digests = dict(corpus.digests)
     digests.update(_backend_digests(args, backend, fallback))
     if args.categories:
         digests["categories"] = file_digest(args.categories)
@@ -415,7 +405,7 @@ def _lifecycle_tables(args):
     elif getattr(args, "manifest", None):
         corpus = _load_corpus(args)
         per_project, pooled = corpus_ratios(corpus)
-        digests = _manifest_digests(args.manifest)
+        digests = dict(corpus.digests)
         config = {"source": "manifest"}
     else:
         raise RiskbenchError("pass --manifest or --lifecycle-csv")
@@ -543,7 +533,7 @@ def _cmd_rbs_coverage(args) -> int:
             "category_distribution": distribution,
         },
     }
-    digests = _manifest_digests(args.manifest)
+    digests = dict(corpus.digests)
     digests.update(_backend_digests(args, backend, fallback))
     digests["rbs"] = file_digest(args.rbs) if args.rbs else file_digest(data_path("rbs_table21.json"))
     config = {"threshold": args.threshold}

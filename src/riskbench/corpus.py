@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -51,6 +51,16 @@ class SizeBand(str, Enum):
         return cls.OVER_1B
 
 
+def _check_raw_probability(value: float | None) -> None:
+    if value is not None and not 0.0 <= value <= 1.0:
+        raise CorpusError(f"raw_probability must be a fraction in [0, 1], got {value!r}")
+
+
+def _check_ordinal(ordinal: int) -> None:
+    if ordinal < 0:
+        raise CorpusError(f"snapshot ordinal must be >= 0, got {ordinal}")
+
+
 @dataclass(frozen=True)
 class Assessment:
     """One risk's evaluation: 1-5 Likert bands plus optional raw values."""
@@ -69,10 +79,7 @@ class Assessment:
             band = getattr(self, label)
             if band is not None and band not in (1, 2, 3, 4, 5):
                 raise CorpusError(f"{label} must be in 1..5, got {band!r}")
-        if self.raw_probability is not None and not 0.0 <= self.raw_probability <= 1.0:
-            raise CorpusError(
-                f"raw_probability must be a fraction in [0, 1], got {self.raw_probability!r}"
-            )
+        _check_raw_probability(self.raw_probability)
 
     def is_empty(self) -> bool:
         return all(
@@ -114,8 +121,7 @@ class RegisterSnapshot:
     items: tuple[RiskItem, ...]
 
     def __post_init__(self) -> None:
-        if self.ordinal < 0:
-            raise CorpusError(f"snapshot ordinal must be >= 0, got {self.ordinal}")
+        _check_ordinal(self.ordinal)
         seen: set[str] = set()
         for item in self.items:
             if item.risk_id in seen:
@@ -163,6 +169,9 @@ class ProjectRecord:
 class Corpus:
     projects: tuple[ProjectRecord, ...]
     manifest_path: str
+    # SHA-256 of the bytes parsed: "manifest", then each register by its
+    # manifest path, in manifest order. Not part of equality.
+    digests: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -264,60 +273,53 @@ def normalize_assessment(
         and raw.raw_schedule is None
     ):
         raise NormalizeError("no raw probability, cost, or schedule value to normalize")
-
-    probability_band = raw.probability_band
-    cost_band = raw.cost_band
-    schedule_band = raw.schedule_band
-    if raw.raw_probability is not None:
-        probability_band = band_for(raw.raw_probability, cfg.probability_band_edges)
-    if raw.raw_cost is not None:
-        if project_value is None or project_value <= 0:
-            raise NormalizeError(
-                "a positive project value is required to normalize a raw cost impact"
-            )
-        cost_band = band_for(raw.raw_cost / project_value, cfg.cost_band_edges)
-    if raw.raw_schedule is not None:
-        schedule_band = band_for(raw.raw_schedule, cfg.schedule_band_edges)
-
-    normalized = replace(
-        raw,
-        probability_band=probability_band,
-        cost_band=cost_band,
-        schedule_band=schedule_band,
-    )
-    return fill_qualitative(normalized, cfg)
+    return _assessment(cfg, project_value, **asdict(raw))
 
 
 def fill_qualitative(assessment: Assessment, cfg: ScaleConfig) -> Assessment:
     """Derive unset High/Medium/Low levels from available band pairs."""
-    qualitative_cost = assessment.qualitative_cost
-    qualitative_schedule = assessment.qualitative_schedule
-    if (
-        qualitative_cost is Qualitative.UNSET
-        and assessment.probability_band is not None
-        and assessment.cost_band is not None
-    ):
-        qualitative_cost = cfg.risk_matrix[(assessment.probability_band, assessment.cost_band)]
-    if (
-        qualitative_schedule is Qualitative.UNSET
-        and assessment.probability_band is not None
-        and assessment.schedule_band is not None
-    ):
-        qualitative_schedule = cfg.risk_matrix[
-            (assessment.probability_band, assessment.schedule_band)
-        ]
-    return replace(
-        assessment,
-        qualitative_cost=qualitative_cost,
-        qualitative_schedule=qualitative_schedule,
+    return _assessment(cfg, None, **asdict(assessment), bands_from_raw=False)
+
+
+def _assessment(
+    cfg: ScaleConfig,
+    project_value: float | None,
+    probability_band: int | None,
+    cost_band: int | None,
+    schedule_band: int | None,
+    raw_probability: float | None,
+    raw_cost: float | None,
+    raw_schedule: float | None,
+    qualitative_cost: Qualitative = Qualitative.UNSET,
+    qualitative_schedule: Qualitative = Qualitative.UNSET,
+    bands_from_raw: bool = True,
+) -> Assessment:
+    """The normalization rule: a raw value sets its band (when bands_from_raw),
+    then each unset level comes from the risk matrix at (probability, impact)."""
+    if bands_from_raw:
+        if raw_probability is not None:
+            probability_band = band_for(raw_probability, cfg.probability_band_edges)
+        if raw_cost is not None:
+            if project_value is None or project_value <= 0:
+                raise NormalizeError(
+                    "a positive project value is required to normalize a raw cost impact"
+                )
+            cost_band = band_for(raw_cost / project_value, cfg.cost_band_edges)
+        if raw_schedule is not None:
+            schedule_band = band_for(raw_schedule, cfg.schedule_band_edges)
+    if probability_band is not None:
+        if qualitative_cost is Qualitative.UNSET and cost_band is not None:
+            qualitative_cost = cfg.risk_matrix[(probability_band, cost_band)]
+        if qualitative_schedule is Qualitative.UNSET and schedule_band is not None:
+            qualitative_schedule = cfg.risk_matrix[(probability_band, schedule_band)]
+    return Assessment(
+        probability_band, cost_band, schedule_band, qualitative_cost, qualitative_schedule,
+        raw_probability, raw_cost, raw_schedule,
     )
 
 
 def _value_or_none(text: str | None) -> str | None:
-    if text is None:
-        return None
-    stripped = text.strip()
-    return stripped or None
+    return None if text is None else (text.strip() or None)
 
 
 def _parse_measure(raw: str | None, column: str, where: str) -> tuple[int | None, float | None]:
@@ -329,88 +331,81 @@ def _parse_measure(raw: str | None, column: str, where: str) -> tuple[int | None
     text = _value_or_none(raw)
     if text is None:
         return None, None
-    try:
-        as_int = int(text)
-    except ValueError:
-        as_int = None
-    if as_int is not None:
-        if as_int not in (1, 2, 3, 4, 5):
-            raise ParseError(f"{where}: {column} band {as_int} outside 1..5")
-        return as_int, None
+    if "." not in text:  # int() rejects every text with a point
+        try:
+            band = int(text)
+        except ValueError:
+            pass
+        else:
+            if band not in (1, 2, 3, 4, 5):
+                raise ParseError(f"{where}: {column} band {band} outside 1..5")
+            return band, None
     try:
         return None, float(text)
     except ValueError as exc:
         raise ParseError(f"{where}: {column} value {text!r} is not numeric") from exc
 
 
-def _item_from_fields(
-    risk_id: str | None,
-    name: str | None,
-    description: str | None,
-    category: str | None,
-    probability: tuple[int | None, float | None],
-    cost: tuple[int | None, float | None],
-    schedule: tuple[int | None, float | None],
-    status: str | None,
-    where: str,
-) -> RiskItem:
+def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
+    """Check one row, its fields in REGISTER_CSV_COLUMNS order: the measures,
+    then risk_id, then name, then raw_probability, then that risk_id is new.
+
+    Returns (risk_id, name, description, category, status, measures), with
+    measures the three bands, then the three raw values.
+    """
+    risk_id, name, description, category, probability, cost, schedule, status, _ = fields
+    (p, raw_p), (c, raw_c), (s, raw_s) = (
+        measure(probability, "probability", where),
+        measure(cost, "cost_impact", where),
+        measure(schedule, "schedule_impact", where),
+    )
     if not risk_id or not risk_id.strip():
         raise ParseError(f"{where}: missing risk_id")
     if not name or not name.strip():
         raise ParseError(f"{where}: risk {risk_id!r} has an empty name")
-    assessment = Assessment(
-        probability_band=probability[0],
-        cost_band=cost[0],
-        schedule_band=schedule[0],
-        raw_probability=probability[1],
-        raw_cost=cost[1],
-        raw_schedule=schedule[1],
-    )
-    return RiskItem(
-        risk_id=risk_id.strip(),
-        name=name.strip(),
-        description=_value_or_none(description),
-        category_label=_value_or_none(category),
-        assessment=assessment,
-        status_note=_value_or_none(status),
+    try:
+        _check_raw_probability(raw_p)
+    except CorpusError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    risk_id = risk_id.strip()
+    if risk_id in seen:
+        raise ParseError(f"{where}: duplicate risk_id {risk_id!r}")
+    seen.add(risk_id)
+    return (
+        risk_id, name.strip(), _value_or_none(description), _value_or_none(category),
+        _value_or_none(status), (p, c, s, raw_p, raw_c, raw_s),
     )
 
 
-def _parse_register_csv(data: bytes, source: str) -> RegisterSnapshot:
+def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int, None]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source}: not valid UTF-8 ({exc})") from exc
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
     for required in ("risk_id", "name"):
         if required not in header:
             raise ParseError(f"{source}: header is missing required column {required!r}")
+    # As in csv.DictReader: the last column of a repeated name wins, and a
+    # column the header lacks or a short row does not reach reads as None
+    # (index `width` of the row padded below).
+    width = len(header)
+    column = {name: index for index, name in enumerate(header)}
+    positions = [column.get(name, width) for name in REGISTER_CSV_COLUMNS]
 
-    items: list[RiskItem] = []
+    rows: list[tuple] = []
     seen: set[str] = set()
     snapshot_values: set[str] = set()
-    for row in reader:
-        where = f"{source}, row {reader.line_num}"
-        try:
-            item = _item_from_fields(
-                row.get("risk_id"),
-                row.get("name"),
-                row.get("description"),
-                row.get("category"),
-                _parse_measure(row.get("probability"), "probability", where),
-                _parse_measure(row.get("cost_impact"), "cost_impact", where),
-                _parse_measure(row.get("schedule_impact"), "schedule_impact", where),
-                row.get("status"),
-                where,
-            )
-        except CorpusError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        if item.risk_id in seen:
-            raise ParseError(f"{where}: duplicate risk_id {item.risk_id!r}")
-        seen.add(item.risk_id)
-        items.append(item)
-        marker = _value_or_none(row.get("snapshot"))
+    for cells in reader:
+        if not cells:
+            continue  # a blank line
+        if len(cells) != width:
+            cells = (cells + [None] * width)[:width]
+        cells.append(None)
+        fields = [cells[index] for index in positions]
+        rows.append(_row(fields, _parse_measure, f"{source}, row {reader.line_num}", seen))
+        marker = _value_or_none(fields[-1])
         if marker is not None:
             snapshot_values.add(marker)
 
@@ -424,10 +419,11 @@ def _parse_register_csv(data: bytes, source: str) -> RegisterSnapshot:
             ordinal = int(next(iter(snapshot_values)))
         except ValueError as exc:
             raise ParseError(f"{source}: snapshot column is not an integer") from exc
-    return RegisterSnapshot(ordinal=ordinal, label=None, items=tuple(items))
+        _check_ordinal(ordinal)
+    return rows, ordinal, None
 
 
-def _parse_register_json(data: bytes, source: str) -> RegisterSnapshot:
+def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int, object]:
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -437,8 +433,7 @@ def _parse_register_json(data: bytes, source: str) -> RegisterSnapshot:
     if not isinstance(payload, dict) or not isinstance(payload.get("items"), list):
         raise ParseError(f"{source}: expected an object with an 'items' array")
 
-    def measure(record: dict, key: str) -> tuple[int | None, float | None]:
-        value = record.get(key)
+    def measure(value, key: str, where: str) -> tuple[int | None, float | None]:
         if value is None:
             return None, None
         if isinstance(value, bool):
@@ -451,44 +446,39 @@ def _parse_register_json(data: bytes, source: str) -> RegisterSnapshot:
             return None, value
         raise ParseError(f"{source}: {key} must be numeric, got {value!r}")
 
-    items: list[RiskItem] = []
+    rows: list[tuple] = []
     seen: set[str] = set()
     for index, record in enumerate(payload["items"]):
         where = f"{source}, item {index}"
         if not isinstance(record, dict):
             raise ParseError(f"{where}: expected an object")
-        try:
-            item = _item_from_fields(
-                record.get("risk_id"),
-                record.get("name"),
-                record.get("description"),
-                record.get("category"),
-                measure(record, "probability"),
-                measure(record, "cost_impact"),
-                measure(record, "schedule_impact"),
-                record.get("status"),
-                where,
-            )
-        except CorpusError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        if item.risk_id in seen:
-            raise ParseError(f"{where}: duplicate risk_id {item.risk_id!r}")
-        seen.add(item.risk_id)
-        items.append(item)
+        rows.append(_row([record.get(name) for name in REGISTER_CSV_COLUMNS], measure, where, seen))
     ordinal = payload.get("ordinal", 0)
     if not isinstance(ordinal, int) or ordinal < 0:
         raise ParseError(f"{source}: ordinal must be a non-negative integer")
-    label = payload.get("label")
-    return RegisterSnapshot(ordinal=ordinal, label=label, items=tuple(items))
+    return rows, ordinal, payload.get("label")
+
+
+def _register_rows(data: bytes, fmt: str, source: str) -> tuple[list[tuple], int, object]:
+    """Parse a whole register into checked rows, its ordinal and its label."""
+    if fmt == "csv":
+        return _csv_rows(data, source)
+    if fmt == "json":
+        return _json_rows(data, source)
+    raise ParseError(f"unknown register format {fmt!r} (expected csv or json)")
 
 
 def parse_register(data: bytes, fmt: str, source: str = "<register>") -> RegisterSnapshot:
-    """Parse CSV or JSON register bytes into a snapshot, preserving order."""
-    if fmt == "csv":
-        return _parse_register_csv(data, source)
-    if fmt == "json":
-        return _parse_register_json(data, source)
-    raise ParseError(f"unknown register format {fmt!r} (expected csv or json)")
+    """Parse CSV or JSON register bytes into a snapshot, preserving order.
+
+    Assessments hold the values as written: nothing is normalized.
+    """
+    rows, ordinal, label = _register_rows(data, fmt, source)
+    items = []
+    for risk_id, name, description, category, status, (p, c, s, raw_p, raw_c, raw_s) in rows:
+        assessment = Assessment(p, c, s, raw_probability=raw_p, raw_cost=raw_c, raw_schedule=raw_s)
+        items.append(RiskItem(risk_id, name, description, category, assessment, status))
+    return RegisterSnapshot(ordinal=ordinal, label=label, items=tuple(items))
 
 
 def serialize_register(snapshot: RegisterSnapshot) -> bytes:
@@ -516,30 +506,29 @@ def serialize_register(snapshot: RegisterSnapshot) -> bytes:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
 
 
-def _finalize_item(
-    item: RiskItem, project_value: float | None, cfg: ScaleConfig, where: str
-) -> RiskItem:
-    a = item.assessment
-    has_raw = (
-        a.raw_probability is not None or a.raw_cost is not None or a.raw_schedule is not None
-    )
-    try:
-        assessment = (
-            normalize_assessment(a, project_value, cfg) if has_raw else fill_qualitative(a, cfg)
-        )
-    except NormalizeError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
-    return replace(item, assessment=assessment)
-
-
 def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) -> Corpus:
-    """Load every project and register listed in a manifest, in file order."""
+    """Load every project and register listed in a manifest, in file order.
+
+    Each register is parsed whole before any of its rows is normalized, and
+    each RiskItem is built once, already normalized. The corpus keeps the
+    SHA-256 of every file it parsed.
+    """
+    from hashlib import sha256
+
     cfg = scales or default_scale_config()
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        data = manifest_path.read_bytes()
     except FileNotFoundError as exc:
         raise CorpusError(f"manifest not found: {manifest_path}") from exc
+    digests = {"manifest": sha256(data).hexdigest()}
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{manifest_path}: not valid UTF-8 ({exc})") from exc
+    try:
+        # universal newlines, as in a text-mode read, so error positions hold
+        manifest = json.loads(io.StringIO(text, newline=None).read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("projects"), list):
@@ -547,13 +536,23 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
 
     base = manifest_path.parent
     projects: list[ProjectRecord] = []
-    for entry in manifest["projects"]:
+    for index, entry in enumerate(manifest["projects"]):
+        where = f"{manifest_path}, project {index}"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: expected an object")
         project_id = entry.get("id")
         if not project_id:
             raise CorpusError(f"{manifest_path}: project entry without an 'id'")
         value = entry.get("contract_value_musd")
+        registers = entry.get("registers", [])
+        if not isinstance(registers, list):
+            raise ParseError(f"{where}: 'registers' must be an array")
         snapshots: list[RegisterSnapshot] = []
-        for register in entry.get("registers", []):
+        for number, register in enumerate(registers):
+            if not isinstance(register, dict) or not isinstance(register.get("path"), str):
+                raise ParseError(
+                    f"{where}, register {number}: expected an object with a 'path' string"
+                )
             path = base / register["path"]
             try:
                 data = path.read_bytes()
@@ -561,17 +560,24 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 raise CorpusError(
                     f"project {project_id!r}: register file not found: {path}"
                 ) from exc
+            digests[register["path"]] = sha256(data).hexdigest()
+            source = str(path)
             fmt = "json" if path.suffix.lower() == ".json" else "csv"
-            snapshot = parse_register(data, fmt, source=str(path))
-            snapshot = RegisterSnapshot(
-                ordinal=register.get("ordinal", snapshot.ordinal),
-                label=register.get("label", snapshot.label),
-                items=tuple(
-                    _finalize_item(item, value, cfg, f"{path}:{item.risk_id}")
-                    for item in snapshot.items
-                ),
+            rows, ordinal, label = _register_rows(data, fmt, source)
+            items = []
+            for risk_id, name, description, category, status, measures in rows:
+                try:
+                    assessment = _assessment(cfg, value, *measures)
+                except NormalizeError as exc:
+                    raise CorpusError(f"{source}:{risk_id}: {exc}") from exc
+                items.append(RiskItem(risk_id, name, description, category, assessment, status))
+            snapshots.append(
+                RegisterSnapshot(
+                    ordinal=register.get("ordinal", ordinal),
+                    label=register.get("label", label),
+                    items=tuple(items),
+                )
             )
-            snapshots.append(snapshot)
         try:
             size_band = SizeBand(entry.get("size_band"))
         except ValueError as exc:
@@ -590,4 +596,4 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
             )
         )
-    return Corpus(projects=tuple(projects), manifest_path=str(manifest_path))
+    return Corpus(projects=tuple(projects), manifest_path=str(manifest_path), digests=digests)

@@ -387,9 +387,8 @@ def load_sentence_vectors(
     if cached is not None:
         table, dimension = cached
     else:
-        table, dimension = _parse_sentence_file(path, lines)
-        del lines  # free the text before stacking a copy of the vectors
-        matrix = np.stack(list(table.values()))
+        table, dimension, matrix = _parse_sentence_file(path, lines)
+        del lines  # free the text before the entry is written
         _cache_write(PRECOMPUTED_SENTENCE, digest, list(table), matrix)
     return EmbeddingBackend(
         kind=PRECOMPUTED_SENTENCE,
@@ -403,8 +402,9 @@ def load_sentence_vectors(
 
 def _parse_sentence_file(
     path: Path, lines: Sequence[str]
-) -> tuple[dict[str, np.ndarray], int]:
-    """The table and dimension of a sentence-vector file's lines."""
+) -> tuple[dict[str, np.ndarray], int, np.ndarray]:
+    """The table and dimension of a sentence-vector file's lines, plus its matrix:
+    one row per key in first-occurrence order, which the table's values view."""
     table: dict[str, np.ndarray] = {}
     dimension: int | None = None
     for number, line in enumerate(lines, start=1):
@@ -417,16 +417,17 @@ def _parse_sentence_file(
         if not isinstance(record, dict) or "text" not in record or "vector" not in record:
             raise ParseError(f"{path}, line {number}: expected keys 'text' and 'vector'")
         try:
-            vector = np.array([float(x) for x in record["vector"]], dtype=float)
+            vector = [float(x) for x in record["vector"]]
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}, line {number}: non-numeric vector component") from exc
         if dimension is None:
-            dimension = vector.size
+            dimension = len(vector)
             if dimension == 0:
                 raise ParseError(f"{path}, line {number}: empty vector")
-        elif vector.size != dimension:
+            matrix = np.empty((len(lines), dimension))  # rows never written take no memory
+        elif len(vector) != dimension:
             raise ParseError(
-                f"{path}, line {number}: vector length {vector.size} != expected {dimension}"
+                f"{path}, line {number}: vector length {len(vector)} != expected {dimension}"
             )
         key = normalize_sentence(str(record["text"]))
         existing = table.get(key)
@@ -434,10 +435,10 @@ def _parse_sentence_file(
             raise ParseError(
                 f"{path}, line {number}: duplicate text {record['text']!r} with differing vectors"
             )
-        table[key] = vector
+        table.setdefault(key, matrix[len(table)])[:] = vector  # an equal repeat: last wins
     if dimension is None:
         raise ParseError(f"{path}: sentence-vector file holds no vectors")
-    return table, dimension
+    return table, dimension, matrix[: len(table)]
 
 
 # ----------------------------------------------------------- parse cache
@@ -459,7 +460,10 @@ def _read_source(
     cached = _cache_read(kind, digest)
     if cached is not None:
         return digest, cached, None
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
     del data  # hold at most two copies of the file at once, as reading text does
     return digest, None, text.splitlines()
 

@@ -13,6 +13,8 @@ from riskbench import vectorize
 from riskbench.cli import build_parser, main
 from riskbench.resources import data_path
 
+from .test_corpus import MANIFEST_FAULTS, write_manifest_fault
+
 WORD_VECTORS = str(data_path("embeddings", "reference_word_vectors.txt"))
 SENTENCE_VECTORS = str(data_path("embeddings", "reference_sentence_vectors.jsonl"))
 
@@ -70,6 +72,62 @@ def test_ingest_missing_register_exits_1(tmp_path, capsys):
     code = run(["ingest", "--manifest", str(manifest_path), "--out", str(tmp_path / "o.json")])
     assert code == 1
     assert "missing.csv" in capsys.readouterr().err
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter that imports this checkout's riskbench."""
+    import riskbench
+
+    src = str(Path(riskbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_ingest_bad_manifest_exits_1(tmp_path, capsys, fault):
+    manifest_path = write_manifest_fault(tmp_path, fault)
+    out = tmp_path / "o.json"
+    assert run(["ingest", "--manifest", str(manifest_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest_path}")
+    assert not out.exists()
+
+
+def test_ingest_bad_manifest_exits_1_without_traceback(tmp_path):
+    manifest_path = write_manifest_fault(tmp_path, "register without path")
+    result = fresh_python("-m", "riskbench.cli", "ingest", "--manifest", str(manifest_path),
+                          "--out", str(tmp_path / "o.json"))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {manifest_path}")
+    assert "Traceback" not in result.stderr
+
+
+def test_non_utf8_word_file_exits_1_without_traceback(manifest, tmp_path):
+    words = tmp_path / "latin1.txt"
+    words.write_bytes("1 2\ncafé 0.5 0.25\n".encode("latin-1"))
+    result = fresh_python("-m", "riskbench.cli", "similarity", "risks", "--manifest", manifest,
+                          "--embeddings", str(words), "--out", str(tmp_path / "r.json"))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {words}: not valid UTF-8")
+    assert "Traceback" not in result.stderr
+
+
+def test_report_digests_are_of_the_files_read(manifest, tmp_path):
+    base = Path(manifest).parent
+    registers = [
+        register["path"]
+        for project in json.loads(Path(manifest).read_text(encoding="utf-8"))["projects"]
+        for register in project["registers"]
+    ]
+    expected = {"manifest": hashlib.sha256(Path(manifest).read_bytes()).hexdigest()}
+    for path in registers:
+        expected[path] = hashlib.sha256((base / path).read_bytes()).hexdigest()
+    for argv in (["ingest"], ["lifecycle", "ratios"]):
+        out = tmp_path / "report.json"
+        assert run([*argv, "--manifest", manifest, "--out", str(out)]) == 0
+        assert read_report(out)["inputs"] == expected
 
 
 def test_similarity_docs_with_heatmap(manifest, tmp_path):
@@ -328,19 +386,12 @@ def test_jobs_flag_does_not_change_output(manifest, tmp_path):
 def test_cli_import_loads_no_scipy():
     # scipy.stats alone costs most of a CLI process's start-up; scipy is
     # imported inside the two statistics that need it, never at import time.
-    import riskbench
-
-    src = str(Path(riskbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, riskbench.cli\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(','.join(loaded))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    result = fresh_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
 

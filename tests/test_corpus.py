@@ -1,16 +1,27 @@
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from riskbench.corpus import (
+    REGISTER_CSV_COLUMNS,
     Assessment,
+    Corpus,
+    ProjectRecord,
     Qualitative,
+    RegisterSnapshot,
     SizeBand,
     band_for,
     default_scale_config,
+    fill_qualitative,
     load_corpus,
     load_scale_config,
     normalize_assessment,
@@ -255,3 +266,292 @@ def test_load_scale_config_round_trip(tmp_path):
         "risk_matrix": {f"{p},{i}": q.value for (p, i), q in cfg.risk_matrix.items()},
     }))
     assert load_scale_config(path) == cfg
+
+
+# ----------------------------------------------------------- manifest faults
+
+
+def _project(**overrides):
+    entry = {
+        "id": "p1", "jurisdiction": "CA", "delivery_method": "DB",
+        "project_type": "Highway", "size_band": "under_500M",
+        "registers": [{"ordinal": 0, "path": "r.csv"}],
+    }
+    entry.update(overrides)
+    return entry
+
+
+MANIFEST_FAULTS = {
+    "register without path": (
+        json.dumps({"projects": [_project(), _project(id="p2", registers=[{"ordinal": 0}])]}),
+        "project 1, register 0: expected an object with a 'path' string",
+    ),
+    "register not an object": (
+        json.dumps({"projects": [_project(registers=["r.csv"])]}),
+        "project 0, register 0: expected an object with a 'path' string",
+    ),
+    "project not an object": (json.dumps({"projects": ["p1"]}), "project 0: expected an object"),
+    "registers not a list": (
+        json.dumps({"projects": [_project(registers={"path": "r.csv"})]}),
+        "project 0: 'registers' must be an array",
+    ),
+    "not utf-8": (
+        json.dumps({"projects": [_project(jurisdiction="Québec")]}, ensure_ascii=False),
+        "not valid UTF-8",
+    ),
+}
+
+
+def write_manifest_fault(directory: Path, fault: str) -> Path:
+    (directory / "r.csv").write_text(CSV_HEADER + "r1,A,,,,,,,\n")
+    manifest = directory / "manifest.json"
+    text, _ = MANIFEST_FAULTS[fault]
+    manifest.write_bytes(text.encode("latin-1" if fault == "not utf-8" else "utf-8"))
+    return manifest
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_load_corpus_manifest_fault_is_a_parse_error(tmp_path, fault):
+    manifest = write_manifest_fault(tmp_path, fault)
+    with pytest.raises(ParseError) as excinfo:
+        load_corpus(manifest)
+    assert str(excinfo.value).startswith(f"{manifest}")
+    assert MANIFEST_FAULTS[fault][1] in str(excinfo.value)
+
+
+def test_load_corpus_keeps_digests_of_the_bytes_parsed(expost_manifest):
+    corpus = load_corpus(expost_manifest)
+    manifest = json.loads(Path(expost_manifest).read_text(encoding="utf-8"))
+    paths = [r["path"] for p in manifest["projects"] for r in p["registers"]]
+    assert list(corpus.digests) == ["manifest", *paths]
+    base = Path(expost_manifest).parent
+    for key, digest in corpus.digests.items():
+        source = Path(expost_manifest) if key == "manifest" else base / key
+        assert digest == hashlib.sha256(source.read_bytes()).hexdigest()
+    # digests are not part of a corpus's value
+    assert corpus == replace(corpus, digests={})
+    assert hash(corpus) == hash(replace(corpus, digests={}))
+
+
+# --------------------------------------------------- loader against its oracle
+#
+# load_corpus parses each register once and builds each item already
+# normalized. The reference below is the composition it replaces: the public
+# parse_register, then normalize_assessment (raw values present) or
+# fill_qualitative per item, then a snapshot with the manifest's ordinal and
+# label. Both must give the same corpus or raise the same error.
+
+
+def reference_load(manifest_path) -> Corpus:
+    cfg = default_scale_config()
+    manifest_path = Path(manifest_path)
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    projects = []
+    for entry in manifest["projects"]:
+        value = entry.get("contract_value_musd")
+        snapshots = []
+        for register in entry.get("registers", []):
+            path = manifest_path.parent / register["path"]
+            fmt = "json" if path.suffix.lower() == ".json" else "csv"
+            snapshot = parse_register(path.read_bytes(), fmt, source=str(path))
+            items = []
+            for item in snapshot.items:
+                a = item.assessment
+                try:
+                    if a.raw_probability is None and a.raw_cost is None and a.raw_schedule is None:
+                        a = fill_qualitative(a, cfg)
+                    else:
+                        a = normalize_assessment(a, value, cfg)
+                except NormalizeError as exc:
+                    raise CorpusError(f"{path}:{item.risk_id}: {exc}") from exc
+                items.append(replace(item, assessment=a))
+            snapshots.append(RegisterSnapshot(
+                ordinal=register.get("ordinal", snapshot.ordinal),
+                label=register.get("label", snapshot.label),
+                items=tuple(items),
+            ))
+        projects.append(ProjectRecord(
+            project_id=entry["id"],
+            jurisdiction=entry.get("jurisdiction", ""),
+            delivery_method=entry.get("delivery_method", ""),
+            project_type=entry.get("project_type", ""),
+            size_band=SizeBand(entry["size_band"]),
+            contract_value_musd=value,
+            award_year=entry.get("award_year"),
+            snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
+        ))
+    return Corpus(projects=tuple(projects), manifest_path=str(manifest_path))
+
+
+def _outcome(load, manifest):
+    """The loaded corpus's repr (NaN never equals itself), or the error raised."""
+    try:
+        return repr(load(manifest)), None
+    except (ParseError, CorpusError) as exc:
+        return None, (type(exc).__name__, str(exc))
+
+
+def _pick(draw, usual, rare):
+    """One of the usual values, or about one draw in 32 one of the rare ones."""
+    return draw(st.sampled_from(rare if draw(st.integers(0, 31)) == 13 else usual))
+
+
+# Cells on and next to the default band edges (probability 0.1/0.3/0.5/0.7;
+# cost 0.1/0.5/1/5% of a 1000 M$ contract; schedule 1/3/6/12 months), bands,
+# "3" against "3.0", extremes and blanks; the rare ones fail to parse or to
+# normalize somewhere.
+PROBABILITY_CELLS = (
+    ["", "1", "3", "5", "3.0", " 2 ", "0.1", "0.10", "0.3", "0.5", "0.7", "0.70000001", "0.95",
+     "1.0", "0.0", "1e-300"],
+    [" ", "0", "7", "1.5", "nan", "inf", "x"],
+)
+IMPACT_CELLS = (
+    ["", "1", "4", "3.0", "1.0", "5.0", "10.0", "50.0", "50.000001", "6.0", "12.0", "0.5",
+     "1e-300", "inf", "nan", "1e3"],
+    ["0", "8", "-inf", "x"],
+)
+TEXT_CELLS = (["", "Utility relocation", "  design changes ", "right of way, delays"], [" "])
+STATUS_CELLS = (["", "Reg", "Hap", " Clo "], ["closed"])
+SNAPSHOT_CELLS = (["", "0", " 0"], ["1", "-1", "a"])
+NAME_CELLS = (TEXT_CELLS[0][1:], ["", " "])
+
+
+@st.composite
+def csv_registers(draw) -> bytes:
+    extra = draw(st.lists(st.sampled_from([*REGISTER_CSV_COLUMNS, "extra"]), max_size=9))
+    required = [c for c in ("risk_id", "name") if _pick(draw, [True], [False])]
+    header = draw(st.permutations(required + extra))
+    lines = [header]
+    for number in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 8)) == 0:
+            lines.append([])  # a blank line
+            continue
+        cells = {
+            "risk_id": _pick(draw, [f"r{number}"], ["", " ", "r0"]),
+            "name": _pick(draw, *NAME_CELLS),
+            "description": _pick(draw, *TEXT_CELLS),
+            "category": _pick(draw, *TEXT_CELLS),
+            "probability": _pick(draw, *PROBABILITY_CELLS),
+            "cost_impact": _pick(draw, *IMPACT_CELLS),
+            "schedule_impact": _pick(draw, *IMPACT_CELLS),
+            "status": _pick(draw, *STATUS_CELLS),
+            "snapshot": _pick(draw, *SNAPSHOT_CELLS),
+            "extra": "x",
+        }
+        row = [cells[name] for name in header]
+        cut = _pick(draw, [0], [-2, -1, 1, 2])  # short rows and extra columns
+        row = row[:cut] if cut < 0 else row + ["spare"] * cut
+        lines.append(row)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(lines)
+    return buffer.getvalue().encode("utf-8")
+
+
+JSON_PROBABILITIES = ([None, 1, 3, 5, 0.1, 0.5, 0.7, 0.0, 1.0, 1e-300], [0, 7, 1.5, float("nan"), True, "3"])
+JSON_IMPACTS = (
+    [None, 1, 3, 5, 1.0, 3.0, 5.0, 50.0, 1e-300, float("inf"), float("nan")],
+    [0, 7, float("-inf"), True, "3"],
+)
+
+
+@st.composite
+def json_registers(draw) -> bytes:
+    items = []
+    for number in range(draw(st.integers(0, 5))):
+        record = {
+            "risk_id": _pick(draw, [f"r{number}"], ["", "r0"]),
+            "name": _pick(draw, *NAME_CELLS),
+            "description": _pick(draw, [None, *TEXT_CELLS[0]], TEXT_CELLS[1]),
+            "category": _pick(draw, [None, *TEXT_CELLS[0]], TEXT_CELLS[1]),
+            "status": _pick(draw, [None, *STATUS_CELLS[0]], STATUS_CELLS[1]),
+            "probability": _pick(draw, *JSON_PROBABILITIES),
+            "cost_impact": _pick(draw, *JSON_IMPACTS),
+            "schedule_impact": _pick(draw, *JSON_IMPACTS),
+        }
+        dropped = draw(st.lists(st.sampled_from(sorted(record)), unique=True, max_size=3))
+        if "risk_id" in dropped or "name" in dropped:
+            dropped = _pick(draw, [[]], [dropped])
+        items.append({key: value for key, value in record.items() if key not in dropped})
+    payload = {"items": items}
+    if draw(st.booleans()):
+        payload["ordinal"] = _pick(draw, [0, 1, 2], [-1])
+    if draw(st.booleans()):
+        payload["label"] = draw(st.sampled_from(["year 0", None]))
+    return json.dumps(payload).encode("utf-8")
+
+
+@st.composite
+def manifests(draw) -> tuple[dict, dict[str, bytes]]:
+    files: dict[str, bytes] = {}
+    projects = []
+    for index in range(draw(st.integers(1, 2))):
+        value = _pick(draw, [1000, 1000.0, 250.5], [None, 0])
+        registers = []
+        for ordinal in range(_pick(draw, [1, 2], [0, 3])):
+            fmt = draw(st.sampled_from(["csv", "json"]))
+            name = f"p{index}_s{ordinal}.{fmt}"
+            files[name] = draw(csv_registers() if fmt == "csv" else json_registers())
+            register = {"path": name}
+            if _pick(draw, [True], [False]):
+                register["ordinal"] = ordinal
+            if draw(st.booleans()):
+                register["label"] = f"year {ordinal}"
+            registers.append(register)
+        projects.append({
+            "id": f"p{index}",
+            "size_band": SizeBand.for_value(value if value is not None else 1).value,
+            "contract_value_musd": value,
+            "registers": registers,
+        })
+    return {"projects": projects}, files
+
+
+@settings(deadline=None)
+@given(case=manifests())
+def test_load_corpus_matches_parse_then_normalize(case):
+    manifest, files = case
+    with tempfile.TemporaryDirectory() as directory:
+        for name, data in files.items():
+            Path(directory, name).write_bytes(data)
+        path = Path(directory, "manifest.json")
+        path.write_text(json.dumps(manifest))
+        assert _outcome(load_corpus, path) == _outcome(reference_load, path)
+
+
+def test_load_corpus_matches_parse_then_normalize_on_fixture(expost_manifest):
+    corpus = load_corpus(expost_manifest)
+    assert corpus == reference_load(expost_manifest)
+    assert repr(corpus) == repr(reference_load(expost_manifest))
+
+
+def _one_register_manifest(directory: Path, rows: str, value=None) -> Path:
+    (directory / "r.csv").write_text(CSV_HEADER + rows)
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps({"projects": [_project(contract_value_musd=value)]}))
+    return manifest
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # the whole file parses before any row normalizes
+    ("r1,A,,,,1.0,,,\nr2,B,,,7,,,,\n", ParseError, "r.csv, row 3: probability band 7 outside 1..5"),
+    ("r1,A,,,,1.0,,,\nr2,B,,,,,,,\n", CorpusError,
+     "r.csv:r1: a positive project value is required to normalize a raw cost impact"),
+    # within a row: measures, then risk_id, then name, then raw_probability
+    (",A,,,x,,,,\n", ParseError, "r.csv, row 2: probability value 'x' is not numeric"),
+    (",A,,,1,0,,,\n", ParseError, "r.csv, row 2: cost_impact band 0 outside 1..5"),
+    (" , ,,,1.5,,,,\n", ParseError, "r.csv, row 2: missing risk_id"),
+    ("r1, ,,,1.5,,,,\n", ParseError, "r.csv, row 2: risk 'r1' has an empty name"),
+    ("r1,A,,,1.5,,,,\n", ParseError,
+     "r.csv, row 2: raw_probability must be a fraction in [0, 1], got 1.5"),
+    # rows parse before the snapshot column is checked
+    ("r1,A,,,,,,,0\nr2,B,,,,,,,1\nr3,C,,,9,,,,\n", ParseError,
+     "r.csv, row 4: probability band 9 outside 1..5"),
+    ("r1,A,,,,,,,-1\n", CorpusError, "snapshot ordinal must be >= 0, got -1"),
+])
+def test_load_corpus_error_precedence(tmp_path, rows, error, message):
+    manifest = _one_register_manifest(tmp_path, rows)
+    with pytest.raises(error) as excinfo:
+        load_corpus(manifest)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value).endswith(message)
+    assert _outcome(reference_load, manifest)[1] == (error.__name__, str(excinfo.value))

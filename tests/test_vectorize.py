@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -513,6 +514,52 @@ def test_load_sentence_vectors_cache_hit_matches_parse(tmp_path, monkeypatch):
     assert len(_entries(tmp_path)) == 1
     _assert_same_tables(hit[0], parsed[0])
     assert parsed[1:] == hit[1:] == ([], None)
+
+
+def _reference_sentence_table(path):
+    """The per-line reading: one array per line, the last of equal texts kept."""
+    table = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            record = json.loads(line)
+            vector = np.array([float(x) for x in record["vector"]], dtype=float)
+            table[normalize_sentence(str(record["text"]))] = vector
+    return table
+
+
+def test_load_sentence_vectors_matches_per_line_reading(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "s.jsonl"
+    rng = np.random.default_rng(7)
+    records = [{"text": f"text {i}", "vector": rng.normal(0.0, 0.3, 5).tolist()} for i in range(6)]
+    records.insert(2, {"text": "Text  1", "vector": records[1]["vector"]})  # equal duplicate
+    records.append({"text": "signed zero", "vector": [0.0, 1.0, 2, 3, 4]})
+    records.append({"text": "SIGNED ZERO", "vector": [-0.0, 1.0, 2, 3, 4]})  # equal, last wins
+    path.write_text("\n".join(json.dumps(r) for r in records[:4]) + "\n\n  \n"
+                    + "\n".join(json.dumps(r) for r in records[4:]) + "\n")
+    reference = _reference_sentence_table(path)
+    parsed = _load_outcome(path, load_sentence_vectors)
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorize, "_parse_sentence_file", _no_parse)
+        hit = _load_outcome(path, load_sentence_vectors)
+    assert len(reference) == 7
+    _assert_same_tables(parsed[0], reference)
+    _assert_same_tables(hit[0], reference)
+    assert math.copysign(1.0, parsed[0]["signed zero"][0]) == -1.0
+
+
+@pytest.mark.parametrize("loader, body", [
+    (load_word_vectors, "1 2\ncafé 0.5 0.25\n"),
+    (load_sentence_vectors, '{"text": "café", "vector": [0.5, 0.25]}\n'),
+])
+def test_non_utf8_vector_file_names_the_file(tmp_path, monkeypatch, loader, body):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(body.encode("latin-1"))
+    for _ in range(2):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
+            loader(path)
+    assert _entries(tmp_path) == []
 
 
 def test_sentence_lookup_miss_names_text(tmp_path):
