@@ -49,7 +49,6 @@ from .similarity import (
     MatchResult,
     SimilarityReport,
     TTestResult,
-    best_match,
     document_similarity,
     evaluation_level_report,
     evaluation_similarity,

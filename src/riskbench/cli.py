@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from .corpus import (
     load_scale_config,
     parse_register,
 )
-from .errors import EmptyReportError, RiskbenchError
+from .errors import EmptyReportError, ParseError, RiskbenchError
 from .lifecycle import (
     StyleThresholds,
     classify_style,
@@ -37,14 +36,19 @@ from .parallel import parallel_map
 from .rbs import (
     DEFAULT_COVERAGE_THRESHOLD,
     category_distribution,
+    cooccurrence,
     coverage,
     default_rbs,
     load_rbs,
 )
 from .report import ReportBundle, emit_report, file_digest, write_heatmap_csv
-from .resources import data_path
+from .resources import data_path, read_json_checked
 from .similarity import (
     EVALUATION_THRESHOLDS,
+    PairScore,
+    _basic_aggregates,
+    _group_pair_scores,
+    _group_value,
     directional_mean_matrix,
     document_similarity,
     evaluation_level_report,
@@ -211,13 +215,13 @@ def _cmd_similarity_risks(args) -> int:
     ids, matrix = directional_mean_matrix(
         corpus, backend, args.use_description, jobs=args.jobs
     )
-    values = [
-        matrix[i][j]
-        for i in range(len(ids))
-        for j in range(len(ids))
+    pairs = [
+        PairScore(a, b, matrix[i][j])
+        for i, a in enumerate(ids)
+        for j, b in enumerate(ids)
         if i != j and matrix[i][j] is not None
     ]
-    if not values:
+    if not pairs:
         raise EmptyReportError("all registers are empty")
     if args.heatmap:
         write_heatmap_csv(args.heatmap, ids, ids, matrix)
@@ -225,32 +229,12 @@ def _cmd_similarity_risks(args) -> int:
         "level": "risk_item",
         "projects": ids,
         "directional_mean_matrix": matrix,
-        "overall": {
-            "count": len(values),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-        },
+        "overall": _basic_aggregates([p.score for p in pairs]),
     }
     if args.group_by:
-        lookup = {p.project_id: getattr(p, args.group_by) for p in corpus.projects}
-        groups: dict[str, list[float]] = {}
-        for i, a in enumerate(ids):
-            for j, b in enumerate(ids):
-                if i == j or matrix[i][j] is None:
-                    continue
-                ga = getattr(lookup[a], "value", lookup[a])
-                gb = getattr(lookup[b], "value", lookup[b])
-                if ga == gb:
-                    groups.setdefault(str(ga), []).append(matrix[i][j])
         result["group_means"] = {
-            name: {
-                "count": len(scores),
-                "mean": sum(scores) / len(scores),
-                "min": min(scores),
-                "max": max(scores),
-            }
-            for name, scores in sorted(groups.items())
+            name: _basic_aggregates(scores)
+            for name, scores in _group_pair_scores(corpus, pairs, args.group_by).items()
         }
     digests = dict(corpus.digests)
     digests.update(_backend_digests(args, backend, fallback))
@@ -263,19 +247,16 @@ def _cmd_similarity_pooling(args) -> int:
     corpus = _load_corpus(args)
     stop_words = _load_stopwords(args)
     backend, fallback = _load_backends(args, stop_words)
-    if len(corpus.projects) < 2:
-        raise EmptyReportError("pooling needs at least 2 projects")
-
-    def one(project):
-        report = pooling_similarity(project, corpus, backend, args.use_description)
-        return {
-            "project_id": project.project_id,
+    reports = pooling_similarity(corpus, backend, args.use_description, jobs=args.jobs)
+    rows = [
+        {
+            "project_id": report.metadata["project_id"],
             "mean": report.aggregates["mean"],
             "fraction_at_least_0.5": report.aggregates["fraction_at_least_0.5"],
             "histogram": report.aggregates["histogram"],
         }
-
-    rows = parallel_map(one, list(corpus.projects), args.jobs)
+        for report in reports
+    ]
     result = {
         "level": "pooling",
         "projects": rows,
@@ -298,10 +279,7 @@ def _cmd_similarity_evaluation(args) -> int:
     report = evaluation_level_report(matches, corpus, thresholds)
     result = report.to_dict()
     if args.group_by:
-        membership = {
-            p.project_id: str(getattr(getattr(p, args.group_by), "value", getattr(p, args.group_by)))
-            for p in corpus.projects
-        }
+        membership = {p.project_id: _group_value(p, args.group_by) for p in corpus.projects}
         by_group: dict[str, dict] = {}
         for name in sorted(set(membership.values())):
             subset = [
@@ -340,13 +318,8 @@ def _cmd_template_build(args) -> int:
         raise EmptyReportError("the filter selected zero projects")
     categories = load_categories(args.categories) if args.categories else default_categories()
     groups = group_risks(selected, backend, args.match_threshold, args.use_description)
-    groups = [
-        replace(
-            group,
-            category=classify_risk(group.representative_text, categories, backend).label,
-        )
-        for group in groups
-    ]
+    labels = classify_risk([group.representative_text for group in groups], categories, backend)
+    groups = [replace(group, category=label.label) for group, label in zip(groups, labels)]
     template = build_template(groups, args.sort, args.top, criteria, len(selected))
     result = template.to_dict()
     result["group_count"] = len(groups)
@@ -365,9 +338,10 @@ def _cmd_template_build(args) -> int:
 
 
 def _load_template_file(path: str) -> RiskTemplate:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "result" in raw and isinstance(raw["result"], dict) and "entries" in raw["result"]:
-        raw = raw["result"]
+    raw = read_json_checked(path, "template")
+    result = raw.get("result") if isinstance(raw, dict) else None
+    if isinstance(result, dict) and "entries" in result:
+        raw = result
     return RiskTemplate.from_dict(raw)
 
 
@@ -428,7 +402,9 @@ def _cmd_lifecycle_styles(args) -> int:
     per_project, pooled, digests, config = _lifecycle_tables(args)
     thresholds = StyleThresholds()
     if args.thresholds:
-        raw = json.loads(Path(args.thresholds).read_text(encoding="utf-8"))
+        raw = read_json_checked(args.thresholds, "thresholds file")
+        if not isinstance(raw, dict):
+            raise ParseError(f"{args.thresholds}: thresholds file must hold a JSON object")
         thresholds = StyleThresholds(
             doer_new_item=raw.get("doer_new_item", 0.5),
             careful=raw.get("careful", 0.5),
@@ -454,9 +430,9 @@ def _cmd_lifecycle_styles(args) -> int:
 
 
 def _cmd_lifecycle_compare(args) -> int:
-    raw = json.loads(Path(args.groups).read_text(encoding="utf-8"))
-    groups = raw.get("groups")
-    metrics = raw.get("metrics")
+    raw = read_json_checked(args.groups, "groups file")
+    groups = raw.get("groups") if isinstance(raw, dict) else None
+    metrics = raw.get("metrics") if isinstance(raw, dict) else None
     if not isinstance(groups, dict) or len(groups) != 2 or not isinstance(metrics, dict):
         raise RiskbenchError(
             "groups file must hold exactly two 'groups' lists and a 'metrics' table"
@@ -540,34 +516,29 @@ def _cmd_rbs_coverage(args) -> int:
     return _emit(args, "riskbench rbs coverage", config, digests, result)
 
 
-def _cmd_rbs_cooccur(args) -> int:
-    raw = json.loads(Path(args.coverage).read_text(encoding="utf-8"))
-    payload = raw.get("result", raw)
-    projects = payload.get("projects")
+def _covered_items(path: str) -> list[list[str]]:
+    """Each project's covered item texts, in row order, from a coverage report."""
+    raw = read_json_checked(path, "coverage report")
+    payload = raw.get("result", raw) if isinstance(raw, dict) else None
+    projects = payload.get("projects") if isinstance(payload, dict) else None
     if not isinstance(projects, list):
-        raise RiskbenchError(f"{args.coverage} is not a coverage report")
+        raise ParseError(f"{path}: not a coverage report")
+    covered = []
+    for index, project in enumerate(projects):
+        rows = project.get("rows", []) if isinstance(project, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ParseError(f"{path}, project {index}: expected an object with a 'rows' array")
+        items = [row.get("best_item") for row in rows if row.get("covered")]
+        if not all(isinstance(item, str) for item in items):
+            raise ParseError(f"{path}, project {index}: a covered row has no 'best_item' string")
+        covered.append(items)
+    return covered
+
+
+def _cmd_rbs_cooccur(args) -> int:
+    covered = _covered_items(args.coverage)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
-    texts = tuple(item.text for _, item in rbs.flat_items())
-    index = {text: i for i, text in enumerate(texts)}
-    counts: dict[tuple[int, int], int] = {}
-    for project in projects:
-        present = sorted(
-            {
-                index[row["best_item"]]
-                for row in project.get("rows", [])
-                if row.get("covered") and row.get("best_item") in index
-            }
-        )
-        for a in range(len(present)):
-            for b in range(a + 1, len(present)):
-                key = (present[a], present[b])
-                counts[key] = counts.get(key, 0) + 1
-    rows = [
-        (texts[i], texts[j], counts.get((i, j), 0))
-        for i in range(len(texts))
-        for j in range(i + 1, len(texts))
-    ]
-    rows.sort(key=lambda row: (-row[2], row[0], row[1]))
+    rows = cooccurrence(covered, rbs).pairs_descending()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()

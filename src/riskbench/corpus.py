@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusError, NormalizeError, ParseError
+from .resources import read_json_checked
 
 REGISTER_CSV_COLUMNS = (
     "risk_id",
@@ -237,7 +238,7 @@ def default_scale_config() -> ScaleConfig:
 
 
 def load_scale_config(path: str | Path) -> ScaleConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json_checked(path, "scale config")
     try:
         matrix = {
             (int(key.split(",")[0]), int(key.split(",")[1])): Qualitative(value)
@@ -249,7 +250,7 @@ def load_scale_config(path: str | Path) -> ScaleConfig:
             schedule_band_edges=tuple(raw["schedule_band_edges"]),
             risk_matrix=matrix,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ParseError(f"invalid scale config {path}: {exc}") from exc
 
 
@@ -316,6 +317,10 @@ def _assessment(
         probability_band, cost_band, schedule_band, qualitative_cost, qualitative_schedule,
         raw_probability, raw_cost, raw_schedule,
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _value_or_none(text: str | None) -> str | None:
@@ -452,9 +457,14 @@ def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int, object]:
         where = f"{source}, item {index}"
         if not isinstance(record, dict):
             raise ParseError(f"{where}: expected an object")
+        for key in ("risk_id", "name", "description", "category", "status"):
+            text = record.get(key)
+            if text is not None and not isinstance(text, str):
+                kind = "a string" if key in ("risk_id", "name") else "a string or null"
+                raise ParseError(f"{where}: {key} must be {kind}, got {text!r}")
         rows.append(_row([record.get(name) for name in REGISTER_CSV_COLUMNS], measure, where, seen))
     ordinal = payload.get("ordinal", 0)
-    if not isinstance(ordinal, int) or ordinal < 0:
+    if not _is_int(ordinal) or ordinal < 0:
         raise ParseError(f"{source}: ordinal must be a non-negative integer")
     return rows, ordinal, payload.get("label")
 
@@ -544,6 +554,11 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
         if not project_id:
             raise CorpusError(f"{manifest_path}: project entry without an 'id'")
         value = entry.get("contract_value_musd")
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ParseError(f"{where}: 'contract_value_musd' must be a number or null")
+        award_year = entry.get("award_year")
+        if award_year is not None and not _is_int(award_year):
+            raise ParseError(f"{where}: 'award_year' must be an integer or null")
         registers = entry.get("registers", [])
         if not isinstance(registers, list):
             raise ParseError(f"{where}: 'registers' must be an array")
@@ -552,6 +567,12 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
             if not isinstance(register, dict) or not isinstance(register.get("path"), str):
                 raise ParseError(
                     f"{where}, register {number}: expected an object with a 'path' string"
+                )
+            if "ordinal" in register and not (
+                _is_int(register["ordinal"]) and register["ordinal"] >= 0
+            ):
+                raise ParseError(
+                    f"{where}, register {number}: 'ordinal' must be a non-negative integer"
                 )
             path = base / register["path"]
             try:
@@ -592,7 +613,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 project_type=entry.get("project_type", ""),
                 size_band=size_band,
                 contract_value_musd=value,
-                award_year=entry.get("award_year"),
+                award_year=award_year,
                 snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
             )
         )

@@ -8,21 +8,20 @@ counts as covered when the best cosine score meets the threshold
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import RegisterSnapshot
-from .errors import EmptyReportError, MissingEmbeddingError, RbsError
-from .resources import data_path
+from .errors import EmptyReportError, RbsError
+from .resources import data_path, read_json_checked
 from .similarity import score_histogram
 from .vectorize import (
+    PRECOMPUTED_SENTENCE,
     EmbeddingBackend,
     cosine_table,
-    embed_text,
     normalize_sentence,
     unit_rows,
 )
@@ -71,7 +70,7 @@ class Rbs:
 
 
 def load_rbs(path: str | Path) -> Rbs:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json_checked(path, "RBS file")
     try:
         categories = tuple(
             RbsCategory(
@@ -144,18 +143,20 @@ class CoverageReport:
         }
 
 
-def _try_embed(backend: EmbeddingBackend, text: str, allow_miss: bool) -> np.ndarray | None:
-    try:
-        return embed_text(backend, text).vector
-    except MissingEmbeddingError:
-        if not allow_miss:
-            raise
-        return None
-
-
-def _unit(vector: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vector)
-    return vector / norm if norm > 0 else vector
+def _primary_units(
+    backend: EmbeddingBackend, texts: Sequence[str], allow_miss: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of the texts in the primary space, zero where a precomputed
+    sentence table misses one (when misses are allowed), and the hit mask."""
+    hits = np.array([
+        not allow_miss
+        or backend.kind != PRECOMPUTED_SENTENCE
+        or normalize_sentence(text) in backend.sentence_table
+        for text in texts
+    ], dtype=bool)
+    units = np.zeros((len(texts), backend.dimension))
+    units[hits] = unit_rows(backend, [text for text, hit in zip(texts, hits) if hit])
+    return units, hits
 
 
 def coverage(
@@ -175,44 +176,31 @@ def coverage(
     if not register.items:
         raise EmptyReportError("coverage needs a non-empty register")
     flat = rbs.flat_items()
+    item_texts = [item.text for _, item in flat]
+    names = [risk.name for risk in register.items]
     has_fallback = fallback_backend is not None
-    primary_vectors = [_try_embed(backend, item.text, has_fallback) for _, item in flat]
-    primary_ok = np.array([vector is not None for vector in primary_vectors])
-    primary_units = np.stack([
-        _unit(vector) if vector is not None else np.zeros(backend.dimension)
-        for vector in primary_vectors
-    ])
-    fallback_units = (
-        unit_rows(fallback_backend, [item.text for _, item in flat]) if has_fallback else None
-    )
-
-    rows: list[CoverageRow] = []
-    for risk in register.items:
-        primary = _try_embed(backend, risk.name, has_fallback)
-        fell_back = primary is None
-        fallback_scores = (
-            cosine_table(_unit(embed_text(fallback_backend, risk.name).vector)[None, :],
-                         fallback_units)[0]
-            if has_fallback
-            else None
+    # the RBS items first, so that a miss names an item before any register text
+    item_units, item_hits = _primary_units(backend, item_texts, has_fallback)
+    risk_units, risk_hits = _primary_units(backend, names, has_fallback)
+    scores = cosine_table(risk_units, item_units)
+    if has_fallback:
+        fallback = cosine_table(
+            unit_rows(fallback_backend, names), unit_rows(fallback_backend, item_texts)
         )
-        if primary is not None:
-            scores = cosine_table(_unit(primary)[None, :], primary_units)[0]
-            if has_fallback and not primary_ok.all():
-                scores = np.where(primary_ok, scores, fallback_scores)
-        else:
-            scores = fallback_scores
-        best_index = int(scores.argmax())
-        best_score = float(scores[best_index])
-        category_name, item = flat[best_index]
+        scores = np.where(risk_hits[:, None] & item_hits[None, :], scores, fallback)
+    best = scores.argmax(axis=1)
+    rows: list[CoverageRow] = []
+    for risk, row_scores, index, hit in zip(register.items, scores, best, risk_hits):
+        category_name, item = flat[int(index)]
+        score = float(row_scores[index])
         rows.append(
             CoverageRow(
                 risk_id=risk.risk_id,
                 best_item=item.text,
                 best_category=category_name,
-                score=best_score,
-                covered=best_score >= threshold,
-                used_fallback=fell_back,
+                score=score,
+                covered=score >= threshold,
+                used_fallback=not hit,
             )
         )
 
@@ -305,24 +293,37 @@ class CooccurrenceMatrix:
         return self.counts.get(key, 0)
 
     def pairs_descending(self) -> list[tuple[str, str, int]]:
+        """Every item pair (i < j in file order), zero counts included, by
+        descending count, then by the two texts."""
+        texts = self.item_texts
         rows = [
-            (self.item_texts[i], self.item_texts[j], count)
-            for (i, j), count in self.counts.items()
+            (texts[i], texts[j], self.counts.get((i, j), 0))
+            for i in range(len(texts))
+            for j in range(i + 1, len(texts))
         ]
         rows.sort(key=lambda row: (-row[2], row[0], row[1]))
         return rows
 
 
-def cooccurrence(reports: Sequence[CoverageReport], rbs: Rbs) -> CooccurrenceMatrix:
-    """Count, for each RBS item pair, the projects where both are covered."""
-    if not reports:
+def cooccurrence(covered: Sequence[Iterable[str]], rbs: Rbs) -> CooccurrenceMatrix:
+    """Count, for each RBS item pair, the projects where both are covered.
+
+    `covered` holds each project's covered item texts, for example
+    `report.covered_items()` of each coverage report.
+    """
+    if not covered:
         raise EmptyReportError("co-occurrence needs at least one coverage report")
     texts = tuple(item.text for _, item in rbs.flat_items())
     index = {text: i for i, text in enumerate(texts)}
     counts: dict[tuple[int, int], int] = {}
     occurrences: dict[int, int] = {}
-    for report in reports:
-        present = sorted(index[text] for text in report.covered_items())
+    for items in covered:
+        seen: set[int] = set()
+        for text in items:
+            if text not in index:
+                raise RbsError(f"covered item {text!r} is not in the RBS")
+            seen.add(index[text])
+        present = sorted(seen)
         for i in present:
             occurrences[i] = occurrences.get(i, 0) + 1
         for a in range(len(present)):
@@ -333,5 +334,5 @@ def cooccurrence(reports: Sequence[CoverageReport], rbs: Rbs) -> CooccurrenceMat
         item_texts=texts,
         counts=counts,
         occurrences=occurrences,
-        project_count=len(reports),
+        project_count=len(covered),
     )

@@ -1,10 +1,16 @@
-"""Bundled data files; RISKBENCH_DATA overrides the packaged directory."""
+"""Bundled data files and checked reads of input files.
+
+RISKBENCH_DATA overrides the packaged data directory.
+"""
 
 from __future__ import annotations
 
+import json
 import os
 from importlib import resources
 from pathlib import Path
+
+from .errors import ParseError
 
 _ENV_VAR = "RISKBENCH_DATA"
 
@@ -21,3 +27,21 @@ def data_path(*parts: str) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"bundled data file not found: {path}")
     return path
+
+
+def read_text_checked(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 input file; ParseError naming the file otherwise."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {what} is not valid UTF-8 ({exc})") from exc
+
+
+def read_json_checked(path: str | Path, what: str):
+    """The JSON value of a UTF-8 input file; ParseError naming the file, and
+    for invalid JSON the decoder's line and column, otherwise."""
+    text = read_text_checked(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {what} is not valid JSON ({exc})") from exc

@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
 from .errors import CorpusError, EmptyReportError, StatTestError
@@ -208,27 +211,15 @@ def _maybe_group_test(groups: dict[str, list[float]]) -> TTestResult | None:
         return None
 
 
-def _register_units(backend, items: Sequence[RiskItem], use_description: bool):
-    return unit_rows(backend, [item.matching_text(use_description) for item in items])
-
-
-def best_match(
-    risk: RiskItem,
-    candidates: Sequence[RiskItem],
-    backend: EmbeddingBackend,
-    use_description: bool = False,
-) -> MatchResult:
-    """Argmax cosine over candidate risks; ties go to the lowest index."""
-    if not candidates:
-        raise EmptyReportError("best_match needs at least one candidate")
-    source = _register_units(backend, [risk], use_description)
-    targets = _register_units(backend, candidates, use_description)
-    indices, scores = best_against(source, targets)
-    return MatchResult(
-        source_risk_id=risk.risk_id,
-        target_risk_id=candidates[int(indices[0])].risk_id,
-        score=float(scores[0]),
+def _register_units(
+    backend: EmbeddingBackend, registers: Sequence[RegisterSnapshot], use_description: bool
+) -> list[np.ndarray]:
+    """Unit rows of each register's matching texts, embedded in one pass."""
+    units = unit_rows(
+        backend, [item.matching_text(use_description) for r in registers for item in r.items]
     )
+    bounds = [0, *accumulate(len(r.items) for r in registers)]
+    return [units[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def pairwise_risk_similarity(
@@ -240,10 +231,7 @@ def pairwise_risk_similarity(
     """Directional report: every item of reg_a best-matched into reg_b."""
     if not reg_a.items or not reg_b.items:
         raise EmptyReportError("pairwise risk similarity needs two non-empty registers")
-    indices, scores = best_against(
-        _register_units(backend, reg_a.items, use_description),
-        _register_units(backend, reg_b.items, use_description),
-    )
+    indices, scores = best_against(*_register_units(backend, (reg_a, reg_b), use_description))
     pairs = [
         PairScore(item.risk_id, reg_b.items[int(index)].risk_id, float(score))
         for item, index, score in zip(reg_a.items, indices, scores)
@@ -260,42 +248,46 @@ def pairwise_risk_similarity(
 
 
 def pooling_similarity(
-    project: ProjectRecord,
     corpus: Corpus,
     backend: EmbeddingBackend,
     use_description: bool = False,
-) -> SimilarityReport:
-    """Match each risk against the pooled risks of every other project."""
-    if project.project_id not in {p.project_id for p in corpus.projects}:
-        raise EmptyReportError(f"project {project.project_id!r} is not in the corpus")
-    others = [p for p in corpus.projects if p.project_id != project.project_id]
-    if not others:
-        raise EmptyReportError("pooling needs at least one other project in the corpus")
-    pool: list[tuple[str, RiskItem]] = []
-    for other in others:
-        pool.extend((other.project_id, item) for item in other.register.items)
-    if not pool:
-        raise EmptyReportError("pooled candidate set is empty")
+    jobs: int = 1,
+) -> list[SimilarityReport]:
+    """Match each project's risks against the pooled risks of every other
+    project; one report per project, in corpus order."""
+    from .parallel import parallel_map
 
-    indices, best = best_against(
-        _register_units(backend, project.register.items, use_description),
-        unit_rows(backend, [item.matching_text(use_description) for _, item in pool]),
-    )
-    pairs = []
-    for item, index, score in zip(project.register.items, indices, best):
-        owner, matched = pool[int(index)]
-        pairs.append(PairScore(item.risk_id, f"{owner}:{matched.risk_id}", float(score)))
+    projects = corpus.projects
+    if len(projects) < 2:
+        raise EmptyReportError("pooling needs at least 2 projects")
+    for project in projects:
+        if not project.register.items:
+            raise EmptyReportError(
+                f"pooling: project {project.project_id!r} has an empty ex-ante register"
+            )
+    units = _register_units(backend, [p.register for p in projects], use_description)
 
-    scores = [p.score for p in pairs]
-    aggregates = _basic_aggregates(scores)
-    aggregates["histogram"] = score_histogram(scores)
-    aggregates["fraction_at_least_0.5"] = sum(1 for s in scores if s >= 0.5) / len(scores)
-    return SimilarityReport(
-        level=Level.POOLING,
-        pairs=tuple(pairs),
-        aggregates=aggregates,
-        metadata={"project_id": project.project_id, "pool_size": len(pool)},
-    )
+    def one(index: int) -> SimilarityReport:
+        others = [j for j in range(len(projects)) if j != index]
+        pool = [(projects[j].project_id, item) for j in others
+                for item in projects[j].register.items]
+        indices, best = best_against(units[index], np.concatenate([units[j] for j in others]))
+        pairs = []
+        for item, match, score in zip(projects[index].register.items, indices, best):
+            owner, matched = pool[int(match)]
+            pairs.append(PairScore(item.risk_id, f"{owner}:{matched.risk_id}", float(score)))
+        scores = [p.score for p in pairs]
+        aggregates = _basic_aggregates(scores)
+        aggregates["histogram"] = score_histogram(scores)
+        aggregates["fraction_at_least_0.5"] = sum(1 for s in scores if s >= 0.5) / len(scores)
+        return SimilarityReport(
+            level=Level.POOLING,
+            pairs=tuple(pairs),
+            aggregates=aggregates,
+            metadata={"project_id": projects[index].project_id, "pool_size": len(pool)},
+        )
+
+    return parallel_map(one, list(range(len(projects))), jobs)
 
 
 def evaluation_similarity(x1: int, x2: int) -> float:
@@ -320,20 +312,15 @@ def match_registers(
     use_description: bool = False,
 ) -> list[MatchResult]:
     """Best matches for every ordered project pair, annotated with projects."""
-    units = {
-        p.project_id: _register_units(backend, p.register.items, use_description)
-        for p in corpus.projects
-    }
+    units = _register_units(backend, [p.register for p in corpus.projects], use_description)
     matches: list[MatchResult] = []
-    for source_project in corpus.projects:
-        for target_project in corpus.projects:
+    for source_project, source_units in zip(corpus.projects, units):
+        for target_project, target_units in zip(corpus.projects, units):
             if source_project.project_id == target_project.project_id:
                 continue
             if not source_project.register.items or not target_project.register.items:
                 continue
-            indices, scores = best_against(
-                units[source_project.project_id], units[target_project.project_id]
-            )
+            indices, scores = best_against(source_units, target_units)
             for item, index, score in zip(source_project.register.items, indices, scores):
                 if score >= min_score:
                     matches.append(
@@ -358,9 +345,7 @@ def directional_mean_matrix(
     from .parallel import parallel_map
 
     ids = [p.project_id for p in corpus.projects]
-    units = [
-        _register_units(backend, p.register.items, use_description) for p in corpus.projects
-    ]
+    units = _register_units(backend, [p.register for p in corpus.projects], use_description)
     ordered = [(i, j) for i in range(len(ids)) for j in range(len(ids)) if i != j]
 
     def one(pair: tuple[int, int]) -> float | None:

@@ -8,7 +8,6 @@ are skipped by later seeds, so the result is a partition.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,13 +16,11 @@ from typing import Sequence
 
 from .corpus import Assessment, Corpus, ProjectRecord, RegisterSnapshot
 from .errors import RbsError, TemplateError
-from .resources import data_path
+from .resources import data_path, read_json_checked
 from .vectorize import (
     EmbeddingBackend,
     best_against,
-    cosine,
     cosine_table,
-    embed_text,
     normalize_sentence,
     unit_rows,
 )
@@ -216,7 +213,7 @@ class CategorySet:
 
 
 def load_categories(path: str | Path) -> CategorySet:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json_checked(path, "category file")
     try:
         categories = tuple(
             Category(name=entry["name"], description=entry.get("description", ""))
@@ -239,27 +236,25 @@ class ClassifiedRisk:
 
 
 def classify_risk(
-    text: str,
+    texts: Sequence[str],
     categories: CategorySet,
     backend: EmbeddingBackend,
-    label_only: bool = False,
-) -> ClassifiedRisk:
-    """Assign the category whose embedded label text is most similar."""
-    source = embed_text(backend, text)
-    best_index, best_score = 0, -math.inf
-    for index, category in enumerate(categories.categories):
-        target_text = (
-            category.name if label_only else f"{category.name} {category.description}".strip()
-        )
-        target = embed_text(backend, target_text)
-        score = cosine(source.vector, target.vector)
-        if score > best_score:
-            best_index, best_score = index, score
-    return ClassifiedRisk(
-        label=categories.categories[best_index].name,
-        score=best_score,
-        all_oov=source.all_oov,
+) -> list[ClassifiedRisk]:
+    """Label each text with the category whose embedded "name description"
+    text is most similar; ties go to the earliest category."""
+    units = unit_rows(backend, texts)
+    targets = unit_rows(
+        backend, [f"{c.name} {c.description}".strip() for c in categories.categories]
     )
+    indices, scores = best_against(units, targets)
+    return [
+        ClassifiedRisk(
+            label=categories.categories[int(index)].name,
+            score=float(score),
+            all_oov=not row.any(),
+        )
+        for row, index, score in zip(units, indices, scores)
+    ]
 
 
 @dataclass(frozen=True)
@@ -425,7 +420,6 @@ def evaluate_template(
     test_register: RegisterSnapshot,
     backend: EmbeddingBackend,
     label_threshold: float = DEFAULT_LABEL_THRESHOLD,
-    use_description: bool = False,
 ) -> EvalCounts:
     """Score a template against a held-out register.
 
@@ -439,9 +433,7 @@ def evaluate_template(
     if not test_register.items:
         raise TemplateError("cannot evaluate against an empty register")
     entry_units = unit_rows(backend, [entry.text for entry in template.entries])
-    risk_units = unit_rows(
-        backend, [item.matching_text(use_description) for item in test_register.items]
-    )
+    risk_units = unit_rows(backend, [item.matching_text() for item in test_register.items])
     indices, scores = best_against(risk_units, entry_units)
     chosen_by_tp: set[int] = set()
     tp = fn = 0

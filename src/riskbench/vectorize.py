@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, MissingEmbeddingError, ParseError
-from .resources import data_path
+from .resources import data_path, read_text_checked
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -48,7 +48,7 @@ _CACHE_ENTRIES = 8
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text_checked(path, "stop-word list").splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#"):
             words.add(word)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -429,3 +430,107 @@ def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, mo
         assert json.loads(reports[name, "warm"])["inputs"]["embeddings"] == sha256[WORD_VECTORS]
     inputs = json.loads(reports["coverage", "warm"])["inputs"]
     assert inputs["sentence_embeddings"] == sha256[SENTENCE_VECTORS]
+
+
+def test_similarity_pooling_empty_register_exits_1_without_traceback(tmp_path):
+    registers = tmp_path / "registers"
+    registers.mkdir()
+    (registers / "empty.csv").write_text("risk_id,name\n")
+    (registers / "full.csv").write_text("risk_id,name\nr1,utility relocation delays\n")
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"projects": [
+        {"id": pid, "size_band": "under_500M", "registers": [{"ordinal": 0, "path": path}]}
+        for pid, path in (("p1", "registers/empty.csv"), ("p2", "registers/full.csv"))
+    ]}))
+    out = tmp_path / "pooling.json"
+    result = fresh_python("-m", "riskbench.cli", "similarity", "pooling",
+                          "--manifest", str(manifest_path), "--embeddings", WORD_VECTORS,
+                          "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == "error: pooling: project 'p1' has an empty ex-ante register\n"
+    assert not out.exists()
+
+
+# Each auxiliary input file, the command that reads it, and whether it is JSON.
+AUX_FILES = {
+    "stopwords": (["similarity", "docs", "--manifest", "{manifest}", "--stopwords", "{file}"],
+                  False),
+    "scales": (["ingest", "--manifest", "{manifest}", "--scales", "{file}"], True),
+    "rbs": (["rbs", "coverage", "--manifest", "{manifest}", "--embeddings", WORD_VECTORS,
+             "--rbs", "{file}"], True),
+    "categories": (["template", "build", "--manifest", "{manifest}", "--embeddings",
+                    WORD_VECTORS, "--categories", "{file}"], True),
+    "template": (["template", "eval", "--template", "{file}", "--register",
+                  str(data_path("fixtures", "expost", "registers", "p01_s0.csv")),
+                  "--embeddings", WORD_VECTORS], True),
+    "thresholds": (["lifecycle", "styles", "--manifest", "{manifest}", "--thresholds",
+                    "{file}"], True),
+    "groups": (["lifecycle", "compare", "--groups", "{file}"], True),
+    "coverage": (["rbs", "cooccur", "--coverage", "{file}"], True),
+}
+AUX_FAULTS = [(kind, "latin-1") for kind in sorted(AUX_FILES)] + [
+    (kind, "bad json") for kind, (_, is_json) in sorted(AUX_FILES.items()) if is_json
+]
+
+
+@pytest.mark.parametrize("kind, fault", AUX_FAULTS)
+def test_bad_auxiliary_file_exits_1(manifest, tmp_path, capsys, kind, fault):
+    path = tmp_path / f"{kind}.input"
+    if fault == "latin-1":
+        path.write_bytes('{"café": 1}\n'.encode("latin-1"))
+    else:
+        path.write_text("{bad\n", encoding="utf-8")
+    argv, _ = AUX_FILES[kind]
+    argv = [a.format(manifest=manifest, file=path) for a in argv]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    if fault == "latin-1":
+        assert "is not valid UTF-8" in err
+    else:
+        assert "is not valid JSON (Expecting property name enclosed in double quotes: " \
+               "line 1 column 2 (char 1))" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "not a coverage report"),
+    ({"result": {"projects": [1]}}, "project 0: expected an object with a 'rows' array"),
+    ({"projects": [{"rows": {"covered": True}}]},
+     "project 0: expected an object with a 'rows' array"),
+    ({"projects": [{"rows": [{"covered": True}]}]},
+     "project 0: a covered row has no 'best_item' string"),
+    ({"projects": [{"rows": [{"covered": True, "best_item": "not an RBS item"}]}]},
+     "covered item 'not an RBS item' is not in the RBS"),
+    ({"projects": []}, "co-occurrence needs at least one coverage report"),
+])
+def test_rbs_cooccur_bad_coverage_exits_1(tmp_path, capsys, payload, message):
+    path = tmp_path / "coverage.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "pairs.csv"
+    assert run(["rbs", "cooccur", "--coverage", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_rbs_cooccur_counts_match_the_library(manifest, tmp_path):
+    from riskbench.corpus import load_corpus
+    from riskbench.rbs import cooccurrence, coverage, default_rbs
+    from riskbench.vectorize import load_word_vectors
+
+    coverage_path = tmp_path / "coverage.json"
+    assert run(["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS,
+                "--out", str(coverage_path)]) == 0
+    pairs_path = tmp_path / "pairs.csv"
+    assert run(["rbs", "cooccur", "--coverage", str(coverage_path),
+                "--out", str(pairs_path)]) == 0
+    backend = load_word_vectors(WORD_VECTORS)
+    reports = [coverage(default_rbs(), p.register, backend) for p in load_corpus(manifest).projects]
+    rows = cooccurrence([r.covered_items() for r in reports], default_rbs()).pairs_descending()
+    with pairs_path.open(newline="", encoding="utf-8") as handle:
+        written = list(csv.reader(handle))
+    assert written[0] == ["item_a", "item_b", "count"]
+    assert [(a, b, int(count)) for a, b, count in written[1:]] == rows
+    assert len(rows) == 70 * 69 // 2

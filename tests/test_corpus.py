@@ -299,6 +299,35 @@ MANIFEST_FAULTS = {
         json.dumps({"projects": [_project(jurisdiction="Québec")]}, ensure_ascii=False),
         "not valid UTF-8",
     ),
+    "ordinal a string": (
+        json.dumps({"projects": [_project(registers=[{"ordinal": "0", "path": "r.csv"}])]}),
+        "project 0, register 0: 'ordinal' must be a non-negative integer",
+    ),
+    "ordinal a bool": (
+        json.dumps({"projects": [_project(registers=[{"ordinal": True, "path": "r.csv"}])]}),
+        "project 0, register 0: 'ordinal' must be a non-negative integer",
+    ),
+    "ordinal negative": (
+        json.dumps({"projects": [_project(), _project(
+            id="p2", registers=[{"ordinal": -1, "path": "r.csv"}])]}),
+        "project 1, register 0: 'ordinal' must be a non-negative integer",
+    ),
+    "contract value a string": (
+        json.dumps({"projects": [_project(contract_value_musd="12")]}),
+        "project 0: 'contract_value_musd' must be a number or null",
+    ),
+    "contract value a bool": (
+        json.dumps({"projects": [_project(contract_value_musd=False)]}),
+        "project 0: 'contract_value_musd' must be a number or null",
+    ),
+    "award year a string": (
+        json.dumps({"projects": [_project(award_year="2013")]}),
+        "project 0: 'award_year' must be an integer or null",
+    ),
+    "award year a float": (
+        json.dumps({"projects": [_project(award_year=2013.0)]}),
+        "project 0: 'award_year' must be an integer or null",
+    ),
 }
 
 
@@ -317,6 +346,43 @@ def test_load_corpus_manifest_fault_is_a_parse_error(tmp_path, fault):
         load_corpus(manifest)
     assert str(excinfo.value).startswith(f"{manifest}")
     assert MANIFEST_FAULTS[fault][1] in str(excinfo.value)
+
+
+def test_manifest_value_types_that_load(tmp_path):
+    (tmp_path / "r.csv").write_text(CSV_HEADER + "r1,A,,,,,,,\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"projects": [
+        _project(contract_value_musd=12, award_year=None),
+        _project(id="p2", contract_value_musd=12.5, award_year=2013,
+                 registers=[{"ordinal": 3, "path": "r.csv"}]),
+    ]}))
+    corpus = load_corpus(manifest)
+    assert [p.contract_value_musd for p in corpus.projects] == [12, 12.5]
+    assert [p.award_year for p in corpus.projects] == [None, 2013]
+    assert corpus.projects[1].register.ordinal == 3
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("risk_id", 5, "a string"),
+    ("name", ["A"], "a string"),
+    ("description", 1.5, "a string or null"),
+    ("category", {"a": 1}, "a string or null"),
+    ("status", True, "a string or null"),
+])
+def test_json_register_text_field_types(tmp_path, field, value, kind):
+    record = {"risk_id": "r1", "name": "A", "description": None, "category": "c",
+              "status": None, field: value}
+    data = json.dumps({"items": [{"risk_id": "r0", "name": "B"}, record]}).encode()
+    expected = f"<register>, item 1: {field} must be {kind}, got {value!r}"
+    with pytest.raises(ParseError) as excinfo:
+        parse_register(data, "json")
+    assert str(excinfo.value) == expected
+    (tmp_path / "r.json").write_bytes(data)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"projects": [
+        _project(registers=[{"ordinal": 0, "path": "r.json"}])]}))
+    with pytest.raises(ParseError, match=f"r.json, item 1: {field} must be {kind}"):
+        load_corpus(manifest)
 
 
 def test_load_corpus_keeps_digests_of_the_bytes_parsed(expost_manifest):

@@ -266,7 +266,7 @@ def test_cooccurrence_two_projects_sharing_pair():
         _report_for(["alpha", "beta"], "p0"),
         _report_for(["alpha", "beta"], "p1"),
     ]
-    matrix = cooccurrence(reports, small_rbs())
+    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
     assert matrix.count("alpha", "beta") == 2
     assert matrix.count("alpha", "gamma") == 0
     assert matrix.project_count == 2
@@ -274,7 +274,7 @@ def test_cooccurrence_two_projects_sharing_pair():
 
 def test_cooccurrence_uncovered_items_have_zero_rows():
     reports = [_report_for(["alpha"], "p0"), _report_for(["alpha"], "p1")]
-    matrix = cooccurrence(reports, small_rbs())
+    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
     assert matrix.count("beta", "gamma") == 0
     assert matrix.count("alpha", "alpha") == 2  # per-item occurrence count
 
@@ -287,7 +287,7 @@ def test_cooccurrence_matches_set_intersection_oracle():
         "p3": ["gamma"],
     }
     reports = [_report_for(names, pid) for pid, names in projects.items()]
-    matrix = cooccurrence(reports, small_rbs())
+    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
     item_names = ["alpha", "beta", "gamma"]
     for a, b in itertools.combinations(item_names, 2):
         expected = sum(1 for names in projects.values() if a in names and b in names)
@@ -297,7 +297,7 @@ def test_cooccurrence_matches_set_intersection_oracle():
 
 def test_cooccurrence_symmetry():
     reports = [_report_for(["alpha", "beta", "gamma"], "p0")]
-    matrix = cooccurrence(reports, small_rbs())
+    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
     assert matrix.count("alpha", "beta") == matrix.count("beta", "alpha")
 
 
@@ -306,7 +306,7 @@ def test_cooccurrence_pairs_descending():
         _report_for(["alpha", "beta", "gamma"], "p0"),
         _report_for(["alpha", "beta"], "p1"),
     ]
-    rows = cooccurrence(reports, small_rbs()).pairs_descending()
+    rows = cooccurrence([r.covered_items() for r in reports], small_rbs()).pairs_descending()
     assert rows[0] == ("alpha", "beta", 2)
     counts = [count for _, _, count in rows]
     assert counts == sorted(counts, reverse=True)
@@ -315,3 +315,121 @@ def test_cooccurrence_pairs_descending():
 def test_cooccurrence_empty():
     with pytest.raises(EmptyReportError):
         cooccurrence([], small_rbs())
+
+
+def test_cooccurrence_pairs_descending_lists_every_pair():
+    rows = cooccurrence([["gamma"], ["alpha", "gamma", "alpha"]], small_rbs()).pairs_descending()
+    assert rows == [("alpha", "gamma", 1), ("alpha", "beta", 0), ("beta", "gamma", 0)]
+
+
+def test_cooccurrence_unknown_item_raises():
+    with pytest.raises(RbsError, match="'delta' is not in the RBS"):
+        cooccurrence([["alpha"], ["beta", "delta"]], small_rbs())
+
+
+# ------------------------------------------------- coverage against its oracle
+#
+# coverage() scores the whole register in one table per backend. The
+# reference below is the per-risk loop it replaced: each text embedded on its
+# own (None where the primary table misses it), each risk scored in its own
+# 1 x items product, the fallback score used for a pair whose risk or item
+# the primary table misses.
+
+
+def _coverage_oracle(rbs, register, backend, threshold, fallback_backend):
+    import numpy as np
+
+    from riskbench.vectorize import cosine_table, embed_text
+
+    def unit(vector):
+        norm = np.linalg.norm(vector)
+        return vector / norm if norm > 0 else vector
+
+    def try_embed(b, text):
+        try:
+            return embed_text(b, text).vector
+        except MissingEmbeddingError:
+            if fallback_backend is None:
+                raise
+            return None
+
+    flat = rbs.flat_items()
+    primary = [try_embed(backend, item.text) for _, item in flat]
+    primary_ok = np.array([v is not None for v in primary])
+    primary_units = np.stack([
+        unit(v) if v is not None else np.zeros(backend.dimension) for v in primary
+    ])
+    if fallback_backend is not None:
+        fallback_units = np.stack([
+            unit(embed_text(fallback_backend, item.text).vector) for _, item in flat
+        ])
+    rows = []
+    for risk in register.items:
+        own = try_embed(backend, risk.name)
+        if fallback_backend is not None:
+            fallback_scores = cosine_table(
+                unit(embed_text(fallback_backend, risk.name).vector)[None, :], fallback_units
+            )[0]
+        if own is not None:
+            scores = cosine_table(unit(own)[None, :], primary_units)[0]
+            if fallback_backend is not None:
+                scores = np.where(primary_ok, scores, fallback_scores)
+        else:
+            scores = fallback_scores
+        best = int(scores.argmax())
+        rows.append((flat[best][1].text, float(scores[best]),
+                     float(scores[best]) >= threshold, own is None))
+    return rows
+
+
+def _sentence_backend_without(texts):
+    from dataclasses import replace
+
+    from riskbench.vectorize import normalize_sentence
+
+    full = load_sentence_vectors(data_path("embeddings", "reference_sentence_vectors.jsonl"))
+    dropped = {normalize_sentence(t) for t in texts}
+    return replace(full, sentence_table={
+        k: v for k, v in full.sentence_table.items() if k not in dropped
+    })
+
+
+@pytest.mark.parametrize("missing", ["none", "register text", "rbs item", "both"])
+def test_coverage_equals_per_risk_loop_on_fixture(expost_manifest, reference_backend, missing):
+    from riskbench.corpus import load_corpus
+
+    rbs = default_rbs()
+    corpus = load_corpus(expost_manifest)
+    item = "Right of way acquisition issues"
+    texts = {"none": [], "register text": ["utility relocation delays"],
+             "rbs item": [item], "both": ["utility relocation delays", item]}[missing]
+    sentence = _sentence_backend_without(texts)
+    fell_back = 0
+    for project in corpus.projects:
+        report = coverage(rbs, project.register, sentence, 0.6, project.project_id,
+                          fallback_backend=reference_backend)
+        expected = _coverage_oracle(rbs, project.register, sentence, 0.6, reference_backend)
+        for row, (best_item, score, covered, used_fallback) in zip(report.rows, expected):
+            assert (row.best_item, row.covered, row.used_fallback) == (
+                best_item, covered, used_fallback)
+            assert row.score == pytest.approx(score, abs=1e-12)
+        assert len(report.rows) == len(expected)
+        fell_back += sum(row.used_fallback for row in report.rows)
+    assert fell_back > 0
+    # with the word backend alone, every pair is scored in one space
+    for project in corpus.projects[:3]:
+        report = coverage(rbs, project.register, reference_backend, 0.6)
+        expected = _coverage_oracle(rbs, project.register, reference_backend, 0.6, None)
+        assert [(r.best_item, r.covered) for r in report.rows] == [e[:1] + e[2:3] for e in expected]
+        assert [r.score for r in report.rows] == pytest.approx([e[1] for e in expected], abs=1e-12)
+
+
+def test_coverage_without_fallback_names_the_first_missing_rbs_item():
+    item = default_rbs().flat_items()[3][1].text
+    sentence = _sentence_backend_without([item, "utility relocation delays"])
+    register = make_register("utility relocation delays", "nobody precomputed this")
+    with pytest.raises(MissingEmbeddingError, match=f"vector for {item!r}"):
+        coverage(default_rbs(), register, sentence)
+    register_only = _sentence_backend_without(["utility relocation delays"])
+    with pytest.raises(MissingEmbeddingError, match="vector for 'nobody precomputed this'"):
+        coverage(default_rbs(), make_register("nobody precomputed this", "zzz"), register_only)

@@ -16,7 +16,6 @@ from riskbench.corpus import (
 )
 from riskbench.errors import CorpusError, EmptyReportError, StatTestError
 from riskbench.similarity import (
-    best_match,
     document_similarity,
     evaluation_level_report,
     evaluation_similarity,
@@ -27,7 +26,7 @@ from riskbench.similarity import (
     score_histogram,
     two_sample_t_test,
 )
-from riskbench.vectorize import cosine, embed_text, tokenize
+from riskbench.vectorize import best_against, cosine, embed_text, tokenize, unit_rows
 
 from .conftest import make_item, make_register, toy_backend
 from .test_vectorize import brute_force_tfidf_cosine
@@ -150,15 +149,23 @@ def test_report_mean_equals_pair_mean_invariant():
 # ------------------------------------------------------ best match
 
 
+def best_match(risk, candidates, backend):
+    """(target risk_id, score) of the kernel's best match of one risk."""
+    indices, scores = best_against(
+        unit_rows(backend, [risk.name]), unit_rows(backend, [c.name for c in candidates])
+    )
+    return candidates[int(indices[0])].risk_id, float(scores[0])
+
+
 def test_best_match_exact_name(reference_backend):
     risk = make_item("s", "Contractor delays and default")
     candidates = [
         make_item("c0", "Utility relocation"),
         make_item("c1", "Contractor delays and default"),
     ]
-    match = best_match(risk, candidates, reference_backend)
-    assert match.target_risk_id == "c1"
-    assert match.score == 1.0
+    target, score = best_match(risk, candidates, reference_backend)
+    assert target == "c1"
+    assert score == 1.0
 
 
 def test_best_match_near_duplicate_wins(reference_backend):
@@ -168,30 +175,30 @@ def test_best_match_near_duplicate_wins(reference_backend):
         make_item("c1", "Utility relocation may not happen on time"),
         make_item("c2", "Design changes on structures"),
     ]
-    match = best_match(risk, candidates, reference_backend)
-    assert match.target_risk_id == "c1"
-    assert match.score > 0.9
+    target, score = best_match(risk, candidates, reference_backend)
+    assert target == "c1"
+    assert score > 0.9
 
 
 def test_best_match_single_candidate_forced():
     backend = toy_backend({"alpha": [1.0, 0.0], "beta": [0.0, 1.0]})
-    match = best_match(make_item("s", "alpha"), [make_item("c", "beta")], backend)
-    assert match.target_risk_id == "c"
-    assert match.score == 0.0
+    target, score = best_match(make_item("s", "alpha"), [make_item("c", "beta")], backend)
+    assert target == "c"
+    assert score == 0.0
 
 
 def test_best_match_tie_breaks_lowest_index():
     backend = toy_backend({"alpha": [1.0, 0.0]})
     candidates = [make_item("first", "alpha"), make_item("second", "alpha")]
-    match = best_match(make_item("s", "alpha"), candidates, backend)
-    assert match.target_risk_id == "first"
+    target, score = best_match(make_item("s", "alpha"), candidates, backend)
+    assert target == "first"
 
 
 def test_best_match_all_oov_scores_zero_against_first():
     backend = toy_backend({"alpha": [1.0, 0.0]})
-    match = best_match(make_item("s", "zzz"), [make_item("c0", "alpha")], backend)
-    assert match.target_risk_id == "c0"
-    assert match.score == 0.0
+    target, score = best_match(make_item("s", "zzz"), [make_item("c0", "alpha")], backend)
+    assert target == "c0"
+    assert score == 0.0
 
 
 def test_best_match_argmax_exhaustive_rescan(reference_backend):
@@ -205,14 +212,14 @@ def test_best_match_argmax_exhaustive_rescan(reference_backend):
     )
     for name in ("third party utility relocation", "additional right of way required"):
         risk = make_item("s", name)
-        match = best_match(risk, list(pool.items), reference_backend)
+        target, score = best_match(risk, list(pool.items), reference_backend)
         source = embed_text(reference_backend, name).vector
         rescan = [
             cosine(source, embed_text(reference_backend, c.name).vector)
             for c in pool.items
         ]
-        assert match.score == pytest.approx(max(rescan), abs=1e-12)
-        assert all(match.score >= s - 1e-12 for s in rescan)
+        assert score == pytest.approx(max(rescan), abs=1e-12)
+        assert all(score >= s - 1e-12 for s in rescan)
 
 
 # ------------------------------------------------------ pairwise / pooling
@@ -280,7 +287,7 @@ def test_pooling_verbatim_duplicate_scores_one(reference_backend):
         project_of(make_register(shared), "p1"),
         project_of(make_register("wetlands and endangered species mitigation"), "p2"),
     )
-    report = pooling_similarity(corpus.projects[0], corpus, reference_backend)
+    report = pooling_similarity(corpus, reference_backend)[0]
     scores = {p.a: p.score for p in report.pairs}
     assert scores["r0"] == 1.0
     assert report.metadata["pool_size"] == 2
@@ -292,7 +299,7 @@ def test_pooling_orthogonal_fraction_zero():
         project_of(make_register("alpha"), "p0"),
         project_of(make_register("beta"), "p1"),
     )
-    report = pooling_similarity(corpus.projects[0], corpus, backend)
+    report = pooling_similarity(corpus, backend)[0]
     assert report.aggregates["fraction_at_least_0.5"] == 0.0
 
 
@@ -308,7 +315,7 @@ def test_pooling_five_project_fraction_matches_brute_force(reference_backend):
         *(project_of(make_register(*texts), f"p{i}") for i, texts in enumerate(names))
     )
     target = corpus.projects[0]
-    report = pooling_similarity(target, corpus, reference_backend)
+    report = pooling_similarity(corpus, reference_backend)[0]
     pool = [
         item.name
         for project in corpus.projects[1:]
@@ -328,11 +335,61 @@ def test_pooling_five_project_fraction_matches_brute_force(reference_backend):
     assert report.aggregates["fraction_at_least_0.5"] == pytest.approx(fraction)
 
 
-def test_pooling_project_absent_from_corpus(reference_backend):
+def test_pooling_single_project_corpus(reference_backend):
     corpus = corpus_of(project_of(make_register("alpha"), "p0"))
-    outsider = project_of(make_register("beta"), "p9")
-    with pytest.raises(EmptyReportError):
-        pooling_similarity(outsider, corpus, reference_backend)
+    with pytest.raises(EmptyReportError, match="at least 2 projects"):
+        pooling_similarity(corpus, reference_backend)
+
+
+def test_pooling_empty_register_names_the_project(reference_backend):
+    corpus = corpus_of(
+        project_of(make_register("alpha"), "p0"),
+        project_of(RegisterSnapshot(0, None, ()), "p1"),
+    )
+    with pytest.raises(EmptyReportError, match="project 'p1' has an empty ex-ante register"):
+        pooling_similarity(corpus, reference_backend)
+
+
+def _pooling_oracle(corpus, backend, use_description):
+    """Per project: embed its register and its pool apart, then best-match."""
+    reports = []
+    for project in corpus.projects:
+        pool = [
+            (other.project_id, item)
+            for other in corpus.projects
+            if other.project_id != project.project_id
+            for item in other.register.items
+        ]
+        texts = [i.matching_text(use_description) for i in project.register.items]
+        indices, scores = best_against(
+            unit_rows(backend, texts),
+            unit_rows(backend, [i.matching_text(use_description) for _, i in pool]),
+        )
+        reports.append([
+            (item.risk_id, f"{pool[int(j)][0]}:{pool[int(j)][1].risk_id}", float(score))
+            for item, j, score in zip(project.register.items, indices, scores)
+        ])
+    return reports
+
+
+@pytest.mark.parametrize("use_description", [False, True])
+def test_pooling_corpus_pass_equals_per_project_embedding(
+    expost_manifest, reference_backend, use_description
+):
+    from riskbench.corpus import load_corpus
+
+    corpus = load_corpus(expost_manifest)
+    expected = _pooling_oracle(corpus, reference_backend, use_description)
+    for jobs in (1, 3):
+        reports = pooling_similarity(corpus, reference_backend, use_description, jobs=jobs)
+        assert [r.metadata["project_id"] for r in reports] == [
+            p.project_id for p in corpus.projects
+        ]
+        assert [[(p.a, p.b, p.score) for p in r.pairs] for r in reports] == expected
+        assert [r.metadata["pool_size"] for r in reports] == [
+            sum(len(o.register.items) for o in corpus.projects) - len(p.register.items)
+            for p in corpus.projects
+        ]
 
 
 def test_score_histogram_bands():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from riskbench.corpus import Assessment, RegisterSnapshot, load_corpus
 from riskbench.errors import TemplateError
 from riskbench.template import (
+    Category,
+    CategorySet,
     EvalCounts,
     FilterCriteria,
     GroupMember,
@@ -191,8 +195,8 @@ def test_summarize_skips_unset_bands():
 
 
 def test_classify_right_of_way(reference_backend):
-    result = classify_risk(
-        "Additional right of way required", default_categories(), reference_backend
+    [result] = classify_risk(
+        ["Additional right of way required"], default_categories(), reference_backend
     )
     assert result.label == "right of way"
     assert result.score > 0.5
@@ -203,7 +207,7 @@ def test_classify_geotechnical_over_design(reference_backend):
 
     categories = default_categories()
     text = "Potential changes to geotechnical design for foundations"
-    result = classify_risk(text, categories, reference_backend)
+    [result] = classify_risk([text], categories, reference_backend)
     assert result.label == "structure and geotechnical"
     source = embed_text(reference_backend, text).vector
     ranked = sorted(
@@ -224,17 +228,59 @@ def test_classify_geotechnical_over_design(reference_backend):
 
 def test_classify_verbatim_label_scores_one(reference_backend):
     categories = default_categories()
-    result = classify_risk("utilities", categories, reference_backend, label_only=True)
+    utilities = next(c for c in categories.categories if c.name == "utilities")
+    text = f"{utilities.name} {utilities.description}".strip()
+    [result] = classify_risk([text], categories, reference_backend)
     assert result.label == "utilities"
     assert result.score == 1.0
 
 
 def test_classify_all_oov_flagged(reference_backend):
     categories = default_categories()
-    result = classify_risk("zzqx vvrm", categories, reference_backend)
+    [result] = classify_risk(["zzqx vvrm"], categories, reference_backend)
     assert result.all_oov
     assert result.score == 0.0
     assert result.label == categories.categories[0].name
+
+
+def test_classify_empty_list(reference_backend):
+    assert classify_risk([], default_categories(), reference_backend) == []
+
+
+def test_classify_tie_goes_to_earliest_category():
+    backend = toy_backend({"alpha": [1.0, 0.0], "beta": [0.0, 1.0]})
+    categories = CategorySet((Category("beta"), Category("alpha"), Category("alpha alpha")))
+    labels = [r.label for r in classify_risk(["alpha", "beta", "zzz"], categories, backend)]
+    assert labels == ["alpha", "beta", "beta"]
+
+
+def _classify_oracle(text, categories, backend):
+    """The per-pair loop: dense cosine against each category, strict > keeps the first."""
+    from riskbench.vectorize import cosine, embed_text
+
+    source = embed_text(backend, text)
+    best_index, best_score = 0, -math.inf
+    for index, category in enumerate(categories.categories):
+        target = embed_text(backend, f"{category.name} {category.description}".strip())
+        score = cosine(source.vector, target.vector)
+        if score > best_score:
+            best_index, best_score = index, score
+    return categories.categories[best_index].name, best_score, source.all_oov
+
+
+def test_classify_batch_equals_per_pair_loop_on_fixture_groups(
+    expost_manifest, reference_backend
+):
+    corpus = load_corpus(expost_manifest)
+    categories = default_categories()
+    groups = group_risks(list(corpus.projects), reference_backend)
+    texts = [g.representative_text for g in groups] + ["zzqx vvrm"]
+    results = classify_risk(texts, categories, reference_backend)
+    assert len(results) == len(texts)
+    for text, result in zip(texts, results):
+        label, score, all_oov = _classify_oracle(text, categories, reference_backend)
+        assert (result.label, result.all_oov) == (label, all_oov)
+        assert result.score == pytest.approx(score, abs=1e-12)
 
 
 # --------------------------------------------------------------- template build

@@ -1,0 +1,52 @@
+"""The benchmark's tracer wraps riskbench functions by module and name.
+
+A refactor that renames or removes one of them makes `perfbench/run.py
+--trace 1` crash, so every name it wraps must resolve after `riskbench.cli`
+is imported, and a traced command must run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from riskbench.resources import data_path
+
+from .test_cli import WORD_VECTORS, fresh_python
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("riskbench_perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves(tracer):
+    import riskbench.cli  # noqa: F401  (loads every module the tracer looks in)
+
+    for module_name, function in (*tracer.COARSE, *tracer.HOT):
+        module = sys.modules.get(f"riskbench.{module_name}")
+        assert module is not None, f"riskbench.{module_name} is not loaded by riskbench.cli"
+        assert callable(getattr(module, function, None)), f"{module_name}.{function}"
+
+
+def test_traced_pooling_run(tmp_path):
+    trace = tmp_path / "trace.json"
+    out = tmp_path / "pooling.json"
+    result = fresh_python(
+        str(TRACER), str(trace), "--", "similarity", "pooling",
+        "--manifest", str(data_path("fixtures", "expost", "manifest.json")),
+        "--embeddings", WORD_VECTORS, "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.exists()
+    spans = [span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]]
+    assert "similarity.pooling_similarity" in spans
