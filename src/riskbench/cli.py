@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
     Corpus,
-    ScaleConfig,
+    ProjectRecord,
     default_scale_config,
     load_corpus,
     load_scale_config,
@@ -68,34 +69,42 @@ from .template import (
     load_categories,
     parse_filter,
 )
-from .vectorize import (
-    WORD_AVERAGE,
-    default_stopwords,
-    load_sentence_vectors,
-    load_stopwords,
-    load_word_vectors,
-)
+from .vectorize import load_sentence_vectors, load_stopwords, load_word_vectors
 
 
-def _load_stopwords(args) -> frozenset[str]:
-    if getattr(args, "stopwords", None):
-        return load_stopwords(args.stopwords)
-    return default_stopwords()
+# Each loader records the digest of every file it reads in `digests`, which
+# becomes the report's "inputs" map.
 
 
-def _load_backends(args, stop_words):
+def _corpus(args, digests: dict) -> Corpus:
+    scales = load_scale_config(args.scales) if args.scales else default_scale_config()
+    corpus = load_corpus(args.manifest, scales)
+    digests.update(corpus.digests)
+    if args.scales:
+        digests["scales"] = file_digest(args.scales)
+    return corpus
+
+
+def _stop_words(args, digests: dict) -> frozenset[str]:
+    path = args.stopwords or data_path("stopwords_en.txt")
+    stop_words = load_stopwords(path)
+    digests["stopwords"] = file_digest(path)
+    return stop_words
+
+
+def _backends(args, digests: dict):
     """Primary backend plus optional word-average fallback."""
-    word = (
-        load_word_vectors(args.embeddings, stop_words)
-        if getattr(args, "embeddings", None)
-        else None
-    )
+    stop_words = _stop_words(args, digests)
+    word = load_word_vectors(args.embeddings, stop_words) if args.embeddings else None
     sentence = (
         load_sentence_vectors(args.sentence_embeddings, stop_words)
-        if getattr(args, "sentence_embeddings", None)
+        if args.sentence_embeddings
         else None
     )
+    if word is not None:
+        digests["embeddings"] = word.digest
     if sentence is not None:
+        digests["sentence_embeddings"] = sentence.digest
         return sentence, word
     if word is None:
         raise RiskbenchError(
@@ -104,50 +113,18 @@ def _load_backends(args, stop_words):
     return word, None
 
 
-def _backend_digests(args, *backends) -> dict[str, str]:
-    """Digests of the loaded backends (of the bytes they parsed) and the stop words."""
-    digests = {
-        "embeddings" if backend.kind == WORD_AVERAGE else "sentence_embeddings": backend.digest
-        for backend in backends
-        if backend is not None
-    }
-    if getattr(args, "stopwords", None):
-        digests["stopwords"] = file_digest(args.stopwords)
-    else:
-        digests["stopwords"] = file_digest(data_path("stopwords_en.txt"))
-    return digests
-
-
-def _load_corpus(args) -> Corpus:
-    scales: ScaleConfig = (
-        load_scale_config(args.scales) if getattr(args, "scales", None) else default_scale_config()
-    )
-    return load_corpus(args.manifest, scales)
-
-
-def _scale_digests(args) -> dict[str, str]:
-    if getattr(args, "scales", None):
-        return {"scales": file_digest(args.scales)}
-    return {}
-
-
-def _emit(args, command: str, config: dict, digests: dict, result) -> int:
-    bundle = ReportBundle(
-        command=command,
-        config=config,
-        version=__version__,
-        input_digests=digests,
-        result=result,
-    )
-    emit_report(bundle, args.out)
-    return 0
+def _number(value, where: str):
+    """A finite JSON number read from an input file; ParseError naming `where` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParseError(f"{where} must be a finite number, not {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------- ingest
 
 
-def _cmd_ingest(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_ingest(args, digests):
+    corpus = _corpus(args, digests)
     projects = []
     total = 0
     for project in corpus.projects:
@@ -163,27 +140,24 @@ def _cmd_ingest(args) -> int:
                 "risks_per_snapshot": sizes,
             }
         )
-    result = {"project_count": len(corpus.projects), "total_rows": total, "projects": projects}
-    digests = dict(corpus.digests)
-    digests.update(_scale_digests(args))
-    return _emit(args, "riskbench ingest", {}, digests, result)
+    return {}, {"project_count": len(corpus.projects), "total_rows": total, "projects": projects}
 
 
 # ------------------------------------------------------------ similarity
 
 
-def _similarity_config(args, mode: str) -> dict:
+def _similarity_config(mode: str, group_by=None, threshold=None, use_description=False) -> dict:
     return {
         "mode": mode,
-        "group_by": getattr(args, "group_by", None),
-        "threshold": getattr(args, "threshold", None),
-        "use_description": getattr(args, "use_description", False),
+        "group_by": group_by,
+        "threshold": threshold,
+        "use_description": use_description,
     }
 
 
-def _cmd_similarity_docs(args) -> int:
-    corpus = _load_corpus(args)
-    stop_words = _load_stopwords(args)
+def _cmd_similarity_docs(args, digests):
+    corpus = _corpus(args, digests)
+    stop_words = _stop_words(args, digests)
     report = document_similarity(corpus, stop_words=stop_words, group_by=args.group_by)
     if args.heatmap:
         ids = [p.project_id for p in corpus.projects]
@@ -196,20 +170,12 @@ def _cmd_similarity_docs(args) -> int:
             for a in ids
         ]
         write_heatmap_csv(args.heatmap, ids, ids, matrix)
-    digests = dict(corpus.digests)
-    digests["stopwords"] = (
-        file_digest(args.stopwords) if args.stopwords else file_digest(data_path("stopwords_en.txt"))
-    )
-    return _emit(
-        args, "riskbench similarity docs", _similarity_config(args, "docs"), digests,
-        report.to_dict(),
-    )
+    return _similarity_config("docs", args.group_by), report.to_dict()
 
 
-def _cmd_similarity_risks(args) -> int:
-    corpus = _load_corpus(args)
-    stop_words = _load_stopwords(args)
-    backend, fallback = _load_backends(args, stop_words)
+def _cmd_similarity_risks(args, digests):
+    corpus = _corpus(args, digests)
+    backend, _ = _backends(args, digests)
     if len(corpus.projects) < 2:
         raise EmptyReportError("risk-level similarity needs at least 2 projects")
     ids, matrix = directional_mean_matrix(
@@ -236,17 +202,13 @@ def _cmd_similarity_risks(args) -> int:
             name: _basic_aggregates(scores)
             for name, scores in _group_pair_scores(corpus, pairs, args.group_by).items()
         }
-    digests = dict(corpus.digests)
-    digests.update(_backend_digests(args, backend, fallback))
-    return _emit(
-        args, "riskbench similarity risks", _similarity_config(args, "risks"), digests, result
-    )
+    config = _similarity_config("risks", args.group_by, use_description=args.use_description)
+    return config, result
 
 
-def _cmd_similarity_pooling(args) -> int:
-    corpus = _load_corpus(args)
-    stop_words = _load_stopwords(args)
-    backend, fallback = _load_backends(args, stop_words)
+def _cmd_similarity_pooling(args, digests):
+    corpus = _corpus(args, digests)
+    backend, _ = _backends(args, digests)
     reports = pooling_similarity(corpus, backend, args.use_description, jobs=args.jobs)
     rows = [
         {
@@ -262,18 +224,13 @@ def _cmd_similarity_pooling(args) -> int:
         "projects": rows,
         "mean_fraction_at_least_0.5": sum(r["fraction_at_least_0.5"] for r in rows) / len(rows),
     }
-    digests = dict(corpus.digests)
-    digests.update(_backend_digests(args, backend, fallback))
-    return _emit(
-        args, "riskbench similarity pooling", _similarity_config(args, "pooling"), digests, result
-    )
+    return _similarity_config("pooling", use_description=args.use_description), result
 
 
-def _cmd_similarity_evaluation(args) -> int:
-    corpus = _load_corpus(args)
-    stop_words = _load_stopwords(args)
-    backend, fallback = _load_backends(args, stop_words)
-    base = args.threshold if args.threshold is not None else 0.5
+def _cmd_similarity_evaluation(args, digests):
+    corpus = _corpus(args, digests)
+    backend, _ = _backends(args, digests)
+    base = args.threshold
     thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
     matches = match_registers(corpus, backend, min_score=base, use_description=args.use_description)
     report = evaluation_level_report(matches, corpus, thresholds)
@@ -294,39 +251,30 @@ def _cmd_similarity_evaluation(args) -> int:
             except EmptyReportError as exc:
                 by_group[name] = {"skipped": str(exc)}
         result["by_group"] = by_group
-    digests = dict(corpus.digests)
-    digests.update(_backend_digests(args, backend, fallback))
-    return _emit(
-        args,
-        "riskbench similarity evaluation",
-        _similarity_config(args, "evaluation"),
-        digests,
-        result,
-    )
+    config = _similarity_config("evaluation", args.group_by, base, args.use_description)
+    return config, result
 
 
 # -------------------------------------------------------------- template
 
 
-def _cmd_template_build(args) -> int:
-    corpus = _load_corpus(args)
-    stop_words = _load_stopwords(args)
-    backend, fallback = _load_backends(args, stop_words)
+def _cmd_template_build(args, digests):
+    corpus = _corpus(args, digests)
+    backend, _ = _backends(args, digests)
     criteria = parse_filter(args.filter)
     selected = filter_projects(corpus, criteria)
     if not selected:
         raise EmptyReportError("the filter selected zero projects")
-    categories = load_categories(args.categories) if args.categories else default_categories()
+    categories = default_categories()
+    if args.categories:
+        categories = load_categories(args.categories)
+        digests["categories"] = file_digest(args.categories)
     groups = group_risks(selected, backend, args.match_threshold, args.use_description)
     labels = classify_risk([group.representative_text for group in groups], categories, backend)
     groups = [replace(group, category=label.label) for group, label in zip(groups, labels)]
     template = build_template(groups, args.sort, args.top, criteria, len(selected))
     result = template.to_dict()
     result["group_count"] = len(groups)
-    digests = dict(corpus.digests)
-    digests.update(_backend_digests(args, backend, fallback))
-    if args.categories:
-        digests["categories"] = file_digest(args.categories)
     config = {
         "filter": criteria.describe(),
         "sort": args.sort,
@@ -334,7 +282,7 @@ def _cmd_template_build(args) -> int:
         "match_threshold": args.match_threshold,
         "use_description": args.use_description,
     }
-    return _emit(args, "riskbench template build", config, digests, result)
+    return config, result
 
 
 def _load_template_file(path: str) -> RiskTemplate:
@@ -345,49 +293,39 @@ def _load_template_file(path: str) -> RiskTemplate:
     return RiskTemplate.from_dict(raw)
 
 
-def _cmd_template_eval(args) -> int:
-    stop_words = _load_stopwords(args)
-    backend, fallback = _load_backends(args, stop_words)
+def _cmd_template_eval(args, digests):
+    backend, _ = _backends(args, digests)
     template = _load_template_file(args.template)
+    digests["template"] = file_digest(args.template)
     register_path = Path(args.register)
     if not register_path.exists():
         raise RiskbenchError(f"register file not found: {register_path}")
     fmt = "json" if register_path.suffix.lower() == ".json" else "csv"
     register = parse_register(register_path.read_bytes(), fmt, source=str(register_path))
+    digests["register"] = file_digest(register_path)
     counts = evaluate_template(template, register, backend, args.label_threshold)
-    digests = {
-        "template": file_digest(args.template),
-        "register": file_digest(args.register),
-    }
-    digests.update(_backend_digests(args, backend, fallback))
-    config = {"label_threshold": args.label_threshold}
-    return _emit(args, "riskbench template eval", config, digests, counts.to_dict())
+    return {"label_threshold": args.label_threshold}, counts.to_dict()
 
 
 # -------------------------------------------------------------- lifecycle
 
 
-def _lifecycle_tables(args):
-    if getattr(args, "lifecycle_csv", None):
+def _lifecycle_tables(args, digests):
+    """Per-project and pooled ratios, and the config naming their source."""
+    if args.lifecycle_csv:
         path = Path(args.lifecycle_csv)
         if not path.exists():
             raise RiskbenchError(f"lifecycle csv not found: {path}")
         observations = read_lifecycle_csv(path.read_bytes(), source=str(path))
-        per_project, pooled = tabulated_ratios(observations)
-        digests = {"lifecycle_csv": file_digest(path)}
-        config = {"source": "lifecycle_csv"}
-    elif getattr(args, "manifest", None):
-        corpus = _load_corpus(args)
-        per_project, pooled = corpus_ratios(corpus)
-        digests = dict(corpus.digests)
-        config = {"source": "manifest"}
-    else:
-        raise RiskbenchError("pass --manifest or --lifecycle-csv")
-    return per_project, pooled, digests, config
+        digests["lifecycle_csv"] = file_digest(path)
+        return *tabulated_ratios(observations), {"source": "lifecycle_csv"}
+    if args.manifest:
+        return *corpus_ratios(_corpus(args, digests)), {"source": "manifest"}
+    raise RiskbenchError("pass --manifest or --lifecycle-csv")
 
 
-def _cmd_lifecycle_ratios(args) -> int:
-    per_project, pooled, digests, config = _lifecycle_tables(args)
+def _cmd_lifecycle_ratios(args, digests):
+    per_project, pooled, config = _lifecycle_tables(args, digests)
     result = {
         "projects": [
             {"project_id": project_id, **ratios.to_dict()}
@@ -395,20 +333,20 @@ def _cmd_lifecycle_ratios(args) -> int:
         ],
         "pooled": pooled.to_dict(),
     }
-    return _emit(args, "riskbench lifecycle ratios", config, digests, result)
+    return config, result
 
 
-def _cmd_lifecycle_styles(args) -> int:
-    per_project, pooled, digests, config = _lifecycle_tables(args)
+def _cmd_lifecycle_styles(args, digests):
+    per_project, pooled, config = _lifecycle_tables(args, digests)
     thresholds = StyleThresholds()
     if args.thresholds:
         raw = read_json_checked(args.thresholds, "thresholds file")
         if not isinstance(raw, dict):
             raise ParseError(f"{args.thresholds}: thresholds file must hold a JSON object")
-        thresholds = StyleThresholds(
-            doer_new_item=raw.get("doer_new_item", 0.5),
-            careful=raw.get("careful", 0.5),
-        )
+        thresholds = StyleThresholds(**{
+            f.name: _number(raw.get(f.name, f.default), f"{args.thresholds}: {f.name!r}")
+            for f in fields(StyleThresholds)
+        })
         digests["thresholds"] = file_digest(args.thresholds)
     rows = []
     groups: dict[str, list[str]] = {}
@@ -421,22 +359,22 @@ def _cmd_lifecycle_styles(args) -> int:
             style = f"{label.axis2} {label.axis1}"
             groups.setdefault(label.axis1, []).append(project_id)
         rows.append({"project_id": project_id, "style": style, **ratios.to_dict()})
-    config["thresholds"] = {
-        "doer_new_item": thresholds.doer_new_item,
-        "careful": thresholds.careful,
-    }
-    result = {"projects": rows, "groups": groups, "pooled": pooled.to_dict()}
-    return _emit(args, "riskbench lifecycle styles", config, digests, result)
+    config["thresholds"] = asdict(thresholds)
+    return config, {"projects": rows, "groups": groups, "pooled": pooled.to_dict()}
 
 
-def _cmd_lifecycle_compare(args) -> int:
-    raw = read_json_checked(args.groups, "groups file")
+def _cmd_lifecycle_compare(args, digests):
+    path = args.groups
+    raw = read_json_checked(path, "groups file")
+    digests["groups"] = file_digest(path)
     groups = raw.get("groups") if isinstance(raw, dict) else None
     metrics = raw.get("metrics") if isinstance(raw, dict) else None
-    if not isinstance(groups, dict) or len(groups) != 2 or not isinstance(metrics, dict):
-        raise RiskbenchError(
-            "groups file must hold exactly two 'groups' lists and a 'metrics' table"
-        )
+    lists = isinstance(groups, dict) and all(
+        isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in groups.values()
+    )
+    if not lists or len(groups) != 2 or not isinstance(metrics, dict):
+        raise ParseError(f"{path}: groups file must hold exactly two 'groups' lists of project "
+                         "ids and a 'metrics' table")
     names = sorted(groups)
     dims = [m.strip() for m in args.metric.split(",") if m.strip()]
     if not dims:
@@ -445,12 +383,16 @@ def _cmd_lifecycle_compare(args) -> int:
     def points(name: str):
         rows = []
         for project_id in groups[name]:
-            if project_id not in metrics:
-                raise RiskbenchError(f"no metrics for project {project_id!r}")
+            entry = metrics.get(project_id)
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: no metrics object for project {project_id!r}")
             try:
-                rows.append([float(metrics[project_id][dim]) for dim in dims])
+                rows.append([
+                    float(_number(entry[dim], f"{path}: project {project_id!r} metric {dim!r}"))
+                    for dim in dims
+                ])
             except KeyError as exc:
-                raise RiskbenchError(f"project {project_id!r} is missing metric {exc}") from exc
+                raise ParseError(f"{path}: project {project_id!r} is missing metric {exc}") from exc
         return rows
 
     outcome = hotelling_t2(points(names[0]), points(names[1]), alpha=args.alpha)
@@ -463,20 +405,17 @@ def _cmd_lifecycle_compare(args) -> int:
         "alpha": outcome.alpha,
         "significant": outcome.significant,
     }
-    config = {"metric": args.metric, "alpha": args.alpha}
-    return _emit(
-        args, "riskbench lifecycle compare", config, {"groups": file_digest(args.groups)}, result
-    )
+    return {"metric": args.metric, "alpha": args.alpha}, result
 
 
 # -------------------------------------------------------------------- rbs
 
 
-def _cmd_rbs_coverage(args) -> int:
-    corpus = _load_corpus(args)
-    stop_words = _load_stopwords(args)
-    backend, fallback = _load_backends(args, stop_words)
+def _cmd_rbs_coverage(args, digests):
+    corpus = _corpus(args, digests)
+    backend, fallback = _backends(args, digests)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
+    digests["rbs"] = file_digest(args.rbs or data_path("rbs_table21.json"))
 
     def one(project):
         return coverage(
@@ -509,11 +448,7 @@ def _cmd_rbs_coverage(args) -> int:
             "category_distribution": distribution,
         },
     }
-    digests = dict(corpus.digests)
-    digests.update(_backend_digests(args, backend, fallback))
-    digests["rbs"] = file_digest(args.rbs) if args.rbs else file_digest(data_path("rbs_table21.json"))
-    config = {"threshold": args.threshold}
-    return _emit(args, "riskbench rbs coverage", config, digests, result)
+    return {"threshold": args.threshold}, result
 
 
 def _covered_items(path: str) -> list[list[str]]:
@@ -535,7 +470,7 @@ def _covered_items(path: str) -> list[list[str]]:
     return covered
 
 
-def _cmd_rbs_cooccur(args) -> int:
+def _cmd_rbs_cooccur(args, digests) -> None:
     covered = _covered_items(args.coverage)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
     rows = cooccurrence(covered, rbs).pairs_descending()
@@ -546,28 +481,34 @@ def _cmd_rbs_cooccur(args) -> int:
     writer.writerow(["item_a", "item_b", "count"])
     writer.writerows(rows)
     out.write_text(buffer.getvalue(), encoding="utf-8")
-    return 0
 
 
 # ------------------------------------------------------------------ main
 
 
-def _add_common(parser, manifest=True, backend=False, jobs=False, out=True):
+# --group-by takes a ProjectRecord field; "" groups nothing
+_GROUP_BY = dict(
+    choices=("", *(f.name for f in fields(ProjectRecord) if f.name != "snapshots")),
+    metavar="FIELD",
+    help="project field to group by",
+)
+
+
+def _add_common(parser, manifest=True, lifecycle_csv=False, stopwords=False, backend=False,
+                jobs=False):
     if manifest:
-        parser.add_argument("--manifest", required=True, help="corpus manifest JSON")
+        parser.add_argument("--manifest", required=not lifecycle_csv, help="corpus manifest JSON")
         parser.add_argument("--scales", help="scale config JSON (band edges, risk matrix)")
+    if lifecycle_csv:
+        parser.add_argument("--lifecycle-csv", help="pre-tabulated risk state CSV")
     if backend:
         parser.add_argument("--embeddings", help="word-vector file (word_average backend)")
-        parser.add_argument(
-            "--sentence-embeddings",
-            dest="sentence_embeddings",
-            help="JSON-Lines precomputed sentence vectors",
-        )
-    parser.add_argument("--stopwords", help="stop-word list, one per line")
+        parser.add_argument("--sentence-embeddings", help="JSON-Lines precomputed sentence vectors")
+    if stopwords or backend:
+        parser.add_argument("--stopwords", help="stop-word list, one per line")
     if jobs:
         parser.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
-    if out:
-        parser.add_argument("--out", required=True, help="report output path")
+    parser.add_argument("--out", required=True, help="report output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -583,30 +524,30 @@ def build_parser() -> argparse.ArgumentParser:
     modes = similarity.add_subparsers(dest="mode", required=True)
 
     docs = modes.add_parser("docs", help="document-level TF-IDF cosine")
-    _add_common(docs)
-    docs.add_argument("--group-by", dest="group_by", default="delivery_method")
+    _add_common(docs, stopwords=True)
+    docs.add_argument("--group-by", default="delivery_method", **_GROUP_BY)
     docs.add_argument("--heatmap", help="write a project-by-project score CSV")
-    docs.set_defaults(func=_cmd_similarity_docs, threshold=None, use_description=False)
+    docs.set_defaults(func=_cmd_similarity_docs)
 
     risks = modes.add_parser("risks", help="risk-level embedding matching")
     _add_common(risks, backend=True, jobs=True)
-    risks.add_argument("--group-by", dest="group_by", default="delivery_method")
-    risks.add_argument("--use-description", dest="use_description", action="store_true")
+    risks.add_argument("--group-by", default="delivery_method", **_GROUP_BY)
+    risks.add_argument("--use-description", action="store_true")
     risks.add_argument("--heatmap", help="write the directional mean matrix CSV")
-    risks.set_defaults(func=_cmd_similarity_risks, threshold=None)
+    risks.set_defaults(func=_cmd_similarity_risks)
 
     pooling = modes.add_parser("pooling", help="match risks against pooled projects")
     _add_common(pooling, backend=True, jobs=True)
-    pooling.add_argument("--use-description", dest="use_description", action="store_true")
-    pooling.set_defaults(func=_cmd_similarity_pooling, threshold=None, group_by=None)
+    pooling.add_argument("--use-description", action="store_true")
+    pooling.set_defaults(func=_cmd_similarity_pooling)
 
     evaluation = modes.add_parser("evaluation", help="assessment similarity of matches")
     _add_common(evaluation, backend=True)
-    evaluation.add_argument("--group-by", dest="group_by", default=None)
+    evaluation.add_argument("--group-by", **_GROUP_BY)
     evaluation.add_argument(
         "--threshold", type=float, default=0.5, help="minimum cosine for a match to count"
     )
-    evaluation.add_argument("--use-description", dest="use_description", action="store_true")
+    evaluation.add_argument("--use-description", action="store_true")
     evaluation.set_defaults(func=_cmd_similarity_evaluation)
 
     template = commands.add_parser("template", help="build and score risk templates")
@@ -618,52 +559,36 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--sort", default="prevalence", choices=("prevalence", "cost", "schedule"))
     build.add_argument("--top", type=int, default=30)
     build.add_argument("--categories", help="category set JSON (default: bundled)")
-    build.add_argument(
-        "--match-threshold",
-        dest="match_threshold",
-        type=float,
-        default=DEFAULT_MATCH_THRESHOLD,
-    )
-    build.add_argument("--use-description", dest="use_description", action="store_true")
+    build.add_argument("--match-threshold", type=float, default=DEFAULT_MATCH_THRESHOLD)
+    build.add_argument("--use-description", action="store_true")
     build.set_defaults(func=_cmd_template_build)
 
     evaluate = template_modes.add_parser("eval", help="score a template against a register")
     _add_common(evaluate, manifest=False, backend=True)
     evaluate.add_argument("--template", required=True)
     evaluate.add_argument("--register", required=True)
-    evaluate.add_argument(
-        "--label-threshold",
-        dest="label_threshold",
-        type=float,
-        default=DEFAULT_LABEL_THRESHOLD,
-    )
+    evaluate.add_argument("--label-threshold", type=float, default=DEFAULT_LABEL_THRESHOLD)
     evaluate.set_defaults(func=_cmd_template_eval)
 
     lifecycle = commands.add_parser("lifecycle", help="risk lifecycle ratios and styles")
     lifecycle_modes = lifecycle.add_subparsers(dest="mode", required=True)
 
     ratios = lifecycle_modes.add_parser("ratios", help="per-project and pooled ratios")
-    ratios.add_argument("--manifest")
-    ratios.add_argument("--scales")
-    ratios.add_argument("--lifecycle-csv", dest="lifecycle_csv")
-    ratios.add_argument("--out", required=True)
+    _add_common(ratios, lifecycle_csv=True)
     ratios.set_defaults(func=_cmd_lifecycle_ratios)
 
     styles = lifecycle_modes.add_parser("styles", help="classify management styles")
-    styles.add_argument("--manifest")
-    styles.add_argument("--scales")
-    styles.add_argument("--lifecycle-csv", dest="lifecycle_csv")
+    _add_common(styles, lifecycle_csv=True)
     styles.add_argument("--thresholds", help="style threshold JSON")
-    styles.add_argument("--out", required=True)
     styles.set_defaults(func=_cmd_lifecycle_styles)
 
     compare = lifecycle_modes.add_parser("compare", help="Hotelling T^2 between two groups")
+    _add_common(compare, manifest=False)
     compare.add_argument("--groups", required=True, help="groups + metrics JSON")
     compare.add_argument(
         "--metric", default="cost_growth,time_growth", help="comma-separated metric names"
     )
     compare.add_argument("--alpha", type=float, default=0.05)
-    compare.add_argument("--out", required=True)
     compare.set_defaults(func=_cmd_lifecycle_compare)
 
     rbs = commands.add_parser("rbs", help="risk breakdown structure coverage")
@@ -685,16 +610,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    digests: dict[str, str] = {}
     try:
-        return args.func(args)
-    except RiskbenchError as exc:
+        report = args.func(args, digests)
+        if report is not None:
+            config, result = report
+            words = ("riskbench", args.command, getattr(args, "mode", None))
+            bundle = ReportBundle(
+                command=" ".join(filter(None, words)),
+                config=config,
+                version=__version__,
+                input_digests=digests,
+                result=result,
+            )
+            emit_report(bundle, args.out)
+    except (RiskbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import pytest
 
 from riskbench import vectorize
 from riskbench.cli import build_parser, main
+from riskbench.corpus import default_scale_config
 from riskbench.resources import data_path
 
 from .test_corpus import MANIFEST_FAULTS, write_manifest_fault
@@ -115,7 +116,8 @@ def test_non_utf8_word_file_exits_1_without_traceback(manifest, tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def test_report_digests_are_of_the_files_read(manifest, tmp_path):
+def corpus_digests(manifest):
+    """SHA-256 of the manifest and of every register it names, keyed as reports key them."""
     base = Path(manifest).parent
     registers = [
         register["path"]
@@ -125,6 +127,11 @@ def test_report_digests_are_of_the_files_read(manifest, tmp_path):
     expected = {"manifest": hashlib.sha256(Path(manifest).read_bytes()).hexdigest()}
     for path in registers:
         expected[path] = hashlib.sha256((base / path).read_bytes()).hexdigest()
+    return expected
+
+
+def test_report_digests_are_of_the_files_read(manifest, tmp_path):
+    expected = corpus_digests(manifest)
     for argv in (["ingest"], ["lifecycle", "ratios"]):
         out = tmp_path / "report.json"
         assert run([*argv, "--manifest", manifest, "--out", str(out)]) == 0
@@ -314,22 +321,67 @@ def test_jobs_only_where_it_is_used(command, accepts):
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, accepts",
+    [
+        (["ingest"], False),
+        (["lifecycle", "ratios"], False),
+        (["lifecycle", "styles"], False),
+        (["similarity", "docs"], True),
+        (["similarity", "risks"], True),
+        (["similarity", "pooling"], True),
+        (["similarity", "evaluation"], True),
+        (["template", "build"], True),
+        (["template", "eval", "--template", "t.json", "--register", "r.csv"], True),
+        (["rbs", "coverage"], True),
+    ],
+)
+def test_stopwords_only_where_it_is_used(command, accepts):
+    manifest = [] if command[:2] == ["template", "eval"] else ["--manifest", "m.json"]
+    argv = command + manifest + ["--stopwords", "s.txt", "--out", "o.json"]
+    if accepts:
+        assert build_parser().parse_args(argv).stopwords == "s.txt"
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["docs", "risks", "evaluation"])
+def test_group_by_must_name_a_project_field(manifest, tmp_path, mode):
+    backend = [] if mode == "docs" else ["--embeddings", WORD_VECTORS]
+    argv = ["similarity", mode, "--manifest", manifest, *backend]
+    for field in ("foo", "snapshots"):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--group-by", field, "--out", "o.json"])
+        assert excinfo.value.code == 2
+    out = tmp_path / "r.json"
+    result = fresh_python("-m", "riskbench.cli", *argv, "--group-by", "foo", "--out", str(out))
+    assert result.returncode == 2
+    assert "invalid choice: 'foo'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+STYLE_GROUPS = {
+    "groups": {"doer": ["4", "5", "6", "8", "11"], "planner": ["1", "2", "7", "9"]},
+    "metrics": {
+        "4": {"cost_growth": -0.10, "time_growth": 0.02},
+        "5": {"cost_growth": -0.05, "time_growth": 0.05},
+        "6": {"cost_growth": 0.02, "time_growth": -0.03},
+        "8": {"cost_growth": -0.08, "time_growth": 0.01},
+        "11": {"cost_growth": -0.02, "time_growth": 0.04},
+        "1": {"cost_growth": 0.25, "time_growth": 0.30},
+        "2": {"cost_growth": 0.18, "time_growth": 0.22},
+        "7": {"cost_growth": 0.40, "time_growth": 0.15},
+        "9": {"cost_growth": 0.22, "time_growth": 0.35},
+    },
+}
+
+
 def test_lifecycle_compare(tmp_path):
     groups_path = tmp_path / "groups.json"
-    groups_path.write_text(json.dumps({
-        "groups": {"doer": ["4", "5", "6", "8", "11"], "planner": ["1", "2", "7", "9"]},
-        "metrics": {
-            "4": {"cost_growth": -0.10, "time_growth": 0.02},
-            "5": {"cost_growth": -0.05, "time_growth": 0.05},
-            "6": {"cost_growth": 0.02, "time_growth": -0.03},
-            "8": {"cost_growth": -0.08, "time_growth": 0.01},
-            "11": {"cost_growth": -0.02, "time_growth": 0.04},
-            "1": {"cost_growth": 0.25, "time_growth": 0.30},
-            "2": {"cost_growth": 0.18, "time_growth": 0.22},
-            "7": {"cost_growth": 0.40, "time_growth": 0.15},
-            "9": {"cost_growth": 0.22, "time_growth": 0.35},
-        },
-    }))
+    groups_path.write_text(json.dumps(STYLE_GROUPS))
     out = tmp_path / "compare.json"
     code = run(["lifecycle", "compare", "--groups", str(groups_path), "--out", str(out)])
     assert code == 0
@@ -494,6 +546,31 @@ def test_bad_auxiliary_file_exits_1(manifest, tmp_path, capsys, kind, fault):
     assert not out.exists()
 
 
+def _with_metrics(project_id, entry):
+    return {**STYLE_GROUPS, "metrics": {**STYLE_GROUPS["metrics"], project_id: entry}}
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("thresholds", {"careful": "x"}, "'careful' must be a finite number, not 'x'"),
+    ("thresholds", {"doer_new_item": True}, "'doer_new_item' must be a finite number, not True"),
+    ("groups", _with_metrics("4", {"cost_growth": "abc", "time_growth": 0.02}),
+     "project '4' metric 'cost_growth' must be a finite number, not 'abc'"),
+    ("groups", _with_metrics("4", [-0.10, 0.02]), "no metrics object for project '4'"),
+    ("groups", _with_metrics("4", {"time_growth": 0.02}),
+     "project '4' is missing metric 'cost_growth'"),
+    ("groups", {**STYLE_GROUPS, "groups": {"doer": "45681", "planner": ["1", "2", "7", "9"]}},
+     "groups file must hold exactly two 'groups' lists of project ids and a 'metrics' table"),
+])
+def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    argv = [a.format(manifest=manifest, file=path) for a in AUX_FILES[kind][0]]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload, message", [
     ([1, 2], "not a coverage report"),
     ({"result": {"projects": [1]}}, "project 0: expected an object with a 'rows' array"),
@@ -534,3 +611,163 @@ def test_rbs_cooccur_counts_match_the_library(manifest, tmp_path):
     assert written[0] == ["item_a", "item_b", "count"]
     assert [(a, b, int(count)) for a, b, count in written[1:]] == rows
     assert len(rows) == 70 * 69 // 2
+
+
+# ------------------------------------------------------------ report envelopes
+
+
+def _similarity(mode, group_by=None, threshold=None, use_description=False):
+    return {"mode": mode, "group_by": group_by, "threshold": threshold,
+            "use_description": use_description}
+
+
+def _template(**changes):
+    every = {"delivery_method": "all", "jurisdiction": "all", "project_type": "all",
+             "size_band": "all"}
+    return {"filter": every, "sort": "prevalence", "top": 30, "match_threshold": 0.7,
+            "use_description": False, **changes}
+
+
+CORPUS = ["--manifest", "{manifest}"]
+WORDS = ["--embeddings", WORD_VECTORS]
+DEFAULT_STYLES = {"careful": 0.5, "doer_new_item": 0.5}
+
+# Each report's argv ("{name}" fields are filled per run), command, config and
+# input names; "corpus" stands for the manifest and every register it names.
+ENVELOPES = {
+    "ingest": (["ingest", *CORPUS], "riskbench ingest", {}, {"corpus"}),
+    "similarity docs": (["similarity", "docs", *CORPUS], "riskbench similarity docs",
+                        _similarity("docs", "delivery_method"), {"corpus", "stopwords"}),
+    "similarity docs --group-by --heatmap": (
+        ["similarity", "docs", *CORPUS, "--group-by", "project_type",
+         "--heatmap", "{tmp}/docs.csv"],
+        "riskbench similarity docs", _similarity("docs", "project_type"),
+        {"corpus", "stopwords"}),
+    "similarity risks": (
+        ["similarity", "risks", *CORPUS, *WORDS], "riskbench similarity risks",
+        _similarity("risks", "delivery_method"), {"corpus", "stopwords", "embeddings"}),
+    "similarity risks --use-description --group-by --heatmap": (
+        ["similarity", "risks", *CORPUS, *WORDS, "--use-description", "--group-by",
+         "size_band", "--heatmap", "{tmp}/risks.csv"],
+        "riskbench similarity risks", _similarity("risks", "size_band", use_description=True),
+        {"corpus", "stopwords", "embeddings"}),
+    "similarity pooling": (
+        ["similarity", "pooling", *CORPUS, *WORDS], "riskbench similarity pooling",
+        _similarity("pooling"), {"corpus", "stopwords", "embeddings"}),
+    "similarity pooling --use-description": (
+        ["similarity", "pooling", *CORPUS, *WORDS, "--use-description"],
+        "riskbench similarity pooling", _similarity("pooling", use_description=True),
+        {"corpus", "stopwords", "embeddings"}),
+    "similarity evaluation": (
+        ["similarity", "evaluation", *CORPUS, *WORDS], "riskbench similarity evaluation",
+        _similarity("evaluation", threshold=0.5), {"corpus", "stopwords", "embeddings"}),
+    "similarity evaluation --group-by --threshold --use-description": (
+        ["similarity", "evaluation", *CORPUS, *WORDS, "--group-by", "delivery_method",
+         "--threshold", "0.7", "--use-description"],
+        "riskbench similarity evaluation",
+        _similarity("evaluation", "delivery_method", 0.7, True),
+        {"corpus", "stopwords", "embeddings"}),
+    "template build": (
+        ["template", "build", *CORPUS, *WORDS], "riskbench template build", _template(),
+        {"corpus", "stopwords", "embeddings"}),
+    "template build --filter --categories --sort --top --use-description": (
+        ["template", "build", *CORPUS, *WORDS, "--filter", "delivery=DBB", "--categories",
+         str(data_path("wsdot_categories.json")), "--sort", "cost", "--top", "10",
+         "--match-threshold", "0.8", "--use-description"],
+        "riskbench template build",
+        _template(filter={"delivery_method": "DBB", "jurisdiction": "all",
+                          "project_type": "all", "size_band": "all"},
+                  sort="cost", top=10, match_threshold=0.8, use_description=True),
+        {"corpus", "stopwords", "embeddings", "categories"}),
+    "template eval": (
+        ["template", "eval", "--template", "{template}", "--register",
+         str(data_path("fixtures", "expost", "registers", "p01_s0.csv")), *WORDS,
+         "--label-threshold", "0.5"],
+        "riskbench template eval", {"label_threshold": 0.5},
+        {"template", "register", "stopwords", "embeddings"}),
+    "lifecycle ratios": (["lifecycle", "ratios", *CORPUS], "riskbench lifecycle ratios",
+                         {"source": "manifest"}, {"corpus"}),
+    "lifecycle ratios --lifecycle-csv": (
+        ["lifecycle", "ratios", "--lifecycle-csv", "{lifecycle_csv}"],
+        "riskbench lifecycle ratios", {"source": "lifecycle_csv"}, {"lifecycle_csv"}),
+    "lifecycle styles": (["lifecycle", "styles", *CORPUS], "riskbench lifecycle styles",
+                         {"source": "manifest", "thresholds": DEFAULT_STYLES}, {"corpus"}),
+    "lifecycle styles --lifecycle-csv --thresholds": (
+        ["lifecycle", "styles", "--lifecycle-csv", "{lifecycle_csv}",
+         "--thresholds", "{thresholds}"],
+        "riskbench lifecycle styles",
+        {"source": "lifecycle_csv", "thresholds": {"careful": 0.4, "doer_new_item": 0.6}},
+        {"lifecycle_csv", "thresholds"}),
+    "lifecycle compare": (
+        ["lifecycle", "compare", "--groups", "{groups}"], "riskbench lifecycle compare",
+        {"metric": "cost_growth,time_growth", "alpha": 0.05}, {"groups"}),
+    "lifecycle compare --metric --alpha": (
+        ["lifecycle", "compare", "--groups", "{groups}", "--metric", "cost_growth",
+         "--alpha", "0.1"],
+        "riskbench lifecycle compare", {"metric": "cost_growth", "alpha": 0.1}, {"groups"}),
+    "rbs coverage": (
+        ["rbs", "coverage", *CORPUS, *WORDS], "riskbench rbs coverage", {"threshold": 0.6},
+        {"corpus", "stopwords", "embeddings", "rbs"}),
+    "rbs coverage sentence table --rbs --threshold": (
+        ["rbs", "coverage", *CORPUS, "--sentence-embeddings", SENTENCE_VECTORS, *WORDS,
+         "--rbs", str(data_path("rbs_table21.json")), "--threshold", "0.7"],
+        "riskbench rbs coverage", {"threshold": 0.7},
+        {"corpus", "stopwords", "embeddings", "sentence_embeddings", "rbs"}),
+}
+# the subcommands that take --scales, each by its plain case
+SCALED = ["ingest", "similarity docs", "similarity risks", "similarity pooling",
+          "similarity evaluation", "template build", "lifecycle ratios", "lifecycle styles",
+          "rbs coverage"]
+
+
+@pytest.fixture(scope="module")
+def envelope_files(manifest, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("envelope")
+    scales = default_scale_config()
+    files = {
+        "groups": STYLE_GROUPS,
+        "thresholds": {"careful": 0.4, "doer_new_item": 0.6},
+        "scales": {
+            "probability_band_edges": list(scales.probability_band_edges),
+            "cost_band_edges": list(scales.cost_band_edges),
+            "schedule_band_edges": list(scales.schedule_band_edges),
+            "risk_matrix": {f"{p},{i}": q.value for (p, i), q in scales.risk_matrix.items()},
+        },
+    }
+    paths = {"manifest": manifest, "tmp": str(tmp),
+             "lifecycle_csv": str(data_path("fixtures", "expost", "lifecycle_table19.csv")),
+             "template": str(tmp / "template.json")}
+    for name, payload in files.items():
+        paths[name] = str(tmp / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(payload))
+    assert run(["template", "build", "--manifest", manifest, *WORDS,
+                "--out", paths["template"]]) == 0
+    return paths
+
+
+def envelope(argv, files, inputs, tmp_path):
+    out = tmp_path / "report.json"
+    assert run([a.format(**files) for a in argv] + ["--out", str(out)]) == 0
+    report = read_report(out)
+    expected = set(inputs) - {"corpus"}
+    if "corpus" in inputs:
+        expected |= set(corpus_digests(files["manifest"]))
+    assert set(report["inputs"]) == expected
+    return report
+
+
+@pytest.mark.parametrize("case", sorted(ENVELOPES))
+def test_report_envelope(envelope_files, tmp_path, case):
+    argv, command, config, inputs = ENVELOPES[case]
+    report = envelope(argv, envelope_files, inputs, tmp_path)
+    assert report["command"] == command
+    assert report["config"] == config
+
+
+@pytest.mark.parametrize("case", SCALED)
+def test_report_envelope_records_scales(envelope_files, tmp_path, case):
+    argv, command, config, inputs = ENVELOPES[case]
+    report = envelope(argv + ["--scales", "{scales}"], envelope_files, inputs | {"scales"},
+                      tmp_path)
+    assert report["command"] == command
+    assert report["config"] == config
