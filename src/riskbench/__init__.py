@@ -46,12 +46,13 @@ from .lifecycle import (
 )
 from .rbs import CooccurrenceMatrix, CoverageReport, Rbs, category_distribution, cooccurrence, coverage, default_rbs, load_rbs
 from .similarity import (
-    MatchResult,
+    MatchTable,
     SimilarityReport,
     TTestResult,
     document_similarity,
     evaluation_level_report,
     evaluation_similarity,
+    match_registers,
     pairwise_risk_similarity,
     pooling_similarity,
     qualitative_match,

@@ -49,9 +49,9 @@ from .similarity import (
     PairScore,
     _basic_aggregates,
     _group_pair_scores,
-    _group_value,
     directional_mean_matrix,
     document_similarity,
+    evaluation_by_group,
     evaluation_level_report,
     match_registers,
     pooling_similarity,
@@ -178,9 +178,7 @@ def _cmd_similarity_risks(args, digests):
     backend, _ = _backends(args, digests)
     if len(corpus.projects) < 2:
         raise EmptyReportError("risk-level similarity needs at least 2 projects")
-    ids, matrix = directional_mean_matrix(
-        corpus, backend, args.use_description, jobs=args.jobs
-    )
+    ids, matrix = directional_mean_matrix(corpus, backend, args.use_description)
     pairs = [
         PairScore(a, b, matrix[i][j])
         for i, a in enumerate(ids)
@@ -209,7 +207,7 @@ def _cmd_similarity_risks(args, digests):
 def _cmd_similarity_pooling(args, digests):
     corpus = _corpus(args, digests)
     backend, _ = _backends(args, digests)
-    reports = pooling_similarity(corpus, backend, args.use_description, jobs=args.jobs)
+    reports = pooling_similarity(corpus, backend, args.use_description)
     rows = [
         {
             "project_id": report.metadata["project_id"],
@@ -233,24 +231,9 @@ def _cmd_similarity_evaluation(args, digests):
     base = args.threshold
     thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
     matches = match_registers(corpus, backend, min_score=base, use_description=args.use_description)
-    report = evaluation_level_report(matches, corpus, thresholds)
-    result = report.to_dict()
+    result = evaluation_level_report(matches, corpus, thresholds).to_dict()
     if args.group_by:
-        membership = {p.project_id: _group_value(p, args.group_by) for p in corpus.projects}
-        by_group: dict[str, dict] = {}
-        for name in sorted(set(membership.values())):
-            subset = [
-                m for m in matches
-                if membership[m.source_project_id] == name
-                and membership[m.target_project_id] == name
-            ]
-            try:
-                by_group[name] = evaluation_level_report(subset, corpus, thresholds).aggregates[
-                    "by_threshold"
-                ]
-            except EmptyReportError as exc:
-                by_group[name] = {"skipped": str(exc)}
-        result["by_group"] = by_group
+        result["by_group"] = evaluation_by_group(matches, corpus, thresholds, args.group_by)
     config = _similarity_config("evaluation", args.group_by, base, args.use_description)
     return config, result
 
@@ -494,8 +477,28 @@ _GROUP_BY = dict(
 )
 
 
-def _add_common(parser, manifest=True, lifecycle_csv=False, stopwords=False, backend=False,
-                jobs=False):
+def _bounded(low: float, high: float, closed: bool):
+    """argparse type: a finite float in [low, high] (closed) or (low, high)."""
+    interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        # nan fails both comparisons
+        if not (low <= value <= high if closed else low < value < high):
+            raise argparse.ArgumentTypeError(f"expected a finite number in {interval}, not {text!r}")
+        return value
+
+    return parse
+
+
+_COSINE = _bounded(-1.0, 1.0, closed=True)
+_ALPHA = _bounded(0.0, 1.0, closed=False)
+
+
+def _add_common(parser, manifest=True, lifecycle_csv=False, stopwords=False, backend=False):
     if manifest:
         parser.add_argument("--manifest", required=not lifecycle_csv, help="corpus manifest JSON")
         parser.add_argument("--scales", help="scale config JSON (band edges, risk matrix)")
@@ -506,8 +509,6 @@ def _add_common(parser, manifest=True, lifecycle_csv=False, stopwords=False, bac
         parser.add_argument("--sentence-embeddings", help="JSON-Lines precomputed sentence vectors")
     if stopwords or backend:
         parser.add_argument("--stopwords", help="stop-word list, one per line")
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
     parser.add_argument("--out", required=True, help="report output path")
 
 
@@ -530,14 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     docs.set_defaults(func=_cmd_similarity_docs)
 
     risks = modes.add_parser("risks", help="risk-level embedding matching")
-    _add_common(risks, backend=True, jobs=True)
+    _add_common(risks, backend=True)
     risks.add_argument("--group-by", default="delivery_method", **_GROUP_BY)
     risks.add_argument("--use-description", action="store_true")
     risks.add_argument("--heatmap", help="write the directional mean matrix CSV")
     risks.set_defaults(func=_cmd_similarity_risks)
 
     pooling = modes.add_parser("pooling", help="match risks against pooled projects")
-    _add_common(pooling, backend=True, jobs=True)
+    _add_common(pooling, backend=True)
     pooling.add_argument("--use-description", action="store_true")
     pooling.set_defaults(func=_cmd_similarity_pooling)
 
@@ -545,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(evaluation, backend=True)
     evaluation.add_argument("--group-by", **_GROUP_BY)
     evaluation.add_argument(
-        "--threshold", type=float, default=0.5, help="minimum cosine for a match to count"
+        "--threshold", type=_COSINE, default=0.5, help="minimum cosine for a match to count"
     )
     evaluation.add_argument("--use-description", action="store_true")
     evaluation.set_defaults(func=_cmd_similarity_evaluation)
@@ -559,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--sort", default="prevalence", choices=("prevalence", "cost", "schedule"))
     build.add_argument("--top", type=int, default=30)
     build.add_argument("--categories", help="category set JSON (default: bundled)")
-    build.add_argument("--match-threshold", type=float, default=DEFAULT_MATCH_THRESHOLD)
+    build.add_argument("--match-threshold", type=_COSINE, default=DEFAULT_MATCH_THRESHOLD)
     build.add_argument("--use-description", action="store_true")
     build.set_defaults(func=_cmd_template_build)
 
@@ -567,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(evaluate, manifest=False, backend=True)
     evaluate.add_argument("--template", required=True)
     evaluate.add_argument("--register", required=True)
-    evaluate.add_argument("--label-threshold", type=float, default=DEFAULT_LABEL_THRESHOLD)
+    evaluate.add_argument("--label-threshold", type=_COSINE, default=DEFAULT_LABEL_THRESHOLD)
     evaluate.set_defaults(func=_cmd_template_eval)
 
     lifecycle = commands.add_parser("lifecycle", help="risk lifecycle ratios and styles")
@@ -588,16 +589,17 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--metric", default="cost_growth,time_growth", help="comma-separated metric names"
     )
-    compare.add_argument("--alpha", type=float, default=0.05)
+    compare.add_argument("--alpha", type=_ALPHA, default=0.05)
     compare.set_defaults(func=_cmd_lifecycle_compare)
 
     rbs = commands.add_parser("rbs", help="risk breakdown structure coverage")
     rbs_modes = rbs.add_subparsers(dest="mode", required=True)
 
     cover = rbs_modes.add_parser("coverage", help="semantic coverage of registers")
-    _add_common(cover, backend=True, jobs=True)
+    _add_common(cover, backend=True)
+    cover.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
     cover.add_argument("--rbs", help="RBS JSON (default: bundled)")
-    cover.add_argument("--threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD)
+    cover.add_argument("--threshold", type=_COSINE, default=DEFAULT_COVERAGE_THRESHOLD)
     cover.set_defaults(func=_cmd_rbs_coverage)
 
     cooccur = rbs_modes.add_parser("cooccur", help="item co-occurrence pairs CSV")

@@ -21,8 +21,8 @@ from .errors import CorpusError, EmptyReportError, StatTestError
 from .vectorize import (
     EmbeddingBackend,
     TfidfModel,
-    best_against,
     cosine,
+    cosine_table,
     tfidf_fit,
     tfidf_vector,
     tokenize,
@@ -37,15 +37,6 @@ class Level(str, Enum):
     RISK_ITEM = "risk_item"
     POOLING = "pooling"
     EVALUATION = "evaluation"
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    source_risk_id: str
-    target_risk_id: str
-    score: float
-    source_project_id: str | None = None
-    target_project_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -211,15 +202,69 @@ def _maybe_group_test(groups: dict[str, list[float]]) -> TTestResult | None:
         return None
 
 
-def _register_units(
+# One block of the distinct-text score table holds at most this many bytes.
+_BLOCK_BYTES = 16 << 20
+
+
+def _best_matches(
     backend: EmbeddingBackend, registers: Sequence[RegisterSnapshot], use_description: bool
-) -> list[np.ndarray]:
-    """Unit rows of each register's matching texts, embedded in one pass."""
-    units = unit_rows(
-        backend, [item.matching_text(use_description) for r in registers for item in r.items]
-    )
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Every distinct text's best match in every register, from one score table.
+
+    Rows number the items of all registers in order. Returns each
+    register's [start, end) rows, each row's text id, and for text x and
+    register t the best match's row `rows[x, t]` and cosine `scores[x, t]`
+    (-1 and -inf when t is empty). The distinct texts are scored against
+    each other in row blocks; a register's columns are its distinct texts in
+    the order of their first row there, so an argmax takes the lowest row
+    among tied texts, and identical texts share a column, so they tie
+    exactly on any BLAS kernel.
+    """
+    distinct: dict[str, int] = {}
+    text_ids = np.array([distinct.setdefault(item.matching_text(use_description), len(distinct))
+                         for r in registers for item in r.items], dtype=np.intp)
+    units = unit_rows(backend, list(distinct))
     bounds = [0, *accumulate(len(r.items) for r in registers)]
-    return [units[start:end] for start, end in zip(bounds, bounds[1:])]
+    spans = list(zip(bounds, bounds[1:]))
+    columns = []
+    for start, end in spans:
+        ids, first = np.unique(text_ids[start:end], return_index=True)
+        order = np.argsort(first)
+        columns.append((ids[order], first[order] + start))
+    rows = np.full((len(units), len(registers)), -1, dtype=np.intp)
+    scores = np.full((len(units), len(registers)), -np.inf)
+    step = max(1, _BLOCK_BYTES // (8 * max(len(units), 1)))
+    for low in range(0, len(units), step):
+        table = cosine_table(units[low:low + step], units)
+        high = low + len(table)
+        for register, (ids, first) in enumerate(columns):
+            if len(ids):
+                block = table[:, ids]
+                rows[low:high, register] = first[block.argmax(axis=1)]
+                scores[low:high, register] = block.max(axis=1)
+        del table  # one block at a time: free it before the next is made
+    return spans, text_ids, rows, scores
+
+
+@dataclass(frozen=True)
+class MatchTable:
+    """Best matches as parallel arrays: source row, target row, cosine score.
+
+    Rows number the ex-ante register items of the corpus's projects in
+    order. Matches run by source project, then target project, then source
+    row, each in corpus order.
+    """
+
+    source_rows: np.ndarray
+    target_rows: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+
+def _corpus_rows(corpus: Corpus) -> list[tuple[str, RiskItem]]:
+    return [(p.project_id, item) for p in corpus.projects for item in p.register.items]
 
 
 def pairwise_risk_similarity(
@@ -231,10 +276,12 @@ def pairwise_risk_similarity(
     """Directional report: every item of reg_a best-matched into reg_b."""
     if not reg_a.items or not reg_b.items:
         raise EmptyReportError("pairwise risk similarity needs two non-empty registers")
-    indices, scores = best_against(*_register_units(backend, (reg_a, reg_b), use_description))
+    _, text_ids, rows, scores = _best_matches(backend, (reg_a, reg_b), use_description)
+    texts = text_ids[: len(reg_a.items)]
     pairs = [
-        PairScore(item.risk_id, reg_b.items[int(index)].risk_id, float(score))
-        for item, index, score in zip(reg_a.items, indices, scores)
+        PairScore(item.risk_id, reg_b.items[row - len(texts)].risk_id, score)
+        for item, row, score in zip(reg_a.items, rows[texts, 1].tolist(),
+                                    scores[texts, 1].tolist())
     ]
     score_list = [p.score for p in pairs]
     aggregates = _basic_aggregates(score_list)
@@ -251,12 +298,9 @@ def pooling_similarity(
     corpus: Corpus,
     backend: EmbeddingBackend,
     use_description: bool = False,
-    jobs: int = 1,
 ) -> list[SimilarityReport]:
     """Match each project's risks against the pooled risks of every other
     project; one report per project, in corpus order."""
-    from .parallel import parallel_map
-
     projects = corpus.projects
     if len(projects) < 2:
         raise EmptyReportError("pooling needs at least 2 projects")
@@ -265,29 +309,37 @@ def pooling_similarity(
             raise EmptyReportError(
                 f"pooling: project {project.project_id!r} has an empty ex-ante register"
             )
-    units = _register_units(backend, [p.register for p in projects], use_description)
-
-    def one(index: int) -> SimilarityReport:
-        others = [j for j in range(len(projects)) if j != index]
-        pool = [(projects[j].project_id, item) for j in others
-                for item in projects[j].register.items]
-        indices, best = best_against(units[index], np.concatenate([units[j] for j in others]))
+    spans, text_ids, rows, scores = _best_matches(
+        backend, [p.register for p in projects], use_description
+    )
+    owners = _corpus_rows(corpus)
+    reports = []
+    for index, (project, (start, end)) in enumerate(zip(projects, spans)):
+        # The pool is every other register in corpus order: mask the
+        # project's own, and the argmax over registers keeps the lowest pool
+        # row among ties.
+        texts = text_ids[start:end]
+        pooled = scores[texts]
+        pooled[:, index] = -np.inf
+        target = pooled.argmax(axis=1)
         pairs = []
-        for item, match, score in zip(projects[index].register.items, indices, best):
-            owner, matched = pool[int(match)]
-            pairs.append(PairScore(item.risk_id, f"{owner}:{matched.risk_id}", float(score)))
-        scores = [p.score for p in pairs]
-        aggregates = _basic_aggregates(scores)
-        aggregates["histogram"] = score_histogram(scores)
-        aggregates["fraction_at_least_0.5"] = sum(1 for s in scores if s >= 0.5) / len(scores)
-        return SimilarityReport(
+        for item, row, score in zip(project.register.items, rows[texts, target].tolist(),
+                                    pooled[np.arange(len(texts)), target].tolist()):
+            owner, matched = owners[row]
+            pairs.append(PairScore(item.risk_id, f"{owner}:{matched.risk_id}", score))
+        score_list = [p.score for p in pairs]
+        aggregates = _basic_aggregates(score_list)
+        aggregates["histogram"] = score_histogram(score_list)
+        aggregates["fraction_at_least_0.5"] = (
+            sum(1 for s in score_list if s >= 0.5) / len(score_list)
+        )
+        reports.append(SimilarityReport(
             level=Level.POOLING,
             pairs=tuple(pairs),
             aggregates=aggregates,
-            metadata={"project_id": projects[index].project_id, "pool_size": len(pool)},
-        )
-
-    return parallel_map(one, list(range(len(projects))), jobs)
+            metadata={"project_id": project.project_id, "pool_size": len(owners) - end + start},
+        ))
+    return reports
 
 
 def evaluation_similarity(x1: int, x2: int) -> float:
@@ -310,123 +362,112 @@ def match_registers(
     backend: EmbeddingBackend,
     min_score: float = 0.0,
     use_description: bool = False,
-) -> list[MatchResult]:
-    """Best matches for every ordered project pair, annotated with projects."""
-    units = _register_units(backend, [p.register for p in corpus.projects], use_description)
-    matches: list[MatchResult] = []
-    for source_project, source_units in zip(corpus.projects, units):
-        for target_project, target_units in zip(corpus.projects, units):
-            if source_project.project_id == target_project.project_id:
-                continue
-            if not source_project.register.items or not target_project.register.items:
-                continue
-            indices, scores = best_against(source_units, target_units)
-            for item, index, score in zip(source_project.register.items, indices, scores):
-                if score >= min_score:
-                    matches.append(
-                        MatchResult(
-                            source_risk_id=item.risk_id,
-                            target_risk_id=target_project.register.items[int(index)].risk_id,
-                            score=float(score),
-                            source_project_id=source_project.project_id,
-                            target_project_id=target_project.project_id,
-                        )
-                    )
-    return matches
+) -> MatchTable:
+    """Best matches for every ordered pair of projects with non-empty registers."""
+    spans, text_ids, rows, scores = _best_matches(
+        backend, [p.register for p in corpus.projects], use_description
+    )
+    filled = [t for t, (start, end) in enumerate(spans) if start < end]
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for source, (start, end) in enumerate(spans):
+        targets = [t for t in filled if t != source]
+        texts = text_ids[start:end]
+        parts.append((  # target-major, then source row
+            np.tile(np.arange(start, end), len(targets)),
+            rows[texts][:, targets].T.ravel(),
+            scores[texts][:, targets].T.ravel(),
+        ))
+    sources, targets, best = (np.concatenate(column) for column in zip(*parts))
+    keep = best >= min_score
+    return MatchTable(sources[keep], targets[keep], best[keep])
 
 
 def directional_mean_matrix(
     corpus: Corpus,
     backend: EmbeddingBackend,
     use_description: bool = False,
-    jobs: int = 1,
 ) -> tuple[list[str], list[list[float | None]]]:
     """Mean best-match score for every ordered project pair; diagonal is 1."""
-    from .parallel import parallel_map
-
     ids = [p.project_id for p in corpus.projects]
-    units = _register_units(backend, [p.register for p in corpus.projects], use_description)
-    ordered = [(i, j) for i in range(len(ids)) for j in range(len(ids)) if i != j]
-
-    def one(pair: tuple[int, int]) -> float | None:
-        i, j = pair
-        if units[i].shape[0] == 0 or units[j].shape[0] == 0:
-            return None
-        _, scores = best_against(units[i], units[j])
-        return float(scores.mean())
-
-    means = parallel_map(one, ordered, jobs)
+    spans, text_ids, _, scores = _best_matches(
+        backend, [p.register for p in corpus.projects], use_description
+    )
     matrix: list[list[float | None]] = [[1.0] * len(ids) for _ in ids]
-    for (i, j), mean in zip(ordered, means):
-        matrix[i][j] = mean
+    for i, (start, end) in enumerate(spans):
+        # row j: the source rows' best scores in register j, contiguous, so
+        # that each mean sums one 1-D array, as numpy sums a per-pair vector
+        by_target = np.ascontiguousarray(scores[text_ids[start:end]].T)
+        for j, (target_start, target_end) in enumerate(spans):
+            if i != j:
+                empty = start == end or target_start == target_end
+                matrix[i][j] = None if empty else float(by_target[j].mean())
     return ids, matrix
 
 
-def _item_index(corpus: Corpus) -> dict[tuple[str, str], RiskItem]:
-    index: dict[tuple[str, str], RiskItem] = {}
-    for project in corpus.projects:
-        for item in project.register.items:
-            index[(project.project_id, item.risk_id)] = item
-    return index
+# Report key, Assessment field, the field's values (unset first) and the
+# value of a match between two set ones, from the report's level-three rules.
+_BANDS = (None, 1, 2, 3, 4, 5)
+_LEVELS = (Qualitative.UNSET, Qualitative.HIGH, Qualitative.MEDIUM, Qualitative.LOW)
+_EVALUATION_METRICS = (
+    ("probability", "probability_band", _BANDS, evaluation_similarity),
+    ("cost", "cost_band", _BANDS, evaluation_similarity),
+    ("schedule", "schedule_band", _BANDS, evaluation_similarity),
+    ("probability_cost_qualitative", "qualitative_cost", _LEVELS, qualitative_match),
+    ("probability_schedule_qualitative", "qualitative_schedule", _LEVELS, qualitative_match),
+)
+
+
+def _evaluation_codes(corpus: Corpus) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per metric: the match value of every pair of value codes (nan when
+    either is unset), and each corpus row's value code."""
+    assessments = [item.assessment for _, item in _corpus_rows(corpus)]
+    return {
+        key: (
+            np.array([[similarity(x, y) if x is not values[0] and y is not values[0] else np.nan
+                       for y in values] for x in values]),
+            np.array([values.index(getattr(a, name)) for a in assessments], dtype=np.intp),
+        )
+        for key, name, values, similarity in _EVALUATION_METRICS
+    }
+
+
+def _by_threshold(
+    matches: MatchTable, codes: dict[str, tuple[np.ndarray, np.ndarray]],
+    thresholds: Sequence[float],
+) -> dict[str, dict]:
+    """Mean match value per metric at each threshold. Every value is a
+    multiple of 25, so the sums are exact and do not depend on order."""
+    if not len(matches):
+        raise EmptyReportError("no matches to evaluate")
+    values = {key: table[code[matches.source_rows], code[matches.target_rows]]
+              for key, (table, code) in codes.items()}
+    by_threshold: dict[str, dict] = {}
+    for threshold in thresholds:
+        surviving = matches.scores >= threshold
+        if not surviving.any():
+            raise EmptyReportError(f"no matches with cosine similarity >= {threshold}")
+        row: dict = {"match_count": int(np.count_nonzero(surviving))}
+        for key, value in values.items():
+            kept = value[surviving & ~np.isnan(value)]
+            row[key] = float(kept.sum()) / len(kept) if len(kept) else None
+        by_threshold[f"{threshold:g}"] = row
+    return by_threshold
 
 
 def evaluation_level_report(
-    matches: Sequence[MatchResult],
+    matches: MatchTable,
     corpus: Corpus,
     thresholds: Sequence[float] = EVALUATION_THRESHOLDS,
 ) -> SimilarityReport:
     """Mean assessment similarity of matched risks at each cosine threshold."""
-    if not matches:
-        raise EmptyReportError("no matches to evaluate")
-    items = _item_index(corpus)
-    by_threshold: dict[str, dict] = {}
-    for threshold in thresholds:
-        surviving = [m for m in matches if m.score >= threshold]
-        if not surviving:
-            raise EmptyReportError(
-                f"no matches with cosine similarity >= {threshold}"
-            )
-        metrics: dict[str, list[float]] = {
-            "probability": [],
-            "cost": [],
-            "schedule": [],
-            "probability_cost_qualitative": [],
-            "probability_schedule_qualitative": [],
-        }
-        for match in surviving:
-            a = items[(match.source_project_id, match.source_risk_id)].assessment
-            b = items[(match.target_project_id, match.target_risk_id)].assessment
-            for key, band_a, band_b in (
-                ("probability", a.probability_band, b.probability_band),
-                ("cost", a.cost_band, b.cost_band),
-                ("schedule", a.schedule_band, b.schedule_band),
-            ):
-                if band_a is not None and band_b is not None:
-                    metrics[key].append(evaluation_similarity(band_a, band_b))
-            for key, level_a, level_b in (
-                ("probability_cost_qualitative", a.qualitative_cost, b.qualitative_cost),
-                (
-                    "probability_schedule_qualitative",
-                    a.qualitative_schedule,
-                    b.qualitative_schedule,
-                ),
-            ):
-                if level_a is not Qualitative.UNSET and level_b is not Qualitative.UNSET:
-                    metrics[key].append(qualitative_match(level_a, level_b))
-        by_threshold[f"{threshold:g}"] = {
-            "match_count": len(surviving),
-            **{key: (_mean(values) if values else None) for key, values in metrics.items()},
-        }
-
+    by_threshold = _by_threshold(matches, _evaluation_codes(corpus), thresholds)
+    labels = [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
+    scores = matches.scores.tolist()
     pairs = tuple(
-        PairScore(
-            f"{m.source_project_id}:{m.source_risk_id}",
-            f"{m.target_project_id}:{m.target_risk_id}",
-            m.score,
-        )
-        for m in matches
+        PairScore(labels[a], labels[b], score)
+        for a, b, score in zip(matches.source_rows.tolist(), matches.target_rows.tolist(), scores)
     )
-    aggregates = _basic_aggregates([m.score for m in matches])
+    aggregates = _basic_aggregates(scores)
     aggregates["by_threshold"] = by_threshold
     return SimilarityReport(
         level=Level.EVALUATION,
@@ -434,6 +475,33 @@ def evaluation_level_report(
         aggregates=aggregates,
         metadata={"thresholds": list(thresholds)},
     )
+
+
+def evaluation_by_group(
+    matches: MatchTable,
+    corpus: Corpus,
+    thresholds: Sequence[float],
+    group_by: str,
+) -> dict[str, dict]:
+    """`by_threshold` of the matches inside each group, by group name; a
+    group with no match, or none at some threshold, gets `{"skipped": reason}`."""
+    names = [_group_value(p, group_by) for p in corpus.projects]
+    groups = sorted(set(names))
+    row_group = np.repeat([groups.index(name) for name in names],
+                          [len(p.register.items) for p in corpus.projects])
+    sources, targets = row_group[matches.source_rows], row_group[matches.target_rows]
+    codes = _evaluation_codes(corpus)
+    by_group: dict[str, dict] = {}
+    for code, name in enumerate(groups):
+        inside = (sources == code) & (targets == code)
+        subset = MatchTable(
+            matches.source_rows[inside], matches.target_rows[inside], matches.scores[inside]
+        )
+        try:
+            by_group[name] = _by_threshold(subset, codes, thresholds)
+        except EmptyReportError as exc:
+            by_group[name] = {"skipped": str(exc)}
+    return by_group
 
 
 def two_sample_t_test(

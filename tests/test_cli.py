@@ -76,12 +76,13 @@ def test_ingest_missing_register_exits_1(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
-def fresh_python(*args):
-    """Run a fresh interpreter that imports this checkout's riskbench."""
+def fresh_python(*args, **environ):
+    """Run a fresh interpreter that imports this checkout's riskbench, with
+    `environ` added to this process's environment."""
     import riskbench
 
     src = str(Path(riskbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
@@ -305,8 +306,8 @@ def test_lifecycle_rejects_jobs(manifest, tmp_path, mode):
         (["similarity", "evaluation"], False),
         (["template", "build"], False),
         (["template", "eval", "--template", "t.json", "--register", "r.csv"], False),
-        (["similarity", "risks"], True),
-        (["similarity", "pooling"], True),
+        (["similarity", "risks"], False),
+        (["similarity", "pooling"], False),
         (["rbs", "coverage"], True),
     ],
 )
@@ -428,12 +429,75 @@ def test_rbs_coverage_with_sentence_backend(manifest, tmp_path):
 
 
 def test_jobs_flag_does_not_change_output(manifest, tmp_path):
+    # the similarity commands make one scoring pass and take no --jobs
+    for mode in ("risks", "pooling"):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["similarity", mode, "--manifest", manifest, "--embeddings", WORD_VECTORS,
+                 "--jobs", "1", "--out", str(tmp_path / "r.json")])
+        assert excinfo.value.code == 2
     first = tmp_path / "one.json"
     second = tmp_path / "four.json"
-    base = ["similarity", "risks", "--manifest", manifest, "--embeddings", WORD_VECTORS]
+    base = ["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS]
     assert run(base + ["--jobs", "1", "--out", str(first)]) == 0
     assert run(base + ["--jobs", "4", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# (command without --out, flag): each flag is a cosine in [-1, 1] or, for
+# --alpha, a significance level in (0, 1)
+FLOAT_FLAGS = [
+    (["similarity", "evaluation", "--manifest", "{manifest}", "--embeddings", WORD_VECTORS],
+     "--threshold", "1.5"),
+    (["rbs", "coverage", "--manifest", "{manifest}", "--embeddings", WORD_VECTORS],
+     "--threshold", "-1.01"),
+    (["template", "build", "--manifest", "{manifest}", "--embeddings", WORD_VECTORS],
+     "--match-threshold", "2"),
+    (["template", "eval", "--template", "t.json", "--register", "r.csv",
+      "--embeddings", WORD_VECTORS], "--label-threshold", "1.0001"),
+    (["lifecycle", "compare", "--groups", "g.json"], "--alpha", "1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, outside", FLOAT_FLAGS,
+                         ids=[f"{c[0]} {c[1]} {f}" for c, f, _ in FLOAT_FLAGS])
+@pytest.mark.parametrize("kind", ["nan", "inf", "outside", "word"])
+def test_float_flags_reject_non_finite_and_out_of_range(
+    manifest, tmp_path, capsys, command, flag, outside, kind
+):
+    value = {"nan": "nan", "inf": "inf", "outside": outside, "word": "high"}[kind]
+    out = tmp_path / "o.json"
+    argv = [arg.format(manifest=manifest) for arg in command]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv + [flag, value, "--out", str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument {flag}: expected a finite number in " in err
+    assert f"not {value!r}" in err
+    assert not out.exists()
+
+
+def test_float_flag_bounds_are_accepted(manifest, tmp_path):
+    base = ["similarity", "evaluation", "--manifest", manifest, "--embeddings", WORD_VECTORS]
+    for value in ("-1", "1", "0.0"):
+        assert build_parser().parse_args(base + ["--threshold", value, "--out", "o"]).threshold \
+            == float(value)
+    compare = ["lifecycle", "compare", "--groups", "g.json", "--out", "o"]
+    for value in ("0", "-0.5", "-inf"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(compare + ["--alpha", value])
+    assert build_parser().parse_args(compare + ["--alpha", "0.999"]).alpha == 0.999
+
+
+def test_nan_threshold_exits_2_without_traceback(manifest, tmp_path):
+    out = tmp_path / "c.json"
+    result = fresh_python("-m", "riskbench.cli", "rbs", "coverage", "--manifest", manifest,
+                          "--embeddings", WORD_VECTORS, "--threshold", "nan", "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: riskbench rbs coverage")
+    assert "argument --threshold: expected a finite number in [-1, 1], not 'nan'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,9 +17,13 @@ from riskbench.corpus import (
     RiskItem,
     SizeBand,
 )
+from riskbench import similarity
 from riskbench.errors import CorpusError, EmptyReportError, StatTestError
 from riskbench.similarity import (
+    MatchTable,
+    directional_mean_matrix,
     document_similarity,
+    evaluation_by_group,
     evaluation_level_report,
     evaluation_similarity,
     match_registers,
@@ -26,7 +33,14 @@ from riskbench.similarity import (
     score_histogram,
     two_sample_t_test,
 )
-from riskbench.vectorize import best_against, cosine, embed_text, tokenize, unit_rows
+from riskbench.vectorize import (
+    best_against,
+    cosine,
+    embed_text,
+    load_word_vectors,
+    tokenize,
+    unit_rows,
+)
 
 from .conftest import make_item, make_register, toy_backend
 from .test_vectorize import brute_force_tfidf_cosine
@@ -351,25 +365,39 @@ def test_pooling_empty_register_names_the_project(reference_backend):
 
 
 def _pooling_oracle(corpus, backend, use_description):
-    """Per project: embed its register and its pool apart, then best-match."""
+    """Per project: embed its register and its pool apart, then best-match.
+
+    Each report is a list of (risk id, pool row, score); pool rows number
+    the other projects' items in corpus order.
+    """
     reports = []
     for project in corpus.projects:
         pool = [
-            (other.project_id, item)
+            item.matching_text(use_description)
             for other in corpus.projects
             if other.project_id != project.project_id
             for item in other.register.items
         ]
         texts = [i.matching_text(use_description) for i in project.register.items]
-        indices, scores = best_against(
-            unit_rows(backend, texts),
-            unit_rows(backend, [i.matching_text(use_description) for _, i in pool]),
-        )
-        reports.append([
-            (item.risk_id, f"{pool[int(j)][0]}:{pool[int(j)][1].risk_id}", float(score))
+        indices, scores = best_against(unit_rows(backend, texts), unit_rows(backend, pool))
+        reports.append((pool, [
+            (item.risk_id, int(j), float(score))
             for item, j, score in zip(project.register.items, indices, scores)
-        ])
+        ]))
     return reports
+
+
+def printed(score):
+    """A score as a report prints it (6 significant digits)."""
+    return f"{score:.6g}"
+
+
+def assert_same_target(texts, row, oracle_row, score, oracle_score):
+    """The match table may pick another target than the per-pair oracle only
+    where the oracle's BLAS tie-break went to a later copy of the same text."""
+    assert printed(score) == printed(oracle_score)
+    if row != oracle_row:
+        assert row < oracle_row and texts[row] == texts[oracle_row]
 
 
 @pytest.mark.parametrize("use_description", [False, True])
@@ -379,17 +407,22 @@ def test_pooling_corpus_pass_equals_per_project_embedding(
     from riskbench.corpus import load_corpus
 
     corpus = load_corpus(expost_manifest)
-    expected = _pooling_oracle(corpus, reference_backend, use_description)
-    for jobs in (1, 3):
-        reports = pooling_similarity(corpus, reference_backend, use_description, jobs=jobs)
-        assert [r.metadata["project_id"] for r in reports] == [
-            p.project_id for p in corpus.projects
-        ]
-        assert [[(p.a, p.b, p.score) for p in r.pairs] for r in reports] == expected
-        assert [r.metadata["pool_size"] for r in reports] == [
-            sum(len(o.register.items) for o in corpus.projects) - len(p.register.items)
-            for p in corpus.projects
-        ]
+    assert_pooling_matches_oracle(corpus, reference_backend, use_description)
+
+
+def assert_pooling_matches_oracle(corpus, backend, use_description=False):
+    reports = pooling_similarity(corpus, backend, use_description)
+    assert [r.metadata["project_id"] for r in reports] == [p.project_id for p in corpus.projects]
+    for project, report, (pool, expected) in zip(
+        corpus.projects, reports, _pooling_oracle(corpus, backend, use_description)
+    ):
+        assert report.metadata["pool_size"] == len(pool)
+        rows = {f"{other.project_id}:{item.risk_id}": row for row, (other, item) in enumerate(
+            (other, item) for other in corpus.projects if other is not project
+            for item in other.register.items)}
+        assert [p.a for p in report.pairs] == [risk_id for risk_id, _, _ in expected]
+        for pair, (_, oracle_row, oracle_score) in zip(report.pairs, expected):
+            assert_same_target(pool, rows[pair.b], oracle_row, pair.score, oracle_score)
 
 
 def test_score_histogram_bands():
@@ -508,7 +541,7 @@ def test_evaluation_threshold_filter_is_monotone(reference_backend):
     matches = match_registers(corpus, reference_backend, min_score=0.0)
     counts = []
     for threshold in (0.0, 0.5, 0.9, 1.0):
-        counts.append(sum(1 for m in matches if m.score >= threshold))
+        counts.append(sum(1 for score in matches.scores if score >= threshold))
     assert counts == sorted(counts, reverse=True)
 
 
@@ -529,6 +562,258 @@ def test_evaluation_skips_unset_bands(reference_backend):
     assert table["probability"] == pytest.approx(50.0)
     assert table["cost"] is None
     assert table["schedule"] is None
+
+
+# ------------------------------------------------------ match table
+
+
+def write_dense_corpus(root, seed=7, projects=16, risks=100, recur=10, words=240, dim=300):
+    """A seeded corpus whose names each recur about `recur` times, and a dense
+    word file for its vocabulary. Dense vectors make the scores of two copies
+    of one text depend on where a BLAS kernel computes them, which the
+    near one-hot bundled vectors never do."""
+    rng = random.Random(seed)
+    vocab = [f"term{i:03d}" for i in range(words)]
+    vectors = np.random.default_rng(seed).standard_normal((words, dim))
+    lines = [f"{words} {dim}"] + [
+        word + " " + " ".join("%.6f" % x for x in row) for word, row in zip(vocab, vectors.tolist())
+    ]
+    (root / "words.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    distinct = set()
+    while len(distinct) < projects * risks // recur:
+        distinct.add(" ".join(rng.sample(vocab, rng.randint(2, 4))))
+    texts = sorted(distinct) * recur
+    rng.shuffle(texts)
+    (root / "registers").mkdir()
+    header = "risk_id,name,description,category,probability,cost_impact,schedule_impact,status,snapshot"
+    meta = []
+    for p in range(projects):
+        rows = [header] + [
+            f"p{p:02d}-R{i:03d},{texts[p * risks + i]},,,"
+            + ",".join(str(rng.randint(1, 5)) for _ in range(3)) + ",Reg,0"
+            for i in range(risks)
+        ]
+        (root / "registers" / f"p{p:02d}.csv").write_text("\n".join(rows) + "\n")
+        meta.append({
+            "id": f"p{p:02d}", "jurisdiction": "CA", "delivery_method": ("DBB", "DB", "P3")[p % 3],
+            "project_type": "Highway", "size_band": "under_500M", "contract_value_musd": None,
+            "award_year": None,
+            "registers": [{"ordinal": 0, "label": "year 0", "path": f"registers/p{p:02d}.csv"}],
+        })
+    (root / "manifest.json").write_text(json.dumps({"projects": meta}, indent=2))
+    return root / "manifest.json", root / "words.txt"
+
+
+@pytest.fixture(scope="module")
+def dense_inputs(tmp_path_factory):
+    return write_dense_corpus(tmp_path_factory.mktemp("dense"))
+
+
+@pytest.fixture(scope="module")
+def dense_corpus(dense_inputs):
+    from riskbench.corpus import load_corpus
+
+    manifest, words = dense_inputs
+    return load_corpus(manifest), load_word_vectors(words)
+
+
+@pytest.fixture(scope="module")
+def fixture_corpus(expost_manifest, reference_backend):
+    from riskbench.corpus import load_corpus
+
+    return load_corpus(expost_manifest), reference_backend
+
+
+@pytest.fixture(params=["fixture", "dense"])
+def corpus_and_backend(request):
+    return request.getfixturevalue(f"{request.param}_corpus")
+
+
+def _per_pair_oracle(corpus, backend, use_description=False):
+    """The per-pair path: each register embedded apart, every ordered pair of
+    non-empty registers best-matched with its own `best_against` product.
+    Rows (source, target) number the corpus's ex-ante items in order."""
+    registers = [p.register for p in corpus.projects]
+    units = [unit_rows(backend, [i.matching_text(use_description) for i in r.items])
+             for r in registers]
+    starts = np.cumsum([0] + [len(r.items) for r in registers])
+    result = {}
+    for i, j in itertools.permutations(range(len(registers)), 2):
+        if len(units[i]) and len(units[j]):
+            indices, scores = best_against(units[i], units[j])
+            result[i, j] = (indices + starts[j], scores)
+    return result
+
+
+def _loop_by_threshold(corpus, matches, thresholds):
+    """The per-match loop that evaluation reports were computed with."""
+    items = [item for p in corpus.projects for item in p.register.items]
+    table = {}
+    for threshold in thresholds:
+        surviving = [(a, b) for a, b, score in zip(
+            matches.source_rows, matches.target_rows, matches.scores) if score >= threshold]
+        if not surviving:
+            raise EmptyReportError(f"no matches with cosine similarity >= {threshold}")
+        metrics = {key: [] for key in ("probability", "cost", "schedule",
+                                        "probability_cost_qualitative",
+                                        "probability_schedule_qualitative")}
+        for a, b in surviving:
+            x, y = items[a].assessment, items[b].assessment
+            for key, name in (("probability", "probability_band"), ("cost", "cost_band"),
+                              ("schedule", "schedule_band")):
+                if getattr(x, name) is not None and getattr(y, name) is not None:
+                    metrics[key].append(evaluation_similarity(getattr(x, name), getattr(y, name)))
+            for key, name in (("probability_cost_qualitative", "qualitative_cost"),
+                              ("probability_schedule_qualitative", "qualitative_schedule")):
+                if Qualitative.UNSET not in (getattr(x, name), getattr(y, name)):
+                    metrics[key].append(qualitative_match(getattr(x, name), getattr(y, name)))
+        table[f"{threshold:g}"] = {
+            "match_count": len(surviving),
+            **{key: sum(v) / len(v) if v else None for key, v in metrics.items()},
+        }
+    return table
+
+
+def _texts(corpus, use_description=False):
+    return [i.matching_text(use_description) for p in corpus.projects for i in p.register.items]
+
+
+@pytest.mark.parametrize("use_description", [False, True])
+def test_match_registers_agrees_with_per_pair_oracle(corpus_and_backend, use_description):
+    corpus, backend = corpus_and_backend
+    texts = _texts(corpus, use_description)
+    oracle = _per_pair_oracle(corpus, backend, use_description)
+    matches = match_registers(corpus, backend, min_score=-1.0, use_description=use_description)
+    assert isinstance(matches, MatchTable)
+    starts = np.cumsum([0] + [len(p.register.items) for p in corpus.projects])
+    expected_sources = np.concatenate([np.arange(starts[i], starts[i + 1]) for i, _ in oracle])
+    assert len(matches) == len(expected_sources)
+    assert matches.source_rows.tolist() == expected_sources.tolist()
+    expected_targets = np.concatenate([rows for rows, _ in oracle.values()])
+    expected_scores = np.concatenate([scores for _, scores in oracle.values()])
+    for row, oracle_row, score, oracle_score in zip(
+        matches.target_rows.tolist(), expected_targets.tolist(),
+        matches.scores.tolist(), expected_scores.tolist(),
+    ):
+        assert_same_target(texts, row, oracle_row, score, oracle_score)
+    kept = match_registers(corpus, backend, min_score=0.5, use_description=use_description)
+    keep = matches.scores >= 0.5
+    assert kept.source_rows.tolist() == matches.source_rows[keep].tolist()
+    assert kept.target_rows.tolist() == matches.target_rows[keep].tolist()
+
+
+def test_match_table_is_a_small_frozen_value(fixture_corpus):
+    import dataclasses
+
+    matches = match_registers(*fixture_corpus, min_score=0.5)
+    assert len(matches) == len(matches.source_rows) == len(matches.target_rows) > 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matches.scores = matches.scores[:1]
+
+
+def test_directional_matrix_agrees_with_per_pair_oracle(corpus_and_backend):
+    corpus, backend = corpus_and_backend
+    ids, matrix = directional_mean_matrix(corpus, backend)
+    oracle = _per_pair_oracle(corpus, backend)
+    assert ids == [p.project_id for p in corpus.projects]
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            if i == j:
+                assert value == 1.0
+            elif (i, j) in oracle:
+                assert printed(value) == printed(float(oracle[i, j][1].mean()))
+            else:
+                assert value is None
+
+
+def test_dense_pooling_agrees_with_per_project_oracle(dense_corpus):
+    assert_pooling_matches_oracle(*dense_corpus)
+
+
+@pytest.mark.parametrize("group_by", [None, "delivery_method", "project_id"])
+def test_evaluation_aggregates_equal_the_per_match_loop(corpus_and_backend, group_by):
+    corpus, backend = corpus_and_backend
+    thresholds = (0.0, 0.5, 0.7, 0.8)
+    matches = match_registers(corpus, backend, min_score=0.0)
+    report = evaluation_level_report(matches, corpus, thresholds)
+    assert report.aggregates["by_threshold"] == _loop_by_threshold(corpus, matches, thresholds)
+    labels = [f"{p.project_id}:{i.risk_id}" for p in corpus.projects for i in p.register.items]
+    assert [(p.a, p.b, p.score) for p in report.pairs] == [
+        (labels[a], labels[b], score) for a, b, score in zip(
+            matches.source_rows.tolist(), matches.target_rows.tolist(), matches.scores.tolist())
+    ]
+    if group_by is None:
+        return
+    groups = {p.project_id: getattr(p, group_by) for p in corpus.projects}
+    owner = [p.project_id for p in corpus.projects for _ in p.register.items]
+    expected = {}
+    for name in sorted(set(groups.values())):
+        inside = np.array([groups[owner[a]] == name and groups[owner[b]] == name
+                           for a, b in zip(matches.source_rows, matches.target_rows)], dtype=bool)
+        subset = MatchTable(matches.source_rows[inside], matches.target_rows[inside],
+                            matches.scores[inside])
+        try:
+            if not len(subset):
+                raise EmptyReportError("no matches to evaluate")
+            expected[name] = _loop_by_threshold(corpus, subset, thresholds)
+        except EmptyReportError as exc:
+            expected[name] = {"skipped": str(exc)}
+    assert evaluation_by_group(matches, corpus, thresholds, group_by) == expected
+
+
+def test_identical_texts_tie_to_the_first_row():
+    backend = toy_backend({"alpha": [1.0, 0.2], "beta": [0.3, 1.0]})
+    corpus = corpus_of(
+        project_of(make_register("alpha"), "p0"),
+        project_of(make_register("beta", "beta", "alpha beta", "beta"), "p1"),
+        project_of(make_register("beta", "Beta"), "p2"),
+    )
+    matches = match_registers(corpus, backend, min_score=-1.0)
+    # p0 -> p1 prefers "alpha beta"; every copy of "beta" ties with row 1
+    assert matches.target_rows.tolist()[:2] == [3, 5]
+    pooled = pooling_similarity(corpus, backend)
+    assert [(p.a, p.b) for p in pooled[0].pairs] == [("r0", "p1:r2")]
+    assert [(p.a, p.b, p.score) for p in pooled[2].pairs] == [
+        ("r0", "p1:r0", 1.0), ("r1", "p1:r0", 1.0)]
+
+
+def test_small_score_blocks_give_the_same_matches(monkeypatch, dense_corpus):
+    corpus, backend = dense_corpus
+    whole = match_registers(corpus, backend, min_score=-1.0)
+    monkeypatch.setattr(similarity, "_BLOCK_BYTES", 8 * 160 * 7)  # 7 rows per block
+    blocked = match_registers(corpus, backend, min_score=-1.0)
+    texts = _texts(corpus)
+    assert blocked.source_rows.tolist() == whole.source_rows.tolist()
+    for row, other, score, other_score in zip(blocked.target_rows.tolist(),
+                                              whole.target_rows.tolist(),
+                                              blocked.scores.tolist(), whole.scores.tolist()):
+        assert printed(score) == printed(other_score)
+        assert row == other or texts[row] == texts[other]
+
+
+def test_reports_do_not_depend_on_blas_threads(dense_inputs, tmp_path):
+    from .test_cli import fresh_python
+
+    manifest, words = dense_inputs
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        script = (
+            "import sys\n"
+            "from riskbench.cli import main\n"
+            "for mode in ('evaluation', 'risks', 'pooling'):\n"
+            f"    code = main(['similarity', mode, '--manifest', {str(manifest)!r},\n"
+            f"                 '--embeddings', {str(words)!r}, '--out', {str(out)!r} + f'/{{mode}}.json'])\n"
+            "    if code:\n"
+            "        sys.exit(code)\n"
+        )
+        result = fresh_python("-c", script, OPENBLAS_NUM_THREADS=threads)
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = {mode: (out / f"{mode}.json").read_bytes()
+                            for mode in ("evaluation", "risks", "pooling")}
+    for mode in ("evaluation", "risks", "pooling"):
+        assert outputs["1"][mode] == outputs["2"][mode], mode
 
 
 # ------------------------------------------------------ t-test
