@@ -1,6 +1,6 @@
 """Scale ladder for the quadratic similarity commands, outside the timed benchmark.
 
-    python3 scripts/bench_scale.py [--out BENCH_scale.json] [--src DIR] [--rungs 50,100,200]
+    python3 scripts/bench_scale.py [--out BENCH_scale.json] [--src DIR]
 
 Builds pairwise-shaped corpora with `perfbench/gen.py` (100 risks per
 project, half of the rows distinct texts, seed 7, the shared 57 MB 300-d
@@ -95,8 +95,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     parser.add_argument("--src", default=str(ROOT / "src"), help="riskbench source to run")
-    parser.add_argument("--rungs", default=",".join(map(str, RUNGS)),
-                        help="comma-separated project counts")
     parser.add_argument("--build", nargs=2, metavar=("PROJECTS", "DIR"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.build:
@@ -104,8 +102,7 @@ def main(argv=None) -> int:
         return 0
 
     src = Path(args.src).resolve()
-    rungs = [int(r) for r in args.rungs.split(",")]
-    inputs = [corpus(projects) for projects in rungs]
+    inputs = [corpus(projects) for projects in RUNGS]
     results = []
     with tempfile.TemporaryDirectory() as work:
         report = Path(work) / "report.json"
@@ -115,7 +112,7 @@ def main(argv=None) -> int:
                     "--embeddings", summary["word_vectors"], "--out", str(report)]
 
         run_command(command("risks", *inputs[0]), src)  # fills the parse cache
-        for projects, (target, summary) in zip(rungs, inputs):
+        for projects, (target, summary) in zip(RUNGS, inputs):
             rung = {"projects": projects, "risks_per_project": RISKS, "rows": summary["rows"],
                     "distinct_texts": summary["distinct_texts"], "commands": {}}
             for mode in MODES:

@@ -51,7 +51,6 @@ from .similarity import (
     _group_pair_scores,
     directional_mean_matrix,
     document_similarity,
-    evaluation_by_group,
     evaluation_level_report,
     match_registers,
     pooling_similarity,
@@ -231,9 +230,9 @@ def _cmd_similarity_evaluation(args, digests):
     base = args.threshold
     thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
     matches = match_registers(corpus, backend, min_score=base, use_description=args.use_description)
-    result = evaluation_level_report(matches, corpus, thresholds).to_dict()
-    if args.group_by:
-        result["by_group"] = evaluation_by_group(matches, corpus, thresholds, args.group_by)
+    result = evaluation_level_report(matches, corpus, thresholds, args.group_by).to_dict()
+    if args.group_by:  # the report file keeps the group tables beside the report's keys
+        result["by_group"] = result["aggregates"].pop("by_group")
     config = _similarity_config("evaluation", args.group_by, base, args.use_description)
     return config, result
 
@@ -379,15 +378,7 @@ def _cmd_lifecycle_compare(args, digests):
         return rows
 
     outcome = hotelling_t2(points(names[0]), points(names[1]), alpha=args.alpha)
-    result = {
-        "groups": names,
-        "metrics": dims,
-        "t_squared": outcome.t_squared,
-        "group_sizes": list(outcome.group_sizes),
-        "critical_value": outcome.critical_value,
-        "alpha": outcome.alpha,
-        "significant": outcome.significant,
-    }
+    result = {"groups": names, "metrics": dims, **asdict(outcome)}
     return {"metric": args.metric, "alpha": args.alpha}, result
 
 
@@ -488,7 +479,9 @@ def _bounded(low: float, high: float, closed: bool):
             value = math.nan
         # nan fails both comparisons
         if not (low <= value <= high if closed else low < value < high):
-            raise argparse.ArgumentTypeError(f"expected a finite number in {interval}, not {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number in {interval}, not {text!r}"
+            )
         return value
 
     return parse

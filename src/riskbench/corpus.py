@@ -82,19 +82,6 @@ class Assessment:
                 raise CorpusError(f"{label} must be in 1..5, got {band!r}")
         _check_raw_probability(self.raw_probability)
 
-    def is_empty(self) -> bool:
-        return all(
-            getattr(self, name) is None
-            for name in (
-                "probability_band",
-                "cost_band",
-                "schedule_band",
-                "raw_probability",
-                "raw_cost",
-                "raw_schedule",
-            )
-        )
-
 
 @dataclass(frozen=True)
 class RiskItem:

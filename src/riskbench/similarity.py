@@ -9,7 +9,7 @@ compares the assessments of matched risks with the Likert distance index
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -69,12 +69,7 @@ class SimilarityReport:
             "pairs": [{"a": p.a, "b": p.b, "score": p.score} for p in self.pairs],
             "aggregates": self.aggregates,
             "metadata": self.metadata,
-            "test": None if self.test is None else {
-                "statistic": self.test.statistic,
-                "degrees_of_freedom": self.test.degrees_of_freedom,
-                "p_value": self.test.p_value,
-                "variant": self.test.variant,
-            },
+            "test": None if self.test is None else asdict(self.test),
         }
 
 
@@ -239,20 +234,20 @@ def _best_matches(
         high = low + len(table)
         for register, (ids, first) in enumerate(columns):
             if len(ids):
-                block = table[:, ids]
-                rows[low:high, register] = first[block.argmax(axis=1)]
-                scores[low:high, register] = block.max(axis=1)
+                best = table[:, ids].argmax(axis=1)
+                rows[low:high, register] = first[best]
+                scores[low:high, register] = table[np.arange(high - low), ids[best]]
         del table  # one block at a time: free it before the next is made
     return spans, text_ids, rows, scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchTable:
     """Best matches as parallel arrays: source row, target row, cosine score.
 
     Rows number the ex-ante register items of the corpus's projects in
     order. Matches run by source project, then target project, then source
-    row, each in corpus order.
+    row, each in corpus order. Tables compare and hash by identity.
     """
 
     source_rows: np.ndarray
@@ -265,6 +260,18 @@ class MatchTable:
 
 def _corpus_rows(corpus: Corpus) -> list[tuple[str, RiskItem]]:
     return [(p.project_id, item) for p in corpus.projects for item in p.register.items]
+
+
+def _matched_report(level: Level, pairs: list[PairScore], metadata: dict) -> SimilarityReport:
+    """A best-match report: score aggregates, histogram and, for pooling,
+    the share of scores at least 0.5."""
+    scores = [p.score for p in pairs]
+    aggregates = _basic_aggregates(scores)
+    aggregates["histogram"] = score_histogram(scores)
+    if level is Level.POOLING:
+        aggregates["fraction_at_least_0.5"] = sum(1 for s in scores if s >= 0.5) / len(scores)
+    return SimilarityReport(level=level, pairs=tuple(pairs), aggregates=aggregates,
+                            metadata=metadata)
 
 
 def pairwise_risk_similarity(
@@ -283,15 +290,7 @@ def pairwise_risk_similarity(
         for item, row, score in zip(reg_a.items, rows[texts, 1].tolist(),
                                     scores[texts, 1].tolist())
     ]
-    score_list = [p.score for p in pairs]
-    aggregates = _basic_aggregates(score_list)
-    aggregates["histogram"] = score_histogram(score_list)
-    return SimilarityReport(
-        level=Level.RISK_ITEM,
-        pairs=tuple(pairs),
-        aggregates=aggregates,
-        metadata={"use_description": use_description},
-    )
+    return _matched_report(Level.RISK_ITEM, pairs, {"use_description": use_description})
 
 
 def pooling_similarity(
@@ -327,18 +326,8 @@ def pooling_similarity(
                                     pooled[np.arange(len(texts)), target].tolist()):
             owner, matched = owners[row]
             pairs.append(PairScore(item.risk_id, f"{owner}:{matched.risk_id}", score))
-        score_list = [p.score for p in pairs]
-        aggregates = _basic_aggregates(score_list)
-        aggregates["histogram"] = score_histogram(score_list)
-        aggregates["fraction_at_least_0.5"] = (
-            sum(1 for s in score_list if s >= 0.5) / len(score_list)
-        )
-        reports.append(SimilarityReport(
-            level=Level.POOLING,
-            pairs=tuple(pairs),
-            aggregates=aggregates,
-            metadata={"project_id": project.project_id, "pool_size": len(owners) - end + start},
-        ))
+        metadata = {"project_id": project.project_id, "pool_size": len(owners) - end + start}
+        reports.append(_matched_report(Level.POOLING, pairs, metadata))
     return reports
 
 
@@ -417,33 +406,29 @@ _EVALUATION_METRICS = (
 )
 
 
-def _evaluation_codes(corpus: Corpus) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per metric: the match value of every pair of value codes (nan when
-    either is unset), and each corpus row's value code."""
+def _match_values(matches: MatchTable, corpus: Corpus) -> dict[str, np.ndarray]:
+    """Per metric, the value of every match (nan when either side is unset),
+    read from a table over the metric's value codes."""
     assessments = [item.assessment for _, item in _corpus_rows(corpus)]
-    return {
-        key: (
-            np.array([[similarity(x, y) if x is not values[0] and y is not values[0] else np.nan
-                       for y in values] for x in values]),
-            np.array([values.index(getattr(a, name)) for a in assessments], dtype=np.intp),
-        )
-        for key, name, values, similarity in _EVALUATION_METRICS
-    }
+    values = {}
+    for key, name, levels, similarity in _EVALUATION_METRICS:
+        table = np.array([[similarity(x, y) if x is not levels[0] and y is not levels[0]
+                           else np.nan for y in levels] for x in levels])
+        code = np.array([levels.index(getattr(a, name)) for a in assessments], dtype=np.intp)
+        values[key] = table[code[matches.source_rows], code[matches.target_rows]]
+    return values
 
 
 def _by_threshold(
-    matches: MatchTable, codes: dict[str, tuple[np.ndarray, np.ndarray]],
-    thresholds: Sequence[float],
+    scores: np.ndarray, values: dict[str, np.ndarray], thresholds: Sequence[float]
 ) -> dict[str, dict]:
     """Mean match value per metric at each threshold. Every value is a
     multiple of 25, so the sums are exact and do not depend on order."""
-    if not len(matches):
+    if not len(scores):
         raise EmptyReportError("no matches to evaluate")
-    values = {key: table[code[matches.source_rows], code[matches.target_rows]]
-              for key, (table, code) in codes.items()}
     by_threshold: dict[str, dict] = {}
     for threshold in thresholds:
-        surviving = matches.scores >= threshold
+        surviving = scores >= threshold
         if not surviving.any():
             raise EmptyReportError(f"no matches with cosine similarity >= {threshold}")
         row: dict = {"match_count": int(np.count_nonzero(surviving))}
@@ -458,9 +443,16 @@ def evaluation_level_report(
     matches: MatchTable,
     corpus: Corpus,
     thresholds: Sequence[float] = EVALUATION_THRESHOLDS,
+    group_by: str | None = None,
 ) -> SimilarityReport:
-    """Mean assessment similarity of matched risks at each cosine threshold."""
-    by_threshold = _by_threshold(matches, _evaluation_codes(corpus), thresholds)
+    """Mean assessment similarity of matched risks at each cosine threshold.
+
+    With `group_by`, `aggregates["by_group"]` holds the same table for the
+    matches inside each group, by group name; a group with no match, or
+    none at some threshold, gets `{"skipped": reason}`.
+    """
+    values = _match_values(matches, corpus)
+    by_threshold = _by_threshold(matches.scores, values, thresholds)
     labels = [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
     scores = matches.scores.tolist()
     pairs = tuple(
@@ -469,39 +461,25 @@ def evaluation_level_report(
     )
     aggregates = _basic_aggregates(scores)
     aggregates["by_threshold"] = by_threshold
+    if group_by:
+        groups, codes = np.unique([_group_value(p, group_by) for p in corpus.projects],
+                                  return_inverse=True)
+        row_group = np.repeat(codes, [len(p.register.items) for p in corpus.projects])
+        sources, targets = row_group[matches.source_rows], row_group[matches.target_rows]
+        aggregates["by_group"] = {}
+        for code, name in enumerate(groups.tolist()):
+            inside = (sources == code) & (targets == code)
+            try:
+                aggregates["by_group"][name] = _by_threshold(
+                    matches.scores[inside], {k: v[inside] for k, v in values.items()}, thresholds)
+            except EmptyReportError as exc:
+                aggregates["by_group"][name] = {"skipped": str(exc)}
     return SimilarityReport(
         level=Level.EVALUATION,
         pairs=pairs,
         aggregates=aggregates,
         metadata={"thresholds": list(thresholds)},
     )
-
-
-def evaluation_by_group(
-    matches: MatchTable,
-    corpus: Corpus,
-    thresholds: Sequence[float],
-    group_by: str,
-) -> dict[str, dict]:
-    """`by_threshold` of the matches inside each group, by group name; a
-    group with no match, or none at some threshold, gets `{"skipped": reason}`."""
-    names = [_group_value(p, group_by) for p in corpus.projects]
-    groups = sorted(set(names))
-    row_group = np.repeat([groups.index(name) for name in names],
-                          [len(p.register.items) for p in corpus.projects])
-    sources, targets = row_group[matches.source_rows], row_group[matches.target_rows]
-    codes = _evaluation_codes(corpus)
-    by_group: dict[str, dict] = {}
-    for code, name in enumerate(groups):
-        inside = (sources == code) & (targets == code)
-        subset = MatchTable(
-            matches.source_rows[inside], matches.target_rows[inside], matches.scores[inside]
-        )
-        try:
-            by_group[name] = _by_threshold(subset, codes, thresholds)
-        except EmptyReportError as exc:
-            by_group[name] = {"skipped": str(exc)}
-    return by_group
 
 
 def two_sample_t_test(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -42,21 +42,12 @@ class FilterCriteria:
     jurisdiction: str | None = None
 
     def matches(self, project: ProjectRecord) -> bool:
-        if self.project_type is not None and project.project_type != self.project_type:
-            return False
-        if self.size_band is not None and project.size_band.value != self.size_band:
-            return False
-        if self.delivery_method is not None and project.delivery_method != self.delivery_method:
-            return False
-        if self.jurisdiction is not None and project.jurisdiction != self.jurisdiction:
-            return False
-        return True
+        # a SizeBand is a str enum, so it compares equal to its value
+        return all(wanted is None or getattr(project, name) == wanted
+                   for name, wanted in vars(self).items())
 
     def describe(self) -> dict[str, str]:
-        return {
-            name: getattr(self, name) if getattr(self, name) is not None else "all"
-            for name in ("project_type", "size_band", "delivery_method", "jurisdiction")
-        }
+        return {name: "all" if value is None else value for name, value in vars(self).items()}
 
 
 def parse_filter(expression: str) -> FilterCriteria:
@@ -282,20 +273,7 @@ class RiskTemplate:
             "sort_key": self.sort_key,
             "source_filter": self.source_filter.describe(),
             "source_project_count": self.source_project_count,
-            "entries": [
-                {
-                    "rank": e.rank,
-                    "text": e.text,
-                    "category": e.category,
-                    "prevalence": e.prevalence,
-                    "avg_probability": e.avg_probability,
-                    "avg_cost": e.avg_cost,
-                    "avg_schedule": e.avg_schedule,
-                    "group_size": e.group_size,
-                    "source_projects": e.source_projects,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
 
     @classmethod
@@ -316,17 +294,10 @@ class RiskTemplate:
                 for e in raw["entries"]
             )
             described = raw.get("source_filter", {})
-            criteria = FilterCriteria(
-                **{
-                    name: (None if described.get(name, "all") == "all" else described[name])
-                    for name in (
-                        "project_type",
-                        "size_band",
-                        "delivery_method",
-                        "jurisdiction",
-                    )
-                }
-            )
+            criteria = FilterCriteria(**{
+                f.name: None if described.get(f.name, "all") == "all" else described[f.name]
+                for f in fields(FilterCriteria)
+            })
             return cls(
                 entries=entries,
                 sort_key=raw.get("sort_key", "prevalence"),
@@ -405,14 +376,7 @@ class EvalCounts:
         return cls(tp=tp, fn=fn, fp=fp, recall=recall, precision=precision, f1=f1)
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fn": self.fn,
-            "fp": self.fp,
-            "recall": self.recall,
-            "precision": self.precision,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def evaluate_template(

@@ -23,7 +23,6 @@ from riskbench.similarity import (
     MatchTable,
     directional_mean_matrix,
     document_similarity,
-    evaluation_by_group,
     evaluation_level_report,
     evaluation_similarity,
     match_registers,
@@ -709,6 +708,9 @@ def test_match_table_is_a_small_frozen_value(fixture_corpus):
     assert len(matches) == len(matches.source_rows) == len(matches.target_rows) > 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         matches.scores = matches.scores[:1]
+    # equality and hashing go by identity, as for any value holding arrays
+    assert matches == matches and hash(matches) == hash(matches)
+    assert matches != match_registers(*fixture_corpus, min_score=0.5)
 
 
 def test_directional_matrix_agrees_with_per_pair_oracle(corpus_and_backend):
@@ -758,7 +760,9 @@ def test_evaluation_aggregates_equal_the_per_match_loop(corpus_and_backend, grou
             expected[name] = _loop_by_threshold(corpus, subset, thresholds)
         except EmptyReportError as exc:
             expected[name] = {"skipped": str(exc)}
-    assert evaluation_by_group(matches, corpus, thresholds, group_by) == expected
+    grouped = evaluation_level_report(matches, corpus, thresholds, group_by)
+    assert grouped.aggregates["by_group"] == expected
+    assert grouped.aggregates["by_threshold"] == report.aggregates["by_threshold"]
 
 
 def test_identical_texts_tie_to_the_first_row():
