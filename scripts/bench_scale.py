@@ -5,12 +5,12 @@
 Builds pairwise-shaped corpora with `perfbench/gen.py` (100 risks per
 project, half of the rows distinct texts, seed 7, the shared 57 MB 300-d
 word file) at 50, 100 and 200 projects under `.perfbench/scale/`, then runs
-`similarity risks` and `similarity pooling` at every rung and `similarity
-evaluation` at 50 and 100 projects, one fresh `python -m riskbench.cli`
-process each, with the riskbench found in `--src` (default: this checkout's
-`src`).  For each command it records wall time, the process's own peak RSS
-(from `wait4`), report bytes and the report's SHA-256, and writes them as
-JSON.  One untimed command first fills the embedding parse cache.
+`similarity risks`, `similarity pooling` and `similarity evaluation` at
+every rung, one fresh `python -m riskbench.cli` process each, with the
+riskbench found in `--src` (default: this checkout's `src`).  For each
+command it records wall time, the process's own peak RSS (from `wait4`),
+report bytes and the report's SHA-256, and writes them as JSON.  One
+untimed command first fills the embedding parse cache.
 
 This script imports only the standard library and builds the corpora in a
 child process, so its own memory stays small: on Linux a child's peak RSS
@@ -38,11 +38,6 @@ SEED = 7
 RISKS = 100
 DISTINCT_RATIO = 0.5
 RUNGS = (50, 100, 200)
-EVALUATION_MAX_PROJECTS = 100
-EVALUATION_SKIP = (
-    "at 200 projects the default evaluation report lists every match, about 4M pairs and "
-    "0.4 GB of JSON; this rung waits for opt-in pair lists"
-)
 MODES = ("risks", "pooling", "evaluation")
 
 
@@ -116,9 +111,6 @@ def main(argv=None) -> int:
             rung = {"projects": projects, "risks_per_project": RISKS, "rows": summary["rows"],
                     "distinct_texts": summary["distinct_texts"], "commands": {}}
             for mode in MODES:
-                if mode == "evaluation" and projects > EVALUATION_MAX_PROJECTS:
-                    rung["commands"][f"similarity {mode}"] = {"skipped": EVALUATION_SKIP}
-                    continue
                 wall, rss = run_command(command(mode, target, summary), src)
                 data = report.read_bytes()
                 rung["commands"][f"similarity {mode}"] = {

@@ -8,8 +8,6 @@ echoed so reruns over identical inputs stay byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from dataclasses import asdict, fields, replace
@@ -42,7 +40,7 @@ from .rbs import (
     default_rbs,
     load_rbs,
 )
-from .report import ReportBundle, emit_report, file_digest, write_heatmap_csv
+from .report import ReportBundle, emit_report, file_digest, write_csv, write_heatmap_csv
 from .resources import data_path, read_json_checked
 from .similarity import (
     EVALUATION_THRESHOLDS,
@@ -61,7 +59,6 @@ from .template import (
     RiskTemplate,
     build_template,
     classify_risk,
-    default_categories,
     evaluate_template,
     filter_projects,
     group_risks,
@@ -247,10 +244,9 @@ def _cmd_template_build(args, digests):
     selected = filter_projects(corpus, criteria)
     if not selected:
         raise EmptyReportError("the filter selected zero projects")
-    categories = default_categories()
-    if args.categories:
-        categories = load_categories(args.categories)
-        digests["categories"] = file_digest(args.categories)
+    categories_path = args.categories or data_path("wsdot_categories.json")
+    categories = load_categories(categories_path)
+    digests["categories"] = file_digest(categories_path)
     groups = group_risks(selected, backend, args.match_threshold, args.use_description)
     labels = classify_risk([group.representative_text for group in groups], categories, backend)
     groups = [replace(group, category=label.label) for group, label in zip(groups, labels)]
@@ -448,13 +444,7 @@ def _cmd_rbs_cooccur(args, digests) -> None:
     covered = _covered_items(args.coverage)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
     rows = cooccurrence(covered, rbs).pairs_descending()
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["item_a", "item_b", "count"])
-    writer.writerows(rows)
-    out.write_text(buffer.getvalue(), encoding="utf-8")
+    write_csv(args.out, [("item_a", "item_b", "count"), *rows])
 
 
 # ------------------------------------------------------------------ main

@@ -1,7 +1,14 @@
 """Canonical report emission: sorted keys, 6-significant-digit floats.
 
 Two runs over identical inputs must produce byte-identical files, so
-reports carry no timestamps and float formatting is fixed.
+reports carry no timestamps and float formatting is fixed. The canonical
+text is what `json.dumps(payload, sort_keys=True, indent=2,
+ensure_ascii=False)` prints once every float is rounded to 6 significant
+digits, plus a trailing newline; one writer produces it in pieces, so a
+report streams to its file instead of being built whole first.
+
+This module imports nothing from its package, so it can be loaded on its
+own to re-check a report.
 """
 
 from __future__ import annotations
@@ -9,35 +16,210 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
+import os
+import secrets
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# The writer hands its pieces to the sink once this many have gathered.
+_SPILL_PIECES = 1 << 14
+# Pair rows are formatted this many at a time.
+_PAIR_CHUNK = 1 << 13
 
 
-def _round_floats(value: Any) -> Any:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"reports must not contain non-finite floats: {value!r}")
-        return float(f"{value:.6g}")
-    if isinstance(value, dict):
-        return {str(key): _round_floats(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(item) for item in value]
-    return value
+@dataclass(frozen=True)
+class PairScore:
+    a: str
+    b: str
+    score: float
+
+
+@dataclass(frozen=True, eq=False)
+class PairRows:
+    """Scored pairs as columns: pair i is (labels[source_rows[i]],
+    labels[target_rows[i]], scores[i]), with numpy arrays for the columns.
+
+    Iterating yields `PairScore`s in order; a report writes the rows as a
+    list of {"a", "b", "score"} objects without building one per pair.
+    Rows compare and hash by identity.
+    """
+
+    labels: Sequence[str]
+    source_rows: np.ndarray
+    target_rows: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[PairScore]:
+        labels = self.labels
+        for a, b, score in zip(self.source_rows.tolist(), self.target_rows.tolist(),
+                               self.scores.tolist()):
+            yield PairScore(labels[a], labels[b], score)
+
+
+def _float_text(value: float) -> str:
+    """`repr(float(f"{value:.6g}"))`: the float rounded to 6 significant digits."""
+    text = f"{value:.6g}"
+    # A fixed-point text with a fraction is already what repr prints: no
+    # shorter decimal round-trips to the double nearest a decimal of at most
+    # 6 digits, and repr is fixed-point for every magnitude %g is.
+    if "." in text and "e" not in text:
+        return text
+    if not math.isfinite(value):
+        raise ValueError(f"reports must not contain non-finite floats: {value!r}")
+    return repr(float(text))
+
+
+def _write_pair_rows(rows: PairRows, pad: str, append: Callable[[str], None],
+                     spill: Callable[[], None]) -> None:
+    # numpy is imported here so that loading this module alone stays light
+    import numpy as np
+
+    # A pair's text is heads[source] + middles[target] + tails[score code].
+    # Scores are told apart by bit pattern, so that -0.0 and 0.0 stay apart.
+    inner, field = pad + "  ", pad + "    "
+    labels = [encode_basestring(label) for label in rows.labels]
+    heads = np.array([f'{{{field}"a": {label},{field}"b": ' for label in labels], dtype=object)
+    middles = np.array([f'{label},{field}"score": ' for label in labels], dtype=object)
+    bits, codes = np.unique(np.ascontiguousarray(rows.scores, dtype=np.float64).view(np.uint64),
+                            return_inverse=True)
+    tails = np.array([f"{_float_text(score)}{inner}}}" for score in bits.view(np.float64).tolist()],
+                     dtype=object)
+    separator = "," + inner
+    opening = "[" + inner
+    for low in range(0, len(codes), _PAIR_CHUNK):
+        chunk = slice(low, low + _PAIR_CHUNK)
+        texts = (heads[rows.source_rows[chunk]] + middles[rows.target_rows[chunk]]
+                 + tails[codes[chunk]])
+        append(opening)
+        append(separator.join(texts.tolist()))
+        opening = separator
+        spill()
+    append(pad + "]")
+
+
+def _write_canonical(payload: Any, write: Callable[[str], None]) -> None:
+    """Hand the canonical JSON text of `payload` to `write`, in order, in pieces.
+
+    Dict keys are `str()`'d (a later key that prints the same replaces an
+    earlier one) and sorted; tuples and `PairRows` are written as lists; a
+    non-finite float raises ValueError and any other unknown type TypeError,
+    possibly after earlier pieces were written.
+    """
+    pieces: list[str] = []
+    append = pieces.append
+
+    def spill() -> None:
+        if pieces:
+            write("".join(pieces))
+            pieces.clear()
+
+    def encode(value: Any, pad: str) -> None:
+        # the order of json.JSONEncoder's own checks: str, None, bools, int, float
+        if isinstance(value, str):
+            append(encode_basestring(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            append(_float_text(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            named = {str(key): item for key, item in value.items()}
+            inner = pad + "  "
+            separator = "{" + inner
+            for key in sorted(named):
+                append(separator)
+                append(encode_basestring(key))
+                append(": ")
+                encode(named[key], inner)
+                separator = "," + inner
+            append(pad + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = pad + "  "
+            separator = "[" + inner
+            for item in value:
+                append(separator)
+                encode(item, inner)
+                separator = "," + inner
+                if len(pieces) >= _SPILL_PIECES:
+                    spill()
+            append(pad + "]")
+        elif isinstance(value, PairRows):
+            if not len(value):
+                append("[]")
+                return
+            _write_pair_rows(value, pad, append, spill)
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    encode(payload, "\n")
+    append("\n")
+    spill()
 
 
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON text: sorted keys, fixed floats, trailing newline."""
-    return (
-        json.dumps(_round_floats(payload), sort_keys=True, indent=2, ensure_ascii=False)
-        + "\n"
-    )
+    chunks: list[str] = []
+    _write_canonical(payload, chunks.append)
+    return "".join(chunks)
 
 
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file's bytes, read in fixed-size blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+@contextmanager
+def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces `path` only when the block completes.
+
+    The bytes go to a temporary file beside the target, which is renamed
+    over it at the end; if the block raises, the temporary file is removed
+    and whatever was at `path` stays as it was. A new file gets the mode a
+    plain write gives it, and a replaced file keeps its mode. Missing parent
+    directories are made; a symbolic link is written through.
+    """
+    path = Path(os.path.realpath(path))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    # 0o666 under the umask, as open() creates files, not mkstemp's 0o600
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "wb") as handle:
+            try:
+                os.chmod(descriptor, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -61,12 +243,18 @@ class ReportBundle:
 
 
 def emit_report(bundle: ReportBundle, path: str | Path) -> int:
-    """Write the canonical JSON form; returns the byte count."""
-    data = canonical_json(bundle.to_dict()).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return len(data)
+    """Stream the canonical JSON form to `path`, atomically; returns the byte count."""
+    with atomic_output(path) as handle:
+        _write_canonical(bundle.to_dict(), lambda text: handle.write(text.encode("utf-8")))
+        return handle.tell()
+
+
+def write_csv(path: str | Path, rows: Sequence[Sequence[Any]]) -> None:
+    """Rows as a UTF-8 CSV with "\\n" line ends, written atomically."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    with atomic_output(path) as handle:
+        handle.write(buffer.getvalue().encode("utf-8"))
 
 
 def write_heatmap_csv(
@@ -78,11 +266,7 @@ def write_heatmap_csv(
     """Rectangular CSV with id headers on both axes."""
     if len(matrix) != len(row_ids) or any(len(row) != len(col_ids) for row in matrix):
         raise ValueError("heatmap matrix shape does not match its headers")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([""] + list(col_ids))
-    for row_id, row in zip(row_ids, matrix):
-        writer.writerow(
-            [row_id] + ["" if value is None else f"{value:.6g}" for value in row]
-        )
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+    write_csv(path, [[""] + list(col_ids)] + [
+        [row_id] + ["" if value is None else f"{value:.6g}" for value in row]
+        for row_id, row in zip(row_ids, matrix)
+    ])

@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
 from .errors import CorpusError, EmptyReportError, StatTestError
+from .report import PairRows, PairScore
 from .vectorize import (
     EmbeddingBackend,
     TfidfModel,
@@ -48,25 +49,20 @@ class TTestResult:
 
 
 @dataclass(frozen=True)
-class PairScore:
-    a: str
-    b: str
-    score: float
-
-
-@dataclass(frozen=True)
 class SimilarityReport:
     level: Level
-    pairs: tuple[PairScore, ...]
+    pairs: tuple[PairScore, ...] | PairRows
     aggregates: dict
     test: TTestResult | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """The report's JSON payload, as `similarity docs` / `evaluation` write it."""
+        """The report's payload, as `similarity docs` / `evaluation` write it;
+        columnar `PairRows` stay as they are for the report writer."""
         return {
             "level": self.level.value,
-            "pairs": [{"a": p.a, "b": p.b, "score": p.score} for p in self.pairs],
+            "pairs": self.pairs if isinstance(self.pairs, PairRows)
+            else [{"a": p.a, "b": p.b, "score": p.score} for p in self.pairs],
             "aggregates": self.aggregates,
             "metadata": self.metadata,
             "test": None if self.test is None else asdict(self.test),
@@ -451,16 +447,12 @@ def evaluation_level_report(
     matches inside each group, by group name; a group with no match, or
     none at some threshold, gets `{"skipped": reason}`.
     """
+    if not len(matches):
+        raise EmptyReportError("no matches to evaluate")
+    # the scores' list is made and dropped before the per-metric arrays exist
+    aggregates = _basic_aggregates(matches.scores.tolist())
     values = _match_values(matches, corpus)
-    by_threshold = _by_threshold(matches.scores, values, thresholds)
-    labels = [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
-    scores = matches.scores.tolist()
-    pairs = tuple(
-        PairScore(labels[a], labels[b], score)
-        for a, b, score in zip(matches.source_rows.tolist(), matches.target_rows.tolist(), scores)
-    )
-    aggregates = _basic_aggregates(scores)
-    aggregates["by_threshold"] = by_threshold
+    aggregates["by_threshold"] = _by_threshold(matches.scores, values, thresholds)
     if group_by:
         groups, codes = np.unique([_group_value(p, group_by) for p in corpus.projects],
                                   return_inverse=True)
@@ -474,9 +466,10 @@ def evaluation_level_report(
                     matches.scores[inside], {k: v[inside] for k, v in values.items()}, thresholds)
             except EmptyReportError as exc:
                 aggregates["by_group"][name] = {"skipped": str(exc)}
+    labels = [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
     return SimilarityReport(
         level=Level.EVALUATION,
-        pairs=pairs,
+        pairs=PairRows(labels, matches.source_rows, matches.target_rows, matches.scores),
         aggregates=aggregates,
         metadata={"thresholds": list(thresholds)},
     )

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, MissingEmbeddingError, ParseError
+from .report import file_digest
 from .resources import data_path, read_text_checked
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -453,13 +454,16 @@ def _parse_sentence_file(
 def _read_source(
     path: Path, kind: str
 ) -> tuple[str, tuple[dict[str, np.ndarray], int] | None, list[str] | None]:
-    """Read and hash a vector file once: its SHA-256, then either the cached
-    (table, dimension) of those bytes or, on a miss, the file's lines to parse."""
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
+    """A vector file's SHA-256, then either the cached (table, dimension) of
+    those bytes or, on a miss, the file's lines to parse. A hit hashes the
+    file block by block without holding it; a miss reads it whole and
+    reports the digest of the bytes it parsed."""
+    digest = file_digest(path)
     cached = _cache_read(kind, digest)
     if cached is not None:
         return digest, cached, None
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

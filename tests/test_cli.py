@@ -414,6 +414,29 @@ def test_rbs_coverage_and_cooccur(manifest, tmp_path):
     assert counts and counts[0] <= 11
 
 
+def test_outputs_replace_files_whole_and_keep_plain_write_modes(manifest, tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    new_mode = plain.stat().st_mode
+    plain.unlink()
+    coverage_path, pairs_path = tmp_path / "coverage.json", tmp_path / "pairs.csv"
+    heatmap, docs = tmp_path / "docs.csv", tmp_path / "docs.json"
+    pairs_path.write_bytes(b"stale\n")
+    pairs_path.chmod(0o640)
+    assert run(["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS,
+                "--out", str(coverage_path)]) == 0
+    assert run(["rbs", "cooccur", "--coverage", str(coverage_path),
+                "--out", str(pairs_path)]) == 0
+    assert run(["similarity", "docs", "--manifest", manifest, "--heatmap", str(heatmap),
+                "--out", str(docs)]) == 0
+    assert pairs_path.read_text().startswith("item_a,item_b,count\n")
+    assert pairs_path.stat().st_mode & 0o777 == 0o640
+    for path in (coverage_path, heatmap, docs):
+        assert path.stat().st_mode == new_mode
+    assert sorted(os.listdir(tmp_path)) == ["coverage.json", "docs.csv", "docs.json",
+                                            "pairs.csv"]
+
+
 def test_rbs_coverage_with_sentence_backend(manifest, tmp_path):
     out = tmp_path / "coverage_sentence.json"
     code = run([
@@ -733,7 +756,7 @@ ENVELOPES = {
         {"corpus", "stopwords", "embeddings"}),
     "template build": (
         ["template", "build", *CORPUS, *WORDS], "riskbench template build", _template(),
-        {"corpus", "stopwords", "embeddings"}),
+        {"corpus", "stopwords", "embeddings", "categories"}),
     "template build --filter --categories --sort --top --use-description": (
         ["template", "build", *CORPUS, *WORDS, "--filter", "delivery=DBB", "--categories",
          str(data_path("wsdot_categories.json")), "--sort", "cost", "--top", "10",
