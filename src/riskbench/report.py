@@ -4,8 +4,9 @@ Two runs over identical inputs must produce byte-identical files, so
 reports carry no timestamps and float formatting is fixed. The canonical
 text is what `json.dumps(payload, sort_keys=True, indent=2,
 ensure_ascii=False)` prints once every float is rounded to 6 significant
-digits, plus a trailing newline; one writer produces it in pieces, so a
-report streams to its file instead of being built whole first.
+digits, plus a trailing newline. A `PairRows` pair list is left out of that
+text and streamed into its place in chunks, so a report with millions of
+pairs is never held whole.
 
 This module imports nothing from its package, so it can be loaded on its
 own to re-check a report.
@@ -16,8 +17,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import math
 import os
+import re
 import secrets
 import stat
 from contextlib import contextmanager
@@ -29,9 +32,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, Mapping, Se
 if TYPE_CHECKING:
     import numpy as np
 
-# The writer hands its pieces to the sink once this many have gathered.
-_SPILL_PIECES = 1 << 14
-# Pair rows are formatted this many at a time.
+# Pair rows are formatted and written this many at a time.
 _PAIR_CHUNK = 1 << 13
 
 
@@ -43,13 +44,13 @@ class PairScore:
 
 
 @dataclass(frozen=True, eq=False)
-class PairRows:
+class PairRows(Sequence[PairScore]):
     """Scored pairs as columns: pair i is (labels[source_rows[i]],
     labels[target_rows[i]], scores[i]), with numpy arrays for the columns.
 
-    Iterating yields `PairScore`s in order; a report writes the rows as a
-    list of {"a", "b", "score"} objects without building one per pair.
-    Rows compare and hash by identity.
+    A read-only sequence of `PairScore`s, equal to another `PairRows` that
+    holds the same pairs; a report writes the rows as a list of
+    {"a", "b", "score"} objects without building one per pair.
     """
 
     labels: Sequence[str]
@@ -60,31 +61,43 @@ class PairRows:
     def __len__(self) -> int:
         return len(self.scores)
 
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PairRows(self.labels, self.source_rows[index], self.target_rows[index],
+                            self.scores[index])
+        return PairScore(self.labels[int(self.source_rows[index])],
+                         self.labels[int(self.target_rows[index])], float(self.scores[index]))
+
     def __iter__(self) -> Iterator[PairScore]:
         labels = self.labels
         for a, b, score in zip(self.source_rows.tolist(), self.target_rows.tolist(),
                                self.scores.tolist()):
             yield PairScore(labels[a], labels[b], score)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairRows):
+            return NotImplemented
+        return tuple(self) == tuple(other)
 
-def _float_text(value: float) -> str:
-    """`repr(float(f"{value:.6g}"))`: the float rounded to 6 significant digits."""
-    text = f"{value:.6g}"
-    # A fixed-point text with a fraction is already what repr prints: no
-    # shorter decimal round-trips to the double nearest a decimal of at most
-    # 6 digits, and repr is fixed-point for every magnitude %g is.
-    if "." in text and "e" not in text:
-        return text
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def _rounded(value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"reports must not contain non-finite floats: {value!r}")
-    return repr(float(text))
+    return float(f"{value:.6g}")
 
 
-def _write_pair_rows(rows: PairRows, pad: str, append: Callable[[str], None],
-                     spill: Callable[[], None]) -> None:
+def _write_pair_rows(rows: PairRows, pad: str, write: Callable[[str], None]) -> None:
+    """Write `rows` as the list of {"a", "b", "score"} objects that `json.dumps`
+    would print at a line indented as `pad`, in chunks."""
     # numpy is imported here so that loading this module alone stays light
     import numpy as np
 
+    if not len(rows):
+        write("[]")
+        return
     # A pair's text is heads[source] + middles[target] + tails[score code].
     # Scores are told apart by bit pattern, so that -0.0 and 0.0 stay apart.
     inner, field = pad + "  ", pad + "    "
@@ -93,89 +106,51 @@ def _write_pair_rows(rows: PairRows, pad: str, append: Callable[[str], None],
     middles = np.array([f'{label},{field}"score": ' for label in labels], dtype=object)
     bits, codes = np.unique(np.ascontiguousarray(rows.scores, dtype=np.float64).view(np.uint64),
                             return_inverse=True)
-    tails = np.array([f"{_float_text(score)}{inner}}}" for score in bits.view(np.float64).tolist()],
+    tails = np.array([f"{_rounded(score)!r}{inner}}}" for score in bits.view(np.float64).tolist()],
                      dtype=object)
-    separator = "," + inner
-    opening = "[" + inner
+    opening, separator = "[" + inner, "," + inner
     for low in range(0, len(codes), _PAIR_CHUNK):
         chunk = slice(low, low + _PAIR_CHUNK)
         texts = (heads[rows.source_rows[chunk]] + middles[rows.target_rows[chunk]]
                  + tails[codes[chunk]])
-        append(opening)
-        append(separator.join(texts.tolist()))
+        write(opening + separator.join(texts.tolist()))
         opening = separator
-        spill()
-    append(pad + "]")
+    write(pad + "]")
 
 
 def _write_canonical(payload: Any, write: Callable[[str], None]) -> None:
     """Hand the canonical JSON text of `payload` to `write`, in order, in pieces.
 
-    Dict keys are `str()`'d (a later key that prints the same replaces an
-    earlier one) and sorted; tuples and `PairRows` are written as lists; a
-    non-finite float raises ValueError and any other unknown type TypeError,
-    possibly after earlier pieces were written.
+    Everything but the `PairRows` goes through `json.dumps` as one text, with
+    a placeholder string in the place of each pair list; the pair lists are
+    then written into those places. A non-finite float raises ValueError, in
+    a pair list possibly after earlier pieces were written.
     """
-    pieces: list[str] = []
-    append = pieces.append
+    slots: list[PairRows] = []
+    mark = f"PairRows-{secrets.token_hex(8)}-"
 
-    def spill() -> None:
-        if pieces:
-            write("".join(pieces))
-            pieces.clear()
+    def prepared(value: Any) -> Any:
+        if isinstance(value, float):
+            return _rounded(value)
+        if isinstance(value, dict):
+            return {str(key): prepared(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [prepared(item) for item in value]
+        if isinstance(value, PairRows):
+            slots.append(value)
+            return f"{mark}{len(slots) - 1}"
+        return value
 
-    def encode(value: Any, pad: str) -> None:
-        # the order of json.JSONEncoder's own checks: str, None, bools, int, float
-        if isinstance(value, str):
-            append(encode_basestring(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, float):
-            append(_float_text(value))
-        elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            named = {str(key): item for key, item in value.items()}
-            inner = pad + "  "
-            separator = "{" + inner
-            for key in sorted(named):
-                append(separator)
-                append(encode_basestring(key))
-                append(": ")
-                encode(named[key], inner)
-                separator = "," + inner
-            append(pad + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
-                return
-            inner = pad + "  "
-            separator = "[" + inner
-            for item in value:
-                append(separator)
-                encode(item, inner)
-                separator = "," + inner
-                if len(pieces) >= _SPILL_PIECES:
-                    spill()
-            append(pad + "]")
-        elif isinstance(value, PairRows):
-            if not len(value):
-                append("[]")
-                return
-            _write_pair_rows(value, pad, append, spill)
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    encode(payload, "\n")
-    append("\n")
-    spill()
+    text = json.dumps(prepared(payload), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    # pieces alternate: text, slot number, text, ..., text
+    pieces = re.split(f'"{mark}(\\d+)"', text)
+    for at in range(1, len(pieces), 2):
+        before = pieces[at - 1]
+        write(before)
+        line = before[before.rfind("\n") + 1:]
+        _write_pair_rows(slots[int(pieces[at])], "\n" + " " * (len(line) - len(line.lstrip(" "))),
+                         write)
+    write(pieces[-1])
 
 
 def canonical_json(payload: Any) -> str:
@@ -202,8 +177,18 @@ def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
     over it at the end; if the block raises, the temporary file is removed
     and whatever was at `path` stays as it was. A new file gets the mode a
     plain write gives it, and a replaced file keeps its mode. Missing parent
-    directories are made; a symbolic link is written through.
+    directories are made; a symbolic link is written through. A path that
+    exists and is not a regular file (/dev/null, a pipe such as /dev/stdout,
+    a terminal) cannot be replaced, so it is opened and written in place.
     """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "wb") as handle:
+            yield handle
+        return
     path = Path(os.path.realpath(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
@@ -244,9 +229,15 @@ class ReportBundle:
 
 def emit_report(bundle: ReportBundle, path: str | Path) -> int:
     """Stream the canonical JSON form to `path`, atomically; returns the byte count."""
+    written = 0
+
+    def write(text: str) -> None:
+        nonlocal written
+        written += handle.write(text.encode("utf-8"))
+
     with atomic_output(path) as handle:
-        _write_canonical(bundle.to_dict(), lambda text: handle.write(text.encode("utf-8")))
-        return handle.tell()
+        _write_canonical(bundle.to_dict(), write)
+    return written
 
 
 def write_csv(path: str | Path, rows: Sequence[Sequence[Any]]) -> None:

@@ -4,7 +4,9 @@ import importlib.util
 import json
 import math
 import os
+import stat
 import sys
+import threading
 from enum import Enum, IntEnum
 from pathlib import Path
 
@@ -26,7 +28,10 @@ from riskbench.report import (
 
 
 def _round_floats(value):
-    """The rounded copy the writer once made before `json.dumps`."""
+    """The rounded copy the writer once made before `json.dumps`, with pair
+    rows as their list of objects."""
+    if isinstance(value, PairRows):
+        value = [{"a": p.a, "b": p.b, "score": p.score} for p in value]
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"reports must not contain non-finite floats: {value!r}")
@@ -41,6 +46,12 @@ def _round_floats(value):
 def oracle_json(payload) -> str:
     """The canonical text as the standard library prints it."""
     return json.dumps(_round_floats(payload), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def pair_rows(scores, labels=("p1:r1", "p1:r2", "p2:é\"1")):
+    scores = np.asarray(scores, dtype=float)
+    rows = np.arange(len(scores)) % len(labels)
+    return PairRows(list(labels), rows, (rows + 1) % len(labels), scores)
 
 
 class Color(str, Enum):
@@ -67,6 +78,7 @@ SCALARS = st.one_of(
     st.text(),
     st.text(alphabet="\x00\x01\x1f\x7f\"\\/\u00e9\u2028\u2029\U0001f600\ud800 \t\n"),
     st.sampled_from(list(Color)),
+    st.lists(FLOATS, max_size=3).map(pair_rows),
 )
 # small alphabets and ints so that keys such as 1 and "1", or True and "True", collide
 KEYS = st.one_of(st.text(alphabet="1Tru", max_size=4), st.integers(-2, 2), st.booleans(),
@@ -82,7 +94,7 @@ PAYLOADS = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(PAYLOADS)
 def test_canonical_json_equals_the_standard_library(payload):
     assert canonical_json(payload) == oracle_json(payload)
@@ -116,12 +128,6 @@ def test_canonical_json_rejects_non_finite():
         canonical_json({"x": float("inf")})
 
 
-def pair_rows(scores, labels=("p1:r1", "p1:r2", "p2:é\"1")):
-    scores = np.asarray(scores, dtype=float)
-    rows = np.arange(len(scores)) % len(labels)
-    return PairRows(list(labels), rows, (rows + 1) % len(labels), scores)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", [
     lambda x: {"x": x},
@@ -153,10 +159,16 @@ def test_pair_rows_write_as_their_list_of_objects(count):
     assert canonical_json(payload) == oracle_json(expected)
 
 
-def test_pair_rows_iterate_as_pair_scores():
+def test_pair_rows_are_a_sequence_of_pair_scores():
     rows = pair_rows([0.5, 1.0])
-    assert list(rows) == [PairScore("p1:r1", "p1:r2", 0.5), PairScore("p1:r2", 'p2:é"1', 1.0)]
-    assert rows == rows and hash(rows) == hash(rows)
+    listed = [PairScore("p1:r1", "p1:r2", 0.5), PairScore("p1:r2", 'p2:é"1', 1.0)]
+    assert list(rows) == listed
+    assert [rows[0], rows[-1]] == listed and type(rows[0].score) is float
+    assert list(rows[1:]) == listed[1:] and listed[0] in rows
+    with pytest.raises(IndexError):
+        rows[2]
+    same = pair_rows([0.5, 1.0])
+    assert rows == same and hash(rows) == hash(same) and rows != pair_rows([0.5, 0.75])
 
 
 def test_report_module_loads_standalone():
@@ -253,10 +265,10 @@ def test_emit_report_failing_mid_stream_leaves_the_path_as_it_was(tmp_path, exis
     if existing is not None:
         path.write_bytes(existing)
         path.chmod(0o640)
-    # the pair list spills to the file before the non-finite float after it
+    # the first pair list is written to the file before the second one fails
     rows = pair_rows(np.linspace(0, 1, 3 * report_module._PAIR_CHUNK))
     with pytest.raises(ValueError, match="non-finite"):
-        emit_report(bundle_of({"pairs": rows, "z": math.nan}), path)
+        emit_report(bundle_of({"a": rows, "b": pair_rows([0.5, math.nan])}), path)
     assert os.listdir(tmp_path) == ([] if existing is None else ["report.json"])
     if existing is not None:
         assert path.read_bytes() == existing
@@ -282,3 +294,21 @@ def test_atomic_output_writes_through_a_symbolic_link(tmp_path):
     emit_report(bundle_of(1), link)
     assert link.is_symlink()
     assert target.read_text() == canonical_json(bundle_of(1).to_dict())
+
+
+@pytest.mark.parametrize("write, expected", [
+    (lambda path: emit_report(bundle_of({"pairs": pair_rows([0.5, 0.25])}), path),
+     canonical_json(bundle_of({"pairs": pair_rows([0.5, 0.25])}).to_dict()).encode()),
+    (lambda path: write_heatmap_csv(path, ["a"], ["a"], [[1.0]]), b",a\na,1\n"),
+], ids=["report", "csv"])
+def test_outputs_write_into_a_path_that_is_not_a_regular_file(tmp_path, write, expected):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write(fifo)
+    reader.join(timeout=10)
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
