@@ -44,7 +44,7 @@ from .lifecycle import (
     project_lifecycles,
     step,
 )
-from .rbs import CooccurrenceMatrix, CoverageReport, Rbs, category_distribution, cooccurrence, coverage, default_rbs, load_rbs
+from .rbs import CooccurrenceMatrix, CoverageReport, Rbs, cooccurrence, coverage, default_rbs, load_rbs
 from .similarity import (
     MatchTable,
     SimilarityReport,

@@ -19,8 +19,8 @@ from .corpus import (
     ProjectRecord,
     default_scale_config,
     load_corpus,
+    load_register,
     load_scale_config,
-    parse_register,
 )
 from .errors import EmptyReportError, ParseError, RiskbenchError
 from .lifecycle import (
@@ -34,35 +34,33 @@ from .lifecycle import (
 from .parallel import parallel_map
 from .rbs import (
     DEFAULT_COVERAGE_THRESHOLD,
-    category_distribution,
     cooccurrence,
     coverage,
     default_rbs,
+    load_covered_texts,
     load_rbs,
+    summarize_coverage,
 )
 from .report import ReportBundle, emit_report, file_digest, write_csv, write_heatmap_csv
 from .resources import data_path, read_json_checked
 from .similarity import (
     EVALUATION_THRESHOLDS,
-    PairScore,
-    _basic_aggregates,
-    _group_pair_scores,
-    directional_mean_matrix,
     document_similarity,
     evaluation_level_report,
     match_registers,
     pooling_similarity,
+    risk_level_summary,
 )
 from .template import (
     DEFAULT_LABEL_THRESHOLD,
     DEFAULT_MATCH_THRESHOLD,
-    RiskTemplate,
     build_template,
     classify_risk,
     evaluate_template,
     filter_projects,
     group_risks,
     load_categories,
+    load_template,
     parse_filter,
 )
 from .vectorize import load_sentence_vectors, load_stopwords, load_word_vectors
@@ -172,30 +170,10 @@ def _cmd_similarity_docs(args, digests):
 def _cmd_similarity_risks(args, digests):
     corpus = _corpus(args, digests)
     backend, _ = _backends(args, digests)
-    if len(corpus.projects) < 2:
-        raise EmptyReportError("risk-level similarity needs at least 2 projects")
-    ids, matrix = directional_mean_matrix(corpus, backend, args.use_description)
-    pairs = [
-        PairScore(a, b, matrix[i][j])
-        for i, a in enumerate(ids)
-        for j, b in enumerate(ids)
-        if i != j and matrix[i][j] is not None
-    ]
-    if not pairs:
-        raise EmptyReportError("all registers are empty")
+    result = risk_level_summary(corpus, backend, args.use_description, args.group_by)
     if args.heatmap:
-        write_heatmap_csv(args.heatmap, ids, ids, matrix)
-    result = {
-        "level": "risk_item",
-        "projects": ids,
-        "directional_mean_matrix": matrix,
-        "overall": _basic_aggregates([p.score for p in pairs]),
-    }
-    if args.group_by:
-        result["group_means"] = {
-            name: _basic_aggregates(scores)
-            for name, scores in _group_pair_scores(corpus, pairs, args.group_by).items()
-        }
+        ids = result["projects"]
+        write_heatmap_csv(args.heatmap, ids, ids, result["directional_mean_matrix"])
     config = _similarity_config("risks", args.group_by, use_description=args.use_description)
     return config, result
 
@@ -263,24 +241,12 @@ def _cmd_template_build(args, digests):
     return config, result
 
 
-def _load_template_file(path: str) -> RiskTemplate:
-    raw = read_json_checked(path, "template")
-    result = raw.get("result") if isinstance(raw, dict) else None
-    if isinstance(result, dict) and "entries" in result:
-        raw = result
-    return RiskTemplate.from_dict(raw)
-
-
 def _cmd_template_eval(args, digests):
     backend, _ = _backends(args, digests)
-    template = _load_template_file(args.template)
+    template = load_template(args.template)
     digests["template"] = file_digest(args.template)
-    register_path = Path(args.register)
-    if not register_path.exists():
-        raise RiskbenchError(f"register file not found: {register_path}")
-    fmt = "json" if register_path.suffix.lower() == ".json" else "csv"
-    register = parse_register(register_path.read_bytes(), fmt, source=str(register_path))
-    digests["register"] = file_digest(register_path)
+    register = load_register(args.register)
+    digests["register"] = file_digest(args.register)
     counts = evaluate_template(template, register, backend, args.label_threshold)
     return {"label_threshold": args.label_threshold}, counts.to_dict()
 
@@ -388,60 +354,15 @@ def _cmd_rbs_coverage(args, digests):
     digests["rbs"] = file_digest(args.rbs or data_path("rbs_table21.json"))
 
     def one(project):
-        return coverage(
-            rbs,
-            project.register,
-            backend,
-            threshold=args.threshold,
-            project_id=project.project_id,
-            fallback_backend=fallback,
-        )
+        return coverage(rbs, project.register, backend, threshold=args.threshold,
+                        project_id=project.project_id, fallback_backend=fallback)
 
     reports = parallel_map(one, list(corpus.projects), args.jobs)
-    total_rows = sum(len(r.rows) for r in reports)
-    covered = sum(sum(1 for row in r.rows if row.covered) for r in reports)
-    try:
-        distribution = [
-            {"category": name, "fraction": fraction}
-            for name, fraction in category_distribution(reports)
-        ]
-    except EmptyReportError:
-        distribution = []
-    result = {
-        "threshold": args.threshold,
-        "rbs": {"categories": len(rbs.categories), "items": rbs.item_count},
-        "projects": [r.to_dict() for r in reports],
-        "overall": {
-            "risks": total_rows,
-            "covered": covered,
-            "coverage_fraction": covered / total_rows if total_rows else None,
-            "category_distribution": distribution,
-        },
-    }
-    return {"threshold": args.threshold}, result
-
-
-def _covered_items(path: str) -> list[list[str]]:
-    """Each project's covered item texts, in row order, from a coverage report."""
-    raw = read_json_checked(path, "coverage report")
-    payload = raw.get("result", raw) if isinstance(raw, dict) else None
-    projects = payload.get("projects") if isinstance(payload, dict) else None
-    if not isinstance(projects, list):
-        raise ParseError(f"{path}: not a coverage report")
-    covered = []
-    for index, project in enumerate(projects):
-        rows = project.get("rows", []) if isinstance(project, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-            raise ParseError(f"{path}, project {index}: expected an object with a 'rows' array")
-        items = [row.get("best_item") for row in rows if row.get("covered")]
-        if not all(isinstance(item, str) for item in items):
-            raise ParseError(f"{path}, project {index}: a covered row has no 'best_item' string")
-        covered.append(items)
-    return covered
+    return {"threshold": args.threshold}, summarize_coverage(rbs, reports, args.threshold)
 
 
 def _cmd_rbs_cooccur(args, digests) -> None:
-    covered = _covered_items(args.coverage)
+    covered = load_covered_texts(args.coverage)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
     rows = cooccurrence(covered, rbs).pairs_descending()
     write_csv(args.out, [("item_a", "item_b", "count"), *rows])

@@ -503,6 +503,18 @@ def serialize_register(snapshot: RegisterSnapshot) -> bytes:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
 
 
+def _register_format(path: Path) -> str:
+    return "json" if path.suffix.lower() == ".json" else "csv"
+
+
+def load_register(path: str | Path) -> RegisterSnapshot:
+    """Parse one register file as written: JSON by a .json suffix, else CSV."""
+    path = Path(path)
+    if not path.exists():
+        raise CorpusError(f"register file not found: {path}")
+    return parse_register(path.read_bytes(), _register_format(path), source=str(path))
+
+
 def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) -> Corpus:
     """Load every project and register listed in a manifest, in file order.
 
@@ -570,8 +582,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 ) from exc
             digests[register["path"]] = sha256(data).hexdigest()
             source = str(path)
-            fmt = "json" if path.suffix.lower() == ".json" else "csv"
-            rows, ordinal, label = _register_rows(data, fmt, source)
+            rows, ordinal, label = _register_rows(data, _register_format(path), source)
             items = []
             for risk_id, name, description, category, status, measures in rows:
                 try:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import RegisterSnapshot
-from .errors import EmptyReportError, RbsError
+from .errors import EmptyReportError, ParseError, RbsError
 from .resources import data_path, read_json_checked
 from .similarity import score_histogram
 from .vectorize import (
@@ -206,13 +206,6 @@ def coverage(
 
     covered_rows = [row for row in rows if row.covered]
     fraction = len(covered_rows) / len(rows)
-    per_category: dict[str, int] = {}
-    for row in covered_rows:
-        per_category[row.best_category] = per_category.get(row.best_category, 0) + 1
-    category_fractions = sorted(
-        ((name, count / len(covered_rows)) for name, count in per_category.items()),
-        key=lambda pair: (-pair[1], pair[0]),
-    ) if covered_rows else []
 
     labels = {item.risk_id: item.category_label for item in register.items}
     labeled = [
@@ -249,7 +242,7 @@ def coverage(
         rows=tuple(rows),
         coverage_fraction=fraction,
         histogram=score_histogram(row.score for row in rows),
-        category_fractions=category_fractions,
+        category_fractions=_category_fractions(rows),
         impact_means={
             "covered": impact_means(covered_rows),
             "not_covered": impact_means([row for row in rows if not row.covered]),
@@ -258,21 +251,52 @@ def coverage(
     )
 
 
-def category_distribution(reports: Sequence[CoverageReport]) -> list[tuple[str, float]]:
-    """Fraction of covered risks per level-1 category, descending."""
+def _category_fractions(rows: Iterable[CoverageRow]) -> list[tuple[str, float]]:
+    """Share of the covered rows per best category, descending, then by name;
+    empty when no row is covered."""
     counts: dict[str, int] = {}
-    total = 0
-    for report in reports:
-        for row in report.rows:
-            if row.covered:
-                counts[row.best_category] = counts.get(row.best_category, 0) + 1
-                total += 1
-    if total == 0:
-        raise EmptyReportError("no covered risks across the supplied reports")
-    return sorted(
-        ((name, count / total) for name, count in counts.items()),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
+    for row in rows:
+        if row.covered:
+            counts[row.best_category] = counts.get(row.best_category, 0) + 1
+    total = sum(counts.values())
+    return sorted(((name, count / total) for name, count in counts.items()),
+                  key=lambda pair: (-pair[1], pair[0]))
+
+
+def summarize_coverage(rbs: Rbs, reports: Sequence[CoverageReport], threshold: float) -> dict:
+    """The `rbs coverage` payload: every project's report and the coverage of
+    all their risks together."""
+    rows = [row for report in reports for row in report.rows]
+    covered = sum(row.covered for row in rows)
+    distribution = [{"category": name, "fraction": fraction}
+                    for name, fraction in _category_fractions(rows)]
+    return {
+        "threshold": threshold,
+        "rbs": {"categories": len(rbs.categories), "items": rbs.item_count},
+        "projects": [report.to_dict() for report in reports],
+        "overall": {"risks": len(rows), "covered": covered, "category_distribution": distribution,
+                    "coverage_fraction": covered / len(rows) if rows else None},
+    }
+
+
+def load_covered_texts(path: str | Path) -> list[list[str]]:
+    """Each project's covered item texts, in row order, from a coverage
+    report file as `rbs coverage` writes it (or its bare result)."""
+    raw = read_json_checked(path, "coverage report")
+    payload = raw.get("result", raw) if isinstance(raw, dict) else None
+    projects = payload.get("projects") if isinstance(payload, dict) else None
+    if not isinstance(projects, list):
+        raise ParseError(f"{path}: not a coverage report")
+    covered = []
+    for index, project in enumerate(projects):
+        rows = project.get("rows", []) if isinstance(project, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ParseError(f"{path}, project {index}: expected an object with a 'rows' array")
+        items = [row.get("best_item") for row in rows if row.get("covered")]
+        if not all(isinstance(item, str) for item in items):
+            raise ParseError(f"{path}, project {index}: a covered row has no 'best_item' string")
+        covered.append(items)
+    return covered
 
 
 @dataclass(frozen=True)

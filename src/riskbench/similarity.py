@@ -148,33 +148,53 @@ def document_similarity(
                 PairScore(corpus.projects[i].project_id, corpus.projects[j].project_id, score)
             )
 
-    aggregates = _basic_aggregates([p.score for p in pairs])
-    test: TTestResult | None = None
-    if group_by:
-        groups = _group_pair_scores(corpus, pairs, group_by)
-        aggregates["group_means"] = {
-            name: _basic_aggregates(scores) for name, scores in groups.items()
-        }
-        test = _maybe_group_test(groups)
+    aggregates, groups = _pair_summary(corpus, pairs, group_by)
     return SimilarityReport(
         level=Level.DOCUMENT,
         pairs=tuple(pairs),
         aggregates=aggregates,
-        test=test,
+        test=_maybe_group_test(groups),
         metadata={"group_by": group_by, "weighting": "pair"},
     )
 
 
-def _group_pair_scores(
-    corpus: Corpus, pairs: Sequence[PairScore], group_by: str
-) -> dict[str, list[float]]:
-    lookup = {p.project_id: _group_value(p, group_by) for p in corpus.projects}
+def risk_level_summary(
+    corpus: Corpus,
+    backend: EmbeddingBackend,
+    use_description: bool = False,
+    group_by: str | None = None,
+) -> dict:
+    """The `similarity risks` payload: the directional mean matrix and the
+    aggregates of its ordered project pairs, overall and, with `group_by`, by group."""
+    if len(corpus.projects) < 2:
+        raise EmptyReportError("risk-level similarity needs at least 2 projects")
+    ids, matrix = directional_mean_matrix(corpus, backend, use_description)
+    pairs = [PairScore(ids[i], ids[j], score) for i, row in enumerate(matrix)
+             for j, score in enumerate(row) if i != j and score is not None]
+    if not pairs:
+        raise EmptyReportError("all registers are empty")
+    overall, _ = _pair_summary(corpus, pairs, group_by)
+    result = {"level": "risk_item", "projects": ids, "directional_mean_matrix": matrix}
+    if group_by:
+        result["group_means"] = overall.pop("group_means")
+    return {**result, "overall": overall}
+
+
+def _pair_summary(
+    corpus: Corpus, pairs: Sequence[PairScore], group_by: str | None
+) -> tuple[dict, dict[str, list[float]]]:
+    """Score aggregates over all pairs, with "group_means" when `group_by` is
+    set, and the scores of the pairs whose two projects share a group, by group."""
+    aggregates = _basic_aggregates([p.score for p in pairs])
     groups: dict[str, list[float]] = {}
-    for pair in pairs:
-        ga, gb = lookup[pair.a], lookup[pair.b]
-        if ga == gb:
-            groups.setdefault(ga, []).append(pair.score)
-    return dict(sorted(groups.items()))
+    if group_by:
+        lookup = {p.project_id: _group_value(p, group_by) for p in corpus.projects}
+        for pair in pairs:
+            if lookup[pair.a] == lookup[pair.b]:
+                groups.setdefault(lookup[pair.a], []).append(pair.score)
+        groups = dict(sorted(groups.items()))
+        aggregates["group_means"] = {name: _basic_aggregates(s) for name, s in groups.items()}
+    return aggregates, groups
 
 
 def _group_value(project: ProjectRecord, group_by: str) -> str:

@@ -308,6 +308,15 @@ class RiskTemplate:
             raise TemplateError(f"invalid template payload: {exc}") from exc
 
 
+def load_template(path: str | Path) -> RiskTemplate:
+    """A template file: a `template build` report, or its bare result."""
+    raw = read_json_checked(path, "template")
+    result = raw.get("result") if isinstance(raw, dict) else None
+    if isinstance(result, dict) and "entries" in result:
+        raw = result
+    return RiskTemplate.from_dict(raw)
+
+
 def _sort_value(group: RiskGroup, sort_key: str) -> float:
     if sort_key == "prevalence":
         return group.prevalence

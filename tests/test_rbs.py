@@ -10,11 +10,11 @@ from riskbench.rbs import (
     Rbs,
     RbsCategory,
     RbsItem,
-    category_distribution,
     cooccurrence,
     coverage,
     default_rbs,
     load_rbs,
+    summarize_coverage,
 )
 from riskbench.resources import data_path
 from riskbench.vectorize import load_sentence_vectors
@@ -226,25 +226,32 @@ def test_coverage_sentence_backend_without_fallback_raises():
 # ----------------------------------------------------------------- distribution
 
 
+def _overall(reports):
+    return summarize_coverage(small_rbs(), reports, 0.6)["overall"]
+
+
 def test_category_distribution_single_category():
     register = make_register("alpha", "beta")
     report = coverage(small_rbs(), register, small_backend(), 0.6)
-    distribution = category_distribution([report])
-    assert distribution == [("CatA", 1.0)]
+    assert _overall([report])["category_distribution"] == [{"category": "CatA", "fraction": 1.0}]
 
 
 def test_category_distribution_two_to_one():
-    register = make_register("alpha", "beta", "gamma")
-    report = coverage(small_rbs(), register, small_backend(), 0.6)
-    distribution = category_distribution([report])
-    assert distribution[0] == ("CatA", pytest.approx(2 / 3))
-    assert distribution[1] == ("CatB", pytest.approx(1 / 3))
+    reports = [coverage(small_rbs(), make_register(*names), small_backend(), 0.6)
+               for names in (("alpha", "gamma"), ("beta", "zzz"))]
+    overall = _overall(reports)
+    assert (overall["risks"], overall["covered"], overall["coverage_fraction"]) == (4, 3, 0.75)
+    assert overall["category_distribution"] == [
+        {"category": "CatA", "fraction": pytest.approx(2 / 3)},
+        {"category": "CatB", "fraction": pytest.approx(1 / 3)},
+    ]
 
 
 def test_category_distribution_no_covered_risks():
     report = coverage(small_rbs(), make_register("zzz"), small_backend(), 0.6)
-    with pytest.raises(EmptyReportError):
-        category_distribution([report])
+    assert _overall([report]) == {"risks": 1, "covered": 0, "coverage_fraction": 0.0,
+                                  "category_distribution": []}
+    assert _overall([])["coverage_fraction"] is None
 
 
 def test_category_fractions_sum_to_one():
