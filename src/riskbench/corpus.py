@@ -550,8 +550,11 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")
         project_id = entry.get("id")
-        if not project_id:
-            raise CorpusError(f"{manifest_path}: project entry without an 'id'")
+        if not isinstance(project_id, str) or not project_id:
+            raise ParseError(f"{where}: 'id' must be a non-empty string, not {project_id!r}")
+        for key in ("jurisdiction", "delivery_method", "project_type", "size_band"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ParseError(f"{where}: {key!r} must be a string, not {entry[key]!r}")
         value = entry.get("contract_value_musd")
         if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ParseError(f"{where}: 'contract_value_musd' must be a number or null")

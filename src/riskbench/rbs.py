@@ -70,21 +70,28 @@ class Rbs:
 
 
 def load_rbs(path: str | Path) -> Rbs:
+    """An RBS file: {"categories": [{"name", "items": [{"text", "frequency"}]}]}."""
     raw = read_json_checked(path, "RBS file")
-    try:
-        categories = tuple(
-            RbsCategory(
-                name=entry["name"],
-                items=tuple(
-                    RbsItem(text=item["text"], report_frequency=item["frequency"])
-                    for item in entry["items"]
-                ),
-            )
-            for entry in raw["categories"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise RbsError(f"invalid RBS file {path}: {exc}") from exc
-    return Rbs(categories)
+    entries = raw.get("categories") if isinstance(raw, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise RbsError(f"{path}: expected an object with a non-empty 'categories' array")
+    categories = []
+    for index, entry in enumerate(entries):
+        where = f"{path}: category {index}"
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("items"), list)):
+            raise RbsError(f"{where}: expected an object with a 'name' string and an 'items' array")
+        items = []
+        for number, item in enumerate(entry["items"]):
+            if not isinstance(item, dict) or not isinstance(item.get("text"), str):
+                raise RbsError(f"{where}, item {number}: expected an object with a 'text' string")
+            frequency = item.get("frequency")
+            if isinstance(frequency, bool) or not isinstance(frequency, int) or frequency < 1:
+                raise RbsError(f"{where}, item {number}: 'frequency' must be an integer >= 1, "
+                               f"not {frequency!r}")
+            items.append(RbsItem(item["text"], frequency))
+        categories.append(RbsCategory(entry["name"], tuple(items)))
+    return Rbs(tuple(categories))
 
 
 def default_rbs() -> Rbs:

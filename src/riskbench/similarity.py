@@ -21,7 +21,6 @@ from .errors import CorpusError, EmptyReportError, StatTestError
 from .report import PairRows, PairScore
 from .vectorize import (
     EmbeddingBackend,
-    TfidfModel,
     cosine,
     cosine_table,
     tfidf_fit,
@@ -124,7 +123,6 @@ def project_document_tokens(
 
 def document_similarity(
     corpus: Corpus,
-    model: TfidfModel | None = None,
     *,
     stop_words: frozenset[str] = frozenset(),
     group_by: str | None = "delivery_method",
@@ -133,8 +131,7 @@ def document_similarity(
     if len(corpus.projects) < 2:
         raise EmptyReportError("document similarity needs at least 2 projects")
     docs = [project_document_tokens(p, stop_words) for p in corpus.projects]
-    if model is None:
-        model = tfidf_fit(docs)
+    model = tfidf_fit(docs)
     vectors = [tfidf_vector(model, doc) if doc else None for doc in docs]
 
     pairs: list[PairScore] = []

@@ -119,7 +119,6 @@ def _band_average(members: Sequence[GroupMember], attr: str) -> float | None:
 def summarize_group(
     members: Sequence[GroupMember],
     selected_project_count: int,
-    category: str | None = None,
 ) -> RiskGroup:
     """Fill representative text, prevalence, and band averages for a group."""
     if not members:
@@ -137,7 +136,6 @@ def summarize_group(
         avg_probability_band=_band_average(members, "probability_band"),
         avg_cost_band=_band_average(members, "cost_band"),
         avg_schedule_band=_band_average(members, "schedule_band"),
-        category=category,
         size=len(members),
     )
 
@@ -204,15 +202,19 @@ class CategorySet:
 
 
 def load_categories(path: str | Path) -> CategorySet:
+    """A category file: {"categories": [{"name", "description" (optional)}]}."""
     raw = read_json_checked(path, "category file")
-    try:
-        categories = tuple(
-            Category(name=entry["name"], description=entry.get("description", ""))
-            for entry in raw["categories"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise RbsError(f"invalid category file {path}: {exc}") from exc
-    return CategorySet(categories)
+    entries = raw.get("categories") if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
+        raise RbsError(f"{path}: expected an object with a 'categories' array")
+    categories = []
+    for index, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("description", ""), str)):
+            raise RbsError(f"{path}: category {index}: expected an object with a 'name' string "
+                           "and an optional 'description' string")
+        categories.append(Category(entry["name"], entry.get("description", "")))
+    return CategorySet(tuple(categories))
 
 
 def default_categories() -> CategorySet:
@@ -278,8 +280,19 @@ class RiskTemplate:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RiskTemplate":
-        try:
-            entries = tuple(
+        entries = raw.get("entries") if isinstance(raw, dict) else None
+        if not isinstance(entries, list):
+            raise TemplateError("expected an object with an 'entries' array")
+        for index, e in enumerate(entries):
+            if not (isinstance(e, dict) and isinstance(e.get("text"), str)
+                    and "rank" in e and "prevalence" in e):
+                raise TemplateError(f"entry {index}: expected an object with a 'text' string, "
+                                    "a 'rank' and a 'prevalence'")
+        described = raw.get("source_filter", {})
+        if not isinstance(described, dict):
+            raise TemplateError(f"'source_filter' must be an object, not {described!r}")
+        return cls(
+            entries=tuple(
                 TemplateEntry(
                     rank=e["rank"],
                     text=e["text"],
@@ -291,30 +304,24 @@ class RiskTemplate:
                     group_size=e.get("group_size", 1),
                     source_projects=e.get("source_projects", 1),
                 )
-                for e in raw["entries"]
-            )
-            described = raw.get("source_filter", {})
-            criteria = FilterCriteria(**{
+                for e in entries
+            ),
+            sort_key=raw.get("sort_key", "prevalence"),
+            source_filter=FilterCriteria(**{
                 f.name: None if described.get(f.name, "all") == "all" else described[f.name]
                 for f in fields(FilterCriteria)
-            })
-            return cls(
-                entries=entries,
-                sort_key=raw.get("sort_key", "prevalence"),
-                source_filter=criteria,
-                source_project_count=raw.get("source_project_count", 0),
-            )
-        except (KeyError, TypeError) as exc:
-            raise TemplateError(f"invalid template payload: {exc}") from exc
+            }),
+            source_project_count=raw.get("source_project_count", 0),
+        )
 
 
 def load_template(path: str | Path) -> RiskTemplate:
     """A template file: a `template build` report, or its bare result."""
     raw = read_json_checked(path, "template")
-    result = raw.get("result") if isinstance(raw, dict) else None
-    if isinstance(result, dict) and "entries" in result:
-        raw = result
-    return RiskTemplate.from_dict(raw)
+    try:
+        return RiskTemplate.from_dict(raw.get("result", raw) if isinstance(raw, dict) else raw)
+    except TemplateError as exc:
+        raise TemplateError(f"{path}: {exc}") from exc
 
 
 def _sort_value(group: RiskGroup, sort_key: str) -> float:

@@ -70,3 +70,18 @@ def toy_backend(table: dict[str, list[float]], stop_words=frozenset()) -> Embedd
         word_table={k: np.array(v, dtype=float) for k, v in table.items()},
         stop_words=stop_words,
     )
+
+
+def assert_same_text(actual, expected, what="texts"):
+    """Assert that two texts (or byte strings) are equal. A failure gives their
+    lengths and the first line that differs, by number and from both sides,
+    where pytest's own diff of two reports of megabytes can run for minutes."""
+    if actual == expected:
+        return
+    left, right = actual.splitlines(), expected.splitlines()
+    number = next((n for n, (a, b) in enumerate(zip(left, right)) if a != b),
+                  min(len(left), len(right)))
+    sides = [repr(lines[number])[:200] if number < len(lines) else "no line"
+             for lines in (left, right)]
+    pytest.fail(f"{what} differ: lengths {len(actual)} and {len(expected)}; first at line "
+                f"{number + 1}:\n  actual:   {sides[0]}\n  expected: {sides[1]}", pytrace=False)

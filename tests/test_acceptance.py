@@ -25,7 +25,7 @@ from riskbench.similarity import evaluation_similarity
 from riskbench.template import EvalCounts, group_risks
 from riskbench.vectorize import cosine, load_word_vectors, tfidf_fit, tfidf_vector
 
-from .conftest import make_register
+from .conftest import assert_same_text, make_register
 from .test_similarity import corpus_of, project_of
 from .test_vectorize import brute_force_tfidf_cosine
 
@@ -334,5 +334,5 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     assert len(first) == 13
     for left, right in zip(first, second):
-        assert left.read_bytes() == right.read_bytes(), left.name
+        assert_same_text(left.read_bytes(), right.read_bytes(), left.name)
     report("10 (byte-identical pipeline reruns)")

@@ -2,19 +2,25 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riskbench import vectorize
 from riskbench.cli import build_parser, main
 from riskbench.corpus import default_scale_config
 from riskbench.resources import data_path
 
+from .conftest import assert_same_text
 from .test_corpus import MANIFEST_FAULTS, write_manifest_fault
 
 WORD_VECTORS = str(data_path("embeddings", "reference_word_vectors.txt"))
@@ -463,7 +469,7 @@ def test_jobs_flag_does_not_change_output(manifest, tmp_path):
     base = ["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS]
     assert run(base + ["--jobs", "1", "--out", str(first)]) == 0
     assert run(base + ["--jobs", "4", "--out", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
+    assert_same_text(first.read_bytes(), second.read_bytes())
 
 
 # (command without --out, flag): each flag is a cosine in [-1, 1] or, for
@@ -637,6 +643,14 @@ def _with_metrics(project_id, entry):
     return {**STYLE_GROUPS, "metrics": {**STYLE_GROUPS["metrics"], project_id: entry}}
 
 
+def _rbs_with(name="A", **item):
+    return {"categories": [{"name": name, "items": [{"text": "t", "frequency": 1, **item}]}]}
+
+
+def _template_with(entry):
+    return {"entries": [{"rank": 1, "text": "utility relocation", "prevalence": 1.0, **entry}]}
+
+
 @pytest.mark.parametrize("kind, payload, message", [
     ("thresholds", {"careful": "x"}, "'careful' must be a finite number, not 'x'"),
     ("thresholds", {"doer_new_item": True}, "'doer_new_item' must be a finite number, not True"),
@@ -647,6 +661,20 @@ def _with_metrics(project_id, entry):
      "project '4' is missing metric 'cost_growth'"),
     ("groups", {**STYLE_GROUPS, "groups": {"doer": "45681", "planner": ["1", "2", "7", "9"]}},
      "groups file must hold exactly two 'groups' lists of project ids and a 'metrics' table"),
+    ("rbs", _rbs_with(frequency="x"),
+     "category 0, item 0: 'frequency' must be an integer >= 1, not 'x'"),
+    ("rbs", _rbs_with(text=5), "category 0, item 0: expected an object with a 'text' string"),
+    ("rbs", _rbs_with(name=["a"]),
+     "category 0: expected an object with a 'name' string and an 'items' array"),
+    ("rbs", {"categories": []}, "expected an object with a non-empty 'categories' array"),
+    ("categories", {"categories": [{"name": ["x"]}]},
+     "category 0: expected an object with a 'name' string and an optional 'description' string"),
+    ("categories", {"categories": [{"name": "a", "description": 7}]},
+     "category 0: expected an object with a 'name' string and an optional 'description' string"),
+    ("template", _template_with({"text": 5}),
+     "entry 0: expected an object with a 'text' string, a 'rank' and a 'prevalence'"),
+    ("template", {**_template_with({}), "source_filter": [1]},
+     "'source_filter' must be an object, not [1]"),
 ])
 def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, message):
     path = tmp_path / f"{kind}.json"
@@ -858,3 +886,199 @@ def test_report_envelope_records_scales(envelope_files, tmp_path, case):
                       tmp_path)
     assert report["command"] == command
     assert report["config"] == config
+
+
+# ------------------------------------------------------- mutated input oracle
+
+FIXTURE = data_path("fixtures", "expost")
+MUTATED_REGISTER = "registers/p01_s0.csv"
+CORPUS_COMMANDS = [
+    ["ingest", *CORPUS], ["similarity", "docs", *CORPUS], ["similarity", "risks", *CORPUS, *WORDS],
+    ["similarity", "pooling", *CORPUS, *WORDS], ["similarity", "evaluation", *CORPUS, *WORDS],
+    ["template", "build", *CORPUS, *WORDS], ["lifecycle", "ratios", *CORPUS],
+    ["lifecycle", "styles", *CORPUS], ["rbs", "coverage", *CORPUS, *WORDS],
+]
+TEMPLATE_EVAL = ["template", "eval", "--template", "{template}", "--register", "{register}", *WORDS]
+# Each mutated file: the commands that read it ("{file}" is the mutant) and
+# the number of drawn mutations, bounded so that the oracle takes a few seconds.
+MUTATED_FILES = {
+    "manifest": ([[a.replace("{manifest}", "{file}") for a in argv] for argv in CORPUS_COMMANDS],
+                 6),
+    "register": ([*CORPUS_COMMANDS, [a.replace("{register}", "{file}") for a in TEMPLATE_EVAL]],
+                 5),
+    "rbs": ([["rbs", "coverage", *CORPUS, *WORDS, "--rbs", "{file}"],
+             ["rbs", "cooccur", "--coverage", "{coverage}", "--rbs", "{file}"]], 12),
+    "categories": ([["template", "build", *CORPUS, *WORDS, "--categories", "{file}"]], 15),
+    "template": ([[a.replace("{template}", "{file}") for a in TEMPLATE_EVAL]], 20),
+    "groups": ([["lifecycle", "compare", "--groups", "{file}"]], 20),
+}
+WRONG_JSON_VALUES = (None, True, 0, -1, 2.5, math.nan, "", "x", [], [1], {}, {"a": 1})
+WRONG_CSV_VALUES = ("", "x", "0", "6", "-1", "2.5", "1e400", "nan", "Hap", "true")
+# Values that ended in a traceback, or were accepted, before the loaders
+# checked value types.
+KNOWN_FAULTS = {
+    "manifest": [("set", ["projects", 0, "id"], ["x"]),
+                 ("set", ["projects", 0, "project_type"], 3)],
+    "rbs": [("set", ["categories", 0, "items", 0, "frequency"], "x"),
+            ("set", ["categories", 0, "items", 0, "text"], 5),
+            ("set", ["categories", 0, "name"], ["a"]), ("set", ["categories"], [])],
+    "categories": [("set", ["categories", 0, "name"], ["x"]),
+                   ("set", ["categories", 0, "description"], 7)],
+    "template": [("set", ["result", "entries", 0, "text"], 5),
+                 ("set", ["result", "source_filter"], [1])],
+}
+
+
+def _mutate_json(data: bytes, kind: str, path: list, value) -> bytes:
+    """Set or delete the node that `path` walks to: a string step is a key,
+    an integer step picks a key (sorted) or an element, modulo their count."""
+    document = json.loads(data)
+    parent, key, node = None, None, document
+    for step in path:
+        if isinstance(node, dict) and node:
+            key = step if isinstance(step, str) else sorted(node)[step % len(node)]
+        elif isinstance(node, list) and node:
+            key = step % len(node)
+        else:
+            break
+        parent, node = node, node[key]
+    if parent is None:
+        document = value if kind == "set" else {}
+    elif kind == "set":
+        parent[key] = value
+    else:
+        del parent[key]
+    return json.dumps(document).encode("utf-8")
+
+
+def _mutate_csv(data: bytes, kind: str, path: list, value) -> bytes:
+    """Set one cell (`path` picks its row, then its column), or drop one
+    column from every row."""
+    rows = list(csv.reader(data.decode("utf-8").splitlines()))
+    row = rows[path[0] % len(rows)]
+    column = path[-1] % max(len(row), 1)
+    if kind == "set" and row:
+        row[column] = value
+    elif kind == "delete":
+        rows = [[cell for index, cell in enumerate(r) if index != column] for r in rows]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+def mutated(data: bytes, mutation, is_json: bool) -> bytes:
+    kind, path, value = mutation
+    if kind == "truncate":
+        return data[: path[0] % len(data)]
+    if kind == "non-utf-8":
+        cut = path[0] % (len(data) + 1)
+        return data[:cut] + b"\xff" + data[cut:]
+    return (_mutate_json if is_json else _mutate_csv)(data, kind, path, value)
+
+
+def mutations(values):
+    path = st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=6)
+    return st.one_of(
+        st.tuples(st.just("set"), path, st.sampled_from(values)),
+        st.tuples(st.sampled_from(["delete", "truncate", "non-utf-8"]), path, st.none()),
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_files(manifest, tmp_path_factory):
+    """A copy of the fixture corpus, a template and a coverage report of it,
+    and the bundled RBS, categories and a groups file."""
+    root = tmp_path_factory.mktemp("oracle")
+    corpus = root / "corpus"
+    shutil.copytree(FIXTURE, corpus)
+    files = {"manifest": str(corpus / "manifest.json"), "register": str(corpus / MUTATED_REGISTER),
+             "template": str(root / "template.json"), "coverage": str(root / "coverage.json"),
+             "rbs": str(data_path("rbs_table21.json")), "groups": str(root / "groups.json"),
+             "categories": str(data_path("wsdot_categories.json"))}
+    Path(files["groups"]).write_text(json.dumps(STYLE_GROUPS))
+    for argv, out in ((["template", "build", *CORPUS, *WORDS], "template"),
+                      (["rbs", "coverage", *CORPUS, *WORDS], "coverage")):
+        assert run([a.format(**files) for a in argv] + ["--out", files[out]]) == 0
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_FILES))
+def test_mutated_inputs_exit_0_or_1(oracle_files, tmp_path, name):
+    """Wrong value types, missing keys, truncation and non-UTF-8 bytes in an
+    input file end every command that reads it in exit 0 or 1, never in an
+    exception."""
+    commands, count = MUTATED_FILES[name]
+    original = Path(oracle_files[name]).read_bytes()
+    is_json = name != "register"
+    # the manifest's mutant sits beside it, so that register paths resolve;
+    # the register's mutant replaces it, and is put back after each run
+    if name == "register":
+        mutant = Path(oracle_files["register"])
+    elif name == "manifest":
+        mutant = Path(oracle_files["manifest"]).with_name("mutant.json")
+    else:
+        mutant = tmp_path / f"{name}.json"
+    files = {**oracle_files, "file": str(mutant)}
+
+    def check(mutation):
+        mutant.write_bytes(mutated(original, mutation, is_json))
+        try:
+            for argv in commands:
+                code = run([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")])
+                assert code in (0, 1), (mutation, argv)
+        finally:
+            if name == "register":
+                mutant.write_bytes(original)
+
+    test = given(mutation=mutations(WRONG_JSON_VALUES if is_json else WRONG_CSV_VALUES))(check)
+    for fault in KNOWN_FAULTS.get(name, []):
+        test = example(mutation=fault)(test)
+    settings(max_examples=count, deadline=None, derandomize=True, database=None,
+             suppress_health_check=list(HealthCheck))(test)()
+
+
+# One bad input per subcommand; each but lifecycle compare's ended in a
+# traceback before the loaders checked value types.
+BAD_INPUTS = {
+    "ingest": ("manifest", ("set", ["projects", 0, "id"], ["x"])),
+    "similarity docs": ("manifest", ("set", ["projects", 1, "id"], ["x"])),
+    "similarity risks": ("manifest", ("set", ["projects", 0, "id"], {"a": 1})),
+    "similarity pooling": ("manifest", ("set", ["projects", 0, "id"], [1])),
+    "similarity evaluation": ("manifest", ("set", ["projects", 2, "id"], ["x"])),
+    "template build": ("categories", ("set", ["categories", 0, "name"], ["x"])),
+    "template eval": ("template", ("set", ["result", "source_filter"], [1])),
+    "lifecycle ratios": ("manifest", ("set", ["projects", 0, "id"], ["x"])),
+    "lifecycle styles": ("manifest", ("set", ["projects", 3, "id"], ["x"])),
+    "lifecycle compare": ("groups", ("set", ["metrics", "4", "cost_growth"], None)),
+    "rbs coverage": ("rbs", ("set", ["categories", 0, "items", 0, "frequency"], "x")),
+    "rbs cooccur": ("rbs", ("set", ["categories", 1, "items", 2, "text"], 5)),
+}
+
+
+@pytest.fixture(scope="module")
+def bad_input_runs(oracle_files, tmp_path_factory):
+    """Each subcommand of BAD_INPUTS run on its bad input in a fresh
+    interpreter, two at a time: its mutant's path and the finished process."""
+    tmp = tmp_path_factory.mktemp("bad-inputs")
+
+    def one(command):
+        name, mutation = BAD_INPUTS[command]
+        argv = next(a for a in MUTATED_FILES[name][0] if " ".join(a).startswith(command))
+        stem = command.replace(" ", "-")
+        mutant = (Path(oracle_files["manifest"]).with_name(f"bad-{stem}.json")
+                  if name == "manifest" else tmp / f"{stem}.json")
+        mutant.write_bytes(mutated(Path(oracle_files[name]).read_bytes(), mutation, True))
+        files = {**oracle_files, "file": str(mutant)}
+        return mutant, fresh_python("-m", "riskbench.cli", *[a.format(**files) for a in argv],
+                                    "--out", str(tmp / f"{stem}.out"))
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(BAD_INPUTS, pool.map(one, BAD_INPUTS)))
+
+
+@pytest.mark.parametrize("command", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_without_traceback(bad_input_runs, command):
+    mutant, result = bad_input_runs[command]
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {mutant}")
+    assert "Traceback" not in result.stderr

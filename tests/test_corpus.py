@@ -328,6 +328,34 @@ MANIFEST_FAULTS = {
         json.dumps({"projects": [_project(award_year=2013.0)]}),
         "project 0: 'award_year' must be an integer or null",
     ),
+    "id a list": (
+        json.dumps({"projects": [_project(id=["x"])]}),
+        "project 0: 'id' must be a non-empty string, not ['x']",
+    ),
+    "id empty": (
+        json.dumps({"projects": [_project(), _project(id="")]}),
+        "project 1: 'id' must be a non-empty string, not ''",
+    ),
+    "id missing": (
+        json.dumps({"projects": [{"size_band": "under_500M", "registers": []}]}),
+        "project 0: 'id' must be a non-empty string, not None",
+    ),
+    "project type a number": (
+        json.dumps({"projects": [_project(project_type=3)]}),
+        "project 0: 'project_type' must be a string, not 3",
+    ),
+    "jurisdiction null": (
+        json.dumps({"projects": [_project(jurisdiction=None)]}),
+        "project 0: 'jurisdiction' must be a string, not None",
+    ),
+    "delivery method an object": (
+        json.dumps({"projects": [_project(delivery_method={"a": 1})]}),
+        "project 0: 'delivery_method' must be a string, not {'a': 1}",
+    ),
+    "size band a list": (
+        json.dumps({"projects": [_project(size_band=["over_1B"])]}),
+        "project 0: 'size_band' must be a string, not ['over_1B']",
+    ),
 }
 
 

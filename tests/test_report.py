@@ -26,6 +26,8 @@ from riskbench.report import (
     write_heatmap_csv,
 )
 
+from .conftest import assert_same_text
+
 
 def _round_floats(value):
     """The rounded copy the writer once made before `json.dumps`, with pair
@@ -97,7 +99,7 @@ PAYLOADS = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(PAYLOADS)
 def test_canonical_json_equals_the_standard_library(payload):
-    assert canonical_json(payload) == oracle_json(payload)
+    assert_same_text(canonical_json(payload), oracle_json(payload))
 
 
 @pytest.mark.parametrize("payload", [
@@ -108,7 +110,7 @@ def test_canonical_json_equals_the_standard_library(payload):
     {"s": "\x00\u00e9\u2028\ud800\"\\"},
 ])
 def test_canonical_json_equals_the_standard_library_on_edge_payloads(payload):
-    assert canonical_json(payload) == oracle_json(payload)
+    assert_same_text(canonical_json(payload), oracle_json(payload))
 
 
 def test_canonical_json_float_formatting():
@@ -156,7 +158,7 @@ def test_pair_rows_write_as_their_list_of_objects(count):
     assert len(listed) == len(rows) == count
     payload = {"result": {"aggregates": {"n": count}, "pairs": rows, "z": [rows]}}
     expected = {"result": {"aggregates": {"n": count}, "pairs": listed, "z": [listed]}}
-    assert canonical_json(payload) == oracle_json(expected)
+    assert_same_text(canonical_json(payload), oracle_json(expected))
 
 
 def test_pair_rows_are_a_sequence_of_pair_scores():
@@ -179,17 +181,18 @@ def test_report_module_loads_standalone():
     try:
         spec.loader.exec_module(module)
         payload = {"b": [1.0 / 3, {"c": None}], "a": "é"}
-        assert module.canonical_json(payload) == canonical_json(payload)
+        assert_same_text(module.canonical_json(payload), canonical_json(payload))
         rows = module.PairRows(["x", "y"], np.array([0, 1]), np.array([1, 0]),
                                np.array([0.5, 0.25]))
-        assert module.canonical_json(rows) == canonical_json(pair_rows([0.5, 0.25], ("x", "y")))
+        assert_same_text(module.canonical_json(rows),
+                         canonical_json(pair_rows([0.5, 0.25], ("x", "y"))))
     finally:
         del sys.modules[spec.name]
 
 
 def test_canonical_json_deterministic():
     payload = {"scores": [0.1, 0.2, 1 / 3], "meta": {"n": 3}}
-    assert canonical_json(payload) == canonical_json(json.loads(json.dumps(payload)))
+    assert_same_text(canonical_json(payload), canonical_json(json.loads(json.dumps(payload))))
 
 
 def test_emit_report_byte_identical(tmp_path):
@@ -203,7 +206,7 @@ def test_emit_report_byte_identical(tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     emit_report(bundle, first)
     emit_report(bundle, second)
-    assert first.read_bytes() == second.read_bytes()
+    assert_same_text(first.read_bytes(), second.read_bytes())
     payload = json.loads(first.read_text())
     assert payload["result"]["value"] == 0.666667
     assert payload["command"] == "riskbench test"
@@ -254,7 +257,7 @@ def test_emit_report_streams_and_counts_bytes(tmp_path):
     written = emit_report(bundle_of({"pairs": rows}), path)
     data = path.read_bytes()
     assert written == len(data)
-    assert data.decode("utf-8") == canonical_json(bundle_of({"pairs": rows}).to_dict())
+    assert_same_text(data.decode("utf-8"), canonical_json(bundle_of({"pairs": rows}).to_dict()))
     assert path.stat().st_mode == plain_write_mode(path.parent)
     assert os.listdir(path.parent) == ["report.json"]
 
@@ -293,7 +296,7 @@ def test_atomic_output_writes_through_a_symbolic_link(tmp_path):
     link.symlink_to(target)
     emit_report(bundle_of(1), link)
     assert link.is_symlink()
-    assert target.read_text() == canonical_json(bundle_of(1).to_dict())
+    assert_same_text(target.read_text(), canonical_json(bundle_of(1).to_dict()))
 
 
 @pytest.mark.parametrize("write, expected", [

@@ -112,20 +112,6 @@ def test_document_similarity_needs_two_projects():
         document_similarity(corpus)
 
 
-def test_document_similarity_accepts_prefitted_model(stopwords):
-    from riskbench.similarity import project_document_tokens
-    from riskbench.vectorize import tfidf_fit
-
-    corpus = corpus_of(
-        project_of(make_register("utility relocation"), "a"),
-        project_of(make_register("utility conflicts"), "b"),
-    )
-    model = tfidf_fit([project_document_tokens(p, stopwords) for p in corpus.projects])
-    prefit = document_similarity(corpus, model, stop_words=stopwords, group_by=None)
-    refit = document_similarity(corpus, stop_words=stopwords, group_by=None)
-    assert prefit.pairs == refit.pairs
-
-
 def test_document_similarity_group_means_and_test():
     regs = {
         "a1": make_register("utility relocation delays"),
