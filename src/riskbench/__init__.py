@@ -69,7 +69,6 @@ from .template import (
     evaluate_template,
     filter_projects,
     group_risks,
-    sensitivity_run,
     summarize_group,
 )
 from .vectorize import (

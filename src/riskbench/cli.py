@@ -63,7 +63,7 @@ from .template import (
     load_template,
     parse_filter,
 )
-from .vectorize import load_sentence_vectors, load_stopwords, load_word_vectors
+from .vectorize import EmbeddingBackend, load_sentence_vectors, load_stopwords, load_word_vectors
 
 
 # Each loader records the digest of every file it reads in `digests`, which
@@ -86,25 +86,21 @@ def _stop_words(args, digests: dict) -> frozenset[str]:
     return stop_words
 
 
-def _backends(args, digests: dict):
-    """Primary backend plus optional word-average fallback."""
+def _backend(args, digests: dict) -> EmbeddingBackend:
+    """The sentence table with the word vectors as its fallback, or either alone."""
     stop_words = _stop_words(args, digests)
     word = load_word_vectors(args.embeddings, stop_words) if args.embeddings else None
-    sentence = (
-        load_sentence_vectors(args.sentence_embeddings, stop_words)
-        if args.sentence_embeddings
-        else None
-    )
     if word is not None:
         digests["embeddings"] = word.digest
-    if sentence is not None:
+    if args.sentence_embeddings:
+        sentence = load_sentence_vectors(args.sentence_embeddings, stop_words)
         digests["sentence_embeddings"] = sentence.digest
-        return sentence, word
+        return replace(sentence, fallback=word)
     if word is None:
         raise RiskbenchError(
             "an embedding backend is required: pass --embeddings or --sentence-embeddings"
         )
-    return word, None
+    return word
 
 
 def _number(value, where: str):
@@ -169,7 +165,7 @@ def _cmd_similarity_docs(args, digests):
 
 def _cmd_similarity_risks(args, digests):
     corpus = _corpus(args, digests)
-    backend, _ = _backends(args, digests)
+    backend = _backend(args, digests)
     result = risk_level_summary(corpus, backend, args.use_description, args.group_by)
     if args.heatmap:
         ids = result["projects"]
@@ -180,7 +176,7 @@ def _cmd_similarity_risks(args, digests):
 
 def _cmd_similarity_pooling(args, digests):
     corpus = _corpus(args, digests)
-    backend, _ = _backends(args, digests)
+    backend = _backend(args, digests)
     reports = pooling_similarity(corpus, backend, args.use_description)
     rows = [
         {
@@ -201,7 +197,7 @@ def _cmd_similarity_pooling(args, digests):
 
 def _cmd_similarity_evaluation(args, digests):
     corpus = _corpus(args, digests)
-    backend, _ = _backends(args, digests)
+    backend = _backend(args, digests)
     base = args.threshold
     thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
     matches = match_registers(corpus, backend, min_score=base, use_description=args.use_description)
@@ -217,7 +213,7 @@ def _cmd_similarity_evaluation(args, digests):
 
 def _cmd_template_build(args, digests):
     corpus = _corpus(args, digests)
-    backend, _ = _backends(args, digests)
+    backend = _backend(args, digests)
     criteria = parse_filter(args.filter)
     selected = filter_projects(corpus, criteria)
     if not selected:
@@ -242,7 +238,7 @@ def _cmd_template_build(args, digests):
 
 
 def _cmd_template_eval(args, digests):
-    backend, _ = _backends(args, digests)
+    backend = _backend(args, digests)
     template = load_template(args.template)
     digests["template"] = file_digest(args.template)
     register = load_register(args.register)
@@ -349,13 +345,13 @@ def _cmd_lifecycle_compare(args, digests):
 
 def _cmd_rbs_coverage(args, digests):
     corpus = _corpus(args, digests)
-    backend, fallback = _backends(args, digests)
+    backend = _backend(args, digests)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
     digests["rbs"] = file_digest(args.rbs or data_path("rbs_table21.json"))
 
     def one(project):
         return coverage(rbs, project.register, backend, threshold=args.threshold,
-                        project_id=project.project_id, fallback_backend=fallback)
+                        project_id=project.project_id)
 
     reports = parallel_map(one, list(corpus.projects), args.jobs)
     return {"threshold": args.threshold}, summarize_coverage(rbs, reports, args.threshold)

@@ -12,19 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .corpus import RegisterSnapshot
 from .errors import EmptyReportError, ParseError, RbsError
 from .resources import data_path, read_json_checked
 from .similarity import score_histogram
-from .vectorize import (
-    PRECOMPUTED_SENTENCE,
-    EmbeddingBackend,
-    cosine_table,
-    normalize_sentence,
-    unit_rows,
-)
+from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
 
 DEFAULT_COVERAGE_THRESHOLD = 0.6
 
@@ -91,7 +83,10 @@ def load_rbs(path: str | Path) -> Rbs:
                                f"not {frequency!r}")
             items.append(RbsItem(item["text"], frequency))
         categories.append(RbsCategory(entry["name"], tuple(items)))
-    return Rbs(tuple(categories))
+    try:
+        return Rbs(tuple(categories))
+    except RbsError as exc:
+        raise RbsError(f"{path}: {exc}") from exc
 
 
 def default_rbs() -> Rbs:
@@ -150,56 +145,30 @@ class CoverageReport:
         }
 
 
-def _primary_units(
-    backend: EmbeddingBackend, texts: Sequence[str], allow_miss: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows of the texts in the primary space, zero where a precomputed
-    sentence table misses one (when misses are allowed), and the hit mask."""
-    hits = np.array([
-        not allow_miss
-        or backend.kind != PRECOMPUTED_SENTENCE
-        or normalize_sentence(text) in backend.sentence_table
-        for text in texts
-    ], dtype=bool)
-    units = np.zeros((len(texts), backend.dimension))
-    units[hits] = unit_rows(backend, [text for text, hit in zip(texts, hits) if hit])
-    return units, hits
-
-
 def coverage(
     rbs: Rbs,
     register: RegisterSnapshot,
     backend: EmbeddingBackend,
     threshold: float = DEFAULT_COVERAGE_THRESHOLD,
     project_id: str = "",
-    fallback_backend: EmbeddingBackend | None = None,
 ) -> CoverageReport:
     """Best-match every register risk to an RBS item and flag coverage.
 
-    A pair is scored in the primary space when both texts embed there; when
-    a precomputed sentence backend misses either text, the word-average
-    fallback (if given) scores the pair and the row is flagged.
+    A row is flagged `used_fallback` when the backend's sentence table
+    misses the risk's text, so that its scores come from the fallback.
     """
     if not register.items:
         raise EmptyReportError("coverage needs a non-empty register")
     flat = rbs.flat_items()
-    item_texts = [item.text for _, item in flat]
-    names = [risk.name for risk in register.items]
-    has_fallback = fallback_backend is not None
     # the RBS items first, so that a miss names an item before any register text
-    item_units, item_hits = _primary_units(backend, item_texts, has_fallback)
-    risk_units, risk_hits = _primary_units(backend, names, has_fallback)
-    scores = cosine_table(risk_units, item_units)
-    if has_fallback:
-        fallback = cosine_table(
-            unit_rows(fallback_backend, names), unit_rows(fallback_backend, item_texts)
-        )
-        scores = np.where(risk_hits[:, None] & item_hits[None, :], scores, fallback)
-    best = scores.argmax(axis=1)
+    keyed = unit_rows(backend, [*(item.text for _, item in flat),
+                                *(risk.name for risk in register.items)])
+    items, risks = keyed.ids[:len(flat)], keyed.ids[len(flat):]
+    best, scores = keyed.best(risks, items)
     rows: list[CoverageRow] = []
-    for risk, row_scores, index, hit in zip(register.items, scores, best, risk_hits):
-        category_name, item = flat[int(index)]
-        score = float(row_scores[index])
+    for risk, index, score, missed in zip(register.items, best.tolist(), scores.tolist(),
+                                          keyed.missed[risks].tolist()):
+        category_name, item = flat[index]
         rows.append(
             CoverageRow(
                 risk_id=risk.risk_id,
@@ -207,7 +176,7 @@ def coverage(
                 best_category=category_name,
                 score=score,
                 covered=score >= threshold,
-                used_fallback=not hit,
+                used_fallback=missed,
             )
         )
 

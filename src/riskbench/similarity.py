@@ -22,7 +22,6 @@ from .report import PairRows, PairScore
 from .vectorize import (
     EmbeddingBackend,
     cosine,
-    cosine_table,
     tfidf_fit,
     tfidf_vector,
     tokenize,
@@ -217,33 +216,32 @@ _BLOCK_BYTES = 16 << 20
 def _best_matches(
     backend: EmbeddingBackend, registers: Sequence[RegisterSnapshot], use_description: bool
 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
-    """Every distinct text's best match in every register, from one score table.
+    """Every distinct key's best match in every register, from one score table.
 
     Rows number the items of all registers in order. Returns each
-    register's [start, end) rows, each row's text id, and for text x and
+    register's [start, end) rows, each row's key id, and for key x and
     register t the best match's row `rows[x, t]` and cosine `scores[x, t]`
-    (-1 and -inf when t is empty). The distinct texts are scored against
-    each other in row blocks; a register's columns are its distinct texts in
+    (-1 and -inf when t is empty). The distinct keys are scored against
+    each other in row blocks; a register's columns are its distinct keys in
     the order of their first row there, so an argmax takes the lowest row
-    among tied texts, and identical texts share a column, so they tie
+    among tied texts, and texts with equal keys share a column, so they tie
     exactly on any BLAS kernel.
     """
-    distinct: dict[str, int] = {}
-    text_ids = np.array([distinct.setdefault(item.matching_text(use_description), len(distinct))
-                         for r in registers for item in r.items], dtype=np.intp)
-    units = unit_rows(backend, list(distinct))
+    keyed = unit_rows(backend, [item.matching_text(use_description)
+                                for r in registers for item in r.items])
+    key_ids, count = keyed.ids, len(keyed.units)
     bounds = [0, *accumulate(len(r.items) for r in registers)]
     spans = list(zip(bounds, bounds[1:]))
     columns = []
     for start, end in spans:
-        ids, first = np.unique(text_ids[start:end], return_index=True)
+        ids, first = np.unique(key_ids[start:end], return_index=True)
         order = np.argsort(first)
         columns.append((ids[order], first[order] + start))
-    rows = np.full((len(units), len(registers)), -1, dtype=np.intp)
-    scores = np.full((len(units), len(registers)), -np.inf)
-    step = max(1, _BLOCK_BYTES // (8 * max(len(units), 1)))
-    for low in range(0, len(units), step):
-        table = cosine_table(units[low:low + step], units)
+    rows = np.full((count, len(registers)), -1, dtype=np.intp)
+    scores = np.full((count, len(registers)), -np.inf)
+    step = max(1, _BLOCK_BYTES // (8 * max(count, 1)))
+    for low in range(0, count, step):
+        table = keyed.scores(slice(low, low + step), slice(None))
         high = low + len(table)
         for register, (ids, first) in enumerate(columns):
             if len(ids):
@@ -251,7 +249,7 @@ def _best_matches(
                 rows[low:high, register] = first[best]
                 scores[low:high, register] = table[np.arange(high - low), ids[best]]
         del table  # one block at a time: free it before the next is made
-    return spans, text_ids, rows, scores
+    return spans, key_ids, rows, scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,12 +294,12 @@ def pairwise_risk_similarity(
     """Directional report: every item of reg_a best-matched into reg_b."""
     if not reg_a.items or not reg_b.items:
         raise EmptyReportError("pairwise risk similarity needs two non-empty registers")
-    _, text_ids, rows, scores = _best_matches(backend, (reg_a, reg_b), use_description)
-    texts = text_ids[: len(reg_a.items)]
+    _, key_ids, rows, scores = _best_matches(backend, (reg_a, reg_b), use_description)
+    keys = key_ids[: len(reg_a.items)]
     pairs = [
-        PairScore(item.risk_id, reg_b.items[row - len(texts)].risk_id, score)
-        for item, row, score in zip(reg_a.items, rows[texts, 1].tolist(),
-                                    scores[texts, 1].tolist())
+        PairScore(item.risk_id, reg_b.items[row - len(keys)].risk_id, score)
+        for item, row, score in zip(reg_a.items, rows[keys, 1].tolist(),
+                                    scores[keys, 1].tolist())
     ]
     return _matched_report(Level.RISK_ITEM, pairs, {"use_description": use_description})
 
@@ -321,7 +319,7 @@ def pooling_similarity(
             raise EmptyReportError(
                 f"pooling: project {project.project_id!r} has an empty ex-ante register"
             )
-    spans, text_ids, rows, scores = _best_matches(
+    spans, key_ids, rows, scores = _best_matches(
         backend, [p.register for p in projects], use_description
     )
     owners = _corpus_rows(corpus)
@@ -330,13 +328,13 @@ def pooling_similarity(
         # The pool is every other register in corpus order: mask the
         # project's own, and the argmax over registers keeps the lowest pool
         # row among ties.
-        texts = text_ids[start:end]
-        pooled = scores[texts]
+        keys = key_ids[start:end]
+        pooled = scores[keys]
         pooled[:, index] = -np.inf
         target = pooled.argmax(axis=1)
         pairs = []
-        for item, row, score in zip(project.register.items, rows[texts, target].tolist(),
-                                    pooled[np.arange(len(texts)), target].tolist()):
+        for item, row, score in zip(project.register.items, rows[keys, target].tolist(),
+                                    pooled[np.arange(len(keys)), target].tolist()):
             owner, matched = owners[row]
             pairs.append(PairScore(item.risk_id, f"{owner}:{matched.risk_id}", score))
         metadata = {"project_id": project.project_id, "pool_size": len(owners) - end + start}
@@ -366,18 +364,18 @@ def match_registers(
     use_description: bool = False,
 ) -> MatchTable:
     """Best matches for every ordered pair of projects with non-empty registers."""
-    spans, text_ids, rows, scores = _best_matches(
+    spans, key_ids, rows, scores = _best_matches(
         backend, [p.register for p in corpus.projects], use_description
     )
     filled = [t for t, (start, end) in enumerate(spans) if start < end]
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
     for source, (start, end) in enumerate(spans):
         targets = [t for t in filled if t != source]
-        texts = text_ids[start:end]
+        keys = key_ids[start:end]
         parts.append((  # target-major, then source row
             np.tile(np.arange(start, end), len(targets)),
-            rows[texts][:, targets].T.ravel(),
-            scores[texts][:, targets].T.ravel(),
+            rows[keys][:, targets].T.ravel(),
+            scores[keys][:, targets].T.ravel(),
         ))
     sources, targets, best = (np.concatenate(column) for column in zip(*parts))
     keep = best >= min_score
@@ -391,14 +389,14 @@ def directional_mean_matrix(
 ) -> tuple[list[str], list[list[float | None]]]:
     """Mean best-match score for every ordered project pair; diagonal is 1."""
     ids = [p.project_id for p in corpus.projects]
-    spans, text_ids, _, scores = _best_matches(
+    spans, key_ids, _, scores = _best_matches(
         backend, [p.register for p in corpus.projects], use_description
     )
     matrix: list[list[float | None]] = [[1.0] * len(ids) for _ in ids]
     for i, (start, end) in enumerate(spans):
         # row j: the source rows' best scores in register j, contiguous, so
         # that each mean sums one 1-D array, as numpy sums a per-pair vector
-        by_target = np.ascontiguousarray(scores[text_ids[start:end]].T)
+        by_target = np.ascontiguousarray(scores[key_ids[start:end]].T)
         for j, (target_start, target_end) in enumerate(spans):
             if i != j:
                 empty = start == end or target_start == target_end

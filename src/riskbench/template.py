@@ -17,13 +17,7 @@ from typing import Sequence
 from .corpus import Assessment, Corpus, ProjectRecord, RegisterSnapshot
 from .errors import RbsError, TemplateError
 from .resources import data_path, read_json_checked
-from .vectorize import (
-    EmbeddingBackend,
-    best_against,
-    cosine_table,
-    normalize_sentence,
-    unit_rows,
-)
+from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
 
 DEFAULT_MATCH_THRESHOLD = 0.7
 DEFAULT_LABEL_THRESHOLD = 0.6
@@ -163,7 +157,7 @@ def group_risks(
                 )
             )
             texts.append(text)
-    units = unit_rows(backend, texts)
+    keyed = unit_rows(backend, texts)
 
     assigned = [False] * len(members)
     groups: list[RiskGroup] = []
@@ -173,8 +167,9 @@ def group_risks(
         assigned[seed] = True
         bucket = [members[seed]]
         if seed + 1 < len(members):
-            scores = cosine_table(units[seed : seed + 1], units[seed + 1 :])[0]
-            for offset, score in enumerate(scores):
+            # the seed against every distinct key, read at each later row
+            scores = keyed.scores(keyed.ids[seed : seed + 1], slice(None))[0]
+            for offset, score in enumerate(scores[keyed.ids[seed + 1 :]].tolist()):
                 later = seed + 1 + offset
                 if not assigned[later] and score >= threshold:
                     assigned[later] = True
@@ -214,7 +209,10 @@ def load_categories(path: str | Path) -> CategorySet:
             raise RbsError(f"{path}: category {index}: expected an object with a 'name' string "
                            "and an optional 'description' string")
         categories.append(Category(entry["name"], entry.get("description", "")))
-    return CategorySet(tuple(categories))
+    try:
+        return CategorySet(tuple(categories))
+    except RbsError as exc:
+        raise RbsError(f"{path}: {exc}") from exc
 
 
 def default_categories() -> CategorySet:
@@ -235,18 +233,14 @@ def classify_risk(
 ) -> list[ClassifiedRisk]:
     """Label each text with the category whose embedded "name description"
     text is most similar; ties go to the earliest category."""
-    units = unit_rows(backend, texts)
-    targets = unit_rows(
-        backend, [f"{c.name} {c.description}".strip() for c in categories.categories]
-    )
-    indices, scores = best_against(units, targets)
+    keyed = unit_rows(backend, [*texts, *(f"{c.name} {c.description}".strip()
+                                          for c in categories.categories)])
+    sources = keyed.ids[:len(texts)]
+    indices, scores = keyed.best(sources, keyed.ids[len(texts):])
     return [
-        ClassifiedRisk(
-            label=categories.categories[int(index)].name,
-            score=float(score),
-            all_oov=not row.any(),
-        )
-        for row, index, score in zip(units, indices, scores)
+        ClassifiedRisk(label=categories.categories[index].name, score=score, all_oov=all_oov)
+        for index, score, all_oov in zip(indices.tolist(), scores.tolist(),
+                                         keyed.all_oov[sources].tolist())
     ]
 
 
@@ -412,106 +406,17 @@ def evaluate_template(
         raise TemplateError("cannot evaluate an empty template")
     if not test_register.items:
         raise TemplateError("cannot evaluate against an empty register")
-    entry_units = unit_rows(backend, [entry.text for entry in template.entries])
-    risk_units = unit_rows(backend, [item.matching_text() for item in test_register.items])
-    indices, scores = best_against(risk_units, entry_units)
+    entries = len(template.entries)
+    keyed = unit_rows(backend, [*(entry.text for entry in template.entries),
+                                *(item.matching_text() for item in test_register.items)])
+    indices, scores = keyed.best(keyed.ids[entries:], keyed.ids[:entries])
     chosen_by_tp: set[int] = set()
     tp = fn = 0
-    for index, score in zip(indices, scores):
+    for index, score in zip(indices.tolist(), scores.tolist()):
         if score >= label_threshold:
             tp += 1
-            chosen_by_tp.add(int(index))
+            chosen_by_tp.add(index)
         else:
             fn += 1
-    fp = len(template.entries) - len(chosen_by_tp)
+    fp = entries - len(chosen_by_tp)
     return EvalCounts.from_counts(tp, fn, fp)
-
-
-CHARACTERISTICS = ("all", "project_type", "delivery_method", "size_band", "jurisdiction")
-
-
-def _criteria_for(project: ProjectRecord, characteristic: str) -> FilterCriteria:
-    if characteristic == "all":
-        return FilterCriteria()
-    if characteristic == "size_band":
-        return FilterCriteria(size_band=project.size_band.value)
-    return FilterCriteria(**{characteristic: getattr(project, characteristic)})
-
-
-def sensitivity_run(
-    corpus: Corpus,
-    test_projects: Sequence[ProjectRecord],
-    characteristic: str,
-    backend: EmbeddingBackend,
-    *,
-    sort_key: str = "prevalence",
-    top_n: int = 30,
-    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
-    label_threshold: float = DEFAULT_LABEL_THRESHOLD,
-) -> dict:
-    """Metric deltas of characteristic-filtered templates vs the baseline."""
-    if characteristic not in CHARACTERISTICS:
-        raise TemplateError(f"unknown characteristic {characteristic!r}")
-    corpus_ids = {p.project_id for p in corpus.projects}
-    overlap = [p.project_id for p in test_projects if p.project_id in corpus_ids]
-    if overlap:
-        raise TemplateError(f"test projects must be disjoint from the corpus: {overlap}")
-
-    baseline_groups = group_risks(list(corpus.projects), backend, match_threshold)
-    baseline_template = build_template(
-        baseline_groups, sort_key, top_n, FilterCriteria(), len(corpus.projects)
-    )
-
-    rows = []
-    for project in test_projects:
-        base = evaluate_template(
-            baseline_template, project.register, backend, label_threshold
-        )
-        row: dict = {
-            "project_id": project.project_id,
-            "baseline": base.to_dict(),
-            "characteristic_value": (
-                "all"
-                if characteristic == "all"
-                else _criteria_for(project, characteristic).describe()[characteristic]
-            ),
-        }
-        criteria = _criteria_for(project, characteristic)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            subset = filter_projects(corpus, criteria)
-        if not subset:
-            row["skipped"] = True
-            rows.append(row)
-            continue
-        groups = group_risks(subset, backend, match_threshold)
-        template = build_template(groups, sort_key, top_n, criteria, len(subset))
-        scored = evaluate_template(template, project.register, backend, label_threshold)
-        row["skipped"] = False
-        row["filtered"] = scored.to_dict()
-        row["delta"] = {
-            metric: (
-                getattr(scored, metric) - getattr(base, metric)
-                if getattr(scored, metric) is not None and getattr(base, metric) is not None
-                else None
-            )
-            for metric in ("recall", "precision", "f1")
-        }
-        rows.append(row)
-
-    evaluated = [r for r in rows if not r["skipped"]]
-    mean_delta = {
-        metric: (
-            sum(r["delta"][metric] for r in evaluated if r["delta"][metric] is not None)
-            / len([r for r in evaluated if r["delta"][metric] is not None])
-            if any(r["delta"][metric] is not None for r in evaluated)
-            else None
-        )
-        for metric in ("recall", "precision", "f1")
-    }
-    return {
-        "characteristic": characteristic,
-        "projects": rows,
-        "mean_delta": mean_delta,
-        "skipped_count": sum(1 for r in rows if r["skipped"]),
-    }

@@ -148,20 +148,78 @@ def _snap_unit(value: float) -> float:
     return value
 
 
-def unit_rows(backend: "EmbeddingBackend", texts: Sequence[str]) -> np.ndarray:
-    """Stack embeddings as unit rows; all-zero embeddings stay zero rows.
+@dataclass(frozen=True, eq=False)
+class KeyedUnits:
+    """Texts embedded once per distinct embedding key.
 
-    Each distinct text is embedded once, in first-occurrence order, so a
-    missing sentence vector is reported for the same text as a row-by-row
-    pass would report it.
+    `ids[i]` is text i's key id (keys numbered in first-occurrence order),
+    `units[k]` key k's unit vector and `all_oov[k]` whether key k has no
+    vector in the space that scores it (a zero row). `missed[k]` flags the
+    keys a sentence table misses; when any is missed, `fallback` holds every
+    key's first text embedded by the backend's fallback (its `ids` run over
+    this object's key ids), else it is None.
     """
-    if not texts:
-        return np.zeros((0, backend.dimension))
-    first: dict[str, int] = {}
-    rows = [first.setdefault(text, len(first)) for text in texts]
-    matrix = np.stack([embed_text(backend, text).vector for text in first])
+
+    ids: np.ndarray
+    units: np.ndarray
+    all_oov: np.ndarray
+    missed: np.ndarray
+    fallback: "KeyedUnits | None" = None
+
+    def scores(self, rows, cols) -> np.ndarray:
+        """Cosines of the keys `rows` against the keys `cols` (id arrays or
+        slices): in the primary space where both keys hit it, else in the
+        fallback space, where each distinct fallback key is scored once."""
+        table = cosine_table(self.units[rows], self.units[cols])
+        if self.fallback is None:
+            return table
+        hit = ~self.missed
+        fallback_rows, row_of = np.unique(self.fallback.ids[rows], return_inverse=True)
+        fallback_cols, col_of = np.unique(self.fallback.ids[cols], return_inverse=True)
+        fallback = self.fallback.scores(fallback_rows, fallback_cols)[row_of][:, col_of]
+        return np.where(hit[rows][:, None] & hit[cols], table, fallback)
+
+    def best(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each key id in `rows`, the position in `cols` of its best match
+        and its cosine; ties take the lowest position. Each distinct key is
+        scored once, so equal keys tie exactly."""
+        row_keys, row_of = np.unique(rows, return_inverse=True)
+        col_keys, col_of = np.unique(cols, return_inverse=True)
+        table = self.scores(row_keys, col_keys)[:, col_of]
+        best = table.argmax(axis=1)
+        return best[row_of], table[np.arange(len(best)), best][row_of]
+
+
+def unit_rows(backend: "EmbeddingBackend", texts: Sequence[str]) -> KeyedUnits:
+    """Embed each distinct key of the texts once, in first-occurrence order.
+
+    Without a fallback, a missing sentence vector is reported for the first
+    text that misses. With one, the missed keys are flagged instead and
+    every key is embedded by the fallback too.
+    """
+    first: dict = {}  # key -> (key id, first text)
+    ids = np.array([first.setdefault(embedding_key(backend, text), (len(first), text))[0]
+                    for text in texts], dtype=np.intp)
+    originals = [text for _, text in first.values()]
+    matrix = np.zeros((len(originals), backend.dimension))
+    all_oov = np.zeros(len(originals), dtype=bool)
+    missed = np.zeros(len(originals), dtype=bool)
+    for key, text in enumerate(originals):
+        try:
+            embedded = embed_text(backend, text)
+        except MissingEmbeddingError:
+            if backend.fallback is None:
+                raise
+            missed[key] = True
+        else:
+            matrix[key], all_oov[key] = embedded.vector, embedded.all_oov
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return (matrix / np.where(norms == 0.0, 1.0, norms))[rows]
+    units = matrix / np.where(norms == 0.0, 1.0, norms)
+    if not missed.any():
+        return KeyedUnits(ids, units, all_oov, missed)
+    fallback = unit_rows(backend.fallback, originals)
+    all_oov[missed] = fallback.all_oov[fallback.ids[missed]]
+    return KeyedUnits(ids, units, all_oov, missed, fallback)
 
 
 def cosine_table(unit_a: np.ndarray, unit_b: np.ndarray) -> np.ndarray:
@@ -171,13 +229,6 @@ def cosine_table(unit_a: np.ndarray, unit_b: np.ndarray) -> np.ndarray:
     scores[scores >= 1.0 - _UNIT_EPS] = 1.0
     scores[scores <= -1.0 + _UNIT_EPS] = -1.0
     return scores
-
-
-def best_against(unit_a: np.ndarray, unit_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise argmax cosine of unit_a into unit_b; ties take the lowest index."""
-    scores = cosine_table(unit_a, unit_b)
-    indices = scores.argmax(axis=1)
-    return indices, scores[np.arange(len(indices)), indices]
 
 
 def cosine(v, w) -> float:
@@ -213,6 +264,9 @@ class EmbeddingBackend:
     stop_words: frozenset[str] = frozenset()
     source: str = ""
     digest: str = ""  # SHA-256 of the bytes the table was read from
+    # embeds the texts a sentence table misses; pairs with such a text are
+    # scored in the fallback's space
+    fallback: "EmbeddingBackend | None" = None
 
     def __post_init__(self) -> None:
         if self.kind not in (WORD_AVERAGE, PRECOMPUTED_SENTENCE):
@@ -227,22 +281,28 @@ class EmbeddedText:
     all_oov: bool = False
 
 
-def embed_text(backend: EmbeddingBackend, text: str) -> EmbeddedText:
-    """Mean token vector (word_average) or exact table lookup (precomputed)."""
+def embedding_key(backend: EmbeddingBackend, text: str) -> str | tuple[str, ...]:
+    """What the backend embeds of a text: the normalized sentence for a
+    sentence table, the sorted in-vocabulary tokens after stop words for word
+    averages. Texts with equal keys embed to the same bits."""
     if backend.kind == PRECOMPUTED_SENTENCE:
-        key = normalize_sentence(text)
+        return normalize_sentence(text)
+    return tuple(sorted(token for token in tokenize(text, backend.stop_words)
+                        if token in backend.word_table))
+
+
+def embed_text(backend: EmbeddingBackend, text: str) -> EmbeddedText:
+    """Exact table lookup (precomputed) or the mean token vector (word_average),
+    summed in key order."""
+    key = embedding_key(backend, text)
+    if backend.kind == PRECOMPUTED_SENTENCE:
         vector = backend.sentence_table.get(key)
         if vector is None:
             raise MissingEmbeddingError(f"no precomputed sentence vector for {text!r}")
         return EmbeddedText(vector=vector, all_oov=False)
-    hits = [
-        backend.word_table[token]
-        for token in tokenize(text, backend.stop_words)
-        if token in backend.word_table
-    ]
-    if not hits:
+    if not key:
         return EmbeddedText(vector=np.zeros(backend.dimension), all_oov=True)
-    return EmbeddedText(vector=np.mean(hits, axis=0), all_oov=False)
+    return EmbeddedText(vector=np.mean([backend.word_table[token] for token in key], axis=0))
 
 
 def load_word_vectors(

@@ -7,7 +7,13 @@ import pytest
 
 from riskbench.corpus import Assessment, RegisterSnapshot, RiskItem
 from riskbench.resources import data_path
-from riskbench.vectorize import EmbeddingBackend, default_stopwords, load_word_vectors
+from riskbench.vectorize import (
+    EmbeddingBackend,
+    cosine_table,
+    default_stopwords,
+    embed_text,
+    load_word_vectors,
+)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -61,6 +67,21 @@ def make_register(*names, ordinal=0):
     )
 
 
+def unit_matrix(backend, texts) -> np.ndarray:
+    """The per-text reference path: every text embedded on its own, as a unit row."""
+    matrix = np.array([embed_text(backend, text).vector for text in texts], dtype=float)
+    matrix = matrix.reshape(len(texts), backend.dimension)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix / np.where(norms == 0.0, 1.0, norms)
+
+
+def best_against(unit_a, unit_b):
+    """Row-wise argmax cosine of unit_a into unit_b; ties take the lowest index."""
+    scores = cosine_table(unit_a, unit_b)
+    indices = scores.argmax(axis=1)
+    return indices, scores[np.arange(len(indices)), indices]
+
+
 def toy_backend(table: dict[str, list[float]], stop_words=frozenset()) -> EmbeddingBackend:
     """Hand-built word table for tests with exact vectors."""
     dim = len(next(iter(table.values())))
@@ -85,3 +106,16 @@ def assert_same_text(actual, expected, what="texts"):
              for lines in (left, right)]
     pytest.fail(f"{what} differ: lengths {len(actual)} and {len(expected)}; first at line "
                 f"{number + 1}:\n  actual:   {sides[0]}\n  expected: {sides[1]}", pytrace=False)
+
+
+# Texts with one embedding key under `variant_backend`: they differ in case,
+# punctuation, a stop word, an out-of-vocabulary token and word order. Summed
+# in text order, their three token vectors round to different bits, so ties
+# among them show whether equal keys share one vector.
+VARIANTS = ("alpha beta gamma", "Gamma, beta; alpha.", "the beta gamma alpha",
+            "gamma zzqx alpha beta")
+
+
+def variant_backend() -> EmbeddingBackend:
+    return toy_backend({"alpha": [0.4, 0.2, 0.1], "beta": [0.6, 0.3, 0.7],
+                        "gamma": [0.2, 0.9, 0.4], "delta": [0.2, 0.6, 0.9]}, frozenset({"the"}))

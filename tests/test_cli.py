@@ -542,19 +542,21 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == ""
 
 
-def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, monkeypatch):
+def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, monkeypatch,
+                                                          capsys):
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-    words = ["--embeddings", WORD_VECTORS]
-    # the bundled sentence table does not cover the fixture, so the sentence
-    # backend is exercised where the word fallback is wired: rbs coverage
+    # the bundled sentence table does not cover the fixture: every command
+    # embeds the texts it misses with the word fallback
+    sentences = ["--sentence-embeddings", SENTENCE_VECTORS]
+    register = str(data_path("fixtures", "expost", "registers", "p01_s0.csv"))
     commands = {
-        "risks": ["similarity", "risks", "--manifest", manifest, *words],
-        "template": ["template", "build", "--manifest", manifest, *words],
-        "coverage": [
-            "rbs", "coverage", "--manifest", manifest,
-            "--sentence-embeddings", SENTENCE_VECTORS, *words,
-        ],
+        **{mode: ["similarity", mode, "--manifest", manifest]
+           for mode in ("risks", "pooling", "evaluation")},
+        "template": ["template", "build", "--manifest", manifest],
+        "eval": ["template", "eval", "--template", str(tmp_path / "template-{state}.json"),
+                 "--register", register],
+        "coverage": ["rbs", "coverage", "--manifest", manifest],
     }
     reports = {}
     for state in ("cold", "warm"):
@@ -563,18 +565,29 @@ def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, mo
                 monkeypatch.setattr(vectorize, parser, None)
         for name, argv in commands.items():
             out = tmp_path / f"{name}-{state}.json"
-            assert run(argv + ["--out", str(out)]) == 0
+            argv = [arg.format(state=state) for arg in argv]
+            assert run(argv + [*sentences, "--embeddings", WORD_VECTORS, "--out", str(out)]) == 0
             reports[name, state] = out.read_bytes()
         assert len(list((cache / "riskbench").glob("*.npz"))) == 2
     sha256 = {
         path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
         for path in (WORD_VECTORS, SENTENCE_VECTORS)
     }
-    for name in commands:
+    for name, argv in commands.items():
         assert reports[name, "cold"] == reports[name, "warm"]
-        assert json.loads(reports[name, "warm"])["inputs"]["embeddings"] == sha256[WORD_VECTORS]
-    inputs = json.loads(reports["coverage", "warm"])["inputs"]
-    assert inputs["sentence_embeddings"] == sha256[SENTENCE_VECTORS]
+        inputs = json.loads(reports[name, "warm"])["inputs"]
+        assert inputs["embeddings"] == sha256[WORD_VECTORS]
+        assert inputs["sentence_embeddings"] == sha256[SENTENCE_VECTORS]
+        # without the fallback, the first text the table misses is named:
+        # `template eval` embeds the template's entries before the register
+        missing = ("contractor access restrictions" if name == "eval"
+                   else "unknown utilities encountered during excavation")
+        capsys.readouterr()
+        out = tmp_path / f"{name}-no-fallback.json"
+        assert run([arg.format(state="warm") for arg in argv]
+                   + [*sentences, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: no precomputed sentence vector for {missing!r}\n"
+        assert not out.exists()
 
 
 def test_similarity_pooling_empty_register_exits_1_without_traceback(tmp_path):
@@ -675,6 +688,14 @@ def _template_with(entry):
      "entry 0: expected an object with a 'text' string, a 'rank' and a 'prevalence'"),
     ("template", {**_template_with({}), "source_filter": [1]},
      "'source_filter' must be an object, not [1]"),
+    ("rbs", {"categories": [*_rbs_with()["categories"], *_rbs_with(text="u")["categories"]]},
+     "category names must be unique"),
+    ("rbs", {"categories": [*_rbs_with()["categories"], *_rbs_with(name="B")["categories"]]},
+     "duplicate item text 't'"),
+    ("rbs", {"categories": [{"name": "A", "items": []}]}, "category 'A' has no items"),
+    ("categories", {"categories": [{"name": "a"}, {"name": "a", "description": "b"}]},
+     "category names must be unique"),
+    ("categories", {"categories": []}, "category set must not be empty"),
 ])
 def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, message):
     path = tmp_path / f"{kind}.json"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from riskbench.rbs import (
 from riskbench.resources import data_path
 from riskbench.vectorize import load_sentence_vectors
 
-from .conftest import make_register, toy_backend
+from .conftest import VARIANTS, make_register, toy_backend, variant_backend
 
 
 # ----------------------------------------------------------------- loading
@@ -159,6 +160,18 @@ def test_coverage_argmax_is_exhaustively_best(reference_backend):
         assert row.score == pytest.approx(best, abs=1e-12)
 
 
+def test_coverage_items_with_one_key_tie_to_the_first():
+    backend = variant_backend()
+    rbs = Rbs((RbsCategory("A", (RbsItem("delta", 1),)),
+               RbsCategory("B", tuple(RbsItem(text, 1) for text in VARIANTS))))
+    register = make_register("delta alpha", "alpha", "gamma delta", "beta", "alpha gamma")
+    report = coverage(rbs, register, backend, 0.6)
+    assert [row.best_item for row in report.rows] == [
+        VARIANTS[0], VARIANTS[0], "delta", VARIANTS[0], VARIANTS[0]]
+    expected = _coverage_oracle(rbs, register, backend, 0.6, None)
+    assert [row.score for row in report.rows] == pytest.approx([e[1] for e in expected], abs=1e-12)
+
+
 def test_coverage_impact_means_split():
     from .conftest import make_item
     from riskbench.corpus import RegisterSnapshot
@@ -208,8 +221,7 @@ def test_coverage_sentence_backend_with_fallback(reference_backend):
         "pile driving noise and vibration", # RBS text, present
         "a risk text nobody precomputed",   # falls back to word average
     )
-    report = coverage(default_rbs(), register, sentence,
-                      fallback_backend=reference_backend)
+    report = coverage(default_rbs(), register, replace(sentence, fallback=reference_backend))
     assert not report.rows[0].used_fallback
     assert report.rows[2].used_fallback
     assert report.rows[1].score == 1.0
@@ -390,8 +402,6 @@ def _coverage_oracle(rbs, register, backend, threshold, fallback_backend):
 
 
 def _sentence_backend_without(texts):
-    from dataclasses import replace
-
     from riskbench.vectorize import normalize_sentence
 
     full = load_sentence_vectors(data_path("embeddings", "reference_sentence_vectors.jsonl"))
@@ -413,8 +423,8 @@ def test_coverage_equals_per_risk_loop_on_fixture(expost_manifest, reference_bac
     sentence = _sentence_backend_without(texts)
     fell_back = 0
     for project in corpus.projects:
-        report = coverage(rbs, project.register, sentence, 0.6, project.project_id,
-                          fallback_backend=reference_backend)
+        report = coverage(rbs, project.register, replace(sentence, fallback=reference_backend),
+                          0.6, project.project_id)
         expected = _coverage_oracle(rbs, project.register, sentence, 0.6, reference_backend)
         for row, (best_item, score, covered, used_fallback) in zip(report.rows, expected):
             assert (row.best_item, row.covered, row.used_fallback) == (

@@ -33,15 +33,23 @@ from riskbench.similarity import (
     two_sample_t_test,
 )
 from riskbench.vectorize import (
-    best_against,
     cosine,
     embed_text,
+    embedding_key,
     load_word_vectors,
     tokenize,
     unit_rows,
 )
 
-from .conftest import make_item, make_register, toy_backend
+from .conftest import (
+    VARIANTS,
+    best_against,
+    make_item,
+    make_register,
+    toy_backend,
+    unit_matrix,
+    variant_backend,
+)
 from .test_vectorize import brute_force_tfidf_cosine
 
 
@@ -150,9 +158,8 @@ def test_report_mean_equals_pair_mean_invariant():
 
 def best_match(risk, candidates, backend):
     """(target risk_id, score) of the kernel's best match of one risk."""
-    indices, scores = best_against(
-        unit_rows(backend, [risk.name]), unit_rows(backend, [c.name for c in candidates])
-    )
+    keyed = unit_rows(backend, [risk.name, *(c.name for c in candidates)])
+    indices, scores = keyed.best(keyed.ids[:1], keyed.ids[1:])
     return candidates[int(indices[0])].risk_id, float(scores[0])
 
 
@@ -364,7 +371,7 @@ def _pooling_oracle(corpus, backend, use_description):
             for item in other.register.items
         ]
         texts = [i.matching_text(use_description) for i in project.register.items]
-        indices, scores = best_against(unit_rows(backend, texts), unit_rows(backend, pool))
+        indices, scores = best_against(unit_matrix(backend, texts), unit_matrix(backend, pool))
         reports.append((pool, [
             (item.risk_id, int(j), float(score))
             for item, j, score in zip(project.register.items, indices, scores)
@@ -377,12 +384,13 @@ def printed(score):
     return f"{score:.6g}"
 
 
-def assert_same_target(texts, row, oracle_row, score, oracle_score):
+def assert_same_target(keys, row, oracle_row, score, oracle_score):
     """The match table may pick another target than the per-pair oracle only
-    where the oracle's BLAS tie-break went to a later copy of the same text."""
+    where the oracle's BLAS tie-break went to a later text with the same
+    embedding key."""
     assert printed(score) == printed(oracle_score)
     if row != oracle_row:
-        assert row < oracle_row and texts[row] == texts[oracle_row]
+        assert row < oracle_row and keys[row] == keys[oracle_row]
 
 
 @pytest.mark.parametrize("use_description", [False, True])
@@ -406,8 +414,9 @@ def assert_pooling_matches_oracle(corpus, backend, use_description=False):
             (other, item) for other in corpus.projects if other is not project
             for item in other.register.items)}
         assert [p.a for p in report.pairs] == [risk_id for risk_id, _, _ in expected]
+        keys = [embedding_key(backend, text) for text in pool]
         for pair, (_, oracle_row, oracle_score) in zip(report.pairs, expected):
-            assert_same_target(pool, rows[pair.b], oracle_row, pair.score, oracle_score)
+            assert_same_target(keys, rows[pair.b], oracle_row, pair.score, oracle_score)
 
 
 def test_score_histogram_bands():
@@ -552,11 +561,27 @@ def test_evaluation_skips_unset_bands(reference_backend):
 # ------------------------------------------------------ match table
 
 
-def write_dense_corpus(root, seed=7, projects=16, risks=100, recur=10, words=240, dim=300):
+def _variant(rng, text):
+    """The text with its words shuffled, some upper-cased, and maybe a stop
+    word, an out-of-vocabulary token and a trailing punctuation mark added:
+    under word averages it has the text's embedding key."""
+    words = text.split()
+    rng.shuffle(words)
+    words = [word.upper() if rng.random() < 0.3 else word for word in words]
+    for extra in ("the", "zzqx"):
+        if rng.random() < 0.5:
+            words.insert(rng.randrange(len(words) + 1), extra)
+    return " ".join(words) + rng.choice(("", ".", "!", "?"))
+
+
+def write_dense_corpus(root, seed=7, projects=16, risks=100, recur=10, words=240, dim=300,
+                       variants=False):
     """A seeded corpus whose names each recur about `recur` times, and a dense
     word file for its vocabulary. Dense vectors make the scores of two copies
     of one text depend on where a BLAS kernel computes them, which the
-    near one-hot bundled vectors never do."""
+    near one-hot bundled vectors never do. With `variants`, each recurrence
+    is a variant of its text (see `_variant`), and an RBS file and a category
+    file over the same texts and their variants are written too."""
     rng = random.Random(seed)
     vocab = [f"term{i:03d}" for i in range(words)]
     vectors = np.random.default_rng(seed).standard_normal((words, dim))
@@ -569,6 +594,17 @@ def write_dense_corpus(root, seed=7, projects=16, risks=100, recur=10, words=240
         distinct.add(" ".join(rng.sample(vocab, rng.randint(2, 4))))
     texts = sorted(distinct) * recur
     rng.shuffle(texts)
+    if variants:
+        texts = [_variant(rng, text) for text in texts]
+        items = sorted(distinct)[:24]
+        rbs = [(*items[4 * c:4 * c + 4], _variant(rng, items[4 * c])) for c in range(6)]
+        (root / "rbs.json").write_text(json.dumps({"categories": [
+            {"name": f"c{c}", "items": [{"text": text, "frequency": 1} for text in group]}
+            for c, group in enumerate(rbs)]}))
+        (root / "categories.json").write_text(json.dumps({"categories": [
+            {"name": name, "description": description}
+            for name, description in zip(("k0", "k1", "k2", "K0"),
+                                         (*items[:3], _variant(rng, items[0])))]}))
     (root / "registers").mkdir()
     header = "risk_id,name,description,category,probability,cost_impact,schedule_impact,status,snapshot"
     meta = []
@@ -619,7 +655,7 @@ def _per_pair_oracle(corpus, backend, use_description=False):
     non-empty registers best-matched with its own `best_against` product.
     Rows (source, target) number the corpus's ex-ante items in order."""
     registers = [p.register for p in corpus.projects]
-    units = [unit_rows(backend, [i.matching_text(use_description) for i in r.items])
+    units = [unit_matrix(backend, [i.matching_text(use_description) for i in r.items])
              for r in registers]
     starts = np.cumsum([0] + [len(r.items) for r in registers])
     result = {}
@@ -659,14 +695,15 @@ def _loop_by_threshold(corpus, matches, thresholds):
     return table
 
 
-def _texts(corpus, use_description=False):
-    return [i.matching_text(use_description) for p in corpus.projects for i in p.register.items]
+def _keys(corpus, backend, use_description=False):
+    return [embedding_key(backend, i.matching_text(use_description))
+            for p in corpus.projects for i in p.register.items]
 
 
 @pytest.mark.parametrize("use_description", [False, True])
 def test_match_registers_agrees_with_per_pair_oracle(corpus_and_backend, use_description):
     corpus, backend = corpus_and_backend
-    texts = _texts(corpus, use_description)
+    keys = _keys(corpus, backend, use_description)
     oracle = _per_pair_oracle(corpus, backend, use_description)
     matches = match_registers(corpus, backend, min_score=-1.0, use_description=use_description)
     assert isinstance(matches, MatchTable)
@@ -680,7 +717,7 @@ def test_match_registers_agrees_with_per_pair_oracle(corpus_and_backend, use_des
         matches.target_rows.tolist(), expected_targets.tolist(),
         matches.scores.tolist(), expected_scores.tolist(),
     ):
-        assert_same_target(texts, row, oracle_row, score, oracle_score)
+        assert_same_target(keys, row, oracle_row, score, oracle_score)
     kept = match_registers(corpus, backend, min_score=0.5, use_description=use_description)
     keep = matches.scores >= 0.5
     assert kept.source_rows.tolist() == matches.source_rows[keep].tolist()
@@ -765,6 +802,19 @@ def test_identical_texts_tie_to_the_first_row():
     assert [(p.a, p.b) for p in pooled[0].pairs] == [("r0", "p1:r2")]
     assert [(p.a, p.b, p.score) for p in pooled[2].pairs] == [
         ("r0", "p1:r0", 1.0), ("r1", "p1:r0", 1.0)]
+    # texts with one embedding key tie as identical texts do
+    backend = variant_backend()
+    corpus = corpus_of(
+        project_of(make_register("delta alpha"), "p0"),
+        project_of(make_register("delta", *VARIANTS), "p1"),
+        project_of(make_register(*reversed(VARIANTS)), "p2"),
+    )
+    matches = match_registers(corpus, backend, min_score=-1.0)
+    assert matches.target_rows.tolist()[:2] == [2, 6]
+    assert len(set(matches.scores.tolist()[:2])) == 1
+    pooled = pooling_similarity(corpus, backend)
+    assert [(p.a, p.b) for p in pooled[0].pairs] == [("r0", "p1:r1")]
+    assert [(p.a, p.b) for p in pooled[2].pairs] == [(f"r{i}", "p1:r1") for i in range(4)]
 
 
 def test_small_score_blocks_give_the_same_matches(monkeypatch, dense_corpus):
@@ -772,38 +822,46 @@ def test_small_score_blocks_give_the_same_matches(monkeypatch, dense_corpus):
     whole = match_registers(corpus, backend, min_score=-1.0)
     monkeypatch.setattr(similarity, "_BLOCK_BYTES", 8 * 160 * 7)  # 7 rows per block
     blocked = match_registers(corpus, backend, min_score=-1.0)
-    texts = _texts(corpus)
+    keys = _keys(corpus, backend)
     assert blocked.source_rows.tolist() == whole.source_rows.tolist()
     for row, other, score, other_score in zip(blocked.target_rows.tolist(),
                                               whole.target_rows.tolist(),
                                               blocked.scores.tolist(), whole.scores.tolist()):
         assert printed(score) == printed(other_score)
-        assert row == other or texts[row] == texts[other]
+        assert row == other or keys[row] == keys[other]
 
 
 def test_reports_do_not_depend_on_blas_threads(dense_inputs, tmp_path):
     from .test_cli import fresh_python
 
-    manifest, words = dense_inputs
+    root = tmp_path / "variants"
+    root.mkdir()
+    variants = write_dense_corpus(root, projects=8, risks=60, recur=6, variants=True)
+    inputs = {corpus: ["--manifest", str(manifest), "--embeddings", str(words)]
+              for corpus, (manifest, words) in (("dense", dense_inputs), ("variants", variants))}
+    commands = {f"{corpus}-{mode}": ["similarity", mode, *inputs[corpus]]
+                for corpus in inputs for mode in ("evaluation", "risks", "pooling")}
+    commands["variants-template"] = ["template", "build", *inputs["variants"],
+                                     "--categories", str(root / "categories.json")]
+    commands["variants-coverage"] = ["rbs", "coverage", *inputs["variants"],
+                                     "--rbs", str(root / "rbs.json")]
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         out.mkdir()
+        runs = [[*argv, "--out", str(out / f"{name}.json")] for name, argv in commands.items()]
         script = (
             "import sys\n"
             "from riskbench.cli import main\n"
-            "for mode in ('evaluation', 'risks', 'pooling'):\n"
-            f"    code = main(['similarity', mode, '--manifest', {str(manifest)!r},\n"
-            f"                 '--embeddings', {str(words)!r}, '--out', {str(out)!r} + f'/{{mode}}.json'])\n"
-            "    if code:\n"
-            "        sys.exit(code)\n"
+            f"for argv in {runs!r}:\n"
+            "    if main(argv):\n"
+            "        sys.exit(1)\n"
         )
         result = fresh_python("-c", script, OPENBLAS_NUM_THREADS=threads)
         assert result.returncode == 0, result.stderr
-        outputs[threads] = {mode: (out / f"{mode}.json").read_bytes()
-                            for mode in ("evaluation", "risks", "pooling")}
-    for mode in ("evaluation", "risks", "pooling"):
-        assert outputs["1"][mode] == outputs["2"][mode], mode
+        outputs[threads] = {name: (out / f"{name}.json").read_bytes() for name in commands}
+    for name in commands:
+        assert outputs["1"][name] == outputs["2"][name], name
 
 
 # ------------------------------------------------------ t-test

@@ -20,11 +20,10 @@ from riskbench.template import (
     filter_projects,
     group_risks,
     parse_filter,
-    sensitivity_run,
     summarize_group,
 )
 
-from .conftest import make_register, toy_backend
+from .conftest import VARIANTS, make_register, toy_backend, variant_backend
 from .test_similarity import corpus_of, project_of
 
 
@@ -252,6 +251,16 @@ def test_classify_tie_goes_to_earliest_category():
     categories = CategorySet((Category("beta"), Category("alpha"), Category("alpha alpha")))
     labels = [r.label for r in classify_risk(["alpha", "beta", "zzz"], categories, backend)]
     assert labels == ["alpha", "beta", "beta"]
+    # categories whose texts share one embedding key tie to the earliest
+    backend = variant_backend()
+    categories = CategorySet(tuple(Category(text) for text in ("delta", *VARIANTS)))
+    sources = ["delta alpha", "alpha", "gamma delta", "beta", "alpha gamma"]
+    results = classify_risk(sources, categories, backend)
+    assert [r.label for r in results] == [VARIANTS[0], VARIANTS[0], "delta", VARIANTS[0],
+                                          VARIANTS[0]]
+    for text, result in zip(sources, results):
+        assert result.score == pytest.approx(_classify_oracle(text, categories, backend)[1],
+                                             abs=1e-12)
 
 
 def _classify_oracle(text, categories, backend):
@@ -434,63 +443,20 @@ def test_evaluate_template_fp_counts_unchosen_even_when_fn_matches_them():
     assert (counts.tp, counts.fn, counts.fp) == (0, 1, 2)
 
 
+def test_evaluate_template_entries_with_one_key_tie_to_the_first():
+    backend = variant_backend()
+    template = build_template(
+        group_risks([project_of(make_register(*VARIANTS), "p0")], backend, 1.01), top_n=10)
+    assert [e.text for e in template.entries] == sorted(v.lower() for v in VARIANTS)
+    register = make_register("delta alpha", "alpha", "gamma", "alpha gamma", "beta delta")
+    counts = evaluate_template(template, register, backend, label_threshold=0.0)
+    # every risk chooses the first entry, so the other three are false positives
+    assert (counts.tp, counts.fn, counts.fp) == (5, 0, 3)
+
+
 def test_evaluate_template_empty_inputs():
     backend = _template_backend()
     groups = group_risks([project_of(make_register("alpha"), "p0")], backend)
     template = build_template(groups, "prevalence", 10)
     with pytest.raises(TemplateError):
         evaluate_template(template, RegisterSnapshot(0, None, ()), backend)
-
-
-# --------------------------------------------------------------- sensitivity
-
-
-def _sensitivity_fixture():
-    backend = toy_backend({
-        "alpha": [1.0, 0.0, 0.0],
-        "beta": [0.0, 1.0, 0.0],
-        "gamma": [0.0, 0.0, 1.0],
-    })
-    corpus = corpus_of(
-        project_of(make_register("alpha"), "c0", jurisdiction="CA"),
-        project_of(make_register("alpha"), "c1", jurisdiction="CA"),
-        project_of(make_register("beta"), "c2", jurisdiction="TX"),
-        project_of(make_register("beta"), "c3", jurisdiction="TX"),
-        project_of(make_register("beta"), "c4", jurisdiction="TX"),
-    )
-    test_project = project_of(make_register("alpha", "alpha alpha"), "t0", jurisdiction="CA")
-    return backend, corpus, test_project
-
-
-def test_sensitivity_all_is_zero_delta():
-    backend, corpus, test_project = _sensitivity_fixture()
-    report = sensitivity_run(corpus, [test_project], "all", backend, top_n=30)
-    row = report["projects"][0]
-    assert row["delta"] == {"recall": 0.0, "precision": 0.0, "f1": 0.0}
-    assert report["mean_delta"]["recall"] == 0.0
-
-
-def test_sensitivity_location_improves_recall():
-    backend, corpus, test_project = _sensitivity_fixture()
-    # truncate the baseline template to 1 entry: pooled corpus ranks beta first
-    report = sensitivity_run(
-        corpus, [test_project], "jurisdiction", backend, top_n=1, label_threshold=0.6
-    )
-    row = report["projects"][0]
-    assert not row["skipped"]
-    assert row["filtered"]["recall"] > row["baseline"]["recall"]
-    assert report["mean_delta"]["recall"] > 0
-
-
-def test_sensitivity_empty_filter_is_skipped():
-    backend, corpus, _ = _sensitivity_fixture()
-    outsider = project_of(make_register("alpha"), "t1", jurisdiction="ZZ")
-    report = sensitivity_run(corpus, [outsider], "jurisdiction", backend)
-    assert report["projects"][0]["skipped"] is True
-    assert report["skipped_count"] == 1
-
-
-def test_sensitivity_rejects_overlapping_projects():
-    backend, corpus, _ = _sensitivity_fixture()
-    with pytest.raises(TemplateError, match="disjoint"):
-        sensitivity_run(corpus, [corpus.projects[0]], "all", backend)

@@ -16,7 +16,7 @@ import pytest
 
 from riskbench.resources import data_path
 
-from .test_cli import WORD_VECTORS, fresh_python
+from .test_cli import SENTENCE_VECTORS, WORD_VECTORS, fresh_python
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +50,25 @@ def test_traced_pooling_run(tmp_path):
     assert out.exists()
     spans = [span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]]
     assert "similarity.pooling_similarity" in spans
+
+
+@pytest.mark.parametrize("command, span", [
+    (("rbs", "coverage"), "rbs.coverage"),
+    (("template", "build"), "template.group_risks"),
+])
+def test_traced_run_with_the_word_fallback(tmp_path, command, span):
+    # the bundled sentence table misses fixture texts, so the fallback scores them
+    trace = tmp_path / "trace.json"
+    out = tmp_path / "report.json"
+    result = fresh_python(
+        str(TRACER), str(trace), "--", *command,
+        "--manifest", str(data_path("fixtures", "expost", "manifest.json")),
+        "--sentence-embeddings", SENTENCE_VECTORS, "--embeddings", WORD_VECTORS,
+        "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.exists()
+    traced = json.loads(trace.read_text(encoding="utf-8"))
+    assert span in [name for name, *_ in traced["spans"]]
+    assert traced["hot"]["vectorize.embed_text"][0] > 0
+    assert traced["hot"]["vectorize.cosine_table"][0] > 0

@@ -233,8 +233,9 @@ def test_unit_rows_embeds_each_distinct_text_once(reference_backend, monkeypatch
     monkeypatch.setattr(vectorize, "embed_text", counting)
     got = unit_rows(reference_backend, texts)
     assert embedded == list(dict.fromkeys(texts))
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    rows = got.units[got.ids]
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
 
 
 def test_unit_rows_missing_sentence_names_first_missing_text():
@@ -245,6 +246,33 @@ def test_unit_rows_missing_sentence_names_first_missing_text():
     )
     with pytest.raises(MissingEmbeddingError, match="'gone'"):
         unit_rows(backend, ["known", "gone", "known", "lost", "gone"])
+
+
+def test_keyed_units_score_sentence_misses_in_the_fallback_space():
+    from dataclasses import replace
+
+    from .conftest import VARIANTS, unit_matrix, variant_backend
+
+    word = variant_backend()
+    sentence = EmbeddingBackend(kind="precomputed_sentence", dimension=2, sentence_table={
+        "delta alpha": np.array([1.0, 0.0]), "alpha beta gamma": np.array([0.6, 0.8])})
+    texts = ["delta alpha", VARIANTS[1], VARIANTS[0], VARIANTS[2]]  # hit, miss, hit, miss
+    assert unit_rows(replace(sentence, fallback=word), texts[::2]).fallback is None
+    keyed = unit_rows(replace(sentence, fallback=word), texts)
+    assert keyed.missed.tolist() == [False, True, False, True]
+    assert keyed.fallback.ids.tolist() == [0, 1, 1, 1]
+    table = keyed.scores(keyed.ids, keyed.ids)
+    words = unit_matrix(word, texts)
+    for i, j in np.ndindex(table.shape):
+        expected = 0.6 if {i, j} == {0, 2} else float(words[i] @ words[j])
+        if i == j or {i, j} <= {1, 2, 3}:
+            expected = 1.0
+        assert table[i, j] == pytest.approx(expected, abs=1e-12)
+    # the two misses share one fallback key, so they score in the same bits
+    assert table[0, 1] == table[0, 3] and table[1, 0] == table[3, 0]
+    assert keyed.best(keyed.ids[:1], keyed.ids[1:])[0].tolist() == [0]
+    with pytest.raises(MissingEmbeddingError, match="'Gamma, beta; alpha.'"):
+        unit_rows(sentence, texts)
 
 
 # ----------------------------------------------------------- word vector files
