@@ -5,12 +5,13 @@
 Builds pairwise-shaped corpora with `perfbench/gen.py` (100 risks per
 project, half of the rows distinct texts, seed 7, the shared 57 MB 300-d
 word file) at 50, 100 and 200 projects under `.perfbench/scale/`, then runs
-`similarity risks`, `similarity pooling` and `similarity evaluation` at
-every rung, one fresh `python -m riskbench.cli` process each, with the
-riskbench found in `--src` (default: this checkout's `src`).  For each
-command it records wall time, the process's own peak RSS (from `wait4`),
-report bytes and the report's SHA-256, and writes them as JSON.  One
-untimed command first fills the embedding parse cache.
+`similarity risks`, `similarity pooling`, `similarity evaluation` and
+`similarity docs` (TF-IDF, no word vectors) at every rung, one fresh
+`python -m riskbench.cli` process each, with the riskbench found in `--src`
+(default: this checkout's `src`).  For each command it records wall time,
+the process's own peak RSS (from `wait4`), report bytes and the report's
+SHA-256, and writes them as JSON.  One untimed command first fills the
+embedding parse cache.
 
 This script imports only the standard library and builds the corpora in a
 child process, so its own memory stays small: on Linux a child's peak RSS
@@ -38,7 +39,7 @@ SEED = 7
 RISKS = 100
 DISTINCT_RATIO = 0.5
 RUNGS = (50, 100, 200)
-MODES = ("risks", "pooling", "evaluation")
+MODES = ("risks", "pooling", "evaluation", "docs")
 
 
 def build(projects: int, out: Path) -> None:
@@ -69,6 +70,16 @@ def corpus(projects: int) -> tuple[Path, dict]:
         shutil.rmtree(target, ignore_errors=True)
         os.replace(tmp, target)
     return target, json.loads(summary_path.read_text(encoding="utf-8"))
+
+
+def sha256(path: Path) -> str:
+    """A file's SHA-256, read in blocks: a report held whole here would count
+    in the next command's peak RSS."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def run_command(argv: list[str], src: Path) -> tuple[float, float]:
@@ -103,8 +114,9 @@ def main(argv=None) -> int:
         report = Path(work) / "report.json"
 
         def command(mode, target, summary):
+            vectors = [] if mode == "docs" else ["--embeddings", summary["word_vectors"]]
             return ["similarity", mode, "--manifest", str(target / "manifest.json"),
-                    "--embeddings", summary["word_vectors"], "--out", str(report)]
+                    *vectors, "--out", str(report)]
 
         run_command(command("risks", *inputs[0]), src)  # fills the parse cache
         for projects, (target, summary) in zip(RUNGS, inputs):
@@ -112,12 +124,11 @@ def main(argv=None) -> int:
                     "distinct_texts": summary["distinct_texts"], "commands": {}}
             for mode in MODES:
                 wall, rss = run_command(command(mode, target, summary), src)
-                data = report.read_bytes()
                 rung["commands"][f"similarity {mode}"] = {
                     "wall_s": round(wall, 3),
                     "peak_rss_mb": round(rss, 1),
-                    "report_bytes": len(data),
-                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "report_bytes": report.stat().st_size,
+                    "sha256": sha256(report),
                 }
                 report.unlink()
                 print(f"{projects} projects, similarity {mode}: {wall:.2f} s, {rss:.0f} MB",

@@ -73,7 +73,6 @@ from .template import (
 )
 from .vectorize import (
     EmbeddingBackend,
-    SparseVector,
     TfidfModel,
     cosine,
     embed_text,

@@ -394,6 +394,13 @@ def _bounded(low: float, high: float, closed: bool):
     return parse
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1, in decimal digits."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return int(text)
+
+
 _COSINE = _bounded(-1.0, 1.0, closed=True)
 _ALPHA = _bounded(0.0, 1.0, closed=False)
 
@@ -458,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(build, backend=True)
     build.add_argument("--filter", default="", help="e.g. type=Highway,size=over_1B")
     build.add_argument("--sort", default="prevalence", choices=("prevalence", "cost", "schedule"))
-    build.add_argument("--top", type=int, default=30)
+    build.add_argument("--top", type=_positive_int, default=30)
     build.add_argument("--categories", help="category set JSON (default: bundled)")
     build.add_argument("--match-threshold", type=_COSINE, default=DEFAULT_MATCH_THRESHOLD)
     build.add_argument("--use-description", action="store_true")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -178,6 +179,10 @@ class Corpus:
         return len(self.projects)
 
 
+_BAND_EDGES = ("probability_band_edges", "cost_band_edges", "schedule_band_edges")
+_LEVELS = (Qualitative.HIGH, Qualitative.MEDIUM, Qualitative.LOW)
+
+
 @dataclass(frozen=True)
 class ScaleConfig:
     """Band edges and risk matrix used to normalize raw assessments.
@@ -194,14 +199,16 @@ class ScaleConfig:
     risk_matrix: dict[tuple[int, int], Qualitative]
 
     def __post_init__(self) -> None:
-        for label in ("probability_band_edges", "cost_band_edges", "schedule_band_edges"):
+        for label in _BAND_EDGES:
             edges = getattr(self, label)
-            if len(edges) != 4 or any(b <= a for a, b in zip(edges, edges[1:])):
-                raise CorpusError(f"{label} must be 4 strictly ascending values: {edges}")
+            if (len(edges) != 4 or not all(map(_is_finite, edges))
+                    or any(b <= a for a, b in zip(edges, edges[1:]))):
+                raise CorpusError(f"{label} must be 4 strictly ascending finite numbers: {edges}")
         for p in range(1, 6):
             for i in range(1, 6):
-                if (p, i) not in self.risk_matrix:
-                    raise CorpusError(f"risk_matrix missing entry for bands ({p}, {i})")
+                if self.risk_matrix.get((p, i)) not in _LEVELS:
+                    raise CorpusError(
+                        f"risk_matrix has no High, Medium or Low for bands ({p}, {i})")
 
 
 def default_scale_config() -> ScaleConfig:
@@ -227,18 +234,11 @@ def default_scale_config() -> ScaleConfig:
 def load_scale_config(path: str | Path) -> ScaleConfig:
     raw = read_json_checked(path, "scale config")
     try:
-        matrix = {
-            (int(key.split(",")[0]), int(key.split(",")[1])): Qualitative(value)
-            for key, value in raw["risk_matrix"].items()
-        }
-        return ScaleConfig(
-            probability_band_edges=tuple(raw["probability_band_edges"]),
-            cost_band_edges=tuple(raw["cost_band_edges"]),
-            schedule_band_edges=tuple(raw["schedule_band_edges"]),
-            risk_matrix=matrix,
-        )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(f"invalid scale config {path}: {exc}") from exc
+        matrix = {tuple(map(int, key.split(","))): Qualitative(value)
+                  for key, value in raw["risk_matrix"].items()}
+        return ScaleConfig(*(tuple(raw[label]) for label in _BAND_EDGES), risk_matrix=matrix)
+    except (KeyError, ValueError, TypeError, AttributeError, CorpusError) as exc:
+        raise ParseError(f"{path}: invalid scale config ({exc})") from exc
 
 
 def band_for(value: float, edges: Iterable[float]) -> int:
@@ -308,6 +308,11 @@ def _assessment(
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """An int, or a finite float; not a bool."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _value_or_none(text: str | None) -> str | None:

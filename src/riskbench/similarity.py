@@ -21,7 +21,8 @@ from .errors import CorpusError, EmptyReportError, StatTestError
 from .report import PairRows, PairScore
 from .vectorize import (
     EmbeddingBackend,
-    cosine,
+    _unit_length,
+    cosine_table,
     tfidf_fit,
     tfidf_vector,
     tokenize,
@@ -126,28 +127,26 @@ def document_similarity(
     stop_words: frozenset[str] = frozenset(),
     group_by: str | None = "delivery_method",
 ) -> SimilarityReport:
-    """Cosine over TF-IDF vectors for every unordered project pair."""
+    """Cosine over TF-IDF vectors for every unordered project pair (i, j),
+    i < j, in row-major order, from one score table of the unit rows.
+
+    The rows are dense: n_projects x vocabulary x 8 bytes, 200 x 270 at the
+    200-project scale rung. An empty document is a zero row and scores 0.0.
+    """
     if len(corpus.projects) < 2:
         raise EmptyReportError("document similarity needs at least 2 projects")
     docs = [project_document_tokens(p, stop_words) for p in corpus.projects]
     model = tfidf_fit(docs)
-    vectors = [tfidf_vector(model, doc) if doc else None for doc in docs]
-
-    pairs: list[PairScore] = []
-    for i in range(len(corpus.projects)):
-        for j in range(i + 1, len(corpus.projects)):
-            if vectors[i] is None or vectors[j] is None:
-                score = 0.0
-            else:
-                score = cosine(vectors[i], vectors[j])
-            pairs.append(
-                PairScore(corpus.projects[i].project_id, corpus.projects[j].project_id, score)
-            )
+    units = _unit_length(np.array(
+        [tfidf_vector(model, doc) if doc else np.zeros(len(model.vocabulary)) for doc in docs]))
+    rows, cols = np.triu_indices(len(docs), 1)
+    pairs = PairRows([p.project_id for p in corpus.projects], rows, cols,
+                     cosine_table(units, units)[rows, cols])
 
     aggregates, groups = _pair_summary(corpus, pairs, group_by)
     return SimilarityReport(
         level=Level.DOCUMENT,
-        pairs=tuple(pairs),
+        pairs=pairs,
         aggregates=aggregates,
         test=_maybe_group_test(groups),
         metadata={"group_by": group_by, "weighting": "pair"},

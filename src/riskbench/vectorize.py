@@ -100,31 +100,9 @@ def tfidf_fit(documents: Sequence[Sequence[str]]) -> TfidfModel:
     )
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """(index, weight) pairs with strictly ascending indices."""
-
-    entries: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        previous = -1
-        for index, weight in self.entries:
-            if index <= previous:
-                raise DimensionError("sparse vector indices must strictly ascend")
-            if not math.isfinite(weight):
-                raise DimensionError(f"non-finite weight at index {index}")
-            previous = index
-
-    def norm(self) -> float:
-        return math.sqrt(sum(weight * weight for _, weight in self.entries))
-
-    def dot(self, other: "SparseVector") -> float:
-        weights = dict(other.entries)
-        return sum(weight * weights[index] for index, weight in self.entries if index in weights)
-
-
-def tfidf_vector(model: TfidfModel, doc: Sequence[str]) -> SparseVector:
-    """Weight a document's in-vocabulary terms; N counts every token."""
+def tfidf_vector(model: TfidfModel, doc: Sequence[str]) -> np.ndarray:
+    """A document's weights as a dense row over `model.vocabulary`; N counts
+    every token, and out-of-vocabulary terms get no column."""
     if not doc:
         raise ParseError("cannot vectorize an empty document")
     total = len(doc)
@@ -132,12 +110,11 @@ def tfidf_vector(model: TfidfModel, doc: Sequence[str]) -> SparseVector:
     for token in doc:
         if token in model.vocabulary:
             counts[token] = counts.get(token, 0) + 1
-    entries = []
+    row = np.zeros(len(model.vocabulary))
     for term, count in counts.items():
         idf = 1.0 + math.log(model.document_count / model.document_frequency[term])
-        entries.append((model.vocabulary[term], (count / total) * idf))
-    entries.sort()
-    return SparseVector(tuple(entries))
+        row[model.vocabulary[term]] = (count / total) * idf
+    return row
 
 
 def _snap_unit(value: float) -> float:
@@ -213,13 +190,18 @@ def unit_rows(backend: "EmbeddingBackend", texts: Sequence[str]) -> KeyedUnits:
             missed[key] = True
         else:
             matrix[key], all_oov[key] = embedded.vector, embedded.all_oov
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    units = matrix / np.where(norms == 0.0, 1.0, norms)
+    units = _unit_length(matrix)
     if not missed.any():
         return KeyedUnits(ids, units, all_oov, missed)
     fallback = unit_rows(backend.fallback, originals)
     all_oov[missed] = fallback.all_oov[fallback.ids[missed]]
     return KeyedUnits(ids, units, all_oov, missed, fallback)
+
+
+def _unit_length(matrix: np.ndarray) -> np.ndarray:
+    """The rows of a matrix scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix / np.where(norms == 0.0, 1.0, norms)
 
 
 def cosine_table(unit_a: np.ndarray, unit_b: np.ndarray) -> np.ndarray:
@@ -232,14 +214,8 @@ def cosine_table(unit_a: np.ndarray, unit_b: np.ndarray) -> np.ndarray:
 
 
 def cosine(v, w) -> float:
-    """Cosine similarity; zero-norm operands yield 0.0 by convention."""
-    if isinstance(v, SparseVector) or isinstance(w, SparseVector):
-        if not isinstance(v, SparseVector) or not isinstance(w, SparseVector):
-            raise DimensionError("cannot mix sparse and dense vectors")
-        norm_v, norm_w = v.norm(), w.norm()
-        if norm_v == 0.0 or norm_w == 0.0:
-            return 0.0
-        return _snap_unit(v.dot(w) / (norm_v * norm_w))
+    """Cosine similarity of two dense vectors; zero-norm operands yield 0.0
+    by convention."""
     av = np.asarray(v, dtype=float)
     aw = np.asarray(w, dtype=float)
     if av.shape != aw.shape:

@@ -518,6 +518,22 @@ def test_float_flag_bounds_are_accepted(manifest, tmp_path):
     assert build_parser().parse_args(compare + ["--alpha", "0.999"]).alpha == 0.999
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "all"])
+def test_top_must_be_a_positive_integer(manifest, tmp_path, capsys, value):
+    # rejected while the flags are parsed, before any risk is embedded
+    out = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as excinfo:
+        run(["template", "build", "--manifest", manifest, "--embeddings", WORD_VECTORS,
+             "--top", value, "--out", str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument --top: expected a positive integer, not {value!r}" in err
+    assert not out.exists()
+    assert build_parser().parse_args(["template", "build", "--manifest", manifest,
+                                      "--top", "1", "--out", "o"]).top == 1
+
+
 def test_nan_threshold_exits_2_without_traceback(manifest, tmp_path):
     out = tmp_path / "c.json"
     result = fresh_python("-m", "riskbench.cli", "rbs", "coverage", "--manifest", manifest,
@@ -609,6 +625,18 @@ def test_similarity_pooling_empty_register_exits_1_without_traceback(tmp_path):
     assert not out.exists()
 
 
+def scales_payload(**overrides) -> dict:
+    """The default scale config as the JSON of a --scales file, with overrides."""
+    scales = default_scale_config()
+    return {
+        "probability_band_edges": list(scales.probability_band_edges),
+        "cost_band_edges": list(scales.cost_band_edges),
+        "schedule_band_edges": list(scales.schedule_band_edges),
+        "risk_matrix": {f"{p},{i}": q.value for (p, i), q in scales.risk_matrix.items()},
+        **overrides,
+    }
+
+
 # Each auxiliary input file, the command that reads it, and whether it is JSON.
 AUX_FILES = {
     "stopwords": (["similarity", "docs", "--manifest", "{manifest}", "--stopwords", "{file}"],
@@ -696,6 +724,35 @@ def _template_with(entry):
     ("categories", {"categories": [{"name": "a"}, {"name": "a", "description": "b"}]},
      "category names must be unique"),
     ("categories", {"categories": []}, "category set must not be empty"),
+    ("scales", [1, 2], "invalid scale config (list indices must be integers or slices, not str)"),
+    ("scales", scales_payload(probability_band_edges=["0.1", "0.3", "0.5", "0.7"]),
+     "invalid scale config (probability_band_edges must be 4 strictly ascending finite "
+     "numbers: ('0.1', '0.3', '0.5', '0.7'))"),
+    ("scales", scales_payload(cost_band_edges=[[0.001], 0.005, 0.01, 0.05]),
+     "invalid scale config (cost_band_edges must be 4 strictly ascending finite numbers: "
+     "([0.001], 0.005, 0.01, 0.05))"),
+    ("scales", scales_payload(schedule_band_edges=[False, True, 6, 12]),
+     "invalid scale config (schedule_band_edges must be 4 strictly ascending finite numbers: "
+     "(False, True, 6, 12))"),
+    ("scales", scales_payload(probability_band_edges=[0.1, math.nan, 0.5, 0.7]),
+     "invalid scale config (probability_band_edges must be 4 strictly ascending finite "
+     "numbers: (0.1, nan, 0.5, 0.7))"),
+    ("scales", scales_payload(schedule_band_edges=[1, 3, 6]),
+     "invalid scale config (schedule_band_edges must be 4 strictly ascending finite numbers: "
+     "(1, 3, 6))"),
+    ("scales", scales_payload(probability_band_edges=[0.3, 0.1, 0.5, 0.7]),
+     "invalid scale config (probability_band_edges must be 4 strictly ascending finite "
+     "numbers: (0.3, 0.1, 0.5, 0.7))"),
+    ("scales", scales_payload(risk_matrix=["High"]),
+     "invalid scale config ('list' object has no attribute 'items')"),
+    ("scales", scales_payload(risk_matrix={"1;1": "High"}),
+     "invalid scale config (invalid literal for int() with base 10: '1;1')"),
+    ("scales", scales_payload(risk_matrix={"1,1": ["High"]}),
+     "invalid scale config (['High'] is not a valid Qualitative)"),
+    ("scales", scales_payload(risk_matrix={**scales_payload()["risk_matrix"], "1,2": "Unset"}),
+     "invalid scale config (risk_matrix has no High, Medium or Low for bands (1, 2))"),
+    ("scales", scales_payload(risk_matrix={"1,1": "Low"}),
+     "invalid scale config (risk_matrix has no High, Medium or Low for bands (1, 2))"),
 ])
 def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, message):
     path = tmp_path / f"{kind}.json"
@@ -859,16 +916,10 @@ SCALED = ["ingest", "similarity docs", "similarity risks", "similarity pooling",
 @pytest.fixture(scope="module")
 def envelope_files(manifest, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("envelope")
-    scales = default_scale_config()
     files = {
         "groups": STYLE_GROUPS,
         "thresholds": {"careful": 0.4, "doer_new_item": 0.6},
-        "scales": {
-            "probability_band_edges": list(scales.probability_band_edges),
-            "cost_band_edges": list(scales.cost_band_edges),
-            "schedule_band_edges": list(scales.schedule_band_edges),
-            "risk_matrix": {f"{p},{i}": q.value for (p, i), q in scales.risk_matrix.items()},
-        },
+        "scales": scales_payload(),
     }
     paths = {"manifest": manifest, "tmp": str(tmp),
              "lifecycle_csv": str(data_path("fixtures", "expost", "lifecycle_table19.csv")),
@@ -932,6 +983,9 @@ MUTATED_FILES = {
     "categories": ([["template", "build", *CORPUS, *WORDS, "--categories", "{file}"]], 15),
     "template": ([[a.replace("{template}", "{file}") for a in TEMPLATE_EVAL]], 20),
     "groups": ([["lifecycle", "compare", "--groups", "{file}"]], 20),
+    # over raw values, so that the edges and the risk matrix are read
+    "scales": ([[*argv, "--manifest", "{raw_manifest}", "--scales", "{file}"]
+                for argv in (["ingest"], ["similarity", "docs"])], 20),
 }
 WRONG_JSON_VALUES = (None, True, 0, -1, 2.5, math.nan, "", "x", [], [1], {}, {"a": 1})
 WRONG_CSV_VALUES = ("", "x", "0", "6", "-1", "2.5", "1e400", "nan", "Hap", "true")
@@ -947,6 +1001,9 @@ KNOWN_FAULTS = {
                    ("set", ["categories", 0, "description"], 7)],
     "template": [("set", ["result", "entries", 0, "text"], 5),
                  ("set", ["result", "source_filter"], [1])],
+    "scales": [("set", ["probability_band_edges"], ["0.1", "0.3", "0.5", "0.7"]),
+               ("set", ["cost_band_edges", 0], [0.001]),
+               ("set", ["risk_matrix"], {"1": "High"})],
 }
 
 
@@ -1008,15 +1065,25 @@ def mutations(values):
 @pytest.fixture(scope="module")
 def oracle_files(manifest, tmp_path_factory):
     """A copy of the fixture corpus, a template and a coverage report of it,
-    and the bundled RBS, categories and a groups file."""
+    the bundled RBS and categories, a groups file, a scales file and a
+    corpus of raw values."""
     root = tmp_path_factory.mktemp("oracle")
     corpus = root / "corpus"
     shutil.copytree(FIXTURE, corpus)
     files = {"manifest": str(corpus / "manifest.json"), "register": str(corpus / MUTATED_REGISTER),
              "template": str(root / "template.json"), "coverage": str(root / "coverage.json"),
              "rbs": str(data_path("rbs_table21.json")), "groups": str(root / "groups.json"),
-             "categories": str(data_path("wsdot_categories.json"))}
+             "categories": str(data_path("wsdot_categories.json")),
+             "scales": str(root / "scales.json"), "raw_manifest": str(root / "raw.json")}
     Path(files["groups"]).write_text(json.dumps(STYLE_GROUPS))
+    Path(files["scales"]).write_text(json.dumps(scales_payload()))
+    (root / "raw.csv").write_text(
+        "risk_id,name,probability,cost_impact,schedule_impact\n"
+        "r1,utility relocation delays,0.345,0.9374,8.05\n"
+        "r2,wetlands permit conditions,0.02,12.5,0.5\n")
+    Path(files["raw_manifest"]).write_text(json.dumps({"projects": [
+        {"id": pid, "size_band": "under_500M", "contract_value_musd": 300.0,
+         "registers": [{"ordinal": 0, "path": "raw.csv"}]} for pid in ("a", "b")]}))
     for argv, out in ((["template", "build", *CORPUS, *WORDS], "template"),
                       (["rbs", "coverage", *CORPUS, *WORDS], "coverage")):
         assert run([a.format(**files) for a in argv] + ["--out", files[out]]) == 0

@@ -90,10 +90,12 @@ def test_document_similarity_disjoint_vocabulary():
     assert report.pairs[0].score == 0.0
 
 
-def test_document_similarity_three_registers_matches_brute_force(stopwords):
+def test_document_similarity_matches_brute_force(stopwords):
     texts = [
         "utility relocation delays construction",
         "utility conflicts during construction",
+        "wetlands permits and mitigation",
+        "and the of it",  # empty after stop words
         "wetlands permits and mitigation",
     ]
     corpus = corpus_of(
@@ -101,16 +103,19 @@ def test_document_similarity_three_registers_matches_brute_force(stopwords):
     )
     report = document_similarity(corpus, stop_words=stopwords, group_by=None)
     docs = [tokenize(text, stopwords) for text in texts]
+    assert docs[3] == []
     expected = {
-        ("p0", "p1"): brute_force_tfidf_cosine(docs, docs[0], docs[1]),
-        ("p0", "p2"): brute_force_tfidf_cosine(docs, docs[0], docs[2]),
-        ("p1", "p2"): brute_force_tfidf_cosine(docs, docs[1], docs[2]),
+        (f"p{i}", f"p{j}"): brute_force_tfidf_cosine(docs, docs[i], docs[j])
+        for i, j in itertools.combinations(range(len(docs)), 2)
     }
-    assert len(report.pairs) == 3
+    assert [(pair.a, pair.b) for pair in report.pairs] == list(expected)
     for pair in report.pairs:
         assert pair.score == pytest.approx(expected[(pair.a, pair.b)], abs=1e-9)
+        if "p3" in (pair.a, pair.b):
+            assert pair.score == 0.0
+    assert {(p.a, p.b): p.score for p in report.pairs}[("p2", "p4")] == 1.0
     assert report.aggregates["mean"] == pytest.approx(
-        sum(expected.values()) / 3, abs=1e-9
+        sum(expected.values()) / len(expected), abs=1e-9
     )
 
 

@@ -52,6 +52,22 @@ def test_traced_pooling_run(tmp_path):
     assert "similarity.pooling_similarity" in spans
 
 
+def test_traced_docs_run(tmp_path):
+    # the TF-IDF documents are scored by the dense kernel, in one call
+    trace = tmp_path / "trace.json"
+    out = tmp_path / "docs.json"
+    result = fresh_python(
+        str(TRACER), str(trace), "--", "similarity", "docs",
+        "--manifest", str(data_path("fixtures", "expost", "manifest.json")), "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.exists()
+    traced = json.loads(trace.read_text(encoding="utf-8"))
+    assert "similarity.document_similarity" in [name for name, *_ in traced["spans"]]
+    assert traced["hot"]["vectorize.cosine_table"][0] == 1
+    assert traced["hot"]["vectorize.tfidf_vector"][0] > 0
+
+
 @pytest.mark.parametrize("command, span", [
     (("rbs", "coverage"), "rbs.coverage"),
     (("template", "build"), "template.group_risks"),

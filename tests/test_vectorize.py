@@ -17,7 +17,6 @@ from riskbench.errors import DimensionError, MissingEmbeddingError, ParseError
 from riskbench.resources import data_path
 from riskbench.vectorize import (
     EmbeddingBackend,
-    SparseVector,
     cosine,
     embed_text,
     load_sentence_vectors,
@@ -79,21 +78,21 @@ def test_tfidf_fit_empty_corpus():
 def test_tfidf_vector_hand_values():
     model = tfidf_fit([["a", "b"], ["b"]])
     vector = tfidf_vector(model, ["a", "a", "b"])
-    weights = {index: weight for index, weight in vector.entries}
-    assert weights[model.vocabulary["a"]] == pytest.approx((2 / 3) * (1 + math.log(2)))
-    assert weights[model.vocabulary["b"]] == pytest.approx(1 / 3)
+    assert vector.shape == (2,)
+    assert vector[model.vocabulary["a"]] == pytest.approx((2 / 3) * (1 + math.log(2)))
+    assert vector[model.vocabulary["b"]] == pytest.approx(1 / 3)
 
 
 def test_tfidf_vector_ubiquitous_term_keeps_tf():
     model = tfidf_fit([["a"], ["a"]])
     vector = tfidf_vector(model, ["a", "a", "z"])
     # k_t = k so the log term vanishes; N still counts the OOV token
-    assert vector.entries == ((0, pytest.approx(2 / 3)),)
+    assert vector.tolist() == [pytest.approx(2 / 3)]
 
 
 def test_tfidf_vector_all_oov():
     model = tfidf_fit([["a"]])
-    assert tfidf_vector(model, ["z", "q"]).entries == ()
+    assert tfidf_vector(model, ["z", "q"]).tolist() == [0.0]
 
 
 def test_tfidf_vector_empty_doc():
@@ -106,14 +105,7 @@ def test_tfidf_weights_non_negative():
     docs = [["a", "b", "c"], ["a", "b"], ["a"]]
     model = tfidf_fit(docs)
     for doc in docs:
-        assert all(weight >= 0 for _, weight in tfidf_vector(model, doc).entries)
-
-
-def test_sparse_vector_validation():
-    with pytest.raises(DimensionError):
-        SparseVector(((2, 1.0), (1, 1.0)))
-    with pytest.raises(DimensionError):
-        SparseVector(((0, float("nan")),))
+        assert (tfidf_vector(model, doc) >= 0).all()
 
 
 # ----------------------------------------------------------- cosine
@@ -134,14 +126,11 @@ def test_cosine_hand_value():
 
 def test_cosine_zero_norm_convention():
     assert cosine((0.0, 0.0), (1.0, 2.0)) == 0.0
-    assert cosine(SparseVector(), SparseVector(((0, 1.0),))) == 0.0
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(DimensionError):
         cosine((1.0, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(DimensionError):
-        cosine(SparseVector(((0, 1.0),)), np.ones(3))
 
 
 def test_cosine_of_tiny_vectors_keeps_precision():
@@ -151,14 +140,6 @@ def test_cosine_of_tiny_vectors_keeps_precision():
     assert cosine(v, w) == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert cosine([x * 0.00390625 for x in v], w) == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert cosine([1e-170, 0.0], [1e-170, 1e-170]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-
-
-def test_cosine_sparse_matches_dense():
-    sparse_a = SparseVector(((0, 1.0), (2, 2.0)))
-    sparse_b = SparseVector(((1, 3.0), (2, 1.0)))
-    assert cosine(sparse_a, sparse_b) == pytest.approx(
-        cosine((1.0, 0.0, 2.0), (0.0, 3.0, 1.0)), abs=1e-12
-    )
 
 
 @given(
