@@ -1,17 +1,16 @@
-"""Scale ladder for the quadratic similarity commands, outside the timed benchmark.
+"""Scale ladder for every engine, outside the timed benchmark.
 
     python3 scripts/bench_scale.py [--out BENCH_scale.json] [--src DIR]
 
 Builds pairwise-shaped corpora with `perfbench/gen.py` (100 risks per
 project, half of the rows distinct texts, seed 7, the shared 57 MB 300-d
 word file) at 50, 100 and 200 projects under `.perfbench/scale/`, then runs
-`similarity risks`, `similarity pooling`, `similarity evaluation` and
-`similarity docs` (TF-IDF, no word vectors) at every rung, one fresh
-`python -m riskbench.cli` process each, with the riskbench found in `--src`
-(default: this checkout's `src`).  For each command it records wall time,
-the process's own peak RSS (from `wait4`), report bytes and the report's
-SHA-256, and writes them as JSON.  One untimed command first fills the
-embedding parse cache.
+each command of `COMMANDS` at every rung, one fresh `python -m riskbench.cli`
+process each, with the riskbench found in `--src` (default: this checkout's
+`src`).  For each command it records wall time, the process's own peak RSS
+(from `wait4`), report bytes and the report's SHA-256, and writes them as
+JSON, with the line count of the `--src` tree's Python files.  One untimed
+command first fills the embedding parse cache.
 
 This script imports only the standard library and builds the corpora in a
 child process, so its own memory stays small: on Linux a child's peak RSS
@@ -39,7 +38,19 @@ SEED = 7
 RISKS = 100
 DISTINCT_RATIO = 0.5
 RUNGS = (50, 100, 200)
-MODES = ("risks", "pooling", "evaluation", "docs")
+# name -> (subcommand and flags, whether it reads the word vectors); the
+# bundled RBS and categories serve `rbs coverage` and `template build`
+COMMANDS = {
+    "similarity risks": (["similarity", "risks"], True),
+    "similarity pooling": (["similarity", "pooling"], True),
+    "similarity evaluation": (["similarity", "evaluation"], True),
+    "similarity docs": (["similarity", "docs"], False),
+    "template build": (["template", "build"], True),
+    "template build --match-threshold 0.99": (
+        ["template", "build", "--match-threshold", "0.99"], True),
+    "rbs coverage": (["rbs", "coverage"], True),
+    "lifecycle ratios": (["lifecycle", "ratios"], False),
+}
 
 
 def build(projects: int, out: Path) -> None:
@@ -113,25 +124,26 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         report = Path(work) / "report.json"
 
-        def command(mode, target, summary):
-            vectors = [] if mode == "docs" else ["--embeddings", summary["word_vectors"]]
-            return ["similarity", mode, "--manifest", str(target / "manifest.json"),
-                    *vectors, "--out", str(report)]
+        def command(name, target, summary):
+            argv, reads_vectors = COMMANDS[name]
+            vectors = ["--embeddings", summary["word_vectors"]] if reads_vectors else []
+            return [*argv, "--manifest", str(target / "manifest.json"), *vectors,
+                    "--out", str(report)]
 
-        run_command(command("risks", *inputs[0]), src)  # fills the parse cache
+        run_command(command("similarity risks", *inputs[0]), src)  # fills the parse cache
         for projects, (target, summary) in zip(RUNGS, inputs):
             rung = {"projects": projects, "risks_per_project": RISKS, "rows": summary["rows"],
                     "distinct_texts": summary["distinct_texts"], "commands": {}}
-            for mode in MODES:
-                wall, rss = run_command(command(mode, target, summary), src)
-                rung["commands"][f"similarity {mode}"] = {
+            for name in COMMANDS:
+                wall, rss = run_command(command(name, target, summary), src)
+                rung["commands"][name] = {
                     "wall_s": round(wall, 3),
                     "peak_rss_mb": round(rss, 1),
                     "report_bytes": report.stat().st_size,
                     "sha256": sha256(report),
                 }
                 report.unlink()
-                print(f"{projects} projects, similarity {mode}: {wall:.2f} s, {rss:.0f} MB",
+                print(f"{projects} projects, {name}: {wall:.2f} s, {rss:.0f} MB",
                       file=sys.stderr)
             results.append(rung)
     payload = {
@@ -142,6 +154,7 @@ def main(argv=None) -> int:
                   "that fills the embedding parse cache; peak RSS from wait4",
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
+        "src_lines": sum(len(path.read_bytes().splitlines()) for path in src.rglob("*.py")),
         "rungs": results,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -104,8 +104,13 @@ def _backend(args, digests: dict) -> EmbeddingBackend:
 
 
 def _number(value, where: str):
-    """A finite JSON number read from an input file; ParseError naming `where` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A JSON number read from an input file that is finite as a float;
+    ParseError naming `where` otherwise, as for an int too large for a float."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
         raise ParseError(f"{where} must be a finite number, not {value!r}")
     return value
 
@@ -504,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cover = rbs_modes.add_parser("coverage", help="semantic coverage of registers")
     _add_common(cover, backend=True)
-    cover.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
+    cover.add_argument("--jobs", type=_positive_int, default=1, help="worker parallelism bound")
     cover.add_argument("--rbs", help="RBS JSON (default: bundled)")
     cover.add_argument("--threshold", type=_COSINE, default=DEFAULT_COVERAGE_THRESHOLD)
     cover.set_defaults(func=_cmd_rbs_coverage)

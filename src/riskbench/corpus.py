@@ -423,7 +423,7 @@ def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int, None]:
 def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int, object]:
     try:
         payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise ParseError(f"{source}: invalid JSON ({exc})") from exc
     if isinstance(payload, list):
         payload = {"items": payload}
@@ -543,7 +543,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     try:
         # universal newlines, as in a text-mode read, so error positions hold
         manifest = json.loads(io.StringIO(text, newline=None).read())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("projects"), list):
         raise ParseError(f"{manifest_path}: expected an object with a 'projects' array")

@@ -164,7 +164,7 @@ def coverage(
     keyed = unit_rows(backend, [*(item.text for _, item in flat),
                                 *(risk.name for risk in register.items)])
     items, risks = keyed.ids[:len(flat)], keyed.ids[len(flat):]
-    best, scores = keyed.best(risks, items)
+    best, scores = (column[:, 0] for column in keyed.best(risks, [items]))
     rows: list[CoverageRow] = []
     for risk, index, score, missed in zip(register.items, best.tolist(), scores.tolist(),
                                           keyed.missed[risks].tolist()):

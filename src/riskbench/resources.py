@@ -43,5 +43,5 @@ def read_json_checked(path: str | Path, what: str):
     text = read_text_checked(path, what)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ParseError(f"{path}: {what} is not valid JSON ({exc})") from exc

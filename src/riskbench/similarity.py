@@ -208,47 +208,27 @@ def _maybe_group_test(groups: dict[str, list[float]]) -> TTestResult | None:
         return None
 
 
-# One block of the distinct-text score table holds at most this many bytes.
-_BLOCK_BYTES = 16 << 20
-
-
 def _best_matches(
     backend: EmbeddingBackend, registers: Sequence[RegisterSnapshot], use_description: bool
 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
-    """Every distinct key's best match in every register, from one score table.
+    """Every distinct key's best match in every register, from one `best` call.
 
     Rows number the items of all registers in order. Returns each
     register's [start, end) rows, each row's key id, and for key x and
     register t the best match's row `rows[x, t]` and cosine `scores[x, t]`
-    (-1 and -inf when t is empty). The distinct keys are scored against
-    each other in row blocks; a register's columns are its distinct keys in
-    the order of their first row there, so an argmax takes the lowest row
-    among tied texts, and texts with equal keys share a column, so they tie
-    exactly on any BLAS kernel.
+    (-1 and -inf when t is empty). Ties take the lowest row, and texts with
+    equal keys tie exactly.
     """
     keyed = unit_rows(backend, [item.matching_text(use_description)
                                 for r in registers for item in r.items])
-    key_ids, count = keyed.ids, len(keyed.units)
     bounds = [0, *accumulate(len(r.items) for r in registers)]
     spans = list(zip(bounds, bounds[1:]))
-    columns = []
-    for start, end in spans:
-        ids, first = np.unique(key_ids[start:end], return_index=True)
-        order = np.argsort(first)
-        columns.append((ids[order], first[order] + start))
-    rows = np.full((count, len(registers)), -1, dtype=np.intp)
-    scores = np.full((count, len(registers)), -np.inf)
-    step = max(1, _BLOCK_BYTES // (8 * max(count, 1)))
-    for low in range(0, count, step):
-        table = keyed.scores(slice(low, low + step), slice(None))
-        high = low + len(table)
-        for register, (ids, first) in enumerate(columns):
-            if len(ids):
-                best = table[:, ids].argmax(axis=1)
-                rows[low:high, register] = first[best]
-                scores[low:high, register] = table[np.arange(high - low), ids[best]]
-        del table  # one block at a time: free it before the next is made
-    return spans, key_ids, rows, scores
+    rows, scores = keyed.best(np.arange(len(keyed.units)),
+                              [keyed.ids[start:end] for start, end in spans])
+    for register, (start, end) in enumerate(spans):
+        if start < end:  # positions in the register to rows, in place
+            rows[:, register] += start
+    return spans, keyed.ids, rows, scores
 
 
 @dataclass(frozen=True, eq=False)

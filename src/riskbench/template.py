@@ -236,7 +236,7 @@ def classify_risk(
     keyed = unit_rows(backend, [*texts, *(f"{c.name} {c.description}".strip()
                                           for c in categories.categories)])
     sources = keyed.ids[:len(texts)]
-    indices, scores = keyed.best(sources, keyed.ids[len(texts):])
+    indices, scores = (column[:, 0] for column in keyed.best(sources, [keyed.ids[len(texts):]]))
     return [
         ClassifiedRisk(label=categories.categories[index].name, score=score, all_oov=all_oov)
         for index, score, all_oov in zip(indices.tolist(), scores.tolist(),
@@ -409,7 +409,8 @@ def evaluate_template(
     entries = len(template.entries)
     keyed = unit_rows(backend, [*(entry.text for entry in template.entries),
                                 *(item.matching_text() for item in test_register.items)])
-    indices, scores = keyed.best(keyed.ids[entries:], keyed.ids[:entries])
+    indices, scores = (column[:, 0]
+                       for column in keyed.best(keyed.ids[entries:], [keyed.ids[:entries]]))
     chosen_by_tp: set[int] = set()
     tp = fn = 0
     for index, score in zip(indices.tolist(), scores.tolist()):

@@ -21,7 +21,7 @@ from riskbench.corpus import default_scale_config
 from riskbench.resources import data_path
 
 from .conftest import assert_same_text
-from .test_corpus import MANIFEST_FAULTS, write_manifest_fault
+from .test_corpus import LONG_INT, MANIFEST_FAULTS, write_manifest_fault
 
 WORD_VECTORS = str(data_path("embeddings", "reference_word_vectors.txt"))
 SENTENCE_VECTORS = str(data_path("embeddings", "reference_sentence_vectors.jsonl"))
@@ -472,6 +472,19 @@ def test_jobs_flag_does_not_change_output(manifest, tmp_path):
     assert_same_text(first.read_bytes(), second.read_bytes())
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "two"])
+def test_jobs_must_be_a_positive_integer(manifest, tmp_path, capsys, value):
+    out = tmp_path / "c.json"
+    with pytest.raises(SystemExit) as excinfo:
+        run(["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS,
+             "--jobs", value, "--out", str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument --jobs: expected a positive integer, not {value!r}" in err
+    assert not out.exists()
+
+
 # (command without --out, flag): each flag is a cosine in [-1, 1] or, for
 # --alpha, a significance level in (0, 1)
 FLOAT_FLAGS = [
@@ -655,7 +668,8 @@ AUX_FILES = {
     "coverage": (["rbs", "cooccur", "--coverage", "{file}"], True),
 }
 AUX_FAULTS = [(kind, "latin-1") for kind in sorted(AUX_FILES)] + [
-    (kind, "bad json") for kind, (_, is_json) in sorted(AUX_FILES.items()) if is_json
+    (kind, fault) for kind, (_, is_json) in sorted(AUX_FILES.items()) if is_json
+    for fault in ("bad json", "long int")
 ]
 
 
@@ -664,6 +678,8 @@ def test_bad_auxiliary_file_exits_1(manifest, tmp_path, capsys, kind, fault):
     path = tmp_path / f"{kind}.input"
     if fault == "latin-1":
         path.write_bytes('{"café": 1}\n'.encode("latin-1"))
+    elif fault == "long int":
+        path.write_text(f'{{"x": {LONG_INT}}}\n', encoding="utf-8")
     else:
         path.write_text("{bad\n", encoding="utf-8")
     argv, _ = AUX_FILES[kind]
@@ -674,6 +690,8 @@ def test_bad_auxiliary_file_exits_1(manifest, tmp_path, capsys, kind, fault):
     assert err.startswith(f"error: {path}: ")
     if fault == "latin-1":
         assert "is not valid UTF-8" in err
+    elif fault == "long int":
+        assert "is not valid JSON (Exceeds the limit" in err
     else:
         assert "is not valid JSON (Expecting property name enclosed in double quotes: " \
                "line 1 column 2 (char 1))" in err
@@ -753,6 +771,12 @@ def _template_with(entry):
      "invalid scale config (risk_matrix has no High, Medium or Low for bands (1, 2))"),
     ("scales", scales_payload(risk_matrix={"1,1": "Low"}),
      "invalid scale config (risk_matrix has no High, Medium or Low for bands (1, 2))"),
+    pytest.param("thresholds", {"careful": 10**400},
+                 f"'careful' must be a finite number, not {10**400}",
+                 id="thresholds-int too large for a float"),
+    pytest.param("groups", _with_metrics("4", {"cost_growth": 0.1, "time_growth": -10**400}),
+                 f"project '4' metric 'time_growth' must be a finite number, not {-10**400}",
+                 id="groups-int too large for a float"),
 ])
 def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, message):
     path = tmp_path / f"{kind}.json"
@@ -983,6 +1007,9 @@ MUTATED_FILES = {
     "categories": ([["template", "build", *CORPUS, *WORDS, "--categories", "{file}"]], 15),
     "template": ([[a.replace("{template}", "{file}") for a in TEMPLATE_EVAL]], 20),
     "groups": ([["lifecycle", "compare", "--groups", "{file}"]], 20),
+    "thresholds": ([["lifecycle", "styles", *CORPUS, "--thresholds", "{file}"]], 20),
+    "lifecycle_csv": ([["lifecycle", mode, "--lifecycle-csv", "{file}"]
+                       for mode in ("ratios", "styles")], 15),
     # over raw values, so that the edges and the risk matrix are read
     "scales": ([[*argv, "--manifest", "{raw_manifest}", "--scales", "{file}"]
                 for argv in (["ingest"], ["similarity", "docs"])], 20),
@@ -1001,6 +1028,9 @@ KNOWN_FAULTS = {
                    ("set", ["categories", 0, "description"], 7)],
     "template": [("set", ["result", "entries", 0, "text"], 5),
                  ("set", ["result", "source_filter"], [1])],
+    # an int too large for a float
+    "groups": [("set", ["metrics", "4", "cost_growth"], 10**400)],
+    "thresholds": [("set", ["careful"], 10**400)],
     "scales": [("set", ["probability_band_edges"], ["0.1", "0.3", "0.5", "0.7"]),
                ("set", ["cost_band_edges", 0], [0.001]),
                ("set", ["risk_matrix"], {"1": "High"})],
@@ -1065,8 +1095,8 @@ def mutations(values):
 @pytest.fixture(scope="module")
 def oracle_files(manifest, tmp_path_factory):
     """A copy of the fixture corpus, a template and a coverage report of it,
-    the bundled RBS and categories, a groups file, a scales file and a
-    corpus of raw values."""
+    the bundled RBS and categories, a groups file, a thresholds file, the
+    bundled lifecycle CSV, a scales file and a corpus of raw values."""
     root = tmp_path_factory.mktemp("oracle")
     corpus = root / "corpus"
     shutil.copytree(FIXTURE, corpus)
@@ -1074,8 +1104,11 @@ def oracle_files(manifest, tmp_path_factory):
              "template": str(root / "template.json"), "coverage": str(root / "coverage.json"),
              "rbs": str(data_path("rbs_table21.json")), "groups": str(root / "groups.json"),
              "categories": str(data_path("wsdot_categories.json")),
-             "scales": str(root / "scales.json"), "raw_manifest": str(root / "raw.json")}
+             "scales": str(root / "scales.json"), "raw_manifest": str(root / "raw.json"),
+             "thresholds": str(root / "thresholds.json"),
+             "lifecycle_csv": str(data_path("fixtures", "expost", "lifecycle_table19.csv"))}
     Path(files["groups"]).write_text(json.dumps(STYLE_GROUPS))
+    Path(files["thresholds"]).write_text(json.dumps({"careful": 0.4, "doer_new_item": 0.6}))
     Path(files["scales"]).write_text(json.dumps(scales_payload()))
     (root / "raw.csv").write_text(
         "risk_id,name,probability,cost_impact,schedule_impact\n"
@@ -1097,7 +1130,7 @@ def test_mutated_inputs_exit_0_or_1(oracle_files, tmp_path, name):
     exception."""
     commands, count = MUTATED_FILES[name]
     original = Path(oracle_files[name]).read_bytes()
-    is_json = name != "register"
+    is_json = name not in ("register", "lifecycle_csv")
     # the manifest's mutant sits beside it, so that register paths resolve;
     # the register's mutant replaces it, and is put back after each run
     if name == "register":
@@ -1105,7 +1138,7 @@ def test_mutated_inputs_exit_0_or_1(oracle_files, tmp_path, name):
     elif name == "manifest":
         mutant = Path(oracle_files["manifest"]).with_name("mutant.json")
     else:
-        mutant = tmp_path / f"{name}.json"
+        mutant = tmp_path / f"{name}.{'json' if is_json else 'csv'}"
     files = {**oracle_files, "file": str(mutant)}
 
     def check(mutation):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -281,7 +282,11 @@ def _project(**overrides):
     return entry
 
 
+# a JSON integer past Python's limit on int-to-text digits, which json.loads
+# rejects with a ValueError that is not a JSONDecodeError
+LONG_INT = "1" * (sys.get_int_max_str_digits() + 1)
 MANIFEST_FAULTS = {
+    "int past the digit limit": (f'{{"projects": [{LONG_INT}]}}', "invalid JSON (Exceeds the limit"),
     "register without path": (
         json.dumps({"projects": [_project(), _project(id="p2", registers=[{"ordinal": 0}])]}),
         "project 1, register 0: expected an object with a 'path' string",
@@ -411,6 +416,11 @@ def test_json_register_text_field_types(tmp_path, field, value, kind):
         _project(registers=[{"ordinal": 0, "path": "r.json"}])]}))
     with pytest.raises(ParseError, match=f"r.json, item 1: {field} must be {kind}"):
         load_corpus(manifest)
+
+
+def test_json_register_int_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^<register>: invalid JSON \(Exceeds the limit"):
+        parse_register(f'{{"items": [{LONG_INT}]}}'.encode(), "json")
 
 
 def test_load_corpus_keeps_digests_of_the_bytes_parsed(expost_manifest):

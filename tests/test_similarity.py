@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from riskbench.corpus import (
     RiskItem,
     SizeBand,
 )
-from riskbench import similarity
+from riskbench import similarity, vectorize
 from riskbench.errors import CorpusError, EmptyReportError, StatTestError
+from riskbench.rbs import coverage, load_rbs
 from riskbench.similarity import (
     MatchTable,
     directional_mean_matrix,
@@ -32,11 +35,21 @@ from riskbench.similarity import (
     score_histogram,
     two_sample_t_test,
 )
+from riskbench.template import (
+    build_template,
+    classify_risk,
+    evaluate_template,
+    group_risks,
+    load_categories,
+)
 from riskbench.vectorize import (
+    EmbeddingBackend,
     cosine,
+    cosine_table,
     embed_text,
     embedding_key,
     load_word_vectors,
+    normalize_sentence,
     tokenize,
     unit_rows,
 )
@@ -164,8 +177,8 @@ def test_report_mean_equals_pair_mean_invariant():
 def best_match(risk, candidates, backend):
     """(target risk_id, score) of the kernel's best match of one risk."""
     keyed = unit_rows(backend, [risk.name, *(c.name for c in candidates)])
-    indices, scores = keyed.best(keyed.ids[:1], keyed.ids[1:])
-    return candidates[int(indices[0])].risk_id, float(scores[0])
+    indices, scores = keyed.best(keyed.ids[:1], [keyed.ids[1:]])
+    return candidates[int(indices[0, 0])].risk_id, float(scores[0, 0])
 
 
 def test_best_match_exact_name(reference_backend):
@@ -822,18 +835,71 @@ def test_identical_texts_tie_to_the_first_row():
     assert [(p.a, p.b) for p in pooled[2].pairs] == [(f"r{i}", "p1:r1") for i in range(4)]
 
 
-def test_small_score_blocks_give_the_same_matches(monkeypatch, dense_corpus):
-    corpus, backend = dense_corpus
-    whole = match_registers(corpus, backend, min_score=-1.0)
-    monkeypatch.setattr(similarity, "_BLOCK_BYTES", 8 * 160 * 7)  # 7 rows per block
-    blocked = match_registers(corpus, backend, min_score=-1.0)
-    keys = _keys(corpus, backend)
-    assert blocked.source_rows.tolist() == whole.source_rows.tolist()
-    for row, other, score, other_score in zip(blocked.target_rows.tolist(),
-                                              whole.target_rows.tolist(),
-                                              blocked.scores.tolist(), whole.scores.tolist()):
-        assert printed(score) == printed(other_score)
-        assert row == other or keys[row] == keys[other]
+@pytest.fixture(scope="module")
+def variant_inputs(tmp_path_factory):
+    """A dense corpus of text variants with its RBS and categories, and two
+    backends: its word vectors, and a sentence table that misses every other
+    distinct sentence, with the word vectors as its fallback."""
+    from riskbench.corpus import load_corpus
+
+    root = tmp_path_factory.mktemp("variant-inputs")
+    manifest, words = write_dense_corpus(root, projects=8, risks=60, recur=6, variants=True)
+    corpus, rbs = load_corpus(manifest), load_rbs(root / "rbs.json")
+    categories = load_categories(root / "categories.json")
+    words = load_word_vectors(words)
+    texts = [*(i.name for p in corpus.projects for i in p.register.items),
+             *(item.text for _, item in rbs.flat_items()),
+             *(f"{c.name} {c.description}" for c in categories.categories)]
+    keys = sorted({normalize_sentence(text) for text in texts})[::2]
+    vectors = np.random.default_rng(3).standard_normal((len(keys), 16))
+    sentence = EmbeddingBackend(kind="precomputed_sentence", dimension=16,
+                                sentence_table=dict(zip(keys, vectors)), fallback=words)
+    return corpus, rbs, categories, {"words": words, "sentence": sentence}
+
+
+def _template_counts(corpus, rbs, categories, backend):
+    template = build_template(group_risks(corpus.projects[:6], backend), top_n=20)
+    return [evaluate_template(template, p.register, backend, 0.5) for p in corpus.projects[6:]]
+
+
+# Each caller of KeyedUnits.best, as (corpus, rbs, categories, backend) ->
+# its matches, with scores as a report prints them.
+BEST_CALLERS = {
+    "match_registers": lambda corpus, rbs, categories, backend: [
+        (source, target, printed(score)) for source, target, score in zip(
+            *(column.tolist() for column in astuple(match_registers(corpus, backend, -1.0))))],
+    "pooling_similarity": lambda corpus, rbs, categories, backend: [
+        (p.a, p.b, printed(p.score)) for r in pooling_similarity(corpus, backend)
+        for p in r.pairs],
+    "directional_mean_matrix": lambda corpus, rbs, categories, backend: [
+        [score if score is None else printed(score) for score in row]
+        for row in directional_mean_matrix(corpus, backend)[1]],
+    "rbs.coverage": lambda corpus, rbs, categories, backend: [
+        (row.best_item, printed(row.score), row.used_fallback) for p in corpus.projects
+        for row in coverage(rbs, p.register, backend).rows],
+    "classify_risk": lambda corpus, rbs, categories, backend: [
+        (label.label, printed(label.score)) for label in classify_risk(
+            [i.name for p in corpus.projects for i in p.register.items], categories, backend)],
+    "evaluate_template": _template_counts,
+}
+
+
+@pytest.mark.parametrize("space", ["words", "sentence"])
+@pytest.mark.parametrize("caller", sorted(BEST_CALLERS))
+def test_small_score_blocks_give_the_same_matches(monkeypatch, variant_inputs, caller, space):
+    corpus, rbs, categories, backends = variant_inputs
+    run = functools.partial(BEST_CALLERS[caller], corpus, rbs, categories, backends[space])
+    calls = []
+    monkeypatch.setattr(vectorize, "cosine_table",
+                        lambda a, b: calls.append(len(a)) or cosine_table(a, b))
+    whole, whole_calls = run(), len(calls)
+    # one row per block, then 210 scores per block: 2 rows against the 80
+    # keys of the word space, 70 against its 3 category keys
+    for block_bytes in (8, 8 * 210):
+        monkeypatch.setattr(vectorize, "_BLOCK_BYTES", block_bytes)
+        calls.clear()
+        assert run() == whole
+        assert len(calls) > whole_calls
 
 
 def test_reports_do_not_depend_on_blas_threads(dense_inputs, tmp_path):

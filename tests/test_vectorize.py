@@ -251,9 +251,40 @@ def test_keyed_units_score_sentence_misses_in_the_fallback_space():
         assert table[i, j] == pytest.approx(expected, abs=1e-12)
     # the two misses share one fallback key, so they score in the same bits
     assert table[0, 1] == table[0, 3] and table[1, 0] == table[3, 0]
-    assert keyed.best(keyed.ids[:1], keyed.ids[1:])[0].tolist() == [0]
+    assert keyed.best(keyed.ids[:1], [keyed.ids[1:]])[0].tolist() == [[0]]
     with pytest.raises(MissingEmbeddingError, match="'Gamma, beta; alpha.'"):
         unit_rows(sentence, texts)
+
+
+@pytest.mark.parametrize("block_bytes", [vectorize._BLOCK_BYTES, 8])
+def test_best_takes_each_groups_lowest_tied_position(monkeypatch, block_bytes):
+    """`best` against an argmax over each group's positions in the table of
+    distinct keys (whose GEMM shape may round differently): ties take the
+    lowest position, a repeated row gets one
+    answer, an all-OOV text scores 0.0 everywhere, so its best match is the
+    group's first position, and an empty group gives -1 and -inf."""
+    from .conftest import VARIANTS, variant_backend
+
+    monkeypatch.setattr(vectorize, "_BLOCK_BYTES", block_bytes)
+    texts = ["delta", *VARIANTS, "alpha", "delta alpha", "zzqx", "beta gamma", "delta"]
+    keyed = unit_rows(variant_backend(), texts)
+    table = keyed.scores(slice(None), slice(None))
+    groups = [slice(0, 5), slice(3, 3), slice(2, 10), slice(7, 8)]
+    rows = keyed.ids[::-1]
+    positions, scores = keyed.best(rows, [keyed.ids[group] for group in groups])
+    assert positions.shape == scores.shape == (len(texts), len(groups))
+    for row, key in enumerate(rows.tolist()):
+        for column, group in enumerate(groups):
+            candidates = table[key, keyed.ids[group]]
+            if len(candidates):
+                assert positions[row, column] == candidates.argmax()
+                assert scores[row, column] == pytest.approx(candidates.max(), abs=1e-12)
+            else:
+                assert (positions[row, column], scores[row, column]) == (-1, -math.inf)
+    assert positions[0, 0] == 0 and positions[5, 0] == 1  # "delta"; a variant
+    assert scores[2].tolist() == [0.0, -math.inf, 0.0, 0.0]  # "zzqx", all-OOV
+    assert positions[2].tolist() == [0, -1, 0, 0]
+    assert keyed.best(rows, [])[0].shape == (len(texts), 0)
 
 
 # ----------------------------------------------------------- word vector files
@@ -498,6 +529,15 @@ def test_load_sentence_vectors_duplicate_differing(tmp_path, monkeypatch):
         with pytest.raises(ParseError, match="differing"):
             load_sentence_vectors(path)
     assert _entries(tmp_path) == []
+
+
+def test_load_sentence_vectors_int_past_the_digit_limit(tmp_path):
+    from .test_corpus import LONG_INT
+
+    path = tmp_path / "s.jsonl"
+    path.write_text(f'{{"text": "a", "vector": [{LONG_INT}]}}\n', encoding="utf-8")
+    with pytest.raises(ParseError, match=r"s.jsonl, line 1: invalid JSON \(Exceeds the limit"):
+        load_sentence_vectors(path)
 
 
 def test_load_sentence_vectors_mixed_dimensions(tmp_path, monkeypatch):
