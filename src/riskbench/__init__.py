@@ -46,7 +46,6 @@ from .lifecycle import (
 )
 from .rbs import CooccurrenceMatrix, CoverageReport, Rbs, cooccurrence, coverage, default_rbs, load_rbs
 from .similarity import (
-    MatchTable,
     SimilarityReport,
     TTestResult,
     document_similarity,

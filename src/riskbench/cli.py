@@ -155,16 +155,12 @@ def _cmd_similarity_docs(args, digests):
     stop_words = _stop_words(args, digests)
     report = document_similarity(corpus, stop_words=stop_words, group_by=args.group_by)
     if args.heatmap:
-        ids = [p.project_id for p in corpus.projects]
-        scores = {(p.a, p.b): p.score for p in report.pairs}
-        matrix = [
-            [
-                1.0 if a == b else scores.get((a, b), scores.get((b, a)))
-                for b in ids
-            ]
-            for a in ids
-        ]
-        write_heatmap_csv(args.heatmap, ids, ids, matrix)
+        pairs = report.pairs
+        matrix = [[1.0] * len(pairs.labels) for _ in pairs.labels]
+        for a, b, score in zip(pairs.source_rows.tolist(), pairs.target_rows.tolist(),
+                               pairs.scores.tolist()):
+            matrix[a][b] = matrix[b][a] = score
+        write_heatmap_csv(args.heatmap, pairs.labels, pairs.labels, matrix)
     return _similarity_config("docs", args.group_by), report.to_dict()
 
 

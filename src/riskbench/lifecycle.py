@@ -86,12 +86,9 @@ def accepts(transitions: Sequence[RiskTransition]) -> bool:
     return state is RiskState.CLO
 
 
-@dataclass(frozen=True)
-class InferenceRules:
-    """How an observation maps to a state when no explicit state is given."""
-
-    happening_probability_min: float = 0.9
-    require_impact: bool = True
+# An observation with no explicit state is Happening when its probability is
+# at least this and an impact is recorded, and Registered otherwise.
+HAPPENING_PROBABILITY_MIN = 0.9
 
 
 @dataclass(frozen=True)
@@ -102,14 +99,14 @@ class RiskObservation:
     impact_recorded: bool = False
 
 
-def infer_state(obs: RiskObservation, rules: InferenceRules = InferenceRules()) -> RiskState:
+def infer_state(obs: RiskObservation) -> RiskState:
     """Explicit state wins; else high probability plus impact means Happening."""
     if obs.explicit_state is not None:
         return obs.explicit_state
     if (
         obs.probability_fraction is not None
-        and obs.probability_fraction >= rules.happening_probability_min
-        and (obs.impact_recorded or not rules.require_impact)
+        and obs.probability_fraction >= HAPPENING_PROBABILITY_MIN
+        and obs.impact_recorded
     ):
         return RiskState.HAP
     return RiskState.REG
@@ -129,7 +126,6 @@ def build_lifecycle(
     risk_id: str,
     observations: Sequence[RiskObservation],
     project_snapshot_count: int,
-    rules: InferenceRules = InferenceRules(),
 ) -> RiskLifecycle:
     """Tabulate one risk's per-snapshot states and reconstruct its word.
 
@@ -148,7 +144,7 @@ def build_lifecycle(
             f"risk {risk_id!r}: ordinals {ordinals} outside snapshots 0..{final_ordinal}"
         )
 
-    observed = {obs.snapshot_ordinal: infer_state(obs, rules) for obs in observations}
+    observed = {obs.snapshot_ordinal: infer_state(obs) for obs in observations}
     if observed[ordinals[0]] is RiskState.CLO:
         raise LifecycleError(
             f"risk {risk_id!r}: a risk cannot be Closed at its first observation"
@@ -338,27 +334,27 @@ def observations_from_project(project: ProjectRecord) -> dict[str, list[RiskObse
     return observations
 
 
-def project_lifecycles(
-    project: ProjectRecord, rules: InferenceRules = InferenceRules()
-) -> list[RiskLifecycle]:
+def project_lifecycles(project: ProjectRecord) -> list[RiskLifecycle]:
     if project.snapshots[0].ordinal != 0:
         raise LifecycleError(
             f"project {project.project_id!r}: lifecycle analysis needs snapshot 0"
         )
     count = project.snapshots[-1].ordinal + 1
     return [
-        build_lifecycle(risk_id, observations, count, rules)
+        build_lifecycle(risk_id, observations, count)
         for risk_id, observations in observations_from_project(project).items()
     ]
 
 
-def corpus_ratios(
-    corpus: Corpus, rules: InferenceRules = InferenceRules()
-) -> tuple[dict[str, RatioSet], RatioSet]:
+def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
     """Per-project ratio table plus the pooled aggregate."""
     per_project: dict[str, RatioSet] = {}
     for project in corpus.projects:
-        per_project[project.project_id] = compute_ratios(project_lifecycles(project, rules))
+        lifecycles = project_lifecycles(project)
+        if not lifecycles:
+            raise LifecycleError(f"project {project.project_id!r}: cannot compute ratios over "
+                                 "zero lifecycles; its registers are empty")
+        per_project[project.project_id] = compute_ratios(lifecycles)
     return per_project, aggregate_ratios(per_project)
 
 

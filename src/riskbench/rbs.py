@@ -158,7 +158,8 @@ def coverage(
     misses the risk's text, so that its scores come from the fallback.
     """
     if not register.items:
-        raise EmptyReportError("coverage needs a non-empty register")
+        raise EmptyReportError(f"coverage: project {project_id!r} has an empty register"
+                               if project_id else "coverage needs a non-empty register")
     flat = rbs.flat_items()
     # the RBS items first, so that a miss names an item before any register text
     keyed = unit_rows(backend, [*(item.text for _, item in flat),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
 from .errors import CorpusError, EmptyReportError, StatTestError
-from .report import PairRows, PairScore
+from .report import PairRows
 from .vectorize import (
     EmbeddingBackend,
     _unit_length,
@@ -50,18 +50,17 @@ class TTestResult:
 @dataclass(frozen=True)
 class SimilarityReport:
     level: Level
-    pairs: tuple[PairScore, ...] | PairRows
+    pairs: PairRows
     aggregates: dict
     test: TTestResult | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """The report's payload, as `similarity docs` / `evaluation` write it;
-        columnar `PairRows` stay as they are for the report writer."""
+        the `PairRows` stay as they are for the report writer."""
         return {
             "level": self.level.value,
-            "pairs": self.pairs if isinstance(self.pairs, PairRows)
-            else [{"a": p.a, "b": p.b, "score": p.score} for p in self.pairs],
+            "pairs": self.pairs,
             "aggregates": self.aggregates,
             "metadata": self.metadata,
             "test": None if self.test is None else asdict(self.test),
@@ -161,14 +160,16 @@ def risk_level_summary(
 ) -> dict:
     """The `similarity risks` payload: the directional mean matrix and the
     aggregates of its ordered project pairs, overall and, with `group_by`, by group."""
-    if len(corpus.projects) < 2:
-        raise EmptyReportError("risk-level similarity needs at least 2 projects")
+    empty = [p.project_id for p in corpus.projects if not p.register.items]
+    if len(corpus.projects) - len(empty) < 2:
+        raise EmptyReportError(
+            "risk-level similarity needs at least 2 projects with a non-empty ex-ante register"
+            + "".join(f"; project {project_id!r} has an empty one" for project_id in empty))
     ids, matrix = directional_mean_matrix(corpus, backend, use_description)
-    pairs = [PairScore(ids[i], ids[j], score) for i, row in enumerate(matrix)
-             for j, score in enumerate(row) if i != j and score is not None]
-    if not pairs:
-        raise EmptyReportError("all registers are empty")
-    overall, _ = _pair_summary(corpus, pairs, group_by)
+    # the ordered pairs of two non-empty registers, in row-major order
+    scores = np.array(matrix, dtype=float)  # None is nan
+    rows, cols = np.nonzero(~np.eye(len(ids), dtype=bool) & ~np.isnan(scores))
+    overall, _ = _pair_summary(corpus, PairRows(ids, rows, cols, scores[rows, cols]), group_by)
     result = {"level": "risk_item", "projects": ids, "directional_mean_matrix": matrix}
     if group_by:
         result["group_means"] = overall.pop("group_means")
@@ -176,17 +177,20 @@ def risk_level_summary(
 
 
 def _pair_summary(
-    corpus: Corpus, pairs: Sequence[PairScore], group_by: str | None
+    corpus: Corpus, pairs: PairRows, group_by: str | None
 ) -> tuple[dict, dict[str, list[float]]]:
-    """Score aggregates over all pairs, with "group_means" when `group_by` is
-    set, and the scores of the pairs whose two projects share a group, by group."""
-    aggregates = _basic_aggregates([p.score for p in pairs])
+    """Score aggregates over all pairs of project ids, with "group_means" when
+    `group_by` is set, and the scores of the pairs whose two projects share a
+    group, by group."""
+    scores = pairs.scores.tolist()
+    aggregates = _basic_aggregates(scores)
     groups: dict[str, list[float]] = {}
     if group_by:
         lookup = {p.project_id: _group_value(p, group_by) for p in corpus.projects}
-        for pair in pairs:
-            if lookup[pair.a] == lookup[pair.b]:
-                groups.setdefault(lookup[pair.a], []).append(pair.score)
+        names = [lookup[label] for label in pairs.labels]
+        for a, b, score in zip(pairs.source_rows.tolist(), pairs.target_rows.tolist(), scores):
+            if names[a] == names[b]:
+                groups.setdefault(names[a], []).append(score)
         groups = dict(sorted(groups.items()))
         aggregates["group_means"] = {name: _basic_aggregates(s) for name, s in groups.items()}
     return aggregates, groups
@@ -231,37 +235,24 @@ def _best_matches(
     return spans, keyed.ids, rows, scores
 
 
-@dataclass(frozen=True, eq=False)
-class MatchTable:
-    """Best matches as parallel arrays: source row, target row, cosine score.
-
-    Rows number the ex-ante register items of the corpus's projects in
-    order. Matches run by source project, then target project, then source
-    row, each in corpus order. Tables compare and hash by identity.
-    """
-
-    source_rows: np.ndarray
-    target_rows: np.ndarray
-    scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
 def _corpus_rows(corpus: Corpus) -> list[tuple[str, RiskItem]]:
     return [(p.project_id, item) for p in corpus.projects for item in p.register.items]
 
 
-def _matched_report(level: Level, pairs: list[PairScore], metadata: dict) -> SimilarityReport:
+def _row_labels(corpus: Corpus) -> list[str]:
+    """"project:risk" for every ex-ante register item of the corpus, in order."""
+    return [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
+
+
+def _matched_report(level: Level, pairs: PairRows, metadata: dict) -> SimilarityReport:
     """A best-match report: score aggregates, histogram and, for pooling,
     the share of scores at least 0.5."""
-    scores = [p.score for p in pairs]
+    scores = pairs.scores.tolist()
     aggregates = _basic_aggregates(scores)
     aggregates["histogram"] = score_histogram(scores)
     if level is Level.POOLING:
         aggregates["fraction_at_least_0.5"] = sum(1 for s in scores if s >= 0.5) / len(scores)
-    return SimilarityReport(level=level, pairs=tuple(pairs), aggregates=aggregates,
-                            metadata=metadata)
+    return SimilarityReport(level=level, pairs=pairs, aggregates=aggregates, metadata=metadata)
 
 
 def pairwise_risk_similarity(
@@ -275,11 +266,8 @@ def pairwise_risk_similarity(
         raise EmptyReportError("pairwise risk similarity needs two non-empty registers")
     _, key_ids, rows, scores = _best_matches(backend, (reg_a, reg_b), use_description)
     keys = key_ids[: len(reg_a.items)]
-    pairs = [
-        PairScore(item.risk_id, reg_b.items[row - len(keys)].risk_id, score)
-        for item, row, score in zip(reg_a.items, rows[keys, 1].tolist(),
-                                    scores[keys, 1].tolist())
-    ]
+    labels = [item.risk_id for item in (*reg_a.items, *reg_b.items)]
+    pairs = PairRows(labels, np.arange(len(keys)), rows[keys, 1], scores[keys, 1])
     return _matched_report(Level.RISK_ITEM, pairs, {"use_description": use_description})
 
 
@@ -301,7 +289,9 @@ def pooling_similarity(
     spans, key_ids, rows, scores = _best_matches(
         backend, [p.register for p in projects], use_description
     )
-    owners = _corpus_rows(corpus)
+    # row r's "project:risk" label is labels[r], its bare risk id labels[total + r]
+    total = spans[-1][1]
+    labels = [*_row_labels(corpus), *(item.risk_id for _, item in _corpus_rows(corpus))]
     reports = []
     for index, (project, (start, end)) in enumerate(zip(projects, spans)):
         # The pool is every other register in corpus order: mask the
@@ -311,12 +301,9 @@ def pooling_similarity(
         pooled = scores[keys]
         pooled[:, index] = -np.inf
         target = pooled.argmax(axis=1)
-        pairs = []
-        for item, row, score in zip(project.register.items, rows[keys, target].tolist(),
-                                    pooled[np.arange(len(keys)), target].tolist()):
-            owner, matched = owners[row]
-            pairs.append(PairScore(item.risk_id, f"{owner}:{matched.risk_id}", score))
-        metadata = {"project_id": project.project_id, "pool_size": len(owners) - end + start}
+        pairs = PairRows(labels, np.arange(total + start, total + end), rows[keys, target],
+                         pooled[np.arange(len(keys)), target])
+        metadata = {"project_id": project.project_id, "pool_size": total - end + start}
         reports.append(_matched_report(Level.POOLING, pairs, metadata))
     return reports
 
@@ -341,8 +328,13 @@ def match_registers(
     backend: EmbeddingBackend,
     min_score: float = 0.0,
     use_description: bool = False,
-) -> MatchTable:
-    """Best matches for every ordered pair of projects with non-empty registers."""
+) -> PairRows:
+    """Best matches for every ordered pair of projects with non-empty registers.
+
+    Rows number the ex-ante register items of the corpus's projects in
+    order and are labelled "project:risk". Matches run by source project,
+    then target project, then source row, each in corpus order.
+    """
     spans, key_ids, rows, scores = _best_matches(
         backend, [p.register for p in corpus.projects], use_description
     )
@@ -358,7 +350,7 @@ def match_registers(
         ))
     sources, targets, best = (np.concatenate(column) for column in zip(*parts))
     keep = best >= min_score
-    return MatchTable(sources[keep], targets[keep], best[keep])
+    return PairRows(_row_labels(corpus), sources[keep], targets[keep], best[keep])
 
 
 def directional_mean_matrix(
@@ -396,7 +388,7 @@ _EVALUATION_METRICS = (
 )
 
 
-def _match_values(matches: MatchTable, corpus: Corpus) -> dict[str, np.ndarray]:
+def _match_values(matches: PairRows, corpus: Corpus) -> dict[str, np.ndarray]:
     """Per metric, the value of every match (nan when either side is unset),
     read from a table over the metric's value codes."""
     assessments = [item.assessment for _, item in _corpus_rows(corpus)]
@@ -430,7 +422,7 @@ def _by_threshold(
 
 
 def evaluation_level_report(
-    matches: MatchTable,
+    matches: PairRows,
     corpus: Corpus,
     thresholds: Sequence[float] = EVALUATION_THRESHOLDS,
     group_by: str | None = None,
@@ -460,10 +452,9 @@ def evaluation_level_report(
                     matches.scores[inside], {k: v[inside] for k, v in values.items()}, thresholds)
             except EmptyReportError as exc:
                 aggregates["by_group"][name] = {"skipped": str(exc)}
-    labels = [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
     return SimilarityReport(
         level=Level.EVALUATION,
-        pairs=PairRows(labels, matches.source_rows, matches.target_rows, matches.scores),
+        pairs=matches,
         aggregates=aggregates,
         metadata={"thresholds": list(thresholds)},
     )

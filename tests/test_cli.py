@@ -619,22 +619,47 @@ def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, mo
         assert not out.exists()
 
 
-def test_similarity_pooling_empty_register_exits_1_without_traceback(tmp_path):
+def manifest_with_an_empty_register(tmp_path, ids, empty):
+    """A one-snapshot manifest of the projects `ids`: project `empty`'s
+    register has a header and no rows, every other one holds one risk."""
     registers = tmp_path / "registers"
     registers.mkdir()
     (registers / "empty.csv").write_text("risk_id,name\n")
     (registers / "full.csv").write_text("risk_id,name\nr1,utility relocation delays\n")
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(json.dumps({"projects": [
-        {"id": pid, "size_band": "under_500M", "registers": [{"ordinal": 0, "path": path}]}
-        for pid, path in (("p1", "registers/empty.csv"), ("p2", "registers/full.csv"))
+        {"id": pid, "size_band": "under_500M", "registers": [
+            {"ordinal": 0, "path": f"registers/{'empty' if pid == empty else 'full'}.csv"}]}
+        for pid in ids
     ]}))
+    return manifest_path
+
+
+def test_similarity_pooling_empty_register_exits_1_without_traceback(tmp_path):
+    manifest_path = manifest_with_an_empty_register(tmp_path, ("p1", "p2"), "p1")
     out = tmp_path / "pooling.json"
     result = fresh_python("-m", "riskbench.cli", "similarity", "pooling",
                           "--manifest", str(manifest_path), "--embeddings", WORD_VECTORS,
                           "--out", str(out))
     assert result.returncode == 1
     assert result.stderr == "error: pooling: project 'p1' has an empty ex-ante register\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["rbs", "coverage", "--embeddings", WORD_VECTORS],
+     "coverage: project 'pb' has an empty register"),
+    (["lifecycle", "ratios"],
+     "project 'pb': cannot compute ratios over zero lifecycles; its registers are empty"),
+    (["similarity", "risks", "--embeddings", WORD_VECTORS],
+     "risk-level similarity needs at least 2 projects with a non-empty ex-ante register; "
+     "project 'pb' has an empty one"),
+])
+def test_empty_register_error_names_the_project(tmp_path, capsys, command, message):
+    manifest_path = manifest_with_an_empty_register(tmp_path, ("pa", "pb"), "pb")
+    out = tmp_path / "report.json"
+    assert run([*command, "--manifest", str(manifest_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -9,7 +9,6 @@ import pytest
 from riskbench.corpus import load_corpus
 from riskbench.errors import LifecycleError, ParseError, StatTestError, TransitionError
 from riskbench.lifecycle import (
-    InferenceRules,
     Origin,
     Outcome,
     RatioSet,
@@ -119,11 +118,6 @@ def test_infer_state_probability_rule():
     assert infer_state(RiskObservation(0, probability_fraction=0.95, impact_recorded=False)) is REG
     assert infer_state(RiskObservation(0, probability_fraction=0.5, impact_recorded=True)) is REG
     assert infer_state(RiskObservation(0)) is REG
-
-
-def test_infer_state_configurable_rules():
-    rules = InferenceRules(happening_probability_min=0.8, require_impact=False)
-    assert infer_state(RiskObservation(0, probability_fraction=0.85), rules) is HAP
 
 
 # ----------------------------------------------------------------- lifecycles

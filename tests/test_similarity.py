@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from riskbench.corpus import (
 from riskbench import similarity, vectorize
 from riskbench.errors import CorpusError, EmptyReportError, StatTestError
 from riskbench.rbs import coverage, load_rbs
+from riskbench.report import PairRows
 from riskbench.similarity import (
-    MatchTable,
     directional_mean_matrix,
     document_similarity,
     evaluation_level_report,
@@ -724,7 +723,9 @@ def test_match_registers_agrees_with_per_pair_oracle(corpus_and_backend, use_des
     keys = _keys(corpus, backend, use_description)
     oracle = _per_pair_oracle(corpus, backend, use_description)
     matches = match_registers(corpus, backend, min_score=-1.0, use_description=use_description)
-    assert isinstance(matches, MatchTable)
+    assert isinstance(matches, PairRows)
+    assert matches.labels == [f"{p.project_id}:{i.risk_id}"
+                              for p in corpus.projects for i in p.register.items]
     starts = np.cumsum([0] + [len(p.register.items) for p in corpus.projects])
     expected_sources = np.concatenate([np.arange(starts[i], starts[i + 1]) for i, _ in oracle])
     assert len(matches) == len(expected_sources)
@@ -749,9 +750,10 @@ def test_match_table_is_a_small_frozen_value(fixture_corpus):
     assert len(matches) == len(matches.source_rows) == len(matches.target_rows) > 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         matches.scores = matches.scores[:1]
-    # equality and hashing go by identity, as for any value holding arrays
-    assert matches == matches and hash(matches) == hash(matches)
-    assert matches != match_registers(*fixture_corpus, min_score=0.5)
+    # a PairRows compares and hashes by the pairs it holds
+    again = match_registers(*fixture_corpus, min_score=0.5)
+    assert matches == again and hash(matches) == hash(again)
+    assert matches != match_registers(*fixture_corpus, min_score=0.9)
 
 
 def test_directional_matrix_agrees_with_per_pair_oracle(corpus_and_backend):
@@ -779,6 +781,7 @@ def test_evaluation_aggregates_equal_the_per_match_loop(corpus_and_backend, grou
     thresholds = (0.0, 0.5, 0.7, 0.8)
     matches = match_registers(corpus, backend, min_score=0.0)
     report = evaluation_level_report(matches, corpus, thresholds)
+    assert report.pairs is matches
     assert report.aggregates["by_threshold"] == _loop_by_threshold(corpus, matches, thresholds)
     labels = [f"{p.project_id}:{i.risk_id}" for p in corpus.projects for i in p.register.items]
     assert [(p.a, p.b, p.score) for p in report.pairs] == [
@@ -793,8 +796,8 @@ def test_evaluation_aggregates_equal_the_per_match_loop(corpus_and_backend, grou
     for name in sorted(set(groups.values())):
         inside = np.array([groups[owner[a]] == name and groups[owner[b]] == name
                            for a, b in zip(matches.source_rows, matches.target_rows)], dtype=bool)
-        subset = MatchTable(matches.source_rows[inside], matches.target_rows[inside],
-                            matches.scores[inside])
+        subset = PairRows(matches.labels, matches.source_rows[inside],
+                          matches.target_rows[inside], matches.scores[inside])
         try:
             if not len(subset):
                 raise EmptyReportError("no matches to evaluate")
@@ -866,8 +869,7 @@ def _template_counts(corpus, rbs, categories, backend):
 # its matches, with scores as a report prints them.
 BEST_CALLERS = {
     "match_registers": lambda corpus, rbs, categories, backend: [
-        (source, target, printed(score)) for source, target, score in zip(
-            *(column.tolist() for column in astuple(match_registers(corpus, backend, -1.0))))],
+        (p.a, p.b, printed(p.score)) for p in match_registers(corpus, backend, -1.0)],
     "pooling_similarity": lambda corpus, rbs, categories, backend: [
         (p.a, p.b, printed(p.score)) for r in pooling_similarity(corpus, backend)
         for p in r.pairs],

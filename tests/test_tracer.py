@@ -52,6 +52,22 @@ def test_traced_pooling_run(tmp_path):
     assert "similarity.pooling_similarity" in spans
 
 
+def test_traced_evaluation_run(tmp_path):
+    # the tracer's match_registers hook counts the pairs of the table it returns
+    trace = tmp_path / "trace.json"
+    out = tmp_path / "evaluation.json"
+    result = fresh_python(
+        str(TRACER), str(trace), "--", "similarity", "evaluation",
+        "--manifest", str(data_path("fixtures", "expost", "manifest.json")),
+        "--embeddings", WORD_VECTORS, "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    traced = json.loads(trace.read_text(encoding="utf-8"))
+    assert "similarity.match_registers" in [name for name, *_ in traced["spans"]]
+    pairs = json.loads(out.read_text(encoding="utf-8"))["result"]["pairs"]
+    assert traced["counts"]["similarity.match_count"] == len(pairs) > 0
+
+
 def test_traced_docs_run(tmp_path):
     # the TF-IDF documents are scored by the dense kernel, in one call
     trace = tmp_path / "trace.json"
