@@ -1,0 +1,145 @@
+"""Same-bytes check: run one command matrix over the bundled fixture.
+
+    PYTHONPATH=src python3 scripts/digests.py           # write DIGESTS.json
+    PYTHONPATH=src python3 scripts/digests.py --check   # exit 1 at the first mismatch
+
+Each argument list of `MATRIX` runs in this process through
+`riskbench.cli.main`, in order, with `{data}` replaced by the package's data
+directory and `{out}` by a fresh temporary directory. DIGESTS.json records,
+for each, the arguments as written here, the exit code and the SHA-256 of
+every file named by an `--out` or `--heatmap` flag (null when the command
+did not write it). Reports embed input digests, not paths, so the bytes do
+not depend on where the checkout or the temporary directory lives.
+
+The matrix covers every subcommand that has a fixture input; `lifecycle
+compare` reads a groups file the fixture does not have. `template eval` and
+`rbs cooccur` read what an earlier `template build` and `rbs coverage` wrote.
+
+A change that alters report bytes on purpose regenerates DIGESTS.json and
+lists every changed report in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "DIGESTS.json"
+OUTPUT_FLAGS = ("--out", "--heatmap")
+
+MANIFEST = ["--manifest", "{data}/fixtures/expost/manifest.json"]
+LIFECYCLE_CSV = ["--lifecycle-csv", "{data}/fixtures/expost/lifecycle_table19.csv"]
+WORDS = ["--embeddings", "{data}/embeddings/reference_word_vectors.txt"]
+# a sentence table with the word vectors as its fallback
+SENTENCES = ["--sentence-embeddings", "{data}/embeddings/reference_sentence_vectors.jsonl", *WORDS]
+
+MATRIX = [
+    ["ingest", *MANIFEST, "--out", "{out}/ingest.json"],
+    ["similarity", "docs", *MANIFEST, "--out", "{out}/docs.json",
+     "--heatmap", "{out}/docs_heatmap.csv"],
+    ["similarity", "docs", *MANIFEST, "--group-by", "project_type",
+     "--out", "{out}/docs_type.json"],
+    ["similarity", "docs", *MANIFEST, "--group-by", "", "--out", "{out}/docs_ungrouped.json"],
+    ["similarity", "risks", *MANIFEST, *WORDS, "--out", "{out}/risks.json",
+     "--heatmap", "{out}/risks_heatmap.csv"],
+    ["similarity", "risks", *MANIFEST, *SENTENCES, "--group-by", "size_band",
+     "--out", "{out}/risks_sentences.json"],
+    ["similarity", "risks", *MANIFEST, *WORDS, "--use-description", "--group-by", "",
+     "--out", "{out}/risks_description.json"],
+    ["similarity", "pooling", *MANIFEST, *WORDS, "--out", "{out}/pooling.json"],
+    ["similarity", "pooling", *MANIFEST, *SENTENCES, "--use-description",
+     "--out", "{out}/pooling_sentences.json"],
+    ["similarity", "evaluation", *MANIFEST, *WORDS, "--out", "{out}/evaluation.json"],
+    ["similarity", "evaluation", *MANIFEST, *WORDS, "--group-by", "delivery_method",
+     "--out", "{out}/evaluation_grouped.json"],
+    ["similarity", "evaluation", *MANIFEST, *WORDS, "--threshold", "0.3", "--use-description",
+     "--out", "{out}/evaluation_0.3.json"],
+    ["similarity", "evaluation", *MANIFEST, *SENTENCES, "--threshold", "0.8",
+     "--group-by", "project_type", "--out", "{out}/evaluation_sentences.json"],
+    ["template", "build", *MANIFEST, *WORDS, "--out", "{out}/template.json"],
+    ["template", "build", *MANIFEST, *WORDS, "--match-threshold", "0.99",
+     "--out", "{out}/template_0.99.json"],
+    ["template", "build", *MANIFEST, *SENTENCES, "--use-description", "--sort", "cost",
+     "--top", "5", "--filter", "type=Highway", "--out", "{out}/template_sentences.json"],
+    ["template", "eval", *WORDS, "--template", "{out}/template.json",
+     "--register", "{data}/fixtures/expost/registers/p01_s4.csv", "--out", "{out}/eval.json"],
+    ["lifecycle", "ratios", *MANIFEST, "--out", "{out}/ratios.json"],
+    ["lifecycle", "ratios", *LIFECYCLE_CSV, "--out", "{out}/ratios_csv.json"],
+    ["lifecycle", "styles", *MANIFEST, "--out", "{out}/styles.json"],
+    ["lifecycle", "styles", *LIFECYCLE_CSV, "--out", "{out}/styles_csv.json"],
+    ["rbs", "coverage", *MANIFEST, *WORDS, "--out", "{out}/coverage.json"],
+    ["rbs", "coverage", *MANIFEST, *SENTENCES, "--threshold", "0.5", "--jobs", "2",
+     "--out", "{out}/coverage_sentences.json"],
+    ["rbs", "cooccur", "--coverage", "{out}/coverage.json", "--out", "{out}/cooccur.csv"],
+    ["rbs", "cooccur", "--coverage", "{out}/coverage_sentences.json",
+     "--out", "{out}/cooccur_sentences.csv"],
+]
+
+
+def _sha256(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def run_matrix(out: Path) -> list[dict]:
+    """Run every command of MATRIX with its outputs under `out`; one record each."""
+    from riskbench.cli import main
+    from riskbench.resources import data_root
+
+    data = str(data_root())
+    records = []
+    for argv in MATRIX:
+        concrete = [arg.replace("{data}", data).replace("{out}", str(out)) for arg in argv]
+        code = main(concrete)
+        outputs = {}
+        for flag, value in zip(argv, argv[1:]):
+            if flag in OUTPUT_FLAGS:
+                name = value.replace("{out}/", "")
+                outputs[name] = _sha256(out / name)
+        records.append({"argv": argv, "exit": code, "outputs": outputs})
+    return records
+
+
+def first_mismatch(recorded: list[dict], actual: list[dict]) -> str | None:
+    """A line naming the first command whose record differs, or None."""
+    for want, got in zip(recorded, actual):
+        command, ran = " ".join(want["argv"]), " ".join(got["argv"])
+        if want["argv"] != got["argv"]:
+            return f"the matrix changed: DIGESTS.json has {command!r}, the script {ran!r}"
+        if want["exit"] != got["exit"]:
+            return f"{command}: exit {got['exit']}, recorded {want['exit']}"
+        for name, digest in want["outputs"].items():
+            if got["outputs"].get(name) != digest:
+                written = got["outputs"].get(name)
+                return f"{command}: {name} has SHA-256 {written}, recorded {digest}"
+    if len(recorded) != len(actual):
+        return f"DIGESTS.json records {len(recorded)} commands, the matrix has {len(actual)}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with DIGESTS.json instead of writing it")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="riskbench-digests-") as out:
+        records = run_matrix(Path(out))
+    if args.check:
+        mismatch = first_mismatch(json.loads(DIGESTS.read_text(encoding="utf-8"))["commands"],
+                                  records)
+        if mismatch:
+            print(f"mismatch: {mismatch}", file=sys.stderr)
+            return 1
+        print(f"{len(records)} commands match DIGESTS.json")
+        return 0
+    DIGESTS.write_text(json.dumps({"commands": records}, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS.name}: {len(records)} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
