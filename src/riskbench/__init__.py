@@ -52,7 +52,6 @@ from .similarity import (
     evaluation_level_report,
     evaluation_similarity,
     match_registers,
-    pairwise_risk_similarity,
     pooling_similarity,
     qualitative_match,
     two_sample_t_test,

@@ -157,7 +157,6 @@ class ProjectRecord:
 @dataclass(frozen=True)
 class Corpus:
     projects: tuple[ProjectRecord, ...]
-    manifest_path: str
     # SHA-256 of the bytes parsed: "manifest", then each register by its
     # manifest path, in manifest order. Not part of equality.
     digests: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
@@ -168,15 +167,6 @@ class Corpus:
             if project.project_id in seen:
                 raise CorpusError(f"duplicate project_id {project.project_id!r}")
             seen.add(project.project_id)
-
-    def project(self, project_id: str) -> ProjectRecord:
-        for candidate in self.projects:
-            if candidate.project_id == project_id:
-                return candidate
-        raise CorpusError(f"project {project_id!r} not in corpus")
-
-    def __len__(self) -> int:
-        return len(self.projects)
 
 
 _BAND_EDGES = ("probability_band_edges", "cost_band_edges", "schedule_band_edges")
@@ -483,31 +473,6 @@ def parse_register(data: bytes, fmt: str, source: str = "<register>") -> Registe
     return RegisterSnapshot(ordinal=ordinal, label=label, items=tuple(items))
 
 
-def serialize_register(snapshot: RegisterSnapshot) -> bytes:
-    """JSON round-trip form of a snapshot; parse(serialize(s)) == s."""
-
-    def measure(band: int | None, raw: float | None) -> int | float | None:
-        return band if band is not None else raw
-
-    items = []
-    for item in snapshot.items:
-        a = item.assessment
-        items.append(
-            {
-                "risk_id": item.risk_id,
-                "name": item.name,
-                "description": item.description,
-                "category": item.category_label,
-                "probability": measure(a.probability_band, a.raw_probability),
-                "cost_impact": measure(a.cost_band, a.raw_cost),
-                "schedule_impact": measure(a.schedule_band, a.raw_schedule),
-                "status": item.status_note,
-            }
-        )
-    payload = {"ordinal": snapshot.ordinal, "label": snapshot.label, "items": items}
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-
-
 def _register_format(path: Path) -> str:
     return "json" if path.suffix.lower() == ".json" else "csv"
 
@@ -623,4 +588,4 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
             )
         )
-    return Corpus(projects=tuple(projects), manifest_path=str(manifest_path), digests=digests)
+    return Corpus(projects=tuple(projects), digests=digests)

@@ -282,16 +282,6 @@ class CooccurrenceMatrix:
 
     item_texts: tuple[str, ...]
     counts: dict[tuple[int, int], int]
-    occurrences: dict[int, int]
-    project_count: int
-
-    def count(self, item_a: str, item_b: str) -> int:
-        ia = self.item_texts.index(item_a)
-        ib = self.item_texts.index(item_b)
-        if ia == ib:
-            return self.occurrences.get(ia, 0)
-        key = (min(ia, ib), max(ia, ib))
-        return self.counts.get(key, 0)
 
     def pairs_descending(self) -> list[tuple[str, str, int]]:
         """Every item pair (i < j in file order), zero counts included, by
@@ -317,7 +307,6 @@ def cooccurrence(covered: Sequence[Iterable[str]], rbs: Rbs) -> CooccurrenceMatr
     texts = tuple(item.text for _, item in rbs.flat_items())
     index = {text: i for i, text in enumerate(texts)}
     counts: dict[tuple[int, int], int] = {}
-    occurrences: dict[int, int] = {}
     for items in covered:
         seen: set[int] = set()
         for text in items:
@@ -325,15 +314,8 @@ def cooccurrence(covered: Sequence[Iterable[str]], rbs: Rbs) -> CooccurrenceMatr
                 raise RbsError(f"covered item {text!r} is not in the RBS")
             seen.add(index[text])
         present = sorted(seen)
-        for i in present:
-            occurrences[i] = occurrences.get(i, 0) + 1
         for a in range(len(present)):
             for b in range(a + 1, len(present)):
                 key = (present[a], present[b])
                 counts[key] = counts.get(key, 0) + 1
-    return CooccurrenceMatrix(
-        item_texts=texts,
-        counts=counts,
-        occurrences=occurrences,
-        project_count=len(covered),
-    )
+    return CooccurrenceMatrix(item_texts=texts, counts=counts)

@@ -34,7 +34,6 @@ EVALUATION_THRESHOLDS = (0.5, 0.7, 0.8)
 
 class Level(str, Enum):
     DOCUMENT = "document"
-    RISK_ITEM = "risk_item"
     POOLING = "pooling"
     EVALUATION = "evaluation"
 
@@ -244,33 +243,6 @@ def _row_labels(corpus: Corpus) -> list[str]:
     return [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
 
 
-def _matched_report(level: Level, pairs: PairRows, metadata: dict) -> SimilarityReport:
-    """A best-match report: score aggregates, histogram and, for pooling,
-    the share of scores at least 0.5."""
-    scores = pairs.scores.tolist()
-    aggregates = _basic_aggregates(scores)
-    aggregates["histogram"] = score_histogram(scores)
-    if level is Level.POOLING:
-        aggregates["fraction_at_least_0.5"] = sum(1 for s in scores if s >= 0.5) / len(scores)
-    return SimilarityReport(level=level, pairs=pairs, aggregates=aggregates, metadata=metadata)
-
-
-def pairwise_risk_similarity(
-    reg_a: RegisterSnapshot,
-    reg_b: RegisterSnapshot,
-    backend: EmbeddingBackend,
-    use_description: bool = False,
-) -> SimilarityReport:
-    """Directional report: every item of reg_a best-matched into reg_b."""
-    if not reg_a.items or not reg_b.items:
-        raise EmptyReportError("pairwise risk similarity needs two non-empty registers")
-    _, key_ids, rows, scores = _best_matches(backend, (reg_a, reg_b), use_description)
-    keys = key_ids[: len(reg_a.items)]
-    labels = [item.risk_id for item in (*reg_a.items, *reg_b.items)]
-    pairs = PairRows(labels, np.arange(len(keys)), rows[keys, 1], scores[keys, 1])
-    return _matched_report(Level.RISK_ITEM, pairs, {"use_description": use_description})
-
-
 def pooling_similarity(
     corpus: Corpus,
     backend: EmbeddingBackend,
@@ -303,8 +275,13 @@ def pooling_similarity(
         target = pooled.argmax(axis=1)
         pairs = PairRows(labels, np.arange(total + start, total + end), rows[keys, target],
                          pooled[np.arange(len(keys)), target])
+        values = pairs.scores.tolist()
+        aggregates = _basic_aggregates(values)
+        aggregates["histogram"] = score_histogram(values)
+        aggregates["fraction_at_least_0.5"] = sum(1 for s in values if s >= 0.5) / len(values)
         metadata = {"project_id": project.project_id, "pool_size": total - end + start}
-        reports.append(_matched_report(Level.POOLING, pairs, metadata))
+        reports.append(SimilarityReport(level=Level.POOLING, pairs=pairs, aggregates=aggregates,
+                                        metadata=metadata))
     return reports
 
 

@@ -282,7 +282,6 @@ class EmbeddingBackend:
     word_table: dict[str, np.ndarray] = field(default_factory=dict)
     sentence_table: dict[str, np.ndarray] = field(default_factory=dict)
     stop_words: frozenset[str] = frozenset()
-    source: str = ""
     digest: str = ""  # SHA-256 of the bytes the table was read from
     # embeds the texts a sentence table misses; pairs with such a text are
     # scored in the fallback's space
@@ -346,7 +345,6 @@ def load_word_vectors(
         dimension=dimension,
         word_table=table,
         stop_words=default_stopwords() if stop_words is None else stop_words,
-        source=str(path),
         digest=digest,
     )
 
@@ -476,7 +474,6 @@ def load_sentence_vectors(
         dimension=dimension,
         sentence_table=table,
         stop_words=default_stopwords() if stop_words is None else stop_words,
-        source=str(path),
         digest=digest,
     )
 

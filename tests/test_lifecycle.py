@@ -343,7 +343,8 @@ def test_project_lifecycles_requires_snapshot_zero(expost_manifest):
     from dataclasses import replace
 
     corpus = load_corpus(expost_manifest)
-    project = corpus.project("1")
+    project = corpus.projects[0]
+    assert project.project_id == "1"
     truncated = replace(project, snapshots=project.snapshots[1:])
     with pytest.raises(LifecycleError, match="snapshot 0"):
         project_lifecycles(truncated)

@@ -280,22 +280,27 @@ def _report_for(covered_names, project_id):
     return coverage(small_rbs(), register, small_backend(), 0.6, project_id=project_id)
 
 
+def _pair_counts(reports):
+    """{(a, b): count} over both orders of every pair, read from pairs_descending()."""
+    rows = cooccurrence([r.covered_items() for r in reports], small_rbs()).pairs_descending()
+    return {**{(a, b): count for a, b, count in rows}, **{(b, a): count for a, b, count in rows}}
+
+
 def test_cooccurrence_two_projects_sharing_pair():
     reports = [
         _report_for(["alpha", "beta"], "p0"),
         _report_for(["alpha", "beta"], "p1"),
     ]
-    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
-    assert matrix.count("alpha", "beta") == 2
-    assert matrix.count("alpha", "gamma") == 0
-    assert matrix.project_count == 2
+    counts = _pair_counts(reports)
+    assert counts["alpha", "beta"] == 2
+    assert counts["alpha", "gamma"] == 0
 
 
 def test_cooccurrence_uncovered_items_have_zero_rows():
     reports = [_report_for(["alpha"], "p0"), _report_for(["alpha"], "p1")]
-    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
-    assert matrix.count("beta", "gamma") == 0
-    assert matrix.count("alpha", "alpha") == 2  # per-item occurrence count
+    counts = _pair_counts(reports)
+    assert counts["beta", "gamma"] == 0
+    assert set(counts.values()) == {0}  # no pair is covered in any one project
 
 
 def test_cooccurrence_matches_set_intersection_oracle():
@@ -306,18 +311,19 @@ def test_cooccurrence_matches_set_intersection_oracle():
         "p3": ["gamma"],
     }
     reports = [_report_for(names, pid) for pid, names in projects.items()]
-    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
+    counts = _pair_counts(reports)
     item_names = ["alpha", "beta", "gamma"]
     for a, b in itertools.combinations(item_names, 2):
         expected = sum(1 for names in projects.values() if a in names and b in names)
-        assert matrix.count(a, b) == expected
-        assert matrix.count(a, b) <= min(matrix.count(a, a), matrix.count(b, b))
+        assert counts[a, b] == expected
 
 
 def test_cooccurrence_symmetry():
     reports = [_report_for(["alpha", "beta", "gamma"], "p0")]
-    matrix = cooccurrence([r.covered_items() for r in reports], small_rbs())
-    assert matrix.count("alpha", "beta") == matrix.count("beta", "alpha")
+    rows = cooccurrence([r.covered_items() for r in reports], small_rbs()).pairs_descending()
+    # each unordered pair once, its texts in RBS file order
+    assert [(a, b) for a, b, _ in rows] == [
+        ("alpha", "beta"), ("alpha", "gamma"), ("beta", "gamma")]
 
 
 def test_cooccurrence_pairs_descending():

@@ -28,7 +28,6 @@ from riskbench.similarity import (
     evaluation_level_report,
     evaluation_similarity,
     match_registers,
-    pairwise_risk_similarity,
     pooling_similarity,
     qualitative_match,
     score_histogram,
@@ -79,7 +78,7 @@ def project_of(register, project_id="p", delivery="DB", **kwargs):
 
 
 def corpus_of(*projects):
-    return Corpus(projects=tuple(projects), manifest_path="<test>")
+    return Corpus(projects=tuple(projects))
 
 
 # ------------------------------------------------------ document level
@@ -250,17 +249,19 @@ def test_best_match_argmax_exhaustive_rescan(reference_backend):
 
 def test_pairwise_self_similarity_is_one(reference_backend):
     reg = make_register("utility relocation delays", "design changes on structures")
-    report = pairwise_risk_similarity(reg, reg, reference_backend)
-    assert report.aggregates["mean"] == 1.0
+    corpus = corpus_of(project_of(reg, "a"), project_of(reg, "b"))
+    _, matrix = directional_mean_matrix(corpus, reference_backend)
+    assert matrix[0][1] == matrix[1][0] == 1.0
 
 
 def test_pairwise_single_item_register():
     backend = toy_backend({"alpha": [1.0, 0.1], "beta": [0.9, 0.2]})
-    reg_a = make_register("alpha")
-    reg_b = make_register("beta", "alpha beta")
-    report = pairwise_risk_similarity(reg_a, reg_b, backend)
-    assert len(report.pairs) == 1
-    assert report.aggregates["mean"] == report.pairs[0].score
+    corpus = corpus_of(project_of(make_register("alpha"), "a"),
+                       project_of(make_register("beta", "alpha beta"), "b"))
+    a_to_b = [pair for pair in match_registers(corpus, backend) if pair.a.startswith("a:")]
+    assert len(a_to_b) == 1
+    _, matrix = directional_mean_matrix(corpus, backend)
+    assert matrix[0][1] == a_to_b[0].score
 
 
 def test_pairwise_two_by_two_hand_built():
@@ -270,13 +271,14 @@ def test_pairwise_two_by_two_hand_built():
         "gamma": [1.0, 1.0],
         "delta": [1.0, -1.0],
     })
-    reg_a = make_register("alpha", "beta")
-    reg_b = make_register("gamma", "delta")
+    corpus = corpus_of(project_of(make_register("alpha", "beta"), "a"),
+                       project_of(make_register("gamma", "delta"), "b"))
     # cosine(alpha,gamma)=cos(beta,gamma)=1/sqrt(2); cos(alpha,delta)=1/sqrt(2); cos(beta,delta)=-1/sqrt(2)
-    report = pairwise_risk_similarity(reg_a, reg_b, backend)
+    _, matrix = directional_mean_matrix(corpus, backend)
     expected = 1 / math.sqrt(2)
-    assert report.aggregates["mean"] == pytest.approx(expected, abs=1e-9)
-    assert [p.b for p in report.pairs] == ["r0", "r0"]
+    assert matrix[0][1] == pytest.approx(expected, abs=1e-9)
+    a_to_b = [pair for pair in match_registers(corpus, backend) if pair.a.startswith("a:")]
+    assert [p.b for p in a_to_b] == ["b:r0", "b:r0"]
 
 
 def test_pairwise_directional_asymmetry():
@@ -285,22 +287,16 @@ def test_pairwise_directional_asymmetry():
         "beta": [0.0, 1.0],
         "mix": [1.0, 1.0],
     })
-    reg_a = make_register("alpha", "beta")
     reg_b = make_register("mix")
-    a_to_b = pairwise_risk_similarity(reg_a, reg_b, backend).aggregates["mean"]
-    b_to_a = pairwise_risk_similarity(reg_b, reg_a, backend).aggregates["mean"]
-    assert a_to_b == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-    assert b_to_a == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-    reg_c = make_register("alpha", "mix")
-    c_to_b = pairwise_risk_similarity(reg_c, reg_b, backend).aggregates["mean"]
-    b_to_c = pairwise_risk_similarity(reg_b, reg_c, backend).aggregates["mean"]
-    assert c_to_b != b_to_c  # unequal register sizes need not agree
-
-
-def test_pairwise_empty_register_error(reference_backend):
-    empty = RegisterSnapshot(0, None, ())
-    with pytest.raises(EmptyReportError):
-        pairwise_risk_similarity(empty, make_register("x"), reference_backend)
+    _, matrix = directional_mean_matrix(
+        corpus_of(project_of(make_register("alpha", "beta"), "a"), project_of(reg_b, "b")),
+        backend)
+    assert matrix[0][1] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    assert matrix[1][0] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    _, matrix = directional_mean_matrix(
+        corpus_of(project_of(make_register("alpha", "mix"), "c"), project_of(reg_b, "b")),
+        backend)
+    assert matrix[0][1] != matrix[1][0]  # unequal register sizes need not agree
 
 
 def test_pooling_verbatim_duplicate_scores_one(reference_backend):
