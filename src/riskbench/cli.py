@@ -22,7 +22,7 @@ from .corpus import (
     load_register,
     load_scale_config,
 )
-from .errors import EmptyReportError, ParseError, RiskbenchError
+from .errors import EmptyReportError, LifecycleError, ParseError, RiskbenchError
 from .lifecycle import (
     StyleThresholds,
     classify_style,
@@ -259,7 +259,10 @@ def _lifecycle_tables(args, digests):
             raise RiskbenchError(f"lifecycle csv not found: {path}")
         observations = read_lifecycle_csv(path.read_bytes(), source=str(path))
         digests["lifecycle_csv"] = file_digest(path)
-        return *tabulated_ratios(observations), {"source": "lifecycle_csv"}
+        try:
+            return *tabulated_ratios(observations), {"source": "lifecycle_csv"}
+        except LifecycleError as exc:
+            raise LifecycleError(f"{path}: {exc}") from exc
     if args.manifest:
         return *corpus_ratios(_corpus(args, digests)), {"source": "manifest"}
     raise RiskbenchError("pass --manifest or --lifecycle-csv")

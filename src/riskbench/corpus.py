@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusError, NormalizeError, ParseError
-from .resources import read_json_checked
+from .resources import csv_text, read_json_checked
 
 REGISTER_CSV_COLUMNS = (
     "risk_id",
@@ -365,11 +365,7 @@ def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
 
 
 def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int, None]:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: not valid UTF-8 ({exc})") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(csv_text(data, source)))
     header = next(reader, [])
     for required in ("risk_id", "name"):
         if required not in header:
@@ -423,15 +419,13 @@ def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int, object]:
     def measure(value, key: str, where: str) -> tuple[int | None, float | None]:
         if value is None:
             return None, None
-        if isinstance(value, bool):
-            raise ParseError(f"{source}: {key} must be numeric")
-        if isinstance(value, int):
+        if _is_int(value):
             if value not in (1, 2, 3, 4, 5):
-                raise ParseError(f"{source}: {key} band {value} outside 1..5")
+                raise ParseError(f"{where}: {key} band {value} outside 1..5")
             return value, None
         if isinstance(value, float):
             return None, value
-        raise ParseError(f"{source}: {key} must be numeric, got {value!r}")
+        raise ParseError(f"{where}: {key} must be numeric, got {value!r}")
 
     rows: list[tuple] = []
     seen: set[str] = set()

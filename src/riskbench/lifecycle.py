@@ -20,6 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, ProjectRecord
 from .errors import LifecycleError, ParseError, StatTestError, TransitionError
+from .resources import csv_text
 
 
 class RiskState(str, Enum):
@@ -340,10 +341,13 @@ def project_lifecycles(project: ProjectRecord) -> list[RiskLifecycle]:
             f"project {project.project_id!r}: lifecycle analysis needs snapshot 0"
         )
     count = project.snapshots[-1].ordinal + 1
-    return [
-        build_lifecycle(risk_id, observations, count)
-        for risk_id, observations in observations_from_project(project).items()
-    ]
+    try:
+        return [
+            build_lifecycle(risk_id, observations, count)
+            for risk_id, observations in observations_from_project(project).items()
+        ]
+    except LifecycleError as exc:
+        raise LifecycleError(f"project {project.project_id!r}: {exc}") from exc
 
 
 def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
@@ -360,11 +364,7 @@ def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
 
 def read_lifecycle_csv(data: bytes, source: str = "<lifecycle>") -> dict[str, dict[str, list[RiskObservation]]]:
     """Pre-tabulated input: project_id,risk_id,snapshot,state rows."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: not valid UTF-8 ({exc})") from exc
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(csv_text(data, source)))
     header = reader.fieldnames or []
     for required in ("project_id", "risk_id", "snapshot", "state"):
         if required not in header:
@@ -379,6 +379,9 @@ def read_lifecycle_csv(data: bytes, source: str = "<lifecycle>") -> dict[str, di
             ordinal = int(row["snapshot"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: snapshot must be an integer") from exc
+        for column in ("project_id", "risk_id"):
+            if not (row[column] or "").strip():  # None past the end of a short row
+                raise ParseError(f"{where}: missing {column}")
         project = projects.setdefault(row["project_id"], {})
         project.setdefault(row["risk_id"], []).append(
             RiskObservation(snapshot_ordinal=ordinal, explicit_state=state)
@@ -395,10 +398,13 @@ def tabulated_ratios(
         count = 1 + max(
             obs.snapshot_ordinal for observations in risks.values() for obs in observations
         )
-        lifecycles = [
-            build_lifecycle(risk_id, observations, count)
-            for risk_id, observations in risks.items()
-        ]
+        try:
+            lifecycles = [
+                build_lifecycle(risk_id, observations, count)
+                for risk_id, observations in risks.items()
+            ]
+        except LifecycleError as exc:
+            raise LifecycleError(f"project {project_id!r}: {exc}") from exc
         per_project[project_id] = compute_ratios(lifecycles)
     return per_project, aggregate_ratios(per_project)
 

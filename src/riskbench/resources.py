@@ -37,6 +37,16 @@ def read_text_checked(path: str | Path, what: str) -> str:
         raise ParseError(f"{path}: {what} is not valid UTF-8 ({exc})") from exc
 
 
+def csv_text(data: bytes, source: str) -> str:
+    """A CSV file's text, without the UTF-8 byte-order mark that spreadsheets
+    write first; ParseError naming `source` when it is not valid UTF-8, with
+    the position counted in the file's bytes."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not valid UTF-8 ({exc})") from exc
+
+
 def read_json_checked(path: str | Path, what: str):
     """The JSON value of a UTF-8 input file; ParseError naming the file, and
     for invalid JSON the decoder's line and column, otherwise."""

@@ -663,6 +663,52 @@ def test_empty_register_error_names_the_project(tmp_path, capsys, command, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--manifest", "--lifecycle-csv"])
+def test_lifecycle_errors_name_the_project(tmp_path, capsys, flag):
+    # both projects hold a risk r1; only p2's goes Hap -> Reg
+    states = {"p1": ("Reg", "Hap"), "p2": ("Hap", "Reg")}
+    lifecycle_csv = tmp_path / "lifecycle.csv"
+    lifecycle_csv.write_text("project_id,risk_id,snapshot,state\n" + "".join(
+        f"{pid},r1,{ordinal},{state}\n"
+        for pid, path in states.items() for ordinal, state in enumerate(path)))
+    for pid, path in states.items():
+        for ordinal, state in enumerate(path):
+            (tmp_path / f"{pid}_s{ordinal}.csv").write_text(f"risk_id,name,status\nr1,A,{state}\n")
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"projects": [
+        {"id": pid, "size_band": "under_500M",
+         "registers": [{"ordinal": n, "path": f"{pid}_s{n}.csv"} for n in range(2)]}
+        for pid in states]}))
+    source = {"--manifest": manifest_path, "--lifecycle-csv": lifecycle_csv}[flag]
+    out = tmp_path / "ratios.json"
+    assert run(["lifecycle", "ratios", flag, str(source), "--out", str(out)]) == 1
+    where = f"{lifecycle_csv}: " if flag == "--lifecycle-csv" else ""
+    assert capsys.readouterr().err == (
+        f"error: {where}project 'p2': risk 'r1': illegal regression Hap -> Reg at snapshot 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("registers/p01_s0.csv", "--manifest"),
+    ("lifecycle_table19.csv", "--lifecycle-csv"),
+])
+def test_csv_inputs_accept_a_byte_order_mark(tmp_path, name, flag):
+    """A CSV that starts with the UTF-8 BOM, as Excel writes it, reads as
+    without it; the report's input digest is of the bytes as they are."""
+    fixture = tmp_path / "expost"
+    shutil.copytree(data_path("fixtures", "expost"), fixture)
+    argv = ["lifecycle", "ratios", flag,
+            str(fixture / ("manifest.json" if flag == "--manifest" else name))]
+    assert run([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+    data = b"\xef\xbb\xbf" + (fixture / name).read_bytes()
+    (fixture / name).write_bytes(data)
+    assert run([*argv, "--out", str(tmp_path / "marked.json")]) == 0
+    marked = read_report(tmp_path / "marked.json")
+    assert marked["result"] == read_report(tmp_path / "plain.json")["result"]
+    key = name if flag == "--manifest" else "lifecycle_csv"
+    assert marked["inputs"][key] == hashlib.sha256(data).hexdigest()
+
+
 def scales_payload(**overrides) -> dict:
     """The default scale config as the JSON of a --scales file, with overrides."""
     scales = default_scale_config()

@@ -69,6 +69,9 @@ def test_parse_csv_band_out_of_range():
     data = (CSV_HEADER + "r1,A,,,7,,,,\n").encode()
     with pytest.raises(ParseError, match="outside 1..5"):
         parse_register(data, "csv")
+    items = [{"risk_id": "r0", "name": "B"}, {"risk_id": "r1", "name": "A", "probability": 9}]
+    with pytest.raises(ParseError, match=r"^r\.json, item 1: probability band 9 outside 1\.\.5$"):
+        parse_register(json.dumps({"items": items}).encode(), "json", source="r.json")
 
 
 def test_parse_csv_mixed_snapshot_column():
@@ -387,6 +390,8 @@ def test_manifest_value_types_that_load(tmp_path):
     ("description", 1.5, "a string or null"),
     ("category", {"a": 1}, "a string or null"),
     ("status", True, "a string or null"),
+    ("probability", "high", "numeric"),
+    ("cost_impact", True, "numeric"),
 ])
 def test_json_register_text_field_types(tmp_path, field, value, kind):
     record = {"risk_id": "r1", "name": "A", "description": None, "category": "c",
@@ -400,8 +405,9 @@ def test_json_register_text_field_types(tmp_path, field, value, kind):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"projects": [
         _project(registers=[{"ordinal": 0, "path": "r.json"}])]}))
-    with pytest.raises(ParseError, match=f"r.json, item 1: {field} must be {kind}"):
+    with pytest.raises(ParseError) as excinfo:
         load_corpus(manifest)
+    assert str(excinfo.value) == f"{tmp_path / 'r.json'}, {expected.split(', ', 1)[1]}"
 
 
 def test_json_register_int_past_the_digit_limit_is_a_parse_error():

@@ -337,6 +337,23 @@ def test_read_lifecycle_csv_errors():
         read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,0,Open\n")
     with pytest.raises(ParseError, match="integer"):
         read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,x,Reg\n")
+    with pytest.raises(ParseError, match=r"^<lifecycle>, row 3: missing project_id$"):
+        read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,0,Reg\n ,r,0,Reg\n")
+    with pytest.raises(ParseError, match=r"^lc\.csv, row 2: missing risk_id$"):
+        read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,,0,Reg\n", "lc.csv")
+    # a short row: the last column is missing, not empty
+    with pytest.raises(ParseError, match=r"^lc\.csv, row 2: missing project_id$"):
+        read_lifecycle_csv(b"state,snapshot,risk_id,project_id\nReg,0,r1\n", "lc.csv")
+
+
+def test_tabulated_ratios_error_names_the_project():
+    # both projects hold a risk r1; only p2's goes Hap -> Reg
+    observations = read_lifecycle_csv(
+        b"project_id,risk_id,snapshot,state\np1,r1,0,Reg\np1,r1,1,Hap\np2,r1,0,Hap\np2,r1,1,Reg\n")
+    with pytest.raises(LifecycleError) as excinfo:
+        tabulated_ratios(observations)
+    assert str(excinfo.value) == (
+        "project 'p2': risk 'r1': illegal regression Hap -> Reg at snapshot 1")
 
 
 def test_project_lifecycles_requires_snapshot_zero(expost_manifest):
