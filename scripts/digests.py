@@ -1,4 +1,5 @@
-"""Same-bytes check: run one command matrix over the bundled fixture.
+"""Same-bytes check: run one command matrix over the bundled fixture and the
+benchmark corpora.
 
     PYTHONPATH=src python3 scripts/digests.py           # write DIGESTS.json
     PYTHONPATH=src python3 scripts/digests.py --check   # exit 1 at the first mismatch
@@ -14,6 +15,13 @@ not depend on where the checkout or the temporary directory lives.
 The matrix covers every subcommand that has a fixture input; `lifecycle
 compare` reads a groups file the fixture does not have. `template eval` and
 `rbs cooccur` read what an earlier `template build` and `rbs coverage` wrote.
+
+The `bench` section runs the commands of every `perfbench/workloads.ops_for`
+workload at seeds BENCH_SEEDS, in pass order, on the inputs that
+`perfbench/gen.materialize` generates (or reuses) under `.perfbench/`. Its
+arguments are recorded with `{inputs}` for the seed's input directory and
+`{words}` for the shared word-vector file. Only tests/test_digests.py's
+fixture part runs in the test suite: the benchmark inputs take about 55 MB.
 
 A change that alters report bytes on purpose regenerates DIGESTS.json and
 lists every changed report in CHANGES.md.
@@ -31,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "DIGESTS.json"
 OUTPUT_FLAGS = ("--out", "--heatmap")
+BENCH_SEEDS = (1, 2, 3)
 
 MANIFEST = ["--manifest", "{data}/fixtures/expost/manifest.json"]
 LIFECYCLE_CSV = ["--lifecycle-csv", "{data}/fixtures/expost/lifecycle_table19.csv"]
@@ -104,10 +113,39 @@ def run_matrix(out: Path) -> list[dict]:
     return records
 
 
+def run_bench(out: Path) -> list[dict]:
+    """Run every benchmark workload's commands at BENCH_SEEDS; one record each."""
+    from riskbench.cli import main
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    import workloads
+
+    records = []
+    for workload in sorted(gen.SHAPES):
+        for seed in BENCH_SEEDS:
+            inputs, summary = gen.materialize(workload, seed)
+            pass_dir = out / f"{workload}-s{seed}"
+            pass_dir.mkdir()
+            places = {str(inputs): "{inputs}", summary.get("word_vectors"): "{words}"}
+            for op in workloads.ops_for(workload, inputs, summary):
+                code = main([arg.replace("{out}", str(pass_dir)) for arg in op.argv])
+                records.append({
+                    "workload": workload, "seed": seed,
+                    "argv": [places.get(arg, arg).replace(str(inputs), "{inputs}")
+                             for arg in op.argv],
+                    "exit": code,
+                    "outputs": {name: _sha256(pass_dir / name) for name in op.outputs},
+                })
+    return records
+
+
 def first_mismatch(recorded: list[dict], actual: list[dict]) -> str | None:
     """A line naming the first command whose record differs, or None."""
     for want, got in zip(recorded, actual):
         command, ran = " ".join(want["argv"]), " ".join(got["argv"])
+        if "seed" in want:
+            command = f"{want['workload']} seed {want['seed']}: {command}"
         if want["argv"] != got["argv"]:
             return f"the matrix changed: DIGESTS.json has {command!r}, the script {ran!r}"
         if want["exit"] != got["exit"]:
@@ -127,17 +165,19 @@ def main(argv=None) -> int:
                         help="compare with DIGESTS.json instead of writing it")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="riskbench-digests-") as out:
-        records = run_matrix(Path(out))
+        sections = {"commands": run_matrix(Path(out)), "bench": run_bench(Path(out))}
+    counts = ", ".join(f"{len(records)} {name}" for name, records in sections.items())
     if args.check:
-        mismatch = first_mismatch(json.loads(DIGESTS.read_text(encoding="utf-8"))["commands"],
-                                  records)
-        if mismatch:
-            print(f"mismatch: {mismatch}", file=sys.stderr)
-            return 1
-        print(f"{len(records)} commands match DIGESTS.json")
+        recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+        for name, records in sections.items():
+            mismatch = first_mismatch(recorded.get(name, []), records)
+            if mismatch:
+                print(f"mismatch: {mismatch}", file=sys.stderr)
+                return 1
+        print(f"{counts} match DIGESTS.json")
         return 0
-    DIGESTS.write_text(json.dumps({"commands": records}, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {DIGESTS.name}: {len(records)} commands")
+    DIGESTS.write_text(json.dumps(sections, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS.name}: {counts}")
     return 0
 
 

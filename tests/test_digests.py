@@ -36,3 +36,6 @@ def test_first_mismatch_names_the_command_and_the_file():
         "rbs cooccur: c.csv has SHA-256 bb, recorded aa")
     assert "exit 1, recorded 0" in digests.first_mismatch(recorded, [{**recorded[0], "exit": 1}])
     assert "records 1 commands" in digests.first_mismatch(recorded, recorded * 2)
+    bench = [{**recorded[0], "workload": "pairwise-repeat", "seed": 2}]
+    assert digests.first_mismatch(bench, [{**bench[0], "exit": 1}]) == (
+        "pairwise-repeat seed 2: rbs cooccur: exit 1, recorded 0")
