@@ -46,7 +46,6 @@ from .lifecycle import (
 )
 from .rbs import CooccurrenceMatrix, CoverageReport, Rbs, cooccurrence, coverage, default_rbs, load_rbs
 from .similarity import (
-    SimilarityReport,
     TTestResult,
     document_similarity,
     evaluation_level_report,

@@ -153,15 +153,15 @@ def _similarity_config(mode: str, group_by=None, threshold=None, use_description
 def _cmd_similarity_docs(args, digests):
     corpus = _corpus(args, digests)
     stop_words = _stop_words(args, digests)
-    report = document_similarity(corpus, stop_words=stop_words, group_by=args.group_by)
+    result = document_similarity(corpus, stop_words=stop_words, group_by=args.group_by)
     if args.heatmap:
-        pairs = report.pairs
+        pairs = result["pairs"]
         matrix = [[1.0] * len(pairs.labels) for _ in pairs.labels]
         for a, b, score in zip(pairs.source_rows.tolist(), pairs.target_rows.tolist(),
                                pairs.scores.tolist()):
             matrix[a][b] = matrix[b][a] = score
         write_heatmap_csv(args.heatmap, pairs.labels, pairs.labels, matrix)
-    return _similarity_config("docs", args.group_by), report.to_dict()
+    return _similarity_config("docs", args.group_by), result
 
 
 def _cmd_similarity_risks(args, digests):
@@ -178,21 +178,7 @@ def _cmd_similarity_risks(args, digests):
 def _cmd_similarity_pooling(args, digests):
     corpus = _corpus(args, digests)
     backend = _backend(args, digests)
-    reports = pooling_similarity(corpus, backend, args.use_description)
-    rows = [
-        {
-            "project_id": report.metadata["project_id"],
-            "mean": report.aggregates["mean"],
-            "fraction_at_least_0.5": report.aggregates["fraction_at_least_0.5"],
-            "histogram": report.aggregates["histogram"],
-        }
-        for report in reports
-    ]
-    result = {
-        "level": "pooling",
-        "projects": rows,
-        "mean_fraction_at_least_0.5": sum(r["fraction_at_least_0.5"] for r in rows) / len(rows),
-    }
+    result = pooling_similarity(corpus, backend, args.use_description)
     return _similarity_config("pooling", use_description=args.use_description), result
 
 
@@ -202,9 +188,7 @@ def _cmd_similarity_evaluation(args, digests):
     base = args.threshold
     thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
     matches = match_registers(corpus, backend, min_score=base, use_description=args.use_description)
-    result = evaluation_level_report(matches, corpus, thresholds, args.group_by).to_dict()
-    if args.group_by:  # the report file keeps the group tables beside the report's keys
-        result["by_group"] = result["aggregates"].pop("by_group")
+    result = evaluation_level_report(matches, corpus, thresholds, args.group_by)
     config = _similarity_config("evaluation", args.group_by, base, args.use_description)
     return config, result
 

@@ -9,7 +9,7 @@ compares the assessments of matched risks with the Likert distance index
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -32,38 +32,12 @@ from .vectorize import (
 EVALUATION_THRESHOLDS = (0.5, 0.7, 0.8)
 
 
-class Level(str, Enum):
-    DOCUMENT = "document"
-    POOLING = "pooling"
-    EVALUATION = "evaluation"
-
-
 @dataclass(frozen=True)
 class TTestResult:
     statistic: float
     degrees_of_freedom: float
     p_value: float
     variant: str
-
-
-@dataclass(frozen=True)
-class SimilarityReport:
-    level: Level
-    pairs: PairRows
-    aggregates: dict
-    test: TTestResult | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The report's payload, as `similarity docs` / `evaluation` write it;
-        the `PairRows` stay as they are for the report writer."""
-        return {
-            "level": self.level.value,
-            "pairs": self.pairs,
-            "aggregates": self.aggregates,
-            "metadata": self.metadata,
-            "test": None if self.test is None else asdict(self.test),
-        }
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -124,9 +98,10 @@ def document_similarity(
     *,
     stop_words: frozenset[str] = frozenset(),
     group_by: str | None = "delivery_method",
-) -> SimilarityReport:
-    """Cosine over TF-IDF vectors for every unordered project pair (i, j),
-    i < j, in row-major order, from one score table of the unit rows.
+) -> dict:
+    """The `similarity docs` payload: cosine over TF-IDF vectors for every
+    unordered project pair (i, j), i < j, in row-major order, from one score
+    table of the unit rows, with their aggregates and a t-test between groups.
 
     The rows are dense: n_projects x vocabulary x 8 bytes, 200 x 270 at the
     200-project scale rung. An empty document is a zero row and scores 0.0.
@@ -142,13 +117,9 @@ def document_similarity(
                      cosine_table(units, units)[rows, cols])
 
     aggregates, groups = _pair_summary(corpus, pairs, group_by)
-    return SimilarityReport(
-        level=Level.DOCUMENT,
-        pairs=pairs,
-        aggregates=aggregates,
-        test=_maybe_group_test(groups),
-        metadata={"group_by": group_by, "weighting": "pair"},
-    )
+    return {"level": "document", "pairs": pairs, "aggregates": aggregates,
+            "metadata": {"group_by": group_by, "weighting": "pair"},
+            "test": _group_test(groups)}
 
 
 def risk_level_summary(
@@ -200,13 +171,14 @@ def _group_value(project: ProjectRecord, group_by: str) -> str:
     return value.value if isinstance(value, Enum) else str(value)
 
 
-def _maybe_group_test(groups: dict[str, list[float]]) -> TTestResult | None:
+def _group_test(groups: dict[str, list[float]]) -> dict | None:
+    """Welch's t-test between the two largest groups with at least 2 scores."""
     eligible = [(name, scores) for name, scores in groups.items() if len(scores) >= 2]
     if len(eligible) < 2:
         return None
     eligible.sort(key=lambda item: (-len(item[1]), item[0]))
     try:
-        return two_sample_t_test(eligible[0][1], eligible[1][1])
+        return asdict(two_sample_t_test(eligible[0][1], eligible[1][1]))
     except StatTestError:
         return None
 
@@ -238,18 +210,14 @@ def _corpus_rows(corpus: Corpus) -> list[tuple[str, RiskItem]]:
     return [(p.project_id, item) for p in corpus.projects for item in p.register.items]
 
 
-def _row_labels(corpus: Corpus) -> list[str]:
-    """"project:risk" for every ex-ante register item of the corpus, in order."""
-    return [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
-
-
 def pooling_similarity(
     corpus: Corpus,
     backend: EmbeddingBackend,
     use_description: bool = False,
-) -> list[SimilarityReport]:
-    """Match each project's risks against the pooled risks of every other
-    project; one report per project, in corpus order."""
+) -> dict:
+    """The `similarity pooling` payload: per project, in corpus order, the
+    mean, histogram and fraction >= 0.5 of its risks' best scores against the
+    pooled risks of every other project; and the mean of those fractions."""
     projects = corpus.projects
     if len(projects) < 2:
         raise EmptyReportError("pooling needs at least 2 projects")
@@ -258,31 +226,20 @@ def pooling_similarity(
             raise EmptyReportError(
                 f"pooling: project {project.project_id!r} has an empty ex-ante register"
             )
-    spans, key_ids, rows, scores = _best_matches(
+    spans, key_ids, _, scores = _best_matches(
         backend, [p.register for p in projects], use_description
     )
-    # row r's "project:risk" label is labels[r], its bare risk id labels[total + r]
-    total = spans[-1][1]
-    labels = [*_row_labels(corpus), *(item.risk_id for _, item in _corpus_rows(corpus))]
-    reports = []
+    rows = []
     for index, (project, (start, end)) in enumerate(zip(projects, spans)):
-        # The pool is every other register in corpus order: mask the
-        # project's own, and the argmax over registers keeps the lowest pool
-        # row among ties.
-        keys = key_ids[start:end]
-        pooled = scores[keys]
+        # the pool is every other register: mask the project's own
+        pooled = scores[key_ids[start:end]]
         pooled[:, index] = -np.inf
-        target = pooled.argmax(axis=1)
-        pairs = PairRows(labels, np.arange(total + start, total + end), rows[keys, target],
-                         pooled[np.arange(len(keys)), target])
-        values = pairs.scores.tolist()
-        aggregates = _basic_aggregates(values)
-        aggregates["histogram"] = score_histogram(values)
-        aggregates["fraction_at_least_0.5"] = sum(1 for s in values if s >= 0.5) / len(values)
-        metadata = {"project_id": project.project_id, "pool_size": total - end + start}
-        reports.append(SimilarityReport(level=Level.POOLING, pairs=pairs, aggregates=aggregates,
-                                        metadata=metadata))
-    return reports
+        best = pooled.max(axis=1).tolist()
+        rows.append({"project_id": project.project_id, "mean": _mean(best),
+                     "fraction_at_least_0.5": sum(1 for s in best if s >= 0.5) / len(best),
+                     "histogram": score_histogram(best)})
+    fractions = [row["fraction_at_least_0.5"] for row in rows]
+    return {"level": "pooling", "projects": rows, "mean_fraction_at_least_0.5": _mean(fractions)}
 
 
 def evaluation_similarity(x1: int, x2: int) -> float:
@@ -327,7 +284,8 @@ def match_registers(
         ))
     sources, targets, best = (np.concatenate(column) for column in zip(*parts))
     keep = best >= min_score
-    return PairRows(_row_labels(corpus), sources[keep], targets[keep], best[keep])
+    labels = [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
+    return PairRows(labels, sources[keep], targets[keep], best[keep])
 
 
 def directional_mean_matrix(
@@ -403,12 +361,13 @@ def evaluation_level_report(
     corpus: Corpus,
     thresholds: Sequence[float] = EVALUATION_THRESHOLDS,
     group_by: str | None = None,
-) -> SimilarityReport:
-    """Mean assessment similarity of matched risks at each cosine threshold.
+) -> dict:
+    """The `similarity evaluation` payload: the matches, their score
+    aggregates and the mean assessment similarity at each cosine threshold.
 
-    With `group_by`, `aggregates["by_group"]` holds the same table for the
-    matches inside each group, by group name; a group with no match, or
-    none at some threshold, gets `{"skipped": reason}`.
+    With `group_by`, `by_group` holds the same table for the matches inside
+    each group, by group name; a group with no match, or none at some
+    threshold, gets `{"skipped": reason}`.
     """
     if not len(matches):
         raise EmptyReportError("no matches to evaluate")
@@ -416,25 +375,22 @@ def evaluation_level_report(
     aggregates = _basic_aggregates(matches.scores.tolist())
     values = _match_values(matches, corpus)
     aggregates["by_threshold"] = _by_threshold(matches.scores, values, thresholds)
+    result = {"level": "evaluation", "pairs": matches, "aggregates": aggregates,
+              "metadata": {"thresholds": list(thresholds)}, "test": None}
     if group_by:
         groups, codes = np.unique([_group_value(p, group_by) for p in corpus.projects],
                                   return_inverse=True)
         row_group = np.repeat(codes, [len(p.register.items) for p in corpus.projects])
         sources, targets = row_group[matches.source_rows], row_group[matches.target_rows]
-        aggregates["by_group"] = {}
+        result["by_group"] = {}
         for code, name in enumerate(groups.tolist()):
             inside = (sources == code) & (targets == code)
             try:
-                aggregates["by_group"][name] = _by_threshold(
+                result["by_group"][name] = _by_threshold(
                     matches.scores[inside], {k: v[inside] for k, v in values.items()}, thresholds)
             except EmptyReportError as exc:
-                aggregates["by_group"][name] = {"skipped": str(exc)}
-    return SimilarityReport(
-        level=Level.EVALUATION,
-        pairs=matches,
-        aggregates=aggregates,
-        metadata={"thresholds": list(thresholds)},
-    )
+                result["by_group"][name] = {"skipped": str(exc)}
+    return result
 
 
 def two_sample_t_test(

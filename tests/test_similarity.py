@@ -88,8 +88,8 @@ def test_document_similarity_identical_registers():
     reg = make_register("utility relocation", "design changes")
     corpus = corpus_of(project_of(reg, "a"), project_of(reg, "b"))
     report = document_similarity(corpus, group_by=None)
-    assert len(report.pairs) == 1
-    assert report.pairs[0].score == 1.0
+    assert len(report["pairs"]) == 1
+    assert report["pairs"][0].score == 1.0
 
 
 def test_document_similarity_disjoint_vocabulary():
@@ -98,7 +98,7 @@ def test_document_similarity_disjoint_vocabulary():
         project_of(make_register("wetlands mitigation"), "b"),
     )
     report = document_similarity(corpus, group_by=None)
-    assert report.pairs[0].score == 0.0
+    assert report["pairs"][0].score == 0.0
 
 
 def test_document_similarity_matches_brute_force(stopwords):
@@ -119,13 +119,13 @@ def test_document_similarity_matches_brute_force(stopwords):
         (f"p{i}", f"p{j}"): brute_force_tfidf_cosine(docs, docs[i], docs[j])
         for i, j in itertools.combinations(range(len(docs)), 2)
     }
-    assert [(pair.a, pair.b) for pair in report.pairs] == list(expected)
-    for pair in report.pairs:
+    assert [(pair.a, pair.b) for pair in report["pairs"]] == list(expected)
+    for pair in report["pairs"]:
         assert pair.score == pytest.approx(expected[(pair.a, pair.b)], abs=1e-9)
         if "p3" in (pair.a, pair.b):
             assert pair.score == 0.0
-    assert {(p.a, p.b): p.score for p in report.pairs}[("p2", "p4")] == 1.0
-    assert report.aggregates["mean"] == pytest.approx(
+    assert {(p.a, p.b): p.score for p in report["pairs"]}[("p2", "p4")] == 1.0
+    assert report["aggregates"]["mean"] == pytest.approx(
         sum(expected.values()) / len(expected), abs=1e-9
     )
 
@@ -150,11 +150,11 @@ def test_document_similarity_group_means_and_test():
           for pid, reg in regs.items())
     )
     report = document_similarity(corpus, group_by="delivery_method")
-    groups = report.aggregates["group_means"]
+    groups = report["aggregates"]["group_means"]
     assert set(groups) == {"DB", "P3"}
     assert groups["DB"]["count"] == 3 and groups["P3"]["count"] == 3
-    assert report.test is not None
-    assert report.metadata["weighting"] == "pair"
+    assert report["test"] is not None
+    assert report["metadata"]["weighting"] == "pair"
 
 
 def test_report_mean_equals_pair_mean_invariant():
@@ -164,8 +164,8 @@ def test_report_mean_equals_pair_mean_invariant():
         project_of(make_register("design changes"), "c"),
     )
     report = document_similarity(corpus, group_by=None)
-    assert report.aggregates["mean"] == pytest.approx(
-        sum(p.score for p in report.pairs) / len(report.pairs), abs=1e-9
+    assert report["aggregates"]["mean"] == pytest.approx(
+        sum(p.score for p in report["pairs"]) / len(report["pairs"]), abs=1e-9
     )
 
 
@@ -306,10 +306,12 @@ def test_pooling_verbatim_duplicate_scores_one(reference_backend):
         project_of(make_register(shared), "p1"),
         project_of(make_register("wetlands and endangered species mitigation"), "p2"),
     )
-    report = pooling_similarity(corpus, reference_backend)[0]
-    scores = {p.a: p.score for p in report.pairs}
-    assert scores["r0"] == 1.0
-    assert report.metadata["pool_size"] == 2
+    result = pooling_similarity(corpus, reference_backend)
+    assert result["level"] == "pooling"
+    assert [row["project_id"] for row in result["projects"]] == ["p0", "p1", "p2"]
+    # r0's verbatim copy in p1 scores 1.0; r1 has none
+    assert result["projects"][0]["histogram"]["exact_1.0"] == 1
+    assert result["projects"][1]["histogram"]["exact_1.0"] == 1
 
 
 def test_pooling_orthogonal_fraction_zero():
@@ -318,8 +320,9 @@ def test_pooling_orthogonal_fraction_zero():
         project_of(make_register("alpha"), "p0"),
         project_of(make_register("beta"), "p1"),
     )
-    report = pooling_similarity(corpus, backend)[0]
-    assert report.aggregates["fraction_at_least_0.5"] == 0.0
+    result = pooling_similarity(corpus, backend)
+    assert [row["fraction_at_least_0.5"] for row in result["projects"]] == [0.0, 0.0]
+    assert result["mean_fraction_at_least_0.5"] == 0.0
 
 
 def test_pooling_five_project_fraction_matches_brute_force(reference_backend):
@@ -334,7 +337,7 @@ def test_pooling_five_project_fraction_matches_brute_force(reference_backend):
         *(project_of(make_register(*texts), f"p{i}") for i, texts in enumerate(names))
     )
     target = corpus.projects[0]
-    report = pooling_similarity(corpus, reference_backend)[0]
+    row = pooling_similarity(corpus, reference_backend)["projects"][0]
     pool = [
         item.name
         for project in corpus.projects[1:]
@@ -349,9 +352,10 @@ def test_pooling_five_project_fraction_matches_brute_force(reference_backend):
                 for name in pool
             )
         )
-    assert [p.score for p in report.pairs] == pytest.approx(expected, abs=1e-12)
+    assert row["mean"] == pytest.approx(sum(expected) / len(expected), abs=1e-12)
+    assert row["histogram"] == score_histogram(expected)
     fraction = sum(1 for s in expected if s >= 0.5) / len(expected)
-    assert report.aggregates["fraction_at_least_0.5"] == pytest.approx(fraction)
+    assert row["fraction_at_least_0.5"] == pytest.approx(fraction)
 
 
 def test_pooling_single_project_corpus(reference_backend):
@@ -370,12 +374,10 @@ def test_pooling_empty_register_names_the_project(reference_backend):
 
 
 def _pooling_oracle(corpus, backend, use_description):
-    """Per project: embed its register and its pool apart, then best-match.
-
-    Each report is a list of (risk id, pool row, score); pool rows number
-    the other projects' items in corpus order.
-    """
-    reports = []
+    """Per project: embed its register and its pool (the other projects'
+    items) apart, best-match, and summarize the best scores as the
+    `similarity pooling` payload row does."""
+    rows = []
     for project in corpus.projects:
         pool = [
             item.matching_text(use_description)
@@ -384,12 +386,15 @@ def _pooling_oracle(corpus, backend, use_description):
             for item in other.register.items
         ]
         texts = [i.matching_text(use_description) for i in project.register.items]
-        indices, scores = best_against(unit_matrix(backend, texts), unit_matrix(backend, pool))
-        reports.append((pool, [
-            (item.risk_id, int(j), float(score))
-            for item, j, score in zip(project.register.items, indices, scores)
-        ]))
-    return reports
+        _, scores = best_against(unit_matrix(backend, texts), unit_matrix(backend, pool))
+        best = scores.tolist()
+        rows.append({
+            "project_id": project.project_id,
+            "mean": sum(best) / len(best),
+            "fraction_at_least_0.5": sum(1 for s in best if s >= 0.5) / len(best),
+            "histogram": score_histogram(best),
+        })
+    return rows
 
 
 def printed(score):
@@ -416,20 +421,17 @@ def test_pooling_corpus_pass_equals_per_project_embedding(
     assert_pooling_matches_oracle(corpus, reference_backend, use_description)
 
 
+def pooling_printed(result):
+    """Each pooling row with its mean as a report prints it."""
+    return [{**row, "mean": printed(row["mean"])} for row in result["projects"]]
+
+
 def assert_pooling_matches_oracle(corpus, backend, use_description=False):
-    reports = pooling_similarity(corpus, backend, use_description)
-    assert [r.metadata["project_id"] for r in reports] == [p.project_id for p in corpus.projects]
-    for project, report, (pool, expected) in zip(
-        corpus.projects, reports, _pooling_oracle(corpus, backend, use_description)
-    ):
-        assert report.metadata["pool_size"] == len(pool)
-        rows = {f"{other.project_id}:{item.risk_id}": row for row, (other, item) in enumerate(
-            (other, item) for other in corpus.projects if other is not project
-            for item in other.register.items)}
-        assert [p.a for p in report.pairs] == [risk_id for risk_id, _, _ in expected]
-        keys = [embedding_key(backend, text) for text in pool]
-        for pair, (_, oracle_row, oracle_score) in zip(report.pairs, expected):
-            assert_same_target(keys, rows[pair.b], oracle_row, pair.score, oracle_score)
+    result = pooling_similarity(corpus, backend, use_description)
+    expected = _pooling_oracle(corpus, backend, use_description)
+    assert pooling_printed(result) == pooling_printed({"projects": expected})
+    fractions = [row["fraction_at_least_0.5"] for row in expected]
+    assert result["mean_fraction_at_least_0.5"] == sum(fractions) / len(fractions)
 
 
 def test_score_histogram_bands():
@@ -513,7 +515,7 @@ def test_evaluation_level_identical_assessments(reference_backend):
     corpus = corpus_of(project_of(reg, "A"), project_of(reg, "B"))
     matches = match_registers(corpus, reference_backend, min_score=0.5)
     report = evaluation_level_report(matches, corpus, thresholds=(0.5,))
-    table = report.aggregates["by_threshold"]["0.5"]
+    table = report["aggregates"]["by_threshold"]["0.5"]
     assert table["probability"] == 100.0
     assert table["cost"] == 100.0
     assert table["schedule"] == 100.0
@@ -525,7 +527,7 @@ def test_evaluation_level_hand_averaged(reference_backend):
     corpus = _eval_corpus()
     matches = match_registers(corpus, reference_backend, min_score=0.5)
     report = evaluation_level_report(matches, corpus, thresholds=(0.5,))
-    table = report.aggregates["by_threshold"]["0.5"]
+    table = report["aggregates"]["by_threshold"]["0.5"]
     # four directional matches: a1<->b1 and a2<->b2 both ways
     assert table["match_count"] == 4
     assert table["probability"] == pytest.approx((100 + 75 + 100 + 75) / 4)
@@ -563,7 +565,7 @@ def test_evaluation_skips_unset_bands(reference_backend):
     ))
     corpus = corpus_of(project_of(reg_a, "A"), project_of(reg_b, "B"))
     matches = match_registers(corpus, reference_backend, min_score=0.5)
-    table = evaluation_level_report(matches, corpus, thresholds=(0.5,)).aggregates[
+    table = evaluation_level_report(matches, corpus, thresholds=(0.5,))["aggregates"][
         "by_threshold"
     ]["0.5"]
     assert table["probability"] == pytest.approx(50.0)
@@ -777,10 +779,11 @@ def test_evaluation_aggregates_equal_the_per_match_loop(corpus_and_backend, grou
     thresholds = (0.0, 0.5, 0.7, 0.8)
     matches = match_registers(corpus, backend, min_score=0.0)
     report = evaluation_level_report(matches, corpus, thresholds)
-    assert report.pairs is matches
-    assert report.aggregates["by_threshold"] == _loop_by_threshold(corpus, matches, thresholds)
+    assert report["pairs"] is matches and report["level"] == "evaluation"
+    assert "by_group" not in report
+    assert report["aggregates"]["by_threshold"] == _loop_by_threshold(corpus, matches, thresholds)
     labels = [f"{p.project_id}:{i.risk_id}" for p in corpus.projects for i in p.register.items]
-    assert [(p.a, p.b, p.score) for p in report.pairs] == [
+    assert [(p.a, p.b, p.score) for p in report["pairs"]] == [
         (labels[a], labels[b], score) for a, b, score in zip(
             matches.source_rows.tolist(), matches.target_rows.tolist(), matches.scores.tolist())
     ]
@@ -801,8 +804,8 @@ def test_evaluation_aggregates_equal_the_per_match_loop(corpus_and_backend, grou
         except EmptyReportError as exc:
             expected[name] = {"skipped": str(exc)}
     grouped = evaluation_level_report(matches, corpus, thresholds, group_by)
-    assert grouped.aggregates["by_group"] == expected
-    assert grouped.aggregates["by_threshold"] == report.aggregates["by_threshold"]
+    assert grouped["by_group"] == expected
+    assert grouped["aggregates"]["by_threshold"] == report["aggregates"]["by_threshold"]
 
 
 def test_identical_texts_tie_to_the_first_row():
@@ -815,10 +818,8 @@ def test_identical_texts_tie_to_the_first_row():
     matches = match_registers(corpus, backend, min_score=-1.0)
     # p0 -> p1 prefers "alpha beta"; every copy of "beta" ties with row 1
     assert matches.target_rows.tolist()[:2] == [3, 5]
-    pooled = pooling_similarity(corpus, backend)
-    assert [(p.a, p.b) for p in pooled[0].pairs] == [("r0", "p1:r2")]
-    assert [(p.a, p.b, p.score) for p in pooled[2].pairs] == [
-        ("r0", "p1:r0", 1.0), ("r1", "p1:r0", 1.0)]
+    # both of p2's risks have a verbatim copy in the pool
+    assert pooling_similarity(corpus, backend)["projects"][2]["mean"] == 1.0
     # texts with one embedding key tie as identical texts do
     backend = variant_backend()
     corpus = corpus_of(
@@ -829,9 +830,6 @@ def test_identical_texts_tie_to_the_first_row():
     matches = match_registers(corpus, backend, min_score=-1.0)
     assert matches.target_rows.tolist()[:2] == [2, 6]
     assert len(set(matches.scores.tolist()[:2])) == 1
-    pooled = pooling_similarity(corpus, backend)
-    assert [(p.a, p.b) for p in pooled[0].pairs] == [("r0", "p1:r1")]
-    assert [(p.a, p.b) for p in pooled[2].pairs] == [(f"r{i}", "p1:r1") for i in range(4)]
 
 
 @pytest.fixture(scope="module")
@@ -866,9 +864,8 @@ def _template_counts(corpus, rbs, categories, backend):
 BEST_CALLERS = {
     "match_registers": lambda corpus, rbs, categories, backend: [
         (p.a, p.b, printed(p.score)) for p in match_registers(corpus, backend, -1.0)],
-    "pooling_similarity": lambda corpus, rbs, categories, backend: [
-        (p.a, p.b, printed(p.score)) for r in pooling_similarity(corpus, backend)
-        for p in r.pairs],
+    "pooling_similarity": lambda corpus, rbs, categories, backend: pooling_printed(
+        pooling_similarity(corpus, backend)),
     "directional_mean_matrix": lambda corpus, rbs, categories, backend: [
         [score if score is None else printed(score) for score in row]
         for row in directional_mean_matrix(corpus, backend)[1]],
