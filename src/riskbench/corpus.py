@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusError, NormalizeError, ParseError
-from .resources import csv_text, read_json_checked
+from .resources import input_text, read_json_checked
 
 REGISTER_CSV_COLUMNS = (
     "risk_id",
@@ -106,7 +106,6 @@ class RiskItem:
 @dataclass(frozen=True)
 class RegisterSnapshot:
     ordinal: int
-    label: str | None
     items: tuple[RiskItem, ...]
 
     def __post_init__(self) -> None:
@@ -364,8 +363,8 @@ def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
     )
 
 
-def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int, None]:
-    reader = csv.reader(io.StringIO(csv_text(data, source)))
+def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
+    reader = csv.reader(io.StringIO(input_text(data, source)))
     header = next(reader, [])
     for required in ("risk_id", "name"):
         if required not in header:
@@ -403,13 +402,14 @@ def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int, None]:
         except ValueError as exc:
             raise ParseError(f"{source}: snapshot column is not an integer") from exc
         _check_ordinal(ordinal)
-    return rows, ordinal, None
+    return rows, ordinal
 
 
-def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int, object]:
+def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
+    text = input_text(data, source)
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
+        payload = json.loads(text)
+    except ValueError as exc:  # not JSON, or an int past Python's digit limit
         raise ParseError(f"{source}: invalid JSON ({exc})") from exc
     if isinstance(payload, list):
         payload = {"items": payload}
@@ -442,11 +442,11 @@ def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int, object]:
     ordinal = payload.get("ordinal", 0)
     if not _is_int(ordinal) or ordinal < 0:
         raise ParseError(f"{source}: ordinal must be a non-negative integer")
-    return rows, ordinal, payload.get("label")
+    return rows, ordinal
 
 
-def _register_rows(data: bytes, fmt: str, source: str) -> tuple[list[tuple], int, object]:
-    """Parse a whole register into checked rows, its ordinal and its label."""
+def _register_rows(data: bytes, fmt: str, source: str) -> tuple[list[tuple], int]:
+    """Parse a whole register into checked rows and its ordinal."""
     if fmt == "csv":
         return _csv_rows(data, source)
     if fmt == "json":
@@ -459,12 +459,12 @@ def parse_register(data: bytes, fmt: str, source: str = "<register>") -> Registe
 
     Assessments hold the values as written: nothing is normalized.
     """
-    rows, ordinal, label = _register_rows(data, fmt, source)
+    rows, ordinal = _register_rows(data, fmt, source)
     items = []
     for risk_id, name, description, category, status, (p, c, s, raw_p, raw_c, raw_s) in rows:
         assessment = Assessment(p, c, s, raw_probability=raw_p, raw_cost=raw_c, raw_schedule=raw_s)
         items.append(RiskItem(risk_id, name, description, category, assessment, status))
-    return RegisterSnapshot(ordinal=ordinal, label=label, items=tuple(items))
+    return RegisterSnapshot(ordinal=ordinal, items=tuple(items))
 
 
 def _register_format(path: Path) -> str:
@@ -495,10 +495,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     except FileNotFoundError as exc:
         raise CorpusError(f"manifest not found: {manifest_path}") from exc
     digests = {"manifest": sha256(data).hexdigest()}
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{manifest_path}: not valid UTF-8 ({exc})") from exc
+    text = input_text(data, str(manifest_path))
     try:
         # universal newlines, as in a text-mode read, so error positions hold
         manifest = json.loads(io.StringIO(text, newline=None).read())
@@ -549,7 +546,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 ) from exc
             digests[register["path"]] = sha256(data).hexdigest()
             source = str(path)
-            rows, ordinal, label = _register_rows(data, _register_format(path), source)
+            rows, ordinal = _register_rows(data, _register_format(path), source)
             items = []
             for risk_id, name, description, category, status, measures in rows:
                 try:
@@ -557,13 +554,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 except NormalizeError as exc:
                     raise CorpusError(f"{source}:{risk_id}: {exc}") from exc
                 items.append(RiskItem(risk_id, name, description, category, assessment, status))
-            snapshots.append(
-                RegisterSnapshot(
-                    ordinal=register.get("ordinal", ordinal),
-                    label=register.get("label", label),
-                    items=tuple(items),
-                )
-            )
+            snapshots.append(RegisterSnapshot(register.get("ordinal", ordinal), tuple(items)))
         try:
             size_band = SizeBand(entry.get("size_band"))
         except ValueError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, ProjectRecord
 from .errors import LifecycleError, ParseError, StatTestError, TransitionError
-from .resources import csv_text
+from .resources import input_text
 
 
 class RiskState(str, Enum):
@@ -364,7 +364,7 @@ def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
 
 def read_lifecycle_csv(data: bytes, source: str = "<lifecycle>") -> dict[str, dict[str, list[RiskObservation]]]:
     """Pre-tabulated input: project_id,risk_id,snapshot,state rows."""
-    reader = csv.DictReader(io.StringIO(csv_text(data, source)))
+    reader = csv.DictReader(io.StringIO(input_text(data, source)))
     header = reader.fieldnames or []
     for required in ("project_id", "risk_id", "snapshot", "state"):
         if required not in header:

@@ -5,6 +5,7 @@ RISKBENCH_DATA overrides the packaged data directory.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from importlib import resources
@@ -29,22 +30,23 @@ def data_path(*parts: str) -> Path:
     return path
 
 
-def read_text_checked(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 input file; ParseError naming the file otherwise."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {what} is not valid UTF-8 ({exc})") from exc
-
-
-def csv_text(data: bytes, source: str) -> str:
-    """A CSV file's text, without the UTF-8 byte-order mark that spreadsheets
-    write first; ParseError naming `source` when it is not valid UTF-8, with
-    the position counted in the file's bytes."""
+def input_text(data: bytes, source: str, what: str = "") -> str:
+    """An input file's text, without the UTF-8 byte-order mark that
+    spreadsheets and some editors write first; every input is decoded here.
+    ParseError naming `source` (and `what` it holds) when it is not valid
+    UTF-8, with the position counted in the file's bytes."""
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: not valid UTF-8 ({exc})") from exc
+        subject = f"{what} is " if what else ""
+        raise ParseError(f"{source}: {subject}not valid UTF-8 ({exc})") from exc
+
+
+def read_text_checked(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 input file, with universal newlines as a
+    text-mode read gives, so that JSON error positions count lines the same."""
+    text = input_text(Path(path).read_bytes(), str(path), what)
+    return io.StringIO(text, newline=None).read()
 
 
 def read_json_checked(path: str | Path, what: str):

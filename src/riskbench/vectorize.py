@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, MissingEmbeddingError, ParseError
 from .report import file_digest
-from .resources import data_path, read_text_checked
+from .resources import data_path, input_text, read_text_checked
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -541,10 +541,7 @@ def _read_source(
         return digest, cached, None
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+    text = input_text(data, str(path))
     del data  # hold at most two copies of the file at once, as reading text does
     return digest, None, text.splitlines()
 

@@ -62,7 +62,6 @@ def make_item(risk_id, name, probability=None, cost=None, schedule=None, **kwarg
 def make_register(*names, ordinal=0):
     return RegisterSnapshot(
         ordinal=ordinal,
-        label=None,
         items=tuple(make_item(f"r{i}", name) for i, name in enumerate(names)),
     )
 

@@ -17,7 +17,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riskbench import vectorize
 from riskbench.cli import build_parser, main
-from riskbench.corpus import default_scale_config
+from riskbench.corpus import default_scale_config, load_corpus, load_register
+from riskbench.lifecycle import read_lifecycle_csv
+from riskbench.rbs import load_rbs
+from riskbench.template import load_categories
+from riskbench.vectorize import load_sentence_vectors, load_stopwords, load_word_vectors
 from riskbench.resources import data_path
 
 from .conftest import assert_same_text
@@ -707,6 +711,48 @@ def test_csv_inputs_accept_a_byte_order_mark(tmp_path, name, flag):
     assert marked["result"] == read_report(tmp_path / "plain.json")["result"]
     key = name if flag == "--manifest" else "lifecycle_csv"
     assert marked["inputs"][key] == hashlib.sha256(data).hexdigest()
+
+
+def _backend_view(backend):
+    table = backend.word_table or backend.sentence_table
+    return backend.kind, backend.dimension, {key: v.tolist() for key, v in table.items()}
+
+
+JSON_REGISTER = {"ordinal": 0, "label": "year 0", "items": [
+    {"risk_id": "r1", "name": "utility relocation", "probability": 3, "cost_impact": 0.5}]}
+
+# Each reader of an input file: the file (copied beside the fixture corpus)
+# and what it loads, as a comparable value.
+BOM_READERS = {
+    "manifest": ("manifest.json", lambda path: load_corpus(path).projects),
+    "register csv": ("registers/p01_s0.csv", load_register),
+    "register json": ("register.json", load_register),
+    "lifecycle csv": ("lifecycle_table19.csv",
+                      lambda path: read_lifecycle_csv(path.read_bytes(), str(path))),
+    "stop words": ("stopwords_en.txt", load_stopwords),
+    "rbs": ("rbs_table21.json", load_rbs),
+    "categories": ("wsdot_categories.json", load_categories),
+    "word vectors": ("reference_word_vectors.txt",
+                     lambda path: _backend_view(load_word_vectors(path))),
+    "sentence vectors": ("reference_sentence_vectors.jsonl",
+                         lambda path: _backend_view(load_sentence_vectors(path))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BOM_READERS))
+def test_every_reader_skips_a_byte_order_mark(tmp_path, reader):
+    """Every input file may start with the UTF-8 BOM; it loads as without it."""
+    fixture = tmp_path / "expost"
+    shutil.copytree(data_path("fixtures", "expost"), fixture)
+    for source in (data_path("stopwords_en.txt"), data_path("rbs_table21.json"),
+                   data_path("wsdot_categories.json"), WORD_VECTORS, SENTENCE_VECTORS):
+        shutil.copy(source, fixture)
+    (fixture / "register.json").write_text(json.dumps(JSON_REGISTER), encoding="utf-8")
+    name, load = BOM_READERS[reader]
+    path = fixture / name
+    plain = load(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load(path) == plain
 
 
 def scales_payload(**overrides) -> dict:

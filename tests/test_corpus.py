@@ -434,8 +434,9 @@ def test_load_corpus_keeps_digests_of_the_bytes_parsed(expost_manifest):
 # load_corpus parses each register once and builds each item already
 # normalized. The reference below is the composition it replaces: the public
 # parse_register, then normalize_assessment (raw values present) or
-# fill_qualitative per item, then a snapshot with the manifest's ordinal and
-# label. Both must give the same corpus or raise the same error.
+# fill_qualitative per item, then a snapshot with the manifest's ordinal. The
+# generated inputs may carry a `label`, which both ignore. Both must give the
+# same corpus or raise the same error.
 
 
 def reference_load(manifest_path) -> Corpus:
@@ -463,7 +464,6 @@ def reference_load(manifest_path) -> Corpus:
                 items.append(replace(item, assessment=a))
             snapshots.append(RegisterSnapshot(
                 ordinal=register.get("ordinal", snapshot.ordinal),
-                label=register.get("label", snapshot.label),
                 items=tuple(items),
             ))
         projects.append(ProjectRecord(

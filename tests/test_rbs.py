@@ -176,7 +176,7 @@ def test_coverage_impact_means_split():
     from .conftest import make_item
     from riskbench.corpus import RegisterSnapshot
 
-    register = RegisterSnapshot(0, None, (
+    register = RegisterSnapshot(0, (
         make_item("r0", "alpha", cost=4, schedule=2),
         make_item("r1", "zzz oov", cost=1, schedule=1),
     ))
@@ -189,7 +189,7 @@ def test_coverage_category_agreement_uses_register_labels():
     from .conftest import make_item
     from riskbench.corpus import RegisterSnapshot
 
-    register = RegisterSnapshot(0, None, (
+    register = RegisterSnapshot(0, (
         make_item("r0", "alpha", category_label="CATA"),   # agrees (case folded)
         make_item("r1", "beta", category_label="CatB"),    # disagrees
         make_item("r2", "gamma"),                          # unlabeled: excluded
@@ -198,7 +198,7 @@ def test_coverage_category_agreement_uses_register_labels():
     assert report.category_agreement == pytest.approx(0.5)
     unlabeled = coverage(
         small_rbs(),
-        RegisterSnapshot(0, None, (make_item("r0", "alpha"),)),
+        RegisterSnapshot(0, (make_item("r0", "alpha"),)),
         small_backend(),
         0.6,
     )
@@ -209,7 +209,7 @@ def test_coverage_empty_register():
     from riskbench.corpus import RegisterSnapshot
 
     with pytest.raises(EmptyReportError):
-        coverage(small_rbs(), RegisterSnapshot(0, None, ()), small_backend())
+        coverage(small_rbs(), RegisterSnapshot(0, ()), small_backend())
 
 
 def test_coverage_sentence_backend_with_fallback(reference_backend):

@@ -367,7 +367,7 @@ def test_pooling_single_project_corpus(reference_backend):
 def test_pooling_empty_register_names_the_project(reference_backend):
     corpus = corpus_of(
         project_of(make_register("alpha"), "p0"),
-        project_of(RegisterSnapshot(0, None, ()), "p1"),
+        project_of(RegisterSnapshot(0, ()), "p1"),
     )
     with pytest.raises(EmptyReportError, match="project 'p1' has an empty ex-ante register"):
         pooling_similarity(corpus, reference_backend)
@@ -489,11 +489,11 @@ def _eval_corpus():
             ),
         )
 
-    reg_a = RegisterSnapshot(0, None, (
+    reg_a = RegisterSnapshot(0, (
         item("a1", "utility relocation delays", 4, 4, 2),
         item("a2", "design changes on structures", 2, 3, 5),
     ))
-    reg_b = RegisterSnapshot(0, None, (
+    reg_b = RegisterSnapshot(0, (
         item("b1", "utility relocation delays", 4, 2, 2),
         item("b2", "design changes on structures", 3, 3, 1),
     ))
@@ -501,7 +501,7 @@ def _eval_corpus():
 
 
 def test_evaluation_level_identical_assessments(reference_backend):
-    reg = RegisterSnapshot(0, None, (
+    reg = RegisterSnapshot(0, (
         RiskItem(
             risk_id="x1",
             name="utility relocation delays",
@@ -555,11 +555,11 @@ def test_evaluation_threshold_filter_is_monotone(reference_backend):
 
 
 def test_evaluation_skips_unset_bands(reference_backend):
-    reg_a = RegisterSnapshot(0, None, (
+    reg_a = RegisterSnapshot(0, (
         RiskItem("a1", "utility relocation delays",
                  assessment=Assessment(probability_band=3)),
     ))
-    reg_b = RegisterSnapshot(0, None, (
+    reg_b = RegisterSnapshot(0, (
         RiskItem("b1", "utility relocation delays",
                  assessment=Assessment(probability_band=5)),
     ))

@@ -459,4 +459,4 @@ def test_evaluate_template_empty_inputs():
     groups = group_risks([project_of(make_register("alpha"), "p0")], backend)
     template = build_template(groups, "prevalence", 10)
     with pytest.raises(TemplateError):
-        evaluate_template(template, RegisterSnapshot(0, None, ()), backend)
+        evaluate_template(template, RegisterSnapshot(0, ()), backend)
