@@ -5,7 +5,6 @@ RISKBENCH_DATA overrides the packaged data directory.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from importlib import resources
@@ -33,8 +32,8 @@ def data_path(*parts: str) -> Path:
 def input_text(data: bytes, source: str, what: str = "") -> str:
     """An input file's text, without the UTF-8 byte-order mark that
     spreadsheets and some editors write first; every input is decoded here.
-    ParseError naming `source` (and `what` it holds) when it is not valid
-    UTF-8, with the position counted in the file's bytes."""
+    When it is not valid UTF-8, ParseError names `source`, then `what` the
+    file holds if given, and the position counted in the file's bytes."""
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -46,7 +45,7 @@ def read_text_checked(path: str | Path, what: str) -> str:
     """The text of a UTF-8 input file, with universal newlines as a
     text-mode read gives, so that JSON error positions count lines the same."""
     text = input_text(Path(path).read_bytes(), str(path), what)
-    return io.StringIO(text, newline=None).read()
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json_checked(path: str | Path, what: str):
