@@ -271,6 +271,11 @@ def _cmd_lifecycle_styles(args, digests):
         raw = read_json_checked(args.thresholds, "thresholds file")
         if not isinstance(raw, dict):
             raise ParseError(f"{args.thresholds}: thresholds file must hold a JSON object")
+        names = [f.name for f in fields(StyleThresholds)]
+        for key in raw:
+            if key not in names:
+                raise ParseError(f"{args.thresholds}: unknown key {key!r} "
+                                 f"(expected {' or '.join(map(repr, names))})")
         thresholds = StyleThresholds(**{
             f.name: _number(raw.get(f.name, f.default), f"{args.thresholds}: {f.name!r}")
             for f in fields(StyleThresholds)

@@ -11,10 +11,12 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import product
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 from .errors import CorpusError, NormalizeError, ParseError
 from .resources import input_text, read_json_checked
@@ -53,14 +55,25 @@ class SizeBand(str, Enum):
         return cls.OVER_1B
 
 
-def _check_raw_probability(value: float | None) -> None:
-    if value is not None and not 0.0 <= value <= 1.0:
-        raise CorpusError(f"raw_probability must be a fraction in [0, 1], got {value!r}")
+def _check_raw_values(probability: float | None, cost: float | None,
+                      schedule: float | None) -> None:
+    """A raw probability is a fraction in [0, 1]; raw cost and schedule are finite."""
+    if probability is not None and not 0.0 <= probability <= 1.0:
+        raise CorpusError(f"raw_probability must be a fraction in [0, 1], got {probability!r}")
+    if cost is not None and not math.isfinite(cost):
+        raise CorpusError(f"raw_cost must be a finite number, got {cost!r}")
+    if schedule is not None and not math.isfinite(schedule):
+        raise CorpusError(f"raw_schedule must be a finite number, got {schedule!r}")
 
 
 def _check_ordinal(ordinal: int) -> None:
     if ordinal < 0:
         raise CorpusError(f"snapshot ordinal must be >= 0, got {ordinal}")
+
+
+_BAND_FIELDS = ("probability_band", "cost_band", "schedule_band")
+# every valid (probability, cost, schedule) band triple, unset bands included
+_BAND_TRIPLES = frozenset(product((None, 1, 2, 3, 4, 5), repeat=3))
 
 
 @dataclass(frozen=True)
@@ -77,11 +90,16 @@ class Assessment:
     raw_schedule: float | None = None
 
     def __post_init__(self) -> None:
-        for label in ("probability_band", "cost_band", "schedule_band"):
-            band = getattr(self, label)
-            if band is not None and band not in (1, 2, 3, 4, 5):
-                raise CorpusError(f"{label} must be in 1..5, got {band!r}")
-        _check_raw_probability(self.raw_probability)
+        bands = (self.probability_band, self.cost_band, self.schedule_band)
+        try:
+            valid = bands in _BAND_TRIPLES
+        except TypeError:  # an unhashable band
+            valid = False
+        if not valid:  # name the first band that is not unset or 1..5
+            for label, band in zip(_BAND_FIELDS, bands):
+                if band is not None and band not in (1, 2, 3, 4, 5):
+                    raise CorpusError(f"{label} must be in 1..5, got {band!r}")
+        _check_raw_values(self.raw_probability, self.raw_cost, self.raw_schedule)
 
 
 @dataclass(frozen=True)
@@ -230,12 +248,12 @@ def load_scale_config(path: str | Path) -> ScaleConfig:
         raise ParseError(f"{path}: invalid scale config ({exc})") from exc
 
 
-def band_for(value: float, edges: Iterable[float]) -> int:
-    """Map a raw value onto 1..5 using upper-inclusive band edges."""
-    for index, edge in enumerate(edges):
-        if value <= edge:
-            return index + 1
-    return 5
+def band_for(value: float, edges: Sequence[float]) -> int:
+    """Map a raw value onto 1..5 using the 4 strictly ascending,
+    upper-inclusive band edges of a ScaleConfig; NaN, below no edge, is 5."""
+    if value != value:
+        return 5
+    return bisect_left(edges, value) + 1
 
 
 def normalize_assessment(
@@ -334,7 +352,7 @@ def _parse_measure(raw: str | None, column: str, where: str) -> tuple[int | None
 
 def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
     """Check one row, its fields in REGISTER_CSV_COLUMNS order: the measures,
-    then risk_id, then name, then raw_probability, then that risk_id is new.
+    then risk_id, then name, then the raw values, then that risk_id is new.
 
     Returns (risk_id, name, description, category, status, measures), with
     measures the three bands, then the three raw values.
@@ -350,7 +368,7 @@ def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
     if not name or not name.strip():
         raise ParseError(f"{where}: risk {risk_id!r} has an empty name")
     try:
-        _check_raw_probability(raw_p)
+        _check_raw_values(raw_p, raw_c, raw_s)
     except CorpusError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     risk_id = risk_id.strip()

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .corpus import Corpus, ProjectRecord
 from .errors import LifecycleError, ParseError, StatTestError, TransitionError
 from .resources import input_text
@@ -456,6 +454,7 @@ def hotelling_t2(
     alpha: float = 0.05,
 ) -> HotellingResult:
     """Two-sample Hotelling T^2 with z-scored columns and pooled covariance."""
+    import numpy as np
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -487,8 +486,8 @@ def hotelling_t2(
         raise StatTestError("pooled covariance matrix is singular")
 
     t_squared = float(na * nb / (na + nb) * diff @ solved)
-    # fdtri is the F quantile that scipy.stats.f.ppf computes; imported here
-    # so that importing riskbench never loads scipy.
+    # fdtri is the F quantile that scipy.stats.f.ppf computes; numpy and scipy
+    # are imported here so that importing riskbench loads neither.
     from scipy.special import fdtri
 
     critical = float(p * nu / (nu - p + 1) * fdtri(p, nu - p + 1, 1.0 - alpha))

@@ -12,9 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
 from .errors import CorpusError, EmptyReportError, StatTestError
@@ -28,6 +26,9 @@ from .vectorize import (
     tokenize,
     unit_rows,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EVALUATION_THRESHOLDS = (0.5, 0.7, 0.8)
 
@@ -106,6 +107,7 @@ def document_similarity(
     The rows are dense: n_projects x vocabulary x 8 bytes, 200 x 270 at the
     200-project scale rung. An empty document is a zero row and scores 0.0.
     """
+    import numpy as np
     if len(corpus.projects) < 2:
         raise EmptyReportError("document similarity needs at least 2 projects")
     docs = [project_document_tokens(p, stop_words) for p in corpus.projects]
@@ -130,6 +132,7 @@ def risk_level_summary(
 ) -> dict:
     """The `similarity risks` payload: the directional mean matrix and the
     aggregates of its ordered project pairs, overall and, with `group_by`, by group."""
+    import numpy as np
     empty = [p.project_id for p in corpus.projects if not p.register.items]
     if len(corpus.projects) - len(empty) < 2:
         raise EmptyReportError(
@@ -194,6 +197,7 @@ def _best_matches(
     (-1 and -inf when t is empty). Ties take the lowest row, and texts with
     equal keys tie exactly.
     """
+    import numpy as np
     keyed = unit_rows(backend, [item.matching_text(use_description)
                                 for r in registers for item in r.items])
     bounds = [0, *accumulate(len(r.items) for r in registers)]
@@ -218,6 +222,7 @@ def pooling_similarity(
     """The `similarity pooling` payload: per project, in corpus order, the
     mean, histogram and fraction >= 0.5 of its risks' best scores against the
     pooled risks of every other project; and the mean of those fractions."""
+    import numpy as np
     projects = corpus.projects
     if len(projects) < 2:
         raise EmptyReportError("pooling needs at least 2 projects")
@@ -269,6 +274,7 @@ def match_registers(
     order and are labelled "project:risk". Matches run by source project,
     then target project, then source row, each in corpus order.
     """
+    import numpy as np
     spans, key_ids, rows, scores = _best_matches(
         backend, [p.register for p in corpus.projects], use_description
     )
@@ -294,6 +300,7 @@ def directional_mean_matrix(
     use_description: bool = False,
 ) -> tuple[list[str], list[list[float | None]]]:
     """Mean best-match score for every ordered project pair; diagonal is 1."""
+    import numpy as np
     ids = [p.project_id for p in corpus.projects]
     spans, key_ids, _, scores = _best_matches(
         backend, [p.register for p in corpus.projects], use_description
@@ -326,6 +333,7 @@ _EVALUATION_METRICS = (
 def _match_values(matches: PairRows, corpus: Corpus) -> dict[str, np.ndarray]:
     """Per metric, the value of every match (nan when either side is unset),
     read from a table over the metric's value codes."""
+    import numpy as np
     assessments = [item.assessment for _, item in _corpus_rows(corpus)]
     values = {}
     for key, name, levels, similarity in _EVALUATION_METRICS:
@@ -341,6 +349,7 @@ def _by_threshold(
 ) -> dict[str, dict]:
     """Mean match value per metric at each threshold. Every value is a
     multiple of 25, so the sums are exact and do not depend on order."""
+    import numpy as np
     if not len(scores):
         raise EmptyReportError("no matches to evaluate")
     by_threshold: dict[str, dict] = {}
@@ -369,6 +378,7 @@ def evaluation_level_report(
     each group, by group name; a group with no match, or none at some
     threshold, gets `{"skipped": reason}`.
     """
+    import numpy as np
     if not len(matches):
         raise EmptyReportError("no matches to evaluate")
     # the scores' list is made and dropped before the per-metric arrays exist
@@ -421,7 +431,8 @@ def two_sample_t_test(
         )
     statistic = (mean_a - mean_b) / se
     # stdtr(df, -|t|) is the upper tail that scipy.stats.t.sf computes; the
-    # import stays local so that importing riskbench never loads scipy.
+    # import stays local, as numpy's do, so that importing riskbench loads
+    # neither numpy nor scipy.
     from scipy.special import stdtr
 
     p_value = 2.0 * float(stdtr(df, -abs(statistic)))

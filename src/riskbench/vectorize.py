@@ -18,13 +18,16 @@ import zipfile
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionError, MissingEmbeddingError, ParseError
 from .report import file_digest
 from .resources import data_path, input_text, read_text_checked
+
+# numpy is imported inside the functions that use it, so that a command
+# that does no array work starts without it
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -106,6 +109,7 @@ def tfidf_fit(documents: Sequence[Sequence[str]]) -> TfidfModel:
 def tfidf_vector(model: TfidfModel, doc: Sequence[str]) -> np.ndarray:
     """A document's weights as a dense row over `model.vocabulary`; N counts
     every token, and out-of-vocabulary terms get no column."""
+    import numpy as np
     if not doc:
         raise ParseError("cannot vectorize an empty document")
     total = len(doc)
@@ -150,6 +154,7 @@ class KeyedUnits:
         """Cosines of the keys `rows` against the keys `cols` (id arrays or
         slices): in the primary space where both keys hit it, else in the
         fallback space, where each distinct fallback key is scored once."""
+        import numpy as np
         table = cosine_table(self.units[rows], self.units[cols])
         if self.fallback is None:
             return table
@@ -173,6 +178,7 @@ class KeyedUnits:
         lowest position among tied keys, and equal keys, sharing a column, tie
         exactly on any BLAS kernel.
         """
+        import numpy as np
         row_keys, row_of = np.unique(rows, return_inverse=True)
         # the groups' keys, sorted, from a mask: np.unique without a flag
         # imports numpy.ma, about 7 ms and 0.5 MB more per process
@@ -218,6 +224,7 @@ def unit_rows(backend: "EmbeddingBackend", texts: Sequence[str]) -> KeyedUnits:
     text that misses. With one, the missed keys are flagged instead and
     every key is embedded by the fallback too.
     """
+    import numpy as np
     first: dict = {}  # key -> (key id, first text)
     ids = np.array([first.setdefault(embedding_key(backend, text), (len(first), text))[0]
                     for text in texts], dtype=np.intp)
@@ -244,12 +251,14 @@ def unit_rows(backend: "EmbeddingBackend", texts: Sequence[str]) -> KeyedUnits:
 
 def _unit_length(matrix: np.ndarray) -> np.ndarray:
     """The rows of a matrix scaled to unit length; zero rows stay zero."""
+    import numpy as np
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     return matrix / np.where(norms == 0.0, 1.0, norms)
 
 
 def cosine_table(unit_a: np.ndarray, unit_b: np.ndarray) -> np.ndarray:
     """All pairwise cosines of two unit-row stacks, snapped at the unit."""
+    import numpy as np
     scores = unit_a @ unit_b.T
     np.clip(scores, -1.0, 1.0, out=scores)
     scores[scores >= 1.0 - _UNIT_EPS] = 1.0
@@ -260,6 +269,7 @@ def cosine_table(unit_a: np.ndarray, unit_b: np.ndarray) -> np.ndarray:
 def cosine(v, w) -> float:
     """Cosine similarity of two dense vectors; zero-norm operands yield 0.0
     by convention."""
+    import numpy as np
     av = np.asarray(v, dtype=float)
     aw = np.asarray(w, dtype=float)
     if av.shape != aw.shape:
@@ -313,6 +323,7 @@ def embedding_key(backend: EmbeddingBackend, text: str) -> str | tuple[str, ...]
 def embed_text(backend: EmbeddingBackend, text: str) -> EmbeddedText:
     """Exact table lookup (precomputed) or the mean token vector (word_average),
     summed in key order."""
+    import numpy as np
     key = embedding_key(backend, text)
     if backend.kind == PRECOMPUTED_SENTENCE:
         vector = backend.sentence_table.get(key)
@@ -391,6 +402,7 @@ def _parse_word_lines(
     line and accepts every spelling float() accepts. Its vectors are separate
     arrays, so it returns no matrix and what it reads is not cached.
     """
+    import numpy as np
     table: dict[str, np.ndarray] = {}
     parsed = 0
     for number, line in enumerate(lines[1:], start=2):
@@ -425,6 +437,7 @@ def _parse_word_lines_bulk(
     spellings only float() accepts, such as "1_0". Both parsers round
     correctly, so the values are bit-identical.
     """
+    import numpy as np
     tokens: list[str] = []
     rests: list[str] = []
     numbers: list[int] = []
@@ -483,6 +496,7 @@ def _parse_sentence_file(
 ) -> tuple[dict[str, np.ndarray], int, np.ndarray]:
     """The table and dimension of a sentence-vector file's lines, plus its matrix:
     one row per key in first-occurrence order, which the table's values view."""
+    import numpy as np
     table: dict[str, np.ndarray] = {}
     dimension: int | None = None
     for number, line in enumerate(lines, start=1):
@@ -558,6 +572,7 @@ def _cache_entry(kind: str, digest: str) -> Path | None:
 
 def _cache_read(kind: str, digest: str) -> tuple[dict[str, np.ndarray], int] | None:
     """The cached (table, dimension) of a digest, or None for a missing or invalid entry."""
+    import numpy as np
     entry = _cache_entry(kind, digest)
     if entry is None:
         return None
@@ -591,6 +606,8 @@ def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) ->
     created or written.
     """
     import tempfile
+
+    import numpy as np
 
     entry = _cache_entry(kind, digest)
     if entry is None:

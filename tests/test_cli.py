@@ -575,6 +575,69 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == ""
 
 
+def test_cli_import_loads_no_numpy():
+    # importing numpy is about half of a `--version` process; numpy is
+    # imported inside the functions that use it.
+    code = (
+        "import sys, riskbench.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
+        "print(','.join(loaded))\n"
+    )
+    result = fresh_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+
+
+def test_commands_without_array_work_load_no_numpy(manifest, tmp_path):
+    coverage = tmp_path / "coverage.json"
+    assert run(["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS,
+                "--out", str(coverage)]) == 0
+    commands = [
+        ["ingest", "--manifest", manifest],
+        ["lifecycle", "ratios", "--manifest", manifest],
+        ["lifecycle", "styles", "--manifest", manifest],
+        ["rbs", "cooccur", "--coverage", str(coverage)],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / f"{index}.out")]
+             for index, argv in enumerate(commands)]
+    code = (
+        "import json, sys\n"
+        "from riskbench.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    result = fresh_python("-c", code, json.dumps(argvs))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0] * len(commands), []]
+
+
+@pytest.mark.parametrize("cost, schedule, message", [
+    ("nan", "1.0", "raw_cost must be a finite number, got nan"),
+    ("inf", "1.0", "raw_cost must be a finite number, got inf"),
+    ("12.5", "-inf", "raw_schedule must be a finite number, got -inf"),
+])
+@pytest.mark.parametrize("command", [
+    ["ingest"],
+    ["template", "build", "--embeddings", WORD_VECTORS],
+    ["similarity", "evaluation", "--embeddings", WORD_VECTORS],
+])
+def test_non_finite_raw_impact_exits_1(tmp_path, capsys, command, cost, schedule, message):
+    register = tmp_path / "raw.csv"
+    register.write_text(
+        "risk_id,name,probability,cost_impact,schedule_impact\n"
+        "r1,utility relocation delays,0.345,0.9374,8.05\n"
+        f"r2,wetlands permit conditions,0.02,{cost},{schedule}\n")
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"projects": [
+        {"id": pid, "size_band": "under_500M", "contract_value_musd": 300.0,
+         "registers": [{"ordinal": 0, "path": "raw.csv"}]} for pid in ("a", "b")]}))
+    out = tmp_path / "out.json"
+    assert run([*command, "--manifest", str(manifest_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {register}, row 3: {message}\n"
+    assert not out.exists()
+
+
 def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, monkeypatch,
                                                           capsys):
     cache = tmp_path / "cache"
@@ -894,6 +957,10 @@ def _template_with(entry):
     pytest.param("groups", _with_metrics("4", {"cost_growth": 0.1, "time_growth": -10**400}),
                  f"project '4' metric 'time_growth' must be a finite number, not {-10**400}",
                  id="groups-int too large for a float"),
+    ("thresholds", {"careful": 0.5, "carefull": 0.9},
+     "unknown key 'carefull' (expected 'doer_new_item' or 'careful')"),
+    ("thresholds", {"Careful": "x"},
+     "unknown key 'Careful' (expected 'doer_new_item' or 'careful')"),
 ])
 def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, message):
     path = tmp_path / f"{kind}.json"

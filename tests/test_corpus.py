@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from dataclasses import replace
@@ -105,6 +106,80 @@ def test_band_for_boundaries():
     # value exactly at an edge stays in the lower band (upper-inclusive)
     assert band_for(0.5, cfg.probability_band_edges) == 3
     assert band_for(0.005, cfg.cost_band_edges) == 2
+
+
+def band_for_loop(value, edges):
+    """The reference band_for: the first edge the value does not exceed, else 5."""
+    for index, edge in enumerate(edges):
+        if value <= edge:
+            return index + 1
+    return 5
+
+
+def _edges_and_neighbours(edges):
+    return [x for edge in edges
+            for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))]
+
+
+_DEFAULT_EDGES = [getattr(default_scale_config(), label) for label in
+                  ("probability_band_edges", "cost_band_edges", "schedule_band_edges")]
+ascending_edges = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=4, max_size=4, unique=True).map(lambda e: tuple(sorted(e)))
+
+
+@given(edges=st.one_of(st.sampled_from(_DEFAULT_EDGES), ascending_edges), data=st.data())
+def test_band_for_matches_the_loop(edges, data):
+    value = data.draw(st.one_of(
+        st.floats(),  # finite, ±inf and nan
+        st.sampled_from(_edges_and_neighbours(edges)),
+        st.integers(-2, 20),
+    ))
+    assert band_for(value, edges) == band_for_loop(value, edges)
+
+
+@pytest.mark.parametrize("edges", _DEFAULT_EDGES)
+def test_band_for_every_edge_and_the_infinities(edges):
+    for value in (*_edges_and_neighbours(edges), math.inf, -math.inf, math.nan):
+        assert band_for(value, edges) == band_for_loop(value, edges)
+    assert [band_for(edge, edges) for edge in edges] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("bands, message", [
+    ((0, None, None), "probability_band must be in 1..5, got 0"),
+    ((3, 6, None), "cost_band must be in 1..5, got 6"),
+    ((None, 2, 1.5), "schedule_band must be in 1..5, got 1.5"),
+    ((math.nan, 7, None), "probability_band must be in 1..5, got nan"),
+    ((1, math.inf, None), "cost_band must be in 1..5, got inf"),
+    ((1, 2, -math.inf), "schedule_band must be in 1..5, got -inf"),
+    (([3], None, None), "probability_band must be in 1..5, got [3]"),
+    ((1, {2: 2}, [3]), "cost_band must be in 1..5, got {2: 2}"),
+    (("3", None, None), "probability_band must be in 1..5, got '3'"),
+])
+def test_assessment_names_the_first_bad_band(bands, message):
+    with pytest.raises(CorpusError) as excinfo:
+        Assessment(*bands)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("bands", [(None, None, None), (1, 5, None), (3.0, True, 2)])
+def test_assessment_accepts_bands_equal_to_1_to_5(bands):
+    assessment = Assessment(*bands)
+    assert (assessment.probability_band, assessment.cost_band, assessment.schedule_band) == bands
+
+
+@pytest.mark.parametrize("field, value", [
+    ("raw_cost", math.inf), ("raw_cost", math.nan), ("raw_cost", -math.inf),
+    ("raw_schedule", math.inf), ("raw_schedule", math.nan), ("raw_schedule", -math.inf),
+])
+def test_non_finite_raw_impact_is_rejected(field, value):
+    with pytest.raises(CorpusError) as excinfo:
+        Assessment(**{field: value})
+    assert str(excinfo.value) == f"{field} must be a finite number, got {value!r}"
+    key = {"raw_cost": "cost_impact", "raw_schedule": "schedule_impact"}[field]
+    items = [{"risk_id": "r0", "name": "B"}, {"risk_id": "r1", "name": "A", key: value}]
+    with pytest.raises(ParseError) as excinfo:
+        parse_register(json.dumps({"items": items}).encode(), "json", source="r.json")
+    assert str(excinfo.value) == f"r.json, item 1: {field} must be a finite number, got {value!r}"
 
 
 def test_normalize_probability_extremes():
@@ -436,7 +511,8 @@ def test_load_corpus_keeps_digests_of_the_bytes_parsed(expost_manifest):
 # parse_register, then normalize_assessment (raw values present) or
 # fill_qualitative per item, then a snapshot with the manifest's ordinal. The
 # generated inputs may carry a `label`, which both ignore. Both must give the
-# same corpus or raise the same error.
+# same corpus or raise the same error. parse_register rejects a non-finite raw
+# cost or schedule, as the loader does, so the reference applies that rule too.
 
 
 def reference_load(manifest_path) -> Corpus:
@@ -503,8 +579,8 @@ PROBABILITY_CELLS = (
 )
 IMPACT_CELLS = (
     ["", "1", "4", "3.0", "1.0", "5.0", "10.0", "50.0", "50.000001", "6.0", "12.0", "0.5",
-     "1e-300", "inf", "nan", "1e3"],
-    ["0", "8", "-inf", "x"],
+     "1e-300", "1e3"],
+    ["0", "8", "inf", "nan", "-inf", "x"],
 )
 TEXT_CELLS = (["", "Utility relocation", "  design changes ", "right of way, delays"], [" "])
 STATUS_CELLS = (["", "Reg", "Hap", " Clo "], ["closed"])
@@ -545,8 +621,8 @@ def csv_registers(draw) -> bytes:
 
 JSON_PROBABILITIES = ([None, 1, 3, 5, 0.1, 0.5, 0.7, 0.0, 1.0, 1e-300], [0, 7, 1.5, float("nan"), True, "3"])
 JSON_IMPACTS = (
-    [None, 1, 3, 5, 1.0, 3.0, 5.0, 50.0, 1e-300, float("inf"), float("nan")],
-    [0, 7, float("-inf"), True, "3"],
+    [None, 1, 3, 5, 1.0, 3.0, 5.0, 50.0, 1e-300],
+    [0, 7, float("inf"), float("nan"), float("-inf"), True, "3"],
 )
 
 
@@ -632,13 +708,22 @@ def _one_register_manifest(directory: Path, rows: str, value=None) -> Path:
     ("r1,A,,,,1.0,,,\nr2,B,,,7,,,,\n", ParseError, "r.csv, row 3: probability band 7 outside 1..5"),
     ("r1,A,,,,1.0,,,\nr2,B,,,,,,,\n", CorpusError,
      "r.csv:r1: a positive project value is required to normalize a raw cost impact"),
-    # within a row: measures, then risk_id, then name, then raw_probability
+    # within a row: measures, then risk_id, then name, then the raw
+    # probability, cost and schedule
     (",A,,,x,,,,\n", ParseError, "r.csv, row 2: probability value 'x' is not numeric"),
     (",A,,,1,0,,,\n", ParseError, "r.csv, row 2: cost_impact band 0 outside 1..5"),
     (" , ,,,1.5,,,,\n", ParseError, "r.csv, row 2: missing risk_id"),
     ("r1, ,,,1.5,,,,\n", ParseError, "r.csv, row 2: risk 'r1' has an empty name"),
     ("r1,A,,,1.5,,,,\n", ParseError,
      "r.csv, row 2: raw_probability must be a fraction in [0, 1], got 1.5"),
+    (" ,A,,,,nan,,,\n", ParseError, "r.csv, row 2: missing risk_id"),
+    ("r1,A,,,1.5,inf,,,\n", ParseError,
+     "r.csv, row 2: raw_probability must be a fraction in [0, 1], got 1.5"),
+    ("r1,A,,,,nan,,,\n", ParseError, "r.csv, row 2: raw_cost must be a finite number, got nan"),
+    ("r1,A,,,,inf,-inf,,\n", ParseError,
+     "r.csv, row 2: raw_cost must be a finite number, got inf"),
+    ("r1,A,,,,,-inf,,\n", ParseError,
+     "r.csv, row 2: raw_schedule must be a finite number, got -inf"),
     # rows parse before the snapshot column is checked
     ("r1,A,,,,,,,0\nr2,B,,,,,,,1\nr3,C,,,9,,,,\n", ParseError,
      "r.csv, row 4: probability band 9 outside 1..5"),
