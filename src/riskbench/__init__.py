@@ -44,7 +44,7 @@ from .lifecycle import (
     project_lifecycles,
     step,
 )
-from .rbs import CooccurrenceMatrix, CoverageReport, Rbs, cooccurrence, coverage, default_rbs, load_rbs
+from .rbs import CoverageReport, Rbs, cooccurrence, coverage, default_rbs, load_rbs
 from .similarity import (
     TTestResult,
     document_similarity,

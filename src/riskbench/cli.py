@@ -353,7 +353,7 @@ def _cmd_rbs_coverage(args, digests):
 def _cmd_rbs_cooccur(args, digests) -> None:
     covered = load_covered_texts(args.coverage)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
-    rows = cooccurrence(covered, rbs).pairs_descending()
+    rows = cooccurrence(covered, rbs)
     write_csv(args.out, [("item_a", "item_b", "count"), *rows])
 
 

@@ -8,7 +8,9 @@ counts as covered when the best cosine score meets the threshold
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -110,7 +112,8 @@ class CoverageReport:
     rows: tuple[CoverageRow, ...]
     coverage_fraction: float
     histogram: dict[str, int]
-    category_fractions: list[tuple[str, float]]
+    # {"category", "fraction"} objects, as the report writes them
+    category_fractions: list[dict]
     impact_means: dict
     # agreement between the register's own category labels and the matched
     # level-1 category, over covered rows that carry a label
@@ -120,29 +123,8 @@ class CoverageReport:
         return {row.best_item for row in self.rows if row.covered}
 
     def to_dict(self) -> dict:
-        return {
-            "project_id": self.project_id,
-            "threshold": self.threshold,
-            "coverage_fraction": self.coverage_fraction,
-            "histogram": self.histogram,
-            "category_fractions": [
-                {"category": name, "fraction": fraction}
-                for name, fraction in self.category_fractions
-            ],
-            "impact_means": self.impact_means,
-            "category_agreement": self.category_agreement,
-            "rows": [
-                {
-                    "risk_id": row.risk_id,
-                    "best_item": row.best_item,
-                    "best_category": row.best_category,
-                    "score": row.score,
-                    "covered": row.covered,
-                    "used_fallback": row.used_fallback,
-                }
-                for row in self.rows
-            ],
-        }
+        # vars(), not dataclasses.asdict, which deep-copies every leaf value
+        return {**vars(self), "rows": [dict(vars(row)) for row in self.rows]}
 
 
 def coverage(
@@ -170,74 +152,44 @@ def coverage(
     for risk, index, score, missed in zip(register.items, best.tolist(), scores.tolist(),
                                           keyed.missed[risks].tolist()):
         category_name, item = flat[index]
-        rows.append(
-            CoverageRow(
-                risk_id=risk.risk_id,
-                best_item=item.text,
-                best_category=category_name,
-                score=score,
-                covered=score >= threshold,
-                used_fallback=missed,
-            )
-        )
+        rows.append(CoverageRow(risk_id=risk.risk_id, best_item=item.text,
+                                best_category=category_name, score=score,
+                                covered=score >= threshold, used_fallback=missed))
 
-    covered_rows = [row for row in rows if row.covered]
-    fraction = len(covered_rows) / len(rows)
+    # rows are in register order, so each risk pairs with its row by position
+    paired = list(zip(register.items, rows))
+    agrees = [normalize_sentence(risk.category_label) == normalize_sentence(row.best_category)
+              for risk, row in paired if row.covered and risk.category_label]
 
-    labels = {item.risk_id: item.category_label for item in register.items}
-    labeled = [
-        (normalize_sentence(labels[row.risk_id]), normalize_sentence(row.best_category))
-        for row in covered_rows
-        if labels.get(row.risk_id)
-    ]
-    agreement = (
-        sum(1 for own, matched in labeled if own == matched) / len(labeled)
-        if labeled
-        else None
-    )
-
-    def impact_means(selected_rows: list[CoverageRow]) -> dict:
-        ids = {row.risk_id for row in selected_rows}
-        cost = [
-            item.assessment.cost_band
-            for item in register.items
-            if item.risk_id in ids and item.assessment.cost_band is not None
-        ]
-        schedule = [
-            item.assessment.schedule_band
-            for item in register.items
-            if item.risk_id in ids and item.assessment.schedule_band is not None
-        ]
-        return {
-            "cost_band": sum(cost) / len(cost) if cost else None,
-            "schedule_band": sum(schedule) / len(schedule) if schedule else None,
-        }
+    def impact_means(covered: bool) -> dict:
+        selected = [risk.assessment for risk, row in paired if row.covered == covered]
+        cost = [a.cost_band for a in selected if a.cost_band is not None]
+        schedule = [a.schedule_band for a in selected if a.schedule_band is not None]
+        return {"cost_band": sum(cost) / len(cost) if cost else None,
+                "schedule_band": sum(schedule) / len(schedule) if schedule else None}
 
     return CoverageReport(
         project_id=project_id,
         threshold=threshold,
         rows=tuple(rows),
-        coverage_fraction=fraction,
+        coverage_fraction=sum(row.covered for row in rows) / len(rows),
         histogram=score_histogram(row.score for row in rows),
         category_fractions=_category_fractions(rows),
-        impact_means={
-            "covered": impact_means(covered_rows),
-            "not_covered": impact_means([row for row in rows if not row.covered]),
-        },
-        category_agreement=agreement,
+        impact_means={"covered": impact_means(True), "not_covered": impact_means(False)},
+        category_agreement=sum(agrees) / len(agrees) if agrees else None,
     )
 
 
-def _category_fractions(rows: Iterable[CoverageRow]) -> list[tuple[str, float]]:
-    """Share of the covered rows per best category, descending, then by name;
-    empty when no row is covered."""
+def _category_fractions(rows: Iterable[CoverageRow]) -> list[dict]:
+    """{"category", "fraction"}: the share of the covered rows per best
+    category, descending, then by name; empty when no row is covered."""
     counts: dict[str, int] = {}
     for row in rows:
         if row.covered:
             counts[row.best_category] = counts.get(row.best_category, 0) + 1
     total = sum(counts.values())
-    return sorted(((name, count / total) for name, count in counts.items()),
-                  key=lambda pair: (-pair[1], pair[0]))
+    return [{"category": name, "fraction": count / total}
+            for name, count in sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))]
 
 
 def summarize_coverage(rbs: Rbs, reports: Sequence[CoverageReport], threshold: float) -> dict:
@@ -245,13 +197,12 @@ def summarize_coverage(rbs: Rbs, reports: Sequence[CoverageReport], threshold: f
     all their risks together."""
     rows = [row for report in reports for row in report.rows]
     covered = sum(row.covered for row in rows)
-    distribution = [{"category": name, "fraction": fraction}
-                    for name, fraction in _category_fractions(rows)]
     return {
         "threshold": threshold,
         "rbs": {"categories": len(rbs.categories), "items": rbs.item_count},
         "projects": [report.to_dict() for report in reports],
-        "overall": {"risks": len(rows), "covered": covered, "category_distribution": distribution,
+        "overall": {"risks": len(rows), "covered": covered,
+                    "category_distribution": _category_fractions(rows),
                     "coverage_fraction": covered / len(rows) if rows else None},
     }
 
@@ -276,46 +227,26 @@ def load_covered_texts(path: str | Path) -> list[list[str]]:
     return covered
 
 
-@dataclass(frozen=True)
-class CooccurrenceMatrix:
-    """Project-level co-occurrence counts over RBS items (i < j stored)."""
-
-    item_texts: tuple[str, ...]
-    counts: dict[tuple[int, int], int]
-
-    def pairs_descending(self) -> list[tuple[str, str, int]]:
-        """Every item pair (i < j in file order), zero counts included, by
-        descending count, then by the two texts."""
-        texts = self.item_texts
-        rows = [
-            (texts[i], texts[j], self.counts.get((i, j), 0))
-            for i in range(len(texts))
-            for j in range(i + 1, len(texts))
-        ]
-        rows.sort(key=lambda row: (-row[2], row[0], row[1]))
-        return rows
-
-
-def cooccurrence(covered: Sequence[Iterable[str]], rbs: Rbs) -> CooccurrenceMatrix:
-    """Count, for each RBS item pair, the projects where both are covered.
+def cooccurrence(covered: Sequence[Iterable[str]], rbs: Rbs) -> list[tuple[str, str, int]]:
+    """For each RBS item pair (a before b in file order), the number of
+    projects where both are covered: (a, b, count) rows, zero counts
+    included, by descending count, then by the two texts.
 
     `covered` holds each project's covered item texts, for example
     `report.covered_items()` of each coverage report.
     """
     if not covered:
         raise EmptyReportError("co-occurrence needs at least one coverage report")
-    texts = tuple(item.text for _, item in rbs.flat_items())
-    index = {text: i for i, text in enumerate(texts)}
-    counts: dict[tuple[int, int], int] = {}
+    texts = [item.text for _, item in rbs.flat_items()]
+    order = {text: i for i, text in enumerate(texts)}
+    counts: Counter[tuple[str, str]] = Counter()
     for items in covered:
-        seen: set[int] = set()
+        present: set[str] = set()
         for text in items:
-            if text not in index:
+            if text not in order:
                 raise RbsError(f"covered item {text!r} is not in the RBS")
-            seen.add(index[text])
-        present = sorted(seen)
-        for a in range(len(present)):
-            for b in range(a + 1, len(present)):
-                key = (present[a], present[b])
-                counts[key] = counts.get(key, 0) + 1
-    return CooccurrenceMatrix(item_texts=texts, counts=counts)
+            present.add(text)
+        counts.update(combinations(sorted(present, key=order.__getitem__), 2))
+    rows = [(a, b, counts[a, b]) for a, b in combinations(texts, 2)]
+    rows.sort(key=lambda row: (-row[2], row[0], row[1]))
+    return rows

@@ -1006,7 +1006,7 @@ def test_rbs_cooccur_counts_match_the_library(manifest, tmp_path):
                 "--out", str(pairs_path)]) == 0
     backend = load_word_vectors(WORD_VECTORS)
     reports = [coverage(default_rbs(), p.register, backend) for p in load_corpus(manifest).projects]
-    rows = cooccurrence([r.covered_items() for r in reports], default_rbs()).pairs_descending()
+    rows = cooccurrence([r.covered_items() for r in reports], default_rbs())
     with pairs_path.open(newline="", encoding="utf-8") as handle:
         written = list(csv.reader(handle))
     assert written[0] == ["item_a", "item_b", "count"]

@@ -205,6 +205,74 @@ def test_coverage_category_agreement_uses_register_labels():
     assert unlabeled.category_agreement is None
 
 
+def _to_dict_oracle(report):
+    """The report object with every key spelled out, as the schema stood
+    before `to_dict` copied the report's and each row's fields."""
+    return {
+        "project_id": report.project_id,
+        "threshold": report.threshold,
+        "coverage_fraction": report.coverage_fraction,
+        "histogram": report.histogram,
+        "category_fractions": [
+            {"category": entry["category"], "fraction": entry["fraction"]}
+            for entry in report.category_fractions
+        ],
+        "impact_means": report.impact_means,
+        "category_agreement": report.category_agreement,
+        "rows": [
+            {
+                "risk_id": row.risk_id,
+                "best_item": row.best_item,
+                "best_category": row.best_category,
+                "score": row.score,
+                "covered": row.covered,
+                "used_fallback": row.used_fallback,
+            }
+            for row in report.rows
+        ],
+    }
+
+
+def _assert_to_dict_matches_oracle(report):
+    payload = report.to_dict()
+    assert payload == _to_dict_oracle(report)
+    assert list(map(type, payload["rows"][0].values())) == [str, str, str, float, bool, bool]
+    payload["rows"][0]["covered"] = "changed"
+    assert report.to_dict() == _to_dict_oracle(report)  # the copy does not write through
+
+
+def test_to_dict_matches_key_by_key_oracle_on_fixture(expost_manifest, reference_backend):
+    from riskbench.corpus import load_corpus
+
+    sentence = load_sentence_vectors(data_path("embeddings", "reference_sentence_vectors.jsonl"))
+    with_fallback = replace(sentence, fallback=reference_backend)
+    fell_back = 0
+    for project in load_corpus(expost_manifest).projects:
+        for backend in (reference_backend, with_fallback):
+            report = coverage(default_rbs(), project.register, backend, 0.6, project.project_id)
+            _assert_to_dict_matches_oracle(report)
+            fell_back += sum(row.used_fallback for row in report.rows)
+    assert fell_back > 0
+
+
+def test_to_dict_matches_key_by_key_oracle_with_labels_unset_bands_and_oov():
+    from .conftest import make_item
+    from riskbench.corpus import RegisterSnapshot
+
+    register = RegisterSnapshot(0, (
+        make_item("r0", "alpha", cost=4, category_label="CatA"),
+        make_item("r1", "zzz qqq", schedule=3, category_label="CatB"),   # every word OOV
+        make_item("r2", "gamma", category_label="cata"),
+        make_item("r3", "beta"),
+    ))
+    report = coverage(small_rbs(), register, small_backend(), 0.6, "p")
+    assert report.rows[1].score == 0.0 and not report.rows[1].covered
+    assert report.impact_means == {"covered": {"cost_band": 4.0, "schedule_band": None},
+                                   "not_covered": {"cost_band": None, "schedule_band": 3.0}}
+    assert report.category_agreement == pytest.approx(0.5)
+    _assert_to_dict_matches_oracle(report)
+
+
 def test_coverage_empty_register():
     from riskbench.corpus import RegisterSnapshot
 
@@ -269,7 +337,7 @@ def test_category_distribution_no_covered_risks():
 def test_category_fractions_sum_to_one():
     register = make_register("alpha", "beta", "gamma", "alphaish")
     report = coverage(small_rbs(), register, small_backend(), 0.5)
-    assert sum(f for _, f in report.category_fractions) == pytest.approx(1.0, abs=1e-9)
+    assert sum(f["fraction"] for f in report.category_fractions) == pytest.approx(1.0, abs=1e-9)
 
 
 # ----------------------------------------------------------------- co-occurrence
@@ -281,8 +349,8 @@ def _report_for(covered_names, project_id):
 
 
 def _pair_counts(reports):
-    """{(a, b): count} over both orders of every pair, read from pairs_descending()."""
-    rows = cooccurrence([r.covered_items() for r in reports], small_rbs()).pairs_descending()
+    """{(a, b): count} over both orders of every pair, read from cooccurrence()."""
+    rows = cooccurrence([r.covered_items() for r in reports], small_rbs())
     return {**{(a, b): count for a, b, count in rows}, **{(b, a): count for a, b, count in rows}}
 
 
@@ -320,7 +388,7 @@ def test_cooccurrence_matches_set_intersection_oracle():
 
 def test_cooccurrence_symmetry():
     reports = [_report_for(["alpha", "beta", "gamma"], "p0")]
-    rows = cooccurrence([r.covered_items() for r in reports], small_rbs()).pairs_descending()
+    rows = cooccurrence([r.covered_items() for r in reports], small_rbs())
     # each unordered pair once, its texts in RBS file order
     assert [(a, b) for a, b, _ in rows] == [
         ("alpha", "beta"), ("alpha", "gamma"), ("beta", "gamma")]
@@ -331,7 +399,7 @@ def test_cooccurrence_pairs_descending():
         _report_for(["alpha", "beta", "gamma"], "p0"),
         _report_for(["alpha", "beta"], "p1"),
     ]
-    rows = cooccurrence([r.covered_items() for r in reports], small_rbs()).pairs_descending()
+    rows = cooccurrence([r.covered_items() for r in reports], small_rbs())
     assert rows[0] == ("alpha", "beta", 2)
     counts = [count for _, _, count in rows]
     assert counts == sorted(counts, reverse=True)
@@ -343,7 +411,7 @@ def test_cooccurrence_empty():
 
 
 def test_cooccurrence_pairs_descending_lists_every_pair():
-    rows = cooccurrence([["gamma"], ["alpha", "gamma", "alpha"]], small_rbs()).pairs_descending()
+    rows = cooccurrence([["gamma"], ["alpha", "gamma", "alpha"]], small_rbs())
     assert rows == [("alpha", "gamma", 1), ("alpha", "beta", 0), ("beta", "gamma", 0)]
 
 
