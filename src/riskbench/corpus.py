@@ -535,8 +535,8 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
             if key in entry and not isinstance(entry[key], str):
                 raise ParseError(f"{where}: {key!r} must be a string, not {entry[key]!r}")
         value = entry.get("contract_value_musd")
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ParseError(f"{where}: 'contract_value_musd' must be a number or null")
+        if value is not None and not _is_finite(value):
+            raise ParseError(f"{where}: 'contract_value_musd' must be a finite number or null")
         award_year = entry.get("award_year")
         if award_year is not None and not _is_int(award_year):
             raise ParseError(f"{where}: 'award_year' must be an integer or null")

@@ -333,19 +333,24 @@ def observations_from_project(project: ProjectRecord) -> dict[str, list[RiskObse
     return observations
 
 
+def _lifecycles(
+    project_id: str, risks: dict[str, list[RiskObservation]], count: int
+) -> list[RiskLifecycle]:
+    """Each risk's lifecycle over `count` snapshots; an error names the project."""
+    try:
+        return [build_lifecycle(risk_id, observations, count)
+                for risk_id, observations in risks.items()]
+    except LifecycleError as exc:
+        raise LifecycleError(f"project {project_id!r}: {exc}") from exc
+
+
 def project_lifecycles(project: ProjectRecord) -> list[RiskLifecycle]:
     if project.snapshots[0].ordinal != 0:
         raise LifecycleError(
             f"project {project.project_id!r}: lifecycle analysis needs snapshot 0"
         )
-    count = project.snapshots[-1].ordinal + 1
-    try:
-        return [
-            build_lifecycle(risk_id, observations, count)
-            for risk_id, observations in observations_from_project(project).items()
-        ]
-    except LifecycleError as exc:
-        raise LifecycleError(f"project {project.project_id!r}: {exc}") from exc
+    return _lifecycles(project.project_id, observations_from_project(project),
+                       project.snapshots[-1].ordinal + 1)
 
 
 def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
@@ -396,14 +401,7 @@ def tabulated_ratios(
         count = 1 + max(
             obs.snapshot_ordinal for observations in risks.values() for obs in observations
         )
-        try:
-            lifecycles = [
-                build_lifecycle(risk_id, observations, count)
-                for risk_id, observations in risks.items()
-            ]
-        except LifecycleError as exc:
-            raise LifecycleError(f"project {project_id!r}: {exc}") from exc
-        per_project[project_id] = compute_ratios(lifecycles)
+        per_project[project_id] = compute_ratios(_lifecycles(project_id, risks, count))
     return per_project, aggregate_ratios(per_project)
 
 

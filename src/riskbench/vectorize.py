@@ -46,7 +46,7 @@ _TINY_NORM = 1e-150
 # Parsed vector files are kept per content under the user cache directory.
 # Bump the format when the entry layout or the parsers' results change;
 # entries of any format count against the per-kind cap, so old ones age out.
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 _CACHE_ENTRIES = 8
 
 # One block of a score table holds at most this many bytes.
@@ -399,7 +399,7 @@ def _parse_word_lines(
     """Parse the data lines one by one with Python's float().
 
     This is the reference reader: it raises the ParseError for the first bad
-    line and accepts every spelling float() accepts. Its vectors are separate
+    line and accepts every finite value float() reads. Its vectors are separate
     arrays, so it returns no matrix and what it reads is not cached.
     """
     import numpy as np
@@ -418,6 +418,8 @@ def _parse_word_lines(
             vector = np.array([float(part) for part in parts[1:]], dtype=float)
         except ValueError as exc:
             raise ParseError(f"{path}, line {number}: non-numeric component") from exc
+        if not np.isfinite(vector).all():
+            raise ParseError(f"{path}, line {number}: non-finite component")
         if token in table:
             warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
         table[token] = vector
@@ -435,7 +437,8 @@ def _parse_word_lines_bulk(
     well formed (a short or long line, a component the C parser rejects, or
     no data at all); `_parse_word_lines` then gives the exact error or reads
     spellings only float() accepts, such as "1_0". Both parsers round
-    correctly, so the values are bit-identical.
+    correctly, so the values are bit-identical. A row with a non-finite
+    component raises the ParseError that names its line.
     """
     import numpy as np
     tokens: list[str] = []
@@ -458,6 +461,9 @@ def _parse_word_lines_bulk(
         return None
     if matrix.shape != (len(rests), dimension):
         return None
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}, line {numbers[int(finite.argmin())]}: non-finite component")
     table: dict[str, np.ndarray] = {}
     for number, token, vector in zip(numbers, tokens, matrix):
         if token in table:
@@ -512,6 +518,10 @@ def _parse_sentence_file(
             vector = [float(x) for x in record["vector"]]
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}, line {number}: non-numeric vector component") from exc
+        if any(isinstance(x, bool) for x in record["vector"]):  # float(True) is 1.0
+            raise ParseError(f"{path}, line {number}: non-numeric vector component")
+        if not all(map(math.isfinite, vector)):
+            raise ParseError(f"{path}, line {number}: non-finite vector component")
         if dimension is None:
             dimension = len(vector)
             if dimension == 0:

@@ -127,6 +127,46 @@ def test_non_utf8_word_file_exits_1_without_traceback(manifest, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def _with_component(source, line, column, value, destination):
+    """A copy of a vector file with one component of a line replaced."""
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    if destination.suffix == ".jsonl":
+        record = json.loads(lines[line - 1])
+        record["vector"][column] = "@"
+        lines[line - 1] = json.dumps(record).replace('"@"', value)
+    else:
+        parts = lines[line - 1].split()
+        parts[column + 1] = value
+        lines[line - 1] = " ".join(parts)
+    destination.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return destination
+
+
+@pytest.mark.parametrize("name, edits, command, message", [
+    ("nan.txt", [(6, 2, "nan")], "similarity risks", "line 6: non-finite component"),
+    ("inf.txt", [(9, 0, "1_0"), (12, 5, "inf")], "template build", "line 12: non-finite component"),
+    ("nan.jsonl", [(3, 0, "NaN")], "rbs coverage", "line 3: non-finite vector component"),
+    ("inf.jsonl", [(4, 1, "Infinity")], "rbs coverage", "line 4: non-finite vector component"),
+    ("true.jsonl", [(2, 3, "true")], "rbs coverage", "line 2: non-numeric vector component"),
+])
+def test_non_finite_vector_file_exits_1_without_traceback(manifest, tmp_path, name, edits,
+                                                          command, message):
+    path = tmp_path / name
+    source = SENTENCE_VECTORS if path.suffix == ".jsonl" else WORD_VECTORS
+    for line, column, value in edits:
+        source = _with_component(source, line, column, value, path)
+    vectors = (["--sentence-embeddings", str(path), "--embeddings", WORD_VECTORS]
+               if path.suffix == ".jsonl" else ["--embeddings", str(path)])
+    cache = tmp_path / "cache"
+    result = fresh_python("-m", "riskbench.cli", *command.split(), "--manifest", manifest,
+                          *vectors, "--out", str(tmp_path / "r.json"), XDG_CACHE_HOME=str(cache))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {path}, {message}\n"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert not list(cache.glob(f"riskbench/*{digest}*"))
+    assert not (tmp_path / "r.json").exists()
+
+
 def corpus_digests(manifest):
     """SHA-256 of the manifest and of every register it names, keyed as reports key them."""
     base = Path(manifest).parent

@@ -383,11 +383,20 @@ MANIFEST_FAULTS = {
     ),
     "contract value a string": (
         json.dumps({"projects": [_project(contract_value_musd="12")]}),
-        "project 0: 'contract_value_musd' must be a number or null",
+        "project 0: 'contract_value_musd' must be a finite number or null",
     ),
     "contract value a bool": (
         json.dumps({"projects": [_project(contract_value_musd=False)]}),
-        "project 0: 'contract_value_musd' must be a number or null",
+        "project 0: 'contract_value_musd' must be a finite number or null",
+    ),
+    "contract value NaN": (
+        json.dumps({"projects": [_project(contract_value_musd=12), _project(
+            id="p2", contract_value_musd=math.nan)]}),
+        "project 1: 'contract_value_musd' must be a finite number or null",
+    ),
+    "contract value Infinity": (
+        json.dumps({"projects": [_project(contract_value_musd=math.inf)]}),
+        "project 0: 'contract_value_musd' must be a finite number or null",
     ),
     "award year a string": (
         json.dumps({"projects": [_project(award_year="2013")]}),

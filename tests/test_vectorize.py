@@ -441,8 +441,13 @@ def test_load_word_vectors_bulk_matches_reference_on_300d_file(tmp_path, monkeyp
         ("2 3\nfoo 1.0 0.0 0.0\nbar 1.0 x 0.0\n", 3, "non-numeric component"),
         ("3 2\nfoo 1 2\n\n   \n\t\nbar 1 2 3\nbaz 1 2\n", 6, "expected 2 components, got 3"),
         ("3 2\n\nfoo 1 2\n\nbar 1 2\nbaz 1 two\n", 6, "non-numeric component"),
+        ("3 2\nfoo 1 2\n\nbar 1 nan\nbaz inf 2\n", 4, "non-finite component"),
+        ("2 2\nfoo 1 2\nbar -inf 2\n", 3, "non-finite component"),
+        ("3 2\nfoo 1_0 2\nbar NaN 1\nbaz 1 inf\n", 3, "non-finite component"),
+        ("3 2\nfoo 1 +1e500\nbar 1 2\nbaz 1_0 2\n", 2, "non-finite component"),
     ],
-    ids=["short", "extra", "token-only", "all-too-long", "non-numeric", "after-blanks", "non-numeric-after-blanks"],
+    ids=["short", "extra", "token-only", "all-too-long", "non-numeric", "after-blanks",
+         "non-numeric-after-blanks", "nan", "-inf", "nan-after-1_0", "overflow-before-1_0"],
 )
 def test_load_word_vectors_bulk_raises_reference_error(tmp_path, monkeypatch, body, line, message):
     path = tmp_path / "w.txt"
@@ -491,14 +496,13 @@ def test_load_word_vectors_warning_alone_is_not_cached(tmp_path, monkeypatch, bo
 
 def test_load_word_vectors_accepts_python_float_spellings(tmp_path, monkeypatch):
     path = tmp_path / "w.txt"
-    path.write_text("3 2\nfoo 1_0 nan\nbar -inf 2.5\nbaz +1e500 -0.0\n", encoding="utf-8")
+    path.write_text("3 2\nfoo 1_0 -0.0\nbar -1E-3 2.5\nbaz +1e5 .5\n", encoding="utf-8")
     # only the per-line reader takes "1_0"; what it reads is not cached
     bulk, again, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=False)
     _assert_same_tables(bulk[0], reference[0])
     _assert_same_tables(again[0], bulk[0])
     assert bulk[1:] == again[1:] == reference[1:] == ([], None)
-    assert bulk[0]["foo"][0] == 10.0 and math.isnan(bulk[0]["foo"][1])
-    assert bulk[0]["bar"][0] == -math.inf
+    assert bulk[0]["foo"][0] == 10.0 and bulk[0]["bar"][0] == -0.001
 
 
 # ----------------------------------------------------------- sentence vector files
@@ -558,6 +562,23 @@ def test_load_sentence_vectors_mixed_dimensions(tmp_path, monkeypatch):
     for _ in range(2):
         with pytest.raises(ParseError, match="length"):
             load_sentence_vectors(path)
+    assert _entries(tmp_path) == []
+
+
+@pytest.mark.parametrize("component, message", [
+    ("NaN", "non-finite vector component"),
+    ("-Infinity", "non-finite vector component"),
+    ("1e999", "non-finite vector component"),
+    ("true", "non-numeric vector component"),
+])
+def test_load_sentence_vectors_rejects_non_finite_and_bool(tmp_path, monkeypatch, component,
+                                                           message):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"text": "a", "vector": [0.5, 1]}\n'
+                    f'{{"text": "b", "vector": [0.5, {component}]}}\n', encoding="utf-8")
+    for _ in range(2):
+        assert _load_outcome(path, load_sentence_vectors) == (None, [], f"{path}, line 2: {message}")
     assert _entries(tmp_path) == []
 
 
