@@ -578,7 +578,8 @@ def test_load_sentence_vectors_rejects_non_finite_and_bool(tmp_path, monkeypatch
     path.write_text('{"text": "a", "vector": [0.5, 1]}\n'
                     f'{{"text": "b", "vector": [0.5, {component}]}}\n', encoding="utf-8")
     for _ in range(2):
-        assert _load_outcome(path, load_sentence_vectors) == (None, [], f"{path}, line 2: {message}")
+        outcome = _load_outcome(path, load_sentence_vectors)
+        assert outcome == (None, [], f"{path}, line 2: {message}")
     assert _entries(tmp_path) == []
 
 
