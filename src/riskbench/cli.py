@@ -42,7 +42,7 @@ from .rbs import (
     summarize_coverage,
 )
 from .report import ReportBundle, emit_report, file_digest, write_csv, write_heatmap_csv
-from .resources import data_path, read_json_checked
+from .resources import check_shape, data_path, read_json_checked
 from .similarity import (
     EVALUATION_THRESHOLDS,
     document_similarity,
@@ -101,18 +101,6 @@ def _backend(args, digests: dict) -> EmbeddingBackend:
             "an embedding backend is required: pass --embeddings or --sentence-embeddings"
         )
     return word
-
-
-def _number(value, where: str):
-    """A JSON number read from an input file that is finite as a float;
-    ParseError naming `where` otherwise, as for an int too large for a float."""
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ParseError(f"{where} must be a finite number, not {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------- ingest
@@ -269,17 +257,13 @@ def _cmd_lifecycle_styles(args, digests):
     thresholds = StyleThresholds()
     if args.thresholds:
         raw = read_json_checked(args.thresholds, "thresholds file")
-        if not isinstance(raw, dict):
-            raise ParseError(f"{args.thresholds}: thresholds file must hold a JSON object")
         names = [f.name for f in fields(StyleThresholds)]
+        check_shape(raw, {f"{name}?": float for name in names}, str(args.thresholds))
         for key in raw:
             if key not in names:
                 raise ParseError(f"{args.thresholds}: unknown key {key!r} "
                                  f"(expected {' or '.join(map(repr, names))})")
-        thresholds = StyleThresholds(**{
-            f.name: _number(raw.get(f.name, f.default), f"{args.thresholds}: {f.name!r}")
-            for f in fields(StyleThresholds)
-        })
+        thresholds = StyleThresholds(**raw)
         digests["thresholds"] = file_digest(args.thresholds)
     rows = []
     groups: dict[str, list[str]] = {}
@@ -300,12 +284,9 @@ def _cmd_lifecycle_compare(args, digests):
     path = args.groups
     raw = read_json_checked(path, "groups file")
     digests["groups"] = file_digest(path)
-    groups = raw.get("groups") if isinstance(raw, dict) else None
-    metrics = raw.get("metrics") if isinstance(raw, dict) else None
-    lists = isinstance(groups, dict) and all(
-        isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in groups.values()
-    )
-    if not lists or len(groups) != 2 or not isinstance(metrics, dict):
+    check_shape(raw, {"groups": {str: [str]}, "metrics": {str: {str: float}}}, str(path))
+    groups, metrics = raw["groups"], raw["metrics"]
+    if len(groups) != 2:
         raise ParseError(f"{path}: groups file must hold exactly two 'groups' lists of project "
                          "ids and a 'metrics' table")
     names = sorted(groups)
@@ -317,13 +298,10 @@ def _cmd_lifecycle_compare(args, digests):
         rows = []
         for project_id in groups[name]:
             entry = metrics.get(project_id)
-            if not isinstance(entry, dict):
+            if entry is None:
                 raise ParseError(f"{path}: no metrics object for project {project_id!r}")
             try:
-                rows.append([
-                    float(_number(entry[dim], f"{path}: project {project_id!r} metric {dim!r}"))
-                    for dim in dims
-                ])
+                rows.append([float(entry[dim]) for dim in dims])
             except KeyError as exc:
                 raise ParseError(f"{path}: project {project_id!r} is missing metric {exc}") from exc
         return rows

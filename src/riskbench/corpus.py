@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
@@ -19,7 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CorpusError, NormalizeError, ParseError
-from .resources import input_text, read_json_checked
+from .resources import (check_shape, input_text, is_finite, is_int, is_number, json_value,
+                        read_json_checked)
 
 REGISTER_CSV_COLUMNS = (
     "risk_id",
@@ -208,7 +208,7 @@ class ScaleConfig:
     def __post_init__(self) -> None:
         for label in _BAND_EDGES:
             edges = getattr(self, label)
-            if (len(edges) != 4 or not all(map(_is_finite, edges))
+            if (len(edges) != 4 or not all(map(is_finite, edges))
                     or any(b <= a for a, b in zip(edges, edges[1:]))):
                 raise CorpusError(f"{label} must be 4 strictly ascending finite numbers: {edges}")
         for p in range(1, 6):
@@ -238,14 +238,23 @@ def default_scale_config() -> ScaleConfig:
     )
 
 
+# every "p,i" key of a scales file's risk_matrix, with its band pair
+_MATRIX_KEYS = {f"{p},{i}": (p, i) for p in range(1, 6) for i in range(1, 6)}
+_SCALES = {**{label: [float] for label in _BAND_EDGES}, "risk_matrix": {str: str}}
+
+
 def load_scale_config(path: str | Path) -> ScaleConfig:
     raw = read_json_checked(path, "scale config")
+    check_shape(raw, _SCALES, str(path))
+    matrix = {}
+    for key, value in raw["risk_matrix"].items():
+        if key not in _MATRIX_KEYS:
+            raise ParseError(f"{path}: risk_matrix key {key!r} is not \"p,i\" with p and i in 1..5")
+        matrix[_MATRIX_KEYS[key]] = Qualitative(value) if value in _LEVELS else None
     try:
-        matrix = {tuple(map(int, key.split(","))): Qualitative(value)
-                  for key, value in raw["risk_matrix"].items()}
         return ScaleConfig(*(tuple(raw[label]) for label in _BAND_EDGES), risk_matrix=matrix)
-    except (KeyError, ValueError, TypeError, AttributeError, CorpusError) as exc:
-        raise ParseError(f"{path}: invalid scale config ({exc})") from exc
+    except CorpusError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def band_for(value: float, edges: Sequence[float]) -> int:
@@ -311,15 +320,6 @@ def _assessment(
         probability_band, cost_band, schedule_band, qualitative_cost, qualitative_schedule,
         raw_probability, raw_cost, raw_schedule,
     )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """An int, or a finite float; not a bool."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _value_or_none(text: str | None) -> str | None:
@@ -423,25 +423,27 @@ def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
     return rows, ordinal
 
 
+# a JSON register, or its bare items array; `_row` reads the measures
+_REGISTER_ITEM = {"risk_id?": str, "name?": str,
+                  **{f"{key}?": (str, None) for key in ("description", "category", "status")}}
+_REGISTER = {"items": [_REGISTER_ITEM], "ordinal?": int}
+
+
 def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
-    text = input_text(data, source)
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # not JSON, or an int past Python's digit limit
-        raise ParseError(f"{source}: invalid JSON ({exc})") from exc
-    if isinstance(payload, list):
+    payload = json_value(data, source)
+    bare = isinstance(payload, list)
+    check_shape(payload, [_REGISTER_ITEM] if bare else _REGISTER, source)
+    if bare:
         payload = {"items": payload}
-    if not isinstance(payload, dict) or not isinstance(payload.get("items"), list):
-        raise ParseError(f"{source}: expected an object with an 'items' array")
 
     def measure(value, key: str, where: str) -> tuple[int | None, float | None]:
         if value is None:
             return None, None
-        if _is_int(value):
+        if is_int(value):
             if value not in (1, 2, 3, 4, 5):
                 raise ParseError(f"{where}: {key} band {value} outside 1..5")
             return value, None
-        if isinstance(value, float):
+        if is_number(value):
             return None, value
         raise ParseError(f"{where}: {key} must be numeric, got {value!r}")
 
@@ -449,16 +451,9 @@ def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
     seen: set[str] = set()
     for index, record in enumerate(payload["items"]):
         where = f"{source}, item {index}"
-        if not isinstance(record, dict):
-            raise ParseError(f"{where}: expected an object")
-        for key in ("risk_id", "name", "description", "category", "status"):
-            text = record.get(key)
-            if text is not None and not isinstance(text, str):
-                kind = "a string" if key in ("risk_id", "name") else "a string or null"
-                raise ParseError(f"{where}: {key} must be {kind}, got {text!r}")
         rows.append(_row([record.get(name) for name in REGISTER_CSV_COLUMNS], measure, where, seen))
     ordinal = payload.get("ordinal", 0)
-    if not _is_int(ordinal) or ordinal < 0:
+    if ordinal < 0:
         raise ParseError(f"{source}: ordinal must be a non-negative integer")
     return rows, ordinal
 
@@ -497,6 +492,15 @@ def load_register(path: str | Path) -> RegisterSnapshot:
     return parse_register(path.read_bytes(), _register_format(path), source=str(path))
 
 
+_MANIFEST = {"projects": [{
+    "id": str,
+    **{f"{key}?": str for key in ("jurisdiction", "delivery_method", "project_type", "size_band")},
+    "contract_value_musd?": (float, None),
+    "award_year?": (int, None),
+    "registers?": [{"path": str, "ordinal?": int}],
+}]}
+
+
 def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) -> Corpus:
     """Load every project and register listed in a manifest, in file order.
 
@@ -513,45 +517,20 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     except FileNotFoundError as exc:
         raise CorpusError(f"manifest not found: {manifest_path}") from exc
     digests = {"manifest": sha256(data).hexdigest()}
-    text = input_text(data, str(manifest_path))
-    try:
-        # universal newlines, as in a text-mode read, so error positions hold
-        manifest = json.loads(io.StringIO(text, newline=None).read())
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
-        raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("projects"), list):
-        raise ParseError(f"{manifest_path}: expected an object with a 'projects' array")
+    manifest = json_value(data, str(manifest_path))
+    check_shape(manifest, _MANIFEST, str(manifest_path))
 
     base = manifest_path.parent
     projects: list[ProjectRecord] = []
     for index, entry in enumerate(manifest["projects"]):
         where = f"{manifest_path}, project {index}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        project_id = entry.get("id")
-        if not isinstance(project_id, str) or not project_id:
+        project_id = entry["id"]
+        if not project_id:
             raise ParseError(f"{where}: 'id' must be a non-empty string, not {project_id!r}")
-        for key in ("jurisdiction", "delivery_method", "project_type", "size_band"):
-            if key in entry and not isinstance(entry[key], str):
-                raise ParseError(f"{where}: {key!r} must be a string, not {entry[key]!r}")
         value = entry.get("contract_value_musd")
-        if value is not None and not _is_finite(value):
-            raise ParseError(f"{where}: 'contract_value_musd' must be a finite number or null")
-        award_year = entry.get("award_year")
-        if award_year is not None and not _is_int(award_year):
-            raise ParseError(f"{where}: 'award_year' must be an integer or null")
-        registers = entry.get("registers", [])
-        if not isinstance(registers, list):
-            raise ParseError(f"{where}: 'registers' must be an array")
         snapshots: list[RegisterSnapshot] = []
-        for number, register in enumerate(registers):
-            if not isinstance(register, dict) or not isinstance(register.get("path"), str):
-                raise ParseError(
-                    f"{where}, register {number}: expected an object with a 'path' string"
-                )
-            if "ordinal" in register and not (
-                _is_int(register["ordinal"]) and register["ordinal"] >= 0
-            ):
+        for number, register in enumerate(entry.get("registers", [])):
+            if register.get("ordinal", 0) < 0:
                 raise ParseError(
                     f"{where}, register {number}: 'ordinal' must be a non-negative integer"
                 )
@@ -587,7 +566,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 project_type=entry.get("project_type", ""),
                 size_band=size_band,
                 contract_value_musd=value,
-                award_year=award_year,
+                award_year=entry.get("award_year"),
                 snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
             )
         )

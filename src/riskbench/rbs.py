@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import RegisterSnapshot
-from .errors import EmptyReportError, ParseError, RbsError
-from .resources import data_path, read_json_checked
+from .errors import EmptyReportError, RbsError
+from .resources import check_shape, data_path, read_json_checked
 from .similarity import score_histogram
 from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
 
@@ -63,30 +63,21 @@ class Rbs:
         return sum(len(c.items) for c in self.categories)
 
 
+_RBS = {"categories": [{"name": str, "items": [{"text": str, "frequency": int}]}]}
+
+
 def load_rbs(path: str | Path) -> Rbs:
     """An RBS file: {"categories": [{"name", "items": [{"text", "frequency"}]}]}."""
     raw = read_json_checked(path, "RBS file")
-    entries = raw.get("categories") if isinstance(raw, dict) else None
-    if not isinstance(entries, list) or not entries:
+    check_shape(raw, _RBS, str(path))
+    if not raw["categories"]:
         raise RbsError(f"{path}: expected an object with a non-empty 'categories' array")
-    categories = []
-    for index, entry in enumerate(entries):
-        where = f"{path}: category {index}"
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("items"), list)):
-            raise RbsError(f"{where}: expected an object with a 'name' string and an 'items' array")
-        items = []
-        for number, item in enumerate(entry["items"]):
-            if not isinstance(item, dict) or not isinstance(item.get("text"), str):
-                raise RbsError(f"{where}, item {number}: expected an object with a 'text' string")
-            frequency = item.get("frequency")
-            if isinstance(frequency, bool) or not isinstance(frequency, int) or frequency < 1:
-                raise RbsError(f"{where}, item {number}: 'frequency' must be an integer >= 1, "
-                               f"not {frequency!r}")
-            items.append(RbsItem(item["text"], frequency))
-        categories.append(RbsCategory(entry["name"], tuple(items)))
     try:
-        return Rbs(tuple(categories))
+        return Rbs(tuple(
+            RbsCategory(entry["name"], tuple(RbsItem(item["text"], item["frequency"])
+                                             for item in entry["items"]))
+            for entry in raw["categories"]
+        ))
     except RbsError as exc:
         raise RbsError(f"{path}: {exc}") from exc
 
@@ -207,24 +198,18 @@ def summarize_coverage(rbs: Rbs, reports: Sequence[CoverageReport], threshold: f
     }
 
 
+_COVERAGE = {"projects": [{"rows?": [{"covered": bool, "best_item": str}]}]}
+
+
 def load_covered_texts(path: str | Path) -> list[list[str]]:
     """Each project's covered item texts, in row order, from a coverage
     report file as `rbs coverage` writes it (or its bare result)."""
     raw = read_json_checked(path, "coverage report")
-    payload = raw.get("result", raw) if isinstance(raw, dict) else None
-    projects = payload.get("projects") if isinstance(payload, dict) else None
-    if not isinstance(projects, list):
-        raise ParseError(f"{path}: not a coverage report")
-    covered = []
-    for index, project in enumerate(projects):
-        rows = project.get("rows", []) if isinstance(project, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-            raise ParseError(f"{path}, project {index}: expected an object with a 'rows' array")
-        items = [row.get("best_item") for row in rows if row.get("covered")]
-        if not all(isinstance(item, str) for item in items):
-            raise ParseError(f"{path}, project {index}: a covered row has no 'best_item' string")
-        covered.append(items)
-    return covered
+    wrapped = isinstance(raw, dict) and "result" in raw
+    check_shape(raw, {"result": _COVERAGE} if wrapped else _COVERAGE, str(path))
+    projects = (raw["result"] if wrapped else raw)["projects"]
+    return [[row["best_item"] for row in project.get("rows", []) if row["covered"]]
+            for project in projects]
 
 
 def cooccurrence(covered: Sequence[Iterable[str]], rbs: Rbs) -> list[tuple[str, str, int]]:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .corpus import Assessment, Corpus, ProjectRecord, RegisterSnapshot
 from .errors import RbsError, TemplateError
-from .resources import data_path, read_json_checked
+from .resources import check_shape, data_path, read_json_checked
 from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
 
 DEFAULT_MATCH_THRESHOLD = 0.7
@@ -196,21 +196,16 @@ class CategorySet:
             raise RbsError("category names must be unique")
 
 
+_CATEGORIES = {"categories": [{"name": str, "description?": str}]}
+
+
 def load_categories(path: str | Path) -> CategorySet:
     """A category file: {"categories": [{"name", "description" (optional)}]}."""
     raw = read_json_checked(path, "category file")
-    entries = raw.get("categories") if isinstance(raw, dict) else None
-    if not isinstance(entries, list):
-        raise RbsError(f"{path}: expected an object with a 'categories' array")
-    categories = []
-    for index, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("description", ""), str)):
-            raise RbsError(f"{path}: category {index}: expected an object with a 'name' string "
-                           "and an optional 'description' string")
-        categories.append(Category(entry["name"], entry.get("description", "")))
+    check_shape(raw, _CATEGORIES, str(path))
     try:
-        return CategorySet(tuple(categories))
+        return CategorySet(tuple(Category(entry["name"], entry.get("description", ""))
+                                 for entry in raw["categories"]))
     except RbsError as exc:
         raise RbsError(f"{path}: {exc}") from exc
 
@@ -257,6 +252,10 @@ class TemplateEntry:
     source_projects: int
 
 
+# an entry field that a template file leaves out is None, or this value
+_ENTRY_DEFAULTS = {"group_size": 1, "source_projects": 1}
+
+
 @dataclass(frozen=True)
 class RiskTemplate:
     entries: tuple[TemplateEntry, ...]
@@ -274,32 +273,12 @@ class RiskTemplate:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RiskTemplate":
-        entries = raw.get("entries") if isinstance(raw, dict) else None
-        if not isinstance(entries, list):
-            raise TemplateError("expected an object with an 'entries' array")
-        for index, e in enumerate(entries):
-            if not (isinstance(e, dict) and isinstance(e.get("text"), str)
-                    and "rank" in e and "prevalence" in e):
-                raise TemplateError(f"entry {index}: expected an object with a 'text' string, "
-                                    "a 'rank' and a 'prevalence'")
+        """The template of a `to_dict` value, such as `load_template` checks."""
         described = raw.get("source_filter", {})
-        if not isinstance(described, dict):
-            raise TemplateError(f"'source_filter' must be an object, not {described!r}")
         return cls(
-            entries=tuple(
-                TemplateEntry(
-                    rank=e["rank"],
-                    text=e["text"],
-                    category=e.get("category"),
-                    prevalence=e["prevalence"],
-                    avg_probability=e.get("avg_probability"),
-                    avg_cost=e.get("avg_cost"),
-                    avg_schedule=e.get("avg_schedule"),
-                    group_size=e.get("group_size", 1),
-                    source_projects=e.get("source_projects", 1),
-                )
-                for e in entries
-            ),
+            entries=tuple(TemplateEntry(**{f.name: e.get(f.name, _ENTRY_DEFAULTS.get(f.name))
+                                           for f in fields(TemplateEntry)})
+                          for e in raw["entries"]),
             sort_key=raw.get("sort_key", "prevalence"),
             source_filter=FilterCriteria(**{
                 f.name: None if described.get(f.name, "all") == "all" else described[f.name]
@@ -309,13 +288,25 @@ class RiskTemplate:
         )
 
 
+# a `template build` result, as `RiskTemplate.to_dict` writes it
+_TEMPLATE = {
+    "entries": [{
+        "rank": int, "text": str, "category?": (str, None), "prevalence": float,
+        **{f"{key}?": (float, None) for key in ("avg_probability", "avg_cost", "avg_schedule")},
+        "group_size?": int, "source_projects?": int,
+    }],
+    "sort_key?": str,
+    "source_filter?": {str: str},
+    "source_project_count?": int,
+}
+
+
 def load_template(path: str | Path) -> RiskTemplate:
     """A template file: a `template build` report, or its bare result."""
     raw = read_json_checked(path, "template")
-    try:
-        return RiskTemplate.from_dict(raw.get("result", raw) if isinstance(raw, dict) else raw)
-    except TemplateError as exc:
-        raise TemplateError(f"{path}: {exc}") from exc
+    wrapped = isinstance(raw, dict) and "result" in raw
+    check_shape(raw, {"result": _TEMPLATE} if wrapped else _TEMPLATE, str(path))
+    return RiskTemplate.from_dict(raw["result"] if wrapped else raw)
 
 
 def _sort_value(group: RiskGroup, sort_key: str) -> float:

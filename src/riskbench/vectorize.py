@@ -9,7 +9,6 @@ Natural log is used throughout.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import re
@@ -22,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionError, MissingEmbeddingError, ParseError
 from .report import file_digest
-from .resources import data_path, input_text, read_text_checked
+from .resources import check_shape, data_path, input_text, json_value
 
 # numpy is imported inside the functions that use it, so that a command
 # that does no array work starts without it
@@ -55,7 +54,7 @@ _BLOCK_BYTES = 16 << 20
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     words = set()
-    for line in read_text_checked(path, "stop-word list").splitlines():
+    for line in input_text(Path(path).read_bytes(), str(path), "stop-word list").splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#"):
             words.add(word)
@@ -497,6 +496,9 @@ def load_sentence_vectors(
     )
 
 
+_SENTENCE_RECORD = {"text": str, "vector": [float]}
+
+
 def _parse_sentence_file(
     path: Path, lines: Sequence[str]
 ) -> tuple[dict[str, np.ndarray], int, np.ndarray]:
@@ -508,34 +510,22 @@ def _parse_sentence_file(
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
-            raise ParseError(f"{path}, line {number}: invalid JSON ({exc})") from exc
-        if not isinstance(record, dict) or "text" not in record or "vector" not in record:
-            raise ParseError(f"{path}, line {number}: expected keys 'text' and 'vector'")
-        try:
-            vector = [float(x) for x in record["vector"]]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}, line {number}: non-numeric vector component") from exc
-        if any(isinstance(x, bool) for x in record["vector"]):  # float(True) is 1.0
-            raise ParseError(f"{path}, line {number}: non-numeric vector component")
-        if not all(map(math.isfinite, vector)):
-            raise ParseError(f"{path}, line {number}: non-finite vector component")
+        where = f"{path}, line {number}"
+        record = json_value(line, where)
+        check_shape(record, _SENTENCE_RECORD, where)
+        vector = record["vector"]
         if dimension is None:
             dimension = len(vector)
             if dimension == 0:
-                raise ParseError(f"{path}, line {number}: empty vector")
+                raise ParseError(f"{where}: empty vector")
             matrix = np.empty((len(lines), dimension))  # rows never written take no memory
         elif len(vector) != dimension:
-            raise ParseError(
-                f"{path}, line {number}: vector length {len(vector)} != expected {dimension}"
-            )
-        key = normalize_sentence(str(record["text"]))
+            raise ParseError(f"{where}: vector length {len(vector)} != expected {dimension}")
+        key = normalize_sentence(record["text"])
         existing = table.get(key)
         if existing is not None and not np.array_equal(existing, vector):
             raise ParseError(
-                f"{path}, line {number}: duplicate text {record['text']!r} with differing vectors"
+                f"{where}: duplicate text {record['text']!r} with differing vectors"
             )
         table.setdefault(key, matrix[len(table)])[:] = vector  # an equal repeat: last wins
     if dimension is None:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from riskbench import corpus as corpus_module
+from riskbench import rbs as rbs_module
+from riskbench import template as template_module
 from riskbench import vectorize
 from riskbench.cli import build_parser, main
 from riskbench.corpus import default_scale_config, load_corpus, load_register
@@ -145,9 +149,12 @@ def _with_component(source, line, column, value, destination):
 @pytest.mark.parametrize("name, edits, command, message", [
     ("nan.txt", [(6, 2, "nan")], "similarity risks", "line 6: non-finite component"),
     ("inf.txt", [(9, 0, "1_0"), (12, 5, "inf")], "template build", "line 12: non-finite component"),
-    ("nan.jsonl", [(3, 0, "NaN")], "rbs coverage", "line 3: non-finite vector component"),
-    ("inf.jsonl", [(4, 1, "Infinity")], "rbs coverage", "line 4: non-finite vector component"),
-    ("true.jsonl", [(2, 3, "true")], "rbs coverage", "line 2: non-numeric vector component"),
+    ("nan.jsonl", [(3, 0, "NaN")], "rbs coverage",
+     "line 3: vector[0] must be a finite number, got nan"),
+    ("inf.jsonl", [(4, 1, "Infinity")], "rbs coverage",
+     "line 4: vector[1] must be a finite number, got inf"),
+    ("true.jsonl", [(2, 3, "true")], "rbs coverage",
+     "line 2: vector[3] must be a finite number, got True"),
 ])
 def test_non_finite_vector_file_exits_1_without_traceback(manifest, tmp_path, name, edits,
                                                           command, message):
@@ -165,6 +172,25 @@ def test_non_finite_vector_file_exits_1_without_traceback(manifest, tmp_path, na
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert not list(cache.glob(f"riskbench/*{digest}*"))
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"text": "b", "vector": "12"}, "vector must be an array, got '12'"),
+    ({"text": "b", "vector": ["0.5", "1e0"]}, "vector[0] must be a finite number, got '0.5'"),
+    ({"text": 5, "vector": [0.5, 1.0]}, "text must be a string, got 5"),
+    ({"text": None, "vector": [0.5, 1.0]}, "text must be a string, got None"),
+    ({"vector": [0.5, 1.0]}, "text is missing"),
+    ({"text": "b", "vector": [10**400, 1.0]},
+     f"vector[0] must be a finite number, got {reprlib.repr(10**400)}"),
+])
+def test_bad_sentence_record_exits_1(manifest, tmp_path, capsys, record, message):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"text": "a", "vector": [0.5, 1.0]}) + "\n" + json.dumps(record))
+    out = tmp_path / "r.json"
+    assert run(["similarity", "risks", "--manifest", manifest, "--sentence-embeddings", str(path),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}, line 2: {message}\n"
+    assert not out.exists()
 
 
 def corpus_digests(manifest):
@@ -822,7 +848,9 @@ def _backend_view(backend):
 
 
 JSON_REGISTER = {"ordinal": 0, "label": "year 0", "items": [
-    {"risk_id": "r1", "name": "utility relocation", "probability": 3, "cost_impact": 0.5}]}
+    {"risk_id": "r1", "name": "utility relocation", "description": "water main",
+     "category": "utilities", "status": "Reg", "probability": 3, "cost_impact": 0.5},
+    {"risk_id": "r2", "name": "wetlands permit conditions", "schedule_impact": 2}]}
 
 # Each reader of an input file: the file (copied beside the fixture corpus)
 # and what it loads, as a comparable value.
@@ -930,30 +958,53 @@ def _template_with(entry):
     return {"entries": [{"rank": 1, "text": "utility relocation", "prevalence": 1.0, **entry}]}
 
 
+# A case whose message changed keeps the id it was collected under, so that
+# each case keeps its name.
 @pytest.mark.parametrize("kind, payload, message", [
-    ("thresholds", {"careful": "x"}, "'careful' must be a finite number, not 'x'"),
-    ("thresholds", {"doer_new_item": True}, "'doer_new_item' must be a finite number, not True"),
-    ("groups", _with_metrics("4", {"cost_growth": "abc", "time_growth": 0.02}),
-     "project '4' metric 'cost_growth' must be a finite number, not 'abc'"),
-    ("groups", _with_metrics("4", [-0.10, 0.02]), "no metrics object for project '4'"),
+    pytest.param("thresholds", {"careful": "x"}, "careful must be a finite number, got 'x'",
+                 id="thresholds-payload0-'careful' must be a finite number, not 'x'"),
+    pytest.param("thresholds", {"doer_new_item": True},
+                 "doer_new_item must be a finite number, got True",
+                 id="thresholds-payload1-'doer_new_item' must be a finite number, not True"),
+    pytest.param("groups", _with_metrics("4", {"cost_growth": "abc", "time_growth": 0.02}),
+                 "metrics.4.cost_growth must be a finite number, got 'abc'",
+                 id="groups-payload2-project '4' metric 'cost_growth' must be a finite number, "
+                    "not 'abc'"),
+    pytest.param("groups", _with_metrics("4", [-0.10, 0.02]),
+                 "metrics.4 must be an object, got [-0.1, 0.02]",
+                 id="groups-payload3-no metrics object for project '4'"),
     ("groups", _with_metrics("4", {"time_growth": 0.02}),
      "project '4' is missing metric 'cost_growth'"),
-    ("groups", {**STYLE_GROUPS, "groups": {"doer": "45681", "planner": ["1", "2", "7", "9"]}},
-     "groups file must hold exactly two 'groups' lists of project ids and a 'metrics' table"),
-    ("rbs", _rbs_with(frequency="x"),
-     "category 0, item 0: 'frequency' must be an integer >= 1, not 'x'"),
-    ("rbs", _rbs_with(text=5), "category 0, item 0: expected an object with a 'text' string"),
-    ("rbs", _rbs_with(name=["a"]),
-     "category 0: expected an object with a 'name' string and an 'items' array"),
+    pytest.param("groups", {**STYLE_GROUPS, "groups": {"doer": "45681",
+                                                     "planner": ["1", "2", "7", "9"]}},
+                 "groups.doer must be an array, got '45681'",
+                 id="groups-payload5-groups file must hold exactly two 'groups' lists of "
+                    "project ids and a 'metrics' table"),
+    pytest.param("rbs", _rbs_with(frequency="x"),
+                 "categories[0].items[0].frequency must be an integer, got 'x'",
+                 id="rbs-payload6-category 0, item 0: 'frequency' must be an integer >= 1, "
+                    "not 'x'"),
+    pytest.param("rbs", _rbs_with(text=5), "categories[0].items[0].text must be a string, got 5",
+                 id="rbs-payload7-category 0, item 0: expected an object with a 'text' string"),
+    pytest.param("rbs", _rbs_with(name=["a"]), "categories[0].name must be a string, got ['a']",
+                 id="rbs-payload8-category 0: expected an object with a 'name' string and an "
+                    "'items' array"),
     ("rbs", {"categories": []}, "expected an object with a non-empty 'categories' array"),
-    ("categories", {"categories": [{"name": ["x"]}]},
-     "category 0: expected an object with a 'name' string and an optional 'description' string"),
-    ("categories", {"categories": [{"name": "a", "description": 7}]},
-     "category 0: expected an object with a 'name' string and an optional 'description' string"),
-    ("template", _template_with({"text": 5}),
-     "entry 0: expected an object with a 'text' string, a 'rank' and a 'prevalence'"),
-    ("template", {**_template_with({}), "source_filter": [1]},
-     "'source_filter' must be an object, not [1]"),
+    pytest.param("categories", {"categories": [{"name": ["x"]}]},
+                 "categories[0].name must be a string, got ['x']",
+                 id="categories-payload10-category 0: expected an object with a 'name' string "
+                    "and an optional 'description' string"),
+    pytest.param("categories", {"categories": [{"name": "a", "description": 7}]},
+                 "categories[0].description must be a string, got 7",
+                 id="categories-payload11-category 0: expected an object with a 'name' string "
+                    "and an optional 'description' string"),
+    pytest.param("template", _template_with({"text": 5}),
+                 "entries[0].text must be a string, got 5",
+                 id="template-payload12-entry 0: expected an object with a 'text' string, "
+                    "a 'rank' and a 'prevalence'"),
+    pytest.param("template", {**_template_with({}), "source_filter": [1]},
+                 "source_filter must be an object, got [1]",
+                 id="template-payload13-'source_filter' must be an object, not [1]"),
     ("rbs", {"categories": [*_rbs_with()["categories"], *_rbs_with(text="u")["categories"]]},
      "category names must be unique"),
     ("rbs", {"categories": [*_rbs_with()["categories"], *_rbs_with(name="B")["categories"]]},
@@ -962,45 +1013,101 @@ def _template_with(entry):
     ("categories", {"categories": [{"name": "a"}, {"name": "a", "description": "b"}]},
      "category names must be unique"),
     ("categories", {"categories": []}, "category set must not be empty"),
-    ("scales", [1, 2], "invalid scale config (list indices must be integers or slices, not str)"),
-    ("scales", scales_payload(probability_band_edges=["0.1", "0.3", "0.5", "0.7"]),
-     "invalid scale config (probability_band_edges must be 4 strictly ascending finite "
-     "numbers: ('0.1', '0.3', '0.5', '0.7'))"),
-    ("scales", scales_payload(cost_band_edges=[[0.001], 0.005, 0.01, 0.05]),
-     "invalid scale config (cost_band_edges must be 4 strictly ascending finite numbers: "
-     "([0.001], 0.005, 0.01, 0.05))"),
-    ("scales", scales_payload(schedule_band_edges=[False, True, 6, 12]),
-     "invalid scale config (schedule_band_edges must be 4 strictly ascending finite numbers: "
-     "(False, True, 6, 12))"),
-    ("scales", scales_payload(probability_band_edges=[0.1, math.nan, 0.5, 0.7]),
-     "invalid scale config (probability_band_edges must be 4 strictly ascending finite "
-     "numbers: (0.1, nan, 0.5, 0.7))"),
-    ("scales", scales_payload(schedule_band_edges=[1, 3, 6]),
-     "invalid scale config (schedule_band_edges must be 4 strictly ascending finite numbers: "
-     "(1, 3, 6))"),
-    ("scales", scales_payload(probability_band_edges=[0.3, 0.1, 0.5, 0.7]),
-     "invalid scale config (probability_band_edges must be 4 strictly ascending finite "
-     "numbers: (0.3, 0.1, 0.5, 0.7))"),
-    ("scales", scales_payload(risk_matrix=["High"]),
-     "invalid scale config ('list' object has no attribute 'items')"),
-    ("scales", scales_payload(risk_matrix={"1;1": "High"}),
-     "invalid scale config (invalid literal for int() with base 10: '1;1')"),
-    ("scales", scales_payload(risk_matrix={"1,1": ["High"]}),
-     "invalid scale config (['High'] is not a valid Qualitative)"),
-    ("scales", scales_payload(risk_matrix={**scales_payload()["risk_matrix"], "1,2": "Unset"}),
-     "invalid scale config (risk_matrix has no High, Medium or Low for bands (1, 2))"),
-    ("scales", scales_payload(risk_matrix={"1,1": "Low"}),
-     "invalid scale config (risk_matrix has no High, Medium or Low for bands (1, 2))"),
+    pytest.param("scales", [1, 2], "the top level must be an object, got [1, 2]",
+                 id="scales-payload19-invalid scale config (list indices must be integers or "
+                    "slices, not str)"),
+    pytest.param("scales", scales_payload(probability_band_edges=["0.1", "0.3", "0.5", "0.7"]),
+                 "probability_band_edges[0] must be a finite number, got '0.1'",
+                 id="scales-payload20-invalid scale config (probability_band_edges must be 4 "
+                    "strictly ascending finite numbers: ('0.1', '0.3', '0.5', '0.7'))"),
+    pytest.param("scales", scales_payload(cost_band_edges=[[0.001], 0.005, 0.01, 0.05]),
+                 "cost_band_edges[0] must be a finite number, got [0.001]",
+                 id="scales-payload21-invalid scale config (cost_band_edges must be 4 strictly "
+                    "ascending finite numbers: ([0.001], 0.005, 0.01, 0.05))"),
+    pytest.param("scales", scales_payload(schedule_band_edges=[False, True, 6, 12]),
+                 "schedule_band_edges[0] must be a finite number, got False",
+                 id="scales-payload22-invalid scale config (schedule_band_edges must be 4 "
+                    "strictly ascending finite numbers: (False, True, 6, 12))"),
+    pytest.param("scales", scales_payload(probability_band_edges=[0.1, math.nan, 0.5, 0.7]),
+                 "probability_band_edges[1] must be a finite number, got nan",
+                 id="scales-payload23-invalid scale config (probability_band_edges must be 4 "
+                    "strictly ascending finite numbers: (0.1, nan, 0.5, 0.7))"),
+    pytest.param("scales", scales_payload(schedule_band_edges=[1, 3, 6]),
+                 "schedule_band_edges must be 4 strictly ascending finite numbers: (1, 3, 6)",
+                 id="scales-payload24-invalid scale config (schedule_band_edges must be 4 "
+                    "strictly ascending finite numbers: (1, 3, 6))"),
+    pytest.param("scales", scales_payload(probability_band_edges=[0.3, 0.1, 0.5, 0.7]),
+                 "probability_band_edges must be 4 strictly ascending finite numbers: "
+                 "(0.3, 0.1, 0.5, 0.7)",
+                 id="scales-payload25-invalid scale config (probability_band_edges must be 4 "
+                    "strictly ascending finite numbers: (0.3, 0.1, 0.5, 0.7))"),
+    pytest.param("scales", scales_payload(risk_matrix=["High"]),
+                 "risk_matrix must be an object, got ['High']",
+                 id="scales-payload26-invalid scale config ('list' object has no attribute "
+                    "'items')"),
+    pytest.param("scales", scales_payload(risk_matrix={"1;1": "High"}),
+                 "risk_matrix key '1;1' is not \"p,i\" with p and i in 1..5",
+                 id="scales-payload27-invalid scale config (invalid literal for int() with "
+                    "base 10: '1;1')"),
+    pytest.param("scales", scales_payload(risk_matrix={"1,1": ["High"]}),
+                 "risk_matrix.1,1 must be a string, got ['High']",
+                 id="scales-payload28-invalid scale config (['High'] is not a valid Qualitative)"),
+    pytest.param("scales",
+                 scales_payload(risk_matrix={**scales_payload()["risk_matrix"], "1,2": "Unset"}),
+                 "risk_matrix has no High, Medium or Low for bands (1, 2)",
+                 id="scales-payload29-invalid scale config (risk_matrix has no High, Medium or "
+                    "Low for bands (1, 2))"),
+    pytest.param("scales", scales_payload(risk_matrix={"1,1": "Low"}),
+                 "risk_matrix has no High, Medium or Low for bands (1, 2)",
+                 id="scales-payload30-invalid scale config (risk_matrix has no High, Medium or "
+                    "Low for bands (1, 2))"),
     pytest.param("thresholds", {"careful": 10**400},
-                 f"'careful' must be a finite number, not {10**400}",
+                 f"careful must be a finite number, got {reprlib.repr(10**400)}",
                  id="thresholds-int too large for a float"),
     pytest.param("groups", _with_metrics("4", {"cost_growth": 0.1, "time_growth": -10**400}),
-                 f"project '4' metric 'time_growth' must be a finite number, not {-10**400}",
+                 f"metrics.4.time_growth must be a finite number, got {reprlib.repr(-10**400)}",
                  id="groups-int too large for a float"),
     ("thresholds", {"careful": 0.5, "carefull": 0.9},
      "unknown key 'carefull' (expected 'doer_new_item' or 'careful')"),
     ("thresholds", {"Careful": "x"},
      "unknown key 'Careful' (expected 'doer_new_item' or 'careful')"),
+    pytest.param("scales", scales_payload(risk_matrix={**scales_payload()["risk_matrix"],
+                                                       " 1, 2": "High"}),
+                 "risk_matrix key ' 1, 2' is not \"p,i\" with p and i in 1..5",
+                 id="scales-risk_matrix key with spaces"),
+    pytest.param("scales", scales_payload(risk_matrix={**scales_payload()["risk_matrix"],
+                                                       "9,9,9": "High"}),
+                 "risk_matrix key '9,9,9' is not \"p,i\" with p and i in 1..5",
+                 id="scales-risk_matrix key of three bands"),
+    pytest.param("scales", scales_payload(risk_matrix={**scales_payload()["risk_matrix"],
+                                                       "0,1": "Low"}),
+                 "risk_matrix key '0,1' is not \"p,i\" with p and i in 1..5",
+                 id="scales-risk_matrix key outside 1..5"),
+    pytest.param("template", _template_with({"rank": "x"}),
+                 "entries[0].rank must be an integer, got 'x'", id="template-rank a string"),
+    pytest.param("template", _template_with({"prevalence": "y"}),
+                 "entries[0].prevalence must be a finite number, got 'y'",
+                 id="template-prevalence a string"),
+    pytest.param("template", _template_with({"group_size": [1]}),
+                 "entries[0].group_size must be an integer, got [1]",
+                 id="template-group_size a list"),
+    pytest.param("template", _template_with({"source_projects": 1.5}),
+                 "entries[0].source_projects must be an integer, got 1.5",
+                 id="template-source_projects a float"),
+    pytest.param("template", _template_with({"category": 5}),
+                 "entries[0].category must be a string or null, got 5",
+                 id="template-category a number"),
+    pytest.param("template", _template_with({"avg_cost": "2"}),
+                 "entries[0].avg_cost must be a finite number or null, got '2'",
+                 id="template-avg_cost a string"),
+    pytest.param("template", {**_template_with({}), "source_filter": {"project_type": 3}},
+                 "source_filter.project_type must be a string, got 3",
+                 id="template-source_filter value a number"),
+    pytest.param("template", {**_template_with({}), "sort_key": 7},
+                 "sort_key must be a string, got 7", id="template-sort_key a number"),
+    pytest.param("template", {**_template_with({}), "source_project_count": "z"},
+                 "source_project_count must be an integer, got 'z'",
+                 id="template-source_project_count a string"),
 ])
 def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, message):
     path = tmp_path / f"{kind}.json"
@@ -1013,15 +1120,25 @@ def test_bad_auxiliary_value_exits_1(manifest, tmp_path, capsys, kind, payload, 
 
 
 @pytest.mark.parametrize("payload, message", [
-    ([1, 2], "not a coverage report"),
-    ({"result": {"projects": [1]}}, "project 0: expected an object with a 'rows' array"),
-    ({"projects": [{"rows": {"covered": True}}]},
-     "project 0: expected an object with a 'rows' array"),
-    ({"projects": [{"rows": [{"covered": True}]}]},
-     "project 0: a covered row has no 'best_item' string"),
+    pytest.param([1, 2], "the top level must be an object, got [1, 2]",
+                 id="payload0-not a coverage report"),
+    pytest.param({"result": {"projects": [1]}}, "result.projects[0] must be an object, got 1",
+                 id="payload1-project 0: expected an object with a 'rows' array"),
+    pytest.param({"projects": [{"rows": {"covered": True}}]},
+                 "projects[0].rows must be an array, got {'covered': True}",
+                 id="payload2-project 0: expected an object with a 'rows' array"),
+    pytest.param({"projects": [{"rows": [{"covered": True}]}]},
+                 "projects[0].rows[0].best_item is missing",
+                 id="payload3-project 0: a covered row has no 'best_item' string"),
     ({"projects": [{"rows": [{"covered": True, "best_item": "not an RBS item"}]}]},
      "covered item 'not an RBS item' is not in the RBS"),
     ({"projects": []}, "co-occurrence needs at least one coverage report"),
+    pytest.param({"projects": [{"rows": [{"covered": "no", "best_item": "t"}]}]},
+                 "projects[0].rows[0].covered must be true or false, got 'no'",
+                 id="covered a string"),
+    pytest.param({"result": {"projects": [{"rows": [{"covered": False, "best_item": 3}]}]}},
+                 "result.projects[0].rows[0].best_item must be a string, got 3",
+                 id="best_item a number"),
 ])
 def test_rbs_cooccur_bad_coverage_exits_1(tmp_path, capsys, payload, message):
     path = tmp_path / "coverage.json"
@@ -1232,6 +1349,10 @@ MUTATED_FILES = {
     "template": ([[a.replace("{template}", "{file}") for a in TEMPLATE_EVAL]], 20),
     "groups": ([["lifecycle", "compare", "--groups", "{file}"]], 20),
     "thresholds": ([["lifecycle", "styles", *CORPUS, "--thresholds", "{file}"]], 20),
+    "register_json": ([[a.replace("{register}", "{file}") for a in TEMPLATE_EVAL]], 15),
+    "sentences": ([["similarity", "risks", *CORPUS, "--sentence-embeddings", "{file}", *WORDS]],
+                  15),
+    "coverage": ([["rbs", "cooccur", "--coverage", "{file}"]], 15),
     "lifecycle_csv": ([["lifecycle", mode, "--lifecycle-csv", "{file}"]
                        for mode in ("ratios", "styles")], 15),
     # over raw values, so that the edges and the risk matrix are read
@@ -1241,7 +1362,7 @@ MUTATED_FILES = {
 WRONG_JSON_VALUES = (None, True, 0, -1, 2.5, math.nan, "", "x", [], [1], {}, {"a": 1})
 WRONG_CSV_VALUES = ("", "x", "0", "6", "-1", "2.5", "1e400", "nan", "Hap", "true")
 # Values that ended in a traceback, or were accepted, before the loaders
-# checked value types.
+# checked value types; each exits 1.
 KNOWN_FAULTS = {
     "manifest": [("set", ["projects", 0, "id"], ["x"]),
                  ("set", ["projects", 0, "project_type"], 3)],
@@ -1251,19 +1372,37 @@ KNOWN_FAULTS = {
     "categories": [("set", ["categories", 0, "name"], ["x"]),
                    ("set", ["categories", 0, "description"], 7)],
     "template": [("set", ["result", "entries", 0, "text"], 5),
-                 ("set", ["result", "source_filter"], [1])],
+                 ("set", ["result", "source_filter"], [1]),
+                 ("set", ["result", "entries", 0, "rank"], "x"),
+                 ("set", ["result", "entries", 0, "prevalence"], "y"),
+                 ("set", ["result", "entries", 0, "group_size"], [1]),
+                 ("set", ["result", "entries", 0, "category"], 5),
+                 ("set", ["result", "source_filter", "project_type"], 3),
+                 ("set", ["result", "sort_key"], 7),
+                 ("set", ["result", "source_project_count"], "z")],
     # an int too large for a float
     "groups": [("set", ["metrics", "4", "cost_growth"], 10**400)],
     "thresholds": [("set", ["careful"], 10**400)],
     "scales": [("set", ["probability_band_edges"], ["0.1", "0.3", "0.5", "0.7"]),
                ("set", ["cost_band_edges", 0], [0.001]),
-               ("set", ["risk_matrix"], {"1": "High"})],
+               ("set", ["risk_matrix"], {"1": "High"}),
+               ("set", ["risk_matrix", " 1, 2"], "High"),
+               ("set", ["risk_matrix", "9,9,9"], "High"),
+               ("set", ["risk_matrix", "0,1"], "Low")],
+    # the step after the line number walks that line's record
+    "sentences": [("set", [1, "vector"], "12"), ("set", [1, "vector"], ["0.5", "1e0"]),
+                  ("set", [1, "text"], 5), ("set", [1, "text"], None)],
+    "coverage": [("set", ["result", "projects", 0, "rows", 0, "covered"], "no")],
+    "register_json": [("set", ["items", 0, "risk_id"], 5)],
 }
+# The form of each mutated file that is not a JSON document.
+FORMS = {"register": "csv", "lifecycle_csv": "csv", "sentences": "jsonl"}
 
 
 def _mutate_json(data: bytes, kind: str, path: list, value) -> bytes:
     """Set or delete the node that `path` walks to: a string step is a key,
-    an integer step picks a key (sorted) or an element, modulo their count."""
+    which a set may add, and an integer step picks a key (sorted) or an
+    element, modulo their count."""
     document = json.loads(data)
     parent, key, node = None, None, document
     for step in path:
@@ -1273,7 +1412,7 @@ def _mutate_json(data: bytes, kind: str, path: list, value) -> bytes:
             key = step % len(node)
         else:
             break
-        parent, node = node, node[key]
+        parent, node = node, node.get(key) if isinstance(node, dict) else node[key]
     if parent is None:
         document = value if kind == "set" else {}
     elif kind == "set":
@@ -1298,14 +1437,24 @@ def _mutate_csv(data: bytes, kind: str, path: list, value) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
-def mutated(data: bytes, mutation, is_json: bool) -> bytes:
+def _mutate_jsonl(data: bytes, kind: str, path: list, value) -> bytes:
+    """Mutate the record of one line (`path` picks it, then walks it) as
+    `_mutate_json` mutates a document."""
+    lines = data.decode("utf-8").splitlines()
+    index = path[0] % len(lines)
+    lines[index] = _mutate_json(lines[index].encode("utf-8"), kind, path[1:], value).decode()
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def mutated(data: bytes, mutation, form: str = "json") -> bytes:
     kind, path, value = mutation
     if kind == "truncate":
         return data[: path[0] % len(data)]
     if kind == "non-utf-8":
         cut = path[0] % (len(data) + 1)
         return data[:cut] + b"\xff" + data[cut:]
-    return (_mutate_json if is_json else _mutate_csv)(data, kind, path, value)
+    mutate = {"json": _mutate_json, "jsonl": _mutate_jsonl, "csv": _mutate_csv}[form]
+    return mutate(data, kind, path, value)
 
 
 def mutations(values):
@@ -1330,8 +1479,10 @@ def oracle_files(manifest, tmp_path_factory):
              "categories": str(data_path("wsdot_categories.json")),
              "scales": str(root / "scales.json"), "raw_manifest": str(root / "raw.json"),
              "thresholds": str(root / "thresholds.json"),
-             "lifecycle_csv": str(data_path("fixtures", "expost", "lifecycle_table19.csv"))}
+             "lifecycle_csv": str(data_path("fixtures", "expost", "lifecycle_table19.csv")),
+             "register_json": str(root / "register.json"), "sentences": SENTENCE_VECTORS}
     Path(files["groups"]).write_text(json.dumps(STYLE_GROUPS))
+    Path(files["register_json"]).write_text(json.dumps(JSON_REGISTER))
     Path(files["thresholds"]).write_text(json.dumps({"careful": 0.4, "doer_new_item": 0.6}))
     Path(files["scales"]).write_text(json.dumps(scales_payload()))
     (root / "raw.csv").write_text(
@@ -1354,7 +1505,8 @@ def test_mutated_inputs_exit_0_or_1(oracle_files, tmp_path, name):
     exception."""
     commands, count = MUTATED_FILES[name]
     original = Path(oracle_files[name]).read_bytes()
-    is_json = name not in ("register", "lifecycle_csv")
+    form = FORMS.get(name, "json")
+    known = KNOWN_FAULTS.get(name, [])
     # the manifest's mutant sits beside it, so that register paths resolve;
     # the register's mutant replaces it, and is put back after each run
     if name == "register":
@@ -1362,24 +1514,124 @@ def test_mutated_inputs_exit_0_or_1(oracle_files, tmp_path, name):
     elif name == "manifest":
         mutant = Path(oracle_files["manifest"]).with_name("mutant.json")
     else:
-        mutant = tmp_path / f"{name}.{'json' if is_json else 'csv'}"
+        mutant = tmp_path / f"{name}.{form}"
     files = {**oracle_files, "file": str(mutant)}
 
     def check(mutation):
-        mutant.write_bytes(mutated(original, mutation, is_json))
+        mutant.write_bytes(mutated(original, mutation, form))
         try:
             for argv in commands:
                 code = run([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")])
-                assert code in (0, 1), (mutation, argv)
+                assert code in ((1,) if mutation in known else (0, 1)), (mutation, argv)
         finally:
             if name == "register":
                 mutant.write_bytes(original)
 
-    test = given(mutation=mutations(WRONG_JSON_VALUES if is_json else WRONG_CSV_VALUES))(check)
-    for fault in KNOWN_FAULTS.get(name, []):
+    values = WRONG_CSV_VALUES if form == "csv" else WRONG_JSON_VALUES
+    test = given(mutation=mutations(values))(check)
+    for fault in known:
         test = example(mutation=fault)(test)
     settings(max_examples=count, deadline=None, derandomize=True, database=None,
              suppress_health_check=list(HealthCheck))(test)()
+
+
+# Each declared JSON shape: the file in `oracle_files` that holds a valid
+# document of it, and a command that reads the file ("{file}" is a copy with
+# one value changed). A sentence-vector document is the record of line 1.
+SHAPED_FILES = {
+    "manifest": (corpus_module._MANIFEST, ["ingest", "--manifest", "{file}"]),
+    "register_json": (corpus_module._REGISTER,
+                      [a.replace("{register}", "{file}") for a in TEMPLATE_EVAL]),
+    "scales": (corpus_module._SCALES,
+               ["ingest", "--manifest", "{raw_manifest}", "--scales", "{file}"]),
+    "rbs": (rbs_module._RBS, ["rbs", "cooccur", "--coverage", "{coverage}", "--rbs", "{file}"]),
+    "coverage": ({"result": rbs_module._COVERAGE}, ["rbs", "cooccur", "--coverage", "{file}"]),
+    "categories": (template_module._CATEGORIES,
+                   ["template", "build", *CORPUS, *WORDS, "--categories", "{file}"]),
+    "template": ({"result": template_module._TEMPLATE},
+                 [a.replace("{template}", "{file}") for a in TEMPLATE_EVAL]),
+    "thresholds": ({"careful?": float, "doer_new_item?": float},
+                   ["lifecycle", "styles", *CORPUS, "--thresholds", "{file}"]),
+    "groups": ({"groups": {str: [str]}, "metrics": {str: {str: float}}},
+               ["lifecycle", "compare", "--groups", "{file}"]),
+    "sentences": (vectorize._SENTENCE_RECORD,
+                  ["similarity", "risks", *CORPUS, "--sentence-embeddings", "{file}", *WORDS]),
+}
+
+
+def _slots(document, shape, path=()):
+    """(path, shape) of the document and of each value in it that `shape`
+    declares, taking the first element of each array and map."""
+    yield path, shape
+    if isinstance(shape, tuple):  # nullable
+        shape = shape[0]
+    if isinstance(shape, list) and isinstance(document, list) and document:
+        yield from _slots(document[0], shape[0], (*path, 0))
+    elif isinstance(shape, dict) and isinstance(document, dict):
+        for key, item in shape.items():
+            key = next(iter(document), None) if key is str else key.removesuffix("?")
+            if key in document:
+                yield from _slots(document[key], item, (*path, key))
+
+
+def _fits(value, shape) -> bool:
+    """Whether `value` has `shape`, as `resources.check_shape` reads shapes."""
+    if isinstance(shape, tuple):  # nullable
+        return value is None or _fits(value, shape[0])
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(item, shape[0]) for item in value)
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return False
+        if str in shape:
+            return all(_fits(item, shape[str]) for item in value.values())
+        return all(_fits(value[key.removesuffix("?")], item) if key.removesuffix("?") in value
+                   else key.endswith("?") for key, item in shape.items())
+    if shape is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is shape
+
+
+def _json_path(path) -> str:
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                   for step in path).removeprefix(".")
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED_FILES))
+def test_wrong_value_in_each_declared_slot_exits_1(oracle_files, tmp_path, capsys, name):
+    """Each of WRONG_JSON_VALUES that a slot's declared shape rejects, put in
+    that slot, exits 1 with an error naming the file and the slot's JSON path."""
+    shape, argv = SHAPED_FILES[name]
+    lines = Path(oracle_files[name]).read_text(encoding="utf-8").splitlines()
+    if name == "sentences":
+        document, rest, where = json.loads(lines[0]), lines[1:], ", line 1"
+    else:
+        document, rest, where = json.loads("\n".join(lines)), [], ""
+    if name == "manifest":  # beside the corpus, so that register paths resolve
+        mutant = Path(oracle_files["manifest"]).with_name("slot.json")
+    else:
+        mutant = tmp_path / f"slot.{FORMS.get(name, 'json')}"
+    files = {**oracle_files, "file": mutant, "out": tmp_path / "out"}
+    command = [a.format(**files) for a in [*argv, "--out", "{out}"]]
+    slots = list(_slots(document, shape))
+    if name == "register_json":
+        slots = slots[1:]  # a bare array is the other form of a JSON register
+    for path, slot in slots:
+        for value in WRONG_JSON_VALUES:
+            if _fits(value, slot):
+                continue
+            changed = value
+            if path:
+                changed = json.loads(json.dumps(document))
+                parent = changed
+                for step in path[:-1]:
+                    parent = parent[step]
+                parent[path[-1]] = value
+            mutant.write_text("\n".join([json.dumps(changed), *rest]), encoding="utf-8")
+            assert run(command) == 1, (path, value)
+            err = capsys.readouterr().err
+            # a value of the wrong kind is named at its path; a container at a path inside it
+            assert err.startswith(f"error: {mutant}{where}: {_json_path(path)}"), (path, value, err)
 
 
 # One bad input per subcommand; each but lifecycle compare's ended in a
@@ -1412,7 +1664,7 @@ def bad_input_runs(oracle_files, tmp_path_factory):
         stem = command.replace(" ", "-")
         mutant = (Path(oracle_files["manifest"]).with_name(f"bad-{stem}.json")
                   if name == "manifest" else tmp / f"{stem}.json")
-        mutant.write_bytes(mutated(Path(oracle_files[name]).read_bytes(), mutation, True))
+        mutant.write_bytes(mutated(Path(oracle_files[name]).read_bytes(), mutation))
         files = {**oracle_files, "file": str(mutant)}
         return mutant, fresh_python("-m", "riskbench.cli", *[a.format(**files) for a in argv],
                                     "--out", str(tmp / f"{stem}.out"))

@@ -350,19 +350,21 @@ def _project(**overrides):
 # rejects with a ValueError that is not a JSONDecodeError
 LONG_INT = "1" * (sys.get_int_max_str_digits() + 1)
 MANIFEST_FAULTS = {
-    "int past the digit limit": (f'{{"projects": [{LONG_INT}]}}', "invalid JSON (Exceeds the limit"),
+    "int past the digit limit": (
+        f'{{"projects": [{LONG_INT}]}}', "not valid JSON (Exceeds the limit"),
     "register without path": (
         json.dumps({"projects": [_project(), _project(id="p2", registers=[{"ordinal": 0}])]}),
-        "project 1, register 0: expected an object with a 'path' string",
+        "projects[1].registers[0].path is missing",
     ),
     "register not an object": (
         json.dumps({"projects": [_project(registers=["r.csv"])]}),
-        "project 0, register 0: expected an object with a 'path' string",
+        "projects[0].registers[0] must be an object, got 'r.csv'",
     ),
-    "project not an object": (json.dumps({"projects": ["p1"]}), "project 0: expected an object"),
+    "project not an object": (
+        json.dumps({"projects": ["p1"]}), "projects[0] must be an object, got 'p1'"),
     "registers not a list": (
         json.dumps({"projects": [_project(registers={"path": "r.csv"})]}),
-        "project 0: 'registers' must be an array",
+        "projects[0].registers must be an array, got {'path': 'r.csv'}",
     ),
     "not utf-8": (
         json.dumps({"projects": [_project(jurisdiction="Québec")]}, ensure_ascii=False),
@@ -370,11 +372,11 @@ MANIFEST_FAULTS = {
     ),
     "ordinal a string": (
         json.dumps({"projects": [_project(registers=[{"ordinal": "0", "path": "r.csv"}])]}),
-        "project 0, register 0: 'ordinal' must be a non-negative integer",
+        "projects[0].registers[0].ordinal must be an integer, got '0'",
     ),
     "ordinal a bool": (
         json.dumps({"projects": [_project(registers=[{"ordinal": True, "path": "r.csv"}])]}),
-        "project 0, register 0: 'ordinal' must be a non-negative integer",
+        "projects[0].registers[0].ordinal must be an integer, got True",
     ),
     "ordinal negative": (
         json.dumps({"projects": [_project(), _project(
@@ -383,32 +385,32 @@ MANIFEST_FAULTS = {
     ),
     "contract value a string": (
         json.dumps({"projects": [_project(contract_value_musd="12")]}),
-        "project 0: 'contract_value_musd' must be a finite number or null",
+        "projects[0].contract_value_musd must be a finite number or null, got '12'",
     ),
     "contract value a bool": (
         json.dumps({"projects": [_project(contract_value_musd=False)]}),
-        "project 0: 'contract_value_musd' must be a finite number or null",
+        "projects[0].contract_value_musd must be a finite number or null, got False",
     ),
     "contract value NaN": (
         json.dumps({"projects": [_project(contract_value_musd=12), _project(
             id="p2", contract_value_musd=math.nan)]}),
-        "project 1: 'contract_value_musd' must be a finite number or null",
+        "projects[1].contract_value_musd must be a finite number or null, got nan",
     ),
     "contract value Infinity": (
         json.dumps({"projects": [_project(contract_value_musd=math.inf)]}),
-        "project 0: 'contract_value_musd' must be a finite number or null",
+        "projects[0].contract_value_musd must be a finite number or null, got inf",
     ),
     "award year a string": (
         json.dumps({"projects": [_project(award_year="2013")]}),
-        "project 0: 'award_year' must be an integer or null",
+        "projects[0].award_year must be an integer or null, got '2013'",
     ),
     "award year a float": (
         json.dumps({"projects": [_project(award_year=2013.0)]}),
-        "project 0: 'award_year' must be an integer or null",
+        "projects[0].award_year must be an integer or null, got 2013.0",
     ),
     "id a list": (
         json.dumps({"projects": [_project(id=["x"])]}),
-        "project 0: 'id' must be a non-empty string, not ['x']",
+        "projects[0].id must be a string, got ['x']",
     ),
     "id empty": (
         json.dumps({"projects": [_project(), _project(id="")]}),
@@ -416,23 +418,23 @@ MANIFEST_FAULTS = {
     ),
     "id missing": (
         json.dumps({"projects": [{"size_band": "under_500M", "registers": []}]}),
-        "project 0: 'id' must be a non-empty string, not None",
+        "projects[0].id is missing",
     ),
     "project type a number": (
         json.dumps({"projects": [_project(project_type=3)]}),
-        "project 0: 'project_type' must be a string, not 3",
+        "projects[0].project_type must be a string, got 3",
     ),
     "jurisdiction null": (
         json.dumps({"projects": [_project(jurisdiction=None)]}),
-        "project 0: 'jurisdiction' must be a string, not None",
+        "projects[0].jurisdiction must be a string, got None",
     ),
     "delivery method an object": (
         json.dumps({"projects": [_project(delivery_method={"a": 1})]}),
-        "project 0: 'delivery_method' must be a string, not {'a': 1}",
+        "projects[0].delivery_method must be a string, got {'a': 1}",
     ),
     "size band a list": (
         json.dumps({"projects": [_project(size_band=["over_1B"])]}),
-        "project 0: 'size_band' must be a string, not ['over_1B']",
+        "projects[0].size_band must be a string, got ['over_1B']",
     ),
 }
 
@@ -481,7 +483,10 @@ def test_json_register_text_field_types(tmp_path, field, value, kind):
     record = {"risk_id": "r1", "name": "A", "description": None, "category": "c",
               "status": None, field: value}
     data = json.dumps({"items": [{"risk_id": "r0", "name": "B"}, record]}).encode()
-    expected = f"<register>, item 1: {field} must be {kind}, got {value!r}"
+    # the shape names a text field by its JSON path; `_row` names a measure by its item
+    where = (f"<register>, item 1: {field}" if kind == "numeric"
+             else f"<register>: items[1].{field}")
+    expected = f"{where} must be {kind}, got {value!r}"
     with pytest.raises(ParseError) as excinfo:
         parse_register(data, "json")
     assert str(excinfo.value) == expected
@@ -491,11 +496,11 @@ def test_json_register_text_field_types(tmp_path, field, value, kind):
         _project(registers=[{"ordinal": 0, "path": "r.json"}])]}))
     with pytest.raises(ParseError) as excinfo:
         load_corpus(manifest)
-    assert str(excinfo.value) == f"{tmp_path / 'r.json'}, {expected.split(', ', 1)[1]}"
+    assert str(excinfo.value) == expected.replace("<register>", str(tmp_path / "r.json"))
 
 
 def test_json_register_int_past_the_digit_limit_is_a_parse_error():
-    with pytest.raises(ParseError, match=r"^<register>: invalid JSON \(Exceeds the limit"):
+    with pytest.raises(ParseError, match=r"^<register>: not valid JSON \(Exceeds the limit"):
         parse_register(f'{{"items": [{LONG_INT}]}}'.encode(), "json")
 
 

@@ -548,7 +548,7 @@ def test_load_sentence_vectors_int_past_the_digit_limit(tmp_path):
 
     path = tmp_path / "s.jsonl"
     path.write_text(f'{{"text": "a", "vector": [{LONG_INT}]}}\n', encoding="utf-8")
-    with pytest.raises(ParseError, match=r"s.jsonl, line 1: invalid JSON \(Exceeds the limit"):
+    with pytest.raises(ParseError, match=r"s.jsonl, line 1: not valid JSON \(Exceeds the limit"):
         load_sentence_vectors(path)
 
 
@@ -566,10 +566,14 @@ def test_load_sentence_vectors_mixed_dimensions(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("component, message", [
-    ("NaN", "non-finite vector component"),
-    ("-Infinity", "non-finite vector component"),
-    ("1e999", "non-finite vector component"),
-    ("true", "non-numeric vector component"),
+    pytest.param("NaN", "vector[1] must be a finite number, got nan",
+                 id="NaN-non-finite vector component"),
+    pytest.param("-Infinity", "vector[1] must be a finite number, got -inf",
+                 id="-Infinity-non-finite vector component"),
+    pytest.param("1e999", "vector[1] must be a finite number, got inf",
+                 id="1e999-non-finite vector component"),
+    pytest.param("true", "vector[1] must be a finite number, got True",
+                 id="true-non-numeric vector component"),
 ])
 def test_load_sentence_vectors_rejects_non_finite_and_bool(tmp_path, monkeypatch, component,
                                                            message):
