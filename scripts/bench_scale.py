@@ -1,6 +1,7 @@
 """Scale ladder for every engine, outside the timed benchmark.
 
     python3 scripts/bench_scale.py [--out BENCH_scale.json] [--src DIR]
+    python3 scripts/bench_scale.py --check [--src DIR]   # exit 1 at the first mismatch
 
 Builds pairwise-shaped corpora with `perfbench/gen.py` (100 risks per
 project, half of the rows distinct texts, seed 7, the shared 57 MB 300-d
@@ -11,6 +12,10 @@ process each, with the riskbench found in `--src` (default: this checkout's
 (from `wait4`), report bytes and the report's SHA-256, and writes them as
 JSON, with the line count of the `--src` tree's Python files.  One untimed
 command first fills the embedding parse cache.
+
+`--check` runs the same ladder and compares every report's SHA-256 with
+BENCH_scale.json instead of writing it; times and memory are not compared.
+It exits 1 naming the first rung and command whose report differs.
 
 This script imports only the standard library and builds the corpora in a
 child process, so its own memory stays small: on Linux a child's peak RSS
@@ -33,6 +38,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "BENCH_scale.json"
 SCALE_DIR = ROOT / ".perfbench" / "scale"
 SEED = 7
 RISKS = 100
@@ -108,17 +114,8 @@ def run_command(argv: list[str], src: Path) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
-    parser.add_argument("--src", default=str(ROOT / "src"), help="riskbench source to run")
-    parser.add_argument("--build", nargs=2, metavar=("PROJECTS", "DIR"), help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.build:
-        build(int(args.build[0]), Path(args.build[1]))
-        return 0
-
-    src = Path(args.src).resolve()
+def run_ladder(src: Path) -> list[dict]:
+    """Run every command of COMMANDS at every rung; one record per rung."""
     inputs = [corpus(projects) for projects in RUNGS]
     results = []
     with tempfile.TemporaryDirectory() as work:
@@ -146,6 +143,50 @@ def main(argv=None) -> int:
                 print(f"{projects} projects, {name}: {wall:.2f} s, {rss:.0f} MB",
                       file=sys.stderr)
             results.append(rung)
+    return results
+
+
+def first_mismatch(recorded: list[dict], actual: list[dict]) -> str | None:
+    """A line naming the first rung and command whose report SHA-256 differs
+    from the record, or None."""
+    for want, got in zip(recorded, actual):
+        if want["projects"] != got["projects"]:
+            return (f"the ladder changed: BENCH_scale.json has a {want['projects']}-project "
+                    f"rung, the script {got['projects']}")
+        names = [*want["commands"], *(n for n in got["commands"] if n not in want["commands"])]
+        for name in names:
+            digest = got["commands"].get(name, {}).get("sha256")
+            expected = want["commands"].get(name, {}).get("sha256")
+            if digest != expected:
+                return f"{want['projects']} projects, {name}: SHA-256 {digest}, recorded {expected}"
+    if len(recorded) != len(actual):
+        return f"BENCH_scale.json records {len(recorded)} rungs, the ladder has {len(actual)}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(RECORD))
+    parser.add_argument("--src", default=str(ROOT / "src"), help="riskbench source to run")
+    parser.add_argument("--check", action="store_true",
+                        help="compare report digests with BENCH_scale.json instead of writing")
+    parser.add_argument("--build", nargs=2, metavar=("PROJECTS", "DIR"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.build:
+        build(int(args.build[0]), Path(args.build[1]))
+        return 0
+
+    src = Path(args.src).resolve()
+    results = run_ladder(src)
+    if args.check:
+        recorded = json.loads(RECORD.read_text(encoding="utf-8"))["rungs"]
+        mismatch = first_mismatch(recorded, results)
+        if mismatch:
+            print(f"mismatch: {mismatch}", file=sys.stderr)
+            return 1
+        count = sum(len(rung["commands"]) for rung in results)
+        print(f"{count} ladder reports match {RECORD.name}")
+        return 0
     payload = {
         "corpus": {"generator": "perfbench/gen.py", "seed": SEED, "risks_per_project": RISKS,
                    "distinct_ratio": DISTINCT_RATIO, "word_dimension": 300,

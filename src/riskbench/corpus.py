@@ -419,7 +419,8 @@ def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
             ordinal = int(next(iter(snapshot_values)))
         except ValueError as exc:
             raise ParseError(f"{source}: snapshot column is not an integer") from exc
-        _check_ordinal(ordinal)
+        if ordinal < 0:
+            raise ParseError(f"{source}: snapshot column must be >= 0, got {ordinal}")
     return rows, ordinal
 
 

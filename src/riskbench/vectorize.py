@@ -12,8 +12,9 @@ import hashlib
 import math
 import os
 import re
+import struct
 import warnings
-import zipfile
+import zlib
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,8 +46,11 @@ _TINY_NORM = 1e-150
 # Parsed vector files are kept per content under the user cache directory.
 # Bump the format when the entry layout or the parsers' results change;
 # entries of any format count against the per-kind cap, so old ones age out.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 _CACHE_ENTRIES = 8
+# an entry's last bytes: the byte length of its keys and the CRC-32 of
+# every byte before this trailer
+_CACHE_TRAILER = struct.Struct("<QI")
 
 # One block of a score table holds at most this many bytes.
 _BLOCK_BYTES = 16 << 20
@@ -419,6 +423,7 @@ def _parse_word_lines(
             raise ParseError(f"{path}, line {number}: non-numeric component") from exc
         if not np.isfinite(vector).all():
             raise ParseError(f"{path}, line {number}: non-finite component")
+        vector.setflags(write=False)
         if token in table:
             warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
         table[token] = vector
@@ -431,8 +436,8 @@ def _parse_word_lines_bulk(
 ) -> tuple[dict[str, np.ndarray], int, np.ndarray] | None:
     """Parse all data lines with numpy's C float parser into one matrix.
 
-    Returns the table (row views of the matrix), the data line count and the
-    matrix, or None, having warned about nothing, when any line is not plainly
+    Returns the table (read-only row views of the matrix), the data line count
+    and the matrix, or None, having warned about nothing, when any line is not plainly
     well formed (a short or long line, a component the C parser rejects, or
     no data at all); `_parse_word_lines` then gives the exact error or reads
     spellings only float() accepts, such as "1_0". Both parsers round
@@ -463,6 +468,7 @@ def _parse_word_lines_bulk(
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}, line {numbers[int(finite.argmin())]}: non-finite component")
+    matrix.setflags(write=False)
     table: dict[str, np.ndarray] = {}
     for number, token, vector in zip(numbers, tokens, matrix):
         if token in table:
@@ -503,7 +509,8 @@ def _parse_sentence_file(
     path: Path, lines: Sequence[str]
 ) -> tuple[dict[str, np.ndarray], int, np.ndarray]:
     """The table and dimension of a sentence-vector file's lines, plus its matrix:
-    one row per key in first-occurrence order, which the table's values view."""
+    one row per key in first-occurrence order, which the table's values view
+    read-only."""
     import numpy as np
     table: dict[str, np.ndarray] = {}
     dimension: int | None = None
@@ -530,16 +537,21 @@ def _parse_sentence_file(
         table.setdefault(key, matrix[len(table)])[:] = vector  # an equal repeat: last wins
     if dimension is None:
         raise ParseError(f"{path}: sentence-vector file holds no vectors")
-    return table, dimension, matrix[: len(table)]
+    matrix = matrix[: len(table)]
+    matrix.setflags(write=False)
+    return dict(zip(table, matrix)), dimension, matrix
 
 
 # ----------------------------------------------------------- parse cache
 #
-# An entry is an uncompressed .npz named by the kind, the format and the
-# SHA-256 of the source bytes. It holds "keys" (the table's keys in order,
-# UTF-8 joined by newlines, as uint8; neither tokens nor normalized sentences
-# contain a newline) and "matrix" (float64, one row per key). The zip CRC
-# and the checks in `_cache_read` turn a torn or foreign entry into a miss.
+# An entry is named by the kind, the format and the SHA-256 of the source
+# bytes. It is a .npy file of the float64 matrix (one row per key; np.save
+# starts the data at a 64-byte aligned offset), followed by the table's keys
+# in order (UTF-8, joined by newlines; neither tokens nor normalized
+# sentences contain a newline) and `_CACHE_TRAILER`. A hit maps the matrix
+# read-only, so a command holds only the rows it reads; the CRC and the
+# checks in `_cache_read` turn a torn or foreign entry into a miss. Entries
+# are replaced whole and never written in place, so a mapping stays valid.
 
 
 def _read_source(
@@ -567,36 +579,61 @@ def _cache_entry(kind: str, digest: str) -> Path | None:
         base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
         return None
-    return Path(base, "riskbench", f"{kind}-v{_CACHE_FORMAT}-{digest}.npz")
+    return Path(base, "riskbench", f"{kind}-v{_CACHE_FORMAT}-{digest}.npy")
+
+
+def _crc32(handle, size: int) -> int:
+    """The CRC-32 of a file's first `size` bytes, read in blocks through `read`:
+    pages read this way do not count toward the process's memory, as pages of
+    a mapping it touches do."""
+    handle.seek(0)
+    crc = 0
+    for start in range(0, size, 1 << 20):
+        crc = zlib.crc32(handle.read(min(size - start, 1 << 20)), crc)
+    return crc
 
 
 def _cache_read(kind: str, digest: str) -> tuple[dict[str, np.ndarray], int] | None:
-    """The cached (table, dimension) of a digest, or None for a missing or invalid entry."""
+    """The cached (table, dimension) of a digest, or None for a missing or invalid
+    entry. The table's values are read-only row views of the mapped matrix."""
+    import mmap
+
     import numpy as np
     entry = _cache_entry(kind, digest)
     if entry is None:
         return None
     try:
-        # numpy leaves a file it opened itself open when the archive is torn
         with open(entry, "rb") as handle:
-            archive = np.load(handle, allow_pickle=False)  # an ndarray for a lone .npy
-            raw, matrix = archive["keys"], archive["matrix"]
-        keys = raw.tobytes().decode("utf-8", "surrogatepass").split("\n")
-    except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            offset = handle.tell()
+            size = os.fstat(handle.fileno()).st_size
+            handle.seek(size - _CACHE_TRAILER.size)
+            key_bytes, crc = _CACHE_TRAILER.unpack(handle.read(_CACHE_TRAILER.size))
+            if (
+                dtype != np.float64
+                or fortran_order
+                or len(shape) != 2
+                or shape[1] < 1
+                or offset + 8 * shape[0] * shape[1] + key_bytes + _CACHE_TRAILER.size != size
+                or _crc32(handle, size - _CACHE_TRAILER.size) != crc
+            ):
+                return None
+            handle.seek(size - _CACHE_TRAILER.size - key_bytes)
+            keys = handle.read(key_bytes).decode("utf-8", "surrogatepass").split("\n")
+            if len(keys) != shape[0]:
+                return None
+            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError, struct.error):
         return None
-    if (
-        raw.dtype != np.uint8
-        or raw.ndim != 1
-        or matrix.dtype != np.float64
-        or matrix.ndim != 2
-        or matrix.shape[1] == 0
-        or matrix.shape[0] != len(keys)
-    ):
-        return None
+    # a plain read-only ndarray over the mapping: its rows are cheap views
+    matrix = np.frombuffer(mapping, dtype=np.float64, count=shape[0] * shape[1],
+                           offset=offset).reshape(shape)
     table = dict(zip(keys, matrix))
     if len(table) != len(keys):
         return None
-    return table, matrix.shape[1]
+    return table, shape[1]
 
 
 def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) -> None:
@@ -612,15 +649,18 @@ def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) ->
     entry = _cache_entry(kind, digest)
     if entry is None:
         return
-    encoded = np.frombuffer("\n".join(keys).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    encoded = "\n".join(keys).encode("utf-8", "surrogatepass")
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         handle, temp = tempfile.mkstemp(prefix=f".{kind}-", suffix=".tmp", dir=entry.parent)
     except OSError:
         return
     try:
-        with os.fdopen(handle, "wb") as out:
-            np.savez(out, keys=encoded, matrix=matrix)
+        with os.fdopen(handle, "w+b") as out:
+            np.save(out, matrix, allow_pickle=False)
+            out.write(encoded)
+            crc = _crc32(out, out.tell())
+            out.write(_CACHE_TRAILER.pack(len(encoded), crc))
         # No fsync: an entry torn by a crash fails its CRC and is rewritten.
         os.replace(temp, entry)
     except OSError:
@@ -629,7 +669,7 @@ def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) ->
         with suppress(OSError):
             os.unlink(temp)  # already gone after a successful replace
     ages = []
-    for other in entry.parent.glob(f"{kind}-*.npz"):
+    for other in entry.parent.glob(f"{kind}-*"):  # entries of every format
         with suppress(OSError):
             ages.append((other.stat().st_mtime_ns, other.name))
     for _, name in sorted(ages)[:-_CACHE_ENTRIES]:

@@ -704,6 +704,24 @@ def test_non_finite_raw_impact_exits_1(tmp_path, capsys, command, cost, schedule
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "template eval"])
+def test_negative_csv_snapshot_exits_1_naming_the_file(oracle_files, tmp_path, capsys, command):
+    register = tmp_path / "r.csv"
+    register.write_text("risk_id,name,snapshot\nr1,A,-1\n")
+    if command == "ingest":
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(
+            {"projects": [{"id": "p", "registers": [{"ordinal": 0, "path": "r.csv"}]}]}))
+        argv = ["ingest", "--manifest", str(manifest_path)]
+    else:
+        argv = ["template", "eval", "--embeddings", WORD_VECTORS,
+                "--template", oracle_files["template"], "--register", str(register)]
+    out = tmp_path / "out.json"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {register}: snapshot column must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, monkeypatch,
                                                           capsys):
     cache = tmp_path / "cache"
@@ -730,7 +748,7 @@ def test_reports_identical_with_cold_and_warm_parse_cache(manifest, tmp_path, mo
             argv = [arg.format(state=state) for arg in argv]
             assert run(argv + [*sentences, "--embeddings", WORD_VECTORS, "--out", str(out)]) == 0
             reports[name, state] = out.read_bytes()
-        assert len(list((cache / "riskbench").glob("*.npz"))) == 2
+        assert len(list((cache / "riskbench").glob("*.npy"))) == 2
     sha256 = {
         path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
         for path in (WORD_VECTORS, SENTENCE_VECTORS)

@@ -1,8 +1,10 @@
-"""The committed same-bytes check: every fixture report keeps its SHA-256.
+"""The committed same-bytes checks: every fixture report keeps its SHA-256.
 
 `scripts/digests.py` owns the command matrix and DIGESTS.json; this test runs
 the matrix in-process and compares. A change that alters report bytes on
-purpose regenerates DIGESTS.json with that script.
+purpose regenerates DIGESTS.json with that script. `scripts/bench_scale.py
+--check` compares the scale ladder's reports with BENCH_scale.json; it runs
+outside the suite, which tests only its comparison.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ import importlib.util
 import json
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "digests.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _script():
-    spec = importlib.util.spec_from_file_location("riskbench_scripts_digests", SCRIPT)
+def _script(name="digests"):
+    spec = importlib.util.spec_from_file_location(f"riskbench_scripts_{name}",
+                                                  SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -39,3 +42,27 @@ def test_first_mismatch_names_the_command_and_the_file():
     bench = [{**recorded[0], "workload": "pairwise-repeat", "seed": 2}]
     assert digests.first_mismatch(bench, [{**bench[0], "exit": 1}]) == (
         "pairwise-repeat seed 2: rbs cooccur: exit 1, recorded 0")
+
+
+def test_ladder_first_mismatch_names_the_rung_and_the_command():
+    first_mismatch = _script("bench_scale").first_mismatch
+
+    def rung(projects, **digests):
+        return {"projects": projects, "commands": {
+            name.replace("_", " "): {"wall_s": 1.5, "peak_rss_mb": 90.0, "sha256": digest}
+            for name, digest in digests.items()}}
+
+    recorded = [rung(50, rbs_coverage="aa", lifecycle_ratios="cc"), rung(100, rbs_coverage="dd")]
+    timed = [rung(50, rbs_coverage="aa", lifecycle_ratios="cc"), rung(100, rbs_coverage="dd")]
+    timed[0]["commands"]["rbs coverage"].update(wall_s=9.0, peak_rss_mb=10.0)
+    assert first_mismatch(recorded, timed) is None  # times and memory are not compared
+    assert first_mismatch(recorded, [recorded[0], rung(100, rbs_coverage="ee")]) == (
+        "100 projects, rbs coverage: SHA-256 ee, recorded dd")
+    assert first_mismatch(recorded, [rung(50, rbs_coverage="aa"), recorded[1]]) == (
+        "50 projects, lifecycle ratios: SHA-256 None, recorded cc")
+    assert first_mismatch(recorded[1:], [rung(100, rbs_coverage="dd", similarity_docs="ff")]) == (
+        "100 projects, similarity docs: SHA-256 ff, recorded None")
+    assert first_mismatch(recorded, recorded[::-1]).startswith(
+        "the ladder changed: BENCH_scale.json has a 50-project rung, the script 100")
+    assert first_mismatch(recorded[:1], recorded) == (
+        "BENCH_scale.json records 1 rungs, the ladder has 2")

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -361,7 +363,7 @@ def _load_outcome(path, loader=load_word_vectors):
 
 
 def _entries(tmp_path):
-    return sorted((tmp_path / "cache" / "riskbench").glob("*.npz"))
+    return sorted((tmp_path / "cache" / "riskbench").glob("*.npy"))
 
 
 def _no_parse(*args):
@@ -394,8 +396,10 @@ def _takes_bulk_path(path, dimension):
 
 
 def _assert_same_tables(bulk, reference):
+    """`bulk`, a loaded table, is read-only and holds `reference`'s bits."""
     assert list(bulk) == list(reference)
     for token, vector in reference.items():
+        assert not bulk[token].flags.writeable, token
         assert bulk[token].dtype == vector.dtype
         assert bulk[token].shape == vector.shape
         assert np.array_equal(bulk[token].view(np.int64), vector.view(np.int64)), token
@@ -673,7 +677,7 @@ def test_session_cache_lies_in_a_tmp_dir(cache_home, tmp_path_factory, tmp_path)
 def _damage(entry, how):
     if how == "truncated":
         entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
-    elif how == "flipped-byte":
+    elif how == "flipped-byte":  # a matrix byte: only the stored CRC-32 can tell
         data = bytearray(entry.read_bytes())
         data[len(data) // 2] ^= 0xFF
         entry.write_bytes(bytes(data))
@@ -683,16 +687,17 @@ def _damage(entry, how):
         with open(entry, "wb") as out:
             np.save(out, np.zeros((3, 2)))
     else:
-        with np.load(entry, allow_pickle=False) as archive:
-            keys, matrix = archive["keys"], archive["matrix"]
+        # an entry the cache's own writer makes, CRC and all, that breaks one rule
+        kind, _, digest = entry.stem.split("-")
+        table, _ = vectorize._cache_read(kind, digest)
+        keys, matrix = list(table), np.array(list(table.values()))
         if how == "wrong-dtype":
             matrix = matrix.astype(np.float32)
         elif how == "wrong-row-count":
             matrix = matrix[:-1]
         elif how == "duplicate-keys":
-            keys = np.frombuffer(b"\n".join([b"tok0"] * len(matrix)), dtype=np.uint8)
-        with open(entry, "wb") as out:
-            np.savez(out, keys=keys, matrix=matrix)
+            keys = ["tok0"] * len(matrix)
+        vectorize._cache_write(kind, digest, keys, matrix)
 
 
 @pytest.mark.parametrize(
@@ -709,6 +714,7 @@ def test_invalid_cache_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how)
     parsed = _load_outcome(path)
     [entry] = _entries(tmp_path)
     _damage(entry, how)
+    assert vectorize._cache_read("word_average", entry.stem.split("-")[2]) is None
     parses = []
     original = vectorize._parse_word_file
     with monkeypatch.context() as patch:
@@ -718,10 +724,51 @@ def test_invalid_cache_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how)
     with monkeypatch.context() as patch:
         patch.setattr(vectorize, "_parse_word_file", _no_parse)
         hit = _load_outcome(path)
-    for outcome in (reparsed, hit):
+    # a miss and a hit give bit-identical, read-only tables
+    for outcome in (parsed, reparsed, hit):
         _assert_same_tables(outcome[0], parsed[0])
         assert outcome[1:] == ([], None)
     assert _entries(tmp_path) == [entry]
+
+
+# Prints the process's peak resident set (VmHWM, in kB); with a word file
+# argument it first loads that file and embeds a few texts. numpy is imported
+# either way, so that both processes start alike.
+_PEAK_SCRIPT = """
+import sys
+
+import numpy
+
+from riskbench import vectorize
+
+if len(sys.argv) > 1:
+    backend = vectorize.load_word_vectors(sys.argv[1])
+    vectorize.unit_rows(backend, ["tok1 tok2 tok3", "tok10 tok4000", "tok4999"])
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_cache_hit_holds_only_the_rows_it_reads(tmp_path):
+    rows, dimension = 5000, 300
+    path = tmp_path / "w.txt"
+    matrix = np.random.default_rng(8).normal(0.0, 0.3, (rows, dimension))
+    path.write_text(f"{rows} {dimension}\n" + "".join(
+        f"tok{i} " + " ".join(f"{x:.6f}" for x in row) + "\n" for i, row in enumerate(matrix)),
+        encoding="utf-8")
+    src = str(Path(vectorize.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path / "cache"))
+
+    def peak_bytes(*args):
+        result = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *args], env=env,
+                                capture_output=True, text=True, timeout=120, check=True)
+        return int(result.stdout) * 1024
+
+    peak_bytes(str(path))  # a miss: parses the file and writes the entry
+    assert len(_entries(tmp_path)) == 1
+    baseline, hit = peak_bytes(), peak_bytes(str(path))
+    assert hit - baseline < rows * dimension * 8 / 2
 
 
 def test_unusable_cache_dir_still_loads(tmp_path, monkeypatch):
