@@ -25,7 +25,6 @@ from riskbench.corpus import (
     default_scale_config,
     fill_qualitative,
     load_corpus,
-    load_register,
     load_scale_config,
     normalize_assessment,
     parse_register,
@@ -80,14 +79,6 @@ def test_parse_csv_mixed_snapshot_column():
     data = (CSV_HEADER + "r1,A,,,,,,,0\nr2,B,,,,,,,1\n").encode()
     with pytest.raises(ParseError, match="mixed"):
         parse_register(data, "csv")
-
-
-def test_load_register_negative_snapshot_names_the_file(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text(CSV_HEADER + "r1,A,,,,,,,-1\n", encoding="utf-8")
-    with pytest.raises(ParseError) as excinfo:
-        load_register(path)
-    assert str(excinfo.value) == f"{path}: snapshot column must be >= 0, got -1"
 
 
 def test_parse_json_35_items():
