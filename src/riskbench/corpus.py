@@ -76,7 +76,7 @@ _BAND_FIELDS = ("probability_band", "cost_band", "schedule_band")
 _BAND_TRIPLES = frozenset(product((None, 1, 2, 3, 4, 5), repeat=3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assessment:
     """One risk's evaluation: 1-5 Likert bands plus optional raw values."""
 
@@ -102,7 +102,7 @@ class Assessment:
         _check_raw_values(self.raw_probability, self.raw_cost, self.raw_schedule)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskItem:
     risk_id: str
     name: str
@@ -121,7 +121,7 @@ class RiskItem:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterSnapshot:
     ordinal: int
     items: tuple[RiskItem, ...]
@@ -137,7 +137,7 @@ class RegisterSnapshot:
             seen.add(item.risk_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectRecord:
     project_id: str
     jurisdiction: str
@@ -171,7 +171,7 @@ class ProjectRecord:
         return self.snapshots[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     projects: tuple[ProjectRecord, ...]
     # SHA-256 of the bytes parsed: "manifest", then each register by its
@@ -506,8 +506,9 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     """Load every project and register listed in a manifest, in file order.
 
     Each register is parsed whole before any of its rows is normalized, and
-    each RiskItem is built once, already normalized. The corpus keeps the
-    SHA-256 of every file it parsed.
+    each RiskItem is built once, already normalized. Equal texts (risk ids,
+    names, descriptions, categories, statuses) are one str object across the
+    corpus. The corpus keeps the SHA-256 of every file it parsed.
     """
     from hashlib import sha256
 
@@ -522,6 +523,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     check_shape(manifest, _MANIFEST, str(manifest_path))
 
     base = manifest_path.parent
+    share = {}.setdefault  # one object per distinct text in this load
     projects: list[ProjectRecord] = []
     for index, entry in enumerate(manifest["projects"]):
         where = f"{manifest_path}, project {index}"
@@ -551,16 +553,19 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                     assessment = _assessment(cfg, value, *measures)
                 except NormalizeError as exc:
                     raise CorpusError(f"{source}:{risk_id}: {exc}") from exc
-                items.append(RiskItem(risk_id, name, description, category, assessment, status))
+                items.append(RiskItem(
+                    share(risk_id, risk_id), share(name, name), share(description, description),
+                    share(category, category), assessment, share(status, status),
+                ))
             snapshots.append(RegisterSnapshot(register.get("ordinal", ordinal), tuple(items)))
         try:
             size_band = SizeBand(entry.get("size_band"))
         except ValueError as exc:
             raise CorpusError(
-                f"project {project_id!r}: unknown size_band {entry.get('size_band')!r}"
+                f"{where}: project {project_id!r} has unknown size_band {entry.get('size_band')!r}"
             ) from exc
-        projects.append(
-            ProjectRecord(
+        try:
+            projects.append(ProjectRecord(
                 project_id=project_id,
                 jurisdiction=entry.get("jurisdiction", ""),
                 delivery_method=entry.get("delivery_method", ""),
@@ -569,6 +574,12 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 contract_value_musd=value,
                 award_year=entry.get("award_year"),
                 snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
-            )
-        )
-    return Corpus(projects=tuple(projects), digests=digests)
+            ))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
+    try:
+        return Corpus(projects=tuple(projects), digests=digests)
+    except CorpusError as exc:  # a duplicate project_id: name its second entry
+        ids = [project.project_id for project in projects]
+        index = next(i for i, project_id in enumerate(ids) if project_id in ids[:i])
+        raise CorpusError(f"{manifest_path}, project {index}: {exc}") from exc

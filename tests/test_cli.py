@@ -29,7 +29,7 @@ from riskbench.vectorize import load_sentence_vectors, load_stopwords, load_word
 from riskbench.resources import data_path
 
 from .conftest import assert_same_text
-from .test_corpus import LONG_INT, MANIFEST_FAULTS, write_manifest_fault
+from .test_corpus import LONG_INT, MANIFEST_FAULTS, _project, write_manifest_fault
 
 WORD_VECTORS = str(data_path("embeddings", "reference_word_vectors.txt"))
 SENTENCE_VECTORS = str(data_path("embeddings", "reference_sentence_vectors.jsonl"))
@@ -119,6 +119,38 @@ def test_ingest_bad_manifest_exits_1_without_traceback(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: {manifest_path}")
     assert "Traceback" not in result.stderr
+
+
+# manifests that pass their declared shape but break a project rule, with the
+# message after "error: <manifest>, "
+PROJECT_FAULTS = {
+    "duplicate id": ([_project(), _project()], "project 1: duplicate project_id 'p1'"),
+    "no snapshots": ([_project(), _project(id="p2", registers=[])],
+                     "project 1: project 'p2' has no snapshots"),
+    "repeated ordinal": (
+        [_project(registers=[{"ordinal": 0, "path": "r.csv"}, {"ordinal": 0, "path": "r.csv"}])],
+        "project 0: project 'p1' snapshot ordinals must strictly increase: [0, 0]"),
+    "size band against value": (
+        [_project(contract_value_musd=2000)],
+        "project 0: project 'p1' size_band under_500M inconsistent with contract value 2000 M$ "
+        "(expected over_1B)"),
+    "unknown size band": ([_project(), _project(id="p2", size_band="huge")],
+                          "project 1: project 'p2' has unknown size_band 'huge'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PROJECT_FAULTS))
+def test_project_fault_exits_1_naming_the_manifest(tmp_path, fault):
+    projects, message = PROJECT_FAULTS[fault]
+    (tmp_path / "r.csv").write_text("risk_id,name\nr1,A\n")
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"projects": projects}))
+    out = tmp_path / "o.json"
+    result = fresh_python("-m", "riskbench.cli", "ingest", "--manifest", str(manifest_path),
+                          "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {manifest_path}, {message}\n"
+    assert not out.exists()
 
 
 def test_non_utf8_word_file_exits_1_without_traceback(manifest, tmp_path):

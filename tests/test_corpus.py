@@ -5,14 +5,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riskbench
 from riskbench.corpus import (
     REGISTER_CSV_COLUMNS,
     Assessment,
@@ -534,7 +538,7 @@ def reference_load(manifest_path) -> Corpus:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     projects = []
-    for entry in manifest["projects"]:
+    for index, entry in enumerate(manifest["projects"]):
         value = entry.get("contract_value_musd")
         snapshots = []
         for register in entry.get("registers", []):
@@ -556,16 +560,23 @@ def reference_load(manifest_path) -> Corpus:
                 ordinal=register.get("ordinal", snapshot.ordinal),
                 items=tuple(items),
             ))
-        projects.append(ProjectRecord(
-            project_id=entry["id"],
-            jurisdiction=entry.get("jurisdiction", ""),
-            delivery_method=entry.get("delivery_method", ""),
-            project_type=entry.get("project_type", ""),
-            size_band=SizeBand(entry["size_band"]),
-            contract_value_musd=value,
-            award_year=entry.get("award_year"),
-            snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
-        ))
+        try:
+            projects.append(ProjectRecord(
+                project_id=entry["id"],
+                jurisdiction=entry.get("jurisdiction", ""),
+                delivery_method=entry.get("delivery_method", ""),
+                project_type=entry.get("project_type", ""),
+                size_band=SizeBand(entry["size_band"]),
+                contract_value_musd=value,
+                award_year=entry.get("award_year"),
+                snapshots=tuple(sorted(snapshots, key=lambda s: s.ordinal)),
+            ))
+        except CorpusError as exc:
+            raise CorpusError(f"{manifest_path}, project {index}: {exc}") from exc
+    ids = [project.project_id for project in projects]
+    for index, project_id in enumerate(ids):
+        if project_id in ids[:index]:
+            raise CorpusError(f"{manifest_path}, project {index}: duplicate project_id {project_id!r}")
     return Corpus(projects=tuple(projects))
 
 
@@ -708,6 +719,94 @@ def test_load_corpus_matches_parse_then_normalize_on_fixture(expost_manifest):
     corpus = load_corpus(expost_manifest)
     assert corpus == reference_load(expost_manifest)
     assert repr(corpus) == repr(reference_load(expost_manifest))
+
+
+def test_loaded_records_are_slotted(expost_manifest):
+    corpus = load_corpus(expost_manifest)
+    project = corpus.projects[0]
+    item = project.snapshots[-1].items[-1]
+    for record in (corpus, project, project.snapshots[-1], item, item.assessment):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, fields(record)[0].name, None)
+        # a frozen slotted class has no room for a new attribute; Python 3.11
+        # reports it as a TypeError from the frozen __setattr__'s super() call
+        with pytest.raises((AttributeError, TypeError)):
+            record.note = "x"
+        with pytest.raises(TypeError):
+            weakref.ref(record)
+
+
+def test_load_corpus_keeps_one_object_per_distinct_text(tmp_path):
+    (tmp_path / "a.csv").write_text(
+        CSV_HEADER + "r1,Utility relocation,Late permits,design,0.5,-0.0,1.0,Reg,0\n"
+        "r2,Design changes,,design,0.5,0.0,1.0,Reg,0\n")
+    (tmp_path / "b.csv").write_text(
+        CSV_HEADER + "r1, Utility relocation ,Late permits,design,0.5,0.0,-0.0, Reg,1\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"projects": [
+        _project(contract_value_musd=100, registers=[{"path": "a.csv"}, {"path": "b.csv"}]),
+        _project(id="p2", contract_value_musd=100, registers=[{"path": "b.csv"}]),
+    ]}))
+    corpus = load_corpus(manifest)
+    assert corpus == reference_load(manifest)
+    (r1, r2), (later,) = (s.items for s in corpus.projects[0].snapshots)
+    other = corpus.projects[1].register.items[0]
+    for text in ("risk_id", "name", "description", "category_label", "status_note"):
+        assert getattr(r1, text) is getattr(later, text) is getattr(other, text)
+    assert r1.category_label is r2.category_label
+    # numbers are never shared by equality: each -0.0 keeps its sign
+    assert [math.copysign(1, value) for value in (
+        r1.assessment.raw_cost, r2.assessment.raw_cost, later.assessment.raw_schedule)] == [-1, 1, -1]
+
+
+_PEAK_SCRIPT = """
+import hashlib
+import sys
+
+from riskbench import corpus
+
+if len(sys.argv) > 1:
+    loaded = corpus.load_corpus(sys.argv[1])
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_loaded_corpus_peak_per_row(tmp_path):
+    # yearly snapshots that repeat each risk's id, name, category and status,
+    # with raw values distinct per row
+    projects, snapshots, risks = 6, 5, 400
+    names = [f"risk {a} near {b} during works" for a in range(30) for b in range(10)]
+    categories = ["design", "construction", "utilities", "right-of-way", "environment",
+                  "third party", "management"]
+    entries = []
+    for p in range(projects):
+        registers = []
+        for s in range(snapshots):
+            rows = (f"p{p}-R{r:04d},{names[(p + r) % len(names)]},,{categories[r % 7]},"
+                    f"0.{(r * 7 + s) % 1000:03d},{(p * r + s) % 997 / 100:.2f},"
+                    f"{(r + s * 13) % 1200 / 100:.2f},{('Reg', 'Hap', 'Clo')[s % 3]},{s}\n"
+                    for r in range(risks))
+            (tmp_path / f"p{p}_s{s}.csv").write_text(CSV_HEADER + "".join(rows))
+            registers.append({"path": f"p{p}_s{s}.csv"})
+        entries.append(_project(id=f"p{p}", contract_value_musd=600, size_band="500M_to_1B",
+                                registers=registers))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"projects": entries}))
+    src = str(Path(riskbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def peak_bytes(*args):
+        result = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *args], env=env,
+                                capture_output=True, text=True, timeout=120, check=True)
+        return int(result.stdout) * 1024
+
+    baseline, loaded = peak_bytes(), peak_bytes(str(manifest))
+    # about 680 bytes a row with a __dict__ per record and a str per cell,
+    # about 310 with slotted records and one str per distinct text
+    assert (loaded - baseline) / (projects * snapshots * risks) < 450
 
 
 def _one_register_manifest(directory: Path, rows: str, value=None) -> Path:
