@@ -341,38 +341,61 @@ def embed_text(backend: EmbeddingBackend, text: str) -> EmbeddedText:
 def load_word_vectors(
     path: str | Path, stop_words: frozenset[str] | None = None
 ) -> EmbeddingBackend:
-    """Read the textual interchange format: header line, then token + floats.
+    """Read the textual interchange format: header line, then token + floats;
+    a file that parses without a warning is cached by content."""
+    return _load_vectors(Path(path), WORD_AVERAGE, stop_words)
 
-    A file that parses without a warning is cached by content; later loads
-    of the same bytes skip the parse.
-    """
-    path = Path(path)
-    digest, cached, lines = _read_source(path, WORD_AVERAGE)
+
+def load_sentence_vectors(
+    path: str | Path, stop_words: frozenset[str] | None = None
+) -> EmbeddingBackend:
+    """Read JSON-Lines {"text": ..., "vector": [...]} into a lookup table; a
+    file that parses is cached by content."""
+    return _load_vectors(Path(path), PRECOMPUTED_SENTENCE, stop_words)
+
+
+def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> EmbeddingBackend:
+    """A vector file's backend, from the cached keys and matrix of its bytes
+    or from a parse of its lines, cached when clean; of repeated keys the last
+    row wins. A hit hashes the file without holding it; a miss reads it whole
+    and reports the digest of the bytes it parsed. Lines end at "\\n", "\\r\\n"
+    or "\\r" only: a JSON string may hold U+2028 and the like, and in a word
+    line they are whitespace."""
+    digest = file_digest(path)
+    cached = _cache_read(kind, digest)
     if cached is not None:
-        table, dimension = cached
-    else:
-        table, dimension, matrix = _parse_word_file(path, lines)
-        if matrix is not None:
-            _cache_write(WORD_AVERAGE, digest, list(table), matrix)
+        keys, matrix = cached
+        table = dict(zip(keys, matrix))
+    if cached is None or len(table) != len(keys):  # no entry, or a foreign one
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        text = input_text(data, str(path))
+        del data  # hold at most two copies of the file at once, as reading text does
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+        lines = text.split("\n")
+        del text
+        parse = _parse_word_file if kind == WORD_AVERAGE else _parse_sentence_file
+        keys, matrix, clean = parse(path, lines)
+        del lines  # free the text before the entry is written
+        if clean:
+            _cache_write(kind, digest, keys, matrix)
+        table = dict(zip(keys, matrix))
     return EmbeddingBackend(
-        kind=WORD_AVERAGE,
-        dimension=dimension,
-        word_table=table,
+        kind=kind,
+        dimension=matrix.shape[1],
+        word_table=table if kind == WORD_AVERAGE else {},
+        sentence_table=table if kind == PRECOMPUTED_SENTENCE else {},
         stop_words=default_stopwords() if stop_words is None else stop_words,
         digest=digest,
     )
 
 
-def _parse_word_file(
-    path: Path, lines: Sequence[str]
-) -> tuple[dict[str, np.ndarray], int, np.ndarray | None]:
-    """The table and dimension of a word-vector file, plus its cacheable matrix.
-
-    The matrix holds the table's vectors in key order; it is None when the
-    file warned (so the warning repeats on every load) or when only the
-    per-line reader could read it.
-    """
-    if not lines:
+def _parse_word_file(path: Path, lines: Sequence[str]) -> tuple[list[str], np.ndarray, bool]:
+    """A word-vector file's tokens, the matrix of their vectors and whether it
+    parsed without a warning: a file that warns is not cached, so that the
+    warning repeats on every load."""
+    if lines == [""]:  # what an empty text splits into
         raise ParseError(f"{path}: empty word-vector file")
     header = lines[0].split()
     if len(header) != 2:
@@ -384,30 +407,33 @@ def _parse_word_file(
     if dimension <= 0:
         raise ParseError(f"{path}, line 1: dimension must be positive")
 
-    table, count, matrix = _parse_word_lines_bulk(path, lines, dimension) or _parse_word_lines(
-        path, lines, dimension
-    )
-    if declared != count:
-        warnings.warn(f"{path}: header declares {declared} tokens, file holds {count}")
-    if not table:
+    parsed = _parse_word_lines_bulk(path, lines, dimension)
+    tokens, numbers, matrix = parsed or _parse_word_lines(path, lines, dimension)
+    seen: set[str] = set()
+    for number, token in zip(numbers, tokens):
+        if token in seen:
+            warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
+        seen.add(token)
+    if declared != len(tokens):
+        warnings.warn(f"{path}: header declares {declared} tokens, file holds {len(tokens)}")
+    if not tokens:
         raise ParseError(f"{path}: word-vector file holds no vectors")
-    # count > len(table) exactly when a duplicate token was warned about
-    clean = declared == count == len(table)
-    return table, dimension, matrix if clean else None
+    return tokens, matrix, declared == len(tokens) == len(seen)
 
 
 def _parse_word_lines(
     path: Path, lines: Sequence[str], dimension: int
-) -> tuple[dict[str, np.ndarray], int, None]:
+) -> tuple[list[str], list[int], np.ndarray]:
     """Parse the data lines one by one with Python's float().
 
     This is the reference reader: it raises the ParseError for the first bad
-    line and accepts every finite value float() reads. Its vectors are separate
-    arrays, so it returns no matrix and what it reads is not cached.
-    """
+    line and accepts every finite value float() reads. It returns the tokens,
+    their line numbers and the matrix of their vectors, allocated once a line
+    has held as many components as the header declares."""
     import numpy as np
-    table: dict[str, np.ndarray] = {}
-    parsed = 0
+    tokens: list[str] = []
+    numbers: list[int] = []
+    matrix = np.empty((0, dimension))
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -416,33 +442,32 @@ def _parse_word_lines(
             raise ParseError(
                 f"{path}, line {number}: expected {dimension} components, got {len(parts) - 1}"
             )
-        token = parts[0]
+        if not len(matrix):  # a row takes 2 * dimension + 1 characters or more
+            matrix = np.empty((sum(map(len, lines)) // (2 * dimension + 1), dimension))
         try:
-            vector = np.array([float(part) for part in parts[1:]], dtype=float)
+            matrix[len(tokens)] = [float(part) for part in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}, line {number}: non-numeric component") from exc
-        if not np.isfinite(vector).all():
+        if not np.isfinite(matrix[len(tokens)]).all():
             raise ParseError(f"{path}, line {number}: non-finite component")
-        vector.setflags(write=False)
-        if token in table:
-            warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
-        table[token] = vector
-        parsed += 1
-    return table, parsed, None
+        tokens.append(parts[0])
+        numbers.append(number)
+    matrix = matrix[: len(tokens)]
+    matrix.setflags(write=False)
+    return tokens, numbers, matrix
 
 
 def _parse_word_lines_bulk(
     path: Path, lines: Sequence[str], dimension: int
-) -> tuple[dict[str, np.ndarray], int, np.ndarray] | None:
+) -> tuple[list[str], list[int], np.ndarray] | None:
     """Parse all data lines with numpy's C float parser into one matrix.
 
-    Returns the table (read-only row views of the matrix), the data line count
-    and the matrix, or None, having warned about nothing, when any line is not plainly
-    well formed (a short or long line, a component the C parser rejects, or
-    no data at all); `_parse_word_lines` then gives the exact error or reads
-    spellings only float() accepts, such as "1_0". Both parsers round
-    correctly, so the values are bit-identical. A row with a non-finite
-    component raises the ParseError that names its line.
+    Returns the tokens, their line numbers and the matrix, or None when any
+    line is not plainly well formed (a short or long line, a component the C
+    parser rejects, or no data at all); `_parse_word_lines` then gives the
+    exact error or reads spellings only float() accepts, such as "1_0". Both
+    parsers round correctly, so the values are bit-identical. A row with a
+    non-finite component raises the ParseError that names its line.
     """
     import numpy as np
     tokens: list[str] = []
@@ -469,48 +494,15 @@ def _parse_word_lines_bulk(
     if not finite.all():
         raise ParseError(f"{path}, line {numbers[int(finite.argmin())]}: non-finite component")
     matrix.setflags(write=False)
-    table: dict[str, np.ndarray] = {}
-    for number, token, vector in zip(numbers, tokens, matrix):
-        if token in table:
-            warnings.warn(f"{path}, line {number}: duplicate token {token!r}, last wins")
-        table[token] = vector
-    return table, len(tokens), matrix
-
-
-def load_sentence_vectors(
-    path: str | Path, stop_words: frozenset[str] | None = None
-) -> EmbeddingBackend:
-    """Read JSON-Lines {"text": ..., "vector": [...]} into a lookup table.
-
-    A file that parses is cached by content; later loads of the same bytes
-    skip the parse.
-    """
-    path = Path(path)
-    digest, cached, lines = _read_source(path, PRECOMPUTED_SENTENCE)
-    if cached is not None:
-        table, dimension = cached
-    else:
-        table, dimension, matrix = _parse_sentence_file(path, lines)
-        del lines  # free the text before the entry is written
-        _cache_write(PRECOMPUTED_SENTENCE, digest, list(table), matrix)
-    return EmbeddingBackend(
-        kind=PRECOMPUTED_SENTENCE,
-        dimension=dimension,
-        sentence_table=table,
-        stop_words=default_stopwords() if stop_words is None else stop_words,
-        digest=digest,
-    )
+    return tokens, numbers, matrix
 
 
 _SENTENCE_RECORD = {"text": str, "vector": [float]}
 
 
-def _parse_sentence_file(
-    path: Path, lines: Sequence[str]
-) -> tuple[dict[str, np.ndarray], int, np.ndarray]:
-    """The table and dimension of a sentence-vector file's lines, plus its matrix:
-    one row per key in first-occurrence order, which the table's values view
-    read-only."""
+def _parse_sentence_file(path: Path, lines: Sequence[str]) -> tuple[list[str], np.ndarray, bool]:
+    """The normalized texts of a sentence-vector file's lines in first-occurrence
+    order, the matrix of their vectors and True: a file that parses is clean."""
     import numpy as np
     table: dict[str, np.ndarray] = {}
     dimension: int | None = None
@@ -525,7 +517,8 @@ def _parse_sentence_file(
             dimension = len(vector)
             if dimension == 0:
                 raise ParseError(f"{where}: empty vector")
-            matrix = np.empty((len(lines), dimension))  # rows never written take no memory
+            # a row takes 2 * dimension + 1 characters or more; unwritten rows take no memory
+            matrix = np.empty((sum(map(len, lines)) // (2 * dimension + 1), dimension))
         elif len(vector) != dimension:
             raise ParseError(f"{where}: vector length {len(vector)} != expected {dimension}")
         key = normalize_sentence(record["text"])
@@ -539,7 +532,7 @@ def _parse_sentence_file(
         raise ParseError(f"{path}: sentence-vector file holds no vectors")
     matrix = matrix[: len(table)]
     matrix.setflags(write=False)
-    return dict(zip(table, matrix)), dimension, matrix
+    return list(table), matrix, True
 
 
 # ----------------------------------------------------------- parse cache
@@ -549,27 +542,9 @@ def _parse_sentence_file(
 # starts the data at a 64-byte aligned offset), followed by the table's keys
 # in order (UTF-8, joined by newlines; neither tokens nor normalized
 # sentences contain a newline) and `_CACHE_TRAILER`. A hit maps the matrix
-# read-only, so a command holds only the rows it reads; the CRC and the
-# checks in `_cache_read` turn a torn or foreign entry into a miss. Entries
-# are replaced whole and never written in place, so a mapping stays valid.
-
-
-def _read_source(
-    path: Path, kind: str
-) -> tuple[str, tuple[dict[str, np.ndarray], int] | None, list[str] | None]:
-    """A vector file's SHA-256, then either the cached (table, dimension) of
-    those bytes or, on a miss, the file's lines to parse. A hit hashes the
-    file block by block without holding it; a miss reads it whole and
-    reports the digest of the bytes it parsed."""
-    digest = file_digest(path)
-    cached = _cache_read(kind, digest)
-    if cached is not None:
-        return digest, cached, None
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    text = input_text(data, str(path))
-    del data  # hold at most two copies of the file at once, as reading text does
-    return digest, None, text.splitlines()
+# read-only, so a command holds only the rows it reads; the CRC, the checks
+# in `_cache_read` and the loader's table turn a torn or foreign entry into a
+# miss. Entries are replaced whole, never written in place: a mapping stays valid.
 
 
 def _cache_entry(kind: str, digest: str) -> Path | None:
@@ -593,9 +568,9 @@ def _crc32(handle, size: int) -> int:
     return crc
 
 
-def _cache_read(kind: str, digest: str) -> tuple[dict[str, np.ndarray], int] | None:
-    """The cached (table, dimension) of a digest, or None for a missing or invalid
-    entry. The table's values are read-only row views of the mapped matrix."""
+def _cache_read(kind: str, digest: str) -> tuple[list[str], np.ndarray] | None:
+    """The cached keys and read-only mapped matrix of a digest, or None for a
+    missing or invalid entry; the loader's table tells a repeated key."""
     import mmap
 
     import numpy as np
@@ -628,20 +603,14 @@ def _cache_read(kind: str, digest: str) -> tuple[dict[str, np.ndarray], int] | N
     except (OSError, ValueError, struct.error):
         return None
     # a plain read-only ndarray over the mapping: its rows are cheap views
-    matrix = np.frombuffer(mapping, dtype=np.float64, count=shape[0] * shape[1],
-                           offset=offset).reshape(shape)
-    table = dict(zip(keys, matrix))
-    if len(table) != len(keys):
-        return None
-    return table, shape[1]
+    return keys, np.frombuffer(mapping, dtype=np.float64, count=shape[0] * shape[1],
+                               offset=offset).reshape(shape)
 
 
 def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) -> None:
-    """Store a parsed table, then drop the oldest entries of its kind past the cap.
-
-    Nothing is stored, and nothing is said, when the directory cannot be
-    created or written.
-    """
+    """Store parsed keys and their matrix, then drop the oldest entries of the
+    kind past the cap; nothing is stored, and nothing said, when the directory
+    cannot be created or written."""
     import tempfile
 
     import numpy as np

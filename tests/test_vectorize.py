@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -501,12 +502,65 @@ def test_load_word_vectors_warning_alone_is_not_cached(tmp_path, monkeypatch, bo
 def test_load_word_vectors_accepts_python_float_spellings(tmp_path, monkeypatch):
     path = tmp_path / "w.txt"
     path.write_text("3 2\nfoo 1_0 -0.0\nbar -1E-3 2.5\nbaz +1e5 .5\n", encoding="utf-8")
-    # only the per-line reader takes "1_0"; what it reads is not cached
-    bulk, again, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=False)
+    # only the per-line reader takes "1_0"; what it reads is cached like any clean parse
+    bulk, again, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=True)
     _assert_same_tables(bulk[0], reference[0])
     _assert_same_tables(again[0], bulk[0])
     assert bulk[1:] == again[1:] == reference[1:] == ([], None)
     assert bulk[0]["foo"][0] == 10.0 and bulk[0]["bar"][0] == -0.001
+
+
+@pytest.mark.parametrize("dimension", [100_000_000_000, 100_000_000])
+def test_load_word_vectors_sizes_nothing_by_the_header(tmp_path, monkeypatch, dimension):
+    # a matrix sized by the header alone would be 2.4 GB or more; the first
+    # data line already shows the header is wrong
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "w.txt"
+    path.write_text(f"2 {dimension}\nfoo 1 2\nbar 3 4\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as caught:
+            load_word_vectors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == f"{path}, line 2: expected {dimension} components, got 2"
+    assert peak < 16 << 20  # the digest reads the file in 1 MiB blocks
+
+
+@pytest.mark.parametrize("loader, first", [
+    (load_word_vectors, "1 100000\nwide 1_0" + " 0" * 99_999),  # "1_0": the per-line reader
+    (load_sentence_vectors, json.dumps({"text": "wide", "vector": [0] * 100_000})),
+], ids=["words", "sentences"])
+def test_a_wide_row_among_blank_lines_takes_memory_by_the_text(tmp_path, monkeypatch, loader,
+                                                              first):
+    # a matrix with room for a row per line would take 160 GB
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "wide.txt"
+    path.write_text(first + "\n" * 200_000, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        table, caught, error = _load_outcome(path, loader)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (caught, error) == ([], None)
+    assert list(table) == ["wide"] and table["wide"].shape == (100_000,)
+    assert peak < 64 << 20
+
+
+def test_load_word_vectors_breaks_lines_at_line_feeds_only(tmp_path, monkeypatch):
+    # "\r\n" and a lone "\r" end a line; the other characters str.splitlines()
+    # breaks at are whitespace inside a line, as str.split() reads them
+    path = tmp_path / "w.txt"
+    path.write_text("3 2\r\nfoo\x0b1\x0c2\rbar\x1c3\x1d4\x1e\n"
+                    "baz\x855\u20286\u2029\r\n", encoding="utf-8", newline="")
+    cold, hit, reference = _cold_warm_reference(path, monkeypatch, tmp_path, cached=True)
+    _assert_same_tables(cold[0], reference[0])
+    _assert_same_tables(hit[0], cold[0])
+    assert cold[1:] == hit[1:] == reference[1:] == ([], None)
+    assert {token: vector.tolist() for token, vector in cold[0].items()} == {
+        "foo": [1.0, 2.0], "bar": [3.0, 4.0], "baz": [5.0, 6.0]}
 
 
 # ----------------------------------------------------------- sentence vector files
@@ -545,6 +599,18 @@ def test_load_sentence_vectors_duplicate_differing(tmp_path, monkeypatch):
         with pytest.raises(ParseError, match="differing"):
             load_sentence_vectors(path)
     assert _entries(tmp_path) == []
+
+
+def test_load_sentence_vectors_keeps_a_raw_line_separator_in_a_string(tmp_path, monkeypatch):
+    # JSON allows a raw U+2028 in a string; str.splitlines() would break there
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "s2028.jsonl"
+    path.write_text('{"text": "utility\u2028relocation delays", "vector": [1.0, 0.0]}\n'
+                    '{"text": "permit delay", "vector": [0.0, 1.0]}\n', encoding="utf-8")
+    table, caught, error = _load_outcome(path, load_sentence_vectors)
+    assert (caught, error) == ([], None)
+    assert {key: vector.tolist() for key, vector in table.items()} == {
+        "utility relocation delays": [1.0, 0.0], "permit delay": [0.0, 1.0]}
 
 
 def test_load_sentence_vectors_int_past_the_digit_limit(tmp_path):
@@ -689,8 +755,8 @@ def _damage(entry, how):
     else:
         # an entry the cache's own writer makes, CRC and all, that breaks one rule
         kind, _, digest = entry.stem.split("-")
-        table, _ = vectorize._cache_read(kind, digest)
-        keys, matrix = list(table), np.array(list(table.values()))
+        keys, matrix = vectorize._cache_read(kind, digest)
+        matrix = np.array(matrix)
         if how == "wrong-dtype":
             matrix = matrix.astype(np.float32)
         elif how == "wrong-row-count":
@@ -714,7 +780,9 @@ def test_invalid_cache_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how)
     parsed = _load_outcome(path)
     [entry] = _entries(tmp_path)
     _damage(entry, how)
-    assert vectorize._cache_read("word_average", entry.stem.split("-")[2]) is None
+    # the cache reader returns an entry's repeated keys; the loader's table tells them
+    cached = vectorize._cache_read("word_average", entry.stem.split("-")[2])
+    assert cached is None or how == "duplicate-keys"
     parses = []
     original = vectorize._parse_word_file
     with monkeypatch.context() as patch:
