@@ -41,7 +41,7 @@ from .rbs import (
     load_rbs,
     summarize_coverage,
 )
-from .report import ReportBundle, emit_report, file_digest, write_csv, write_heatmap_csv
+from .report import emit_report, file_digest, write_csv, write_heatmap_csv
 from .resources import check_shape, data_path, read_json_checked
 from .similarity import (
     EVALUATION_THRESHOLDS,
@@ -497,14 +497,8 @@ def main(argv=None) -> int:
         if report is not None:
             config, result = report
             words = ("riskbench", args.command, getattr(args, "mode", None))
-            bundle = ReportBundle(
-                command=" ".join(filter(None, words)),
-                config=config,
-                version=__version__,
-                input_digests=digests,
-                result=result,
-            )
-            emit_report(bundle, args.out)
+            emit_report({"command": " ".join(filter(None, words)), "config": config,
+                         "version": __version__, "inputs": digests, "result": result}, args.out)
     except (RiskbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

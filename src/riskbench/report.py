@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -207,28 +207,9 @@ def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    """One command's auditable output: what ran, on what, with what result."""
-
-    command: str
-    config: Mapping[str, Any]
-    version: str
-    input_digests: Mapping[str, str]
-    result: Any
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": dict(self.config),
-            "version": self.version,
-            "inputs": dict(self.input_digests),
-            "result": self.result,
-        }
-
-
-def emit_report(bundle: ReportBundle, path: str | Path) -> int:
-    """Stream the canonical JSON form to `path`, atomically; returns the byte count."""
+def emit_report(payload: Any, path: str | Path) -> int:
+    """Stream the canonical JSON form of a report to `path`, atomically; returns
+    the byte count."""
     written = 0
 
     def write(text: str) -> None:
@@ -236,7 +217,7 @@ def emit_report(bundle: ReportBundle, path: str | Path) -> int:
         written += handle.write(text.encode("utf-8"))
 
     with atomic_output(path) as handle:
-        _write_canonical(bundle.to_dict(), write)
+        _write_canonical(payload, write)
     return written
 
 

@@ -18,7 +18,6 @@ from riskbench import report as report_module
 from riskbench.report import (
     PairRows,
     PairScore,
-    ReportBundle,
     atomic_output,
     canonical_json,
     emit_report,
@@ -196,16 +195,16 @@ def test_canonical_json_deterministic():
 
 
 def test_emit_report_byte_identical(tmp_path):
-    bundle = ReportBundle(
-        command="riskbench test",
-        config={"threshold": 0.6},
-        version="0.1.0",
-        input_digests={"manifest": "ab" * 32},
-        result={"value": 2 / 3},
-    )
+    report = {
+        "command": "riskbench test",
+        "config": {"threshold": 0.6},
+        "version": "0.1.0",
+        "inputs": {"manifest": "ab" * 32},
+        "result": {"value": 2 / 3},
+    }
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(bundle, first)
-    emit_report(bundle, second)
+    emit_report(report, first)
+    emit_report(report, second)
     assert_same_text(first.read_bytes(), second.read_bytes())
     payload = json.loads(first.read_text())
     assert payload["result"]["value"] == 0.666667
@@ -238,9 +237,9 @@ def test_heatmap_csv_rejects_ragged(tmp_path):
     assert os.listdir(tmp_path) == ["h.csv"]
 
 
-def bundle_of(result):
-    return ReportBundle(command="riskbench test", config={}, version="0.1.0",
-                        input_digests={}, result=result)
+def report_of(result):
+    return {"command": "riskbench test", "config": {}, "version": "0.1.0", "inputs": {},
+            "result": result}
 
 
 def plain_write_mode(directory: Path) -> int:
@@ -254,10 +253,10 @@ def plain_write_mode(directory: Path) -> int:
 def test_emit_report_streams_and_counts_bytes(tmp_path):
     rows = pair_rows(np.linspace(0, 1, 3 * report_module._PAIR_CHUNK))
     path = tmp_path / "new" / "dir" / "report.json"
-    written = emit_report(bundle_of({"pairs": rows}), path)
+    written = emit_report(report_of({"pairs": rows}), path)
     data = path.read_bytes()
     assert written == len(data)
-    assert_same_text(data.decode("utf-8"), canonical_json(bundle_of({"pairs": rows}).to_dict()))
+    assert_same_text(data.decode("utf-8"), canonical_json(report_of({"pairs": rows})))
     assert path.stat().st_mode == plain_write_mode(path.parent)
     assert os.listdir(path.parent) == ["report.json"]
 
@@ -271,7 +270,7 @@ def test_emit_report_failing_mid_stream_leaves_the_path_as_it_was(tmp_path, exis
     # the first pair list is written to the file before the second one fails
     rows = pair_rows(np.linspace(0, 1, 3 * report_module._PAIR_CHUNK))
     with pytest.raises(ValueError, match="non-finite"):
-        emit_report(bundle_of({"a": rows, "b": pair_rows([0.5, math.nan])}), path)
+        emit_report(report_of({"a": rows, "b": pair_rows([0.5, math.nan])}), path)
     assert os.listdir(tmp_path) == ([] if existing is None else ["report.json"])
     if existing is not None:
         assert path.read_bytes() == existing
@@ -294,14 +293,14 @@ def test_atomic_output_writes_through_a_symbolic_link(tmp_path):
     target.write_bytes(b"old")
     link = tmp_path / "link.json"
     link.symlink_to(target)
-    emit_report(bundle_of(1), link)
+    emit_report(report_of(1), link)
     assert link.is_symlink()
-    assert_same_text(target.read_text(), canonical_json(bundle_of(1).to_dict()))
+    assert_same_text(target.read_text(), canonical_json(report_of(1)))
 
 
 @pytest.mark.parametrize("write, expected", [
-    (lambda path: emit_report(bundle_of({"pairs": pair_rows([0.5, 0.25])}), path),
-     canonical_json(bundle_of({"pairs": pair_rows([0.5, 0.25])}).to_dict()).encode()),
+    (lambda path: emit_report(report_of({"pairs": pair_rows([0.5, 0.25])}), path),
+     canonical_json(report_of({"pairs": pair_rows([0.5, 0.25])})).encode()),
     (lambda path: write_heatmap_csv(path, ["a"], ["a"], [[1.0]]), b",a\na,1\n"),
 ], ids=["report", "csv"])
 def test_outputs_write_into_a_path_that_is_not_a_regular_file(tmp_path, write, expected):
