@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -169,20 +169,14 @@ def build_lifecycle(
     transitions: list[RiskTransition] = [RiskTransition.GENERATE]
     if states[0] is RiskState.HAP:
         transitions.append(RiskTransition.OCCUR)
-    closed = False
     for before, after in zip(states, states[1:]):
-        if closed:
-            break
         if after is RiskState.CLO:
-            if before is not RiskState.CLO:
-                transitions.append(RiskTransition.CLOSE)
-                closed = True
-        elif before is RiskState.REG and after is RiskState.HAP:
+            break
+        if before is RiskState.REG and after is RiskState.HAP:
             transitions.append(RiskTransition.OCCUR)
         else:
             transitions.append(RiskTransition.CONTINUE)
-    if not closed:
-        transitions.append(RiskTransition.CLOSE)
+    transitions.append(RiskTransition.CLOSE)
 
     word = tuple(transitions)
     if not accepts(word):
@@ -249,21 +243,9 @@ class RatioSet:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "counts": {
-                "initial_identified": self.initial_identified,
-                "initial_realized": self.initial_realized,
-                "construction_identified": self.construction_identified,
-                "construction_realized": self.construction_realized,
-            },
-            "total_realization": self.total_realization,
-            "total_dismissed": self.total_dismissed,
-            "initial_realization": self.initial_realization,
-            "initial_dismissed": self.initial_dismissed,
-            "initial_efficiency": self.initial_efficiency,
-            "new_item": self.new_item,
-            "further_realized": self.further_realized,
-        }
+        ratios = asdict(self)
+        counts = {name: ratios.pop(name) for name in list(ratios)[:4]}  # the four counts
+        return {"counts": counts, **ratios}
 
 
 def compute_ratios(lifecycles: Sequence[RiskLifecycle]) -> RatioSet:
@@ -296,19 +278,19 @@ def aggregate_ratios(per_project: Mapping[str, RatioSet]) -> RatioSet:
     )
 
 
+# The explicit states a status note may name, in any case and surrounding space.
+_STATE_ALIASES = {
+    "reg": RiskState.REG,
+    "registered": RiskState.REG,
+    "hap": RiskState.HAP,
+    "happening": RiskState.HAP,
+    "clo": RiskState.CLO,
+    "closed": RiskState.CLO,
+}
+
+
 def _parse_explicit_state(note: str | None) -> RiskState | None:
-    if note is None:
-        return None
-    key = note.strip().lower()
-    aliases = {
-        "reg": RiskState.REG,
-        "registered": RiskState.REG,
-        "hap": RiskState.HAP,
-        "happening": RiskState.HAP,
-        "clo": RiskState.CLO,
-        "closed": RiskState.CLO,
-    }
-    return aliases.get(key)
+    return None if note is None else _STATE_ALIASES.get(note.strip().lower())
 
 
 def observations_from_project(project: ProjectRecord) -> dict[str, list[RiskObservation]]:

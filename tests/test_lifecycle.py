@@ -228,6 +228,43 @@ def test_build_lifecycle_validation_errors():
         build_lifecycle("r", [obs(5, REG)], 3)
 
 
+def _word_oracle(states):
+    """The transition word as an earlier build_lifecycle built it: a loop with
+    a flag that stops after the first Closed state."""
+    transitions = [GEN]
+    if states[0] is HAP:
+        transitions.append(OCC)
+    closed = False
+    for before, after in zip(states, states[1:]):
+        if closed:
+            break
+        if after is CLO:
+            if before is not CLO:
+                transitions.append(CLS)
+                closed = True
+        elif before is REG and after is HAP:
+            transitions.append(OCC)
+        else:
+            transitions.append(CON)
+    if not closed:
+        transitions.append(CLS)
+    return tuple(transitions)
+
+
+def test_build_lifecycle_word_matches_the_flag_loop_on_every_state_sequence():
+    built = 0
+    for length in range(1, 9):
+        for states in itertools.product(RiskState, repeat=length):
+            observations = [obs(ordinal, state) for ordinal, state in enumerate(states)]
+            try:
+                lifecycle = build_lifecycle("r", observations, length)
+            except LifecycleError:
+                continue
+            assert lifecycle.transitions == _word_oracle(states), states
+            built += 1
+    assert built == 156  # Reg* Hap* Clo* with a live first state, lengths 1-8
+
+
 # ----------------------------------------------------------------- ratios
 
 
