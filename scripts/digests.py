@@ -75,6 +75,13 @@ MATRIX = [
      "--out", "{out}/template_0.99.json"],
     ["template", "build", *MANIFEST, *SENTENCES, "--use-description", "--sort", "cost",
      "--top", "5", "--filter", "type=Highway", "--out", "{out}/template_sentences.json"],
+    ["template", "build", *MANIFEST, *WORDS, "--sort", "schedule", "--top", "3",
+     "--out", "{out}/template_schedule.json"],
+    # 1 is the highest threshold --match-threshold accepts
+    ["template", "build", *MANIFEST, *WORDS, "--match-threshold", "1", "--top", "5",
+     "--out", "{out}/template_1.json"],
+    ["template", "build", *MANIFEST, *SENTENCES, "--match-threshold", "-1",
+     "--out", "{out}/template_-1.json"],
     ["template", "eval", *WORDS, "--template", "{out}/template.json",
      "--register", "{data}/fixtures/expost/registers/p01_s4.csv", "--out", "{out}/eval.json"],
     ["lifecycle", "ratios", *MANIFEST, "--out", "{out}/ratios.json"],
