@@ -54,6 +54,7 @@ from .similarity import (
 from .template import (
     DEFAULT_LABEL_THRESHOLD,
     DEFAULT_MATCH_THRESHOLD,
+    SORT_KEYS,
     build_template,
     classify_risk,
     evaluate_template,
@@ -195,10 +196,11 @@ def _cmd_template_build(args, digests):
     categories = load_categories(categories_path)
     digests["categories"] = file_digest(categories_path)
     groups = group_risks(selected, backend, args.match_threshold, args.use_description)
-    labels = classify_risk([group.representative_text for group in groups], categories, backend)
-    groups = [replace(group, category=label.label) for group, label in zip(groups, labels)]
     template = build_template(groups, args.sort, args.top, criteria, len(selected))
     result = template.to_dict()
+    labels = classify_risk([entry.text for entry in template.entries], categories, backend)
+    for entry, label in zip(result["entries"], labels):
+        entry["category"] = label.label
     result["group_count"] = len(groups)
     config = {
         "filter": criteria.describe(),
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = template_modes.add_parser("build", help="generate a ranked risk template")
     _add_common(build, backend=True)
     build.add_argument("--filter", default="", help="e.g. type=Highway,size=over_1B")
-    build.add_argument("--sort", default="prevalence", choices=("prevalence", "cost", "schedule"))
+    build.add_argument("--sort", default="prevalence", choices=SORT_KEYS)
     build.add_argument("--top", type=_positive_int, default=30)
     build.add_argument("--categories", help="category set JSON (default: bundled)")
     build.add_argument("--match-threshold", type=_COSINE, default=DEFAULT_MATCH_THRESHOLD)

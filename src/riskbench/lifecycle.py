@@ -471,6 +471,8 @@ def hotelling_t2(
     from scipy.special import fdtri
 
     critical = float(p * nu / (nu - p + 1) * fdtri(p, nu - p + 1, 1.0 - alpha))
+    if not np.isfinite(critical):  # below about 5.6e-17, 1 - alpha rounds to 1
+        raise StatTestError(f"alpha {alpha} is too small for a finite critical value")
     return HotellingResult(
         t_squared=t_squared,
         group_sizes=(na, nb),

@@ -36,9 +36,12 @@ def input_text(data: bytes, source: str, what: str = "") -> str:
     spreadsheets and some editors write first; every input is decoded here.
     When it is not valid UTF-8, ParseError names `source`, then `what` the
     file holds if given, and the position counted in the file's bytes."""
+    # decoding a view past the mark (EF BB BF) makes the text the only copy
+    skip = 3 if data.startswith(b"\xef\xbb\xbf") else 0
     try:
-        return data.decode("utf-8").removeprefix("\ufeff")
+        return str(memoryview(data)[skip:], "utf-8")
     except UnicodeDecodeError as exc:
+        exc.object, exc.start, exc.end = data, exc.start + skip, exc.end + skip
         subject = f"{what} is " if what else ""
         raise ParseError(f"{source}: {subject}not valid UTF-8 ({exc})") from exc
 

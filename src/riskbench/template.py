@@ -23,7 +23,8 @@ DEFAULT_MATCH_THRESHOLD = 0.7
 DEFAULT_LABEL_THRESHOLD = 0.6
 SMALL_SUBSET_WARNING = 5
 
-SORT_KEYS = ("prevalence", "cost", "schedule")
+# each sort key and the RiskGroup field it ranks by
+SORT_KEYS = {"prevalence": "prevalence", "cost": "avg_cost_band", "schedule": "avg_schedule_band"}
 
 
 @dataclass(frozen=True)
@@ -44,25 +45,20 @@ class FilterCriteria:
         return {name: "all" if value is None else value for name, value in vars(self).items()}
 
 
+# each filter key: a FilterCriteria field's name or its short alias
+_FILTER_KEYS = {**{f.name: f.name for f in fields(FilterCriteria)}, "type": "project_type",
+                "size": "size_band", "delivery": "delivery_method", "location": "jurisdiction"}
+
+
 def parse_filter(expression: str) -> FilterCriteria:
     """Parse "type=highway,size=over_1B" style filter strings."""
-    aliases = {
-        "type": "project_type",
-        "project_type": "project_type",
-        "size": "size_band",
-        "size_band": "size_band",
-        "delivery": "delivery_method",
-        "delivery_method": "delivery_method",
-        "location": "jurisdiction",
-        "jurisdiction": "jurisdiction",
-    }
     values: dict[str, str] = {}
     if expression.strip():
         for chunk in expression.split(","):
             if "=" not in chunk:
                 raise TemplateError(f"bad filter clause {chunk!r}, expected key=value")
             key, _, value = chunk.partition("=")
-            name = aliases.get(key.strip().lower())
+            name = _FILTER_KEYS.get(key.strip().lower())
             if name is None:
                 raise TemplateError(f"unknown filter key {key.strip()!r}")
             if value.strip().lower() != "all":
@@ -91,23 +87,18 @@ class GroupMember:
 
 @dataclass(frozen=True)
 class RiskGroup:
-    seed_risk_id: str
     member_refs: tuple[tuple[str, str], ...]
     representative_text: str
+    source_projects: int
     prevalence: float
     avg_probability_band: float | None
     avg_cost_band: float | None
     avg_schedule_band: float | None
-    category: str | None = None
-    size: int = 0
 
 
 def _band_average(members: Sequence[GroupMember], attr: str) -> float | None:
-    values = [getattr(m.assessment, attr) for m in members]
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return sum(present) / len(present)
+    present = [v for m in members if (v := getattr(m.assessment, attr)) is not None]
+    return sum(present) / len(present) if present else None
 
 
 def summarize_group(
@@ -123,14 +114,13 @@ def summarize_group(
     representative = min(frequency, key=lambda text: (-frequency[text], text))
     contributing = len({m.project_id for m in members})
     return RiskGroup(
-        seed_risk_id=members[0].risk_id,
         member_refs=tuple((m.project_id, m.risk_id) for m in members),
         representative_text=representative,
+        source_projects=contributing,
         prevalence=contributing / selected_project_count,
         avg_probability_band=_band_average(members, "probability_band"),
         avg_cost_band=_band_average(members, "cost_band"),
         avg_schedule_band=_band_average(members, "schedule_band"),
-        size=len(members),
     )
 
 
@@ -143,20 +133,10 @@ def group_risks(
     """Greedy seed clustering of every register risk in corpus order."""
     if not projects:
         raise TemplateError("grouping needs at least one project")
-    members: list[GroupMember] = []
-    texts: list[str] = []
-    for project in projects:
-        for item in project.register.items:
-            text = item.matching_text(use_description)
-            members.append(
-                GroupMember(
-                    project_id=project.project_id,
-                    risk_id=item.risk_id,
-                    text=normalize_sentence(text),
-                    assessment=item.assessment,
-                )
-            )
-            texts.append(text)
+    items = [(project.project_id, item) for project in projects for item in project.register.items]
+    texts = [item.matching_text(use_description) for _, item in items]
+    members = [GroupMember(project_id, item.risk_id, normalize_sentence(text), item.assessment)
+               for (project_id, item), text in zip(items, texts)]
     keyed = unit_rows(backend, texts)
 
     assigned = [False] * len(members)
@@ -310,9 +290,7 @@ def load_template(path: str | Path) -> RiskTemplate:
 
 
 def _sort_value(group: RiskGroup, sort_key: str) -> float:
-    if sort_key == "prevalence":
-        return group.prevalence
-    value = group.avg_cost_band if sort_key == "cost" else group.avg_schedule_band
+    value = getattr(group, SORT_KEYS[sort_key])
     return value if value is not None else -math.inf
 
 
@@ -323,13 +301,14 @@ def build_template(
     source_filter: FilterCriteria | None = None,
     source_project_count: int = 0,
 ) -> RiskTemplate:
-    """Rank groups by the sort key and keep the top N."""
+    """Rank groups by the sort key and keep the top N; each entry's category
+    is unset, for the caller to label (`template build` uses `classify_risk`)."""
     if not groups:
         raise TemplateError("cannot build a template from zero groups")
     if top_n <= 0:
         raise TemplateError(f"top_n must be positive, got {top_n}")
     if sort_key not in SORT_KEYS:
-        raise TemplateError(f"sort_key must be one of {SORT_KEYS}, got {sort_key!r}")
+        raise TemplateError(f"sort_key must be one of {tuple(SORT_KEYS)}, got {sort_key!r}")
     ranked = sorted(
         groups,
         key=lambda g: (-_sort_value(g, sort_key), -g.prevalence, g.representative_text),
@@ -338,13 +317,13 @@ def build_template(
         TemplateEntry(
             rank=rank,
             text=group.representative_text,
-            category=group.category,
+            category=None,
             prevalence=group.prevalence,
             avg_probability=group.avg_probability_band,
             avg_cost=group.avg_cost_band,
             avg_schedule=group.avg_schedule_band,
-            group_size=group.size,
-            source_projects=len({pid for pid, _ in group.member_refs}),
+            group_size=len(group.member_refs),
+            source_projects=group.source_projects,
         )
         for rank, group in enumerate(ranked, start=1)
     )
@@ -402,13 +381,7 @@ def evaluate_template(
                                 *(item.matching_text() for item in test_register.items)])
     indices, scores = (column[:, 0]
                        for column in keyed.best(keyed.ids[entries:], [keyed.ids[:entries]]))
-    chosen_by_tp: set[int] = set()
-    tp = fn = 0
-    for index, score in zip(indices.tolist(), scores.tolist()):
-        if score >= label_threshold:
-            tp += 1
-            chosen_by_tp.add(index)
-        else:
-            fn += 1
-    fp = entries - len(chosen_by_tp)
-    return EvalCounts.from_counts(tp, fn, fp)
+    hit = scores >= label_threshold
+    tp = int(hit.sum())
+    # an entry that no true positive chose is a false positive
+    return EvalCounts.from_counts(tp, len(hit) - tp, entries - len(set(indices[hit].tolist())))

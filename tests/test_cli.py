@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import reprlib
 import shutil
 import subprocess
@@ -22,11 +23,12 @@ from riskbench import template as template_module
 from riskbench import vectorize
 from riskbench.cli import build_parser, main
 from riskbench.corpus import default_scale_config, load_corpus, load_register
+from riskbench.errors import ParseError
 from riskbench.lifecycle import read_lifecycle_csv
 from riskbench.rbs import load_rbs
 from riskbench.template import load_categories
 from riskbench.vectorize import load_sentence_vectors, load_stopwords, load_word_vectors
-from riskbench.resources import data_path
+from riskbench.resources import data_path, input_text
 
 from .conftest import assert_same_text
 from .test_corpus import LONG_INT, MANIFEST_FAULTS, _project, write_manifest_fault
@@ -362,6 +364,48 @@ def test_template_build_empty_filter_exits_1(manifest, tmp_path, capsys):
     assert "zero projects" in capsys.readouterr().err
 
 
+TEMPLATE_BACKENDS = {
+    "words": ["--embeddings", WORD_VECTORS],
+    "sentences": ["--sentence-embeddings", SENTENCE_VECTORS, "--embeddings", WORD_VECTORS],
+}
+
+
+@pytest.mark.parametrize("threshold", [0.7, 0.99, 1.01, -1.0])
+@pytest.mark.parametrize("backend", sorted(TEMPLATE_BACKENDS))
+def test_template_build_labels_kept_entries_as_labelling_every_group_did(
+    manifest, monkeypatch, backend, threshold
+):
+    """The old order, which classified every group and then ranked, is the
+    oracle for each entry's category; classify_risk sees only the kept texts."""
+    from riskbench import cli
+
+    args = build_parser().parse_args(["template", "build", "--manifest", manifest,
+                                      *TEMPLATE_BACKENDS[backend], "--out", "unused"])
+    # past the flag's range, so set here: at 1.01 every risk is its own group
+    args.match_threshold = threshold
+    embedder = cli._backend(args, {})
+    groups = template_module.group_risks(list(load_corpus(manifest).projects), embedder, threshold)
+    labels = template_module.classify_risk([g.representative_text for g in groups],
+                                           template_module.default_categories(), embedder)
+    classified = []
+    monkeypatch.setattr(cli, "classify_risk", lambda texts, *rest: classified.append(len(texts))
+                        or template_module.classify_risk(texts, *rest))
+    for sort, field in template_module.SORT_KEYS.items():
+        def old_rank(index):
+            value = getattr(groups[index], field)  # an unset band ranks last
+            return (math.inf if value is None else -value, -groups[index].prevalence,
+                    groups[index].representative_text)
+
+        for top in (1, 5, 30):
+            args.sort, args.top = sort, top
+            entries = args.func(args, {})[1]["entries"]
+            kept = sorted(range(len(groups)), key=old_rank)[:top]
+            assert [(e["text"], e["category"]) for e in entries] == [
+                (groups[i].representative_text, labels[i].label) for i in kept]
+            assert classified == [len(entries)] and len(entries) <= top
+            classified.clear()
+
+
 def test_lifecycle_ratios_from_manifest(manifest, tmp_path):
     out = tmp_path / "ratios.json"
     assert run(["lifecycle", "ratios", "--manifest", manifest, "--out", str(out)]) == 0
@@ -498,6 +542,18 @@ def test_lifecycle_compare(tmp_path):
     assert payload["groups"] == ["doer", "planner"]
     assert payload["t_squared"] > payload["critical_value"]
     assert payload["significant"] is True
+
+
+def test_lifecycle_compare_alpha_too_small_exits_1_without_traceback(tmp_path):
+    groups_path = tmp_path / "groups.json"
+    groups_path.write_text(json.dumps(STYLE_GROUPS))
+    out = tmp_path / "compare.json"
+    result = fresh_python("-m", "riskbench.cli", "lifecycle", "compare", "--groups",
+                          str(groups_path), "--alpha", "1e-20", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "error: alpha 1e-20 is too small for a finite critical value"]
+    assert not out.exists()
 
 
 def test_rbs_coverage_and_cooccur(manifest, tmp_path):
@@ -934,6 +990,28 @@ def test_every_reader_skips_a_byte_order_mark(tmp_path, reader):
     plain = load(path)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert load(path) == plain
+
+
+def test_input_text_counts_an_invalid_byte_from_the_byte_order_mark():
+    for data, position in ((b"ab\xffcd", 2), (b"\xef\xbb\xbfab\xffcd", 5)):
+        with pytest.raises(ParseError, match=re.escape(
+                f"f.txt: word file is not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+                f"in position {position}: invalid start byte)")):
+            input_text(data, "f.txt", "word file")
+
+
+def test_input_text_holds_one_copy_of_a_marked_text():
+    import tracemalloc
+
+    data = b"\xef\xbb\xbf" + b"risk 0.5 0.25\n" * 400_000
+    tracemalloc.start()
+    try:
+        text = input_text(data, "f.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == data[3:].decode()
+    assert peak < 1.2 * len(data)
 
 
 def scales_payload(**overrides) -> dict:

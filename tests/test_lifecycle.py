@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -513,6 +514,15 @@ def test_hotelling_critical_value_from_f():
                 expected = float(
                     p * nu / (nu - p + 1) * stats.f.ppf(1.0 - alpha, p, nu - p + 1))
                 assert result.critical_value == expected
+
+
+def test_hotelling_alpha_too_small_for_a_finite_critical_value():
+    group_a = [[-0.10, 0.17], [-0.05, 0.02], [0.02, 0.30], [-0.20, 0.12]]
+    group_b = [[0.22, -0.04], [0.15, 0.03], [0.30, -0.12]]
+    assert math.isfinite(hotelling_t2(group_a, group_b, alpha=1e-16).critical_value)
+    for alpha in (5e-17, 1e-20, 5e-324):  # 1 - alpha rounds to 1
+        with pytest.raises(StatTestError, match=f"alpha {alpha} is too small"):
+            hotelling_t2(group_a, group_b, alpha=alpha)
 
 
 def test_hotelling_singular_covariance():

@@ -78,7 +78,7 @@ def test_group_risks_orthogonal_singletons():
     corpus = corpus_of(project_of(make_register("alpha", "beta", "gamma"), "p0"))
     groups = group_risks(list(corpus.projects), backend, threshold=0.7)
     assert len(groups) == 3
-    assert all(group.size == 1 for group in groups)
+    assert all(len(group.member_refs) == 1 for group in groups)
 
 
 def test_group_risks_verbatim_copies_single_group():
@@ -86,7 +86,7 @@ def test_group_risks_verbatim_copies_single_group():
     projects = [project_of(make_register("alpha"), f"p{i}") for i in range(4)]
     groups = group_risks(projects, backend, threshold=0.7)
     assert len(groups) == 1
-    assert groups[0].size == 4
+    assert len(groups[0].member_refs) == 4
     assert groups[0].prevalence == 1.0
 
 
@@ -108,7 +108,7 @@ def test_group_risks_partition_property(reference_backend, expost_manifest):
     projects = list(corpus.projects)[:4]
     total = sum(len(p.register.items) for p in projects)
     groups = group_risks(projects, reference_backend, threshold=0.7)
-    assert sum(g.size for g in groups) == total
+    assert sum(len(g.member_refs) for g in groups) == total
     seen = set()
     for group in groups:
         for ref in group.member_refs:
@@ -161,7 +161,8 @@ def test_summarize_group_most_frequent_text_wins():
     assert group.representative_text == (
         "construction impacts due to lack of right of way and timely utility relocation"
     )
-    assert group.size == 14
+    assert len(group.member_refs) == 14
+    assert group.source_projects == 3
     assert group.prevalence == pytest.approx(3 / 31)
 
 
@@ -293,16 +294,6 @@ def test_classify_batch_equals_per_pair_loop_on_fixture_groups(
 
 
 # --------------------------------------------------------------- template build
-
-
-def _group(text, prevalence, cost=None, schedule=None, size=1):
-    return summarize_group(
-        [
-            _member("p1", f"{text}-{i}", text, p=3, c=cost, s=schedule)
-            for i in range(size)
-        ],
-        selected_project_count=max(1, int(round(size / max(prevalence, 1e-9))) if prevalence else 1),
-    )
 
 
 def test_build_template_sorts_by_prevalence():
