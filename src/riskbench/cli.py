@@ -42,7 +42,7 @@ from .rbs import (
     summarize_coverage,
 )
 from .report import emit_report, file_digest, write_csv, write_heatmap_csv
-from .resources import check_shape, data_path, read_json_checked
+from .resources import data_path, read_json_checked
 from .similarity import (
     EVALUATION_THRESHOLDS,
     document_similarity,
@@ -71,12 +71,12 @@ from .vectorize import EmbeddingBackend, load_sentence_vectors, load_stopwords, 
 # becomes the report's "inputs" map.
 
 
-def _corpus(args, digests: dict) -> Corpus:
-    scales = load_scale_config(args.scales) if args.scales else default_scale_config()
-    corpus = load_corpus(args.manifest, scales)
+def _corpus(args, digests: dict, scales: str | None = None) -> Corpus:
+    config = load_scale_config(scales) if scales else default_scale_config()
+    corpus = load_corpus(args.manifest, config)
     digests.update(corpus.digests)
-    if args.scales:
-        digests["scales"] = file_digest(args.scales)
+    if scales:
+        digests["scales"] = file_digest(scales)
     return corpus
 
 
@@ -94,7 +94,7 @@ def _backend(args, digests: dict) -> EmbeddingBackend:
     if word is not None:
         digests["embeddings"] = word.digest
     if args.sentence_embeddings:
-        sentence = load_sentence_vectors(args.sentence_embeddings, stop_words)
+        sentence = load_sentence_vectors(args.sentence_embeddings)
         digests["sentence_embeddings"] = sentence.digest
         return replace(sentence, fallback=word)
     if word is None:
@@ -108,7 +108,7 @@ def _backend(args, digests: dict) -> EmbeddingBackend:
 
 
 def _cmd_ingest(args, digests):
-    corpus = _corpus(args, digests)
+    corpus = _corpus(args, digests, args.scales)
     projects = []
     total = 0
     for project in corpus.projects:
@@ -172,7 +172,7 @@ def _cmd_similarity_pooling(args, digests):
 
 
 def _cmd_similarity_evaluation(args, digests):
-    corpus = _corpus(args, digests)
+    corpus = _corpus(args, digests, args.scales)
     backend = _backend(args, digests)
     base = args.threshold
     thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
@@ -186,7 +186,7 @@ def _cmd_similarity_evaluation(args, digests):
 
 
 def _cmd_template_build(args, digests):
-    corpus = _corpus(args, digests)
+    corpus = _corpus(args, digests, args.scales)
     backend = _backend(args, digests)
     criteria = parse_filter(args.filter)
     selected = filter_projects(corpus, criteria)
@@ -258,9 +258,9 @@ def _cmd_lifecycle_styles(args, digests):
     per_project, pooled, config = _lifecycle_tables(args, digests)
     thresholds = StyleThresholds()
     if args.thresholds:
-        raw = read_json_checked(args.thresholds, "thresholds file")
         names = [f.name for f in fields(StyleThresholds)]
-        check_shape(raw, {f"{name}?": float for name in names}, str(args.thresholds))
+        raw = read_json_checked(args.thresholds, "thresholds file",
+                                {f"{name}?": float for name in names})
         for key in raw:
             if key not in names:
                 raise ParseError(f"{args.thresholds}: unknown key {key!r} "
@@ -284,9 +284,9 @@ def _cmd_lifecycle_styles(args, digests):
 
 def _cmd_lifecycle_compare(args, digests):
     path = args.groups
-    raw = read_json_checked(path, "groups file")
+    raw = read_json_checked(path, "groups file",
+                            {"groups": {str: [str]}, "metrics": {str: {str: float}}})
     digests["groups"] = file_digest(path)
-    check_shape(raw, {"groups": {str: [str]}, "metrics": {str: {str: float}}}, str(path))
     groups, metrics = raw["groups"], raw["metrics"]
     if len(groups) != 2:
         raise ParseError(f"{path}: groups file must hold exactly two 'groups' lists of project "
@@ -317,7 +317,7 @@ def _cmd_lifecycle_compare(args, digests):
 
 
 def _cmd_rbs_coverage(args, digests):
-    corpus = _corpus(args, digests)
+    corpus = _corpus(args, digests, args.scales)
     backend = _backend(args, digests)
     rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
     digests["rbs"] = file_digest(args.rbs or data_path("rbs_table21.json"))
@@ -378,9 +378,11 @@ _COSINE = _bounded(-1.0, 1.0, closed=True)
 _ALPHA = _bounded(0.0, 1.0, closed=False)
 
 
-def _add_common(parser, manifest=True, lifecycle_csv=False, stopwords=False, backend=False):
+def _add_common(parser, manifest=True, scales=False, lifecycle_csv=False, stopwords=False,
+                backend=False):
     if manifest:
         parser.add_argument("--manifest", required=not lifecycle_csv, help="corpus manifest JSON")
+    if scales:  # only where a report reads a band or a qualitative level
         parser.add_argument("--scales", help="scale config JSON (band edges, risk matrix)")
     if lifecycle_csv:
         parser.add_argument("--lifecycle-csv", help="pre-tabulated risk state CSV")
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     ingest = commands.add_parser("ingest", help="load and validate a corpus")
-    _add_common(ingest)
+    _add_common(ingest, scales=True)
     ingest.set_defaults(func=_cmd_ingest)
 
     similarity = commands.add_parser("similarity", help="three-level similarity analysis")
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     pooling.set_defaults(func=_cmd_similarity_pooling)
 
     evaluation = modes.add_parser("evaluation", help="assessment similarity of matches")
-    _add_common(evaluation, backend=True)
+    _add_common(evaluation, scales=True, backend=True)
     evaluation.add_argument("--group-by", **_GROUP_BY)
     evaluation.add_argument(
         "--threshold", type=_COSINE, default=0.5, help="minimum cosine for a match to count"
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     template_modes = template.add_subparsers(dest="mode", required=True)
 
     build = template_modes.add_parser("build", help="generate a ranked risk template")
-    _add_common(build, backend=True)
+    _add_common(build, scales=True, backend=True)
     build.add_argument("--filter", default="", help="e.g. type=Highway,size=over_1B")
     build.add_argument("--sort", default="prevalence", choices=SORT_KEYS)
     build.add_argument("--top", type=_positive_int, default=30)
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     rbs_modes = rbs.add_subparsers(dest="mode", required=True)
 
     cover = rbs_modes.add_parser("coverage", help="semantic coverage of registers")
-    _add_common(cover, backend=True)
+    _add_common(cover, scales=True, backend=True)
     cover.add_argument("--jobs", type=_positive_int, default=1, help="worker parallelism bound")
     cover.add_argument("--rbs", help="RBS JSON (default: bundled)")
     cover.add_argument("--threshold", type=_COSINE, default=DEFAULT_COVERAGE_THRESHOLD)

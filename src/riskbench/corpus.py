@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CorpusError, NormalizeError, ParseError
 from .resources import (check_shape, input_text, is_finite, is_int, is_number, json_value,
@@ -71,9 +71,11 @@ def _check_ordinal(ordinal: int) -> None:
         raise CorpusError(f"snapshot ordinal must be >= 0, got {ordinal}")
 
 
+# the Likert bands a probability or an impact takes
+BANDS = (1, 2, 3, 4, 5)
 _BAND_FIELDS = ("probability_band", "cost_band", "schedule_band")
 # every valid (probability, cost, schedule) band triple, unset bands included
-_BAND_TRIPLES = frozenset(product((None, 1, 2, 3, 4, 5), repeat=3))
+_BAND_TRIPLES = frozenset(product((None, *BANDS), repeat=3))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,9 +99,16 @@ class Assessment:
             valid = False
         if not valid:  # name the first band that is not unset or 1..5
             for label, band in zip(_BAND_FIELDS, bands):
-                if band is not None and band not in (1, 2, 3, 4, 5):
+                if band is not None and band not in BANDS:
                     raise CorpusError(f"{label} must be in 1..5, got {band!r}")
         _check_raw_values(self.raw_probability, self.raw_cost, self.raw_schedule)
+
+
+def band_mean(assessments: Iterable[Assessment], name: str) -> float | None:
+    """The mean of the assessments' set `name` bands, summed in their
+    order; None when none is set."""
+    bands = [band for a in assessments if (band := getattr(a, name)) is not None]
+    return sum(bands) / len(bands) if bands else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,25 +220,21 @@ class ScaleConfig:
             if (len(edges) != 4 or not all(map(is_finite, edges))
                     or any(b <= a for a, b in zip(edges, edges[1:]))):
                 raise CorpusError(f"{label} must be 4 strictly ascending finite numbers: {edges}")
-        for p in range(1, 6):
-            for i in range(1, 6):
-                if self.risk_matrix.get((p, i)) not in _LEVELS:
-                    raise CorpusError(
-                        f"risk_matrix has no High, Medium or Low for bands ({p}, {i})")
+        for p, i in product(BANDS, repeat=2):
+            if self.risk_matrix.get((p, i)) not in _LEVELS:
+                raise CorpusError(f"risk_matrix has no High, Medium or Low for bands ({p}, {i})")
 
 
 def default_scale_config() -> ScaleConfig:
     matrix = {}
-    for p in range(1, 6):
-        for i in range(1, 6):
-            product = p * i
-            if product >= 15:
-                level = Qualitative.HIGH
-            elif product >= 6:
-                level = Qualitative.MEDIUM
-            else:
-                level = Qualitative.LOW
-            matrix[(p, i)] = level
+    for p, i in product(BANDS, repeat=2):
+        if p * i >= 15:
+            level = Qualitative.HIGH
+        elif p * i >= 6:
+            level = Qualitative.MEDIUM
+        else:
+            level = Qualitative.LOW
+        matrix[(p, i)] = level
     return ScaleConfig(
         probability_band_edges=(0.10, 0.30, 0.50, 0.70),
         cost_band_edges=(0.001, 0.005, 0.01, 0.05),
@@ -239,13 +244,12 @@ def default_scale_config() -> ScaleConfig:
 
 
 # every "p,i" key of a scales file's risk_matrix, with its band pair
-_MATRIX_KEYS = {f"{p},{i}": (p, i) for p in range(1, 6) for i in range(1, 6)}
+_MATRIX_KEYS = {f"{p},{i}": (p, i) for p, i in product(BANDS, repeat=2)}
 _SCALES = {**{label: [float] for label in _BAND_EDGES}, "risk_matrix": {str: str}}
 
 
 def load_scale_config(path: str | Path) -> ScaleConfig:
-    raw = read_json_checked(path, "scale config")
-    check_shape(raw, _SCALES, str(path))
+    raw = read_json_checked(path, "scale config", _SCALES)
     matrix = {}
     for key, value in raw["risk_matrix"].items():
         if key not in _MATRIX_KEYS:
@@ -326,6 +330,13 @@ def _value_or_none(text: str | None) -> str | None:
     return None if text is None else (text.strip() or None)
 
 
+def _band(value: int, column: str, where: str) -> int:
+    """An integer measure cell's Likert band."""
+    if value not in BANDS:
+        raise ParseError(f"{where}: {column} band {value} outside 1..5")
+    return value
+
+
 def _parse_measure(raw: str | None, column: str, where: str) -> tuple[int | None, float | None]:
     """Split a CSV measure cell into (band, raw_value).
 
@@ -341,9 +352,7 @@ def _parse_measure(raw: str | None, column: str, where: str) -> tuple[int | None
         except ValueError:
             pass
         else:
-            if band not in (1, 2, 3, 4, 5):
-                raise ParseError(f"{where}: {column} band {band} outside 1..5")
-            return band, None
+            return _band(band, column, where), None
     try:
         return None, float(text)
     except ValueError as exc:
@@ -441,9 +450,7 @@ def _json_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
         if value is None:
             return None, None
         if is_int(value):
-            if value not in (1, 2, 3, 4, 5):
-                raise ParseError(f"{where}: {key} band {value} outside 1..5")
-            return value, None
+            return _band(value, key, where), None
         if is_number(value):
             return None, value
         raise ParseError(f"{where}: {key} must be numeric, got {value!r}")

@@ -14,9 +14,9 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import RegisterSnapshot
+from .corpus import RegisterSnapshot, band_mean
 from .errors import EmptyReportError, RbsError
-from .resources import check_shape, data_path, read_json_checked
+from .resources import data_path, read_json_checked, read_result
 from .similarity import score_histogram
 from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
 
@@ -68,8 +68,7 @@ _RBS = {"categories": [{"name": str, "items": [{"text": str, "frequency": int}]}
 
 def load_rbs(path: str | Path) -> Rbs:
     """An RBS file: {"categories": [{"name", "items": [{"text", "frequency"}]}]}."""
-    raw = read_json_checked(path, "RBS file")
-    check_shape(raw, _RBS, str(path))
+    raw = read_json_checked(path, "RBS file", _RBS)
     if not raw["categories"]:
         raise RbsError(f"{path}: expected an object with a non-empty 'categories' array")
     try:
@@ -154,10 +153,7 @@ def coverage(
 
     def impact_means(covered: bool) -> dict:
         selected = [risk.assessment for risk, row in paired if row.covered == covered]
-        cost = [a.cost_band for a in selected if a.cost_band is not None]
-        schedule = [a.schedule_band for a in selected if a.schedule_band is not None]
-        return {"cost_band": sum(cost) / len(cost) if cost else None,
-                "schedule_band": sum(schedule) / len(schedule) if schedule else None}
+        return {name: band_mean(selected, name) for name in ("cost_band", "schedule_band")}
 
     return CoverageReport(
         project_id=project_id,
@@ -204,10 +200,7 @@ _COVERAGE = {"projects": [{"rows?": [{"covered": bool, "best_item": str}]}]}
 def load_covered_texts(path: str | Path) -> list[list[str]]:
     """Each project's covered item texts, in row order, from a coverage
     report file as `rbs coverage` writes it (or its bare result)."""
-    raw = read_json_checked(path, "coverage report")
-    wrapped = isinstance(raw, dict) and "result" in raw
-    check_shape(raw, {"result": _COVERAGE} if wrapped else _COVERAGE, str(path))
-    projects = (raw["result"] if wrapped else raw)["projects"]
+    projects = read_result(path, "coverage report", _COVERAGE)["projects"]
     return [[row["best_item"] for row in project.get("rows", []) if row["covered"]]
             for project in projects]
 

@@ -60,9 +60,21 @@ def json_value(data: bytes | str, source: str, what: str = ""):
         raise ParseError(f"{source}: {subject}not valid JSON ({exc})") from exc
 
 
-def read_json_checked(path: str | Path, what: str):
-    """The JSON value of a UTF-8 input file, as `json_value` reads it."""
-    return json_value(Path(path).read_bytes(), str(path), what)
+def read_json_checked(path: str | Path, what: str, shape):
+    """The JSON value of a UTF-8 input file, as `json_value` reads it,
+    checked against `shape` by `check_shape`."""
+    value = json_value(Path(path).read_bytes(), str(path), what)
+    check_shape(value, shape, str(path))
+    return value
+
+
+def read_result(path: str | Path, what: str, shape):
+    """The "result" of a report file, or the bare result a file holds, read
+    as `read_json_checked` reads a file of `shape`."""
+    value = json_value(Path(path).read_bytes(), str(path), what)
+    wrapped = isinstance(value, dict) and "result" in value
+    check_shape(value, {"result": shape} if wrapped else shape, str(path))
+    return value["result"] if wrapped else value
 
 
 # ------------------------------------------------------------ JSON shapes

@@ -9,12 +9,13 @@ compares the assessments of matched risks with the Likert distance index
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .corpus import Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
+from .corpus import BANDS, Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
 from .errors import CorpusError, EmptyReportError, StatTestError
 from .report import PairRows
 from .vectorize import (
@@ -54,30 +55,18 @@ def _basic_aggregates(scores: Sequence[float]) -> dict:
     }
 
 
+# each score-histogram bin and the lowest score it holds
+_HISTOGRAM = {"below_0.5": -math.inf, "0.5_to_0.6": 0.5, "0.6_to_0.7": 0.6, "0.7_to_0.8": 0.7,
+              "0.8_to_1.0": 0.8, "exact_1.0": 1.0}
+_HISTOGRAM_LOWS = tuple(_HISTOGRAM.values())
+
+
 def score_histogram(scores: Iterable[float]) -> dict[str, int]:
     """Bucket scores at the 0.5/0.6/0.7/0.8 cut points, exact 1.0 separate."""
-    bins = {
-        "below_0.5": 0,
-        "0.5_to_0.6": 0,
-        "0.6_to_0.7": 0,
-        "0.7_to_0.8": 0,
-        "0.8_to_1.0": 0,
-        "exact_1.0": 0,
-    }
+    counts = [0] * len(_HISTOGRAM)
     for score in scores:
-        if score >= 1.0:
-            bins["exact_1.0"] += 1
-        elif score >= 0.8:
-            bins["0.8_to_1.0"] += 1
-        elif score >= 0.7:
-            bins["0.7_to_0.8"] += 1
-        elif score >= 0.6:
-            bins["0.6_to_0.7"] += 1
-        elif score >= 0.5:
-            bins["0.5_to_0.6"] += 1
-        else:
-            bins["below_0.5"] += 1
-    return bins
+        counts[bisect_right(_HISTOGRAM_LOWS, score) - 1] += 1
+    return dict(zip(_HISTOGRAM, counts))
 
 
 def project_document_tokens(
@@ -250,7 +239,7 @@ def pooling_similarity(
 def evaluation_similarity(x1: int, x2: int) -> float:
     """Distance similarity index between two Likert bands, as a percentage."""
     for value in (x1, x2):
-        if value not in (1, 2, 3, 4, 5):
+        if value not in BANDS:
             raise CorpusError(f"Likert band out of range: {value!r}")
     return (1.0 - abs(x1 - x2) / 4.0) * 100.0
 
@@ -319,7 +308,7 @@ def directional_mean_matrix(
 
 # Report key, Assessment field, the field's values (unset first) and the
 # value of a match between two set ones, from the report's level-three rules.
-_BANDS = (None, 1, 2, 3, 4, 5)
+_BANDS = (None, *BANDS)
 _LEVELS = (Qualitative.UNSET, Qualitative.HIGH, Qualitative.MEDIUM, Qualitative.LOW)
 _EVALUATION_METRICS = (
     ("probability", "probability_band", _BANDS, evaluation_similarity),

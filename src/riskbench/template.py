@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Assessment, Corpus, ProjectRecord, RegisterSnapshot
+from .corpus import Assessment, Corpus, ProjectRecord, RegisterSnapshot, band_mean
 from .errors import RbsError, TemplateError
-from .resources import check_shape, data_path, read_json_checked
+from .resources import data_path, read_json_checked, read_result
 from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
 
 DEFAULT_MATCH_THRESHOLD = 0.7
@@ -96,11 +96,6 @@ class RiskGroup:
     avg_schedule_band: float | None
 
 
-def _band_average(members: Sequence[GroupMember], attr: str) -> float | None:
-    present = [v for m in members if (v := getattr(m.assessment, attr)) is not None]
-    return sum(present) / len(present) if present else None
-
-
 def summarize_group(
     members: Sequence[GroupMember],
     selected_project_count: int,
@@ -113,14 +108,15 @@ def summarize_group(
         frequency[member.text] = frequency.get(member.text, 0) + 1
     representative = min(frequency, key=lambda text: (-frequency[text], text))
     contributing = len({m.project_id for m in members})
+    assessments = [m.assessment for m in members]
     return RiskGroup(
         member_refs=tuple((m.project_id, m.risk_id) for m in members),
         representative_text=representative,
         source_projects=contributing,
         prevalence=contributing / selected_project_count,
-        avg_probability_band=_band_average(members, "probability_band"),
-        avg_cost_band=_band_average(members, "cost_band"),
-        avg_schedule_band=_band_average(members, "schedule_band"),
+        avg_probability_band=band_mean(assessments, "probability_band"),
+        avg_cost_band=band_mean(assessments, "cost_band"),
+        avg_schedule_band=band_mean(assessments, "schedule_band"),
     )
 
 
@@ -181,8 +177,7 @@ _CATEGORIES = {"categories": [{"name": str, "description?": str}]}
 
 def load_categories(path: str | Path) -> CategorySet:
     """A category file: {"categories": [{"name", "description" (optional)}]}."""
-    raw = read_json_checked(path, "category file")
-    check_shape(raw, _CATEGORIES, str(path))
+    raw = read_json_checked(path, "category file", _CATEGORIES)
     try:
         return CategorySet(tuple(Category(entry["name"], entry.get("description", ""))
                                  for entry in raw["categories"]))
@@ -283,10 +278,7 @@ _TEMPLATE = {
 
 def load_template(path: str | Path) -> RiskTemplate:
     """A template file: a `template build` report, or its bare result."""
-    raw = read_json_checked(path, "template")
-    wrapped = isinstance(raw, dict) and "result" in raw
-    check_shape(raw, {"result": _TEMPLATE} if wrapped else _TEMPLATE, str(path))
-    return RiskTemplate.from_dict(raw["result"] if wrapped else raw)
+    return RiskTemplate.from_dict(read_result(path, "template", _TEMPLATE))
 
 
 def _sort_value(group: RiskGroup, sort_key: str) -> float:

@@ -346,12 +346,11 @@ def load_word_vectors(
     return _load_vectors(Path(path), WORD_AVERAGE, stop_words)
 
 
-def load_sentence_vectors(
-    path: str | Path, stop_words: frozenset[str] | None = None
-) -> EmbeddingBackend:
+def load_sentence_vectors(path: str | Path) -> EmbeddingBackend:
     """Read JSON-Lines {"text": ..., "vector": [...]} into a lookup table; a
-    file that parses is cached by content."""
-    return _load_vectors(Path(path), PRECOMPUTED_SENTENCE, stop_words)
+    file that parses is cached by content. A sentence key is never
+    tokenized, so the backend has no stop words."""
+    return _load_vectors(Path(path), PRECOMPUTED_SENTENCE, frozenset())
 
 
 def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> EmbeddingBackend:

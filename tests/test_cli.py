@@ -1400,10 +1400,13 @@ ENVELOPES = {
         "riskbench rbs coverage", {"threshold": 0.7},
         {"corpus", "stopwords", "embeddings", "sentence_embeddings", "rbs"}),
 }
-# the subcommands that take --scales, each by its plain case
-SCALED = ["ingest", "similarity docs", "similarity risks", "similarity pooling",
-          "similarity evaluation", "template build", "lifecycle ratios", "lifecycle styles",
-          "rbs coverage"]
+# the subcommands that take --scales, each by its plain case: those whose
+# report reads a band or a qualitative level
+SCALED = ["ingest", "similarity evaluation", "template build", "rbs coverage"]
+# the corpus subcommands that read only texts, raw probabilities and whether
+# a band is set
+UNSCALED = ["similarity docs", "similarity risks", "similarity pooling", "lifecycle ratios",
+            "lifecycle styles"]
 
 
 @pytest.fixture(scope="module")
@@ -1453,6 +1456,17 @@ def test_report_envelope_records_scales(envelope_files, tmp_path, case):
     assert report["config"] == config
 
 
+@pytest.mark.parametrize("case", UNSCALED)
+def test_scales_is_a_usage_error_where_no_band_is_read(envelope_files, tmp_path, capsys, case):
+    out = tmp_path / "report.json"
+    argv = [a.format(**envelope_files) for a in ENVELOPES[case][0] + ["--scales", "{scales}"]]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --scales" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------- mutated input oracle
 
 FIXTURE = data_path("fixtures", "expost")
@@ -1485,7 +1499,8 @@ MUTATED_FILES = {
                        for mode in ("ratios", "styles")], 15),
     # over raw values, so that the edges and the risk matrix are read
     "scales": ([[*argv, "--manifest", "{raw_manifest}", "--scales", "{file}"]
-                for argv in (["ingest"], ["similarity", "docs"])], 20),
+                for argv in (["ingest"], ["similarity", "evaluation", *WORDS],
+                             ["template", "build", *WORDS], ["rbs", "coverage", *WORDS])], 20),
 }
 WRONG_JSON_VALUES = (None, True, 0, -1, 2.5, math.nan, "", "x", [], [1], {}, {"a": 1})
 WRONG_CSV_VALUES = ("", "x", "0", "6", "-1", "2.5", "1e400", "nan", "Hap", "true")

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import riskbench
 from riskbench.corpus import (
+    BANDS,
     REGISTER_CSV_COLUMNS,
     Assessment,
     Corpus,
@@ -26,6 +27,7 @@ from riskbench.corpus import (
     RegisterSnapshot,
     SizeBand,
     band_for,
+    band_mean,
     default_scale_config,
     fill_qualitative,
     load_corpus,
@@ -169,6 +171,26 @@ def test_assessment_names_the_first_bad_band(bands, message):
 def test_assessment_accepts_bands_equal_to_1_to_5(bands):
     assessment = Assessment(*bands)
     assert (assessment.probability_band, assessment.cost_band, assessment.schedule_band) == bands
+
+
+# a set band, or none; 3.0 and True are accepted as bands equal to 3 and 1
+BAND_VALUES = st.sampled_from([None, *BANDS, 3.0, True])
+
+
+@given(st.lists(st.tuples(BAND_VALUES, BAND_VALUES, BAND_VALUES), max_size=8))
+def test_band_mean_matches_each_engines_own_mean(triples):
+    assessments = [Assessment(*bands) for bands in triples]
+    # a template group's band average, one band field at a time
+    for name in ("probability_band", "cost_band", "schedule_band"):
+        present = [v for a in assessments if (v := getattr(a, name)) is not None]
+        expected = sum(present) / len(present) if present else None
+        assert repr(band_mean(assessments, name)) == repr(expected)
+    # a coverage report's impact means
+    cost = [a.cost_band for a in assessments if a.cost_band is not None]
+    schedule = [a.schedule_band for a in assessments if a.schedule_band is not None]
+    for name, bands in (("cost_band", cost), ("schedule_band", schedule)):
+        assert repr(band_mean(assessments, name)) == repr(
+            sum(bands) / len(bands) if bands else None)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -446,6 +446,37 @@ def test_score_histogram_bands():
     }
 
 
+def _histogram_oracle(scores):
+    """The histogram rule written as one comparison per cut point."""
+    bins = dict.fromkeys(("below_0.5", "0.5_to_0.6", "0.6_to_0.7", "0.7_to_0.8", "0.8_to_1.0",
+                          "exact_1.0"), 0)
+    for score in scores:
+        if score >= 1.0:
+            bins["exact_1.0"] += 1
+        elif score >= 0.8:
+            bins["0.8_to_1.0"] += 1
+        elif score >= 0.7:
+            bins["0.7_to_0.8"] += 1
+        elif score >= 0.6:
+            bins["0.6_to_0.7"] += 1
+        elif score >= 0.5:
+            bins["0.5_to_0.6"] += 1
+        else:
+            bins["below_0.5"] += 1
+    return bins
+
+
+# each cut point, the float just below it, 1.0 and the score of an empty pool
+HISTOGRAM_EDGES = [-math.inf, -1.0, 0.0,
+                   *(x for cut in (0.5, 0.6, 0.7, 0.8, 1.0) for x in (math.nextafter(cut, 0), cut))]
+
+
+def test_score_histogram_matches_the_oracle_at_each_edge():
+    for scores in ([score] for score in HISTOGRAM_EDGES):
+        assert list(score_histogram(scores).items()) == list(_histogram_oracle(scores).items())
+    assert score_histogram(HISTOGRAM_EDGES) == _histogram_oracle(HISTOGRAM_EDGES)
+
+
 # ------------------------------------------------------ evaluation level
 
 

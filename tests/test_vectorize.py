@@ -570,6 +570,16 @@ def _write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
 
 
+def test_load_sentence_vectors_reads_no_stop_words(tmp_path, monkeypatch):
+    # a sentence key is never tokenized, so a data directory without the
+    # bundled stop-word list still loads the table
+    path = data_path("embeddings", "reference_sentence_vectors.jsonl")
+    monkeypatch.setenv("RISKBENCH_DATA", str(tmp_path))
+    backend = load_sentence_vectors(path)
+    assert len(backend.sentence_table) == 74
+    assert backend.stop_words == frozenset()
+
+
 def test_load_sentence_vectors_768(tmp_path):
     path = tmp_path / "s.jsonl"
     _write_jsonl(path, [{"text": f"text {i}", "vector": [0.1] * 768} for i in range(3)])
