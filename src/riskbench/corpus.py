@@ -392,31 +392,34 @@ def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
 
 def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
     reader = csv.reader(io.StringIO(input_text(data, source)))
-    header = next(reader, [])
-    for required in ("risk_id", "name"):
-        if required not in header:
-            raise ParseError(f"{source}: header is missing required column {required!r}")
-    # As in csv.DictReader: the last column of a repeated name wins, and a
-    # column the header lacks or a short row does not reach reads as None
-    # (index `width` of the row padded below).
-    width = len(header)
-    column = {name: index for index, name in enumerate(header)}
-    positions = [column.get(name, width) for name in REGISTER_CSV_COLUMNS]
+    try:  # csv.Error: a cell past the csv module's limit of 131,072 characters
+        header = next(reader, [])
+        for required in ("risk_id", "name"):
+            if required not in header:
+                raise ParseError(f"{source}: header is missing required column {required!r}")
+        # As in csv.DictReader: the last column of a repeated name wins, and a
+        # column the header lacks or a short row does not reach reads as None
+        # (index `width` of the row padded below).
+        width = len(header)
+        column = {name: index for index, name in enumerate(header)}
+        positions = [column.get(name, width) for name in REGISTER_CSV_COLUMNS]
 
-    rows: list[tuple] = []
-    seen: set[str] = set()
-    snapshot_values: set[str] = set()
-    for cells in reader:
-        if not cells:
-            continue  # a blank line
-        if len(cells) != width:
-            cells = (cells + [None] * width)[:width]
-        cells.append(None)
-        fields = [cells[index] for index in positions]
-        rows.append(_row(fields, _parse_measure, f"{source}, row {reader.line_num}", seen))
-        marker = _value_or_none(fields[-1])
-        if marker is not None:
-            snapshot_values.add(marker)
+        rows: list[tuple] = []
+        seen: set[str] = set()
+        snapshot_values: set[str] = set()
+        for cells in reader:
+            if not cells:
+                continue  # a blank line
+            if len(cells) != width:
+                cells = (cells + [None] * width)[:width]
+            cells.append(None)
+            fields = [cells[index] for index in positions]
+            rows.append(_row(fields, _parse_measure, f"{source}, row {reader.line_num}", seen))
+            marker = _value_or_none(fields[-1])
+            if marker is not None:
+                snapshot_values.add(marker)
+    except csv.Error as exc:
+        raise ParseError(f"{source}, row {reader.line_num}: {exc}") from exc
 
     ordinal = 0
     if snapshot_values:

@@ -350,27 +350,30 @@ def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
 def read_lifecycle_csv(data: bytes, source: str = "<lifecycle>") -> dict[str, dict[str, list[RiskObservation]]]:
     """Pre-tabulated input: project_id,risk_id,snapshot,state rows."""
     reader = csv.DictReader(io.StringIO(input_text(data, source)))
-    header = reader.fieldnames or []
-    for required in ("project_id", "risk_id", "snapshot", "state"):
-        if required not in header:
-            raise ParseError(f"{source}: header is missing required column {required!r}")
-    projects: dict[str, dict[str, list[RiskObservation]]] = {}
-    for row in reader:
-        where = f"{source}, row {reader.line_num}"
-        state = _parse_explicit_state(row.get("state"))
-        if state is None:
-            raise ParseError(f"{where}: unknown state {row.get('state')!r}")
-        try:
-            ordinal = int(row["snapshot"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: snapshot must be an integer") from exc
-        for column in ("project_id", "risk_id"):
-            if not (row[column] or "").strip():  # None past the end of a short row
-                raise ParseError(f"{where}: missing {column}")
-        project = projects.setdefault(row["project_id"], {})
-        project.setdefault(row["risk_id"], []).append(
-            RiskObservation(snapshot_ordinal=ordinal, explicit_state=state)
-        )
+    try:  # csv.Error: a cell past the csv module's limit of 131,072 characters
+        header = reader.fieldnames or []
+        for required in ("project_id", "risk_id", "snapshot", "state"):
+            if required not in header:
+                raise ParseError(f"{source}: header is missing required column {required!r}")
+        projects: dict[str, dict[str, list[RiskObservation]]] = {}
+        for row in reader:
+            where = f"{source}, row {reader.line_num}"
+            state = _parse_explicit_state(row.get("state"))
+            if state is None:
+                raise ParseError(f"{where}: unknown state {row.get('state')!r}")
+            try:
+                ordinal = int(row["snapshot"])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{where}: snapshot must be an integer") from exc
+            for column in ("project_id", "risk_id"):
+                if not (row[column] or "").strip():  # None past the end of a short row
+                    raise ParseError(f"{where}: missing {column}")
+            project = projects.setdefault(row["project_id"], {})
+            project.setdefault(row["risk_id"], []).append(
+                RiskObservation(snapshot_ordinal=ordinal, explicit_state=state)
+            )
+    except csv.Error as exc:  # the DictReader's own line_num lags by the failed row
+        raise ParseError(f"{source}, row {reader.reader.line_num}: {exc}") from exc
     return projects
 
 

@@ -53,11 +53,13 @@ def json_value(data: bytes | str, source: str, what: str = ""):
     names `source`, then `what` the file holds if given, and the position."""
     if isinstance(data, bytes):
         data = input_text(data, source, what).replace("\r\n", "\n").replace("\r", "\n")
+    subject = f"{what} is " if what else ""
     try:
         return json.loads(data)
     except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
-        subject = f"{what} is " if what else ""
         raise ParseError(f"{source}: {subject}not valid JSON ({exc})") from exc
+    except RecursionError as exc:  # arrays or objects nested about 1,000 deep
+        raise ParseError(f"{source}: {subject}JSON nested too deeply to read ({exc})") from exc
 
 
 def read_json_checked(path: str | Path, what: str, shape):

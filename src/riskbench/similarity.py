@@ -392,14 +392,8 @@ def evaluation_level_report(
     return result
 
 
-def two_sample_t_test(
-    group_a: Sequence[float],
-    group_b: Sequence[float],
-    variant: str = "welch",
-) -> TTestResult:
-    """Two-sided t-test on group means, Welch by default."""
-    if variant not in ("welch", "pooled"):
-        raise StatTestError(f"unknown t-test variant {variant!r}")
+def two_sample_t_test(group_a: Sequence[float], group_b: Sequence[float]) -> TTestResult:
+    """Two-sided Welch t-test on group means."""
     na, nb = len(group_a), len(group_b)
     if na < 2 or nb < 2:
         raise StatTestError("each group needs at least 2 values")
@@ -409,15 +403,10 @@ def two_sample_t_test(
     if var_a == 0.0 and var_b == 0.0:
         raise StatTestError("both groups have zero variance")
 
-    if variant == "pooled":
-        df = float(na + nb - 2)
-        pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
-        se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    else:
-        se = math.sqrt(var_a / na + var_b / nb)
-        df = (var_a / na + var_b / nb) ** 2 / (
-            (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
-        )
+    se = math.sqrt(var_a / na + var_b / nb)
+    df = (var_a / na + var_b / nb) ** 2 / (
+        (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
+    )
     statistic = (mean_a - mean_b) / se
     # stdtr(df, -|t|) is the upper tail that scipy.stats.t.sf computes; the
     # import stays local, as numpy's do, so that importing riskbench loads
@@ -426,5 +415,5 @@ def two_sample_t_test(
 
     p_value = 2.0 * float(stdtr(df, -abs(statistic)))
     return TTestResult(
-        statistic=statistic, degrees_of_freedom=df, p_value=min(p_value, 1.0), variant=variant
+        statistic=statistic, degrees_of_freedom=df, p_value=min(p_value, 1.0), variant="welch"
     )

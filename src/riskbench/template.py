@@ -127,6 +127,7 @@ def group_risks(
     use_description: bool = False,
 ) -> list[RiskGroup]:
     """Greedy seed clustering of every register risk in corpus order."""
+    import numpy as np
     if not projects:
         raise TemplateError("grouping needs at least one project")
     items = [(project.project_id, item) for project in projects for item in project.register.items]
@@ -135,22 +136,18 @@ def group_risks(
                for (project_id, item), text in zip(items, texts)]
     keyed = unit_rows(backend, texts)
 
-    assigned = [False] * len(members)
+    open_rows = np.ones(len(members), dtype=bool)
     groups: list[RiskGroup] = []
-    for seed in range(len(members)):
-        if assigned[seed]:
-            continue
-        assigned[seed] = True
-        bucket = [members[seed]]
-        if seed + 1 < len(members):
-            # the seed against every distinct key, read at each later row
-            scores = keyed.scores(keyed.ids[seed : seed + 1], slice(None))[0]
-            for offset, score in enumerate(scores[keyed.ids[seed + 1 :]].tolist()):
-                later = seed + 1 + offset
-                if not assigned[later] and score >= threshold:
-                    assigned[later] = True
-                    bucket.append(members[later])
-        groups.append(summarize_group(bucket, len(projects)))
+    while open_rows.any():
+        # the first open row seeds a group: every row before it is taken, so
+        # the open rows are the later rows it may take, in ascending order
+        seed = int(open_rows.argmax())
+        scores = keyed.scores(keyed.ids[seed : seed + 1], slice(None))[0]
+        joined = open_rows & (scores[keyed.ids] >= threshold)
+        joined[seed] = True  # also when the seed misses its own score (all-OOV, threshold > 1)
+        rows = np.flatnonzero(joined)
+        open_rows[rows] = False
+        groups.append(summarize_group([members[row] for row in rows.tolist()], len(projects)))
     return groups
 
 

@@ -155,6 +155,29 @@ def test_project_fault_exits_1_naming_the_manifest(tmp_path, fault):
     assert not out.exists()
 
 
+LONG_CELL = "x" * 200_000  # past the csv module's field limit of 131,072 characters
+
+
+@pytest.mark.parametrize("command", ["ingest", "lifecycle ratios"])
+def test_csv_cell_past_the_field_limit_exits_1_naming_the_row(tmp_path, command):
+    out = tmp_path / "o.json"
+    if command == "ingest":
+        table = tmp_path / "r.csv"
+        table.write_text(f"risk_id,name,description\nr1,A,short\nr2,B,{LONG_CELL}\n")
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"projects": [_project()]}))
+        args = ["ingest", "--manifest", str(manifest_path)]
+    else:
+        table = tmp_path / "states.csv"
+        table.write_text(f"project_id,risk_id,snapshot,state\np1,r1,0,Reg\np1,r2,0,{LONG_CELL}\n")
+        args = ["lifecycle", "ratios", "--lifecycle-csv", str(table)]
+    result = fresh_python("-m", "riskbench.cli", *args, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: {table}, row 3: field larger than field limit (131072)"]
+    assert not out.exists()
+
+
 def test_non_utf8_word_file_exits_1_without_traceback(manifest, tmp_path):
     words = tmp_path / "latin1.txt"
     words.write_bytes("1 2\ncafé 0.5 0.25\n".encode("latin-1"))

@@ -64,6 +64,15 @@ def test_parse_csv_missing_required_column():
         parse_register(b"name\nfoo\n", "csv")
 
 
+def test_parse_csv_cell_past_the_field_limit_names_the_row():
+    cell = "x" * 200_000  # past the csv module's field limit of 131,072 characters
+    with pytest.raises(ParseError, match=r"^r\.csv, row 1: field larger than field limit"):
+        parse_register(f"risk_id,name,{cell}\nr1,A,\n".encode(), "csv", "r.csv")
+    data = CSV_HEADER + "r1,A,,,,,,,\n" + f"r2,B,{cell},,,,,,\n"
+    with pytest.raises(ParseError, match=r"^r\.csv, row 3: field larger than field limit"):
+        parse_register(data.encode(), "csv", "r.csv")
+
+
 def test_parse_csv_band_and_raw_values():
     data = (CSV_HEADER + "r1,A,,,3,0.25,2.0,,\n").encode()
     item = parse_register(data, "csv").items[0]
@@ -375,9 +384,12 @@ def _project(**overrides):
 # a JSON integer past Python's limit on int-to-text digits, which json.loads
 # rejects with a ValueError that is not a JSONDecodeError
 LONG_INT = "1" * (sys.get_int_max_str_digits() + 1)
+# JSON arrays nested far past the depth at which json.loads raises RecursionError
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 MANIFEST_FAULTS = {
     "int past the digit limit": (
         f'{{"projects": [{LONG_INT}]}}', "not valid JSON (Exceeds the limit"),
+    "nested too deeply": (f'{{"projects": {DEEP_ARRAY}}}', ": JSON nested too deeply to read ("),
     "register without path": (
         json.dumps({"projects": [_project(), _project(id="p2", registers=[{"ordinal": 0}])]}),
         "projects[1].registers[0].path is missing",

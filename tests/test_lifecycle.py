@@ -382,6 +382,12 @@ def test_read_lifecycle_csv_errors():
     # a short row: the last column is missing, not empty
     with pytest.raises(ParseError, match=r"^lc\.csv, row 2: missing project_id$"):
         read_lifecycle_csv(b"state,snapshot,risk_id,project_id\nReg,0,r1\n", "lc.csv")
+    cell = b"x" * 200_000  # past the csv module's field limit of 131,072 characters
+    with pytest.raises(ParseError, match=r"^lc\.csv, row 1: field larger than field limit"):
+        read_lifecycle_csv(b"project_id,risk_id,snapshot,state," + cell + b"\n", "lc.csv")
+    with pytest.raises(ParseError, match=r"^lc\.csv, row 3: field larger than field limit"):
+        read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,0,Reg\n1,r2,0," + cell
+                           + b"\n", "lc.csv")
 
 
 def test_tabulated_ratios_error_names_the_project():

@@ -137,6 +137,95 @@ def test_group_risks_members_meet_threshold(reference_backend, expost_manifest):
             assert cosine(seed_vector, member_vector) >= threshold - 1e-12
 
 
+def _group_oracle(projects, backend, threshold, use_description=False):
+    """Greedy seed grouping one row at a time: each open row, in corpus order,
+    seeds a group that every later open row meeting the threshold joins."""
+    from riskbench.vectorize import normalize_sentence, unit_rows
+
+    items = [(project.project_id, item) for project in projects for item in project.register.items]
+    texts = [item.matching_text(use_description) for _, item in items]
+    members = [GroupMember(project_id, item.risk_id, normalize_sentence(text), item.assessment)
+               for (project_id, item), text in zip(items, texts)]
+    keyed = unit_rows(backend, texts)
+    assigned = [False] * len(members)
+    groups = []
+    for seed in range(len(members)):
+        if assigned[seed]:
+            continue
+        assigned[seed] = True
+        bucket = [members[seed]]
+        if seed + 1 < len(members):
+            scores = keyed.scores(keyed.ids[seed : seed + 1], slice(None))[0]
+            for offset, score in enumerate(scores[keyed.ids[seed + 1 :]].tolist()):
+                later = seed + 1 + offset
+                if not assigned[later] and score >= threshold:
+                    assigned[later] = True
+                    bucket.append(members[later])
+        groups.append(summarize_group(bucket, len(projects)))
+    return groups
+
+
+def _assert_groups_match_oracle(projects, backend, threshold, use_description=False):
+    groups = group_risks(projects, backend, threshold=threshold, use_description=use_description)
+    assert groups == _group_oracle(projects, backend, threshold, use_description)
+    return groups
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.7, 0.99, 1.0, 1.01])
+def test_group_risks_matches_oracle_on_fixture(expost_manifest, reference_backend, threshold):
+    projects = list(load_corpus(expost_manifest).projects)
+    for use_description in (False, True):
+        _assert_groups_match_oracle(projects, reference_backend, threshold, use_description)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.7, 1.0, 1.01])
+def test_group_risks_matches_oracle_with_all_oov_and_repeated_texts(threshold):
+    backend = toy_backend({"alpha": [1.0, 0.0], "beta": [0.6, 0.8]})
+    projects = [
+        project_of(make_register("zzqx", "alpha", "qqq vvv", "alpha", "beta"), "p0"),
+        project_of(make_register("Alpha.", "zzqx", "beta", "beta alpha", "qqq vvv"), "p1"),
+        project_of(make_register("zzqx", "zzqx", "alpha beta"), "p2"),
+    ]
+    groups = _assert_groups_match_oracle(projects, backend, threshold)
+    # an all-OOV seed meets no threshold above 0, not even against its own text
+    oov = [g for g in groups if g.representative_text in ("zzqx", "qqq vvv")]
+    assert (threshold > 0) == all(len(g.member_refs) == 1 for g in oov)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.7, 0.99, 1.01])
+def test_group_risks_matches_oracle_on_sentence_table_with_fallback(
+    expost_manifest, reference_backend, threshold
+):
+    from dataclasses import replace
+
+    from riskbench.resources import data_path
+    from riskbench.vectorize import load_sentence_vectors
+
+    sentence = load_sentence_vectors(data_path("embeddings", "reference_sentence_vectors.jsonl"))
+    backend = replace(sentence, fallback=reference_backend)
+    projects = list(load_corpus(expost_manifest).projects)
+    projects.append(project_of(make_register(
+        "utility relocation delays", "a risk text nobody precomputed", "zzqx vvrm",
+        "utility relocation delays"), "extra"))
+    _assert_groups_match_oracle(projects, backend, threshold)
+
+
+_WORDS = ("alpha", "beta", "gamma", "delta", "the", "zzqx")
+
+
+@given(
+    registers=st.lists(
+        st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+                 max_size=6),
+        min_size=1, max_size=4),
+    threshold=st.one_of(st.sampled_from([-1.0, 0.0, 0.7, 0.99, 1.0, 1.01]),
+                        st.floats(-1.0, 1.01)),
+)
+def test_group_risks_matches_oracle_property(registers, threshold):
+    projects = [project_of(make_register(*names), f"p{i}") for i, names in enumerate(registers)]
+    _assert_groups_match_oracle(projects, variant_backend(), threshold)
+
+
 # --------------------------------------------------------------- summarize
 
 

@@ -632,6 +632,16 @@ def test_load_sentence_vectors_int_past_the_digit_limit(tmp_path):
         load_sentence_vectors(path)
 
 
+def test_load_sentence_vectors_line_nested_too_deeply(tmp_path, monkeypatch):
+    from .test_corpus import DEEP_ARRAY
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "s.jsonl"
+    path.write_text(f'{{"text": "a", "vector": [1.0]}}\n{DEEP_ARRAY}\n', encoding="utf-8")
+    with pytest.raises(ParseError, match=r"s.jsonl, line 2: JSON nested too deeply to read \("):
+        load_sentence_vectors(path)
+
+
 def test_load_sentence_vectors_mixed_dimensions(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     path = tmp_path / "s.jsonl"
