@@ -115,9 +115,6 @@ def infer_state(obs: RiskObservation) -> RiskState:
 class RiskLifecycle:
     risk_id: str
     origin: Origin
-    first_ordinal: int
-    state_sequence: tuple[RiskState, ...]
-    transitions: tuple[RiskTransition, ...]
     outcome: Outcome
 
 
@@ -126,11 +123,11 @@ def build_lifecycle(
     observations: Sequence[RiskObservation],
     project_snapshot_count: int,
 ) -> RiskLifecycle:
-    """Tabulate one risk's per-snapshot states and reconstruct its word.
+    """Tabulate one risk's origin and outcome from its observations.
 
-    Unobserved snapshots carry the previous state forward; the final
-    snapshot always closes the risk. The reconstructed transition word is
-    checked against the automaton language.
+    An unobserved snapshot carries the previous state forward, so it can
+    neither break a rule nor realize the risk: only consecutive observed
+    states are checked. The final snapshot closes every risk.
     """
     if not observations:
         raise LifecycleError(f"risk {risk_id!r}: no observations")
@@ -143,54 +140,25 @@ def build_lifecycle(
             f"risk {risk_id!r}: ordinals {ordinals} outside snapshots 0..{final_ordinal}"
         )
 
-    observed = {obs.snapshot_ordinal: infer_state(obs) for obs in observations}
-    if observed[ordinals[0]] is RiskState.CLO:
+    states = [infer_state(obs) for obs in observations]
+    if states[0] is RiskState.CLO:
         raise LifecycleError(
             f"risk {risk_id!r}: a risk cannot be Closed at its first observation"
         )
-
-    states: list[RiskState] = []
-    previous: RiskState | None = None
-    for ordinal in range(ordinals[0], final_ordinal + 1):
-        current = observed.get(ordinal, previous)
-        if previous is RiskState.HAP and current is RiskState.REG:
+    for ordinal, before, after in zip(ordinals[1:], states, states[1:]):
+        if before is RiskState.HAP and after is RiskState.REG:
             raise LifecycleError(
                 f"risk {risk_id!r}: illegal regression Hap -> Reg at snapshot {ordinal}"
             )
-        if previous is RiskState.CLO and current is not RiskState.CLO:
+        if before is RiskState.CLO and after is not RiskState.CLO:
             raise LifecycleError(
                 f"risk {risk_id!r}: reopened after Closed at snapshot {ordinal}"
             )
-        states.append(current)
-        previous = current
 
-    realized = any(state is RiskState.HAP for state in states)
-
-    transitions: list[RiskTransition] = [RiskTransition.GENERATE]
-    if states[0] is RiskState.HAP:
-        transitions.append(RiskTransition.OCCUR)
-    for before, after in zip(states, states[1:]):
-        if after is RiskState.CLO:
-            break
-        if before is RiskState.REG and after is RiskState.HAP:
-            transitions.append(RiskTransition.OCCUR)
-        else:
-            transitions.append(RiskTransition.CONTINUE)
-    transitions.append(RiskTransition.CLOSE)
-
-    word = tuple(transitions)
-    if not accepts(word):
-        raise LifecycleError(f"risk {risk_id!r}: reconstructed word is not accepted: {word}")
-
-    # Assumption 4: the final register closes everything.
-    states[-1] = RiskState.CLO
     return RiskLifecycle(
         risk_id=risk_id,
         origin=Origin.INITIAL if ordinals[0] == 0 else Origin.CONSTRUCTION,
-        first_ordinal=ordinals[0],
-        state_sequence=tuple(states),
-        transitions=word,
-        outcome=Outcome.REALIZED if realized else Outcome.DISMISSED,
+        outcome=Outcome.REALIZED if RiskState.HAP in states else Outcome.DISMISSED,
     )
 
 
@@ -365,13 +333,19 @@ def read_lifecycle_csv(data: bytes, source: str = "<lifecycle>") -> dict[str, di
                 ordinal = int(row["snapshot"])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: snapshot must be an integer") from exc
+            if ordinal < 0:
+                raise ParseError(f"{where}: snapshot must be >= 0, got {ordinal}")
             for column in ("project_id", "risk_id"):
                 if not (row[column] or "").strip():  # None past the end of a short row
                     raise ParseError(f"{where}: missing {column}")
-            project = projects.setdefault(row["project_id"], {})
-            project.setdefault(row["risk_id"], []).append(
-                RiskObservation(snapshot_ordinal=ordinal, explicit_state=state)
-            )
+            risk = projects.setdefault(row["project_id"], {}).setdefault(row["risk_id"], [])
+            if risk and ordinal <= risk[-1].snapshot_ordinal:
+                raise ParseError(
+                    f"{where}: snapshot {ordinal} must exceed snapshot "
+                    f"{risk[-1].snapshot_ordinal} of the previous row of project "
+                    f"{row['project_id']!r}, risk {row['risk_id']!r}"
+                )
+            risk.append(RiskObservation(snapshot_ordinal=ordinal, explicit_state=state))
     except csv.Error as exc:  # the DictReader's own line_num lags by the failed row
         raise ParseError(f"{source}, row {reader.reader.line_num}: {exc}") from exc
     return projects

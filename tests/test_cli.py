@@ -92,7 +92,7 @@ def test_ingest_missing_register_exits_1(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
-def fresh_python(*args, **environ):
+def fresh_python(*args, timeout=120, **environ):
     """Run a fresh interpreter that imports this checkout's riskbench, with
     `environ` added to this process's environment."""
     import riskbench
@@ -101,7 +101,7 @@ def fresh_python(*args, **environ):
     env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -948,6 +948,49 @@ def test_lifecycle_errors_name_the_project(tmp_path, capsys, flag):
     assert capsys.readouterr().err == (
         f"error: {where}project 'p2': risk 'r1': illegal regression Hap -> Reg at snapshot 1\n")
     assert not out.exists()
+
+
+def write_gapped_lifecycle(directory, flag, last):
+    """Risk a goes Reg -> Hap at snapshots 0-1, b is Reg at 0 and at `last`,
+    and c arrives Happening at `last`; returns the input file for `flag`."""
+    registers = {0: [("a", "Reg"), ("b", "Reg")], 1: [("a", "Hap")],
+                 last: [("b", "Reg"), ("c", "Hap")]}
+    directory.mkdir()
+    if flag == "--lifecycle-csv":
+        path = directory / "lifecycle.csv"
+        path.write_text("project_id,risk_id,snapshot,state\n" + "".join(
+            f"p1,{rid},{ordinal},{state}\n"
+            for ordinal, items in registers.items() for rid, state in items))
+        return path
+    for ordinal, items in registers.items():
+        (directory / f"s{ordinal}.csv").write_text(
+            "risk_id,name,status\n" + "".join(f"{rid},{rid},{state}\n" for rid, state in items))
+    path = directory / "manifest.json"
+    path.write_text(json.dumps({"projects": [
+        {"id": "p1", "size_band": "under_500M",
+         "registers": [{"ordinal": n, "path": f"s{n}.csv"} for n in registers]}]}))
+    return path
+
+
+@pytest.mark.parametrize("flag, gap", [
+    ("--manifest", 10**12),
+    ("--lifecycle-csv", 99999999999999999999),
+])
+def test_lifecycle_gap_between_snapshots_costs_nothing(tmp_path, flag, gap):
+    # an unobserved snapshot carries the last state forward, so a gap to a
+    # huge ordinal reads as the same risks at snapshots 0-2 and walks no snapshot
+    results = []
+    for last in (2, gap):
+        source = write_gapped_lifecycle(tmp_path / str(last), flag, last)
+        out = tmp_path / f"ratios_{last}.json"
+        done = fresh_python("-m", "riskbench.cli", "lifecycle", "ratios", flag, str(source),
+                            "--out", str(out), timeout=60)
+        assert done.returncode == 0, done.stderr
+        results.append(read_report(out)["result"])
+    assert results[0] == results[1]
+    assert results[0]["pooled"]["counts"] == {
+        "initial_identified": 2, "initial_realized": 1,
+        "construction_identified": 1, "construction_realized": 1}
 
 
 @pytest.mark.parametrize("name, flag", [

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -133,19 +135,131 @@ def obs(ordinal, state=None, probability=None, impact=False):
     )
 
 
+@dataclass(frozen=True)
+class _OracleLifecycle:
+    risk_id: str
+    origin: Origin
+    first_ordinal: int
+    state_sequence: tuple[RiskState, ...]
+    transitions: tuple[RiskTransition, ...]
+    outcome: Outcome
+
+
+def _lifecycle_oracle(
+    risk_id: str,
+    observations: Sequence[RiskObservation],
+    project_snapshot_count: int,
+) -> _OracleLifecycle:
+    """build_lifecycle as it was before it read only the observations: it
+    tabulates one risk's per-snapshot states and reconstructs its word.
+
+    Unobserved snapshots carry the previous state forward; the final
+    snapshot always closes the risk. The reconstructed transition word is
+    checked against the automaton language.
+    """
+    if not observations:
+        raise LifecycleError(f"risk {risk_id!r}: no observations")
+    ordinals = [obs.snapshot_ordinal for obs in observations]
+    if any(b <= a for a, b in zip(ordinals, ordinals[1:])):
+        raise LifecycleError(f"risk {risk_id!r}: observation ordinals must strictly ascend")
+    final_ordinal = project_snapshot_count - 1
+    if ordinals[0] < 0 or ordinals[-1] > final_ordinal:
+        raise LifecycleError(
+            f"risk {risk_id!r}: ordinals {ordinals} outside snapshots 0..{final_ordinal}"
+        )
+
+    observed = {obs.snapshot_ordinal: infer_state(obs) for obs in observations}
+    if observed[ordinals[0]] is RiskState.CLO:
+        raise LifecycleError(
+            f"risk {risk_id!r}: a risk cannot be Closed at its first observation"
+        )
+
+    states: list[RiskState] = []
+    previous: RiskState | None = None
+    for ordinal in range(ordinals[0], final_ordinal + 1):
+        current = observed.get(ordinal, previous)
+        if previous is RiskState.HAP and current is RiskState.REG:
+            raise LifecycleError(
+                f"risk {risk_id!r}: illegal regression Hap -> Reg at snapshot {ordinal}"
+            )
+        if previous is RiskState.CLO and current is not RiskState.CLO:
+            raise LifecycleError(
+                f"risk {risk_id!r}: reopened after Closed at snapshot {ordinal}"
+            )
+        states.append(current)
+        previous = current
+
+    realized = any(state is RiskState.HAP for state in states)
+
+    transitions: list[RiskTransition] = [RiskTransition.GENERATE]
+    if states[0] is RiskState.HAP:
+        transitions.append(RiskTransition.OCCUR)
+    for before, after in zip(states, states[1:]):
+        if after is RiskState.CLO:
+            break
+        if before is RiskState.REG and after is RiskState.HAP:
+            transitions.append(RiskTransition.OCCUR)
+        else:
+            transitions.append(RiskTransition.CONTINUE)
+    transitions.append(RiskTransition.CLOSE)
+
+    word = tuple(transitions)
+    if not accepts(word):
+        raise LifecycleError(f"risk {risk_id!r}: reconstructed word is not accepted: {word}")
+
+    # Assumption 4: the final register closes everything.
+    states[-1] = RiskState.CLO
+    return _OracleLifecycle(
+        risk_id=risk_id,
+        origin=Origin.INITIAL if ordinals[0] == 0 else Origin.CONSTRUCTION,
+        first_ordinal=ordinals[0],
+        state_sequence=tuple(states),
+        transitions=word,
+        outcome=Outcome.REALIZED if realized else Outcome.DISMISSED,
+    )
+
+
+def test_build_lifecycle_matches_the_oracle_on_every_small_tabulation():
+    """Every state tuple at every ordinal subset of 1-7 snapshots: the same
+    origin and outcome as the per-snapshot walk, or the same error text."""
+    built = cases = 0
+    for count in range(1, 8):
+        for size in range(1, count + 1):
+            for ordinals in itertools.combinations(range(count), size):
+                for states in itertools.product(RiskState, repeat=size):
+                    observations = [obs(ordinal, state) for ordinal, state in zip(ordinals, states)]
+                    cases += 1
+                    try:
+                        expected = _lifecycle_oracle("r", observations, count)
+                    except LifecycleError as exc:
+                        with pytest.raises(LifecycleError) as excinfo:
+                            build_lifecycle("r", observations, count)
+                        assert str(excinfo.value) == str(exc), observations
+                        continue
+                    lifecycle = build_lifecycle("r", observations, count)
+                    assert (lifecycle.origin, lifecycle.outcome) == (
+                        expected.origin, expected.outcome), observations
+                    assert accepts(list(expected.transitions))
+                    assert (OCC in expected.transitions) == (
+                        lifecycle.outcome is Outcome.REALIZED), observations
+                    built += 1
+    assert (cases, built) == (21837, 2561)
+
+
 def test_build_lifecycle_realized_initial():
     lifecycle = build_lifecycle("r", [obs(0, REG), obs(1, HAP)], 2)
     assert lifecycle.outcome is Outcome.REALIZED
     assert lifecycle.origin is Origin.INITIAL
-    assert lifecycle.transitions == (GEN, OCC, CLS)
-    assert lifecycle.state_sequence[-1] is CLO
+    oracle = _lifecycle_oracle("r", [obs(0, REG), obs(1, HAP)], 2)
+    assert oracle.transitions == (GEN, OCC, CLS)
+    assert oracle.state_sequence[-1] is CLO
 
 
 def test_build_lifecycle_dismissed_construction():
     lifecycle = build_lifecycle("r", [obs(1, REG), obs(2, REG)], 3)
     assert lifecycle.outcome is Outcome.DISMISSED
     assert lifecycle.origin is Origin.CONSTRUCTION
-    assert lifecycle.transitions == (GEN, CON, CLS)
+    assert _lifecycle_oracle("r", [obs(1, REG), obs(2, REG)], 3).transitions == (GEN, CON, CLS)
 
 
 def test_build_lifecycle_closed_first_observation_rejected():
@@ -165,33 +279,35 @@ def test_build_lifecycle_reopened_rejected():
 
 def test_build_lifecycle_gap_persists_state():
     lifecycle = build_lifecycle("r", [obs(0, REG), obs(3, HAP)], 5)
-    assert lifecycle.state_sequence == (REG, REG, REG, HAP, CLO)
-    # Hap persists into the final register; the close lands at completion
-    assert lifecycle.transitions == (GEN, CON, CON, OCC, CON, CLS)
     assert lifecycle.outcome is Outcome.REALIZED
+    oracle = _lifecycle_oracle("r", [obs(0, REG), obs(3, HAP)], 5)
+    assert oracle.state_sequence == (REG, REG, REG, HAP, CLO)
+    # Hap persists into the final register; the close lands at completion
+    assert oracle.transitions == (GEN, CON, CON, OCC, CON, CLS)
 
 
 def test_build_lifecycle_early_close_stays_closed():
     lifecycle = build_lifecycle("r", [obs(0, REG), obs(1, CLO)], 4)
-    assert lifecycle.state_sequence == (REG, CLO, CLO, CLO)
-    assert lifecycle.transitions == (GEN, CLS)
     assert lifecycle.outcome is Outcome.DISMISSED
+    oracle = _lifecycle_oracle("r", [obs(0, REG), obs(1, CLO)], 4)
+    assert oracle.state_sequence == (REG, CLO, CLO, CLO)
+    assert oracle.transitions == (GEN, CLS)
 
 
 def test_build_lifecycle_single_final_observation():
     realized = build_lifecycle("r", [obs(2, HAP)], 3)
-    assert realized.transitions == (GEN, OCC, CLS)
     assert realized.outcome is Outcome.REALIZED
     assert realized.origin is Origin.CONSTRUCTION
+    assert _lifecycle_oracle("r", [obs(2, HAP)], 3).transitions == (GEN, OCC, CLS)
     dismissed = build_lifecycle("r", [obs(2, REG)], 3)
-    assert dismissed.transitions == (GEN, CLS)
     assert dismissed.outcome is Outcome.DISMISSED
+    assert _lifecycle_oracle("r", [obs(2, REG)], 3).transitions == (GEN, CLS)
 
 
 def test_build_lifecycle_hap_at_final_counts_realized():
     lifecycle = build_lifecycle("r", [obs(0, REG), obs(2, HAP)], 3)
     assert lifecycle.outcome is Outcome.REALIZED
-    assert lifecycle.state_sequence[-1] is CLO
+    assert _lifecycle_oracle("r", [obs(0, REG), obs(2, HAP)], 3).state_sequence[-1] is CLO
 
 
 def test_build_lifecycle_word_is_accepted_language():
@@ -201,8 +317,7 @@ def test_build_lifecycle_word_is_accepted_language():
         ([obs(2, REG)], 5),
         ([obs(1, HAP)], 2),
     ]:
-        lifecycle = build_lifecycle("r", observations, count)
-        assert accepts(list(lifecycle.transitions))
+        assert accepts(list(_lifecycle_oracle("r", observations, count).transitions))
 
 
 def test_outcome_realized_iff_occur_in_word():
@@ -215,9 +330,9 @@ def test_outcome_realized_iff_occur_in_word():
         ([obs(2, HAP)], 3),
     ]
     for observations, count in cases:
-        lifecycle = build_lifecycle("r", observations, count)
-        realized = lifecycle.outcome is Outcome.REALIZED
-        assert realized == (OCC in lifecycle.transitions), observations
+        realized = build_lifecycle("r", observations, count).outcome is Outcome.REALIZED
+        word = _lifecycle_oracle("r", observations, count).transitions
+        assert realized == (OCC in word), observations
 
 
 def test_build_lifecycle_validation_errors():
@@ -258,7 +373,7 @@ def test_build_lifecycle_word_matches_the_flag_loop_on_every_state_sequence():
         for states in itertools.product(RiskState, repeat=length):
             observations = [obs(ordinal, state) for ordinal, state in enumerate(states)]
             try:
-                lifecycle = build_lifecycle("r", observations, length)
+                lifecycle = _lifecycle_oracle("r", observations, length)
             except LifecycleError:
                 continue
             assert lifecycle.transitions == _word_oracle(states), states
@@ -375,6 +490,17 @@ def test_read_lifecycle_csv_errors():
         read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,0,Open\n")
     with pytest.raises(ParseError, match="integer"):
         read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,x,Reg\n")
+    with pytest.raises(ParseError, match=r"^lc\.csv, row 3: snapshot must be >= 0, got -1$"):
+        read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,0,Reg\n1,r,-1,Reg\n", "lc.csv")
+    # a repeated row, and rows out of order; other risks' rows may come between
+    header = b"project_id,risk_id,snapshot,state\n"
+    for rows, row, later, earlier in [(b"1,r,1,Reg\n1,r,1,Reg\n", 3, 1, 1),
+                                      (b"1,r,2,Reg\n1,q,0,Reg\n2,r,0,Reg\n1,r,0,Reg\n", 5, 0, 2)]:
+        with pytest.raises(ParseError) as excinfo:
+            read_lifecycle_csv(header + rows, "lc.csv")
+        assert str(excinfo.value) == (
+            f"lc.csv, row {row}: snapshot {later} must exceed snapshot {earlier} of the "
+            "previous row of project '1', risk 'r'")
     with pytest.raises(ParseError, match=r"^<lifecycle>, row 3: missing project_id$"):
         read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,0,Reg\n ,r,0,Reg\n")
     with pytest.raises(ParseError, match=r"^lc\.csv, row 2: missing risk_id$"):
