@@ -7,8 +7,6 @@ qualitative High/Medium/Low levels from raw measurements.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
@@ -18,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CorpusError, NormalizeError, ParseError
-from .resources import (check_shape, input_text, is_finite, is_int, is_number, json_value,
+from .resources import (check_shape, csv_rows, is_finite, is_int, is_number, json_value,
                         read_json_checked)
 
 REGISTER_CSV_COLUMNS = (
@@ -284,11 +282,6 @@ def normalize_assessment(
     return _assessment(cfg, project_value, **asdict(raw))
 
 
-def fill_qualitative(assessment: Assessment, cfg: ScaleConfig) -> Assessment:
-    """Derive unset High/Medium/Low levels from available band pairs."""
-    return _assessment(cfg, None, **asdict(assessment), bands_from_raw=False)
-
-
 def _assessment(
     cfg: ScaleConfig,
     project_value: float | None,
@@ -300,21 +293,19 @@ def _assessment(
     raw_schedule: float | None,
     qualitative_cost: Qualitative = Qualitative.UNSET,
     qualitative_schedule: Qualitative = Qualitative.UNSET,
-    bands_from_raw: bool = True,
 ) -> Assessment:
-    """The normalization rule: a raw value sets its band (when bands_from_raw),
-    then each unset level comes from the risk matrix at (probability, impact)."""
-    if bands_from_raw:
-        if raw_probability is not None:
-            probability_band = band_for(raw_probability, cfg.probability_band_edges)
-        if raw_cost is not None:
-            if project_value is None or project_value <= 0:
-                raise NormalizeError(
-                    "a positive project value is required to normalize a raw cost impact"
-                )
-            cost_band = band_for(raw_cost / project_value, cfg.cost_band_edges)
-        if raw_schedule is not None:
-            schedule_band = band_for(raw_schedule, cfg.schedule_band_edges)
+    """The normalization rule: a raw value sets its band, then each unset
+    level comes from the risk matrix at (probability, impact)."""
+    if raw_probability is not None:
+        probability_band = band_for(raw_probability, cfg.probability_band_edges)
+    if raw_cost is not None:
+        if project_value is None or project_value <= 0:
+            raise NormalizeError(
+                "a positive project value is required to normalize a raw cost impact"
+            )
+        cost_band = band_for(raw_cost / project_value, cfg.cost_band_edges)
+    if raw_schedule is not None:
+        schedule_band = band_for(raw_schedule, cfg.schedule_band_edges)
     if probability_band is not None:
         if qualitative_cost is Qualitative.UNSET and cost_band is not None:
             qualitative_cost = cfg.risk_matrix[(probability_band, cost_band)]
@@ -391,35 +382,14 @@ def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
 
 
 def _csv_rows(data: bytes, source: str) -> tuple[list[tuple], int]:
-    reader = csv.reader(io.StringIO(input_text(data, source)))
-    try:  # csv.Error: a cell past the csv module's limit of 131,072 characters
-        header = next(reader, [])
-        for required in ("risk_id", "name"):
-            if required not in header:
-                raise ParseError(f"{source}: header is missing required column {required!r}")
-        # As in csv.DictReader: the last column of a repeated name wins, and a
-        # column the header lacks or a short row does not reach reads as None
-        # (index `width` of the row padded below).
-        width = len(header)
-        column = {name: index for index, name in enumerate(header)}
-        positions = [column.get(name, width) for name in REGISTER_CSV_COLUMNS]
-
-        rows: list[tuple] = []
-        seen: set[str] = set()
-        snapshot_values: set[str] = set()
-        for cells in reader:
-            if not cells:
-                continue  # a blank line
-            if len(cells) != width:
-                cells = (cells + [None] * width)[:width]
-            cells.append(None)
-            fields = [cells[index] for index in positions]
-            rows.append(_row(fields, _parse_measure, f"{source}, row {reader.line_num}", seen))
-            marker = _value_or_none(fields[-1])
-            if marker is not None:
-                snapshot_values.add(marker)
-    except csv.Error as exc:
-        raise ParseError(f"{source}, row {reader.line_num}: {exc}") from exc
+    rows: list[tuple] = []
+    seen: set[str] = set()
+    snapshot_values: set[str] = set()
+    for where, fields in csv_rows(data, source, REGISTER_CSV_COLUMNS, ("risk_id", "name")):
+        rows.append(_row(fields, _parse_measure, where, seen))
+        marker = _value_or_none(fields[-1])
+        if marker is not None:
+            snapshot_values.add(marker)
 
     ordinal = 0
     if snapshot_values:

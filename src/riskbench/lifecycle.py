@@ -10,15 +10,13 @@ closed at the final register.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, ProjectRecord
 from .errors import LifecycleError, ParseError, StatTestError, TransitionError
-from .resources import input_text
+from .resources import csv_rows
 
 
 class RiskState(str, Enum):
@@ -118,11 +116,7 @@ class RiskLifecycle:
     outcome: Outcome
 
 
-def build_lifecycle(
-    risk_id: str,
-    observations: Sequence[RiskObservation],
-    project_snapshot_count: int,
-) -> RiskLifecycle:
+def build_lifecycle(risk_id: str, observations: Sequence[RiskObservation]) -> RiskLifecycle:
     """Tabulate one risk's origin and outcome from its observations.
 
     An unobserved snapshot carries the previous state forward, so it can
@@ -134,11 +128,8 @@ def build_lifecycle(
     ordinals = [obs.snapshot_ordinal for obs in observations]
     if any(b <= a for a, b in zip(ordinals, ordinals[1:])):
         raise LifecycleError(f"risk {risk_id!r}: observation ordinals must strictly ascend")
-    final_ordinal = project_snapshot_count - 1
-    if ordinals[0] < 0 or ordinals[-1] > final_ordinal:
-        raise LifecycleError(
-            f"risk {risk_id!r}: ordinals {ordinals} outside snapshots 0..{final_ordinal}"
-        )
+    if ordinals[0] < 0:
+        raise LifecycleError(f"risk {risk_id!r}: first ordinal {ordinals[0]} is negative")
 
     states = [infer_state(obs) for obs in observations]
     if states[0] is RiskState.CLO:
@@ -283,13 +274,10 @@ def observations_from_project(project: ProjectRecord) -> dict[str, list[RiskObse
     return observations
 
 
-def _lifecycles(
-    project_id: str, risks: dict[str, list[RiskObservation]], count: int
-) -> list[RiskLifecycle]:
-    """Each risk's lifecycle over `count` snapshots; an error names the project."""
+def _lifecycles(project_id: str, risks: dict[str, list[RiskObservation]]) -> list[RiskLifecycle]:
+    """Each risk's lifecycle; an error names the project."""
     try:
-        return [build_lifecycle(risk_id, observations, count)
-                for risk_id, observations in risks.items()]
+        return [build_lifecycle(risk_id, observations) for risk_id, observations in risks.items()]
     except LifecycleError as exc:
         raise LifecycleError(f"project {project_id!r}: {exc}") from exc
 
@@ -299,8 +287,7 @@ def project_lifecycles(project: ProjectRecord) -> list[RiskLifecycle]:
         raise LifecycleError(
             f"project {project.project_id!r}: lifecycle analysis needs snapshot 0"
         )
-    return _lifecycles(project.project_id, observations_from_project(project),
-                       project.snapshots[-1].ordinal + 1)
+    return _lifecycles(project.project_id, observations_from_project(project))
 
 
 def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
@@ -315,39 +302,34 @@ def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
     return per_project, aggregate_ratios(per_project)
 
 
+_LIFECYCLE_COLUMNS = ("project_id", "risk_id", "snapshot", "state")
+
+
 def read_lifecycle_csv(data: bytes, source: str = "<lifecycle>") -> dict[str, dict[str, list[RiskObservation]]]:
     """Pre-tabulated input: project_id,risk_id,snapshot,state rows."""
-    reader = csv.DictReader(io.StringIO(input_text(data, source)))
-    try:  # csv.Error: a cell past the csv module's limit of 131,072 characters
-        header = reader.fieldnames or []
-        for required in ("project_id", "risk_id", "snapshot", "state"):
-            if required not in header:
-                raise ParseError(f"{source}: header is missing required column {required!r}")
-        projects: dict[str, dict[str, list[RiskObservation]]] = {}
-        for row in reader:
-            where = f"{source}, row {reader.line_num}"
-            state = _parse_explicit_state(row.get("state"))
-            if state is None:
-                raise ParseError(f"{where}: unknown state {row.get('state')!r}")
-            try:
-                ordinal = int(row["snapshot"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}: snapshot must be an integer") from exc
-            if ordinal < 0:
-                raise ParseError(f"{where}: snapshot must be >= 0, got {ordinal}")
-            for column in ("project_id", "risk_id"):
-                if not (row[column] or "").strip():  # None past the end of a short row
-                    raise ParseError(f"{where}: missing {column}")
-            risk = projects.setdefault(row["project_id"], {}).setdefault(row["risk_id"], [])
-            if risk and ordinal <= risk[-1].snapshot_ordinal:
-                raise ParseError(
-                    f"{where}: snapshot {ordinal} must exceed snapshot "
-                    f"{risk[-1].snapshot_ordinal} of the previous row of project "
-                    f"{row['project_id']!r}, risk {row['risk_id']!r}"
-                )
-            risk.append(RiskObservation(snapshot_ordinal=ordinal, explicit_state=state))
-    except csv.Error as exc:  # the DictReader's own line_num lags by the failed row
-        raise ParseError(f"{source}, row {reader.reader.line_num}: {exc}") from exc
+    projects: dict[str, dict[str, list[RiskObservation]]] = {}
+    for where, (project_id, risk_id, snapshot, cell) in csv_rows(
+            data, source, _LIFECYCLE_COLUMNS, _LIFECYCLE_COLUMNS):
+        state = _parse_explicit_state(cell)
+        if state is None:
+            raise ParseError(f"{where}: unknown state {cell!r}")
+        try:
+            ordinal = int(snapshot)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: snapshot must be an integer") from exc
+        if ordinal < 0:
+            raise ParseError(f"{where}: snapshot must be >= 0, got {ordinal}")
+        for column, value in (("project_id", project_id), ("risk_id", risk_id)):
+            if not (value or "").strip():  # None past the end of a short row
+                raise ParseError(f"{where}: missing {column}")
+        risk = projects.setdefault(project_id, {}).setdefault(risk_id, [])
+        if risk and ordinal <= risk[-1].snapshot_ordinal:
+            raise ParseError(
+                f"{where}: snapshot {ordinal} must exceed snapshot "
+                f"{risk[-1].snapshot_ordinal} of the previous row of project "
+                f"{project_id!r}, risk {risk_id!r}"
+            )
+        risk.append(RiskObservation(snapshot_ordinal=ordinal, explicit_state=state))
     return projects
 
 
@@ -357,10 +339,7 @@ def tabulated_ratios(
     """Ratios from pre-tabulated observations, projects in input order."""
     per_project: dict[str, RatioSet] = {}
     for project_id, risks in projects.items():
-        count = 1 + max(
-            obs.snapshot_ordinal for observations in risks.values() for obs in observations
-        )
-        per_project[project_id] = compute_ratios(_lifecycles(project_id, risks, count))
+        per_project[project_id] = compute_ratios(_lifecycles(project_id, risks))
     return per_project, aggregate_ratios(per_project)
 
 
@@ -385,15 +364,12 @@ def classify_style(
     """
     if ratios.new_item is None:
         return None
-    if ratios.new_item >= thresholds.doer_new_item:
-        if ratios.further_realized is None:
-            return None
-        careful = ratios.further_realized >= thresholds.careful
-        return StyleLabel(axis1="doer", axis2="careful" if careful else "excessive")
-    if ratios.initial_realization is None:
+    doer = ratios.new_item >= thresholds.doer_new_item
+    realized = ratios.further_realized if doer else ratios.initial_realization
+    if realized is None:
         return None
-    careful = ratios.initial_realization >= thresholds.careful
-    return StyleLabel(axis1="planner", axis2="careful" if careful else "excessive")
+    return StyleLabel(axis1="doer" if doer else "planner",
+                      axis2="careful" if realized >= thresholds.careful else "excessive")
 
 
 @dataclass(frozen=True)
@@ -424,25 +400,36 @@ def hotelling_t2(
     if nu - p + 1 < 1:
         raise StatTestError(f"too few points ({na}+{nb}) for dimension {p}")
 
-    # Z-score by the pooled per-dimension standard deviation.
-    pooled_var = ((na - 1) * a.var(axis=0, ddof=1) + (nb - 1) * b.var(axis=0, ddof=1)) / nu
-    if np.any(pooled_var <= 0.0):
-        raise StatTestError("a dimension has zero pooled variance; covariance is singular")
-    scale = np.sqrt(pooled_var)
-    za, zb = a / scale, b / scale
+    # Finite metrics far apart or near the float limit can overflow below;
+    # each overflow raises at the first non-finite result instead of warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Z-score by the pooled per-dimension standard deviation.
+        pooled_var = ((na - 1) * a.var(axis=0, ddof=1) + (nb - 1) * b.var(axis=0, ddof=1)) / nu
+        if not np.all(np.isfinite(pooled_var)):
+            raise StatTestError("a dimension's pooled variance overflows; the metrics are "
+                                "too large to compare")
+        if np.any(pooled_var <= 0.0):
+            raise StatTestError("a dimension has zero pooled variance; covariance is singular")
+        scale = np.sqrt(pooled_var)
+        za, zb = a / scale, b / scale
+        if not (np.all(np.isfinite(za)) and np.all(np.isfinite(zb))):
+            raise StatTestError("a dimension's z-scores overflow; its spread is too small "
+                                "for the values it holds")
 
-    pooled_cov = ((na - 1) * np.cov(za, rowvar=False, ddof=1)
-                  + (nb - 1) * np.cov(zb, rowvar=False, ddof=1)) / nu
-    pooled_cov = np.atleast_2d(pooled_cov)
-    diff = za.mean(axis=0) - zb.mean(axis=0)
-    try:
-        solved = np.linalg.solve(pooled_cov, diff)
-    except np.linalg.LinAlgError as exc:
-        raise StatTestError("pooled covariance matrix is singular") from exc
-    if not np.all(np.isfinite(solved)) or np.linalg.cond(pooled_cov) > 1e12:
-        raise StatTestError("pooled covariance matrix is singular")
+        pooled_cov = ((na - 1) * np.cov(za, rowvar=False, ddof=1)
+                      + (nb - 1) * np.cov(zb, rowvar=False, ddof=1)) / nu
+        pooled_cov = np.atleast_2d(pooled_cov)
+        diff = za.mean(axis=0) - zb.mean(axis=0)
+        try:
+            solved = np.linalg.solve(pooled_cov, diff)
+        except np.linalg.LinAlgError as exc:
+            raise StatTestError("pooled covariance matrix is singular") from exc
+        if not np.all(np.isfinite(solved)) or np.linalg.cond(pooled_cov) > 1e12:
+            raise StatTestError("pooled covariance matrix is singular")
 
-    t_squared = float(na * nb / (na + nb) * diff @ solved)
+        t_squared = float(na * nb / (na + nb) * diff @ solved)
+    if not np.isfinite(t_squared):
+        raise StatTestError("T^2 overflows; the group means are too far apart for their spread")
     # fdtri is the F quantile that scipy.stats.f.ppf computes; numpy and scipy
     # are imported here so that importing riskbench loads neither.
     from scipy.special import fdtri

@@ -1,16 +1,20 @@
-"""Bundled data files, checked reads of input files and their JSON shapes.
+"""Bundled data files, checked reads of input files, their JSON shapes and
+their CSV rows.
 
 RISKBENCH_DATA overrides the packaged data directory.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 import reprlib
 from importlib import resources
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .errors import ParseError
 
@@ -77,6 +81,35 @@ def read_result(path: str | Path, what: str, shape):
     wrapped = isinstance(value, dict) and "result" in value
     check_shape(value, {"result": shape} if wrapped else shape, str(path))
     return value["result"] if wrapped else value
+
+
+def csv_rows(data: bytes, source: str, columns: Sequence[str],
+             required: Sequence[str]) -> Iterator[tuple[str, list]]:
+    """Each row of a CSV input file, as `input_text` reads it: the row's
+    location "<source>, row N", N the line the row ends on, and its cells in
+    `columns` order. The last column of a repeated header name wins, a
+    column the header lacks or a short row does not reach reads None, and a
+    blank line is skipped. ParseError names `source` and a `required` column
+    the header lacks, or the row of a csv.Error, such as a cell past the csv
+    module's limit of 131,072 characters."""
+    reader = csv.reader(io.StringIO(input_text(data, source)))
+    try:
+        header = next(reader, [])
+        for name in required:
+            if name not in header:
+                raise ParseError(f"{source}: header is missing required column {name!r}")
+        width = len(header)
+        index = {name: position for position, name in enumerate(header)}
+        positions = [index.get(name, width) for name in columns]  # `width`: the None added below
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != width:
+                cells = (cells + [None] * width)[:width]
+            cells.append(None)
+            yield f"{source}, row {reader.line_num}", [cells[position] for position in positions]
+    except csv.Error as exc:
+        raise ParseError(f"{source}, row {reader.line_num}: {exc}") from exc
 
 
 # ------------------------------------------------------------ JSON shapes

@@ -579,6 +579,30 @@ def test_lifecycle_compare_alpha_too_small_exits_1_without_traceback(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values, message", [
+    ((0.0, 1.0, 1e160, 1e160),
+     "T^2 overflows; the group means are too far apart for their spread"),
+    ((1e308, -1e308, 1e308, -1e308),
+     "a dimension's pooled variance overflows; the metrics are too large to compare"),
+    ((0.0, 1e-150, 1e300, 1e300),
+     "a dimension's z-scores overflow; its spread is too small for the values it holds"),
+], ids=["t-squared", "pooled-variance", "z-scores"])
+def test_lifecycle_compare_overflow_exits_1_without_warning(tmp_path, values, message):
+    """Finite metrics whose statistics overflow a float: one error line, no
+    numpy warning and no traceback."""
+    groups_path = tmp_path / "groups.json"
+    groups_path.write_text(json.dumps({
+        "groups": {"a": ["p1", "p2"], "b": ["p3", "p4"]},
+        "metrics": {f"p{index}": {"x": x} for index, x in enumerate(values, 1)},
+    }))
+    out = tmp_path / "compare.json"
+    result = fresh_python("-m", "riskbench.cli", "lifecycle", "compare", "--groups",
+                          str(groups_path), "--metric", "x", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_rbs_coverage_and_cooccur(manifest, tmp_path):
     coverage_path = tmp_path / "coverage.json"
     code = run([

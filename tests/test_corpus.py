@@ -29,7 +29,6 @@ from riskbench.corpus import (
     band_for,
     band_mean,
     default_scale_config,
-    fill_qualitative,
     load_corpus,
     load_scale_config,
     normalize_assessment,
@@ -560,11 +559,22 @@ def test_load_corpus_keeps_digests_of_the_bytes_parsed(expost_manifest):
 #
 # load_corpus parses each register once and builds each item already
 # normalized. The reference below is the composition it replaces: the public
-# parse_register, then normalize_assessment (raw values present) or
-# fill_qualitative per item, then a snapshot with the manifest's ordinal. The
+# parse_register, then normalize_assessment (raw values present) or its own
+# band-pair fill per item, then a snapshot with the manifest's ordinal. The
 # generated inputs may carry a `label`, which both ignore. Both must give the
 # same corpus or raise the same error. parse_register rejects a non-finite raw
 # cost or schedule, as the loader does, so the reference applies that rule too.
+
+
+def reference_fill(a: Assessment, cfg) -> Assessment:
+    """A band-only assessment with each level the risk matrix gives its
+    (probability, impact) band pair, when both bands are set."""
+    if a.probability_band is None:
+        return a
+    levels = {f"qualitative_{name}": cfg.risk_matrix[(a.probability_band, band)]
+              for name, band in (("cost", a.cost_band), ("schedule", a.schedule_band))
+              if band is not None}
+    return replace(a, **levels)
 
 
 def reference_load(manifest_path) -> Corpus:
@@ -584,7 +594,7 @@ def reference_load(manifest_path) -> Corpus:
                 a = item.assessment
                 try:
                     if a.raw_probability is None and a.raw_cost is None and a.raw_schedule is None:
-                        a = fill_qualitative(a, cfg)
+                        a = reference_fill(a, cfg)
                     else:
                         a = normalize_assessment(a, value, cfg)
                 except NormalizeError as exc:

@@ -233,10 +233,10 @@ def test_build_lifecycle_matches_the_oracle_on_every_small_tabulation():
                         expected = _lifecycle_oracle("r", observations, count)
                     except LifecycleError as exc:
                         with pytest.raises(LifecycleError) as excinfo:
-                            build_lifecycle("r", observations, count)
+                            build_lifecycle("r", observations)
                         assert str(excinfo.value) == str(exc), observations
                         continue
-                    lifecycle = build_lifecycle("r", observations, count)
+                    lifecycle = build_lifecycle("r", observations)
                     assert (lifecycle.origin, lifecycle.outcome) == (
                         expected.origin, expected.outcome), observations
                     assert accepts(list(expected.transitions))
@@ -247,7 +247,7 @@ def test_build_lifecycle_matches_the_oracle_on_every_small_tabulation():
 
 
 def test_build_lifecycle_realized_initial():
-    lifecycle = build_lifecycle("r", [obs(0, REG), obs(1, HAP)], 2)
+    lifecycle = build_lifecycle("r", [obs(0, REG), obs(1, HAP)])
     assert lifecycle.outcome is Outcome.REALIZED
     assert lifecycle.origin is Origin.INITIAL
     oracle = _lifecycle_oracle("r", [obs(0, REG), obs(1, HAP)], 2)
@@ -256,7 +256,7 @@ def test_build_lifecycle_realized_initial():
 
 
 def test_build_lifecycle_dismissed_construction():
-    lifecycle = build_lifecycle("r", [obs(1, REG), obs(2, REG)], 3)
+    lifecycle = build_lifecycle("r", [obs(1, REG), obs(2, REG)])
     assert lifecycle.outcome is Outcome.DISMISSED
     assert lifecycle.origin is Origin.CONSTRUCTION
     assert _lifecycle_oracle("r", [obs(1, REG), obs(2, REG)], 3).transitions == (GEN, CON, CLS)
@@ -264,21 +264,21 @@ def test_build_lifecycle_dismissed_construction():
 
 def test_build_lifecycle_closed_first_observation_rejected():
     with pytest.raises(LifecycleError, match="Closed at its first observation"):
-        build_lifecycle("r", [obs(0, CLO)], 3)
+        build_lifecycle("r", [obs(0, CLO)])
 
 
 def test_build_lifecycle_regression_rejected():
     with pytest.raises(LifecycleError, match="regression"):
-        build_lifecycle("r", [obs(0, HAP), obs(1, REG)], 3)
+        build_lifecycle("r", [obs(0, HAP), obs(1, REG)])
 
 
 def test_build_lifecycle_reopened_rejected():
     with pytest.raises(LifecycleError, match="reopened"):
-        build_lifecycle("r", [obs(0, CLO if False else REG), obs(1, CLO), obs(2, HAP)], 3)
+        build_lifecycle("r", [obs(0, CLO if False else REG), obs(1, CLO), obs(2, HAP)])
 
 
 def test_build_lifecycle_gap_persists_state():
-    lifecycle = build_lifecycle("r", [obs(0, REG), obs(3, HAP)], 5)
+    lifecycle = build_lifecycle("r", [obs(0, REG), obs(3, HAP)])
     assert lifecycle.outcome is Outcome.REALIZED
     oracle = _lifecycle_oracle("r", [obs(0, REG), obs(3, HAP)], 5)
     assert oracle.state_sequence == (REG, REG, REG, HAP, CLO)
@@ -287,7 +287,7 @@ def test_build_lifecycle_gap_persists_state():
 
 
 def test_build_lifecycle_early_close_stays_closed():
-    lifecycle = build_lifecycle("r", [obs(0, REG), obs(1, CLO)], 4)
+    lifecycle = build_lifecycle("r", [obs(0, REG), obs(1, CLO)])
     assert lifecycle.outcome is Outcome.DISMISSED
     oracle = _lifecycle_oracle("r", [obs(0, REG), obs(1, CLO)], 4)
     assert oracle.state_sequence == (REG, CLO, CLO, CLO)
@@ -295,17 +295,17 @@ def test_build_lifecycle_early_close_stays_closed():
 
 
 def test_build_lifecycle_single_final_observation():
-    realized = build_lifecycle("r", [obs(2, HAP)], 3)
+    realized = build_lifecycle("r", [obs(2, HAP)])
     assert realized.outcome is Outcome.REALIZED
     assert realized.origin is Origin.CONSTRUCTION
     assert _lifecycle_oracle("r", [obs(2, HAP)], 3).transitions == (GEN, OCC, CLS)
-    dismissed = build_lifecycle("r", [obs(2, REG)], 3)
+    dismissed = build_lifecycle("r", [obs(2, REG)])
     assert dismissed.outcome is Outcome.DISMISSED
     assert _lifecycle_oracle("r", [obs(2, REG)], 3).transitions == (GEN, CLS)
 
 
 def test_build_lifecycle_hap_at_final_counts_realized():
-    lifecycle = build_lifecycle("r", [obs(0, REG), obs(2, HAP)], 3)
+    lifecycle = build_lifecycle("r", [obs(0, REG), obs(2, HAP)])
     assert lifecycle.outcome is Outcome.REALIZED
     assert _lifecycle_oracle("r", [obs(0, REG), obs(2, HAP)], 3).state_sequence[-1] is CLO
 
@@ -330,18 +330,18 @@ def test_outcome_realized_iff_occur_in_word():
         ([obs(2, HAP)], 3),
     ]
     for observations, count in cases:
-        realized = build_lifecycle("r", observations, count).outcome is Outcome.REALIZED
+        realized = build_lifecycle("r", observations).outcome is Outcome.REALIZED
         word = _lifecycle_oracle("r", observations, count).transitions
         assert realized == (OCC in word), observations
 
 
 def test_build_lifecycle_validation_errors():
     with pytest.raises(LifecycleError, match="no observations"):
-        build_lifecycle("r", [], 3)
+        build_lifecycle("r", [])
     with pytest.raises(LifecycleError, match="ascend"):
-        build_lifecycle("r", [obs(1, REG), obs(1, REG)], 3)
-    with pytest.raises(LifecycleError, match="outside"):
-        build_lifecycle("r", [obs(5, REG)], 3)
+        build_lifecycle("r", [obs(1, REG), obs(1, REG)])
+    with pytest.raises(LifecycleError, match=r"^risk 'r': first ordinal -1 is negative$"):
+        build_lifecycle("r", [obs(-1, REG), obs(2, REG)])
 
 
 def _word_oracle(states):
@@ -395,8 +395,8 @@ def test_ratios_worked_example():
 
 def test_ratios_all_dismissed():
     lifecycles = [
-        build_lifecycle("a", [obs(0, REG)], 2),
-        build_lifecycle("b", [obs(1, REG)], 2),
+        build_lifecycle("a", [obs(0, REG)]),
+        build_lifecycle("b", [obs(1, REG)]),
     ]
     ratios = compute_ratios(lifecycles)
     assert ratios.total_realization == 0.0
@@ -432,10 +432,10 @@ def test_ratios_invalid_counts():
 
 def test_compute_ratios_permutation_invariant():
     lifecycles = [
-        build_lifecycle("a", [obs(0, REG), obs(1, HAP)], 3),
-        build_lifecycle("b", [obs(0, REG)], 3),
-        build_lifecycle("c", [obs(1, HAP)], 3),
-        build_lifecycle("d", [obs(2, REG)], 3),
+        build_lifecycle("a", [obs(0, REG), obs(1, HAP)]),
+        build_lifecycle("b", [obs(0, REG)]),
+        build_lifecycle("c", [obs(1, HAP)]),
+        build_lifecycle("d", [obs(2, REG)]),
     ]
     forward = compute_ratios(lifecycles)
     backward = compute_ratios(list(reversed(lifecycles)))
@@ -514,6 +514,52 @@ def test_read_lifecycle_csv_errors():
     with pytest.raises(ParseError, match=r"^lc\.csv, row 3: field larger than field limit"):
         read_lifecycle_csv(b"project_id,risk_id,snapshot,state\n1,r,0,Reg\n1,r2,0," + cell
                            + b"\n", "lc.csv")
+
+
+# Both CSV inputs, a register and the lifecycle table, follow one set of CSV
+# rules. Each file below holds every column either reader needs; its rows are
+# risks of project p at snapshot 0, Registered. Both readers must read the
+# same risk ids in order, or fail at the same place: the text after the file
+# name, up to the first ": " of a row error.
+CSV_HEADER = "project_id,risk_id,name,snapshot,state"
+CSV_EDGE_CASES = {
+    "plain": (f"{CSV_HEADER}\np,r1,n,0,Reg\np,r2,n,0,Reg\n", ["r1", "r2"]),
+    "byte-order mark": (f"\ufeff{CSV_HEADER}\np,r1,n,0,Reg\n", ["r1"]),
+    "CRLF": (f"{CSV_HEADER}\r\np,r1,n,0,Reg\r\np,r2,n,0,Reg\r\n", ["r1", "r2"]),
+    "blank lines": (f"{CSV_HEADER}\n\np,r1,n,0,Reg\n\n\np,r2,n,0,Reg\n\n", ["r1", "r2"]),
+    "blank lines count": (f"{CSV_HEADER}\np,r1,n,0,Reg\n\n\np,,n,0,Reg\n", ", row 5"),
+    "quoted line break": (f'{CSV_HEADER}\np,r1,"a\nb",0,Reg\np,,n,0,Reg\n', ", row 4"),
+    "short row": (f"{CSV_HEADER}\np,r1\n", ", row 2"),
+    "repeated header name": (f"{CSV_HEADER},risk_id\np,r1,n,0,Reg,r9\n", ["r9"]),
+    "repeated name past a short row": (f"{CSV_HEADER},risk_id\np,r1,n,0,Reg\n", ", row 2"),
+    "extra columns": (f"note,{CSV_HEADER}\nx,p,r1,n,0,Reg,y,z\n", ["r1"]),
+    "missing required column": ("project_id,name,snapshot,state\np,n,0,Reg\n",
+                                ": header is missing required column 'risk_id'"),
+    "cell past the field limit": (f"{CSV_HEADER}\np,r1,n,0,Reg\np,r2,{'x' * 200_000},0,Reg\n",
+                                  ", row 3: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_EDGE_CASES))
+def test_register_and_lifecycle_csv_follow_the_same_csv_rules(case):
+    from riskbench.corpus import parse_register
+
+    text, expected = CSV_EDGE_CASES[case]
+    data = text.encode("utf-8")
+    readers = {
+        "register": lambda: [item.risk_id for item in parse_register(data, "csv", "in.csv").items],
+        "lifecycle": lambda: [risk_id for risks in read_lifecycle_csv(data, "in.csv").values()
+                              for risk_id in risks],
+    }
+    for name, read in readers.items():
+        if isinstance(expected, list):
+            assert read() == expected, name
+            continue
+        with pytest.raises(ParseError) as excinfo:
+            read()
+        message = str(excinfo.value)
+        assert message.startswith(f"in.csv{expected}"), (name, message)
+        assert message.split(": ")[0] == f"in.csv{expected}".split(": ")[0], (name, message)
 
 
 def test_tabulated_ratios_error_names_the_project():
