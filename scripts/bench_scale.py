@@ -10,8 +10,10 @@ each command of `COMMANDS` at every rung, one fresh `python -m riskbench.cli`
 process each, with the riskbench found in `--src` (default: this checkout's
 `src`).  For each command it records wall time, the process's own peak RSS
 (from `wait4`), report bytes and the report's SHA-256, and writes them as
-JSON, with the line count of the `--src` tree's Python files.  One untimed
-command first fills the embedding parse cache.
+JSON, with the line count of the `--src` tree's Python files.  Before each
+rung's timed commands, one untimed `similarity risks` at that rung fills the
+parse cache with the rung's corpus and the word vectors, so that every timed
+command reads both from the cache, as a repeated command does.
 
 `--check` runs the same ladder and compares every report's SHA-256 with
 BENCH_scale.json instead of writing it; times and memory are not compared.
@@ -127,8 +129,8 @@ def run_ladder(src: Path) -> list[dict]:
             return [*argv, "--manifest", str(target / "manifest.json"), *vectors,
                     "--out", str(report)]
 
-        run_command(command("similarity risks", *inputs[0]), src)  # fills the parse cache
         for projects, (target, summary) in zip(RUNGS, inputs):
+            run_command(command("similarity risks", target, summary), src)  # fills the cache
             rung = {"projects": projects, "risks_per_project": RISKS, "rows": summary["rows"],
                     "distinct_texts": summary["distinct_texts"], "commands": {}}
             for name in COMMANDS:
@@ -192,7 +194,7 @@ def main(argv=None) -> int:
                    "distinct_ratio": DISTINCT_RATIO, "word_dimension": 300,
                    "word_vocabulary": 20000},
         "method": "one fresh process per command, run once, after one untimed command "
-                  "that fills the embedding parse cache; peak RSS from wait4",
+                  "per rung that fills the parse cache; peak RSS from wait4",
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "src_lines": sum(len(path.read_bytes().splitlines()) for path in src.rglob("*.py")),

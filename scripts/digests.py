@@ -23,6 +23,12 @@ arguments are recorded with `{inputs}` for the seed's input directory and
 `{words}` for the shared word-vector file. Only tests/test_digests.py's
 fixture part runs in the test suite: the benchmark inputs take about 55 MB.
 
+Both sections run twice, under a private parse cache (`XDG_CACHE_HOME`): a
+cold run that starts with the cache empty and stores every corpus and vector
+file it parses, then a warm run that is served from those entries. Each run
+must give the recorded bytes; `--check` names the run of the first command
+that does not.
+
 A change that alters report bytes on purpose regenerates DIGESTS.json and
 lists every changed report in CHANGES.md.
 """
@@ -32,9 +38,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "DIGESTS.json"
@@ -166,24 +174,54 @@ def first_mismatch(recorded: list[dict], actual: list[dict]) -> str | None:
     return None
 
 
+def cold_and_warm(run: Callable[[Path], dict], out: Path) -> dict[str, dict]:
+    """`run`'s sections, run with its outputs under `out/cold`, then under
+    `out/warm`, both under the private parse cache `out/cache`, empty at first."""
+    previous = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(out / "cache")
+    try:
+        runs = {}
+        for state in ("cold", "warm"):
+            (out / state).mkdir()
+            runs[state] = run(out / state)
+        return runs
+    finally:
+        if previous is None:
+            del os.environ["XDG_CACHE_HOME"]
+        else:
+            os.environ["XDG_CACHE_HOME"] = previous
+
+
+def run_mismatch(recorded: dict, runs: dict[str, dict]) -> str | None:
+    """A line naming the run and the first command of a section whose record
+    differs from `recorded`, or None."""
+    for state, sections in runs.items():
+        for name, records in sections.items():
+            mismatch = first_mismatch(recorded.get(name, []), records)
+            if mismatch:
+                return f"{state} run: {mismatch}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with DIGESTS.json instead of writing it")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="riskbench-digests-") as out:
-        sections = {"commands": run_matrix(Path(out)), "bench": run_bench(Path(out))}
-    counts = ", ".join(f"{len(records)} {name}" for name, records in sections.items())
+        runs = cold_and_warm(lambda run: {"commands": run_matrix(run), "bench": run_bench(run)},
+                             Path(out))
+    counts = ", ".join(f"{len(records)} {name}" for name, records in runs["cold"].items())
+    # the cold run is what is recorded; the warm run must give the same bytes
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8")) if args.check else runs["cold"]
+    mismatch = run_mismatch(recorded, runs)
+    if mismatch:
+        print(f"mismatch: {mismatch}", file=sys.stderr)
+        return 1
     if args.check:
-        recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
-        for name, records in sections.items():
-            mismatch = first_mismatch(recorded.get(name, []), records)
-            if mismatch:
-                print(f"mismatch: {mismatch}", file=sys.stderr)
-                return 1
-        print(f"{counts} match DIGESTS.json")
+        print(f"{counts} match DIGESTS.json, cold and warm")
         return 0
-    DIGESTS.write_text(json.dumps(sections, indent=1) + "\n", encoding="utf-8")
+    DIGESTS.write_text(json.dumps(runs["cold"], indent=1) + "\n", encoding="utf-8")
     print(f"wrote {DIGESTS.name}: {counts}")
     return 0
 

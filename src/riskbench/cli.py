@@ -8,6 +8,7 @@ echoed so reruns over identical inputs stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 from dataclasses import asdict, fields, replace
@@ -231,8 +232,9 @@ def _lifecycle_tables(args, digests):
         path = Path(args.lifecycle_csv)
         if not path.exists():
             raise RiskbenchError(f"lifecycle csv not found: {path}")
-        observations = read_lifecycle_csv(path.read_bytes(), source=str(path))
-        digests["lifecycle_csv"] = file_digest(path)
+        data = path.read_bytes()
+        observations = read_lifecycle_csv(data, source=str(path))
+        digests["lifecycle_csv"] = hashlib.sha256(data).hexdigest()
         try:
             return *tabulated_ratios(observations), {"source": "lifecycle_csv"}
         except LifecycleError as exc:

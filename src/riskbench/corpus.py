@@ -7,14 +7,19 @@ qualitative High/Medium/Low levels from raw measurements.
 
 from __future__ import annotations
 
+import marshal
 import math
+import struct
+import sys
 from bisect import bisect_left
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import cache
 from .errors import CorpusError, NormalizeError, ParseError
 from .resources import (check_shape, csv_rows, is_finite, is_int, is_number, json_value,
                         read_json_checked)
@@ -488,7 +493,9 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     Each register is parsed whole before any of its rows is normalized, and
     each RiskItem is built once, already normalized. Equal texts (risk ids,
     names, descriptions, categories, statuses) are one str object across the
-    corpus. The corpus keeps the SHA-256 of every file it parsed.
+    corpus. The corpus keeps the SHA-256 of every file it parsed. A load that
+    returns is stored in the parse cache under the digests of its files and
+    the scale config; a later load of the same bytes is served from it.
     """
     from hashlib import sha256
 
@@ -502,6 +509,36 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     manifest = json_value(data, str(manifest_path))
     check_shape(manifest, _MANIFEST, str(manifest_path))
 
+    # each register's bytes, or the error reading it raised, read once here
+    # and parsed in this order; a load with an unreadable register raises
+    base = manifest_path.parent
+    files: deque[bytes | OSError] = deque()
+    ordered = [digests["manifest"]]
+    for project in manifest["projects"]:
+        for register in project.get("registers", []):
+            try:
+                files.append((base / register["path"]).read_bytes())
+            except OSError as exc:
+                files.append(exc)
+                continue
+            digests[register["path"]] = sha256(files[-1]).hexdigest()
+            ordered.append(digests[register["path"]])
+    entry = None
+    if len(ordered) == len(files) + 1:
+        entry = cache.entry_path("corpus", f"{_cache_key(ordered, cfg)}.marshal")
+    if entry is not None:
+        corpus = _cached_corpus(entry, digests)
+        if corpus is not None:
+            return corpus
+    corpus = _parse_corpus(manifest_path, manifest, files, cfg, digests)
+    if entry is not None:
+        _store_corpus(entry, corpus)
+    return corpus
+
+
+def _parse_corpus(manifest_path: Path, manifest: dict, files: deque, cfg: ScaleConfig,
+                  digests: dict[str, str]) -> Corpus:
+    """The corpus of a checked manifest and its registers' `files`, taken in order."""
     base = manifest_path.parent
     share = {}.setdefault  # one object per distinct text in this load
     projects: list[ProjectRecord] = []
@@ -518,13 +555,13 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                     f"{where}, register {number}: 'ordinal' must be a non-negative integer"
                 )
             path = base / register["path"]
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError as exc:
+            data = files.popleft()
+            if isinstance(data, FileNotFoundError):
                 raise CorpusError(
                     f"project {project_id!r}: register file not found: {path}"
-                ) from exc
-            digests[register["path"]] = sha256(data).hexdigest()
+                ) from data
+            if isinstance(data, OSError):
+                raise data
             source = str(path)
             rows, ordinal = _register_rows(data, _register_format(path), source)
             items = []
@@ -563,3 +600,92 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
         ids = [project.project_id for project in projects]
         index = next(i for i, project_id in enumerate(ids) if project_id in ids[:i])
         raise CorpusError(f"{manifest_path}, project {index}: {exc}") from exc
+
+
+# ------------------------------------------------------- corpus cache entries
+#
+# A load is stored in the parse cache (`cache.py`) under `_cache_key`. The
+# entry holds one chunk per project, each followed by one chunk per snapshot
+# of that project in the record's order: an 8-byte length, then the marshal
+# bytes of the project's fields and snapshot count, or of the snapshot's
+# ordinal and its rows, normalized. marshal is the format of Python's own
+# bytecode cache; the key names the interpreter that wrote it. A hit decodes
+# one chunk at a time and builds every record through its constructor, so a
+# torn, foreign or invalid entry fails at its CRC or there, and is a miss.
+# Bump the format when the entry layout or the loader's results change.
+_CORPUS_FORMAT = 1
+_CHUNK = struct.Struct("<Q")
+_LEVEL = {level.value: level for level in Qualitative}
+
+
+def _cache_key(digests: list[str], cfg: ScaleConfig) -> str:
+    """The SHA-256 of what a load depends on: the entry format, the
+    interpreter, the digests of the manifest and of each register in manifest
+    order, and the scale config's band edges and risk matrix."""
+    from hashlib import sha256
+
+    matrix = [cfg.risk_matrix[pair].value for pair in product(BANDS, repeat=2)]
+    edges = [getattr(cfg, label) for label in _BAND_EDGES]
+    text = repr((_CORPUS_FORMAT, sys.implementation.cache_tag, digests, edges, matrix))
+    return sha256(text.encode()).hexdigest()
+
+
+def _store_corpus(entry: Path, corpus: Corpus) -> None:
+    """Write `corpus` at `entry` as the chunks above."""
+    def fill(out) -> None:
+        def chunk(value) -> None:
+            data = marshal.dumps(value)
+            out.write(_CHUNK.pack(len(data)))
+            out.write(data)
+
+        for project in corpus.projects:
+            chunk((project.project_id, project.jurisdiction, project.delivery_method,
+                   project.project_type, project.size_band.value, project.contract_value_musd,
+                   project.award_year, len(project.snapshots)))
+            for snapshot in project.snapshots:
+                chunk((snapshot.ordinal, [
+                    (item.risk_id, item.name, item.description, item.category_label,
+                     item.status_note, a.probability_band, a.cost_band, a.schedule_band,
+                     a.qualitative_cost.value, a.qualitative_schedule.value,
+                     a.raw_probability, a.raw_cost, a.raw_schedule)
+                    for item in snapshot.items for a in (item.assessment,)
+                ]))
+
+    cache.write(entry, fill)
+
+
+def _cached_corpus(entry: Path, digests: dict[str, str]) -> Corpus | None:
+    """The corpus stored at `entry`, with `digests`; None for a missing or
+    invalid entry."""
+    share = {}.setdefault  # one object per distinct text, as a parse makes
+    projects = []
+    try:
+        with open(entry, "rb") as handle:
+            size = cache.checked_size(handle)
+            if size is None:
+                return None
+            handle.seek(0)
+
+            def chunk():
+                (length,) = _CHUNK.unpack(handle.read(_CHUNK.size))
+                if handle.tell() + length > size:
+                    raise EOFError("a chunk runs past the entry")
+                return marshal.loads(handle.read(length))
+
+            while handle.tell() < size:
+                *texts, size_band, value, year, count = chunk()
+                snapshots = []
+                for _ in range(count):
+                    ordinal, rows = chunk()
+                    snapshots.append(RegisterSnapshot(ordinal, tuple([
+                        RiskItem(share(r, r), share(n, n), share(d, d), share(c, c),
+                                 Assessment(p, cb, sb, _LEVEL[qc], _LEVEL[qs], rp, rc, rs),
+                                 share(st, st))
+                        for r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs in rows
+                    ])))
+                projects.append(ProjectRecord(*texts, SizeBand(size_band), value, year,
+                                              tuple(snapshots)))
+        return Corpus(tuple(projects), digests)
+    except (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, struct.error,
+            CorpusError):
+        return None

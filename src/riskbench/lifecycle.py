@@ -319,8 +319,10 @@ def read_lifecycle_csv(data: bytes, source: str = "<lifecycle>") -> dict[str, di
             raise ParseError(f"{where}: snapshot must be an integer") from exc
         if ordinal < 0:
             raise ParseError(f"{where}: snapshot must be >= 0, got {ordinal}")
+        # ids are stripped, as a register's risk_id is; None past the end of a short row
+        project_id, risk_id = (project_id or "").strip(), (risk_id or "").strip()
         for column, value in (("project_id", project_id), ("risk_id", risk_id)):
-            if not (value or "").strip():  # None past the end of a short row
+            if not value:
                 raise ParseError(f"{where}: missing {column}")
         risk = projects.setdefault(project_id, {}).setdefault(risk_id, [])
         if risk and ordinal <= risk[-1].snapshot_ordinal:

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import re
 import struct
 import warnings
-import zlib
-from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from . import cache
 from .errors import DimensionError, MissingEmbeddingError, ParseError
 from .report import file_digest
 from .resources import check_shape, data_path, input_text, json_value
@@ -43,14 +41,12 @@ _UNIT_EPS = 1e-12
 # cosine() rescales such vectors first; larger ones are computed as they are.
 _TINY_NORM = 1e-150
 
-# Parsed vector files are kept per content under the user cache directory.
-# Bump the format when the entry layout or the parsers' results change;
-# entries of any format count against the per-kind cap, so old ones age out.
-_CACHE_FORMAT = 3
-_CACHE_ENTRIES = 8
-# an entry's last bytes: the byte length of its keys and the CRC-32 of
-# every byte before this trailer
-_CACHE_TRAILER = struct.Struct("<QI")
+# Parsed vector files are kept per content in the parse cache. Bump the
+# format when the entry layout or the parsers' results change; entries of any
+# format count against the per-kind cap, so old ones age out.
+_CACHE_FORMAT = 4
+# the bytes before an entry's CRC trailer: the byte length of its keys
+_KEY_BYTES = struct.Struct("<Q")
 
 # One block of a score table holds at most this many bytes.
 _BLOCK_BYTES = 16 << 20
@@ -536,35 +532,18 @@ def _parse_sentence_file(path: Path, lines: Sequence[str]) -> tuple[list[str], n
 
 # ----------------------------------------------------------- parse cache
 #
-# An entry is named by the kind, the format and the SHA-256 of the source
-# bytes. It is a .npy file of the float64 matrix (one row per key; np.save
-# starts the data at a 64-byte aligned offset), followed by the table's keys
-# in order (UTF-8, joined by newlines; neither tokens nor normalized
-# sentences contain a newline) and `_CACHE_TRAILER`. A hit maps the matrix
-# read-only, so a command holds only the rows it reads; the CRC, the checks
-# in `_cache_read` and the loader's table turn a torn or foreign entry into a
-# miss. Entries are replaced whole, never written in place: a mapping stays valid.
+# An entry of the parse cache (`cache.py`) is named by the kind, the format
+# and the SHA-256 of the source bytes. It is a .npy file of the float64 matrix
+# (one row per key; np.save starts the data at a 64-byte aligned offset),
+# followed by the table's keys in order (UTF-8, joined by newlines; neither
+# tokens nor normalized sentences contain a newline) and `_KEY_BYTES`. A hit
+# maps the matrix read-only, so a command holds only the rows it reads; the
+# CRC, the checks in `_cache_read` and the loader's table turn a torn or
+# foreign entry into a miss.
 
 
 def _cache_entry(kind: str, digest: str) -> Path | None:
-    """$XDG_CACHE_HOME/riskbench/<entry>, else ~/.cache/riskbench; None without a home."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):  # unset, empty or relative: ignored, as the spec says
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    if not os.path.isabs(base):
-        return None
-    return Path(base, "riskbench", f"{kind}-v{_CACHE_FORMAT}-{digest}.npy")
-
-
-def _crc32(handle, size: int) -> int:
-    """The CRC-32 of a file's first `size` bytes, read in blocks through `read`:
-    pages read this way do not count toward the process's memory, as pages of
-    a mapping it touches do."""
-    handle.seek(0)
-    crc = 0
-    for start in range(0, size, 1 << 20):
-        crc = zlib.crc32(handle.read(min(size - start, 1 << 20)), crc)
-    return crc
+    return cache.entry_path(kind, f"v{_CACHE_FORMAT}-{digest}.npy")
 
 
 def _cache_read(kind: str, digest: str) -> tuple[list[str], np.ndarray] | None:
@@ -578,23 +557,25 @@ def _cache_read(kind: str, digest: str) -> tuple[list[str], np.ndarray] | None:
         return None
     try:
         with open(entry, "rb") as handle:
+            size = cache.checked_size(handle)
+            if size is None or size < _KEY_BYTES.size:
+                return None
+            handle.seek(size - _KEY_BYTES.size)
+            (key_bytes,) = _KEY_BYTES.unpack(handle.read(_KEY_BYTES.size))
+            handle.seek(0)
             if np.lib.format.read_magic(handle) != (1, 0):
                 return None
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
             offset = handle.tell()
-            size = os.fstat(handle.fileno()).st_size
-            handle.seek(size - _CACHE_TRAILER.size)
-            key_bytes, crc = _CACHE_TRAILER.unpack(handle.read(_CACHE_TRAILER.size))
             if (
                 dtype != np.float64
                 or fortran_order
                 or len(shape) != 2
                 or shape[1] < 1
-                or offset + 8 * shape[0] * shape[1] + key_bytes + _CACHE_TRAILER.size != size
-                or _crc32(handle, size - _CACHE_TRAILER.size) != crc
+                or offset + 8 * shape[0] * shape[1] + key_bytes + _KEY_BYTES.size != size
             ):
                 return None
-            handle.seek(size - _CACHE_TRAILER.size - key_bytes)
+            handle.seek(size - _KEY_BYTES.size - key_bytes)
             keys = handle.read(key_bytes).decode("utf-8", "surrogatepass").split("\n")
             if len(keys) != shape[0]:
                 return None
@@ -607,39 +588,17 @@ def _cache_read(kind: str, digest: str) -> tuple[list[str], np.ndarray] | None:
 
 
 def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) -> None:
-    """Store parsed keys and their matrix, then drop the oldest entries of the
-    kind past the cap; nothing is stored, and nothing said, when the directory
-    cannot be created or written."""
-    import tempfile
-
+    """Store parsed keys and their matrix."""
     import numpy as np
 
     entry = _cache_entry(kind, digest)
     if entry is None:
         return
     encoded = "\n".join(keys).encode("utf-8", "surrogatepass")
-    try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp = tempfile.mkstemp(prefix=f".{kind}-", suffix=".tmp", dir=entry.parent)
-    except OSError:
-        return
-    try:
-        with os.fdopen(handle, "w+b") as out:
-            np.save(out, matrix, allow_pickle=False)
-            out.write(encoded)
-            crc = _crc32(out, out.tell())
-            out.write(_CACHE_TRAILER.pack(len(encoded), crc))
-        # No fsync: an entry torn by a crash fails its CRC and is rewritten.
-        os.replace(temp, entry)
-    except OSError:
-        return
-    finally:
-        with suppress(OSError):
-            os.unlink(temp)  # already gone after a successful replace
-    ages = []
-    for other in entry.parent.glob(f"{kind}-*"):  # entries of every format
-        with suppress(OSError):
-            ages.append((other.stat().st_mtime_ns, other.name))
-    for _, name in sorted(ages)[:-_CACHE_ENTRIES]:
-        with suppress(OSError):
-            os.unlink(entry.parent / name)
+
+    def fill(out):
+        np.save(out, matrix, allow_pickle=False)
+        out.write(encoded)
+        out.write(_KEY_BYTES.pack(len(encoded)))
+
+    cache.write(entry, fill)

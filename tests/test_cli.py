@@ -974,6 +974,20 @@ def test_lifecycle_errors_name_the_project(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_lifecycle_csv_ids_are_stripped(tmp_path, capsys):
+    # the spaces around an id are not part of it, as in a register
+    lifecycle_csv = tmp_path / "lifecycle.csv"
+    lifecycle_csv.write_text("project_id,risk_id,snapshot,state\np,r1,0,Hap\np, r1 ,1,Reg\n")
+    assert list(read_lifecycle_csv(lifecycle_csv.read_bytes())["p"]) == ["r1"]
+    out = tmp_path / "ratios.json"
+    assert run(["lifecycle", "ratios", "--lifecycle-csv", str(lifecycle_csv),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {lifecycle_csv}: project 'p': risk 'r1': illegal regression Hap -> Reg "
+        "at snapshot 1\n")
+    assert not out.exists()
+
+
 def write_gapped_lifecycle(directory, flag, last):
     """Risk a goes Reg -> Hap at snapshots 0-1, b is Reg at 0 and at `last`,
     and c arrives Happening at `last`; returns the input file for `flag`."""

@@ -4,19 +4,25 @@ import csv
 import hashlib
 import io
 import json
+import marshal
 import math
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskbench
+from riskbench import cache
 from riskbench.corpus import (
     BANDS,
     REGISTER_CSV_COLUMNS,
@@ -756,13 +762,164 @@ def test_load_corpus_matches_parse_then_normalize(case):
             Path(directory, name).write_bytes(data)
         path = Path(directory, "manifest.json")
         path.write_text(json.dumps(manifest))
-        assert _outcome(load_corpus, path) == _outcome(reference_load, path)
+        cache_dir = Path(directory, "cache")
+        with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(cache_dir)):
+            miss = _outcome(load_corpus, path)
+            # a load that returns is stored, and the next one is a hit; one
+            # that raises leaves no entry and no temp file
+            entries = sorted(cache_dir.rglob("*"))
+            assert [entry.suffix for entry in entries[1:]] == ([".marshal"] if miss[0] else [])
+            assert _outcome(load_corpus, path) == miss == _outcome(reference_load, path)
 
 
 def test_load_corpus_matches_parse_then_normalize_on_fixture(expost_manifest):
     corpus = load_corpus(expost_manifest)
     assert corpus == reference_load(expost_manifest)
     assert repr(corpus) == repr(reference_load(expost_manifest))
+
+
+# ------------------------------------------------------- corpus cache entries
+
+
+def _counted_parses(monkeypatch) -> list[str]:
+    """The sources of the registers the loader parses from here on."""
+    parsed = []
+    original = riskbench.corpus._register_rows
+    monkeypatch.setattr(riskbench.corpus, "_register_rows",
+                        lambda data, fmt, source: parsed.append(source) or original(data, fmt, source))
+    return parsed
+
+
+def _corpus_entries(cache_dir: Path) -> list[Path]:
+    return sorted((cache_dir / "riskbench").glob("*"))
+
+
+def _texts(corpus: Corpus) -> list[str]:
+    return [text for project in corpus.projects for snapshot in project.snapshots
+            for item in snapshot.items
+            for text in (item.risk_id, item.name, item.description, item.category_label,
+                         item.status_note) if text is not None]
+
+
+@pytest.fixture
+def expost_copy(tmp_path, monkeypatch, expost_manifest) -> Path:
+    """A copy of the fixture corpus, and a private, empty parse cache."""
+    shutil.copytree(Path(expost_manifest).parent, tmp_path / "expost")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "expost" / "manifest.json"
+
+
+def test_corpus_cache_hit_equals_the_miss(expost_copy, tmp_path, monkeypatch):
+    parsed = _counted_parses(monkeypatch)
+    miss = load_corpus(expost_copy)
+    registers = len(miss.digests) - 1
+    assert len(parsed) == registers
+    [entry] = _corpus_entries(tmp_path / "cache")
+    assert entry.name.startswith("corpus-") and entry.suffix == ".marshal"
+    hit = load_corpus(expost_copy)
+    assert len(parsed) == registers  # served from the entry
+    assert hit == miss == reference_load(expost_copy)
+    assert repr(hit) == repr(miss)
+    assert list(hit.digests.items()) == list(miss.digests.items())
+    # one str object per distinct text, as a parse makes
+    texts = _texts(hit)
+    assert len({id(text) for text in texts}) == len(set(texts))
+    assert _corpus_entries(tmp_path / "cache") == [entry]
+
+
+def _damage_corpus_entry(entry: Path, how: str) -> None:
+    data = entry.read_bytes()
+    if how == "truncated":
+        entry.write_bytes(data[: len(data) // 2])
+    elif how == "flipped-bit":  # only the stored CRC-32 can tell
+        entry.write_bytes(data[: len(data) // 2] + bytes([data[len(data) // 2] ^ 0x10])
+                          + data[len(data) // 2 + 1:])
+    elif how == "garbage":
+        entry.write_bytes(b"not a cache entry\n" * 64)
+    else:
+        # an entry the cache's own writer makes, CRC and all, that does not decode
+        # or that holds a record no constructor accepts
+        chunks = {"undecodable": [b"\xff" * 16],
+                  "invalid-record": [marshal.dumps(("1", "", "", "", "over_1B", 1421, None, 1)),
+                                     marshal.dumps((0, [("r1", "A", None, None, None, 9, None,
+                                                         None, "Unset", "Unset", None, None,
+                                                         None)]))]}[how]
+        cache.write(entry, lambda out: out.write(b"".join(
+            struct.pack("<Q", len(chunk)) + chunk for chunk in chunks)))
+
+
+@pytest.mark.parametrize("how", [
+    "truncated", "flipped-bit", "garbage", "undecodable", "invalid-record", "other-interpreter"])
+def test_invalid_corpus_entry_is_a_miss_and_rewritten(expost_copy, tmp_path, monkeypatch, how):
+    cache_dir = tmp_path / "cache"
+    if how == "other-interpreter":  # an entry another interpreter stored
+        with monkeypatch.context() as patch:
+            patch.setattr(riskbench.corpus, "sys", SimpleNamespace(
+                implementation=SimpleNamespace(cache_tag="other-99")))
+            expected = load_corpus(expost_copy)
+        [other] = _corpus_entries(cache_dir)
+    else:
+        expected = load_corpus(expost_copy)
+        [entry] = _corpus_entries(cache_dir)
+        _damage_corpus_entry(entry, how)
+    parsed = _counted_parses(monkeypatch)
+    assert repr(load_corpus(expost_copy)) == repr(expected)
+    assert len(parsed) == len(expected.digests) - 1
+    if how == "other-interpreter":
+        [entry] = [path for path in _corpus_entries(cache_dir) if path != other]
+    assert repr(load_corpus(expost_copy)) == repr(expected)
+    assert len(parsed) == len(expected.digests) - 1  # the rewritten entry serves the next load
+    assert len(_corpus_entries(cache_dir)) == 1 + (how == "other-interpreter")
+
+
+def test_unwritable_cache_dir_still_loads_and_says_nothing(expost_copy, tmp_path, monkeypatch,
+                                                           capsys):
+    expected = load_corpus(expost_copy)
+    [entry] = _corpus_entries(tmp_path / "cache")
+    # an entry path taken by a directory can be neither read nor replaced
+    entry.unlink()
+    entry.mkdir()
+    assert load_corpus(expost_copy) == expected
+    assert _corpus_entries(tmp_path / "cache") == [entry]  # no temp file left behind
+    # a cache home that is a file: the cache dir cannot be created
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    for _ in range(2):
+        assert load_corpus(expost_copy) == expected
+    assert capsys.readouterr() == ("", "")
+
+
+def _raise_edges(path: Path) -> Path:
+    cfg = default_scale_config()
+    path.write_text(json.dumps({
+        "probability_band_edges": [0.2, 0.4, 0.6, 0.8],
+        "cost_band_edges": list(cfg.cost_band_edges),
+        "schedule_band_edges": list(cfg.schedule_band_edges),
+        "risk_matrix": {f"{p},{i}": q.value for (p, i), q in cfg.risk_matrix.items()},
+    }))
+    return path
+
+
+@pytest.mark.parametrize("change", ["register byte", "contract value", "scales"])
+def test_changed_input_is_a_corpus_cache_miss(expost_copy, tmp_path, monkeypatch, change):
+    first = load_corpus(expost_copy)
+    scales = None
+    if change == "register byte":  # a name's letter, in the last register
+        register = expost_copy.parent / list(first.digests)[-1]
+        data = register.read_bytes()
+        at = data.index(b"\n") + data[data.index(b"\n"):].index(b",") + 1
+        register.write_bytes(data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1:])
+    elif change == "contract value":  # within the project's size band
+        manifest = json.loads(expost_copy.read_text(encoding="utf-8"))
+        manifest["projects"][0]["contract_value_musd"] += 1
+        expost_copy.write_text(json.dumps(manifest), encoding="utf-8")
+    else:
+        scales = load_scale_config(_raise_edges(tmp_path / "scales.json"))
+    parsed = _counted_parses(monkeypatch)
+    load_corpus(expost_copy, scales)
+    assert len(parsed) == len(first.digests) - 1
+    assert len(_corpus_entries(tmp_path / "cache")) == 2
 
 
 def test_loaded_records_are_slotted(expost_manifest):
@@ -840,17 +997,21 @@ def test_loaded_corpus_peak_per_row(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"projects": entries}))
     src = str(Path(riskbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path / "cache"))
 
     def peak_bytes(*args):
         result = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *args], env=env,
                                 capture_output=True, text=True, timeout=120, check=True)
         return int(result.stdout) * 1024
 
-    baseline, loaded = peak_bytes(), peak_bytes(str(manifest))
-    # about 680 bytes a row with a __dict__ per record and a str per cell,
-    # about 310 with slotted records and one str per distinct text
-    assert (loaded - baseline) / (projects * snapshots * risks) < 450
+    baseline = peak_bytes()
+    # a miss, which parses and stores the corpus, then a hit
+    for case in ("miss", "hit"):
+        loaded = peak_bytes(str(manifest))
+        assert len(_corpus_entries(tmp_path / "cache")) == 1
+        # about 680 bytes a row with a __dict__ per record and a str per cell,
+        # about 310 with slotted records and one str per distinct text
+        assert (loaded - baseline) / (projects * snapshots * risks) < 450, case
 
 
 def _one_register_manifest(directory: Path, rows: str, value=None) -> Path:
@@ -886,10 +1047,15 @@ def _one_register_manifest(directory: Path, rows: str, value=None) -> Path:
      "r.csv, row 4: probability band 9 outside 1..5"),
     ("r1,A,,,,,,,-1\n", ParseError, "r.csv: snapshot column must be >= 0, got -1"),
 ])
-def test_load_corpus_error_precedence(tmp_path, rows, error, message):
+def test_load_corpus_error_precedence(tmp_path, monkeypatch, rows, error, message):
+    # the cache holds the corpus of a clean register at the same path
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    load_corpus(_one_register_manifest(tmp_path, "r1,A,,,,,,,\n"))
+    [entry] = _corpus_entries(tmp_path / "cache")
     manifest = _one_register_manifest(tmp_path, rows)
     with pytest.raises(error) as excinfo:
         load_corpus(manifest)
     assert type(excinfo.value) is error
     assert str(excinfo.value).endswith(message)
     assert _outcome(reference_load, manifest)[1] == (error.__name__, str(excinfo.value))
+    assert _corpus_entries(tmp_path / "cache") == [entry]  # no entry, no temp file

@@ -1,7 +1,7 @@
 """The committed same-bytes checks: every fixture report keeps its SHA-256.
 
 `scripts/digests.py` owns the command matrix and DIGESTS.json; this test runs
-the matrix in-process and compares. A change that alters report bytes on
+the matrix in-process, with a cold and then a warm parse cache, and compares. A change that alters report bytes on
 purpose regenerates DIGESTS.json with that script. `scripts/bench_scale.py
 --check` compares the scale ladder's reports with BENCH_scale.json; it runs
 outside the suite, which tests only its comparison.
@@ -26,8 +26,23 @@ def _script(name="digests"):
 
 def test_fixture_reports_match_the_committed_digests(tmp_path):
     digests = _script()
-    recorded = json.loads(digests.DIGESTS.read_text(encoding="utf-8"))["commands"]
-    assert digests.first_mismatch(recorded, digests.run_matrix(tmp_path)) is None
+    recorded = json.loads(digests.DIGESTS.read_text(encoding="utf-8"))
+    runs = digests.cold_and_warm(lambda run: {"commands": digests.run_matrix(run)}, tmp_path)
+    assert list(runs) == ["cold", "warm"]
+    assert digests.run_mismatch(recorded, runs) is None
+    # the cold run stored the fixture corpus and both vector files
+    entries = sorted(path.suffix for path in (tmp_path / "cache" / "riskbench").iterdir())
+    assert entries == [".marshal", ".npy", ".npy"]
+
+
+def test_run_mismatch_names_the_run():
+    digests = _script()
+    record = {"argv": ["ingest"], "exit": 0, "outputs": {"i.json": "aa"}}
+    runs = {state: {"commands": [record]} for state in ("cold", "warm")}
+    assert digests.run_mismatch({"commands": [record]}, runs) is None
+    runs["warm"] = {"commands": [{**record, "outputs": {"i.json": "bb"}}]}
+    assert digests.run_mismatch({"commands": [record]}, runs) == (
+        "warm run: ingest: i.json has SHA-256 bb, recorded aa")
 
 
 def test_first_mismatch_names_the_command_and_the_file():

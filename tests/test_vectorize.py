@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from riskbench import vectorize
+from riskbench import cache, vectorize
 from riskbench.errors import DimensionError, MissingEmbeddingError, ParseError
 from riskbench.resources import data_path
 from riskbench.vectorize import (
@@ -898,7 +898,7 @@ def test_cache_keeps_the_newest_entries_per_kind(tmp_path, monkeypatch):
     _write_jsonl(sentences, [{"text": "kept", "vector": [1.0]}])
     load_sentence_vectors(sentences)
     names = []
-    for i in range(vectorize._CACHE_ENTRIES + 2):
+    for i in range(cache.ENTRIES + 2):
         path = tmp_path / f"w{i}.txt"
         path.write_text(f"1 2\nw{i} {i} 1\n", encoding="utf-8")
         entry = vectorize._cache_entry("word_average", load_word_vectors(path).digest)
