@@ -433,6 +433,23 @@ def build_expost() -> None:
         writer.writerow(["project_id", "risk_id", "snapshot", "state"])
         writer.writerows(lifecycle_rows)
     print(f"wrote {root}/manifest.json and {len(lifecycle_rows)} lifecycle rows")
+    write_groups(root)
+
+
+def write_groups(root: Path) -> None:
+    """A `lifecycle compare` groups file: the design-build projects against
+    the design-bid-build ones, by the share of their initial and of their
+    construction-phase risks that were realized."""
+    groups: dict[str, list[str]] = {"DB": [], "DBB": []}
+    metrics = {}
+    for (pid, _, _, delivery, _, _, init_n, init_real, cons_n, cons_real) in EXPOST_PROJECTS:
+        if delivery in groups:
+            groups[delivery].append(str(pid))
+            metrics[str(pid)] = {"initial_realized": round(init_real / init_n, 4),
+                                 "construction_realized": round(cons_real / cons_n, 4)}
+    (root / "groups.json").write_text(
+        json.dumps({"groups": groups, "metrics": metrics}, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def main() -> int:

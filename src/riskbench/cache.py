@@ -1,11 +1,12 @@
 """The parse cache: what an earlier command parsed, kept per content.
 
-An entry lives at $XDG_CACHE_HOME/riskbench/<kind>-<name>, else under
-~/.cache/riskbench. Its last bytes are `TRAILER`, the CRC-32 of every byte
-before it. An entry is written to a temporary file in the cache directory and
-renamed over its name, so a reader sees a whole entry or none; it is never
-written in place, so a mapping of it stays valid. After each write only the
-newest `ENTRIES` entries of the kind are kept. Nothing is stored, and nothing
+An entry lives at $XDG_CACHE_HOME/riskbench/<kind>-v<format>-<key>, else
+under ~/.cache/riskbench. Its last bytes are `TRAILER`, the CRC-32 of every
+byte before it. An entry is written to a temporary file in the cache directory
+and renamed over its name, so a reader sees a whole entry or none; it is never
+written in place, so a mapping of it stays valid. Each write deletes the
+entries of its kind in any other format, which are never read again, and
+keeps only the newest `ENTRIES` of its own. Nothing is stored, and nothing
 said, when the directory cannot be created or written.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
 from contextlib import suppress
 from pathlib import Path
@@ -20,17 +22,21 @@ from typing import BinaryIO, Callable
 
 ENTRIES = 8
 TRAILER = struct.Struct("<I")
+# A scipy.special entry holds one little-endian float64. Bump the format when
+# its layout or its key changes.
+_SPECIAL_FORMAT = 1
+_FLOAT = struct.Struct("<d")
 
 
-def entry_path(kind: str, name: str) -> Path | None:
-    """$XDG_CACHE_HOME/riskbench/<kind>-<name>, else ~/.cache/riskbench; None
-    without a home. A kind holds no "-"."""
+def entry_path(kind: str, format: int, key: str) -> Path | None:
+    """$XDG_CACHE_HOME/riskbench/<kind>-v<format>-<key>, else under
+    ~/.cache/riskbench; None without a home. Neither kind nor key holds a "-"."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: ignored, as the spec says
         base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
         return None
-    return Path(base, "riskbench", f"{kind}-{name}")
+    return Path(base, "riskbench", f"{kind}-v{format}-{key}")
 
 
 def _crc32(handle: BinaryIO, size: int) -> int:
@@ -56,10 +62,11 @@ def checked_size(handle: BinaryIO) -> int | None:
 
 def write(entry: Path, fill: Callable[[BinaryIO], None]) -> None:
     """Store at an `entry_path` the entry that `fill` writes to an open binary
-    file, then drop the oldest entries of its kind past the cap."""
+    file, then delete the entries of its kind in other formats and the oldest
+    in its own past the cap."""
     import tempfile
 
-    kind = entry.name.partition("-")[0]
+    kind, version, _ = entry.name.split("-", 2)
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         handle, temp = tempfile.mkstemp(prefix=f".{kind}-", suffix=".tmp", dir=entry.parent)
@@ -77,9 +84,49 @@ def write(entry: Path, fill: Callable[[BinaryIO], None]) -> None:
         with suppress(OSError):
             os.unlink(temp)  # already gone after a successful replace
     ages = []
-    for other in entry.parent.glob(f"{kind}-*"):  # entries of every format
+    for other in entry.parent.glob(f"{kind}-*"):
         with suppress(OSError):
-            ages.append((other.stat().st_mtime_ns, other.name))
+            if other.name.startswith(f"{kind}-{version}-"):
+                ages.append((other.stat().st_mtime_ns, other.name))
+            else:  # another format, or a name from before formats were named
+                os.unlink(other)
     for _, other in sorted(ages)[:-ENTRIES]:
         with suppress(OSError):
             os.unlink(entry.parent / other)
+
+
+def special(name: str, *args: float) -> float:
+    """scipy.special's function `name` at `args`, as the float it returns.
+
+    Importing scipy.special takes longer than a short command's own work, so
+    while it is not loaded the value is kept in an entry keyed by the scipy
+    build, `name` and the bits of `args`, and a hit does not import it. Once
+    it is loaded the entry is skipped, so a loop of calls does no file I/O."""
+    entry = None if "scipy.special" in sys.modules else _special_entry(name, args)
+    if entry is not None:
+        with suppress(OSError), open(entry, "rb") as handle:
+            if checked_size(handle) == _FLOAT.size:
+                handle.seek(0)
+                return _FLOAT.unpack(handle.read(_FLOAT.size))[0]
+    import scipy.special
+
+    value = float(getattr(scipy.special, name)(*args))
+    if entry is not None:
+        write(entry, lambda out: out.write(_FLOAT.pack(value)))
+    return value
+
+
+def _special_entry(name: str, args: tuple[float, ...]) -> Path | None:
+    """The entry of `special(name, *args)`: its key is the SHA-256 of the
+    format, the scipy build (version, git revision and the suffix of the
+    compiled modules it loads, which names the interpreter, machine and OS),
+    `name` and each argument's float.hex(). A top-level `import scipy` does
+    not load scipy.special."""
+    from hashlib import sha256
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    import scipy
+
+    build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
+    text = repr((_SPECIAL_FORMAT, build, name, [float(arg).hex() for arg in args]))
+    return entry_path("special", _SPECIAL_FORMAT, sha256(text.encode()).hexdigest())

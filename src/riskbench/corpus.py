@@ -525,7 +525,8 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
             ordered.append(digests[register["path"]])
     entry = None
     if len(ordered) == len(files) + 1:
-        entry = cache.entry_path("corpus", f"{_cache_key(ordered, cfg)}.marshal")
+        key = _cache_key(ordered, cfg)
+        entry = cache.entry_path("corpus", _CORPUS_FORMAT, f"{key}.marshal")
     if entry is not None:
         corpus = _cached_corpus(entry, digests)
         if corpus is not None:

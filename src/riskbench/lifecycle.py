@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+from . import cache
 from .corpus import Corpus, ProjectRecord
 from .errors import LifecycleError, ParseError, StatTestError, TransitionError
 from .resources import csv_rows
@@ -432,11 +433,8 @@ def hotelling_t2(
         t_squared = float(na * nb / (na + nb) * diff @ solved)
     if not np.isfinite(t_squared):
         raise StatTestError("T^2 overflows; the group means are too far apart for their spread")
-    # fdtri is the F quantile that scipy.stats.f.ppf computes; numpy and scipy
-    # are imported here so that importing riskbench loads neither.
-    from scipy.special import fdtri
-
-    critical = float(p * nu / (nu - p + 1) * fdtri(p, nu - p + 1, 1.0 - alpha))
+    # fdtri is the F quantile that scipy.stats.f.ppf computes
+    critical = p * nu / (nu - p + 1) * cache.special("fdtri", p, nu - p + 1, 1.0 - alpha)
     if not np.isfinite(critical):  # below about 5.6e-17, 1 - alpha rounds to 1
         raise StatTestError(f"alpha {alpha} is too small for a finite critical value")
     return HotellingResult(

@@ -15,6 +15,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import cache
 from .corpus import BANDS, Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
 from .errors import CorpusError, EmptyReportError, StatTestError
 from .report import PairRows
@@ -408,12 +409,8 @@ def two_sample_t_test(group_a: Sequence[float], group_b: Sequence[float]) -> TTe
         (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
     )
     statistic = (mean_a - mean_b) / se
-    # stdtr(df, -|t|) is the upper tail that scipy.stats.t.sf computes; the
-    # import stays local, as numpy's do, so that importing riskbench loads
-    # neither numpy nor scipy.
-    from scipy.special import stdtr
-
-    p_value = 2.0 * float(stdtr(df, -abs(statistic)))
+    # stdtr(df, -|t|) is the upper tail that scipy.stats.t.sf computes
+    p_value = 2.0 * cache.special("stdtr", df, -abs(statistic))
     return TTestResult(
         statistic=statistic, degrees_of_freedom=df, p_value=min(p_value, 1.0), variant="welch"
     )

@@ -42,8 +42,8 @@ _UNIT_EPS = 1e-12
 _TINY_NORM = 1e-150
 
 # Parsed vector files are kept per content in the parse cache. Bump the
-# format when the entry layout or the parsers' results change; entries of any
-# format count against the per-kind cap, so old ones age out.
+# format when the entry layout or the parsers' results change; the next write
+# of a kind deletes its entries in older formats.
 _CACHE_FORMAT = 4
 # the bytes before an entry's CRC trailer: the byte length of its keys
 _KEY_BYTES = struct.Struct("<Q")
@@ -543,7 +543,7 @@ def _parse_sentence_file(path: Path, lines: Sequence[str]) -> tuple[list[str], n
 
 
 def _cache_entry(kind: str, digest: str) -> Path | None:
-    return cache.entry_path(kind, f"v{_CACHE_FORMAT}-{digest}.npy")
+    return cache.entry_path(kind, _CACHE_FORMAT, f"{digest}.npy")
 
 
 def _cache_read(kind: str, digest: str) -> tuple[list[str], np.ndarray] | None:

@@ -764,8 +764,9 @@ def test_nan_threshold_exits_2_without_traceback(manifest, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.stats alone costs most of a CLI process's start-up; scipy is
-    # imported inside the two statistics that need it, never at import time.
+    # scipy.special alone costs more than a CLI process's start-up; it is
+    # imported only when one of the two statistics that need it computes a
+    # value the parse cache does not hold, never at import time.
     code = (
         "import sys, riskbench.cli\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"

@@ -872,6 +872,28 @@ def test_invalid_corpus_entry_is_a_miss_and_rewritten(expost_copy, tmp_path, mon
     assert len(_corpus_entries(cache_dir)) == 1 + (how == "other-interpreter")
 
 
+def test_a_write_deletes_the_entries_of_its_kind_in_other_formats(expost_copy, tmp_path):
+    from riskbench.vectorize import _CACHE_FORMAT, load_word_vectors
+
+    root = tmp_path / "cache" / "riskbench"
+    root.mkdir(parents=True)
+    words, corpus = f"v{_CACHE_FORMAT}", f"v{riskbench.corpus._CORPUS_FORMAT}"
+    stale = [root / "word_average-v3-x.npy", root / f"corpus-{'0' * 64}.marshal"]
+    kept = [root / f"word_average-{words}-y.npy", root / f"corpus-{corpus}-{'0' * 64}.marshal",
+            root / "special-v1-z"]  # the current formats, and another kind
+    for entry in stale + kept:
+        entry.write_bytes(b"an entry")
+    path = tmp_path / "w.txt"
+    path.write_text("1 2\nw 1 0\n", encoding="utf-8")
+    load_word_vectors(path)  # one write of each kind
+    load_corpus(expost_copy)
+    entries = _corpus_entries(tmp_path / "cache")
+    assert not set(stale) & set(entries)
+    assert set(kept) < set(entries)
+    assert sorted(entry.name.split("-")[:2] for entry in set(entries) - set(kept)) == [
+        ["corpus", corpus], ["word_average", words]]
+
+
 def test_unwritable_cache_dir_still_loads_and_says_nothing(expost_copy, tmp_path, monkeypatch,
                                                            capsys):
     expected = load_corpus(expost_copy)

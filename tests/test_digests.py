@@ -1,17 +1,22 @@
 """The committed same-bytes checks: every fixture report keeps its SHA-256.
 
 `scripts/digests.py` owns the command matrix and DIGESTS.json; this test runs
-the matrix in-process, with a cold and then a warm parse cache, and compares. A change that alters report bytes on
-purpose regenerates DIGESTS.json with that script. `scripts/bench_scale.py
---check` compares the scale ladder's reports with BENCH_scale.json; it runs
-outside the suite, which tests only its comparison.
+the matrix in-process, with a cold and then a warm parse cache, and compares.
+The matrix's `similarity docs` commands also run twice in fresh processes, so
+that the second run reads its p-values from the cache. A change that alters
+report bytes on purpose regenerates DIGESTS.json with that script.
+`scripts/bench_scale.py --check` compares the scale ladder's reports with
+BENCH_scale.json; it runs outside the suite, which tests only its comparison.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+from riskbench.resources import data_root
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -30,9 +35,41 @@ def test_fixture_reports_match_the_committed_digests(tmp_path):
     runs = digests.cold_and_warm(lambda run: {"commands": digests.run_matrix(run)}, tmp_path)
     assert list(runs) == ["cold", "warm"]
     assert digests.run_mismatch(recorded, runs) is None
-    # the cold run stored the fixture corpus and both vector files
-    entries = sorted(path.suffix for path in (tmp_path / "cache" / "riskbench").iterdir())
+    # the cold run stored the fixture corpus and both vector files; it also
+    # stores scipy.special values unless an earlier test loaded scipy.special
+    entries = sorted(path.suffix for path in (tmp_path / "cache" / "riskbench").iterdir()
+                     if not path.name.startswith("special-"))
     assert entries == [".marshal", ".npy", ".npy"]
+
+
+def test_similarity_docs_reports_match_in_fresh_processes(tmp_path):
+    # a fresh process has not loaded scipy.special, so the second run of each
+    # command that tests two groups reads its p-value from the cache
+    from .test_cli import fresh_python
+
+    digests = _script()
+    recorded = json.loads(digests.DIGESTS.read_text(encoding="utf-8"))["commands"]
+    docs = [record for record in recorded if record["argv"][:2] == ["similarity", "docs"]]
+    assert len(docs) == 3
+    data = str(data_root())
+    entries = tmp_path / "cache" / "riskbench"
+    specials = {}
+    for run in ("miss", "hit"):
+        out = tmp_path / run
+        out.mkdir()
+        for record in docs:
+            argv = [arg.replace("{data}", data).replace("{out}", str(out))
+                    for arg in record["argv"]]
+            result = fresh_python("-m", "riskbench.cli", *argv,
+                                  XDG_CACHE_HOME=str(tmp_path / "cache"))
+            assert (result.returncode, result.stderr) == (record["exit"], ""), result.stderr
+            for name, digest in record["outputs"].items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (run, name)
+        specials[run] = {path.name: path.stat().st_mtime_ns for path in entries.iterdir()
+                         if path.name.startswith("special-")}
+    # one command tests two groups (by delivery method); its hit rewrote nothing
+    assert len(specials["miss"]) == 1
+    assert specials["hit"] == specials["miss"]
 
 
 def test_run_mismatch_names_the_run():

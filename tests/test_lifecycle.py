@@ -3,12 +3,14 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import pytest
 
+from riskbench import cache
 from riskbench.corpus import load_corpus
 from riskbench.errors import LifecycleError, ParseError, StatTestError, TransitionError
 from riskbench.lifecycle import (
@@ -33,6 +35,8 @@ from riskbench.lifecycle import (
     tabulated_ratios,
 )
 from riskbench.resources import data_path
+
+from .test_similarity import fresh_value
 
 REG, HAP, CLO = RiskState.REG, RiskState.HAP, RiskState.CLO
 GEN, OCC, CON, CLS = (
@@ -701,6 +705,57 @@ def test_hotelling_alpha_too_small_for_a_finite_critical_value():
     for alpha in (5e-17, 1e-20, 5e-324):  # 1 - alpha rounds to 1
         with pytest.raises(StatTestError, match=f"alpha {alpha} is too small"):
             hotelling_t2(group_a, group_b, alpha=alpha)
+
+
+H_GROUPS = ([[-0.10, 0.17], [-0.05, 0.02], [0.02, 0.30], [-0.20, 0.12]],
+            [[0.22, -0.04], [0.15, 0.03], [0.30, -0.12]])
+H_CALL = f"hotelling_t2(*{H_GROUPS!r}).critical_value"
+# the arguments of the F quantile that hotelling_t2(*H_GROUPS) takes: p, nu - p + 1, 1 - alpha
+H_FDTRI = (2, 4, 1.0 - 0.05)
+
+
+def test_hotelling_critical_value_is_kept_for_a_fresh_process(tmp_path):
+    expected = hotelling_t2(*H_GROUPS).critical_value
+    assert fresh_value(H_CALL, tmp_path) == (expected, True)  # a miss stores the value
+    [entry] = (tmp_path / "riskbench").iterdir()
+    assert entry.name.startswith("special-v1-")
+    # a hit does not import scipy.special
+    assert fresh_value(H_CALL, tmp_path) == (expected, False)
+    assert list((tmp_path / "riskbench").iterdir()) == [entry]
+
+
+def test_unwritable_special_cache_still_computes_and_says_nothing(tmp_path, monkeypatch):
+    expected = hotelling_t2(*H_GROUPS).critical_value
+    # a cache home that is a file: the cache dir cannot be created
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    assert fresh_value(H_CALL, blocker) == (expected, True)  # fresh_value checks the silence
+    # an entry path taken by a directory can be neither read nor replaced
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    entry = cache._special_entry("fdtri", H_FDTRI)
+    entry.mkdir(parents=True)
+    for _ in range(2):
+        assert fresh_value(H_CALL, tmp_path / "cache") == (expected, True)
+    assert list(entry.parent.iterdir()) == [entry]  # no temp file left behind
+
+
+def test_special_does_no_file_io_once_scipy_special_is_loaded(tmp_path, monkeypatch):
+    import scipy.special
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    # a wrong value for the first call: were the entry read, that result would differ
+    entry = cache._special_entry("fdtri", H_FDTRI)
+    cache.write(entry, lambda out: out.write(struct.pack("<d", 1.0)))
+
+    def listing():
+        return [(path.name, path.stat().st_size, path.stat().st_mtime_ns)
+                for path in entry.parent.iterdir()]
+
+    before = listing()
+    values = [hotelling_t2(*H_GROUPS, alpha=0.05 + i / 1000).critical_value for i in range(100)]
+    assert values[0] == 2 * 5 / 4 * float(scipy.special.fdtri(*H_FDTRI))
+    assert len(set(values)) == 100
+    assert listing() == before
 
 
 def test_hotelling_singular_covariance():

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from riskbench.corpus import (
     RiskItem,
     SizeBand,
 )
-from riskbench import similarity, vectorize
+from riskbench import cache, similarity, vectorize
 from riskbench.errors import CorpusError, EmptyReportError, StatTestError
 from riskbench.rbs import coverage, load_rbs
 from riskbench.report import PairRows
@@ -999,6 +1000,76 @@ def test_t_test_p_value_monotone_in_mean_gap():
         shifted = [x + shift for x in base]
         p_values.append(two_sample_t_test(base, shifted).p_value)
     assert p_values == sorted(p_values, reverse=True)
+
+
+# ------------------------------------------------- kept scipy.special values
+
+T_GROUPS = ([0.61, 0.72, 0.55, 0.69, 0.64], [0.45, 0.52, 0.49, 0.57])
+
+
+def fresh_value(call: str, cache_home) -> tuple[float, bool]:
+    """The float of `call`, an expression over `two_sample_t_test` and
+    `hotelling_t2`, evaluated in a fresh interpreter whose parse cache is at
+    `cache_home`, and whether that interpreter loaded scipy.special. The
+    interpreter must print nothing else."""
+    from .test_cli import fresh_python
+
+    script = (
+        "import sys\n"
+        "from riskbench.lifecycle import hotelling_t2\n"
+        "from riskbench.similarity import two_sample_t_test\n"
+        f"value = {call}\n"
+        "print(value.hex(), 'scipy.special' in sys.modules)\n"
+    )
+    result = fresh_python("-c", script, XDG_CACHE_HOME=str(cache_home))
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    value, loaded = result.stdout.split()
+    return float.fromhex(value), loaded == "True"
+
+
+def test_t_test_p_value_is_kept_for_a_fresh_process(tmp_path):
+    call = f"two_sample_t_test(*{T_GROUPS!r}).p_value"
+    expected = two_sample_t_test(*T_GROUPS).p_value
+    assert fresh_value(call, tmp_path) == (expected, True)  # a miss stores the value
+    [entry] = (tmp_path / "riskbench").iterdir()
+    assert entry.name.startswith("special-v1-")
+    stored = entry.stat().st_mtime_ns
+    assert fresh_value(call, tmp_path) == (expected, False)  # a hit does not import scipy.special
+    assert list((tmp_path / "riskbench").iterdir()) == [entry]
+    assert entry.stat().st_mtime_ns == stored
+
+
+@pytest.mark.parametrize("how", ["truncated", "flipped-bit", "garbage", "16-byte", "other-scipy"])
+def test_invalid_special_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how):
+    import scipy
+    import scipy.special
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    result = two_sample_t_test(*T_GROUPS)
+    args = (result.degrees_of_freedom, -abs(result.statistic))
+    tail = float(scipy.special.stdtr(*args))
+    entry = cache._special_entry("stdtr", args)
+    if how == "other-scipy":  # a wrong value, stored under another scipy version
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy, "__version__", "0.0.0")
+            other = cache._special_entry("stdtr", args)
+        cache.write(other, lambda out: out.write(struct.pack("<d", 0.25)))
+    else:
+        stored = struct.pack("<d", tail) * (2 if how == "16-byte" else 1)
+        cache.write(entry, lambda out: out.write(stored))
+        data = entry.read_bytes()
+        entry.write_bytes({"truncated": data[:6],
+                           "flipped-bit": data[:3] + bytes([data[3] ^ 0x10]) + data[4:],
+                           "garbage": b"not a cache entry\n",
+                           "16-byte": data}[how])
+    assert fresh_value(f"two_sample_t_test(*{T_GROUPS!r}).p_value", tmp_path) == (
+        2.0 * tail, True)
+    with open(entry, "rb") as handle:  # rewritten
+        assert cache.checked_size(handle) == 8
+        handle.seek(0)
+        assert struct.unpack("<d", handle.read(8)) == (tail,)
+    if how == "other-scipy":
+        assert sorted((tmp_path / "riskbench").iterdir()) == sorted([entry, other])
 
 
 def test_t_test_preconditions():
