@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from . import cache
 from .errors import CorpusError, NormalizeError, ParseError
@@ -523,17 +523,19 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 continue
             digests[register["path"]] = sha256(files[-1]).hexdigest()
             ordered.append(digests[register["path"]])
-    entry = None
+    key = None
     if len(ordered) == len(files) + 1:
-        key = _cache_key(ordered, cfg)
-        entry = cache.entry_path("corpus", _CORPUS_FORMAT, f"{key}.marshal")
-    if entry is not None:
-        corpus = _cached_corpus(entry, digests)
+        matrix = [cfg.risk_matrix[pair].value for pair in product(BANDS, repeat=2)]
+        edges = [getattr(cfg, label) for label in _BAND_EDGES]
+        key = cache.key(_CORPUS_FORMAT, sys.implementation.cache_tag, ordered, edges, matrix)
+        key += ".marshal"
+        corpus = cache.read("corpus", _CORPUS_FORMAT, key,
+                            lambda handle, size: _decode_corpus(handle, size, digests))
         if corpus is not None:
             return corpus
     corpus = _parse_corpus(manifest_path, manifest, files, cfg, digests)
-    if entry is not None:
-        _store_corpus(entry, corpus)
+    if key is not None:
+        cache.store("corpus", _CORPUS_FORMAT, key, lambda out: _encode_corpus(out, corpus))
     return corpus
 
 
@@ -605,88 +607,64 @@ def _parse_corpus(manifest_path: Path, manifest: dict, files: deque, cfg: ScaleC
 
 # ------------------------------------------------------- corpus cache entries
 #
-# A load is stored in the parse cache (`cache.py`) under `_cache_key`. The
-# entry holds one chunk per project, each followed by one chunk per snapshot
-# of that project in the record's order: an 8-byte length, then the marshal
-# bytes of the project's fields and snapshot count, or of the snapshot's
-# ordinal and its rows, normalized. marshal is the format of Python's own
-# bytecode cache; the key names the interpreter that wrote it. A hit decodes
-# one chunk at a time and builds every record through its constructor, so a
-# torn, foreign or invalid entry fails at its CRC or there, and is a miss.
-# Bump the format when the entry layout or the loader's results change.
+# A corpus entry's key is the `cache.key` of the format, the interpreter, the
+# digests of the manifest and of each register in manifest order, and the
+# scale config's band edges and risk matrix, with ".marshal". It holds one
+# chunk per project, each followed by one chunk per snapshot of that project
+# in the record's order: an 8-byte length, then the marshal bytes of the
+# project's fields and snapshot count, or of the snapshot's ordinal and its
+# rows, normalized. marshal is the format of Python's own bytecode cache; the
+# key names the interpreter that wrote it. A hit decodes one chunk at a time
+# and builds every record through its constructor. Bump the format when the
+# entry layout or the loader's results change.
 _CORPUS_FORMAT = 1
 _CHUNK = struct.Struct("<Q")
 _LEVEL = {level.value: level for level in Qualitative}
 
 
-def _cache_key(digests: list[str], cfg: ScaleConfig) -> str:
-    """The SHA-256 of what a load depends on: the entry format, the
-    interpreter, the digests of the manifest and of each register in manifest
-    order, and the scale config's band edges and risk matrix."""
-    from hashlib import sha256
+def _encode_corpus(out: BinaryIO, corpus: Corpus) -> None:
+    """Write `corpus` as the chunks above."""
+    def chunk(value) -> None:
+        data = marshal.dumps(value)
+        out.write(_CHUNK.pack(len(data)))
+        out.write(data)
 
-    matrix = [cfg.risk_matrix[pair].value for pair in product(BANDS, repeat=2)]
-    edges = [getattr(cfg, label) for label in _BAND_EDGES]
-    text = repr((_CORPUS_FORMAT, sys.implementation.cache_tag, digests, edges, matrix))
-    return sha256(text.encode()).hexdigest()
-
-
-def _store_corpus(entry: Path, corpus: Corpus) -> None:
-    """Write `corpus` at `entry` as the chunks above."""
-    def fill(out) -> None:
-        def chunk(value) -> None:
-            data = marshal.dumps(value)
-            out.write(_CHUNK.pack(len(data)))
-            out.write(data)
-
-        for project in corpus.projects:
-            chunk((project.project_id, project.jurisdiction, project.delivery_method,
-                   project.project_type, project.size_band.value, project.contract_value_musd,
-                   project.award_year, len(project.snapshots)))
-            for snapshot in project.snapshots:
-                chunk((snapshot.ordinal, [
-                    (item.risk_id, item.name, item.description, item.category_label,
-                     item.status_note, a.probability_band, a.cost_band, a.schedule_band,
-                     a.qualitative_cost.value, a.qualitative_schedule.value,
-                     a.raw_probability, a.raw_cost, a.raw_schedule)
-                    for item in snapshot.items for a in (item.assessment,)
-                ]))
-
-    cache.write(entry, fill)
+    for project in corpus.projects:
+        chunk((project.project_id, project.jurisdiction, project.delivery_method,
+               project.project_type, project.size_band.value, project.contract_value_musd,
+               project.award_year, len(project.snapshots)))
+        for snapshot in project.snapshots:
+            chunk((snapshot.ordinal, [
+                (item.risk_id, item.name, item.description, item.category_label,
+                 item.status_note, a.probability_band, a.cost_band, a.schedule_band,
+                 a.qualitative_cost.value, a.qualitative_schedule.value,
+                 a.raw_probability, a.raw_cost, a.raw_schedule)
+                for item in snapshot.items for a in (item.assessment,)
+            ]))
 
 
-def _cached_corpus(entry: Path, digests: dict[str, str]) -> Corpus | None:
-    """The corpus stored at `entry`, with `digests`; None for a missing or
-    invalid entry."""
+def _decode_corpus(handle: BinaryIO, size: int, digests: dict[str, str]) -> Corpus:
+    """The corpus of an entry's `size` bytes, with `digests`."""
     share = {}.setdefault  # one object per distinct text, as a parse makes
     projects = []
-    try:
-        with open(entry, "rb") as handle:
-            size = cache.checked_size(handle)
-            if size is None:
-                return None
-            handle.seek(0)
 
-            def chunk():
-                (length,) = _CHUNK.unpack(handle.read(_CHUNK.size))
-                if handle.tell() + length > size:
-                    raise EOFError("a chunk runs past the entry")
-                return marshal.loads(handle.read(length))
+    def chunk():
+        (length,) = _CHUNK.unpack(handle.read(_CHUNK.size))
+        if handle.tell() + length > size:
+            raise EOFError("a chunk runs past the entry")
+        return marshal.loads(handle.read(length))
 
-            while handle.tell() < size:
-                *texts, size_band, value, year, count = chunk()
-                snapshots = []
-                for _ in range(count):
-                    ordinal, rows = chunk()
-                    snapshots.append(RegisterSnapshot(ordinal, tuple([
-                        RiskItem(share(r, r), share(n, n), share(d, d), share(c, c),
-                                 Assessment(p, cb, sb, _LEVEL[qc], _LEVEL[qs], rp, rc, rs),
-                                 share(st, st))
-                        for r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs in rows
-                    ])))
-                projects.append(ProjectRecord(*texts, SizeBand(size_band), value, year,
-                                              tuple(snapshots)))
-        return Corpus(tuple(projects), digests)
-    except (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, struct.error,
-            CorpusError):
-        return None
+    while handle.tell() < size:
+        *texts, size_band, value, year, count = chunk()
+        snapshots = []
+        for _ in range(count):
+            ordinal, rows = chunk()
+            snapshots.append(RegisterSnapshot(ordinal, tuple([
+                RiskItem(share(r, r), share(n, n), share(d, d), share(c, c),
+                         Assessment(p, cb, sb, _LEVEL[qc], _LEVEL[qs], rp, rc, rs),
+                         share(st, st))
+                for r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs in rows
+            ])))
+        projects.append(ProjectRecord(*texts, SizeBand(size_band), value, year,
+                                      tuple(snapshots)))
+    return Corpus(tuple(projects), digests)

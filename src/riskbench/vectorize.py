@@ -15,7 +15,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 from . import cache
 from .errors import DimensionError, MissingEmbeddingError, ParseError
@@ -357,7 +357,7 @@ def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> E
     or "\\r" only: a JSON string may hold U+2028 and the like, and in a word
     line they are whitespace."""
     digest = file_digest(path)
-    cached = _cache_read(kind, digest)
+    cached = cache.read(kind, _CACHE_FORMAT, f"{digest}.npy", _decode_vectors)
     if cached is not None:
         keys, matrix = cached
         table = dict(zip(keys, matrix))
@@ -374,7 +374,8 @@ def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> E
         keys, matrix, clean = parse(path, lines)
         del lines  # free the text before the entry is written
         if clean:
-            _cache_write(kind, digest, keys, matrix)
+            cache.store(kind, _CACHE_FORMAT, f"{digest}.npy",
+                        lambda out: _encode_vectors(out, keys, matrix))
         table = dict(zip(keys, matrix))
     return EmbeddingBackend(
         kind=kind,
@@ -532,73 +533,50 @@ def _parse_sentence_file(path: Path, lines: Sequence[str]) -> tuple[list[str], n
 
 # ----------------------------------------------------------- parse cache
 #
-# An entry of the parse cache (`cache.py`) is named by the kind, the format
-# and the SHA-256 of the source bytes. It is a .npy file of the float64 matrix
-# (one row per key; np.save starts the data at a 64-byte aligned offset),
-# followed by the table's keys in order (UTF-8, joined by newlines; neither
-# tokens nor normalized sentences contain a newline) and `_KEY_BYTES`. A hit
-# maps the matrix read-only, so a command holds only the rows it reads; the
-# CRC, the checks in `_cache_read` and the loader's table turn a torn or
-# foreign entry into a miss.
+# A vector entry's key is the SHA-256 of the source bytes, with ".npy". It
+# holds a .npy file of the float64 matrix (one row per key; np.save starts the
+# data at a 64-byte aligned offset), then the table's keys in order (UTF-8,
+# joined by newlines; neither tokens nor normalized sentences contain a
+# newline), then `_KEY_BYTES`. A hit maps the matrix read-only, so a command
+# holds only the rows it reads; the loader's table tells a repeated key.
 
 
-def _cache_entry(kind: str, digest: str) -> Path | None:
-    return cache.entry_path(kind, _CACHE_FORMAT, f"{digest}.npy")
-
-
-def _cache_read(kind: str, digest: str) -> tuple[list[str], np.ndarray] | None:
-    """The cached keys and read-only mapped matrix of a digest, or None for a
-    missing or invalid entry; the loader's table tells a repeated key."""
+def _decode_vectors(handle: BinaryIO, size: int) -> tuple[list[str], np.ndarray] | None:
+    """The keys and read-only mapped matrix of an entry's `size` bytes."""
     import mmap
 
     import numpy as np
-    entry = _cache_entry(kind, digest)
-    if entry is None:
+    if size < _KEY_BYTES.size:
         return None
-    try:
-        with open(entry, "rb") as handle:
-            size = cache.checked_size(handle)
-            if size is None or size < _KEY_BYTES.size:
-                return None
-            handle.seek(size - _KEY_BYTES.size)
-            (key_bytes,) = _KEY_BYTES.unpack(handle.read(_KEY_BYTES.size))
-            handle.seek(0)
-            if np.lib.format.read_magic(handle) != (1, 0):
-                return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
-            offset = handle.tell()
-            if (
-                dtype != np.float64
-                or fortran_order
-                or len(shape) != 2
-                or shape[1] < 1
-                or offset + 8 * shape[0] * shape[1] + key_bytes + _KEY_BYTES.size != size
-            ):
-                return None
-            handle.seek(size - _KEY_BYTES.size - key_bytes)
-            keys = handle.read(key_bytes).decode("utf-8", "surrogatepass").split("\n")
-            if len(keys) != shape[0]:
-                return None
-            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError, struct.error):
+    handle.seek(size - _KEY_BYTES.size)
+    (key_bytes,) = _KEY_BYTES.unpack(handle.read(_KEY_BYTES.size))
+    handle.seek(0)
+    if np.lib.format.read_magic(handle) != (1, 0):
         return None
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+    offset = handle.tell()
+    if (
+        dtype != np.float64
+        or fortran_order
+        or len(shape) != 2
+        or shape[1] < 1
+        or offset + 8 * shape[0] * shape[1] + key_bytes + _KEY_BYTES.size != size
+    ):
+        return None
+    handle.seek(size - _KEY_BYTES.size - key_bytes)
+    keys = handle.read(key_bytes).decode("utf-8", "surrogatepass").split("\n")
+    if len(keys) != shape[0]:
+        return None
+    mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     # a plain read-only ndarray over the mapping: its rows are cheap views
     return keys, np.frombuffer(mapping, dtype=np.float64, count=shape[0] * shape[1],
                                offset=offset).reshape(shape)
 
 
-def _cache_write(kind: str, digest: str, keys: list[str], matrix: np.ndarray) -> None:
-    """Store parsed keys and their matrix."""
+def _encode_vectors(out: BinaryIO, keys: list[str], matrix: np.ndarray) -> None:
+    """Write `keys` and their `matrix` as the layout above."""
     import numpy as np
-
-    entry = _cache_entry(kind, digest)
-    if entry is None:
-        return
     encoded = "\n".join(keys).encode("utf-8", "surrogatepass")
-
-    def fill(out):
-        np.save(out, matrix, allow_pickle=False)
-        out.write(encoded)
-        out.write(_KEY_BYTES.pack(len(encoded)))
-
-    cache.write(entry, fill)
+    np.save(out, matrix, allow_pickle=False)
+    out.write(encoded)
+    out.write(_KEY_BYTES.pack(len(encoded)))

@@ -844,7 +844,8 @@ def _damage_corpus_entry(entry: Path, how: str) -> None:
                                      marshal.dumps((0, [("r1", "A", None, None, None, 9, None,
                                                          None, "Unset", "Unset", None, None,
                                                          None)]))]}[how]
-        cache.write(entry, lambda out: out.write(b"".join(
+        kind, _, key = entry.name.split("-", 2)
+        cache.store(kind, riskbench.corpus._CORPUS_FORMAT, key, lambda out: out.write(b"".join(
             struct.pack("<Q", len(chunk)) + chunk for chunk in chunks)))
 
 
@@ -912,18 +913,27 @@ def test_unwritable_cache_dir_still_loads_and_says_nothing(expost_copy, tmp_path
     assert capsys.readouterr() == ("", "")
 
 
-def _raise_edges(path: Path) -> Path:
+def _changed_scales(path: Path, change: str) -> Path:
+    """The default scale config with raised probability edges, or with the
+    (1, 1) cell of its risk matrix raised from Low to Medium."""
     cfg = default_scale_config()
+    matrix = {f"{p},{i}": q.value for (p, i), q in cfg.risk_matrix.items()}
+    edges = list(cfg.probability_band_edges)
+    if change == "scales":
+        edges = [0.2, 0.4, 0.6, 0.8]
+    else:
+        assert matrix["1,1"] == Qualitative.LOW.value
+        matrix["1,1"] = Qualitative.MEDIUM.value
     path.write_text(json.dumps({
-        "probability_band_edges": [0.2, 0.4, 0.6, 0.8],
+        "probability_band_edges": edges,
         "cost_band_edges": list(cfg.cost_band_edges),
         "schedule_band_edges": list(cfg.schedule_band_edges),
-        "risk_matrix": {f"{p},{i}": q.value for (p, i), q in cfg.risk_matrix.items()},
+        "risk_matrix": matrix,
     }))
     return path
 
 
-@pytest.mark.parametrize("change", ["register byte", "contract value", "scales"])
+@pytest.mark.parametrize("change", ["register byte", "contract value", "scales", "risk matrix"])
 def test_changed_input_is_a_corpus_cache_miss(expost_copy, tmp_path, monkeypatch, change):
     first = load_corpus(expost_copy)
     scales = None
@@ -936,8 +946,8 @@ def test_changed_input_is_a_corpus_cache_miss(expost_copy, tmp_path, monkeypatch
         manifest = json.loads(expost_copy.read_text(encoding="utf-8"))
         manifest["projects"][0]["contract_value_musd"] += 1
         expost_copy.write_text(json.dumps(manifest), encoding="utf-8")
-    else:
-        scales = load_scale_config(_raise_edges(tmp_path / "scales.json"))
+    else:  # the same edges and another risk matrix cell, or other edges
+        scales = load_scale_config(_changed_scales(tmp_path / "scales.json", change))
     parsed = _counted_parses(monkeypatch)
     load_corpus(expost_copy, scales)
     assert len(parsed) == len(first.digests) - 1

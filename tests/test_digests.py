@@ -72,6 +72,66 @@ def test_similarity_docs_reports_match_in_fresh_processes(tmp_path):
     assert specials["hit"] == specials["miss"]
 
 
+def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monkeypatch):
+    # Each name is computed with the formula that named it when its format was
+    # set, so a change that renames an entry, and so drops every user's cache,
+    # fails here: the word and sentence files by their SHA-256, the corpus by
+    # the interpreter, the SHA-256 of the manifest and of each register, and
+    # the scale config, and a scipy.special value by the scipy build, the
+    # function and its arguments' float.hex().
+    import sys
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    import scipy
+
+    from riskbench import cache
+    from riskbench.cli import main
+    from riskbench.corpus import default_scale_config
+
+    from .test_cli import fresh_python
+
+    def sha256(data) -> str:
+        return hashlib.sha256(data if isinstance(data, bytes) else repr(data).encode()).hexdigest()
+
+    data = data_root()
+    commands = [record["argv"] for record in json.loads(
+        _script().DIGESTS.read_text(encoding="utf-8"))["commands"]]
+    words = next(argv for argv in commands if argv[:2] == ["similarity", "risks"])
+    sentences = next(argv for argv in commands if "--sentence-embeddings" in argv)
+    docs = next(argv for argv in commands if argv[:2] == ["similarity", "docs"])
+    argvs = [[arg.replace("{data}", str(data)).replace("{out}", str(tmp_path)) for arg in argv]
+             for argv in (words, sentences, docs)]
+    for argv in argvs:  # fresh processes, so that the t-test value is stored too
+        result = fresh_python("-m", "riskbench.cli", *argv, XDG_CACHE_HOME=str(tmp_path / "cache"))
+        assert (result.returncode, result.stderr) == (0, ""), result.stderr
+
+    embeddings = data / "embeddings"
+    manifest = data / "fixtures" / "expost" / "manifest.json"
+    registers = [register["path"] for project in json.loads(manifest.read_text())["projects"]
+                 for register in project["registers"]]
+    cfg = default_scale_config()
+    edges = [cfg.probability_band_edges, cfg.cost_band_edges, cfg.schedule_band_edges]
+    matrix = [cfg.risk_matrix[(p, i)].value for p in range(1, 6) for i in range(1, 6)]
+    corpus = (1, sys.implementation.cache_tag,
+              [sha256(manifest.read_bytes())]
+              + [sha256((manifest.parent / path).read_bytes()) for path in registers],
+              edges, matrix)
+    calls = []  # the arguments of the t-test that `similarity docs` computes
+    special = cache.special
+    monkeypatch.setattr(cache, "special", lambda name, *args: calls.append((name, args))
+                        or special(name, *args))
+    assert main(argvs[2]) == 0
+    [(_, args)] = calls
+    build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
+    assert sorted(path.name for path in (tmp_path / "cache" / "riskbench").iterdir()) == sorted([
+        f"word_average-v4-{sha256((embeddings / 'reference_word_vectors.txt').read_bytes())}.npy",
+        "precomputed_sentence-v4-"
+        f"{sha256((embeddings / 'reference_sentence_vectors.jsonl').read_bytes())}.npy",
+        f"corpus-v1-{sha256(corpus)}.marshal",
+        f"special-v1-{sha256((1, build, 'stdtr', [float(arg).hex() for arg in args]))}",
+    ])
+
+
 def test_run_mismatch_names_the_run():
     digests = _script()
     record = {"argv": ["ingest"], "exit": 0, "outputs": {"i.json": "aa"}}

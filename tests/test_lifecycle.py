@@ -36,7 +36,7 @@ from riskbench.lifecycle import (
 )
 from riskbench.resources import data_path
 
-from .test_similarity import fresh_value
+from .test_similarity import fresh_value, special_key, store_special
 
 REG, HAP, CLO = RiskState.REG, RiskState.HAP, RiskState.CLO
 GEN, OCC, CON, CLS = (
@@ -732,7 +732,7 @@ def test_unwritable_special_cache_still_computes_and_says_nothing(tmp_path, monk
     assert fresh_value(H_CALL, blocker) == (expected, True)  # fresh_value checks the silence
     # an entry path taken by a directory can be neither read nor replaced
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    entry = cache._special_entry("fdtri", H_FDTRI)
+    entry = cache.entry_path("special", cache._SPECIAL_FORMAT, special_key("fdtri", H_FDTRI))
     entry.mkdir(parents=True)
     for _ in range(2):
         assert fresh_value(H_CALL, tmp_path / "cache") == (expected, True)
@@ -744,8 +744,7 @@ def test_special_does_no_file_io_once_scipy_special_is_loaded(tmp_path, monkeypa
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     # a wrong value for the first call: were the entry read, that result would differ
-    entry = cache._special_entry("fdtri", H_FDTRI)
-    cache.write(entry, lambda out: out.write(struct.pack("<d", 1.0)))
+    entry = store_special(special_key("fdtri", H_FDTRI), struct.pack("<d", 1.0))
 
     def listing():
         return [(path.name, path.stat().st_size, path.stat().st_mtime_ns)

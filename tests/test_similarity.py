@@ -6,6 +6,7 @@ import json
 import math
 import random
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1027,6 +1028,22 @@ def fresh_value(call: str, cache_home) -> tuple[float, bool]:
     return float.fromhex(value), loaded == "True"
 
 
+def special_key(name: str, args: tuple[float, ...]) -> str:
+    """The key of `cache.special(name, *args)`'s entry under this scipy build."""
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    import scipy
+
+    build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
+    return cache.key(cache._SPECIAL_FORMAT, build, name, [float(arg).hex() for arg in args])
+
+
+def store_special(key: str, data: bytes) -> Path:
+    """Store `data` as the special entry `key`; its path."""
+    cache.store("special", cache._SPECIAL_FORMAT, key, lambda out: out.write(data))
+    return cache.entry_path("special", cache._SPECIAL_FORMAT, key)
+
+
 def test_t_test_p_value_is_kept_for_a_fresh_process(tmp_path):
     call = f"two_sample_t_test(*{T_GROUPS!r}).p_value"
     expected = two_sample_t_test(*T_GROUPS).p_value
@@ -1039,6 +1056,18 @@ def test_t_test_p_value_is_kept_for_a_fresh_process(tmp_path):
     assert entry.stat().st_mtime_ns == stored
 
 
+def test_each_special_argument_tuple_has_its_own_entry(tmp_path):
+    other = (T_GROUPS[0], [*T_GROUPS[1][:-1], 0.60])  # another statistic and df
+    calls = [(f"two_sample_t_test(*{groups!r}).p_value", two_sample_t_test(*groups).p_value)
+             for groups in (T_GROUPS, other)]
+    assert calls[0][1] != calls[1][1]
+    for call, expected in calls:  # each miss stores its own entry
+        assert fresh_value(call, tmp_path) == (expected, True)
+    assert len(list((tmp_path / "riskbench").iterdir())) == 2
+    for call, expected in calls:  # and each hit reads its own value
+        assert fresh_value(call, tmp_path) == (expected, False)
+
+
 @pytest.mark.parametrize("how", ["truncated", "flipped-bit", "garbage", "16-byte", "other-scipy"])
 def test_invalid_special_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how):
     import scipy
@@ -1048,15 +1077,14 @@ def test_invalid_special_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, ho
     result = two_sample_t_test(*T_GROUPS)
     args = (result.degrees_of_freedom, -abs(result.statistic))
     tail = float(scipy.special.stdtr(*args))
-    entry = cache._special_entry("stdtr", args)
+    entry = cache.entry_path("special", cache._SPECIAL_FORMAT, special_key("stdtr", args))
     if how == "other-scipy":  # a wrong value, stored under another scipy version
         with monkeypatch.context() as patch:
             patch.setattr(scipy, "__version__", "0.0.0")
-            other = cache._special_entry("stdtr", args)
-        cache.write(other, lambda out: out.write(struct.pack("<d", 0.25)))
+            other = store_special(special_key("stdtr", args), struct.pack("<d", 0.25))
     else:
-        stored = struct.pack("<d", tail) * (2 if how == "16-byte" else 1)
-        cache.write(entry, lambda out: out.write(stored))
+        store_special(special_key("stdtr", args),
+                      struct.pack("<d", tail) * (2 if how == "16-byte" else 1))
         data = entry.read_bytes()
         entry.write_bytes({"truncated": data[:6],
                            "flipped-bit": data[:3] + bytes([data[3] ^ 0x10]) + data[4:],

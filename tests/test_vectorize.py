@@ -751,11 +751,21 @@ def test_normalize_sentence():
 # ----------------------------------------------------------- parse cache
 
 
+def _word_entry(digest: str) -> Path:
+    return cache.entry_path("word_average", vectorize._CACHE_FORMAT, f"{digest}.npy")
+
+
+def _read_entry(entry: Path):
+    """What the cache reader makes of a vector entry."""
+    kind, _, key = entry.name.split("-", 2)
+    return cache.read(kind, vectorize._CACHE_FORMAT, key, vectorize._decode_vectors)
+
+
 def test_session_cache_lies_in_a_tmp_dir(cache_home, tmp_path_factory, tmp_path):
     assert cache_home.is_relative_to(tmp_path_factory.getbasetemp())
     path = tmp_path / "w.txt"
     path.write_text("1 2\nsession 1 2\n", encoding="utf-8")
-    entry = vectorize._cache_entry("word_average", load_word_vectors(path).digest)
+    entry = _word_entry(load_word_vectors(path).digest)
     assert entry.parent == cache_home / "riskbench"
     assert entry.is_file()
 
@@ -774,8 +784,7 @@ def _damage(entry, how):
             np.save(out, np.zeros((3, 2)))
     else:
         # an entry the cache's own writer makes, CRC and all, that breaks one rule
-        kind, _, digest = entry.stem.split("-")
-        keys, matrix = vectorize._cache_read(kind, digest)
+        keys, matrix = _read_entry(entry)
         matrix = np.array(matrix)
         if how == "wrong-dtype":
             matrix = matrix.astype(np.float32)
@@ -783,7 +792,9 @@ def _damage(entry, how):
             matrix = matrix[:-1]
         elif how == "duplicate-keys":
             keys = ["tok0"] * len(matrix)
-        vectorize._cache_write(kind, digest, keys, matrix)
+        kind, _, key = entry.name.split("-", 2)
+        cache.store(kind, vectorize._CACHE_FORMAT, key,
+                    lambda out: vectorize._encode_vectors(out, keys, matrix))
 
 
 @pytest.mark.parametrize(
@@ -801,7 +812,7 @@ def test_invalid_cache_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how)
     [entry] = _entries(tmp_path)
     _damage(entry, how)
     # the cache reader returns an entry's repeated keys; the loader's table tells them
-    cached = vectorize._cache_read("word_average", entry.stem.split("-")[2])
+    cached = _read_entry(entry)
     assert cached is None or how == "duplicate-keys"
     parses = []
     original = vectorize._parse_word_file
@@ -901,7 +912,7 @@ def test_cache_keeps_the_newest_entries_per_kind(tmp_path, monkeypatch):
     for i in range(cache.ENTRIES + 2):
         path = tmp_path / f"w{i}.txt"
         path.write_text(f"1 2\nw{i} {i} 1\n", encoding="utf-8")
-        entry = vectorize._cache_entry("word_average", load_word_vectors(path).digest)
+        entry = _word_entry(load_word_vectors(path).digest)
         os.utime(entry, ns=(i * 10**9, i * 10**9))  # strictly ordered ages
         names.append(entry.name)
     kinds = [entry.name.split("-")[0] for entry in _entries(tmp_path)]
