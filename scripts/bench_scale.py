@@ -10,10 +10,13 @@ each command of `COMMANDS` at every rung, one fresh `python -m riskbench.cli`
 process each, with the riskbench found in `--src` (default: this checkout's
 `src`).  For each command it records wall time, the process's own peak RSS
 (from `wait4`), report bytes and the report's SHA-256, and writes them as
-JSON, with the line count of the `--src` tree's Python files.  Before each
-rung's timed commands, one untimed `similarity risks` at that rung fills the
-parse cache with the rung's corpus and the word vectors, so that every timed
-command reads both from the cache, as a repeated command does.
+JSON, with the line count of the `--src` tree's Python files.  Every
+command runs under a private parse cache (a temporary `XDG_CACHE_HOME`), so
+the numbers do not depend on the user's cache.  Before each rung's timed
+commands, an untimed `similarity risks` and `similarity docs` at that rung
+fill it with the rung's corpus, the word vectors and the t-test's scipy
+value, so that every timed command reads them from the cache, as a repeated
+command does.
 
 `--check` runs the same ladder and compares every report's SHA-256 with
 BENCH_scale.json instead of writing it; times and memory are not compared.
@@ -101,9 +104,10 @@ def sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_command(argv: list[str], src: Path) -> tuple[float, float]:
-    """Wall seconds and own peak RSS (MB) of one fresh riskbench process."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+def run_command(argv: list[str], src: Path, cache: Path) -> tuple[float, float]:
+    """Wall seconds and own peak RSS (MB) of one fresh riskbench process that
+    keeps its parse cache under `cache`."""
+    env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(cache))
     with tempfile.TemporaryFile() as stderr:
         start = perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "riskbench.cli", *argv], env=env,
@@ -121,7 +125,7 @@ def run_ladder(src: Path) -> list[dict]:
     inputs = [corpus(projects) for projects in RUNGS]
     results = []
     with tempfile.TemporaryDirectory() as work:
-        report = Path(work) / "report.json"
+        report, cache = Path(work) / "report.json", Path(work) / "cache"
 
         def command(name, target, summary):
             argv, reads_vectors = COMMANDS[name]
@@ -130,11 +134,12 @@ def run_ladder(src: Path) -> list[dict]:
                     "--out", str(report)]
 
         for projects, (target, summary) in zip(RUNGS, inputs):
-            run_command(command("similarity risks", target, summary), src)  # fills the cache
+            for name in ("similarity risks", "similarity docs"):  # fill the cache
+                run_command(command(name, target, summary), src, cache)
             rung = {"projects": projects, "risks_per_project": RISKS, "rows": summary["rows"],
                     "distinct_texts": summary["distinct_texts"], "commands": {}}
             for name in COMMANDS:
-                wall, rss = run_command(command(name, target, summary), src)
+                wall, rss = run_command(command(name, target, summary), src, cache)
                 rung["commands"][name] = {
                     "wall_s": round(wall, 3),
                     "peak_rss_mb": round(rss, 1),
@@ -193,8 +198,8 @@ def main(argv=None) -> int:
         "corpus": {"generator": "perfbench/gen.py", "seed": SEED, "risks_per_project": RISKS,
                    "distinct_ratio": DISTINCT_RATIO, "word_dimension": 300,
                    "word_vocabulary": 20000},
-        "method": "one fresh process per command, run once, after one untimed command "
-                  "per rung that fills the parse cache; peak RSS from wait4",
+        "method": "one fresh process per command, run once, under a private parse cache "
+                  "that two untimed commands per rung fill; peak RSS from wait4",
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "src_lines": sum(len(path.read_bytes().splitlines()) for path in src.rglob("*.py")),

@@ -5,7 +5,8 @@ under ~/.cache/riskbench. Its last bytes are `TRAILER`, the CRC-32 of every
 byte before it. Each kind owns only its byte layout; this module alone opens,
 checks and writes an entry:
 
-- `key(*parts)` is the SHA-256 of `repr(parts)`.
+- `key(*parts)` is the SHA-256 of `repr(parts)`; `source_digest(*files)` is
+  the part of a key that names the code which decides an entry's contents.
 - `read(kind, format, key, decode)` returns `decode(handle, size)` for the
   bytes before the trailer. A missing entry, a failed CRC, a decode that
   returns None and one that raises one of `INVALID` are a miss and read None;
@@ -14,23 +15,42 @@ checks and writes an entry:
   file in the cache directory and renames it over the entry, so a reader sees
   a whole entry or none; it is never written in place, so a mapping of it
   stays valid. It then deletes the entries of its kind in any other format,
-  which are never read again, and keeps only the newest `ENTRIES` of its own.
-  Nothing is stored, and nothing said, when the directory cannot be written.
+  which are never read again, and keeps only the newest `ENTRIES` of its own
+  (`MEMOS` of the memo kind). Nothing is stored, and nothing said, when the
+  directory cannot be written.
+
+What is learned of a regular file's bytes is kept in a memo entry keyed by
+the file's absolute path, device, inode, size, mtime and ctime: the SHA-256
+that `file_digest` returns, or that an entry's CRC matched in `read`. A memo
+is trusted only when both of the file's times are older than the memo's own
+write by more than `MEMO_MARGIN_NS`, and it is written only when that holds
+already. A file rewritten within one timestamp tick of being read can keep
+all of its stat fields, so a file younger than the margin is read in full
+every time (git's racy-timestamp rule).
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import stat
 import struct
 import sys
+import time
 import zlib
 from contextlib import suppress
 from pathlib import Path
 from typing import BinaryIO, Callable, TypeVar
 
+from . import report
 from .errors import RiskbenchError
 
 ENTRIES = 8
+# memos kept: more than the distinct files and entries any one workflow reads
+MEMOS = 256
+# how much older than a memo's write a file's mtime and ctime must be for the
+# memo to be trusted: well above any file system's timestamp granularity
+MEMO_MARGIN_NS = 2_000_000_000
 TRAILER = struct.Struct("<I")
 # what a torn, foreign or invalid entry raises while it is decoded, the
 # records' constructors included
@@ -40,6 +60,11 @@ INVALID = (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, s
 # its layout or its key changes.
 _SPECIAL_FORMAT = 1
 _FLOAT = struct.Struct("<d")
+# A memo entry holds the memo's write time in ns, little-endian, then its
+# value in ASCII: a SHA-256 in hex, or nothing for a matched CRC.
+_MEMO = "memo"
+_MEMO_FORMAT = 1
+_WRITTEN = struct.Struct("<q")
 T = TypeVar("T")
 
 
@@ -61,6 +86,67 @@ def key(*parts) -> str:
     return sha256(repr(parts).encode()).hexdigest()
 
 
+@functools.cache
+def source_digest(*files: str) -> str:
+    """The `key` of the SHA-256 of each source file's bytes, read once per
+    process. An entry whose key holds it is never served to other code."""
+    from hashlib import sha256
+
+    return key(*(sha256(Path(name).read_bytes()).hexdigest() for name in files))
+
+
+def file_digest(path: str | Path) -> str:
+    """The SHA-256 of a file's bytes: a trusted memo's, else
+    `report.file_digest`'s, memoized when the file is old enough."""
+    try:
+        status = os.stat(path)
+    except OSError:  # raised again, as opening the file raises it
+        return report.file_digest(path)
+    memo = _memo_key("sha256", path, status)
+    digest = None if memo is None else _recall(memo, status)
+    if digest is None:
+        digest = report.file_digest(path)
+        if memo is not None:
+            _remember(memo, status, digest)
+    return digest
+
+
+def _memo_key(purpose: str, path: str | Path, status: os.stat_result) -> str | None:
+    """The memo key of what `purpose` learns of a regular file in its current
+    state; None for any other file."""
+    if not stat.S_ISREG(status.st_mode):
+        return None
+    return key(purpose, os.path.abspath(path), status.st_dev, status.st_ino, status.st_size,
+               status.st_mtime_ns, status.st_ctime_ns)
+
+
+def _settled(status: os.stat_result, at_ns: int) -> bool:
+    """Whether both of a file's times are older than `at_ns` by more than the margin."""
+    return at_ns - max(status.st_mtime_ns, status.st_ctime_ns) > MEMO_MARGIN_NS
+
+
+def _recall(memo: str, status: os.stat_result) -> str | None:
+    """The value of a memo that is trusted for a file's `status`, or None."""
+    record = read(_MEMO, _MEMO_FORMAT, memo, _decode_memo)
+    if record is None or not _settled(status, record[0]):
+        return None
+    return record[1]
+
+
+def _remember(memo: str, status: os.stat_result, value: str) -> None:
+    """Store a memo of `value` if the file's times are already old enough."""
+    now = time.time_ns()
+    if _settled(status, now):
+        store(_MEMO, _MEMO_FORMAT, memo, lambda out: out.write(_WRITTEN.pack(now) + value.encode()))
+
+
+def _decode_memo(handle: BinaryIO, size: int) -> tuple[int, str] | None:
+    if size < _WRITTEN.size:
+        return None
+    data = handle.read(size)
+    return _WRITTEN.unpack_from(data)[0], data[_WRITTEN.size:].decode("ascii")
+
+
 def _crc32(handle: BinaryIO, size: int) -> int:
     """The CRC-32 of a file's first `size` bytes, read in blocks through `read`:
     pages read this way do not count toward the process's memory, as pages of
@@ -72,14 +158,24 @@ def _crc32(handle: BinaryIO, size: int) -> int:
     return crc
 
 
-def checked_size(handle: BinaryIO) -> int | None:
+def checked_size(handle: BinaryIO, path: Path | None = None) -> int | None:
     """The byte count before the trailer of an open entry, or None when the
-    entry is shorter than its trailer or fails its CRC."""
-    size = os.fstat(handle.fileno()).st_size - TRAILER.size
+    entry is shorter than its trailer or fails its CRC. Given the entry's
+    `path`, a match that a trusted memo records for the open file is not
+    checked again, and a match is memoized when the file is old enough."""
+    status = os.fstat(handle.fileno())
+    size = status.st_size - TRAILER.size
     if size < 0:
         return None
+    memo = None if path is None else _memo_key("crc32", path, status)
+    if memo is not None and _recall(memo, status) is not None:
+        return size
     crc = _crc32(handle, size)
-    return size if TRAILER.unpack(handle.read(TRAILER.size)) == (crc,) else None
+    if TRAILER.unpack(handle.read(TRAILER.size)) != (crc,):
+        return None
+    if memo is not None:
+        _remember(memo, status, "")
+    return size
 
 
 def read(kind: str, format: int, key: str,
@@ -90,7 +186,8 @@ def read(kind: str, format: int, key: str,
         return None
     try:
         with open(entry, "rb") as handle:
-            size = checked_size(handle)
+            # a memo's own CRC is always checked: it is what a memo would record
+            size = checked_size(handle, None if kind == _MEMO else entry)
             if size is None:
                 return None
             handle.seek(0)
@@ -129,7 +226,7 @@ def store(kind: str, format: int, key: str, fill: Callable[[BinaryIO], None]) ->
                 ages.append((other.stat().st_mtime_ns, other.name))
             else:  # another format, or a name from before formats were named
                 os.unlink(other)
-    for _, other in sorted(ages)[:-ENTRIES]:
+    for _, other in sorted(ages)[:-(MEMOS if kind == _MEMO else ENTRIES)]:
         with suppress(OSError):
             os.unlink(entry.parent / other)
 

@@ -15,6 +15,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
+from .cache import file_digest
 from .corpus import (
     Corpus,
     ProjectRecord,
@@ -42,7 +43,7 @@ from .rbs import (
     load_rbs,
     summarize_coverage,
 )
-from .report import emit_report, file_digest, write_csv, write_heatmap_csv
+from .report import emit_report, write_csv, write_heatmap_csv
 from .resources import data_path, read_json_checked
 from .similarity import (
     EVALUATION_THRESHOLDS,

@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
-from . import cache
+from . import cache, resources
 from .errors import CorpusError, NormalizeError, ParseError
 from .resources import (check_shape, csv_rows, is_finite, is_int, is_number, json_value,
                         read_json_checked)
@@ -527,7 +527,8 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     if len(ordered) == len(files) + 1:
         matrix = [cfg.risk_matrix[pair].value for pair in product(BANDS, repeat=2)]
         edges = [getattr(cfg, label) for label in _BAND_EDGES]
-        key = cache.key(_CORPUS_FORMAT, sys.implementation.cache_tag, ordered, edges, matrix)
+        key = cache.key(_CORPUS_FORMAT, sys.implementation.cache_tag,
+                        cache.source_digest(__file__, resources.__file__), ordered, edges, matrix)
         key += ".marshal"
         corpus = cache.read("corpus", _CORPUS_FORMAT, key,
                             lambda handle, size: _decode_corpus(handle, size, digests))
@@ -608,7 +609,8 @@ def _parse_corpus(manifest_path: Path, manifest: dict, files: deque, cfg: ScaleC
 # ------------------------------------------------------- corpus cache entries
 #
 # A corpus entry's key is the `cache.key` of the format, the interpreter, the
-# digests of the manifest and of each register in manifest order, and the
+# `cache.source_digest` of this module and `resources` (the code that parses),
+# the digests of the manifest and of each register in manifest order, and the
 # scale config's band edges and risk matrix, with ".marshal". It holds one
 # chunk per project, each followed by one chunk per snapshot of that project
 # in the record's order: an 8-byte length, then the marshal bytes of the
@@ -616,7 +618,7 @@ def _parse_corpus(manifest_path: Path, manifest: dict, files: deque, cfg: ScaleC
 # rows, normalized. marshal is the format of Python's own bytecode cache; the
 # key names the interpreter that wrote it. A hit decodes one chunk at a time
 # and builds every record through its constructor. Bump the format when the
-# entry layout or the loader's results change.
+# entry layout changes.
 _CORPUS_FORMAT = 1
 _CHUNK = struct.Struct("<Q")
 _LEVEL = {level.value: level for level in Qualitative}

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Sequence
 
-from . import cache
+from . import cache, resources
 from .errors import DimensionError, MissingEmbeddingError, ParseError
-from .report import file_digest
 from .resources import check_shape, data_path, input_text, json_value
 
 # numpy is imported inside the functions that use it, so that a command
@@ -41,8 +40,8 @@ _UNIT_EPS = 1e-12
 # cosine() rescales such vectors first; larger ones are computed as they are.
 _TINY_NORM = 1e-150
 
-# Parsed vector files are kept per content in the parse cache. Bump the
-# format when the entry layout or the parsers' results change; the next write
+# Parsed vector files are kept per content and per parser source in the
+# parse cache. Bump the format when the entry layout changes; the next write
 # of a kind deletes its entries in older formats.
 _CACHE_FORMAT = 4
 # the bytes before an entry's CRC trailer: the byte length of its keys
@@ -231,15 +230,15 @@ def unit_rows(backend: "EmbeddingBackend", texts: Sequence[str]) -> KeyedUnits:
     matrix = np.zeros((len(originals), backend.dimension))
     all_oov = np.zeros(len(originals), dtype=bool)
     missed = np.zeros(len(originals), dtype=bool)
-    for key, text in enumerate(originals):
+    for key, (index, text) in first.items():
         try:
-            embedded = embed_text(backend, text)
+            embedded = embed_text(backend, text, key)
         except MissingEmbeddingError:
             if backend.fallback is None:
                 raise
-            missed[key] = True
+            missed[index] = True
         else:
-            matrix[key], all_oov[key] = embedded.vector, embedded.all_oov
+            matrix[index], all_oov[index] = embedded.vector, embedded.all_oov
     units = _unit_length(matrix)
     if not missed.any():
         return KeyedUnits(ids, units, all_oov, missed)
@@ -319,11 +318,13 @@ def embedding_key(backend: EmbeddingBackend, text: str) -> str | tuple[str, ...]
                         if token in backend.word_table))
 
 
-def embed_text(backend: EmbeddingBackend, text: str) -> EmbeddedText:
+def embed_text(backend: EmbeddingBackend, text: str,
+               key: str | tuple[str, ...] | None = None) -> EmbeddedText:
     """Exact table lookup (precomputed) or the mean token vector (word_average),
-    summed in key order."""
+    summed in key order; `key`, when given, is the text's `embedding_key`."""
     import numpy as np
-    key = embedding_key(backend, text)
+    if key is None:
+        key = embedding_key(backend, text)
     if backend.kind == PRECOMPUTED_SENTENCE:
         vector = backend.sentence_table.get(key)
         if vector is None:
@@ -352,12 +353,13 @@ def load_sentence_vectors(path: str | Path) -> EmbeddingBackend:
 def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> EmbeddingBackend:
     """A vector file's backend, from the cached keys and matrix of its bytes
     or from a parse of its lines, cached when clean; of repeated keys the last
-    row wins. A hit hashes the file without holding it; a miss reads it whole
-    and reports the digest of the bytes it parsed. Lines end at "\\n", "\\r\\n"
-    or "\\r" only: a JSON string may hold U+2028 and the like, and in a word
-    line they are whitespace."""
-    digest = file_digest(path)
-    cached = cache.read(kind, _CACHE_FORMAT, f"{digest}.npy", _decode_vectors)
+    row wins. The digest comes from `cache.file_digest`, which hashes the file
+    without holding it unless a memo of the file is trusted; a miss reads the
+    file whole and reports the digest of the bytes it parsed. Lines end at
+    "\\n", "\\r\\n" or "\\r" only: a JSON string may hold U+2028 and the
+    like, and in a word line they are whitespace."""
+    digest = cache.file_digest(path)
+    cached = cache.read(kind, _CACHE_FORMAT, _entry_key(digest), _decode_vectors)
     if cached is not None:
         keys, matrix = cached
         table = dict(zip(keys, matrix))
@@ -374,7 +376,7 @@ def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> E
         keys, matrix, clean = parse(path, lines)
         del lines  # free the text before the entry is written
         if clean:
-            cache.store(kind, _CACHE_FORMAT, f"{digest}.npy",
+            cache.store(kind, _CACHE_FORMAT, _entry_key(digest),
                         lambda out: _encode_vectors(out, keys, matrix))
         table = dict(zip(keys, matrix))
     return EmbeddingBackend(
@@ -533,12 +535,18 @@ def _parse_sentence_file(path: Path, lines: Sequence[str]) -> tuple[list[str], n
 
 # ----------------------------------------------------------- parse cache
 #
-# A vector entry's key is the SHA-256 of the source bytes, with ".npy". It
+# A vector entry's key is the SHA-256 of the file's bytes, ".", the
+# `cache.source_digest` of this module and `resources`, and ".npy". It
 # holds a .npy file of the float64 matrix (one row per key; np.save starts the
 # data at a 64-byte aligned offset), then the table's keys in order (UTF-8,
 # joined by newlines; neither tokens nor normalized sentences contain a
 # newline), then `_KEY_BYTES`. A hit maps the matrix read-only, so a command
 # holds only the rows it reads; the loader's table tells a repeated key.
+
+
+def _entry_key(digest: str) -> str:
+    """The entry key of a vector file whose bytes have SHA-256 `digest`."""
+    return f"{digest}.{cache.source_digest(__file__, resources.__file__)}.npy"
 
 
 def _decode_vectors(handle: BinaryIO, size: int) -> tuple[list[str], np.ndarray] | None:

@@ -7,12 +7,15 @@ miss is tested here once, with a decoder that returns the entry's bytes.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import struct
+import time
 import zlib
 
 import pytest
 
-from riskbench import cache
+from riskbench import cache, report
 from riskbench.errors import CorpusError, RiskbenchError
 
 KIND, FORMAT, KEY = "toy", 1, "k.bin"
@@ -138,3 +141,163 @@ def test_without_a_home_nothing_is_read_or_stored(tmp_path, monkeypatch):
     _store()
     assert cache.read(KIND, FORMAT, KEY, _bytes) is None
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------------------ memos
+#
+# A memo is trusted only for a file older than `MEMO_MARGIN_NS`; the tests
+# that need an old file shrink the margin and wait it out, which keeps it far
+# above the file system's timestamp granularity.
+
+SETTLE_S = 0.1
+
+
+def _settle(monkeypatch):
+    """Make every file written so far old enough for a memo."""
+    monkeypatch.setattr(cache, "MEMO_MARGIN_NS", 50_000_000)
+    time.sleep(SETTLE_S)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """One "sha256" per `report.file_digest` call, and one "crc32" per
+    `cache._crc32` call that checks a stored file other than a memo entry (a
+    few dozen bytes, always checked); a store computes its CRC on a file
+    descriptor."""
+    calls = []
+    digest, crc32 = report.file_digest, cache._crc32
+
+    def counted_crc32(handle, size):
+        if isinstance(handle.name, str) and not os.path.basename(handle.name).startswith("memo-"):
+            calls.append("crc32")
+        return crc32(handle, size)
+
+    monkeypatch.setattr(report, "file_digest",
+                        lambda path: calls.append("sha256") or digest(path))
+    monkeypatch.setattr(cache, "_crc32", counted_crc32)
+    return calls
+
+
+def _memos(home):
+    return sorted((home / "riskbench").glob("memo-*"))
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_an_old_file_is_hashed_once(home, reads, tmp_path, monkeypatch):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"some input")
+    _settle(monkeypatch)
+    assert [cache.file_digest(path) for _ in range(3)] == [_sha256(path)] * 3
+    assert reads == ["sha256"]
+    assert len(_memos(home)) == 1
+
+
+def test_a_file_younger_than_the_margin_is_hashed_every_time_and_not_memoized(
+        home, reads, tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"some input")
+    assert [cache.file_digest(path) for _ in range(2)] == [_sha256(path)] * 2
+    assert reads == ["sha256", "sha256"]
+    assert _memos(home) == []
+    path.write_bytes(b"same length")  # a same-size rewrite in the same second
+    assert cache.file_digest(path) == _sha256(path)
+
+
+@pytest.mark.parametrize("change", ["same-size-rewrite", "touch", "rename-over"])
+def test_a_changed_file_is_hashed_again(home, reads, tmp_path, monkeypatch, change):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"some input")
+    _settle(monkeypatch)
+    before = path.stat()
+    assert cache.file_digest(path) == _sha256(path)
+    if change == "same-size-rewrite":  # within a second, with the old mtime restored
+        path.write_bytes(b"SOME INPUT")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    elif change == "touch":
+        os.utime(path)
+    else:  # a new file of the same size and mtime renamed over the old one
+        other = tmp_path / "other.txt"
+        other.write_bytes(b"some other")
+        os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(other, path)
+    assert path.stat().st_size == before.st_size
+    assert cache.file_digest(path) == _sha256(path)
+    assert reads == ["sha256", "sha256"]
+
+
+def test_a_damaged_memo_is_a_miss(home, reads, tmp_path, monkeypatch):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"some input")
+    _settle(monkeypatch)
+    cache.file_digest(path)
+    [memo] = _memos(home)
+    data = memo.read_bytes()
+    memo.write_bytes(data[:10] + bytes([data[10] ^ 0xFF]) + data[11:])  # a digest byte
+    assert cache.file_digest(path) == _sha256(path)
+    assert reads == ["sha256", "sha256"]
+    assert memo.read_bytes()[8:-4] == data[8:-4] == _sha256(path).encode()  # rewritten
+
+
+def test_an_unwritable_cache_hashes_every_time_and_says_nothing(
+        tmp_path, monkeypatch, capfd, reads):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"some input")
+    _settle(monkeypatch)
+    assert [cache.file_digest(path) for _ in range(2)] == [_sha256(path)] * 2
+    assert reads == ["sha256", "sha256"]
+    assert capfd.readouterr() == ("", "")
+
+
+def test_more_files_than_entries_per_kind_stay_memoized(home, reads, tmp_path, monkeypatch):
+    paths = [tmp_path / f"input{i}.txt" for i in range(cache.ENTRIES + 4)]
+    for path in paths:
+        path.write_bytes(path.name.encode())
+    _settle(monkeypatch)
+    for _ in range(2):
+        assert [cache.file_digest(path) for path in paths] == [_sha256(p) for p in paths]
+    assert reads == ["sha256"] * len(paths)
+
+
+def test_an_old_entry_is_checked_once_and_corrupted_in_place_is_a_miss(
+        home, reads, monkeypatch):
+    _store()
+    _settle(monkeypatch)
+    assert [cache.read(KIND, FORMAT, KEY, _bytes) for _ in range(3)] == [DATA] * 3
+    assert reads == ["crc32"]
+    before = _entry().stat()
+    with open(_entry(), "r+b") as handle:  # in place, with the old mtime restored
+        handle.seek(3)
+        handle.write(bytes([DATA[3] ^ 0xFF]))
+    os.utime(_entry(), ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert cache.read(KIND, FORMAT, KEY, _bytes) is None
+    assert reads == ["crc32", "crc32"]
+
+
+def test_a_reload_of_an_old_word_file_neither_hashes_nor_checks(
+        home, reads, tmp_path, monkeypatch):
+    from riskbench import vectorize
+
+    path = tmp_path / "w.txt"
+    path.write_text("2 3\nfoo 1.0 0.0 0.0\nbar 0.0 1.0 0.5\n", encoding="utf-8")
+    first = vectorize.load_word_vectors(path)  # a miss: parses and stores the entry
+    _settle(monkeypatch)
+    vectorize.load_word_vectors(path)  # memoizes the digest and the entry's CRC
+    del reads[:]
+    again = vectorize.load_word_vectors(path)
+    assert reads == []
+    assert again.digest == first.digest == _sha256(path)
+    assert {token: row.tolist() for token, row in again.word_table.items()} == {
+        "foo": [1.0, 0.0, 0.0], "bar": [0.0, 1.0, 0.5]}
+
+
+def test_the_source_digest_is_the_key_of_each_file_sha256(tmp_path):
+    files = [tmp_path / "a.py", tmp_path / "b.py"]
+    for path in files:
+        path.write_text(path.name, encoding="utf-8")
+    assert cache.source_digest(*map(str, files)) == cache.key(*map(_sha256, files))

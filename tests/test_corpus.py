@@ -895,6 +895,32 @@ def test_a_write_deletes_the_entries_of_its_kind_in_other_formats(expost_copy, t
         ["corpus", corpus], ["word_average", words]]
 
 
+def test_a_warm_entry_is_not_served_to_a_changed_parser(expost_manifest, tmp_path):
+    # a copy of the package whose row check rejects every row: a warm ingest
+    # must fail as a cold one does, whatever an unchanged parser stored
+    src = Path(riskbench.__file__).resolve().parent
+    mutant = tmp_path / "mutant" / "riskbench"
+    shutil.copytree(src, mutant, ignore=shutil.ignore_patterns("__pycache__"))
+    parser = mutant / "corpus.py"
+    check = ("    risk_id, name, description, category, probability, cost, schedule, status, _"
+             " = fields\n")
+    assert parser.read_text(encoding="utf-8").count(check) == 1
+    parser.write_text(parser.read_text(encoding="utf-8").replace(
+        check, '    raise ParseError(f"{where}: rejected")\n' + check), encoding="utf-8")
+
+    def ingest(package: Path, cache_home: Path):
+        env = dict(os.environ, PYTHONPATH=str(package.parent), XDG_CACHE_HOME=str(cache_home))
+        return subprocess.run([sys.executable, "-m", "riskbench.cli", "ingest", "--manifest",
+                               str(expost_manifest), "--out", str(tmp_path / "ingest.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    assert ingest(src, tmp_path / "warm").returncode == 0  # stores the corpus entry
+    cold, warm = ingest(mutant, tmp_path / "cold"), ingest(mutant, tmp_path / "warm")
+    assert cold.returncode == warm.returncode == 1
+    assert warm.stderr == cold.stderr
+    assert cold.stderr.startswith("error: ") and cold.stderr.endswith(": rejected\n")
+
+
 def test_unwritable_cache_dir_still_loads_and_says_nothing(expost_copy, tmp_path, monkeypatch,
                                                            capsys):
     expected = load_corpus(expost_copy)

@@ -36,9 +36,10 @@ def test_fixture_reports_match_the_committed_digests(tmp_path):
     assert list(runs) == ["cold", "warm"]
     assert digests.run_mismatch(recorded, runs) is None
     # the cold run stored the fixture corpus and both vector files; it also
-    # stores scipy.special values unless an earlier test loaded scipy.special
+    # stores scipy.special values unless an earlier test loaded scipy.special,
+    # and memos of the digests of the bundled files, which are old enough
     entries = sorted(path.suffix for path in (tmp_path / "cache" / "riskbench").iterdir()
-                     if not path.name.startswith("special-"))
+                     if not path.name.startswith(("special-", "memo-")))
     assert entries == [".marshal", ".npy", ".npy"]
 
 
@@ -73,18 +74,19 @@ def test_similarity_docs_reports_match_in_fresh_processes(tmp_path):
 
 
 def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monkeypatch):
-    # Each name is computed with the formula that named it when its format was
-    # set, so a change that renames an entry, and so drops every user's cache,
-    # fails here: the word and sentence files by their SHA-256, the corpus by
-    # the interpreter, the SHA-256 of the manifest and of each register, and
-    # the scale config, and a scipy.special value by the scipy build, the
-    # function and its arguments' float.hex().
+    # Each name is computed with the formula that names it, so a change that
+    # renames an entry, and so drops every user's cache, fails here: the word
+    # and sentence files by their SHA-256 and the source of the code that
+    # parses them, the corpus by the interpreter, that source, the SHA-256 of
+    # the manifest and of each register, and the scale config, and a
+    # scipy.special value by the scipy build, the function and its arguments'
+    # float.hex(). Memos of the bundled files' digests are left out.
     import sys
     from importlib.machinery import EXTENSION_SUFFIXES
 
     import scipy
 
-    from riskbench import cache
+    from riskbench import cache, corpus, resources, vectorize
     from riskbench.cli import main
     from riskbench.corpus import default_scale_config
 
@@ -109,13 +111,18 @@ def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monke
     manifest = data / "fixtures" / "expost" / "manifest.json"
     registers = [register["path"] for project in json.loads(manifest.read_text())["projects"]
                  for register in project["registers"]]
+
+    def source(module) -> str:  # the key of the SHA-256 of a module's and of resources.py
+        return sha256(tuple(sha256(Path(path).read_bytes())
+                            for path in (module.__file__, resources.__file__)))
+
     cfg = default_scale_config()
     edges = [cfg.probability_band_edges, cfg.cost_band_edges, cfg.schedule_band_edges]
     matrix = [cfg.risk_matrix[(p, i)].value for p in range(1, 6) for i in range(1, 6)]
-    corpus = (1, sys.implementation.cache_tag,
-              [sha256(manifest.read_bytes())]
-              + [sha256((manifest.parent / path).read_bytes()) for path in registers],
-              edges, matrix)
+    key = (1, sys.implementation.cache_tag, source(corpus),
+           [sha256(manifest.read_bytes())]
+           + [sha256((manifest.parent / path).read_bytes()) for path in registers],
+           edges, matrix)
     calls = []  # the arguments of the t-test that `similarity docs` computes
     special = cache.special
     monkeypatch.setattr(cache, "special", lambda name, *args: calls.append((name, args))
@@ -123,11 +130,14 @@ def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monke
     assert main(argvs[2]) == 0
     [(_, args)] = calls
     build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
-    assert sorted(path.name for path in (tmp_path / "cache" / "riskbench").iterdir()) == sorted([
-        f"word_average-v4-{sha256((embeddings / 'reference_word_vectors.txt').read_bytes())}.npy",
+    names = [path.name for path in (tmp_path / "cache" / "riskbench").iterdir()]
+    assert sorted(name for name in names if not name.startswith("memo-")) == sorted([
+        f"word_average-v4-{sha256((embeddings / 'reference_word_vectors.txt').read_bytes())}"
+        f".{source(vectorize)}.npy",
         "precomputed_sentence-v4-"
-        f"{sha256((embeddings / 'reference_sentence_vectors.jsonl').read_bytes())}.npy",
-        f"corpus-v1-{sha256(corpus)}.marshal",
+        f"{sha256((embeddings / 'reference_sentence_vectors.jsonl').read_bytes())}"
+        f".{source(vectorize)}.npy",
+        f"corpus-v1-{sha256(key)}.marshal",
         f"special-v1-{sha256((1, build, 'stdtr', [float(arg).hex() for arg in args]))}",
     ])
 

@@ -215,16 +215,19 @@ def test_unit_rows_embeds_each_distinct_text_once(reference_backend, monkeypatch
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     expected = matrix / np.where(norms == 0.0, 1.0, norms)
 
-    embedded = []
-    original = vectorize.embed_text
+    embedded, keyed = [], []
+    original, original_key = vectorize.embed_text, vectorize.embedding_key
 
-    def counting(backend, text):
+    def counting(backend, text, *key):
         embedded.append(text)
-        return original(backend, text)
+        return original(backend, text, *key)
 
     monkeypatch.setattr(vectorize, "embed_text", counting)
+    monkeypatch.setattr(vectorize, "embedding_key",
+                        lambda backend, text: keyed.append(text) or original_key(backend, text))
     got = unit_rows(reference_backend, texts)
     assert embedded == list(dict.fromkeys(texts))
+    assert keyed == texts  # each text's key is computed once, and embedded from
     rows = got.units[got.ids]
     assert rows.shape == expected.shape
     assert rows.tobytes() == expected.tobytes()
@@ -752,7 +755,7 @@ def test_normalize_sentence():
 
 
 def _word_entry(digest: str) -> Path:
-    return cache.entry_path("word_average", vectorize._CACHE_FORMAT, f"{digest}.npy")
+    return cache.entry_path("word_average", vectorize._CACHE_FORMAT, vectorize._entry_key(digest))
 
 
 def _read_entry(entry: Path):
