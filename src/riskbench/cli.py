@@ -231,13 +231,13 @@ def _lifecycle_tables(args, digests):
     """Per-project and pooled ratios, and the config naming their source."""
     if args.lifecycle_csv:
         path = Path(args.lifecycle_csv)
-        if not path.exists():
-            raise RiskbenchError(f"lifecycle csv not found: {path}")
-        data = path.read_bytes()
-        observations = read_lifecycle_csv(data, source=str(path))
-        digests["lifecycle_csv"] = hashlib.sha256(data).hexdigest()
         try:
-            return *tabulated_ratios(observations), {"source": "lifecycle_csv"}
+            data = path.read_bytes()
+        except FileNotFoundError as exc:
+            raise RiskbenchError(f"lifecycle csv not found: {path}") from exc
+        digests["lifecycle_csv"] = hashlib.sha256(data).hexdigest()
+        try:  # a ParseError of the CSV is not a LifecycleError: it names its row already
+            return *tabulated_ratios(read_lifecycle_csv(data, str(path))), {"source": "lifecycle_csv"}
         except LifecycleError as exc:
             raise LifecycleError(f"{path}: {exc}") from exc
     if args.manifest:

@@ -13,8 +13,9 @@ import struct
 import sys
 from bisect import bisect_left
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
@@ -200,6 +201,9 @@ class Corpus:
 
 _BAND_EDGES = ("probability_band_edges", "cost_band_edges", "schedule_band_edges")
 _LEVELS = (Qualitative.HIGH, Qualitative.MEDIUM, Qualitative.LOW)
+# each level by its value, the form rows and cache entries hold
+_LEVEL = {level.value: level for level in Qualitative}
+_UNSET = Qualitative.UNSET.value
 
 
 @dataclass(frozen=True)
@@ -284,7 +288,8 @@ def normalize_assessment(
         and raw.raw_schedule is None
     ):
         raise NormalizeError("no raw probability, cost, or schedule value to normalize")
-    return _assessment(cfg, project_value, **asdict(raw))
+    p, c, s, cost, schedule, *raw_values = _assessment(cfg, project_value, *astuple(raw))
+    return Assessment(p, c, s, Qualitative(cost), Qualitative(schedule), *raw_values)
 
 
 def _assessment(
@@ -293,14 +298,15 @@ def _assessment(
     probability_band: int | None,
     cost_band: int | None,
     schedule_band: int | None,
+    qualitative_cost: str,
+    qualitative_schedule: str,
     raw_probability: float | None,
     raw_cost: float | None,
     raw_schedule: float | None,
-    qualitative_cost: Qualitative = Qualitative.UNSET,
-    qualitative_schedule: Qualitative = Qualitative.UNSET,
-) -> Assessment:
+) -> tuple:
     """The normalization rule: a raw value sets its band, then each unset
-    level comes from the risk matrix at (probability, impact)."""
+    level comes from the risk matrix at (probability, impact). Takes and
+    returns an Assessment's fields in order, each level as its value."""
     if raw_probability is not None:
         probability_band = band_for(raw_probability, cfg.probability_band_edges)
     if raw_cost is not None:
@@ -312,14 +318,12 @@ def _assessment(
     if raw_schedule is not None:
         schedule_band = band_for(raw_schedule, cfg.schedule_band_edges)
     if probability_band is not None:
-        if qualitative_cost is Qualitative.UNSET and cost_band is not None:
-            qualitative_cost = cfg.risk_matrix[(probability_band, cost_band)]
-        if qualitative_schedule is Qualitative.UNSET and schedule_band is not None:
-            qualitative_schedule = cfg.risk_matrix[(probability_band, schedule_band)]
-    return Assessment(
-        probability_band, cost_band, schedule_band, qualitative_cost, qualitative_schedule,
-        raw_probability, raw_cost, raw_schedule,
-    )
+        if qualitative_cost == _UNSET and cost_band is not None:
+            qualitative_cost = cfg.risk_matrix[(probability_band, cost_band)].value
+        if qualitative_schedule == _UNSET and schedule_band is not None:
+            qualitative_schedule = cfg.risk_matrix[(probability_band, schedule_band)].value
+    return (probability_band, cost_band, schedule_band, qualitative_cost, qualitative_schedule,
+            raw_probability, raw_cost, raw_schedule)
 
 
 def _value_or_none(text: str | None) -> str | None:
@@ -359,8 +363,8 @@ def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
     """Check one row, its fields in REGISTER_CSV_COLUMNS order: the measures,
     then risk_id, then name, then the raw values, then that risk_id is new.
 
-    Returns (risk_id, name, description, category, status, measures), with
-    measures the three bands, then the three raw values.
+    Returns the row as written: its risk_id, name, description, category and
+    status, then its Assessment's fields in order, each level as its value.
     """
     risk_id, name, description, category, probability, cost, schedule, status, _ = fields
     (p, raw_p), (c, raw_c), (s, raw_s) = (
@@ -382,7 +386,7 @@ def _row(fields: list, measure, where: str, seen: set[str]) -> tuple:
     seen.add(risk_id)
     return (
         risk_id, name.strip(), _value_or_none(description), _value_or_none(category),
-        _value_or_none(status), (p, c, s, raw_p, raw_c, raw_s),
+        _value_or_none(status), p, c, s, _UNSET, _UNSET, raw_p, raw_c, raw_s,
     )
 
 
@@ -459,11 +463,17 @@ def parse_register(data: bytes, fmt: str, source: str = "<register>") -> Registe
     Assessments hold the values as written: nothing is normalized.
     """
     rows, ordinal = _register_rows(data, fmt, source)
-    items = []
-    for risk_id, name, description, category, status, (p, c, s, raw_p, raw_c, raw_s) in rows:
-        assessment = Assessment(p, c, s, raw_probability=raw_p, raw_cost=raw_c, raw_schedule=raw_s)
-        items.append(RiskItem(risk_id, name, description, category, assessment, status))
-    return RegisterSnapshot(ordinal=ordinal, items=tuple(items))
+    return _snapshot(ordinal, rows, {}.setdefault)
+
+
+def _snapshot(ordinal: int, rows: Iterable[tuple], share) -> RegisterSnapshot:
+    """The snapshot of rows as `_row` returns them, normalized or not, with
+    each text the object that `share(text, text)` returns."""
+    return RegisterSnapshot(ordinal, tuple([
+        RiskItem(share(r, r), share(n, n), share(d, d), share(c, c),
+                 Assessment(p, cb, sb, _LEVEL[qc], _LEVEL[qs], rp, rc, rs), share(st, st))
+        for r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs in rows
+    ]))
 
 
 def _register_format(path: Path) -> str:
@@ -473,9 +483,11 @@ def _register_format(path: Path) -> str:
 def load_register(path: str | Path) -> RegisterSnapshot:
     """Parse one register file as written: JSON by a .json suffix, else CSV."""
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"register file not found: {path}")
-    return parse_register(path.read_bytes(), _register_format(path), source=str(path))
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise CorpusError(f"register file not found: {path}") from exc
+    return parse_register(data, _register_format(path), source=str(path))
 
 
 _MANIFEST = {"projects": [{
@@ -495,7 +507,9 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     names, descriptions, categories, statuses) are one str object across the
     corpus. The corpus keeps the SHA-256 of every file it parsed. A load that
     returns is stored in the parse cache under the digests of its files and
-    the scale config; a later load of the same bytes is served from it.
+    the scale config. A later load of the same bytes runs the same loop over
+    the manifest, with each register's normalized rows read from the entry
+    instead of parsed.
     """
     from hashlib import sha256
 
@@ -508,6 +522,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     digests = {"manifest": sha256(data).hexdigest()}
     manifest = json_value(data, str(manifest_path))
     check_shape(manifest, _MANIFEST, str(manifest_path))
+    build = partial(_corpus, manifest_path, manifest, digests)
 
     # each register's bytes, or the error reading it raised, read once here
     # and parsed in this order; a load with an unreadable register raises
@@ -531,19 +546,37 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                         cache.source_digest(__file__, resources.__file__), ordered, edges, matrix)
         key += ".marshal"
         corpus = cache.read("corpus", _CORPUS_FORMAT, key,
-                            lambda handle, size: _decode_corpus(handle, size, digests))
+                            lambda handle, size: _from_entry(handle, size, build))
         if corpus is not None:
             return corpus
-    corpus = _parse_corpus(manifest_path, manifest, files, cfg, digests)
+
+    def parsed(project_id: str, value: float | None, register: dict) -> tuple[int, list]:
+        path = base / register["path"]
+        data = files.popleft()
+        if isinstance(data, FileNotFoundError):
+            raise CorpusError(f"project {project_id!r}: register file not found: {path}") from data
+        if isinstance(data, OSError):
+            raise data
+        source = str(path)
+        rows, ordinal = _register_rows(data, _register_format(path), source)
+        normalized = []
+        for row in rows:
+            try:
+                normalized.append(row[:5] + _assessment(cfg, value, *row[5:]))
+            except NormalizeError as exc:
+                raise CorpusError(f"{source}:{row[0]}: {exc}") from exc
+        return register.get("ordinal", ordinal), normalized
+
+    corpus = build(parsed)
     if key is not None:
         cache.store("corpus", _CORPUS_FORMAT, key, lambda out: _encode_corpus(out, corpus))
     return corpus
 
 
-def _parse_corpus(manifest_path: Path, manifest: dict, files: deque, cfg: ScaleConfig,
-                  digests: dict[str, str]) -> Corpus:
-    """The corpus of a checked manifest and its registers' `files`, taken in order."""
-    base = manifest_path.parent
+def _corpus(manifest_path: Path, manifest: dict, digests: dict[str, str], registers) -> Corpus:
+    """The corpus of a checked manifest, with each register's final ordinal
+    and normalized rows from `registers(project_id, value, register)`, called
+    in manifest order."""
     share = {}.setdefault  # one object per distinct text in this load
     projects: list[ProjectRecord] = []
     for index, entry in enumerate(manifest["projects"]):
@@ -558,27 +591,7 @@ def _parse_corpus(manifest_path: Path, manifest: dict, files: deque, cfg: ScaleC
                 raise ParseError(
                     f"{where}, register {number}: 'ordinal' must be a non-negative integer"
                 )
-            path = base / register["path"]
-            data = files.popleft()
-            if isinstance(data, FileNotFoundError):
-                raise CorpusError(
-                    f"project {project_id!r}: register file not found: {path}"
-                ) from data
-            if isinstance(data, OSError):
-                raise data
-            source = str(path)
-            rows, ordinal = _register_rows(data, _register_format(path), source)
-            items = []
-            for risk_id, name, description, category, status, measures in rows:
-                try:
-                    assessment = _assessment(cfg, value, *measures)
-                except NormalizeError as exc:
-                    raise CorpusError(f"{source}:{risk_id}: {exc}") from exc
-                items.append(RiskItem(
-                    share(risk_id, risk_id), share(name, name), share(description, description),
-                    share(category, category), assessment, share(status, status),
-                ))
-            snapshots.append(RegisterSnapshot(register.get("ordinal", ordinal), tuple(items)))
+            snapshots.append(_snapshot(*registers(project_id, value, register), share))
         try:
             size_band = SizeBand(entry.get("size_band"))
         except ValueError as exc:
@@ -612,61 +625,40 @@ def _parse_corpus(manifest_path: Path, manifest: dict, files: deque, cfg: ScaleC
 # `cache.source_digest` of this module and `resources` (the code that parses),
 # the digests of the manifest and of each register in manifest order, and the
 # scale config's band edges and risk matrix, with ".marshal". It holds one
-# chunk per project, each followed by one chunk per snapshot of that project
-# in the record's order: an 8-byte length, then the marshal bytes of the
-# project's fields and snapshot count, or of the snapshot's ordinal and its
-# rows, normalized. marshal is the format of Python's own bytecode cache; the
-# key names the interpreter that wrote it. A hit decodes one chunk at a time
-# and builds every record through its constructor. Bump the format when the
-# entry layout changes.
+# chunk per snapshot, in the records' order: an 8-byte length, then the
+# marshal bytes of the snapshot's ordinal and its rows, normalized. marshal is
+# the format of Python's own bytecode cache; the key names the interpreter
+# that wrote it. A hit runs the parse's loop over the manifest, which gives
+# every project field, with each register's rows from the next chunk: chunks
+# come sorted by ordinal, not in manifest order, and the loop sorts them too.
+# The layout is code in this module, whose source digest is in the key, so a
+# change of layout needs no new format.
 _CORPUS_FORMAT = 1
 _CHUNK = struct.Struct("<Q")
-_LEVEL = {level.value: level for level in Qualitative}
 
 
 def _encode_corpus(out: BinaryIO, corpus: Corpus) -> None:
-    """Write `corpus` as the chunks above."""
-    def chunk(value) -> None:
-        data = marshal.dumps(value)
-        out.write(_CHUNK.pack(len(data)))
-        out.write(data)
-
+    """Write each snapshot of `corpus` as a chunk, as above."""
     for project in corpus.projects:
-        chunk((project.project_id, project.jurisdiction, project.delivery_method,
-               project.project_type, project.size_band.value, project.contract_value_musd,
-               project.award_year, len(project.snapshots)))
         for snapshot in project.snapshots:
-            chunk((snapshot.ordinal, [
+            data = marshal.dumps((snapshot.ordinal, [
                 (item.risk_id, item.name, item.description, item.category_label,
                  item.status_note, a.probability_band, a.cost_band, a.schedule_band,
                  a.qualitative_cost.value, a.qualitative_schedule.value,
                  a.raw_probability, a.raw_cost, a.raw_schedule)
                 for item in snapshot.items for a in (item.assessment,)
             ]))
+            out.write(_CHUNK.pack(len(data)) + data)
 
 
-def _decode_corpus(handle: BinaryIO, size: int, digests: dict[str, str]) -> Corpus:
-    """The corpus of an entry's `size` bytes, with `digests`."""
-    share = {}.setdefault  # one object per distinct text, as a parse makes
-    projects = []
-
-    def chunk():
+def _from_entry(handle: BinaryIO, size: int, build) -> Corpus | None:
+    """`build(registers)` with each register read from the next chunk of an
+    entry's `size` bytes; None when a chunk is left unread."""
+    def registers(*_) -> tuple[int, list]:
         (length,) = _CHUNK.unpack(handle.read(_CHUNK.size))
         if handle.tell() + length > size:
             raise EOFError("a chunk runs past the entry")
         return marshal.loads(handle.read(length))
 
-    while handle.tell() < size:
-        *texts, size_band, value, year, count = chunk()
-        snapshots = []
-        for _ in range(count):
-            ordinal, rows = chunk()
-            snapshots.append(RegisterSnapshot(ordinal, tuple([
-                RiskItem(share(r, r), share(n, n), share(d, d), share(c, c),
-                         Assessment(p, cb, sb, _LEVEL[qc], _LEVEL[qs], rp, rc, rs),
-                         share(st, st))
-                for r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs in rows
-            ])))
-        projects.append(ProjectRecord(*texts, SizeBand(size_band), value, year,
-                                      tuple(snapshots)))
-    return Corpus(tuple(projects), digests)
+    corpus = build(registers)
+    return corpus if handle.tell() == size else None

@@ -1807,6 +1807,39 @@ SHAPED_FILES = {
 }
 
 
+# Each input flag and a command that reads it, with "{file}" for the flag's
+# value
+MISSING_FILES = {
+    "--manifest": ["ingest", "--manifest", "{file}"],
+    "--lifecycle-csv": ["lifecycle", "ratios", "--lifecycle-csv", "{file}"],
+    "--template": [a.replace("{template}", "{file}") for a in TEMPLATE_EVAL],
+    "--register": [a.replace("{register}", "{file}") for a in TEMPLATE_EVAL],
+    "--embeddings": ["similarity", "risks", *CORPUS, "--embeddings", "{file}"],
+    "--sentence-embeddings": ["similarity", "risks", *CORPUS, "--sentence-embeddings", "{file}"],
+    "--scales": ["ingest", *CORPUS, "--scales", "{file}"],
+    "--rbs": ["rbs", "cooccur", "--coverage", "{coverage}", "--rbs", "{file}"],
+    "--categories": ["template", "build", *CORPUS, *WORDS, "--categories", "{file}"],
+    "--thresholds": ["lifecycle", "styles", *CORPUS, "--thresholds", "{file}"],
+    "--groups": ["lifecycle", "compare", "--groups", "{file}"],
+    "--coverage": ["rbs", "cooccur", "--coverage", "{file}"],
+    "--stopwords": ["similarity", "docs", *CORPUS, "--stopwords", "{file}"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(MISSING_FILES))
+def test_each_missing_input_file_exits_1_naming_it(oracle_files, tmp_path, capsys, flag):
+    missing = tmp_path / "absent.json"
+    out = tmp_path / "out"
+    argv = [a.format(**oracle_files, file=missing) for a in MISSING_FILES[flag]]
+    assert argv[argv.index(flag) + 1] == str(missing)
+    assert run([*argv, "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    assert str(missing) in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def _slots(document, shape, path=()):
     """(path, shape) of the document and of each value in it that `shape`
     declares, taking the first element of each array and map."""

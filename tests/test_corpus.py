@@ -827,6 +827,35 @@ def test_corpus_cache_hit_equals_the_miss(expost_copy, tmp_path, monkeypatch):
     assert _corpus_entries(tmp_path / "cache") == [entry]
 
 
+def test_a_hit_equals_the_miss_when_registers_are_listed_out_of_order(tmp_path, monkeypatch):
+    # the entry holds a project's snapshots sorted by ordinal, so a hit hands
+    # the loop the manifest's registers in another order than a miss does
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for ordinal in range(3):
+        (tmp_path / f"s{ordinal}.csv").write_text(
+            CSV_HEADER + f"r{ordinal},risk {ordinal},,,0.{ordinal}5,2,{ordinal + 1},,\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"projects": [_project(
+        registers=[{"path": f"s{ordinal}.csv", "ordinal": ordinal} for ordinal in (2, 0, 1)])]}))
+    parsed = _counted_parses(monkeypatch)
+    miss = load_corpus(manifest)
+    hit = load_corpus(manifest)
+    assert len(parsed) == 3  # the second load was a hit
+    assert repr(hit) == repr(miss)
+    snapshots = hit.projects[0].snapshots
+    assert [(s.ordinal, s.items[0].risk_id) for s in snapshots] == [(0, "r0"), (1, "r1"), (2, "r2")]
+
+
+def _entry_chunks(entry: Path) -> list[bytes]:
+    """The marshal bytes of each length-prefixed chunk of a corpus entry."""
+    data, chunks = entry.read_bytes()[:-cache.TRAILER.size], []
+    while data:
+        (length,) = struct.unpack_from("<Q", data)
+        chunks.append(data[8:8 + length])
+        data = data[8 + length:]
+    return chunks
+
+
 def _damage_corpus_entry(entry: Path, how: str) -> None:
     data = entry.read_bytes()
     if how == "truncated":
@@ -837,20 +866,39 @@ def _damage_corpus_entry(entry: Path, how: str) -> None:
     elif how == "garbage":
         entry.write_bytes(b"not a cache entry\n" * 64)
     else:
-        # an entry the cache's own writer makes, CRC and all, that does not decode
-        # or that holds a record no constructor accepts
-        chunks = {"undecodable": [b"\xff" * 16],
-                  "invalid-record": [marshal.dumps(("1", "", "", "", "over_1B", 1421, None, 1)),
-                                     marshal.dumps((0, [("r1", "A", None, None, None, 9, None,
-                                                         None, "Unset", "Unset", None, None,
-                                                         None)]))]}[how]
+        # an entry the cache's own writer makes, CRC and all, with a snapshot
+        # chunk that does not decode, a row no constructor accepts, one chunk
+        # more than the manifest's registers, or one fewer
+        chunks = _entry_chunks(entry)
+        if how == "undecodable":
+            chunks[0] = b"\xff" * 16
+        elif how == "invalid-record":
+            ordinal, rows = marshal.loads(chunks[0])
+            rows[0] = (*rows[0][:5], 9, *rows[0][6:])  # probability band 9
+            chunks[0] = marshal.dumps((ordinal, rows))
+        elif how == "leftover-chunk":
+            chunks.append(chunks[-1])
+        else:
+            assert how == "missing-chunk"
+            chunks.pop()
         kind, _, key = entry.name.split("-", 2)
         cache.store(kind, riskbench.corpus._CORPUS_FORMAT, key, lambda out: out.write(b"".join(
             struct.pack("<Q", len(chunk)) + chunk for chunk in chunks)))
 
 
+# why a damaged entry that passes its CRC is a miss: what reading it raises,
+# or None for a corpus that leaves a chunk unread
+DECODE_FAILURES = {
+    "undecodable": (ValueError, "bad marshal data"),
+    "invalid-record": (CorpusError, "probability_band must be in 1..5, got 9"),
+    "leftover-chunk": None,
+    "missing-chunk": (struct.error, "unpack requires a buffer of 8 bytes"),
+}
+
+
 @pytest.mark.parametrize("how", [
-    "truncated", "flipped-bit", "garbage", "undecodable", "invalid-record", "other-interpreter"])
+    "truncated", "flipped-bit", "garbage", "undecodable", "invalid-record", "leftover-chunk",
+    "missing-chunk", "other-interpreter"])
 def test_invalid_corpus_entry_is_a_miss_and_rewritten(expost_copy, tmp_path, monkeypatch, how):
     cache_dir = tmp_path / "cache"
     if how == "other-interpreter":  # an entry another interpreter stored
@@ -864,12 +912,34 @@ def test_invalid_corpus_entry_is_a_miss_and_rewritten(expost_copy, tmp_path, mon
         [entry] = _corpus_entries(cache_dir)
         _damage_corpus_entry(entry, how)
     parsed = _counted_parses(monkeypatch)
+    decoded = []  # what each read of an entry that passed its CRC returned or raised
+    from_entry = riskbench.corpus._from_entry
+
+    def recorded(handle, size, build):
+        try:
+            decoded.append(from_entry(handle, size, build))
+        except Exception as exc:
+            decoded.append(exc)
+            raise
+        return decoded[-1]
+
+    monkeypatch.setattr(riskbench.corpus, "_from_entry", recorded)
     assert repr(load_corpus(expost_copy)) == repr(expected)
     assert len(parsed) == len(expected.digests) - 1
+    if how in DECODE_FAILURES:
+        [outcome] = decoded
+        if DECODE_FAILURES[how] is None:
+            assert outcome is None
+        else:
+            error, message = DECODE_FAILURES[how]
+            assert type(outcome) is error and message in str(outcome)
+    else:  # a failed CRC, or no entry under this interpreter's key
+        assert decoded == []
     if how == "other-interpreter":
         [entry] = [path for path in _corpus_entries(cache_dir) if path != other]
     assert repr(load_corpus(expost_copy)) == repr(expected)
     assert len(parsed) == len(expected.digests) - 1  # the rewritten entry serves the next load
+    assert isinstance(decoded[-1], Corpus)
     assert len(_corpus_entries(cache_dir)) == 1 + (how == "other-interpreter")
 
 
