@@ -12,15 +12,20 @@ process each, with the riskbench found in `--src` (default: this checkout's
 (from `wait4`), report bytes and the report's SHA-256, and writes them as
 JSON, with the line count of the `--src` tree's Python files.  Every
 command runs under a private parse cache (a temporary `XDG_CACHE_HOME`), so
-the numbers do not depend on the user's cache.  Before each rung's timed
-commands, an untimed `similarity risks` and `similarity docs` at that rung
-fill it with the rung's corpus, the word vectors and the t-test's scipy
-value, so that every timed command reads them from the cache, as a repeated
-command does.
+the numbers do not depend on the user's cache, and runs twice:
 
-`--check` runs the same ladder and compares every report's SHA-256 with
-BENCH_scale.json instead of writing it; times and memory are not compared.
-It exits 1 naming the first rung and command whose report differs.
+- cold (`cold_wall_s`, `cold_peak_rss_mb`): first, each command under its
+  own empty cache, so it parses every input, as a first command does;
+- warm (`wall_s`, `peak_rss_mb`): then, after an untimed `similarity risks`
+  and `similarity docs` at that rung have filled one cache with the rung's
+  corpus, the word vectors and the t-test's scipy value, each command reads
+  them from that cache, as a repeated command does.
+
+A cold report whose SHA-256 differs from the warm one ends the run with
+exit 1, naming the rung and command.  `--check` runs the same ladder and
+compares every warm report's SHA-256 with BENCH_scale.json instead of
+writing it; times and memory are not compared.  It exits 1 naming the first
+rung and command whose report differs.
 
 This script imports only the standard library and builds the corpora in a
 child process, so its own memory stays small: on Linux a child's peak RSS
@@ -121,7 +126,8 @@ def run_command(argv: list[str], src: Path, cache: Path) -> tuple[float, float]:
 
 
 def run_ladder(src: Path) -> list[dict]:
-    """Run every command of COMMANDS at every rung; one record per rung."""
+    """Run every command of COMMANDS at every rung, cold and then warm; one
+    record per rung."""
     inputs = [corpus(projects) for projects in RUNGS]
     results = []
     with tempfile.TemporaryDirectory() as work:
@@ -133,22 +139,38 @@ def run_ladder(src: Path) -> list[dict]:
             return [*argv, "--manifest", str(target / "manifest.json"), *vectors,
                     "--out", str(report)]
 
+        def measure(argv, cache):
+            """Wall seconds, peak RSS (MB), report bytes and SHA-256 of one run."""
+            wall, rss = run_command(argv, src, cache)
+            size, digest = report.stat().st_size, sha256(report)
+            report.unlink()
+            return wall, rss, size, digest
+
         for projects, (target, summary) in zip(RUNGS, inputs):
+            cold = {}
+            for name in COMMANDS:
+                with tempfile.TemporaryDirectory(dir=work) as empty:
+                    cold[name] = measure(command(name, target, summary), Path(empty))
             for name in ("similarity risks", "similarity docs"):  # fill the cache
                 run_command(command(name, target, summary), src, cache)
             rung = {"projects": projects, "risks_per_project": RISKS, "rows": summary["rows"],
                     "distinct_texts": summary["distinct_texts"], "commands": {}}
             for name in COMMANDS:
-                wall, rss = run_command(command(name, target, summary), src, cache)
+                wall, rss, size, digest = measure(command(name, target, summary), cache)
+                cold_wall, cold_rss, _, cold_digest = cold[name]
+                if cold_digest != digest:
+                    raise SystemExit(f"mismatch: {projects} projects, {name}: cold SHA-256 "
+                                     f"{cold_digest}, warm {digest}")
                 rung["commands"][name] = {
                     "wall_s": round(wall, 3),
                     "peak_rss_mb": round(rss, 1),
-                    "report_bytes": report.stat().st_size,
-                    "sha256": sha256(report),
+                    "cold_wall_s": round(cold_wall, 3),
+                    "cold_peak_rss_mb": round(cold_rss, 1),
+                    "report_bytes": size,
+                    "sha256": digest,
                 }
-                report.unlink()
-                print(f"{projects} projects, {name}: {wall:.2f} s, {rss:.0f} MB",
-                      file=sys.stderr)
+                print(f"{projects} projects, {name}: {wall:.2f} s, {rss:.0f} MB warm; "
+                      f"{cold_wall:.2f} s, {cold_rss:.0f} MB cold", file=sys.stderr)
             results.append(rung)
     return results
 
@@ -198,8 +220,9 @@ def main(argv=None) -> int:
         "corpus": {"generator": "perfbench/gen.py", "seed": SEED, "risks_per_project": RISKS,
                    "distinct_ratio": DISTINCT_RATIO, "word_dimension": 300,
                    "word_vocabulary": 20000},
-        "method": "one fresh process per command, run once, under a private parse cache "
-                  "that two untimed commands per rung fill; peak RSS from wait4",
+        "method": "one fresh process per command, run cold under its own empty parse cache, "
+                  "then warm under a private one that two untimed commands per rung fill; "
+                  "peak RSS from wait4",
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "src_lines": sum(len(path.read_bytes().splitlines()) for path in src.rglob("*.py")),

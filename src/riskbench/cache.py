@@ -1,32 +1,34 @@
 """The parse cache: what an earlier command parsed, kept per content.
 
-An entry lives at $XDG_CACHE_HOME/riskbench/<kind>-v<format>-<key>, else
-under ~/.cache/riskbench. Its last bytes are `TRAILER`, the CRC-32 of every
-byte before it. Each kind owns only its byte layout; this module alone opens,
+An entry lives at $XDG_CACHE_HOME/riskbench/<kind>-<key>, else under
+~/.cache/riskbench. Its last bytes are `TRAILER`, the CRC-32 of every byte
+before it. Each kind owns only its byte layout; this module alone opens,
 checks and writes an entry:
 
-- `key(*parts)` is the SHA-256 of `repr(parts)`; `source_digest(*files)` is
-  the part of a key that names the code which decides an entry's contents.
-- `read(kind, format, key, decode)` returns `decode(handle, size)` for the
-  bytes before the trailer. A missing entry, a failed CRC, a decode that
-  returns None and one that raises one of `INVALID` are a miss and read None;
-  any other exception is a bug and propagates.
-- `store(kind, format, key, fill)` writes what `fill` writes to a temporary
-  file in the cache directory and renames it over the entry, so a reader sees
-  a whole entry or none; it is never written in place, so a mapping of it
-  stays valid. It then deletes the entries of its kind in any other format,
-  which are never read again, and keeps only the newest `ENTRIES` of its own
-  (`MEMOS` of the memo kind). Nothing is stored, and nothing said, when the
-  directory cannot be written.
+- `key(*parts)` is the SHA-256 of `repr(parts)`. Every key holds the
+  `source_digest(*files)` of the code that lays out its bytes, and that
+  alone says which code owns an entry: other code, another riskbench tree
+  sharing the cache included, never reads it.
+- `read(kind, key, decode)` returns `decode(handle, size)` for the bytes
+  before the trailer. A missing entry, a failed CRC, a decode that returns
+  None and one that raises one of `INVALID` are a miss and read None; any
+  other exception is a bug and propagates.
+- `store(kind, key, fill)` writes what `fill` writes to a temporary file in
+  the cache directory and renames it over the entry, so a reader sees a whole
+  entry or none; it is never written in place, so a mapping of it stays
+  valid. It then keeps only the newest `ENTRIES` of its kind (`MEMOS` of the
+  memo kind), whatever code wrote them. Nothing is stored, and nothing said,
+  when the directory cannot be written.
 
 What is learned of a regular file's bytes is kept in a memo entry keyed by
-the file's absolute path, device, inode, size, mtime and ctime: the SHA-256
-that `file_digest` returns, or that an entry's CRC matched in `read`. A memo
-is trusted only when both of the file's times are older than the memo's own
-write by more than `MEMO_MARGIN_NS`, and it is written only when that holds
-already. A file rewritten within one timestamp tick of being read can keep
-all of its stat fields, so a file younger than the margin is read in full
-every time (git's racy-timestamp rule).
+this module's source digest and the file's absolute path, device, inode,
+size, mtime and ctime: the SHA-256 that `file_digest` returns, or that an
+entry's CRC matched in `read`. A memo is trusted only when both of the
+file's times are older than the memo's own write by more than
+`MEMO_MARGIN_NS`, and it is written only when that holds already. A file
+rewritten within one timestamp tick of being read can keep all of its stat
+fields, so a file younger than the margin is read in full every time (git's
+racy-timestamp rule).
 """
 
 from __future__ import annotations
@@ -56,27 +58,24 @@ TRAILER = struct.Struct("<I")
 # records' constructors included
 INVALID = (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, struct.error,
            RiskbenchError)
-# A scipy.special entry holds one little-endian float64. Bump the format when
-# its layout or its key changes.
-_SPECIAL_FORMAT = 1
+# A scipy.special entry holds one little-endian float64.
 _FLOAT = struct.Struct("<d")
 # A memo entry holds the memo's write time in ns, little-endian, then its
 # value in ASCII: a SHA-256 in hex, or nothing for a matched CRC.
 _MEMO = "memo"
-_MEMO_FORMAT = 1
 _WRITTEN = struct.Struct("<q")
 T = TypeVar("T")
 
 
-def entry_path(kind: str, format: int, key: str) -> Path | None:
-    """$XDG_CACHE_HOME/riskbench/<kind>-v<format>-<key>, else under
-    ~/.cache/riskbench; None without a home. Neither kind nor key holds a "-"."""
+def entry_path(kind: str, key: str) -> Path | None:
+    """$XDG_CACHE_HOME/riskbench/<kind>-<key>, else under ~/.cache/riskbench;
+    None without a home. Neither kind nor key holds a "-"."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: ignored, as the spec says
         base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
         return None
-    return Path(base, "riskbench", f"{kind}-v{format}-{key}")
+    return Path(base, "riskbench", f"{kind}-{key}")
 
 
 def key(*parts) -> str:
@@ -116,8 +115,8 @@ def _memo_key(purpose: str, path: str | Path, status: os.stat_result) -> str | N
     state; None for any other file."""
     if not stat.S_ISREG(status.st_mode):
         return None
-    return key(purpose, os.path.abspath(path), status.st_dev, status.st_ino, status.st_size,
-               status.st_mtime_ns, status.st_ctime_ns)
+    return key(source_digest(__file__), purpose, os.path.abspath(path), status.st_dev,
+               status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
 
 
 def _settled(status: os.stat_result, at_ns: int) -> bool:
@@ -127,7 +126,7 @@ def _settled(status: os.stat_result, at_ns: int) -> bool:
 
 def _recall(memo: str, status: os.stat_result) -> str | None:
     """The value of a memo that is trusted for a file's `status`, or None."""
-    record = read(_MEMO, _MEMO_FORMAT, memo, _decode_memo)
+    record = read(_MEMO, memo, _decode_memo)
     if record is None or not _settled(status, record[0]):
         return None
     return record[1]
@@ -137,7 +136,7 @@ def _remember(memo: str, status: os.stat_result, value: str) -> None:
     """Store a memo of `value` if the file's times are already old enough."""
     now = time.time_ns()
     if _settled(status, now):
-        store(_MEMO, _MEMO_FORMAT, memo, lambda out: out.write(_WRITTEN.pack(now) + value.encode()))
+        store(_MEMO, memo, lambda out: out.write(_WRITTEN.pack(now) + value.encode()))
 
 
 def _decode_memo(handle: BinaryIO, size: int) -> tuple[int, str] | None:
@@ -178,10 +177,9 @@ def checked_size(handle: BinaryIO, path: Path | None = None) -> int | None:
     return size
 
 
-def read(kind: str, format: int, key: str,
-         decode: Callable[[BinaryIO, int], T | None]) -> T | None:
+def read(kind: str, key: str, decode: Callable[[BinaryIO, int], T | None]) -> T | None:
     """What `decode` makes of an entry, or None for a miss."""
-    entry = entry_path(kind, format, key)
+    entry = entry_path(kind, key)
     if entry is None:
         return None
     try:
@@ -196,11 +194,11 @@ def read(kind: str, format: int, key: str,
         return None
 
 
-def store(kind: str, format: int, key: str, fill: Callable[[BinaryIO], None]) -> None:
+def store(kind: str, key: str, fill: Callable[[BinaryIO], None]) -> None:
     """Store the entry that `fill` writes to an open binary file, then prune."""
     import tempfile
 
-    entry = entry_path(kind, format, key)
+    entry = entry_path(kind, key)
     if entry is None:
         return
     try:
@@ -222,10 +220,7 @@ def store(kind: str, format: int, key: str, fill: Callable[[BinaryIO], None]) ->
     ages = []
     for other in entry.parent.glob(f"{kind}-*"):
         with suppress(OSError):
-            if other.name.startswith(f"{kind}-v{format}-"):
-                ages.append((other.stat().st_mtime_ns, other.name))
-            else:  # another format, or a name from before formats were named
-                os.unlink(other)
+            ages.append((other.stat().st_mtime_ns, other.name))
     for _, other in sorted(ages)[:-(MEMOS if kind == _MEMO else ENTRIES)]:
         with suppress(OSError):
             os.unlink(entry.parent / other)
@@ -235,12 +230,13 @@ def special(name: str, *args: float) -> float:
     """scipy.special's function `name` at `args`, as the float it returns.
 
     Importing scipy.special takes longer than a short command's own work, so
-    while it is not loaded the value is kept in an entry keyed by the scipy
-    build (version, git revision and the suffix of the compiled modules it
-    loads, which names the interpreter, machine and OS), `name` and each
-    argument's float.hex(), and a hit does not import it. A top-level
-    `import scipy` does not load scipy.special. Once it is loaded the entry is
-    skipped, so a loop of calls does no file I/O."""
+    while it is not loaded the value is kept in an entry keyed by this
+    module's source digest, the scipy build (version, git revision and the
+    suffix of the compiled modules it loads, which names the interpreter,
+    machine and OS), `name` and each argument's float.hex(), and a hit does
+    not import it. A top-level `import scipy` does not load scipy.special.
+    Once it is loaded the entry is skipped, so a loop of calls does no file
+    I/O."""
     digest = None
     if "scipy.special" not in sys.modules:
         from importlib.machinery import EXTENSION_SUFFIXES
@@ -248,15 +244,15 @@ def special(name: str, *args: float) -> float:
         import scipy
 
         build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
-        digest = key(_SPECIAL_FORMAT, build, name, [float(arg).hex() for arg in args])
-        value = read("special", _SPECIAL_FORMAT, digest, _decode_float)
+        digest = key(source_digest(__file__), build, name, [float(arg).hex() for arg in args])
+        value = read("special", digest, _decode_float)
         if value is not None:
             return value
     import scipy.special
 
     value = float(getattr(scipy.special, name)(*args))
     if digest is not None:
-        store("special", _SPECIAL_FORMAT, digest, lambda out: out.write(_FLOAT.pack(value)))
+        store("special", digest, lambda out: out.write(_FLOAT.pack(value)))
     return value
 
 

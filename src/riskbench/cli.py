@@ -90,11 +90,14 @@ def _stop_words(args, digests: dict) -> frozenset[str]:
 
 
 def _backend(args, digests: dict) -> EmbeddingBackend:
-    """The sentence table with the word vectors as its fallback, or either alone."""
-    stop_words = _stop_words(args, digests)
-    word = load_word_vectors(args.embeddings, stop_words) if args.embeddings else None
-    if word is not None:
+    """The sentence table with the word vectors as its fallback, or either
+    alone; stop words are read only for the word vectors, which tokenize."""
+    word = None
+    if args.embeddings:
+        word = load_word_vectors(args.embeddings, _stop_words(args, digests))
         digests["embeddings"] = word.digest
+    elif args.stopwords:
+        raise RiskbenchError("--stopwords applies only to an --embeddings word-vector file")
     if args.sentence_embeddings:
         sentence = load_sentence_vectors(args.sentence_embeddings)
         digests["sentence_embeddings"] = sentence.digest
@@ -229,7 +232,7 @@ def _cmd_template_eval(args, digests):
 
 def _lifecycle_tables(args, digests):
     """Per-project and pooled ratios, and the config naming their source."""
-    if args.lifecycle_csv:
+    if args.lifecycle_csv is not None:
         path = Path(args.lifecycle_csv)
         try:
             data = path.read_bytes()
@@ -240,9 +243,7 @@ def _lifecycle_tables(args, digests):
             return *tabulated_ratios(read_lifecycle_csv(data, str(path))), {"source": "lifecycle_csv"}
         except LifecycleError as exc:
             raise LifecycleError(f"{path}: {exc}") from exc
-    if args.manifest:
-        return *corpus_ratios(_corpus(args, digests)), {"source": "manifest"}
-    raise RiskbenchError("pass --manifest or --lifecycle-csv")
+    return *corpus_ratios(_corpus(args, digests)), {"source": "manifest"}
 
 
 def _cmd_lifecycle_ratios(args, digests):
@@ -383,12 +384,14 @@ _ALPHA = _bounded(0.0, 1.0, closed=False)
 
 def _add_common(parser, manifest=True, scales=False, lifecycle_csv=False, stopwords=False,
                 backend=False):
-    if manifest:
-        parser.add_argument("--manifest", required=not lifecycle_csv, help="corpus manifest JSON")
+    if lifecycle_csv:  # exactly one source of the lifecycle tables
+        source = parser.add_mutually_exclusive_group(required=True)
+        source.add_argument("--manifest", help="corpus manifest JSON")
+        source.add_argument("--lifecycle-csv", help="pre-tabulated risk state CSV")
+    elif manifest:
+        parser.add_argument("--manifest", required=True, help="corpus manifest JSON")
     if scales:  # only where a report reads a band or a qualitative level
         parser.add_argument("--scales", help="scale config JSON (band edges, risk matrix)")
-    if lifecycle_csv:
-        parser.add_argument("--lifecycle-csv", help="pre-tabulated risk state CSV")
     if backend:
         parser.add_argument("--embeddings", help="word-vector file (word_average backend)")
         parser.add_argument("--sentence-embeddings", help="JSON-Lines precomputed sentence vectors")

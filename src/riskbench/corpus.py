@@ -542,11 +542,10 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     if len(ordered) == len(files) + 1:
         matrix = [cfg.risk_matrix[pair].value for pair in product(BANDS, repeat=2)]
         edges = [getattr(cfg, label) for label in _BAND_EDGES]
-        key = cache.key(_CORPUS_FORMAT, sys.implementation.cache_tag,
+        key = cache.key(sys.implementation.cache_tag,
                         cache.source_digest(__file__, resources.__file__), ordered, edges, matrix)
         key += ".marshal"
-        corpus = cache.read("corpus", _CORPUS_FORMAT, key,
-                            lambda handle, size: _from_entry(handle, size, build))
+        corpus = cache.read("corpus", key, lambda handle, size: _from_entry(handle, size, build))
         if corpus is not None:
             return corpus
 
@@ -569,7 +568,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
 
     corpus = build(parsed)
     if key is not None:
-        cache.store("corpus", _CORPUS_FORMAT, key, lambda out: _encode_corpus(out, corpus))
+        cache.store("corpus", key, lambda out: _encode_corpus(out, corpus))
     return corpus
 
 
@@ -621,19 +620,18 @@ def _corpus(manifest_path: Path, manifest: dict, digests: dict[str, str], regist
 
 # ------------------------------------------------------- corpus cache entries
 #
-# A corpus entry's key is the `cache.key` of the format, the interpreter, the
-# `cache.source_digest` of this module and `resources` (the code that parses),
-# the digests of the manifest and of each register in manifest order, and the
-# scale config's band edges and risk matrix, with ".marshal". It holds one
-# chunk per snapshot, in the records' order: an 8-byte length, then the
-# marshal bytes of the snapshot's ordinal and its rows, normalized. marshal is
-# the format of Python's own bytecode cache; the key names the interpreter
-# that wrote it. A hit runs the parse's loop over the manifest, which gives
-# every project field, with each register's rows from the next chunk: chunks
-# come sorted by ordinal, not in manifest order, and the loop sorts them too.
-# The layout is code in this module, whose source digest is in the key, so a
-# change of layout needs no new format.
-_CORPUS_FORMAT = 1
+# A corpus entry's key is the `cache.key` of the interpreter, the
+# `cache.source_digest` of this module and `resources` (the code that parses
+# and lays out the entry), the digests of the manifest and of each register in
+# manifest order, and the scale config's band edges and risk matrix, with
+# ".marshal". It holds one chunk per snapshot, in the records' order: an
+# 8-byte length, then the marshal bytes of the snapshot's ordinal and its
+# rows, normalized. marshal is the format of Python's own bytecode cache; the
+# key names the interpreter that wrote it. A hit runs the parse's loop over
+# the manifest, which gives every project field, with each register's rows
+# from the next chunk: chunks come sorted by ordinal, not in manifest order,
+# and the loop sorts them too. The source digest in the key means an entry is
+# never served to other code, so a change of layout needs no other step.
 _CHUNK = struct.Struct("<Q")
 
 

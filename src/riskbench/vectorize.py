@@ -40,11 +40,7 @@ _UNIT_EPS = 1e-12
 # cosine() rescales such vectors first; larger ones are computed as they are.
 _TINY_NORM = 1e-150
 
-# Parsed vector files are kept per content and per parser source in the
-# parse cache. Bump the format when the entry layout changes; the next write
-# of a kind deletes its entries in older formats.
-_CACHE_FORMAT = 4
-# the bytes before an entry's CRC trailer: the byte length of its keys
+# the bytes before a vector entry's CRC trailer: the byte length of its keys
 _KEY_BYTES = struct.Struct("<Q")
 
 # One block of a score table holds at most this many bytes.
@@ -359,7 +355,7 @@ def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> E
     "\\n", "\\r\\n" or "\\r" only: a JSON string may hold U+2028 and the
     like, and in a word line they are whitespace."""
     digest = cache.file_digest(path)
-    cached = cache.read(kind, _CACHE_FORMAT, _entry_key(digest), _decode_vectors)
+    cached = cache.read(kind, _entry_key(digest), _decode_vectors)
     if cached is not None:
         keys, matrix = cached
         table = dict(zip(keys, matrix))
@@ -376,8 +372,7 @@ def _load_vectors(path: Path, kind: str, stop_words: frozenset[str] | None) -> E
         keys, matrix, clean = parse(path, lines)
         del lines  # free the text before the entry is written
         if clean:
-            cache.store(kind, _CACHE_FORMAT, _entry_key(digest),
-                        lambda out: _encode_vectors(out, keys, matrix))
+            cache.store(kind, _entry_key(digest), lambda out: _encode_vectors(out, keys, matrix))
         table = dict(zip(keys, matrix))
     return EmbeddingBackend(
         kind=kind,
@@ -541,7 +536,9 @@ def _parse_sentence_file(path: Path, lines: Sequence[str]) -> tuple[list[str], n
 # data at a 64-byte aligned offset), then the table's keys in order (UTF-8,
 # joined by newlines; neither tokens nor normalized sentences contain a
 # newline), then `_KEY_BYTES`. A hit maps the matrix read-only, so a command
-# holds only the rows it reads; the loader's table tells a repeated key.
+# holds only the rows it reads; the loader's table tells a repeated key. The
+# layout is code in this module, whose source digest is in the key, so an
+# entry is never served to other code.
 
 
 def _entry_key(digest: str) -> str:

@@ -18,7 +18,7 @@ import pytest
 from riskbench import cache, report
 from riskbench.errors import CorpusError, RiskbenchError
 
-KIND, FORMAT, KEY = "toy", 1, "k.bin"
+KIND, KEY = "toy", "k.bin"
 DATA = b"twelve bytes"
 
 
@@ -30,7 +30,7 @@ def home(tmp_path, monkeypatch):
 
 
 def _entry():
-    return cache.entry_path(KIND, FORMAT, KEY)
+    return cache.entry_path(KIND, KEY)
 
 
 def _bytes(handle, size):
@@ -38,15 +38,14 @@ def _bytes(handle, size):
 
 
 def _store(data=DATA):
-    cache.store(KIND, FORMAT, KEY, lambda out: out.write(data))
+    cache.store(KIND, KEY, lambda out: out.write(data))
 
 
 def test_a_stored_entry_reads_back(home):
     _store()
-    assert _entry() == home / "riskbench" / f"{KIND}-v{FORMAT}-{KEY}"
+    assert _entry() == home / "riskbench" / f"{KIND}-{KEY}"
     assert _entry().read_bytes() == DATA + cache.TRAILER.pack(zlib.crc32(DATA))
-    assert cache.read(KIND, FORMAT, KEY, _bytes) == DATA
-    assert cache.read(KIND, FORMAT + 1, KEY, _bytes) is None
+    assert cache.read(KIND, KEY, _bytes) == DATA
     assert list(_entry().parent.iterdir()) == [_entry()]
 
 
@@ -79,13 +78,13 @@ def test_a_bad_entry_is_a_miss(home, how):
     _store()
     _damage(_entry(), how)
     decoded = []
-    assert cache.read(KIND, FORMAT, KEY, lambda *args: decoded.append(args)) is None
+    assert cache.read(KIND, KEY, lambda *args: decoded.append(args)) is None
     assert decoded == []  # the decoder never sees an entry that fails its frame
 
 
 def test_a_decode_that_returns_none_is_a_miss(home):
     _store()
-    assert cache.read(KIND, FORMAT, KEY, lambda handle, size: None) is None
+    assert cache.read(KIND, KEY, lambda handle, size: None) is None
 
 
 # what a torn, foreign or invalid entry raises in a decoder; CorpusError is a
@@ -101,14 +100,14 @@ def test_a_decode_that_raises_an_invalid_error_is_a_miss(home, error):
         handle.read(size)
         raise error("a foreign entry")
 
-    assert cache.read(KIND, FORMAT, KEY, decode) is None
+    assert cache.read(KIND, KEY, decode) is None
 
 
 def test_a_decode_bug_propagates(home):
     # a miss would hide it as a re-parse on every run
     _store()
     with pytest.raises(ZeroDivisionError):
-        cache.read(KIND, FORMAT, KEY, lambda handle, size: size / 0)
+        cache.read(KIND, KEY, lambda handle, size: size / 0)
 
 
 @pytest.mark.parametrize("how", ["home-is-a-file", "entry-is-a-directory", "fill-fails"])
@@ -119,18 +118,18 @@ def test_a_store_that_cannot_write_says_nothing_and_leaves_no_temp_file(
     if how == "home-is-a-file":
         home.write_bytes(b"")
     elif how == "entry-is-a-directory":
-        (home / "riskbench" / f"{KIND}-v{FORMAT}-{KEY}").mkdir(parents=True)
+        (home / "riskbench" / f"{KIND}-{KEY}").mkdir(parents=True)
     else:
         def fill(out):
             out.write(DATA)
             raise OSError("disk full")
     monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-    cache.store(KIND, FORMAT, KEY, fill)
+    cache.store(KIND, KEY, fill)
     assert capfd.readouterr() == ("", "")
-    assert cache.read(KIND, FORMAT, KEY, _bytes) is None
+    assert cache.read(KIND, KEY, _bytes) is None
     if how != "home-is-a-file":
         assert [path.name for path in (home / "riskbench").iterdir()] == (
-            [f"{KIND}-v{FORMAT}-{KEY}"] if how == "entry-is-a-directory" else [])
+            [f"{KIND}-{KEY}"] if how == "entry-is-a-directory" else [])
 
 
 def test_without_a_home_nothing_is_read_or_stored(tmp_path, monkeypatch):
@@ -139,7 +138,7 @@ def test_without_a_home_nothing_is_read_or_stored(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _entry() is None
     _store()
-    assert cache.read(KIND, FORMAT, KEY, _bytes) is None
+    assert cache.read(KIND, KEY, _bytes) is None
     assert list(tmp_path.iterdir()) == []
 
 
@@ -268,14 +267,14 @@ def test_an_old_entry_is_checked_once_and_corrupted_in_place_is_a_miss(
         home, reads, monkeypatch):
     _store()
     _settle(monkeypatch)
-    assert [cache.read(KIND, FORMAT, KEY, _bytes) for _ in range(3)] == [DATA] * 3
+    assert [cache.read(KIND, KEY, _bytes) for _ in range(3)] == [DATA] * 3
     assert reads == ["crc32"]
     before = _entry().stat()
     with open(_entry(), "r+b") as handle:  # in place, with the old mtime restored
         handle.seek(3)
         handle.write(bytes([DATA[3] ^ 0xFF]))
     os.utime(_entry(), ns=(before.st_atime_ns, before.st_mtime_ns))
-    assert cache.read(KIND, FORMAT, KEY, _bytes) is None
+    assert cache.read(KIND, KEY, _bytes) is None
     assert reads == ["crc32", "crc32"]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from riskbench import cli
 from riskbench import corpus as corpus_module
 from riskbench import rbs as rbs_module
 from riskbench import template as template_module
@@ -400,8 +402,6 @@ def test_template_build_labels_kept_entries_as_labelling_every_group_did(
 ):
     """The old order, which classified every group and then ranked, is the
     oracle for each entry's category; classify_risk sees only the kept texts."""
-    from riskbench import cli
-
     args = build_parser().parse_args(["template", "build", "--manifest", manifest,
                                       *TEMPLATE_BACKENDS[backend], "--out", "unused"])
     # past the flag's range, so set here: at 1.01 every risk is its own group
@@ -448,9 +448,27 @@ def test_lifecycle_ratios_from_csv(manifest, tmp_path):
 
 
 def test_lifecycle_ratios_needs_an_input(tmp_path, capsys):
-    code = run(["lifecycle", "ratios", "--out", str(tmp_path / "r.json")])
-    assert code == 1
-    assert "--manifest or --lifecycle-csv" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        run(["lifecycle", "ratios", "--out", str(tmp_path / "r.json")])
+    assert excinfo.value.code == 2
+    assert "one of the arguments --manifest --lifecycle-csv is required" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["ratios", "styles"])
+def test_lifecycle_tables_take_only_one_source(tmp_path, capsys, mode):
+    # a manifest that does not exist, given with a valid CSV, is not ignored
+    csv_path = str(data_path("fixtures", "expost", "lifecycle_table19.csv"))
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as excinfo:
+        run(["lifecycle", mode, "--manifest", str(tmp_path / "nonexistent.json"),
+             "--lifecycle-csv", csv_path, "--out", str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --lifecycle-csv: not allowed with argument --manifest" in err
+    assert not out.exists()
 
 
 def test_lifecycle_styles(manifest, tmp_path):
@@ -521,6 +539,26 @@ def test_stopwords_only_where_it_is_used(command, accepts):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
+
+
+def test_stopwords_need_a_word_vector_file(manifest, tmp_path, capsys):
+    # a sentence table is never tokenized, so it reads no stop-word list
+    out = tmp_path / "c.json"
+    assert run(["rbs", "coverage", "--manifest", manifest, "--sentence-embeddings",
+                SENTENCE_VECTORS, "--stopwords", str(data_path("stopwords_en.txt")),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --stopwords applies only to an --embeddings word-vector file\n")
+    assert not out.exists()
+
+
+def test_a_sentence_table_alone_reads_and_records_no_stop_words(monkeypatch):
+    monkeypatch.setattr(cli, "load_stopwords", lambda path: pytest.fail(f"read {path}"))
+    digests = {}
+    args = argparse.Namespace(embeddings=None, sentence_embeddings=SENTENCE_VECTORS,
+                              stopwords=None)
+    assert cli._backend(args, digests).stop_words == frozenset()
+    assert list(digests) == ["sentence_embeddings"]
 
 
 @pytest.mark.parametrize("mode", ["docs", "risks", "evaluation"])

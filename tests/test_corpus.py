@@ -881,8 +881,8 @@ def _damage_corpus_entry(entry: Path, how: str) -> None:
         else:
             assert how == "missing-chunk"
             chunks.pop()
-        kind, _, key = entry.name.split("-", 2)
-        cache.store(kind, riskbench.corpus._CORPUS_FORMAT, key, lambda out: out.write(b"".join(
+        kind, key = entry.name.split("-", 1)
+        cache.store(kind, key, lambda out: out.write(b"".join(
             struct.pack("<Q", len(chunk)) + chunk for chunk in chunks)))
 
 
@@ -943,26 +943,40 @@ def test_invalid_corpus_entry_is_a_miss_and_rewritten(expost_copy, tmp_path, mon
     assert len(_corpus_entries(cache_dir)) == 1 + (how == "other-interpreter")
 
 
-def test_a_write_deletes_the_entries_of_its_kind_in_other_formats(expost_copy, tmp_path):
-    from riskbench.vectorize import _CACHE_FORMAT, load_word_vectors
-
+def test_old_names_and_other_code_are_never_read_and_age_out_by_count(
+        expost_copy, tmp_path, monkeypatch):
+    # An entry named by an old format number, or keyed by another tree's
+    # source digest, is never read; a store deletes it only as one of the
+    # oldest of its kind once the kind holds more than cache.ENTRIES.
     root = tmp_path / "cache" / "riskbench"
-    root.mkdir(parents=True)
-    words, corpus = f"v{_CACHE_FORMAT}", f"v{riskbench.corpus._CORPUS_FORMAT}"
-    stale = [root / "word_average-v3-x.npy", root / f"corpus-{'0' * 64}.marshal"]
-    kept = [root / f"word_average-{words}-y.npy", root / f"corpus-{corpus}-{'0' * 64}.marshal",
-            root / "special-v1-z"]  # the current formats, and another kind
-    for entry in stale + kept:
-        entry.write_bytes(b"an entry")
-    path = tmp_path / "w.txt"
-    path.write_text("1 2\nw 1 0\n", encoding="utf-8")
-    load_word_vectors(path)  # one write of each kind
-    load_corpus(expost_copy)
-    entries = _corpus_entries(tmp_path / "cache")
-    assert not set(stale) & set(entries)
-    assert set(kept) < set(entries)
-    assert sorted(entry.name.split("-")[:2] for entry in set(entries) - set(kept)) == [
-        ["corpus", corpus], ["word_average", words]]
+    expected = load_corpus(expost_copy)
+    [entry] = root.glob("corpus-*")
+    with monkeypatch.context() as patch:  # what another tree's corpus.py stores
+        patch.setattr(cache, "source_digest", lambda *files: "0" * 64)
+        load_corpus(expost_copy)
+    [other] = set(root.glob("corpus-*")) - {entry}
+    data = entry.read_bytes()
+    entry.unlink()
+    _, key = entry.name.split("-", 1)
+    foreign = [other, root / f"corpus-v1-{key}"] + [
+        root / f"corpus-v1-{index:064x}.marshal" for index in range(cache.ENTRIES - 3)]
+    words = root / f"word_average-v4-{'0' * 64}.npy"  # another kind, never pruned by this one
+    for age, path in enumerate([words, *foreign]):
+        if path != other:
+            path.write_bytes(data)
+        os.utime(path, ns=(0, (1_000_000 + age) * 10**9))
+    parsed = _counted_parses(monkeypatch)
+    assert repr(load_corpus(expost_copy)) == repr(expected)
+    assert len(parsed) == len(expected.digests) - 1  # a miss: no foreign entry was read
+    assert sorted(root.glob("corpus-*")) == sorted([*foreign, entry])  # ENTRIES of its kind
+    assert repr(load_corpus(expost_copy)) == repr(expected)
+    assert len(parsed) == len(expected.digests) - 1  # the stored entry serves the next load
+    with monkeypatch.context() as patch:  # one more store, by other code
+        patch.setattr(cache, "source_digest", lambda *files: "1" * 64)
+        load_corpus(expost_copy)
+    [newest] = set(root.glob("corpus-*")) - {*foreign, entry}
+    assert sorted(root.glob("corpus-*")) == sorted([*foreign[1:], entry, newest])
+    assert words.exists()
 
 
 def test_a_warm_entry_is_not_served_to_a_changed_parser(expost_manifest, tmp_path):

@@ -16,6 +16,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from riskbench.resources import data_root
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -73,14 +75,72 @@ def test_similarity_docs_reports_match_in_fresh_processes(tmp_path):
     assert specials["hit"] == specials["miss"]
 
 
+def test_two_trees_share_a_cache_without_evicting_each_other(tmp_path):
+    # Another riskbench tree, here a copy whose cache, corpus and vector
+    # modules differ by a comment, keys its entries by its own source digests.
+    # Once each tree has run a command, each has its own entries, and a second
+    # alternating round reads them and stores nothing. Memos are left out:
+    # one is stored whenever the file it describes is first old enough.
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    import riskbench
+
+    src = Path(riskbench.__file__).resolve().parent
+    other = tmp_path / "other" / "riskbench"
+    shutil.copytree(src, other, ignore=shutil.ignore_patterns("__pycache__"))
+    for module in ("vectorize.py", "corpus.py", "cache.py"):
+        with open(other / module, "a", encoding="utf-8") as out:
+            out.write("# another tree\n")
+    recorded = json.loads(_script().DIGESTS.read_text(encoding="utf-8"))["commands"]
+    records = [next(record for record in recorded if record["argv"][:2] == command)
+               for command in (["similarity", "risks"], ["similarity", "docs"])]
+    data, entries = str(data_root()), tmp_path / "cache" / "riskbench"
+
+    def run_round(name: str) -> dict[str, bytes]:
+        reports = {}
+        for record in records:
+            for tree in (src, other):
+                out = tmp_path / name / tree.parent.name
+                out.mkdir(parents=True, exist_ok=True)
+                argv = [arg.replace("{data}", data).replace("{out}", str(out))
+                        for arg in record["argv"]]
+                result = subprocess.run(
+                    [sys.executable, "-m", "riskbench.cli", *argv], capture_output=True,
+                    text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(tree.parent),
+                                                     XDG_CACHE_HOME=str(tmp_path / "cache")))
+                assert (result.returncode, result.stderr) == (0, ""), result.stderr
+                for report in record["outputs"]:
+                    reports[tree.parent.name, report] = (out / report).read_bytes()
+        return reports
+
+    def stored() -> dict[str, int]:
+        return {path.name: path.stat().st_mtime_ns for path in entries.iterdir()
+                if not path.name.startswith("memo-")}
+
+    first = run_round("first")
+    after_first = stored()
+    kinds = sorted(name.split("-", 1)[0] for name in after_first)
+    assert kinds == ["corpus"] * 2 + ["special"] * 2 + ["word_average"] * 2  # one per tree
+    assert run_round("second") == first
+    assert stored() == after_first
+    for record in records:
+        for report, digest in record["outputs"].items():
+            assert first["src", report] == first["other", report]
+            assert hashlib.sha256(first["src", report]).hexdigest() == digest
+
+
 def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monkeypatch):
     # Each name is computed with the formula that names it, so a change that
     # renames an entry, and so drops every user's cache, fails here: the word
     # and sentence files by their SHA-256 and the source of the code that
     # parses them, the corpus by the interpreter, that source, the SHA-256 of
     # the manifest and of each register, and the scale config, and a
-    # scipy.special value by the scipy build, the function and its arguments'
-    # float.hex(). Memos of the bundled files' digests are left out.
+    # scipy.special value by the source of the cache module, the scipy build,
+    # the function and its arguments' float.hex(). Memos of the bundled files'
+    # digests are left out.
     import sys
     from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -112,14 +172,13 @@ def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monke
     registers = [register["path"] for project in json.loads(manifest.read_text())["projects"]
                  for register in project["registers"]]
 
-    def source(module) -> str:  # the key of the SHA-256 of a module's and of resources.py
-        return sha256(tuple(sha256(Path(path).read_bytes())
-                            for path in (module.__file__, resources.__file__)))
+    def source(*modules) -> str:  # the key of the SHA-256 of each module's source
+        return sha256(tuple(sha256(Path(module.__file__).read_bytes()) for module in modules))
 
     cfg = default_scale_config()
     edges = [cfg.probability_band_edges, cfg.cost_band_edges, cfg.schedule_band_edges]
     matrix = [cfg.risk_matrix[(p, i)].value for p in range(1, 6) for i in range(1, 6)]
-    key = (1, sys.implementation.cache_tag, source(corpus),
+    key = (sys.implementation.cache_tag, source(corpus, resources),
            [sha256(manifest.read_bytes())]
            + [sha256((manifest.parent / path).read_bytes()) for path in registers],
            edges, matrix)
@@ -132,13 +191,13 @@ def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monke
     build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
     names = [path.name for path in (tmp_path / "cache" / "riskbench").iterdir()]
     assert sorted(name for name in names if not name.startswith("memo-")) == sorted([
-        f"word_average-v4-{sha256((embeddings / 'reference_word_vectors.txt').read_bytes())}"
-        f".{source(vectorize)}.npy",
-        "precomputed_sentence-v4-"
+        f"word_average-{sha256((embeddings / 'reference_word_vectors.txt').read_bytes())}"
+        f".{source(vectorize, resources)}.npy",
+        "precomputed_sentence-"
         f"{sha256((embeddings / 'reference_sentence_vectors.jsonl').read_bytes())}"
-        f".{source(vectorize)}.npy",
-        f"corpus-v1-{sha256(key)}.marshal",
-        f"special-v1-{sha256((1, build, 'stdtr', [float(arg).hex() for arg in args]))}",
+        f".{source(vectorize, resources)}.npy",
+        f"corpus-{sha256(key)}.marshal",
+        f"special-{sha256((source(cache), build, 'stdtr', [float(a).hex() for a in args]))}",
     ])
 
 
@@ -188,3 +247,44 @@ def test_ladder_first_mismatch_names_the_rung_and_the_command():
         "the ladder changed: BENCH_scale.json has a 50-project rung, the script 100")
     assert first_mismatch(recorded[:1], recorded) == (
         "BENCH_scale.json records 1 rungs, the ladder has 2")
+
+
+@pytest.mark.parametrize("served", ["same bytes", "other bytes"])
+def test_ladder_runs_each_command_cold_then_warm(tmp_path, monkeypatch, served):
+    # a stand-in for riskbench that fills the cache it is given and writes a
+    # report naming its command; "other bytes" serves `rbs coverage` a
+    # different report from a warm cache, which the ladder must refuse
+    bench = _script("bench_scale")
+    caches = []
+
+    def run_command(argv, src, cache):
+        cache.mkdir(exist_ok=True)
+        warm = any(cache.iterdir())
+        (cache / f"entry{len(caches)}").write_bytes(b"")
+        caches.append((argv[:2], cache, warm))
+        stale = served == "other bytes" and warm and argv[0] == "rbs"
+        Path(argv[argv.index("--out") + 1]).write_text(f"{argv[:2]}{stale}")
+        return (2.0, 20.0) if warm else (3.0, 30.0)
+
+    monkeypatch.setattr(bench, "RUNGS", (50,))
+    monkeypatch.setattr(bench, "corpus", lambda projects: (tmp_path, {
+        "rows": 5000, "distinct_texts": 2500, "word_vectors": "w.txt"}))
+    monkeypatch.setattr(bench, "run_command", run_command)
+    if served == "other bytes":
+        with pytest.raises(SystemExit, match="50 projects, rbs coverage: cold SHA-256 "):
+            bench.run_ladder(tmp_path)
+        return
+    [rung] = bench.run_ladder(tmp_path)
+    cold, fill, warm = (caches[:len(bench.COMMANDS)], caches[len(bench.COMMANDS):][:2],
+                        caches[len(bench.COMMANDS) + 2:])
+    assert len({cache for _, cache, _ in cold}) == len(cold)  # each its own empty cache
+    assert not any(hit for *_, hit in cold)
+    assert [argv for argv, *_ in fill] == [["similarity", "risks"], ["similarity", "docs"]]
+    assert {cache for _, cache, _ in fill + warm} == {fill[0][1]}
+    assert all(hit for *_, hit in warm)
+    assert list(rung["commands"]) == list(bench.COMMANDS)
+    for name, record in rung["commands"].items():
+        report = f"{bench.COMMANDS[name][0][:2]}False".encode()
+        assert record == {"wall_s": 2.0, "peak_rss_mb": 20.0, "cold_wall_s": 3.0,
+                          "cold_peak_rss_mb": 30.0, "report_bytes": len(report),
+                          "sha256": hashlib.sha256(report).hexdigest()}

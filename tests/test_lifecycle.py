@@ -718,7 +718,7 @@ def test_hotelling_critical_value_is_kept_for_a_fresh_process(tmp_path):
     expected = hotelling_t2(*H_GROUPS).critical_value
     assert fresh_value(H_CALL, tmp_path) == (expected, True)  # a miss stores the value
     [entry] = (tmp_path / "riskbench").iterdir()
-    assert entry.name.startswith("special-v1-")
+    assert entry.name.startswith("special-")
     # a hit does not import scipy.special
     assert fresh_value(H_CALL, tmp_path) == (expected, False)
     assert list((tmp_path / "riskbench").iterdir()) == [entry]
@@ -732,7 +732,7 @@ def test_unwritable_special_cache_still_computes_and_says_nothing(tmp_path, monk
     assert fresh_value(H_CALL, blocker) == (expected, True)  # fresh_value checks the silence
     # an entry path taken by a directory can be neither read nor replaced
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    entry = cache.entry_path("special", cache._SPECIAL_FORMAT, special_key("fdtri", H_FDTRI))
+    entry = cache.entry_path("special", special_key("fdtri", H_FDTRI))
     entry.mkdir(parents=True)
     for _ in range(2):
         assert fresh_value(H_CALL, tmp_path / "cache") == (expected, True)

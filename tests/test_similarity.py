@@ -1035,13 +1035,14 @@ def special_key(name: str, args: tuple[float, ...]) -> str:
     import scipy
 
     build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
-    return cache.key(cache._SPECIAL_FORMAT, build, name, [float(arg).hex() for arg in args])
+    return cache.key(cache.source_digest(cache.__file__), build, name,
+                     [float(arg).hex() for arg in args])
 
 
 def store_special(key: str, data: bytes) -> Path:
     """Store `data` as the special entry `key`; its path."""
-    cache.store("special", cache._SPECIAL_FORMAT, key, lambda out: out.write(data))
-    return cache.entry_path("special", cache._SPECIAL_FORMAT, key)
+    cache.store("special", key, lambda out: out.write(data))
+    return cache.entry_path("special", key)
 
 
 def test_t_test_p_value_is_kept_for_a_fresh_process(tmp_path):
@@ -1049,7 +1050,7 @@ def test_t_test_p_value_is_kept_for_a_fresh_process(tmp_path):
     expected = two_sample_t_test(*T_GROUPS).p_value
     assert fresh_value(call, tmp_path) == (expected, True)  # a miss stores the value
     [entry] = (tmp_path / "riskbench").iterdir()
-    assert entry.name.startswith("special-v1-")
+    assert entry.name.startswith("special-")
     stored = entry.stat().st_mtime_ns
     assert fresh_value(call, tmp_path) == (expected, False)  # a hit does not import scipy.special
     assert list((tmp_path / "riskbench").iterdir()) == [entry]
@@ -1077,7 +1078,7 @@ def test_invalid_special_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, ho
     result = two_sample_t_test(*T_GROUPS)
     args = (result.degrees_of_freedom, -abs(result.statistic))
     tail = float(scipy.special.stdtr(*args))
-    entry = cache.entry_path("special", cache._SPECIAL_FORMAT, special_key("stdtr", args))
+    entry = cache.entry_path("special", special_key("stdtr", args))
     if how == "other-scipy":  # a wrong value, stored under another scipy version
         with monkeypatch.context() as patch:
             patch.setattr(scipy, "__version__", "0.0.0")

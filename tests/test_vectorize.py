@@ -755,13 +755,13 @@ def test_normalize_sentence():
 
 
 def _word_entry(digest: str) -> Path:
-    return cache.entry_path("word_average", vectorize._CACHE_FORMAT, vectorize._entry_key(digest))
+    return cache.entry_path("word_average", vectorize._entry_key(digest))
 
 
 def _read_entry(entry: Path):
     """What the cache reader makes of a vector entry."""
-    kind, _, key = entry.name.split("-", 2)
-    return cache.read(kind, vectorize._CACHE_FORMAT, key, vectorize._decode_vectors)
+    kind, key = entry.name.split("-", 1)
+    return cache.read(kind, key, vectorize._decode_vectors)
 
 
 def test_session_cache_lies_in_a_tmp_dir(cache_home, tmp_path_factory, tmp_path):
@@ -795,9 +795,8 @@ def _damage(entry, how):
             matrix = matrix[:-1]
         elif how == "duplicate-keys":
             keys = ["tok0"] * len(matrix)
-        kind, _, key = entry.name.split("-", 2)
-        cache.store(kind, vectorize._CACHE_FORMAT, key,
-                    lambda out: vectorize._encode_vectors(out, keys, matrix))
+        kind, key = entry.name.split("-", 1)
+        cache.store(kind, key, lambda out: vectorize._encode_vectors(out, keys, matrix))
 
 
 @pytest.mark.parametrize(
