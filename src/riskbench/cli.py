@@ -117,7 +117,7 @@ def _cmd_ingest(args, digests):
     projects = []
     total = 0
     for project in corpus.projects:
-        sizes = [len(s.items) for s in project.snapshots]
+        sizes = [len(s.risk_ids) for s in project.snapshots]
         total += sum(sizes)
         projects.append(
             {

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import marshal
 import math
+import os
 import struct
 import sys
 from bisect import bisect_left
 from collections import deque
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from functools import partial
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
@@ -68,11 +70,6 @@ def _check_raw_values(probability: float | None, cost: float | None,
         raise CorpusError(f"raw_cost must be a finite number, got {cost!r}")
     if schedule is not None and not math.isfinite(schedule):
         raise CorpusError(f"raw_schedule must be a finite number, got {schedule!r}")
-
-
-def _check_ordinal(ordinal: int) -> None:
-    if ordinal < 0:
-        raise CorpusError(f"snapshot ordinal must be >= 0, got {ordinal}")
 
 
 # the Likert bands a probability or an impact takes
@@ -134,20 +131,75 @@ class RiskItem:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RegisterSnapshot:
-    ordinal: int
-    items: tuple[RiskItem, ...]
+    """One register as one tuple per field of its RiskItems and their
+    Assessments, in `_row`'s order, None where unset. Equal snapshots have
+    equal ordinals and items; `items` builds the records on first access."""
 
-    def __post_init__(self) -> None:
-        _check_ordinal(self.ordinal)
-        seen: set[str] = set()
-        for item in self.items:
-            if item.risk_id in seen:
-                raise CorpusError(
-                    f"duplicate risk_id {item.risk_id!r} in snapshot {self.ordinal}"
-                )
-            seen.add(item.risk_id)
+    ordinal: int
+    risk_ids: tuple[str, ...]
+    names: tuple[str, ...]
+    descriptions: tuple[str | None, ...]
+    category_labels: tuple[str | None, ...]
+    status_notes: tuple[str | None, ...]
+    probability_bands: tuple[int | None, ...]
+    cost_bands: tuple[int | None, ...]
+    schedule_bands: tuple[int | None, ...]
+    qualitative_costs: tuple[str, ...]
+    qualitative_schedules: tuple[str, ...]
+    raw_probabilities: tuple[float | None, ...]
+    raw_costs: tuple[float | None, ...]
+    raw_schedules: tuple[float | None, ...]
+    _items: tuple[RiskItem, ...] | None = field(compare=False)
+
+    def __init__(self, ordinal: int, items: Iterable[RiskItem] = ()) -> None:
+        items = tuple(items)  # a row is a record's texts, its status, then its assessment's fields
+        rows = [(*r[:4], r[5], *r[4]) for r in map(astuple, items)]
+        _fill(self, ordinal, tuple(zip(*rows)), items)
+
+    @property
+    def items(self) -> tuple[RiskItem, ...]:
+        if self._items is None:  # threads that race here build equal tuples
+            object.__setattr__(self, "_items", tuple(map(_record, *_columns_of(self))))
+        return self._items
+
+    def __repr__(self) -> str:
+        return f"RegisterSnapshot(ordinal={self.ordinal!r}, items={self.items!r})"
+
+
+_COLUMNS = tuple(f.name for f in fields(RegisterSnapshot)[1:-1])
+_columns_of = attrgetter(*_COLUMNS)
+
+
+def _record(r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs) -> RiskItem:
+    return RiskItem(r, n, d, c, Assessment(p, cb, sb, _LEVEL[qc], _LEVEL[qs], rp, rc, rs), st)
+
+
+def _fill(snapshot: RegisterSnapshot, ordinal: int, columns: tuple[tuple, ...], items) -> None:
+    """Check a snapshot's columns once each, and set them. A failed check
+    raises what the record constructors raise for the first row they reject,
+    then what a bad ordinal or the first duplicate risk_id raises."""
+    columns = columns or ((),) * len(_COLUMNS)  # no rows transpose to no columns
+    ids, names, _, _, _, pb, cb, sb, qc, qs, p, c, s = columns
+    if len(set(map(len, columns))) != 1:
+        raise CorpusError(f"snapshot {ordinal} has columns of unequal lengths")
+    # filter(None, ...) skips unset raw values, and zeros, which pass every check;
+    # a sum of finite values that overflows only sends the rows to the constructors
+    if not (math.isfinite(sum(filter(None, p + c + s)))
+            and 0.0 <= min(filter(None, p), default=0.0)
+            and max(filter(None, p), default=0.0) <= 1.0
+            and set(pb + cb + sb) <= {None, *BANDS} and set(qc + qs) <= _LEVEL.keys()
+            and all(map(str.strip, names))):
+        for row in zip(*columns):
+            _record(*row)
+    if ordinal < 0:
+        raise CorpusError(f"snapshot ordinal must be >= 0, got {ordinal}")
+    if len(set(ids)) < len(ids):
+        duplicate = next(risk_id for n, risk_id in enumerate(ids) if risk_id in ids[:n])
+        raise CorpusError(f"duplicate risk_id {duplicate!r} in snapshot {ordinal}")
+    for name, value in zip(("ordinal", *_COLUMNS, "_items"), (ordinal, *columns, items)):
+        object.__setattr__(snapshot, name, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -463,17 +515,17 @@ def parse_register(data: bytes, fmt: str, source: str = "<register>") -> Registe
     Assessments hold the values as written: nothing is normalized.
     """
     rows, ordinal = _register_rows(data, fmt, source)
-    return _snapshot(ordinal, rows, {}.setdefault)
+    return _snapshot(ordinal, tuple(zip(*rows)), {}.setdefault)
 
 
-def _snapshot(ordinal: int, rows: Iterable[tuple], share) -> RegisterSnapshot:
-    """The snapshot of rows as `_row` returns them, normalized or not, with
-    each text the object that `share(text, text)` returns."""
-    return RegisterSnapshot(ordinal, tuple([
-        RiskItem(share(r, r), share(n, n), share(d, d), share(c, c),
-                 Assessment(p, cb, sb, _LEVEL[qc], _LEVEL[qs], rp, rc, rs), share(st, st))
-        for r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs in rows
-    ]))
+def _snapshot(ordinal: int, columns: tuple[tuple, ...], share) -> RegisterSnapshot:
+    """The snapshot of the columns of rows as `_row` returns them, normalized
+    or not (none for no rows), with each text the object that
+    `share(text, text)` returns. It builds no record."""
+    snapshot = object.__new__(RegisterSnapshot)
+    texts = tuple(tuple(map(share, column, column)) for column in columns[:5])
+    _fill(snapshot, ordinal, texts + columns[5:], None)
+    return snapshot
 
 
 def _register_format(path: Path) -> str:
@@ -503,13 +555,14 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     """Load every project and register listed in a manifest, in file order.
 
     Each register is parsed whole before any of its rows is normalized, and
-    each RiskItem is built once, already normalized. Equal texts (risk ids,
-    names, descriptions, categories, statuses) are one str object across the
-    corpus. The corpus keeps the SHA-256 of every file it parsed. A load that
-    returns is stored in the parse cache under the digests of its files and
-    the scale config. A later load of the same bytes runs the same loop over
-    the manifest, with each register's normalized rows read from the entry
-    instead of parsed.
+    its snapshot holds the normalized rows as columns; no RiskItem is built
+    until a snapshot's `items` is read. Equal texts (risk ids, names,
+    descriptions, categories, statuses) are one str object across the corpus.
+    The corpus keeps the SHA-256 of every file it parsed. A load that returns
+    is stored in the parse cache under the digests of its files and the scale
+    config. A later load of the same bytes runs the same loop over the
+    manifest, with each register's columns read from the entry instead of
+    parsed, and checked again.
     """
     from hashlib import sha256
 
@@ -531,8 +584,9 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
     ordered = [digests["manifest"]]
     for project in manifest["projects"]:
         for register in project.get("registers", []):
-            try:
-                files.append((base / register["path"]).read_bytes())
+            try:  # os.path, not pathlib: a Path costs about 10 µs a register
+                with open(os.path.join(base, register["path"]), "rb") as handle:
+                    files.append(handle.read())
             except OSError as exc:
                 files.append(exc)
                 continue
@@ -549,7 +603,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
         if corpus is not None:
             return corpus
 
-    def parsed(project_id: str, value: float | None, register: dict) -> tuple[int, list]:
+    def parsed(project_id: str, value: float | None, register: dict) -> tuple[int, tuple]:
         path = base / register["path"]
         data = files.popleft()
         if isinstance(data, FileNotFoundError):
@@ -564,7 +618,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 normalized.append(row[:5] + _assessment(cfg, value, *row[5:]))
             except NormalizeError as exc:
                 raise CorpusError(f"{source}:{row[0]}: {exc}") from exc
-        return register.get("ordinal", ordinal), normalized
+        return register.get("ordinal", ordinal), tuple(zip(*normalized))
 
     corpus = build(parsed)
     if key is not None:
@@ -626,12 +680,13 @@ def _corpus(manifest_path: Path, manifest: dict, digests: dict[str, str], regist
 # manifest order, and the scale config's band edges and risk matrix, with
 # ".marshal". It holds one chunk per snapshot, in the records' order: an
 # 8-byte length, then the marshal bytes of the snapshot's ordinal and its
-# rows, normalized. marshal is the format of Python's own bytecode cache; the
-# key names the interpreter that wrote it. A hit runs the parse's loop over
-# the manifest, which gives every project field, with each register's rows
-# from the next chunk: chunks come sorted by ordinal, not in manifest order,
-# and the loop sorts them too. The source digest in the key means an entry is
-# never served to other code, so a change of layout needs no other step.
+# normalized `_COLUMNS`. marshal is the format of Python's own bytecode cache;
+# the key names the interpreter that wrote it. A hit runs the parse's loop over
+# the manifest, which gives every project field, with each register's columns
+# from the next chunk, checked as a parse's are, and builds no record: chunks
+# come sorted by ordinal, not in manifest order, and the loop sorts them too.
+# The source digest in the key means an entry is never served to other code,
+# so a change of layout needs no other step.
 _CHUNK = struct.Struct("<Q")
 
 
@@ -639,20 +694,14 @@ def _encode_corpus(out: BinaryIO, corpus: Corpus) -> None:
     """Write each snapshot of `corpus` as a chunk, as above."""
     for project in corpus.projects:
         for snapshot in project.snapshots:
-            data = marshal.dumps((snapshot.ordinal, [
-                (item.risk_id, item.name, item.description, item.category_label,
-                 item.status_note, a.probability_band, a.cost_band, a.schedule_band,
-                 a.qualitative_cost.value, a.qualitative_schedule.value,
-                 a.raw_probability, a.raw_cost, a.raw_schedule)
-                for item in snapshot.items for a in (item.assessment,)
-            ]))
+            data = marshal.dumps((snapshot.ordinal, _columns_of(snapshot)))
             out.write(_CHUNK.pack(len(data)) + data)
 
 
 def _from_entry(handle: BinaryIO, size: int, build) -> Corpus | None:
     """`build(registers)` with each register read from the next chunk of an
     entry's `size` bytes; None when a chunk is left unread."""
-    def registers(*_) -> tuple[int, list]:
+    def registers(*_) -> tuple[int, tuple]:
         (length,) = _CHUNK.unpack(handle.read(_CHUNK.size))
         if handle.tell() + length > size:
             raise EOFError("a chunk runs past the entry")

@@ -254,24 +254,15 @@ def _parse_explicit_state(note: str | None) -> RiskState | None:
 
 
 def observations_from_project(project: ProjectRecord) -> dict[str, list[RiskObservation]]:
-    """Per-risk observation sequences from a project's register snapshots."""
+    """Per-risk observation sequences from the columns of a project's
+    snapshots: an impact is recorded when a raw impact or an impact band is set."""
     observations: dict[str, list[RiskObservation]] = {}
-    for snapshot in project.snapshots:
-        for item in snapshot.items:
-            a = item.assessment
-            observations.setdefault(item.risk_id, []).append(
-                RiskObservation(
-                    snapshot_ordinal=snapshot.ordinal,
-                    explicit_state=_parse_explicit_state(item.status_note),
-                    probability_fraction=a.raw_probability,
-                    impact_recorded=(
-                        a.raw_cost is not None
-                        or a.raw_schedule is not None
-                        or a.cost_band is not None
-                        or a.schedule_band is not None
-                    ),
-                )
-            )
+    for s in project.snapshots:
+        for risk_id, note, probability, *impacts in zip(
+                s.risk_ids, s.status_notes, s.raw_probabilities, s.raw_costs, s.raw_schedules,
+                s.cost_bands, s.schedule_bands):
+            observations.setdefault(risk_id, []).append(RiskObservation(
+                s.ordinal, _parse_explicit_state(note), probability, impacts != [None] * 4))
     return observations
 
 

@@ -12,11 +12,11 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import cache
-from .corpus import BANDS, Corpus, ProjectRecord, Qualitative, RegisterSnapshot, RiskItem
+from .corpus import BANDS, Corpus, ProjectRecord, Qualitative, RegisterSnapshot
 from .errors import CorpusError, EmptyReportError, StatTestError
 from .report import PairRows
 from .vectorize import (
@@ -74,13 +74,14 @@ def project_document_tokens(
     project: ProjectRecord, stop_words: frozenset[str]
 ) -> list[str]:
     """Whole-register document: category, name, and description text."""
+    r = project.register
     chunks: list[str] = []
-    for item in project.register.items:
-        if item.category_label:
-            chunks.append(item.category_label)
-        chunks.append(item.name)
-        if item.description:
-            chunks.append(item.description)
+    for category, name, description in zip(r.category_labels, r.names, r.descriptions):
+        if category:
+            chunks.append(category)
+        chunks.append(name)
+        if description:
+            chunks.append(description)
     return tokenize(" ".join(chunks), stop_words)
 
 
@@ -123,7 +124,7 @@ def risk_level_summary(
     """The `similarity risks` payload: the directional mean matrix and the
     aggregates of its ordered project pairs, overall and, with `group_by`, by group."""
     import numpy as np
-    empty = [p.project_id for p in corpus.projects if not p.register.items]
+    empty = [p.project_id for p in corpus.projects if not p.register.risk_ids]
     if len(corpus.projects) - len(empty) < 2:
         raise EmptyReportError(
             "risk-level similarity needs at least 2 projects with a non-empty ex-ante register"
@@ -188,9 +189,9 @@ def _best_matches(
     equal keys tie exactly.
     """
     import numpy as np
-    keyed = unit_rows(backend, [item.matching_text(use_description)
-                                for r in registers for item in r.items])
-    bounds = [0, *accumulate(len(r.items) for r in registers)]
+    keyed = unit_rows(backend, [f"{n} {d}" if use_description and d else n  # as matching_text
+                                for r in registers for n, d in zip(r.names, r.descriptions)])
+    bounds = [0, *accumulate(len(r.names) for r in registers)]
     spans = list(zip(bounds, bounds[1:]))
     rows, scores = keyed.best(np.arange(len(keyed.units)),
                               [keyed.ids[start:end] for start, end in spans])
@@ -198,10 +199,6 @@ def _best_matches(
         if start < end:  # positions in the register to rows, in place
             rows[:, register] += start
     return spans, keyed.ids, rows, scores
-
-
-def _corpus_rows(corpus: Corpus) -> list[tuple[str, RiskItem]]:
-    return [(p.project_id, item) for p in corpus.projects for item in p.register.items]
 
 
 def pooling_similarity(
@@ -217,7 +214,7 @@ def pooling_similarity(
     if len(projects) < 2:
         raise EmptyReportError("pooling needs at least 2 projects")
     for project in projects:
-        if not project.register.items:
+        if not project.register.risk_ids:
             raise EmptyReportError(
                 f"pooling: project {project.project_id!r} has an empty ex-ante register"
             )
@@ -280,7 +277,8 @@ def match_registers(
         ))
     sources, targets, best = (np.concatenate(column) for column in zip(*parts))
     keep = best >= min_score
-    labels = [f"{project_id}:{item.risk_id}" for project_id, item in _corpus_rows(corpus)]
+    labels = [f"{p.project_id}:{risk_id}"
+              for p in corpus.projects for risk_id in p.register.risk_ids]
     return PairRows(labels, sources[keep], targets[keep], best[keep])
 
 
@@ -307,29 +305,31 @@ def directional_mean_matrix(
     return ids, matrix
 
 
-# Report key, Assessment field, the field's values (unset first) and the
+# Report key, snapshot column, the column's values (unset first) and the
 # value of a match between two set ones, from the report's level-three rules.
 _BANDS = (None, *BANDS)
 _LEVELS = (Qualitative.UNSET, Qualitative.HIGH, Qualitative.MEDIUM, Qualitative.LOW)
 _EVALUATION_METRICS = (
-    ("probability", "probability_band", _BANDS, evaluation_similarity),
-    ("cost", "cost_band", _BANDS, evaluation_similarity),
-    ("schedule", "schedule_band", _BANDS, evaluation_similarity),
-    ("probability_cost_qualitative", "qualitative_cost", _LEVELS, qualitative_match),
-    ("probability_schedule_qualitative", "qualitative_schedule", _LEVELS, qualitative_match),
+    ("probability", "probability_bands", _BANDS, evaluation_similarity),
+    ("cost", "cost_bands", _BANDS, evaluation_similarity),
+    ("schedule", "schedule_bands", _BANDS, evaluation_similarity),
+    ("probability_cost_qualitative", "qualitative_costs", _LEVELS, qualitative_match),
+    ("probability_schedule_qualitative", "qualitative_schedules", _LEVELS, qualitative_match),
 )
 
 
 def _match_values(matches: PairRows, corpus: Corpus) -> dict[str, np.ndarray]:
     """Per metric, the value of every match (nan when either side is unset),
-    read from a table over the metric's value codes."""
+    read from a table over the codes of the registers' column; a level's
+    value is a key of its str Enum member."""
     import numpy as np
-    assessments = [item.assessment for _, item in _corpus_rows(corpus)]
     values = {}
-    for key, name, levels, similarity in _EVALUATION_METRICS:
+    for key, column, levels, similarity in _EVALUATION_METRICS:
         table = np.array([[similarity(x, y) if x is not levels[0] and y is not levels[0]
                            else np.nan for y in levels] for x in levels])
-        code = np.array([levels.index(getattr(a, name)) for a in assessments], dtype=np.intp)
+        index = {level: code for code, level in enumerate(levels)}
+        code = np.fromiter(map(index.__getitem__, chain.from_iterable(
+            getattr(p.register, column) for p in corpus.projects)), dtype=np.intp)
         values[key] = table[code[matches.source_rows], code[matches.target_rows]]
     return values
 
@@ -380,7 +380,7 @@ def evaluation_level_report(
     if group_by:
         groups, codes = np.unique([_group_value(p, group_by) for p in corpus.projects],
                                   return_inverse=True)
-        row_group = np.repeat(codes, [len(p.register.items) for p in corpus.projects])
+        row_group = np.repeat(codes, [len(p.register.risk_ids) for p in corpus.projects])
         sources, targets = row_group[matches.source_rows], row_group[matches.target_rows]
         result["by_group"] = {}
         for code, name in enumerate(groups.tolist()):

@@ -715,6 +715,39 @@ def test_jobs_flag_does_not_change_output(manifest, tmp_path):
     assert_same_text(first.read_bytes(), second.read_bytes())
 
 
+def test_rbs_coverage_on_a_warm_corpus_writes_the_same_bytes_on_2_jobs(manifest, tmp_path,
+                                                                      monkeypatch):
+    # a hit builds no records, so the worker threads build each register's
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    load_corpus(manifest)
+    base = ["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS]
+    reports = []
+    for jobs in ("1", "2"):
+        reports.append(tmp_path / f"jobs{jobs}.json")
+        assert run(base + ["--jobs", jobs, "--out", str(reports[-1])]) == 0
+    assert_same_text(reports[1].read_bytes(), reports[0].read_bytes())
+
+
+def test_lifecycle_history_and_similarity_commands_build_no_records(manifest, tmp_path,
+                                                                    monkeypatch):
+    # a warm entry serves the corpus as columns, and these commands read only those
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    load_corpus(manifest)
+    built = []
+    for record in (corpus_module.RiskItem, corpus_module.Assessment):
+        check = record.__post_init__
+        monkeypatch.setattr(record, "__post_init__",
+                            lambda self, check=check: built.append(type(self).__name__) or check(self))
+    vectors = ["--embeddings", WORD_VECTORS]
+    for command in (["ingest"], ["lifecycle", "ratios"], ["lifecycle", "styles"],
+                    ["similarity", "docs"], ["similarity", "risks", *vectors],
+                    ["similarity", "pooling", *vectors], ["similarity", "evaluation", *vectors]):
+        assert run([*command, "--manifest", manifest, "--out", str(tmp_path / "r.json")]) == 0
+        assert built == [], command
+    corpus_module.RiskItem("r1", "A")  # the count sees a constructor
+    assert built == ["Assessment", "RiskItem"]
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "2.5", "two"])
 def test_jobs_must_be_a_positive_integer(manifest, tmp_path, capsys, value):
     out = tmp_path / "c.json"

@@ -31,6 +31,7 @@ from riskbench.corpus import (
     ProjectRecord,
     Qualitative,
     RegisterSnapshot,
+    RiskItem,
     SizeBand,
     band_for,
     band_mean,
@@ -846,6 +847,95 @@ def test_a_hit_equals_the_miss_when_registers_are_listed_out_of_order(tmp_path, 
     assert [(s.ordinal, s.items[0].risk_id) for s in snapshots] == [(0, "r0"), (1, "r1"), (2, "r2")]
 
 
+# ---------------------------------------------------- records built on demand
+#
+# A snapshot holds columns and builds its RiskItems on first access. The
+# oracle is the loader's former per-row construction: one RiskItem and one
+# Assessment per row as `_row` returns it, each text shared.
+
+
+def oracle_items(rows, share) -> tuple[RiskItem, ...]:
+    return tuple([
+        RiskItem(share(r, r), share(n, n), share(d, d), share(c, c),
+                 Assessment(p, cb, sb, Qualitative(qc), Qualitative(qs), rp, rc, rs), share(st, st))
+        for r, n, d, c, st, p, cb, sb, qc, qs, rp, rc, rs in rows
+    ])
+
+
+def assert_same_records(items, expected) -> None:
+    """Field for field, each value of the same type."""
+    assert len(items) == len(expected)
+    for item, oracle in zip(items, expected):
+        for record, other in ((item, oracle), (item.assessment, oracle.assessment)):
+            for name in (f.name for f in fields(record)):
+                value, wanted = getattr(record, name), getattr(other, name)
+                assert type(value) is type(wanted) and value == wanted, (name, value, wanted)
+
+
+def test_loaded_items_match_the_per_row_oracle_on_fixture(expost_copy):
+    cfg = default_scale_config()
+    manifest = json.loads(expost_copy.read_text(encoding="utf-8"))
+    expected = {}
+    for entry in manifest["projects"]:
+        for register in entry["registers"]:
+            path = expost_copy.parent / register["path"]
+            rows, ordinal = riskbench.corpus._register_rows(path.read_bytes(), "csv", str(path))
+            value = entry.get("contract_value_musd")
+            rows = [row[:5] + riskbench.corpus._assessment(cfg, value, *row[5:]) for row in rows]
+            expected[entry["id"], register.get("ordinal", ordinal)] = oracle_items(rows, {}.setdefault)
+    for load in ("miss", "hit"):
+        corpus = load_corpus(expost_copy)
+        snapshots = {(p.project_id, s.ordinal): s for p in corpus.projects for s in p.snapshots}
+        assert snapshots.keys() == expected.keys(), load
+        for key, snapshot in snapshots.items():
+            assert_same_records(snapshot.items, expected[key])
+
+
+@settings(deadline=None)
+@given(data=csv_registers())
+def test_parsed_items_match_the_per_row_oracle(data):
+    try:
+        rows, ordinal = riskbench.corpus._register_rows(data, "csv", "<register>")
+    except ParseError:
+        return
+    snapshot = parse_register(data, "csv")
+    assert snapshot.ordinal == ordinal
+    assert_same_records(snapshot.items, oracle_items(rows, {}.setdefault))
+    assert snapshot == RegisterSnapshot(ordinal, oracle_items(rows, {}.setdefault))
+
+
+def test_snapshots_compare_and_hash_by_ordinal_and_items(expost_copy):
+    miss, hit = load_corpus(expost_copy), load_corpus(expost_copy)
+    for before, after in zip(miss.projects, hit.projects):
+        for built, read in zip(before.snapshots, after.snapshots):
+            rebuilt = RegisterSnapshot(read.ordinal, read.items)
+            assert built == read == rebuilt
+            assert hash(built) == hash(read) == hash(rebuilt)
+            assert read != RegisterSnapshot(read.ordinal + 1, read.items)
+            changed = (replace(read.items[0], name=read.items[0].name + "!"), *read.items[1:])
+            assert read != RegisterSnapshot(read.ordinal, changed)
+            assert read != RegisterSnapshot(read.ordinal, read.items[:-1])
+    assert len({*miss.projects[0].snapshots, *hit.projects[0].snapshots}) == len(
+        hit.projects[0].snapshots)
+
+
+def test_items_are_equal_from_threads_and_built_once(expost_copy):
+    from concurrent.futures import ThreadPoolExecutor
+
+    expected = [s.items for p in load_corpus(expost_copy).projects for s in p.snapshots]
+    # a hit: no snapshot has built its records yet
+    snapshots = [s for p in load_corpus(expost_copy).projects for s in p.snapshots]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(lambda s: s.items, snapshots * 8, timeout=60)) == expected * 8
+    finally:
+        sys.setswitchinterval(interval)
+    for snapshot in snapshots:
+        assert snapshot.items is snapshot.items
+
+
 def _entry_chunks(entry: Path) -> list[bytes]:
     """The marshal bytes of each length-prefixed chunk of a corpus entry."""
     data, chunks = entry.read_bytes()[:-cache.TRAILER.size], []
@@ -867,15 +957,18 @@ def _damage_corpus_entry(entry: Path, how: str) -> None:
         entry.write_bytes(b"not a cache entry\n" * 64)
     else:
         # an entry the cache's own writer makes, CRC and all, with a snapshot
-        # chunk that does not decode, a row no constructor accepts, one chunk
-        # more than the manifest's registers, or one fewer
+        # chunk that does not decode, a column value no check accepts, one
+        # chunk more than the manifest's registers, or one fewer
         chunks = _entry_chunks(entry)
         if how == "undecodable":
             chunks[0] = b"\xff" * 16
-        elif how == "invalid-record":
-            ordinal, rows = marshal.loads(chunks[0])
-            rows[0] = (*rows[0][:5], 9, *rows[0][6:])  # probability band 9
-            chunks[0] = marshal.dumps((ordinal, rows))
+        elif how in INVALID_VALUES:
+            ordinal, columns = marshal.loads(chunks[0])
+            column, value = INVALID_VALUES[how]
+            row = 1 if how == "duplicate-risk_id" else 0
+            columns = [list(values) for values in columns]
+            columns[column][row] = columns[0][0] if value is None else value
+            chunks[0] = marshal.dumps((ordinal, tuple(map(tuple, columns))))
         elif how == "leftover-chunk":
             chunks.append(chunks[-1])
         else:
@@ -886,18 +979,36 @@ def _damage_corpus_entry(entry: Path, how: str) -> None:
             struct.pack("<Q", len(chunk)) + chunk for chunk in chunks)))
 
 
+# the column (by its index in a snapshot's chunk) and the value a damaged
+# entry holds in the first row, or None for the second row's risk_id
+# repeating the first's
+INVALID_VALUES = {
+    "invalid-record": (5, 9),
+    "raw-probability": (10, 1.5),
+    "raw-cost": (11, math.inf),
+    "empty-name": (1, " "),
+    "duplicate-risk_id": (0, None),
+}
+# what the record constructors raise for each invalid value
+INVALID_MESSAGES = {
+    "invalid-record": "probability_band must be in 1..5, got 9",
+    "raw-probability": "raw_probability must be a fraction in [0, 1], got 1.5",
+    "raw-cost": "raw_cost must be a finite number, got inf",
+    "empty-name": "has an empty name",
+    "duplicate-risk_id": "duplicate risk_id",
+}
 # why a damaged entry that passes its CRC is a miss: what reading it raises,
 # or None for a corpus that leaves a chunk unread
 DECODE_FAILURES = {
     "undecodable": (ValueError, "bad marshal data"),
-    "invalid-record": (CorpusError, "probability_band must be in 1..5, got 9"),
+    **{how: (CorpusError, message) for how, message in INVALID_MESSAGES.items()},
     "leftover-chunk": None,
     "missing-chunk": (struct.error, "unpack requires a buffer of 8 bytes"),
 }
 
 
 @pytest.mark.parametrize("how", [
-    "truncated", "flipped-bit", "garbage", "undecodable", "invalid-record", "leftover-chunk",
+    "truncated", "flipped-bit", "garbage", "undecodable", *INVALID_VALUES, "leftover-chunk",
     "missing-chunk", "other-interpreter"])
 def test_invalid_corpus_entry_is_a_miss_and_rewritten(expost_copy, tmp_path, monkeypatch, how):
     cache_dir = tmp_path / "cache"
@@ -941,6 +1052,34 @@ def test_invalid_corpus_entry_is_a_miss_and_rewritten(expost_copy, tmp_path, mon
     assert len(parsed) == len(expected.digests) - 1  # the rewritten entry serves the next load
     assert isinstance(decoded[-1], Corpus)
     assert len(_corpus_entries(cache_dir)) == 1 + (how == "other-interpreter")
+
+
+# each invalid value of INVALID_VALUES, put through the public constructors
+# with the values of the first two rows of the register below
+PUBLIC_CONSTRUCTORS = {
+    "invalid-record": lambda: Assessment(probability_band=9),
+    "raw-probability": lambda: Assessment(raw_probability=1.5),
+    "raw-cost": lambda: Assessment(raw_cost=math.inf),
+    "empty-name": lambda: RiskItem("r1", " "),
+    "duplicate-risk_id": lambda: RegisterSnapshot(0, (RiskItem("r1", "A"), RiskItem("r1", "B"))),
+}
+
+
+@pytest.mark.parametrize("how", INVALID_VALUES)
+def test_column_checks_raise_what_the_constructors_raise(tmp_path, monkeypatch, how):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    manifest = _one_register_manifest(tmp_path, "r1,A,,,0.5,,2,,\nr2,B,,,0.25,,,,\n")
+    load_corpus(manifest)
+    [entry] = _corpus_entries(tmp_path / "cache")
+    _damage_corpus_entry(entry, how)
+    with pytest.raises(CorpusError) as public:
+        PUBLIC_CONSTRUCTORS[how]()
+    assert INVALID_MESSAGES[how] in str(public.value)
+    data = entry.read_bytes()[:-cache.TRAILER.size]  # its one chunk, read as a hit reads it
+    with pytest.raises(CorpusError) as read:
+        riskbench.corpus._from_entry(io.BytesIO(data), len(data), lambda registers: (
+            riskbench.corpus._snapshot(*registers(), {}.setdefault)))
+    assert str(read.value) == str(public.value)
 
 
 def test_old_names_and_other_code_are_never_read_and_age_out_by_count(
