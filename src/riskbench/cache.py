@@ -231,19 +231,20 @@ def special(name: str, *args: float) -> float:
 
     Importing scipy.special takes longer than a short command's own work, so
     while it is not loaded the value is kept in an entry keyed by this
-    module's source digest, the scipy build (version, git revision and the
-    suffix of the compiled modules it loads, which names the interpreter,
-    machine and OS), `name` and each argument's float.hex(), and a hit does
-    not import it. A top-level `import scipy` does not load scipy.special.
-    Once it is loaded the entry is skipped, so a loop of calls does no file
-    I/O."""
+    module's source digest, the scipy build (the source digest of its
+    `version.py`, which holds its version and git revision, and the suffix of
+    the compiled modules it loads, which names the interpreter, machine and
+    OS), `name` and each argument's float.hex(), and a hit imports no scipy
+    module: the build is found by `find_spec`. Once scipy.special is loaded
+    the entry is skipped, so a loop of calls does no file I/O."""
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import find_spec
+
     digest = None
-    if "scipy.special" not in sys.modules:
-        from importlib.machinery import EXTENSION_SUFFIXES
-
-        import scipy
-
-        build = (scipy.__version__, scipy.version.git_revision, EXTENSION_SUFFIXES[0])
+    spec = None if "scipy.special" in sys.modules else find_spec("scipy")
+    if spec is not None:  # scipy is installed and scipy.special not loaded
+        version = os.path.join(spec.submodule_search_locations[0], "version.py")
+        build = (source_digest(version), EXTENSION_SUFFIXES[0])
         digest = key(source_digest(__file__), build, name, [float(arg).hex() for arg in args])
         value = read("special", digest, _decode_float)
         if value is not None:

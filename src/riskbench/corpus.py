@@ -10,7 +10,6 @@ from __future__ import annotations
 import marshal
 import math
 import os
-import struct
 import sys
 from bisect import bisect_left
 from collections import deque
@@ -515,16 +514,20 @@ def parse_register(data: bytes, fmt: str, source: str = "<register>") -> Registe
     Assessments hold the values as written: nothing is normalized.
     """
     rows, ordinal = _register_rows(data, fmt, source)
-    return _snapshot(ordinal, tuple(zip(*rows)), {}.setdefault)
+    return _snapshot(ordinal, _shared(rows, {}.setdefault))
 
 
-def _snapshot(ordinal: int, columns: tuple[tuple, ...], share) -> RegisterSnapshot:
-    """The snapshot of the columns of rows as `_row` returns them, normalized
-    or not (none for no rows), with each text the object that
-    `share(text, text)` returns. It builds no record."""
+def _shared(rows: list[tuple], share) -> tuple[tuple, ...]:
+    """The columns of rows as `_row` returns them (none for no rows), with
+    each text the object that `share(text, text)` returns."""
+    columns = tuple(zip(*rows))
+    return tuple(tuple(map(share, column, column)) for column in columns[:5]) + columns[5:]
+
+
+def _snapshot(ordinal: int, columns: tuple[tuple, ...]) -> RegisterSnapshot:
+    """The snapshot of `_shared`'s columns, normalized or not. It builds no record."""
     snapshot = object.__new__(RegisterSnapshot)
-    texts = tuple(tuple(map(share, column, column)) for column in columns[:5])
-    _fill(snapshot, ordinal, texts + columns[5:], None)
+    _fill(snapshot, ordinal, columns, None)
     return snapshot
 
 
@@ -603,6 +606,8 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
         if corpus is not None:
             return corpus
 
+    share = {}.setdefault  # one object per distinct text in this load
+
     def parsed(project_id: str, value: float | None, register: dict) -> tuple[int, tuple]:
         path = base / register["path"]
         data = files.popleft()
@@ -618,7 +623,7 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
                 normalized.append(row[:5] + _assessment(cfg, value, *row[5:]))
             except NormalizeError as exc:
                 raise CorpusError(f"{source}:{row[0]}: {exc}") from exc
-        return register.get("ordinal", ordinal), tuple(zip(*normalized))
+        return register.get("ordinal", ordinal), _shared(normalized, share)
 
     corpus = build(parsed)
     if key is not None:
@@ -628,9 +633,8 @@ def load_corpus(manifest_path: str | Path, scales: ScaleConfig | None = None) ->
 
 def _corpus(manifest_path: Path, manifest: dict, digests: dict[str, str], registers) -> Corpus:
     """The corpus of a checked manifest, with each register's final ordinal
-    and normalized rows from `registers(project_id, value, register)`, called
-    in manifest order."""
-    share = {}.setdefault  # one object per distinct text in this load
+    and normalized `_shared` columns from `registers(project_id, value,
+    register)`, called in manifest order."""
     projects: list[ProjectRecord] = []
     for index, entry in enumerate(manifest["projects"]):
         where = f"{manifest_path}, project {index}"
@@ -644,7 +648,7 @@ def _corpus(manifest_path: Path, manifest: dict, digests: dict[str, str], regist
                 raise ParseError(
                     f"{where}, register {number}: 'ordinal' must be a non-negative integer"
                 )
-            snapshots.append(_snapshot(*registers(project_id, value, register), share))
+            snapshots.append(_snapshot(*registers(project_id, value, register)))
         try:
             size_band = SizeBand(entry.get("size_band"))
         except ValueError as exc:
@@ -678,34 +682,33 @@ def _corpus(manifest_path: Path, manifest: dict, digests: dict[str, str], regist
 # `cache.source_digest` of this module and `resources` (the code that parses
 # and lays out the entry), the digests of the manifest and of each register in
 # manifest order, and the scale config's band edges and risk matrix, with
-# ".marshal". It holds one chunk per snapshot, in the records' order: an
-# 8-byte length, then the marshal bytes of the snapshot's ordinal and its
-# normalized `_COLUMNS`. marshal is the format of Python's own bytecode cache;
-# the key names the interpreter that wrote it. A hit runs the parse's loop over
-# the manifest, which gives every project field, with each register's columns
-# from the next chunk, checked as a parse's are, and builds no record: chunks
-# come sorted by ordinal, not in manifest order, and the loop sorts them too.
+# ".marshal". It holds the marshal bytes of one list: each snapshot's ordinal
+# and normalized `_COLUMNS`, in the records' order. marshal is the format of
+# Python's own bytecode cache; the key names the interpreter that wrote it. It
+# writes a text object once and refers back to it after that, so a hit's texts
+# are shared as the parse's were. A hit runs the parse's loop over the
+# manifest, which gives every project field, with each register's columns the
+# next in the list, checked as a parse's are, and builds no record: the list
+# comes sorted by ordinal, not in manifest order, and the loop sorts it too.
 # The source digest in the key means an entry is never served to other code,
 # so a change of layout needs no other step.
-_CHUNK = struct.Struct("<Q")
 
 
 def _encode_corpus(out: BinaryIO, corpus: Corpus) -> None:
-    """Write each snapshot of `corpus` as a chunk, as above."""
-    for project in corpus.projects:
-        for snapshot in project.snapshots:
-            data = marshal.dumps((snapshot.ordinal, _columns_of(snapshot)))
-            out.write(_CHUNK.pack(len(data)) + data)
+    """Write the list of `corpus`'s snapshots, as above."""
+    out.write(marshal.dumps([(snapshot.ordinal, _columns_of(snapshot))
+                             for project in corpus.projects for snapshot in project.snapshots]))
 
 
 def _from_entry(handle: BinaryIO, size: int, build) -> Corpus | None:
-    """`build(registers)` with each register read from the next chunk of an
-    entry's `size` bytes; None when a chunk is left unread."""
+    """`build(registers)` with each register the next snapshot of an entry's
+    `size` bytes; None when a snapshot is left unread."""
+    snapshots = deque(marshal.loads(handle.read(size)))
+
     def registers(*_) -> tuple[int, tuple]:
-        (length,) = _CHUNK.unpack(handle.read(_CHUNK.size))
-        if handle.tell() + length > size:
-            raise EOFError("a chunk runs past the entry")
-        return marshal.loads(handle.read(length))
+        if not snapshots:
+            raise EOFError("the entry holds fewer snapshots than the manifest has registers")
+        return snapshots.popleft()
 
     corpus = build(registers)
-    return corpus if handle.tell() == size else None
+    return None if snapshots else corpus

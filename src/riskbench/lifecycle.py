@@ -10,9 +10,11 @@ closed at the final register.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import cache
 from .corpus import Corpus, ProjectRecord
@@ -101,13 +103,40 @@ def infer_state(obs: RiskObservation) -> RiskState:
     """Explicit state wins; else high probability plus impact means Happening."""
     if obs.explicit_state is not None:
         return obs.explicit_state
-    if (
-        obs.probability_fraction is not None
-        and obs.probability_fraction >= HAPPENING_PROBABILITY_MIN
-        and obs.impact_recorded
-    ):
+    return _inferred(obs.probability_fraction, obs.impact_recorded)
+
+
+def _inferred(probability: float | None, impact_recorded: bool) -> RiskState:
+    """The state of an observation with no explicit state."""
+    if probability is not None and probability >= HAPPENING_PROBABILITY_MIN and impact_recorded:
         return RiskState.HAP
     return RiskState.REG
+
+
+# each change between consecutive observed states that breaks a rule, None
+# standing for the state before the first observation, and its violation
+_BREAKS = {(None, RiskState.CLO): "a risk cannot be Closed at its first observation",
+           (RiskState.HAP, RiskState.REG): "illegal regression Hap -> Reg at snapshot {}",
+           (RiskState.CLO, RiskState.REG): "reopened after Closed at snapshot {}",
+           (RiskState.CLO, RiskState.HAP): "reopened after Closed at snapshot {}"}
+
+
+def _fold(rows: Iterable[tuple[str, int, RiskState]]) -> dict[str, list]:
+    """Each risk's [initial, realized, state, first violation] from (risk_id,
+    ordinal, state) rows, each risk's in ascending ordinal. An unobserved
+    snapshot carries the previous state forward, so it breaks no rule and
+    realizes nothing. The first risk seen that has a violation raises it."""
+    risks: dict[str, list] = {}
+    for risk_id, ordinal, state in rows:
+        risk = risks.get(risk_id) or risks.setdefault(risk_id, [ordinal == 0, False, None, None])
+        if state is not risk[2]:
+            if risk[3] is None and (risk[2], state) in _BREAKS:
+                risk[3] = _BREAKS[risk[2], state].format(ordinal)
+            risk[1], risk[2] = risk[1] or state is RiskState.HAP, state
+    for risk_id, (_, _, _, violation) in risks.items():
+        if violation is not None:
+            raise LifecycleError(f"risk {risk_id!r}: {violation}")
+    return risks
 
 
 @dataclass(frozen=True)
@@ -118,12 +147,8 @@ class RiskLifecycle:
 
 
 def build_lifecycle(risk_id: str, observations: Sequence[RiskObservation]) -> RiskLifecycle:
-    """Tabulate one risk's origin and outcome from its observations.
-
-    An unobserved snapshot carries the previous state forward, so it can
-    neither break a rule nor realize the risk: only consecutive observed
-    states are checked. The final snapshot closes every risk.
-    """
+    """Tabulate one risk's origin and outcome from its observations, by
+    `_fold`'s rules."""
     if not observations:
         raise LifecycleError(f"risk {risk_id!r}: no observations")
     ordinals = [obs.snapshot_ordinal for obs in observations]
@@ -131,27 +156,14 @@ def build_lifecycle(risk_id: str, observations: Sequence[RiskObservation]) -> Ri
         raise LifecycleError(f"risk {risk_id!r}: observation ordinals must strictly ascend")
     if ordinals[0] < 0:
         raise LifecycleError(f"risk {risk_id!r}: first ordinal {ordinals[0]} is negative")
+    rows = ((risk_id, obs.snapshot_ordinal, infer_state(obs)) for obs in observations)
+    [risk] = _fold(rows).values()
+    return _lifecycle(risk_id, *risk)
 
-    states = [infer_state(obs) for obs in observations]
-    if states[0] is RiskState.CLO:
-        raise LifecycleError(
-            f"risk {risk_id!r}: a risk cannot be Closed at its first observation"
-        )
-    for ordinal, before, after in zip(ordinals[1:], states, states[1:]):
-        if before is RiskState.HAP and after is RiskState.REG:
-            raise LifecycleError(
-                f"risk {risk_id!r}: illegal regression Hap -> Reg at snapshot {ordinal}"
-            )
-        if before is RiskState.CLO and after is not RiskState.CLO:
-            raise LifecycleError(
-                f"risk {risk_id!r}: reopened after Closed at snapshot {ordinal}"
-            )
 
-    return RiskLifecycle(
-        risk_id=risk_id,
-        origin=Origin.INITIAL if ordinals[0] == 0 else Origin.CONSTRUCTION,
-        outcome=Outcome.REALIZED if RiskState.HAP in states else Outcome.DISMISSED,
-    )
+def _lifecycle(risk_id: str, initial: bool, realized: bool, *_) -> RiskLifecycle:
+    return RiskLifecycle(risk_id, Origin.INITIAL if initial else Origin.CONSTRUCTION,
+                         Outcome.REALIZED if realized else Outcome.DISMISSED)
 
 
 @dataclass(frozen=True)
@@ -212,18 +224,15 @@ def compute_ratios(lifecycles: Sequence[RiskLifecycle]) -> RatioSet:
     """Performance ratios for one project's completed lifecycles."""
     if not lifecycles:
         raise LifecycleError("cannot compute ratios over zero lifecycles")
-    initial_identified = initial_realized = construction_identified = construction_realized = 0
-    for lifecycle in lifecycles:
-        realized = lifecycle.outcome is Outcome.REALIZED
-        if lifecycle.origin is Origin.INITIAL:
-            initial_identified += 1
-            initial_realized += int(realized)
-        else:
-            construction_identified += 1
-            construction_realized += int(realized)
-    return RatioSet.from_counts(
-        initial_identified, initial_realized, construction_identified, construction_realized
-    )
+    return _ratio_set((lifecycle.origin is Origin.INITIAL, lifecycle.outcome is Outcome.REALIZED)
+                      for lifecycle in lifecycles)
+
+
+def _ratio_set(risks: Iterable[tuple[bool, bool]]) -> RatioSet:
+    """The ratios of a project's (initial, realized) pairs, one per risk."""
+    counts = Counter(risks)
+    return RatioSet.from_counts(counts[True, True] + counts[True, False], counts[True, True],
+                                counts[False, True] + counts[False, False], counts[False, True])
 
 
 def aggregate_ratios(per_project: Mapping[str, RatioSet]) -> RatioSet:
@@ -249,48 +258,54 @@ _STATE_ALIASES = {
 }
 
 
+@functools.lru_cache(maxsize=256)  # a register repeats a few notes on every row
 def _parse_explicit_state(note: str | None) -> RiskState | None:
     return None if note is None else _STATE_ALIASES.get(note.strip().lower())
 
 
-def observations_from_project(project: ProjectRecord) -> dict[str, list[RiskObservation]]:
-    """Per-risk observation sequences from the columns of a project's
-    snapshots: an impact is recorded when a raw impact or an impact band is set."""
-    observations: dict[str, list[RiskObservation]] = {}
-    for s in project.snapshots:
-        for risk_id, note, probability, *impacts in zip(
-                s.risk_ids, s.status_notes, s.raw_probabilities, s.raw_costs, s.raw_schedules,
-                s.cost_bands, s.schedule_bands):
-            observations.setdefault(risk_id, []).append(RiskObservation(
-                s.ordinal, _parse_explicit_state(note), probability, impacts != [None] * 4))
-    return observations
+def _project_risks(project: ProjectRecord) -> dict[str, list]:
+    """`_fold` over the rows of a project's snapshot columns: a row's state is
+    the one its note names, else the inferred one, with an impact recorded
+    when a raw impact or an impact band is set. An error names the project."""
+    if project.snapshots[0].ordinal != 0:
+        raise LifecycleError(f"project {project.project_id!r}: lifecycle analysis needs snapshot 0")
+
+    def rows() -> Iterator[tuple[str, int, RiskState]]:
+        for s in project.snapshots:
+            for risk_id, note, probability, cost, schedule, cost_band, schedule_band in zip(
+                    s.risk_ids, s.status_notes, s.raw_probabilities, s.raw_costs, s.raw_schedules,
+                    s.cost_bands, s.schedule_bands):
+                state = _parse_explicit_state(note)
+                if state is None:
+                    impacts = (cost, schedule, cost_band, schedule_band)
+                    state = _inferred(probability, impacts != (None,) * 4)
+                yield risk_id, s.ordinal, state
+
+    return _in_project(project.project_id, _fold, rows())
 
 
-def _lifecycles(project_id: str, risks: dict[str, list[RiskObservation]]) -> list[RiskLifecycle]:
-    """Each risk's lifecycle; an error names the project."""
+def _in_project(project_id: str, fold, *args):
+    """`fold(*args)`; a LifecycleError names the project."""
     try:
-        return [build_lifecycle(risk_id, observations) for risk_id, observations in risks.items()]
+        return fold(*args)
     except LifecycleError as exc:
         raise LifecycleError(f"project {project_id!r}: {exc}") from exc
 
 
 def project_lifecycles(project: ProjectRecord) -> list[RiskLifecycle]:
-    if project.snapshots[0].ordinal != 0:
-        raise LifecycleError(
-            f"project {project.project_id!r}: lifecycle analysis needs snapshot 0"
-        )
-    return _lifecycles(project.project_id, observations_from_project(project))
+    return [_lifecycle(risk_id, *risk) for risk_id, risk in _project_risks(project).items()]
 
 
 def corpus_ratios(corpus: Corpus) -> tuple[dict[str, RatioSet], RatioSet]:
     """Per-project ratio table plus the pooled aggregate."""
     per_project: dict[str, RatioSet] = {}
     for project in corpus.projects:
-        lifecycles = project_lifecycles(project)
-        if not lifecycles:
+        risks = _project_risks(project)
+        if not risks:
             raise LifecycleError(f"project {project.project_id!r}: cannot compute ratios over "
                                  "zero lifecycles; its registers are empty")
-        per_project[project.project_id] = compute_ratios(lifecycles)
+        per_project[project.project_id] = _ratio_set(
+            (initial, realized) for initial, realized, *_ in risks.values())
     return per_project, aggregate_ratios(per_project)
 
 
@@ -333,7 +348,8 @@ def tabulated_ratios(
     """Ratios from pre-tabulated observations, projects in input order."""
     per_project: dict[str, RatioSet] = {}
     for project_id, risks in projects.items():
-        per_project[project_id] = compute_ratios(_lifecycles(project_id, risks))
+        per_project[project_id] = compute_ratios(_in_project(project_id, lambda: [
+            build_lifecycle(risk_id, observations) for risk_id, observations in risks.items()]))
     return per_project, aggregate_ratios(per_project)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -12,5 +11,6 @@ R = TypeVar("R")
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # it imports logging: only when used
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))

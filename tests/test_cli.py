@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riskbench import cli
 from riskbench import corpus as corpus_module
+from riskbench import lifecycle as lifecycle_module
 from riskbench import rbs as rbs_module
 from riskbench import template as template_module
 from riskbench import vectorize
@@ -748,6 +749,22 @@ def test_lifecycle_history_and_similarity_commands_build_no_records(manifest, tm
     assert built == ["Assessment", "RiskItem"]
 
 
+def test_lifecycle_commands_build_no_observations(manifest, tmp_path, monkeypatch):
+    # the ratios fold over a warm corpus's columns, with no record per row
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    load_corpus(manifest)
+    built = []
+    init = lifecycle_module.RiskObservation.__init__
+    monkeypatch.setattr(lifecycle_module.RiskObservation, "__init__",
+                        lambda self, *args, **kwargs: built.append(args) or init(
+                            self, *args, **kwargs))
+    for command in (["lifecycle", "ratios"], ["lifecycle", "styles"]):
+        assert run([*command, "--manifest", manifest, "--out", str(tmp_path / "r.json")]) == 0
+        assert built == [], command
+    lifecycle_module.RiskObservation(0)  # the count sees a constructor
+    assert built == [(0,)]
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "2.5", "two"])
 def test_jobs_must_be_a_positive_integer(manifest, tmp_path, capsys, value):
     out = tmp_path / "c.json"
@@ -883,6 +900,27 @@ def test_commands_without_array_work_load_no_numpy(manifest, tmp_path):
     result = fresh_python("-c", code, json.dumps(argvs))
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[0] * len(commands), []]
+
+
+def test_a_warm_similarity_docs_loads_no_scipy_and_no_futures(manifest, tmp_path):
+    # a hit on the t-test's value imports no scipy module, not even to key its
+    # entry, and a command on one thread never imports concurrent.futures
+    argv = ["similarity", "docs", "--manifest", manifest, "--out", str(tmp_path / "docs.json")]
+    code = (
+        "import json, sys\n"
+        "from riskbench.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.startswith('concurrent.futures')]\n"
+        "print(json.dumps([code, 'scipy.special' in loaded, sorted(loaded)]))\n"
+    )
+    cache = str(tmp_path / "cache")
+    cold = fresh_python("-c", code, json.dumps(argv), XDG_CACHE_HOME=cache)
+    assert cold.returncode == 0, cold.stderr
+    assert json.loads(cold.stdout)[:2] == [0, True]  # a miss stores the value
+    warm = fresh_python("-c", code, json.dumps(argv), XDG_CACHE_HOME=cache)
+    assert warm.returncode == 0, warm.stderr
+    assert json.loads(warm.stdout) == [0, False, []]
 
 
 @pytest.mark.parametrize("cost, schedule, message", [

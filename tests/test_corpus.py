@@ -8,7 +8,6 @@ import marshal
 import math
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
@@ -936,14 +935,9 @@ def test_items_are_equal_from_threads_and_built_once(expost_copy):
         assert snapshot.items is snapshot.items
 
 
-def _entry_chunks(entry: Path) -> list[bytes]:
-    """The marshal bytes of each length-prefixed chunk of a corpus entry."""
-    data, chunks = entry.read_bytes()[:-cache.TRAILER.size], []
-    while data:
-        (length,) = struct.unpack_from("<Q", data)
-        chunks.append(data[8:8 + length])
-        data = data[8 + length:]
-    return chunks
+def _entry_snapshots(entry: Path) -> list[tuple]:
+    """The (ordinal, columns) of each snapshot a corpus entry holds."""
+    return marshal.loads(entry.read_bytes()[:-cache.TRAILER.size])
 
 
 def _damage_corpus_entry(entry: Path, how: str) -> None:
@@ -956,30 +950,27 @@ def _damage_corpus_entry(entry: Path, how: str) -> None:
     elif how == "garbage":
         entry.write_bytes(b"not a cache entry\n" * 64)
     else:
-        # an entry the cache's own writer makes, CRC and all, with a snapshot
-        # chunk that does not decode, a column value no check accepts, one
-        # chunk more than the manifest's registers, or one fewer
-        chunks = _entry_chunks(entry)
-        if how == "undecodable":
-            chunks[0] = b"\xff" * 16
-        elif how in INVALID_VALUES:
-            ordinal, columns = marshal.loads(chunks[0])
+        # an entry the cache's own writer makes, CRC and all, that does not
+        # decode, or whose list of snapshots holds a column value no check
+        # accepts, one snapshot more than the manifest's registers, or one fewer
+        snapshots = _entry_snapshots(entry)
+        if how in INVALID_VALUES:
+            ordinal, columns = snapshots[0]
             column, value = INVALID_VALUES[how]
             row = 1 if how == "duplicate-risk_id" else 0
             columns = [list(values) for values in columns]
             columns[column][row] = columns[0][0] if value is None else value
-            chunks[0] = marshal.dumps((ordinal, tuple(map(tuple, columns))))
+            snapshots[0] = (ordinal, tuple(map(tuple, columns)))
         elif how == "leftover-chunk":
-            chunks.append(chunks[-1])
-        else:
-            assert how == "missing-chunk"
-            chunks.pop()
+            snapshots.append(snapshots[-1])
+        elif how == "missing-chunk":
+            snapshots.pop()
         kind, key = entry.name.split("-", 1)
-        cache.store(kind, key, lambda out: out.write(b"".join(
-            struct.pack("<Q", len(chunk)) + chunk for chunk in chunks)))
+        body = b"\xff" * 16 if how == "undecodable" else marshal.dumps(snapshots)
+        cache.store(kind, key, lambda out: out.write(body))
 
 
-# the column (by its index in a snapshot's chunk) and the value a damaged
+# the column (by its index in a snapshot's columns) and the value a damaged
 # entry holds in the first row, or None for the second row's risk_id
 # repeating the first's
 INVALID_VALUES = {
@@ -998,12 +989,12 @@ INVALID_MESSAGES = {
     "duplicate-risk_id": "duplicate risk_id",
 }
 # why a damaged entry that passes its CRC is a miss: what reading it raises,
-# or None for a corpus that leaves a chunk unread
+# or None for a corpus that leaves a snapshot unread
 DECODE_FAILURES = {
     "undecodable": (ValueError, "bad marshal data"),
     **{how: (CorpusError, message) for how, message in INVALID_MESSAGES.items()},
     "leftover-chunk": None,
-    "missing-chunk": (struct.error, "unpack requires a buffer of 8 bytes"),
+    "missing-chunk": (EOFError, "fewer snapshots than the manifest has registers"),
 }
 
 
@@ -1075,10 +1066,10 @@ def test_column_checks_raise_what_the_constructors_raise(tmp_path, monkeypatch, 
     with pytest.raises(CorpusError) as public:
         PUBLIC_CONSTRUCTORS[how]()
     assert INVALID_MESSAGES[how] in str(public.value)
-    data = entry.read_bytes()[:-cache.TRAILER.size]  # its one chunk, read as a hit reads it
+    data = entry.read_bytes()[:-cache.TRAILER.size]  # its one snapshot, read as a hit reads it
     with pytest.raises(CorpusError) as read:
         riskbench.corpus._from_entry(io.BytesIO(data), len(data), lambda registers: (
-            riskbench.corpus._snapshot(*registers(), {}.setdefault)))
+            riskbench.corpus._snapshot(*registers())))
     assert str(read.value) == str(public.value)
 
 

@@ -10,13 +10,17 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from riskbench import cache
-from riskbench.corpus import load_corpus
+from riskbench.corpus import (Assessment, Corpus, ProjectRecord, RegisterSnapshot, RiskItem,
+                              SizeBand, load_corpus)
 from riskbench.errors import LifecycleError, ParseError, StatTestError, TransitionError
 from riskbench.lifecycle import (
     Origin,
     Outcome,
     RatioSet,
+    RiskLifecycle,
     RiskObservation,
     RiskState,
     RiskTransition,
@@ -585,6 +589,183 @@ def test_project_lifecycles_requires_snapshot_zero(expost_manifest):
     truncated = replace(project, snapshots=project.snapshots[1:])
     with pytest.raises(LifecycleError, match="snapshot 0"):
         project_lifecycles(truncated)
+
+
+# The per-risk path that `corpus_ratios`, `project_lifecycles` and
+# `tabulated_ratios` took before they folded rows: one RiskObservation per
+# record, then one build_lifecycle per risk, then counts per project.
+def _oracle_infer_state(obs: RiskObservation) -> RiskState:
+    if obs.explicit_state is not None:
+        return obs.explicit_state
+    if (obs.probability_fraction is not None and obs.probability_fraction >= 0.9
+            and obs.impact_recorded):
+        return HAP
+    return REG
+
+
+def _oracle_build_lifecycle(risk_id: str, observations: Sequence[RiskObservation]):
+    if not observations:
+        raise LifecycleError(f"risk {risk_id!r}: no observations")
+    ordinals = [obs.snapshot_ordinal for obs in observations]
+    if any(b <= a for a, b in zip(ordinals, ordinals[1:])):
+        raise LifecycleError(f"risk {risk_id!r}: observation ordinals must strictly ascend")
+    if ordinals[0] < 0:
+        raise LifecycleError(f"risk {risk_id!r}: first ordinal {ordinals[0]} is negative")
+    states = [_oracle_infer_state(obs) for obs in observations]
+    if states[0] is CLO:
+        raise LifecycleError(f"risk {risk_id!r}: a risk cannot be Closed at its first observation")
+    for ordinal, before, after in zip(ordinals[1:], states, states[1:]):
+        if before is HAP and after is REG:
+            raise LifecycleError(
+                f"risk {risk_id!r}: illegal regression Hap -> Reg at snapshot {ordinal}")
+        if before is CLO and after is not CLO:
+            raise LifecycleError(f"risk {risk_id!r}: reopened after Closed at snapshot {ordinal}")
+    return RiskLifecycle(risk_id, Origin.INITIAL if ordinals[0] == 0 else Origin.CONSTRUCTION,
+                         Outcome.REALIZED if HAP in states else Outcome.DISMISSED)
+
+
+_ORACLE_STATES = {"reg": REG, "registered": REG, "hap": HAP, "happening": HAP, "clo": CLO,
+                  "closed": CLO}
+
+
+def _oracle_observations(project) -> dict[str, list[RiskObservation]]:
+    """Each risk's observations, read from the snapshots' records."""
+    observations: dict[str, list[RiskObservation]] = {}
+    for snapshot in project.snapshots:
+        for item in snapshot.items:
+            a = item.assessment
+            note = item.status_note
+            observations.setdefault(item.risk_id, []).append(RiskObservation(
+                snapshot.ordinal, None if note is None else _ORACLE_STATES.get(note.strip().lower()),
+                a.raw_probability,
+                any(v is not None for v in (a.raw_cost, a.raw_schedule, a.cost_band,
+                                            a.schedule_band))))
+    return observations
+
+
+def _oracle_lifecycles(project_id: str, risks: dict[str, list[RiskObservation]]):
+    try:
+        return [_oracle_build_lifecycle(risk_id, obs) for risk_id, obs in risks.items()]
+    except LifecycleError as exc:
+        raise LifecycleError(f"project {project_id!r}: {exc}") from exc
+
+
+def _oracle_project_lifecycles(project):
+    if project.snapshots[0].ordinal != 0:
+        raise LifecycleError(
+            f"project {project.project_id!r}: lifecycle analysis needs snapshot 0")
+    return _oracle_lifecycles(project.project_id, _oracle_observations(project))
+
+
+def _oracle_compute_ratios(lifecycles) -> RatioSet:
+    if not lifecycles:
+        raise LifecycleError("cannot compute ratios over zero lifecycles")
+    counts = [0, 0, 0, 0]
+    for lifecycle in lifecycles:
+        first = 0 if lifecycle.origin is Origin.INITIAL else 2
+        counts[first] += 1
+        counts[first + 1] += lifecycle.outcome is Outcome.REALIZED
+    return RatioSet.from_counts(*counts)
+
+
+def _oracle_corpus_ratios(corpus):
+    per_project = {}
+    for project in corpus.projects:
+        lifecycles = _oracle_project_lifecycles(project)
+        if not lifecycles:
+            raise LifecycleError(f"project {project.project_id!r}: cannot compute ratios over "
+                                 "zero lifecycles; its registers are empty")
+        per_project[project.project_id] = _oracle_compute_ratios(lifecycles)
+    return per_project, aggregate_ratios(per_project)
+
+
+def _oracle_tabulated_ratios(projects):
+    per_project = {project_id: _oracle_compute_ratios(_oracle_lifecycles(project_id, risks))
+                   for project_id, risks in projects.items()}
+    return per_project, aggregate_ratios(per_project)
+
+
+def _same_outcome(path, oracle, *args) -> None:
+    """`path(*args)` returns what `oracle(*args)` returns, or raises the same
+    type with the same message."""
+    try:
+        expected = oracle(*args)
+    except LifecycleError as exc:
+        with pytest.raises(LifecycleError) as excinfo:
+            path(*args)
+        assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
+    else:
+        assert path(*args) == expected
+
+
+# mostly no note; else notes that name a state in any case and spacing, and
+# notes that name none
+_NOTES = st.sampled_from([None] * 14 + ["Reg", " registered ", "HAP", "Happening", "clo",
+                                        "Closed ", "open", ""])
+# a probability at, below and above the Happening bound, and impacts that are
+# unset, zero (recorded all the same) or set
+_ASSESSMENTS = st.builds(
+    Assessment, probability_band=st.sampled_from([None, 5]), cost_band=st.sampled_from([None, 3]),
+    schedule_band=st.sampled_from([None, 2]),
+    raw_probability=st.sampled_from([None, 0.0, 0.5, 0.89, 0.9, 0.95, 1.0]),
+    raw_cost=st.sampled_from([None, 0.0, 2.5]), raw_schedule=st.sampled_from([None, 0.0, 1.0]))
+
+
+@st.composite
+def _small_corpora(draw) -> Corpus:
+    """1-2 projects of up to 5 snapshots at ordinals 0-4 (snapshot 0 missing
+    in about one in eight), each holding up to 4 of the same risk ids in any
+    order, or none."""
+    projects = []
+    for index in range(draw(st.integers(1, 2))):
+        ordinals = sorted({*draw(st.lists(st.integers(1, 4), max_size=4)),
+                           *([] if draw(st.integers(0, 7)) == 0 else [0])} or {2})
+        snapshots = []
+        for ordinal in ordinals:
+            ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True, max_size=4))
+            snapshots.append(RegisterSnapshot(ordinal, [
+                RiskItem(risk_id, "risk", assessment=draw(_ASSESSMENTS), status_note=draw(_NOTES))
+                for risk_id in ids]))
+        projects.append(ProjectRecord(f"p{index}", "", "", "", SizeBand.UNDER_500M, None, None,
+                                      tuple(snapshots)))
+    return Corpus(tuple(projects))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_small_corpora())
+def test_corpus_ratios_match_the_per_risk_oracle(corpus):
+    _same_outcome(corpus_ratios, _oracle_corpus_ratios, corpus)
+    for project in corpus.projects:
+        _same_outcome(project_lifecycles, _oracle_project_lifecycles, project)
+    # the same observations, pre-tabulated by their states
+    tabulated = {project.project_id: {
+        risk_id: [RiskObservation(obs.snapshot_ordinal, _oracle_infer_state(obs))
+                  for obs in observations]
+        for risk_id, observations in _oracle_observations(project).items()}
+        for project in corpus.projects}
+    _same_outcome(tabulated_ratios, _oracle_tabulated_ratios, tabulated)
+
+
+def _project(*snapshots: tuple[int, list[tuple[str, str]]]) -> ProjectRecord:
+    """A project of (ordinal, [(risk_id, status note)]) snapshots."""
+    return ProjectRecord("p", "", "", "", SizeBand.UNDER_500M, None, None, tuple(
+        RegisterSnapshot(ordinal, [RiskItem(risk_id, "risk", status_note=note)
+                                   for risk_id, note in risks])
+        for ordinal, risks in snapshots))
+
+
+def test_the_first_risk_to_appear_raises_its_first_violation():
+    # risk a breaks a rule at snapshot 3; b, which appears after a, at snapshot 1
+    project = _project((0, [("a", "Reg"), ("b", "Hap")]), (1, [("b", "Reg"), ("a", "Hap")]),
+                       (2, [("b", "Clo")]), (3, [("a", "Reg"), ("b", "Hap")]))
+    message = "project 'p': risk 'a': illegal regression Hap -> Reg at snapshot 3"
+    for path in (_oracle_project_lifecycles, project_lifecycles):
+        with pytest.raises(LifecycleError) as excinfo:
+            path(project)
+        assert str(excinfo.value) == message
+    with pytest.raises(LifecycleError) as excinfo:
+        corpus_ratios(Corpus((project,)))
+    assert str(excinfo.value) == message
 
 
 # ----------------------------------------------------------------- styles
