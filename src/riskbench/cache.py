@@ -16,9 +16,14 @@ checks and writes an entry:
 - `store(kind, key, fill)` writes what `fill` writes to a temporary file in
   the cache directory and renames it over the entry, so a reader sees a whole
   entry or none; it is never written in place, so a mapping of it stays
-  valid. It then keeps only the newest `ENTRIES` of its kind (`MEMOS` of the
-  memo kind), whatever code wrote them. Nothing is stored, and nothing said,
-  when the directory cannot be written.
+  valid. It then keeps only the `ENTRIES` of its kind (`MEMOS` of the memo
+  kind) last used, whatever code wrote them. Nothing is stored, and nothing
+  said, when the directory cannot be written.
+- A hit touches the entry's zero-byte `<kind>-<key>.used` marker, not the
+  entry: the CRC memo is keyed by the entry's own times. An entry was last
+  used at the later of its own and its marker's mtime. A memo hit touches no
+  marker; `MEMOS` exceeds what any workflow reads. Markers count toward no
+  kind's entries, and go with their entry.
 
 What is learned of a regular file's bytes is kept in a memo entry keyed by
 this module's source digest and the file's absolute path, device, inode,
@@ -60,6 +65,8 @@ INVALID = (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, s
            RiskbenchError)
 # A scipy.special entry holds one little-endian float64.
 _FLOAT = struct.Struct("<d")
+# the suffix of an entry's last-use marker; no key ends with it
+_USED = ".used"
 # A memo entry holds the memo's write time in ns, little-endian, then its
 # value in ASCII: a SHA-256 in hex, or nothing for a matched CRC.
 _MEMO = "memo"
@@ -189,9 +196,13 @@ def read(kind: str, key: str, decode: Callable[[BinaryIO, int], T | None]) -> T 
             if size is None:
                 return None
             handle.seek(0)
-            return decode(handle, size)
+            value = decode(handle, size)
     except INVALID:
         return None
+    if value is not None and kind != _MEMO:
+        with suppress(OSError):
+            entry.with_name(entry.name + _USED).touch()
+    return value
 
 
 def store(kind: str, key: str, fill: Callable[[BinaryIO], None]) -> None:
@@ -217,13 +228,18 @@ def store(kind: str, key: str, fill: Callable[[BinaryIO], None]) -> None:
     finally:
         with suppress(OSError):
             os.unlink(temp)  # already gone after a successful replace
-    ages = []
+    entries: dict[str, int] = {}
+    used: dict[str, int] = {}
     for other in entry.parent.glob(f"{kind}-*"):
+        name = other.name.removesuffix(_USED)
         with suppress(OSError):
-            ages.append((other.stat().st_mtime_ns, other.name))
-    for _, other in sorted(ages)[:-(MEMOS if kind == _MEMO else ENTRIES)]:
+            (entries if name == other.name else used)[name] = other.stat().st_mtime_ns
+    ages = sorted((max(mtime, used.get(name, mtime)), name) for name, mtime in entries.items())
+    stale = {name for _, name in ages[:-(MEMOS if kind == _MEMO else ENTRIES)]}
+    # each stale entry and its marker, and each marker whose entry is gone
+    for name in [*stale, *(name + _USED for name in used if name in stale or name not in entries)]:
         with suppress(OSError):
-            os.unlink(entry.parent / other)
+            os.unlink(entry.parent / name)
 
 
 def special(name: str, *args: float) -> float:

@@ -104,11 +104,15 @@ class Assessment:
         _check_raw_values(self.raw_probability, self.raw_cost, self.raw_schedule)
 
 
-def band_mean(assessments: Iterable[Assessment], name: str) -> float | None:
-    """The mean of the assessments' set `name` bands, summed in their
-    order; None when none is set."""
-    bands = [band for a in assessments if (band := getattr(a, name)) is not None]
-    return sum(bands) / len(bands) if bands else None
+def band_mean(bands: Iterable[int | None]) -> float | None:
+    """The mean of the set bands, summed in their order; None when none is set."""
+    present = [band for band in bands if band is not None]
+    return sum(present) / len(present) if present else None
+
+
+def _matching_texts(names, descriptions, use_description: bool) -> list[str]:
+    """Each name, or "name description" when `use_description` and the description are set."""
+    return [f"{n} {d}" if use_description and d else n for n, d in zip(names, descriptions)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +129,7 @@ class RiskItem:
             raise CorpusError(f"risk {self.risk_id!r} has an empty name")
 
     def matching_text(self, use_description: bool = False) -> str:
-        if use_description and self.description:
-            return f"{self.name} {self.description}"
-        return self.name
+        return _matching_texts((self.name,), (self.description,), use_description)[0]
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -162,6 +164,10 @@ class RegisterSnapshot:
         if self._items is None:  # threads that race here build equal tuples
             object.__setattr__(self, "_items", tuple(map(_record, *_columns_of(self))))
         return self._items
+
+    def matching_texts(self, use_description: bool = False) -> list[str]:
+        """Each row's `RiskItem.matching_text`, read from the columns."""
+        return _matching_texts(self.names, self.descriptions, use_description)
 
     def __repr__(self) -> str:
         return f"RegisterSnapshot(ordinal={self.ordinal!r}, items={self.items!r})"

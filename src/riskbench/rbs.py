@@ -129,31 +129,29 @@ def coverage(
     A row is flagged `used_fallback` when the backend's sentence table
     misses the risk's text, so that its scores come from the fallback.
     """
-    if not register.items:
+    if not register.risk_ids:
         raise EmptyReportError(f"coverage: project {project_id!r} has an empty register"
                                if project_id else "coverage needs a non-empty register")
     flat = rbs.flat_items()
     # the RBS items first, so that a miss names an item before any register text
     keyed = unit_rows(backend, [*(item.text for _, item in flat),
-                                *(risk.name for risk in register.items)])
+                                *register.names])
     items, risks = keyed.ids[:len(flat)], keyed.ids[len(flat):]
     best, scores = (column[:, 0] for column in keyed.best(risks, [items]))
-    rows: list[CoverageRow] = []
-    for risk, index, score, missed in zip(register.items, best.tolist(), scores.tolist(),
-                                          keyed.missed[risks].tolist()):
-        category_name, item = flat[index]
-        rows.append(CoverageRow(risk_id=risk.risk_id, best_item=item.text,
-                                best_category=category_name, score=score,
-                                covered=score >= threshold, used_fallback=missed))
+    rows = [CoverageRow(risk_id=risk_id, best_item=flat[index][1].text,
+                        best_category=flat[index][0], score=score,
+                        covered=score >= threshold, used_fallback=missed)
+            for risk_id, index, score, missed in zip(register.risk_ids, best.tolist(),
+                                                     scores.tolist(), keyed.missed[risks].tolist())]
 
-    # rows are in register order, so each risk pairs with its row by position
-    paired = list(zip(register.items, rows))
-    agrees = [normalize_sentence(risk.category_label) == normalize_sentence(row.best_category)
-              for risk, row in paired if row.covered and risk.category_label]
+    # rows are in register order, so each column pairs with the rows by position
+    agrees = [normalize_sentence(label) == normalize_sentence(row.best_category)
+              for label, row in zip(register.category_labels, rows) if row.covered and label]
 
     def impact_means(covered: bool) -> dict:
-        selected = [risk.assessment for risk, row in paired if row.covered == covered]
-        return {name: band_mean(selected, name) for name in ("cost_band", "schedule_band")}
+        return {name: band_mean(band for band, row in zip(bands, rows) if row.covered == covered)
+                for name, bands in (("cost_band", register.cost_bands),
+                                    ("schedule_band", register.schedule_bands))}
 
     return CoverageReport(
         project_id=project_id,
@@ -170,10 +168,7 @@ def coverage(
 def _category_fractions(rows: Iterable[CoverageRow]) -> list[dict]:
     """{"category", "fraction"}: the share of the covered rows per best
     category, descending, then by name; empty when no row is covered."""
-    counts: dict[str, int] = {}
-    for row in rows:
-        if row.covered:
-            counts[row.best_category] = counts.get(row.best_category, 0) + 1
+    counts = Counter(row.best_category for row in rows if row.covered)
     total = sum(counts.values())
     return [{"category": name, "fraction": count / total}
             for name, count in sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))]

@@ -73,16 +73,10 @@ def score_histogram(scores: Iterable[float]) -> dict[str, int]:
 def project_document_tokens(
     project: ProjectRecord, stop_words: frozenset[str]
 ) -> list[str]:
-    """Whole-register document: category, name, and description text."""
+    """Whole-register document: each risk's category, name, and description text."""
     r = project.register
-    chunks: list[str] = []
-    for category, name, description in zip(r.category_labels, r.names, r.descriptions):
-        if category:
-            chunks.append(category)
-        chunks.append(name)
-        if description:
-            chunks.append(description)
-    return tokenize(" ".join(chunks), stop_words)
+    texts = [t for row in zip(r.category_labels, r.names, r.descriptions) for t in row if t]
+    return tokenize(" ".join(texts), stop_words)
 
 
 def document_similarity(
@@ -189,8 +183,8 @@ def _best_matches(
     equal keys tie exactly.
     """
     import numpy as np
-    keyed = unit_rows(backend, [f"{n} {d}" if use_description and d else n  # as matching_text
-                                for r in registers for n, d in zip(r.names, r.descriptions)])
+    keyed = unit_rows(backend, [text for register in registers
+                                for text in register.matching_texts(use_description)])
     bounds = [0, *accumulate(len(r.names) for r in registers)]
     spans = list(zip(bounds, bounds[1:]))
     rows, scores = keyed.best(np.arange(len(keyed.units)),

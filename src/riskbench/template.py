@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Assessment, Corpus, ProjectRecord, RegisterSnapshot, band_mean
+from .corpus import Corpus, ProjectRecord, RegisterSnapshot, band_mean
 from .errors import RbsError, TemplateError
 from .resources import data_path, read_json_checked, read_result
 from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
@@ -82,7 +84,9 @@ class GroupMember:
     project_id: str
     risk_id: str
     text: str
-    assessment: Assessment
+    probability_band: int | None
+    cost_band: int | None
+    schedule_band: int | None
 
 
 @dataclass(frozen=True)
@@ -103,20 +107,17 @@ def summarize_group(
     """Fill representative text, prevalence, and band averages for a group."""
     if not members:
         raise TemplateError("cannot summarize an empty group")
-    frequency: dict[str, int] = {}
-    for member in members:
-        frequency[member.text] = frequency.get(member.text, 0) + 1
+    frequency = Counter(member.text for member in members)
     representative = min(frequency, key=lambda text: (-frequency[text], text))
     contributing = len({m.project_id for m in members})
-    assessments = [m.assessment for m in members]
     return RiskGroup(
         member_refs=tuple((m.project_id, m.risk_id) for m in members),
         representative_text=representative,
         source_projects=contributing,
         prevalence=contributing / selected_project_count,
-        avg_probability_band=band_mean(assessments, "probability_band"),
-        avg_cost_band=band_mean(assessments, "cost_band"),
-        avg_schedule_band=band_mean(assessments, "schedule_band"),
+        avg_probability_band=band_mean(m.probability_band for m in members),
+        avg_cost_band=band_mean(m.cost_band for m in members),
+        avg_schedule_band=band_mean(m.schedule_band for m in members),
     )
 
 
@@ -130,10 +131,14 @@ def group_risks(
     import numpy as np
     if not projects:
         raise TemplateError("grouping needs at least one project")
-    items = [(project.project_id, item) for project in projects for item in project.register.items]
-    texts = [item.matching_text(use_description) for _, item in items]
-    members = [GroupMember(project_id, item.risk_id, normalize_sentence(text), item.assessment)
-               for (project_id, item), text in zip(items, texts)]
+    texts, members = [], []
+    for project in projects:
+        register = project.register
+        own = register.matching_texts(use_description)
+        texts += own
+        members += map(GroupMember, repeat(project.project_id), register.risk_ids,
+                       map(normalize_sentence, own), register.probability_bands,
+                       register.cost_bands, register.schedule_bands)
     keyed = unit_rows(backend, texts)
 
     open_rows = np.ones(len(members), dtype=bool)
@@ -363,11 +368,11 @@ def evaluate_template(
     """
     if not template.entries:
         raise TemplateError("cannot evaluate an empty template")
-    if not test_register.items:
+    if not test_register.risk_ids:
         raise TemplateError("cannot evaluate against an empty register")
     entries = len(template.entries)
     keyed = unit_rows(backend, [*(entry.text for entry in template.entries),
-                                *(item.matching_text() for item in test_register.items)])
+                                *test_register.matching_texts()])
     indices, scores = (column[:, 0]
                        for column in keyed.best(keyed.ids[entries:], [keyed.ids[:entries]]))
     hit = scores >= label_threshold

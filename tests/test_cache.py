@@ -45,8 +45,12 @@ def test_a_stored_entry_reads_back(home):
     _store()
     assert _entry() == home / "riskbench" / f"{KIND}-{KEY}"
     assert _entry().read_bytes() == DATA + cache.TRAILER.pack(zlib.crc32(DATA))
-    assert cache.read(KIND, KEY, _bytes) == DATA
     assert list(_entry().parent.iterdir()) == [_entry()]
+    assert cache.read(KIND, KEY, _bytes) == DATA
+    # the hit touched the entry's marker of last use, a new empty file
+    marker = _entry().with_name(f"{_entry().name}.used")
+    assert sorted(_entry().parent.iterdir()) == [_entry(), marker]
+    assert marker.read_bytes() == b""
 
 
 def test_the_key_is_the_sha256_of_the_parts_repr():
@@ -130,6 +134,39 @@ def test_a_store_that_cannot_write_says_nothing_and_leaves_no_temp_file(
     if how != "home-is-a-file":
         assert [path.name for path in (home / "riskbench").iterdir()] == (
             [f"{KIND}-{KEY}"] if how == "entry-is-a-directory" else [])
+
+
+def _store_aged(keys):
+    """Store an entry under each key, each one second older than the next."""
+    for age, key in enumerate(keys):
+        cache.store("demo", key, lambda out: out.write(DATA))
+        os.utime(cache.entry_path("demo", key), ns=(0, (1_000_000 + age) * 10**9))
+
+
+def test_a_store_keeps_the_entry_last_read_however_old(home):
+    keys = [f"k{index}" for index in range(cache.ENTRIES)]
+    _store_aged(keys)
+    for _ in range(5):
+        assert cache.read("demo", "k0", _bytes) == DATA
+    cache.store("demo", "new", lambda out: out.write(DATA))
+    assert cache.read("demo", "k0", _bytes) == DATA
+    assert cache.read("demo", "k1", _bytes) is None  # the least recently used went
+
+
+def test_markers_count_toward_no_kind_and_go_with_their_entry(home):
+    keys = [f"k{index}" for index in range(cache.ENTRIES)]
+    _store_aged(keys)
+    root = home / "riskbench"
+    for key in keys:  # a marker for each entry, k1's older than k2 itself
+        (root / f"demo-{key}.used").touch()
+    os.utime(root / "demo-k1.used", ns=(0, 1_000_001_500_000_000))
+    for key in keys[2:]:
+        os.utime(root / f"demo-{key}.used", ns=(0, 1_000_000 * 10**9))
+    (root / "demo-gone.used").touch()  # the marker of an entry that another store deleted
+    cache.store("demo", "new", lambda out: out.write(DATA))
+    kept = ["k0", *keys[2:], "new"]
+    assert sorted(path.name for path in root.iterdir()) == sorted(
+        [*(f"demo-{key}" for key in kept), *(f"demo-{key}.used" for key in keys if key != "k1")])
 
 
 def test_without_a_home_nothing_is_read_or_stored(tmp_path, monkeypatch):

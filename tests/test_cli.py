@@ -718,7 +718,7 @@ def test_jobs_flag_does_not_change_output(manifest, tmp_path):
 
 def test_rbs_coverage_on_a_warm_corpus_writes_the_same_bytes_on_2_jobs(manifest, tmp_path,
                                                                       monkeypatch):
-    # a hit builds no records, so the worker threads build each register's
+    # a hit builds no records, and the worker threads read each register's columns
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     load_corpus(manifest)
     base = ["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS]
@@ -731,7 +731,8 @@ def test_rbs_coverage_on_a_warm_corpus_writes_the_same_bytes_on_2_jobs(manifest,
 
 def test_lifecycle_history_and_similarity_commands_build_no_records(manifest, tmp_path,
                                                                     monkeypatch):
-    # a warm entry serves the corpus as columns, and these commands read only those
+    # a warm entry, or a parsed register file, serves each register as columns,
+    # and every command reads only those
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     load_corpus(manifest)
     built = []
@@ -740,11 +741,18 @@ def test_lifecycle_history_and_similarity_commands_build_no_records(manifest, tm
         monkeypatch.setattr(record, "__post_init__",
                             lambda self, check=check: built.append(type(self).__name__) or check(self))
     vectors = ["--embeddings", WORD_VECTORS]
+    template = tmp_path / "template.json"
+    register = str(data_path("fixtures", "expost", "registers", "p01_s0.csv"))
     for command in (["ingest"], ["lifecycle", "ratios"], ["lifecycle", "styles"],
                     ["similarity", "docs"], ["similarity", "risks", *vectors],
-                    ["similarity", "pooling", *vectors], ["similarity", "evaluation", *vectors]):
-        assert run([*command, "--manifest", manifest, "--out", str(tmp_path / "r.json")]) == 0
+                    ["similarity", "pooling", *vectors], ["similarity", "evaluation", *vectors],
+                    ["template", "build", *vectors], ["rbs", "coverage", *vectors]):
+        out = template if command[0] == "template" else tmp_path / "r.json"
+        assert run([*command, "--manifest", manifest, "--out", str(out)]) == 0
         assert built == [], command
+    assert run(["template", "eval", "--template", str(template), "--register", register,
+                *vectors, "--out", str(tmp_path / "r.json")]) == 0
+    assert built == [], "template eval"
     corpus_module.RiskItem("r1", "A")  # the count sees a constructor
     assert built == ["Assessment", "RiskItem"]
 

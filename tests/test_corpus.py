@@ -198,13 +198,31 @@ def test_band_mean_matches_each_engines_own_mean(triples):
     for name in ("probability_band", "cost_band", "schedule_band"):
         present = [v for a in assessments if (v := getattr(a, name)) is not None]
         expected = sum(present) / len(present) if present else None
-        assert repr(band_mean(assessments, name)) == repr(expected)
-    # a coverage report's impact means
+        assert repr(band_mean(getattr(a, name) for a in assessments)) == repr(expected)
+    # a coverage report's impact means, over a register's band columns
+    snapshot = RegisterSnapshot(0, [RiskItem(f"r{i}", "risk", assessment=a)
+                                    for i, a in enumerate(assessments)])
     cost = [a.cost_band for a in assessments if a.cost_band is not None]
     schedule = [a.schedule_band for a in assessments if a.schedule_band is not None]
-    for name, bands in (("cost_band", cost), ("schedule_band", schedule)):
-        assert repr(band_mean(assessments, name)) == repr(
-            sum(bands) / len(bands) if bands else None)
+    for column, bands in ((snapshot.cost_bands, cost), (snapshot.schedule_bands, schedule)):
+        assert repr(band_mean(column)) == repr(sum(bands) / len(bands) if bands else None)
+
+
+# a risk's name, and its description: unset, empty (which no parse keeps) or set
+_NAMES = st.text("ab \u00e9", min_size=1, max_size=6).filter(str.strip)
+_DESCRIPTIONS = st.one_of(st.none(), st.just(""), st.text("cd \u00e9", min_size=1, max_size=6))
+
+
+@given(st.lists(st.tuples(_NAMES, _DESCRIPTIONS), max_size=6))
+def test_matching_texts_are_each_records_matching_text(rows):
+    items = [RiskItem(f"r{i}", name, description) for i, (name, description) in enumerate(rows)]
+    payload = [{"risk_id": item.risk_id, "name": item.name, "description": item.description}
+               for item in items]
+    for snapshot in (RegisterSnapshot(0, items),
+                     parse_register(json.dumps(payload).encode(), "json")):
+        for use_description in (False, True):
+            assert snapshot.matching_texts(use_description) == [
+                item.matching_text(use_description) for item in snapshot.items]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -791,7 +809,8 @@ def _counted_parses(monkeypatch) -> list[str]:
 
 
 def _corpus_entries(cache_dir: Path) -> list[Path]:
-    return sorted((cache_dir / "riskbench").glob("*"))
+    """The files in a cache, without the markers of the entries' last use."""
+    return sorted(path for path in (cache_dir / "riskbench").glob("*") if path.suffix != ".used")
 
 
 def _texts(corpus: Corpus) -> list[str]:
@@ -1084,7 +1103,7 @@ def test_old_names_and_other_code_are_never_read_and_age_out_by_count(
     with monkeypatch.context() as patch:  # what another tree's corpus.py stores
         patch.setattr(cache, "source_digest", lambda *files: "0" * 64)
         load_corpus(expost_copy)
-    [other] = set(root.glob("corpus-*")) - {entry}
+    [other] = set(_stored(root)) - {entry}
     data = entry.read_bytes()
     entry.unlink()
     _, key = entry.name.split("-", 1)
@@ -1098,15 +1117,20 @@ def test_old_names_and_other_code_are_never_read_and_age_out_by_count(
     parsed = _counted_parses(monkeypatch)
     assert repr(load_corpus(expost_copy)) == repr(expected)
     assert len(parsed) == len(expected.digests) - 1  # a miss: no foreign entry was read
-    assert sorted(root.glob("corpus-*")) == sorted([*foreign, entry])  # ENTRIES of its kind
+    assert _stored(root) == sorted([*foreign, entry])  # ENTRIES of its kind
     assert repr(load_corpus(expost_copy)) == repr(expected)
     assert len(parsed) == len(expected.digests) - 1  # the stored entry serves the next load
     with monkeypatch.context() as patch:  # one more store, by other code
         patch.setattr(cache, "source_digest", lambda *files: "1" * 64)
         load_corpus(expost_copy)
-    [newest] = set(root.glob("corpus-*")) - {*foreign, entry}
-    assert sorted(root.glob("corpus-*")) == sorted([*foreign[1:], entry, newest])
+    [newest] = set(_stored(root)) - {*foreign, entry}
+    assert _stored(root) == sorted([*foreign[1:], entry, newest])
     assert words.exists()
+
+
+def _stored(root: Path) -> list[Path]:
+    """The corpus entries in a cache directory, without their markers."""
+    return sorted(path for path in root.glob("corpus-*") if path.suffix != ".used")
 
 
 def test_a_warm_entry_is_not_served_to_a_changed_parser(expost_manifest, tmp_path):

@@ -39,10 +39,13 @@ def test_fixture_reports_match_the_committed_digests(tmp_path):
     assert digests.run_mismatch(recorded, runs) is None
     # the cold run stored the fixture corpus and both vector files; it also
     # stores scipy.special values unless an earlier test loaded scipy.special,
-    # and memos of the digests of the bundled files, which are old enough
-    entries = sorted(path.suffix for path in (tmp_path / "cache" / "riskbench").iterdir()
-                     if not path.name.startswith(("special-", "memo-")))
-    assert entries == [".marshal", ".npy", ".npy"]
+    # and memos of the digests of the bundled files, which are old enough; the
+    # warm run's hits touched each entry's marker of last use
+    names = sorted(path.name for path in (tmp_path / "cache" / "riskbench").iterdir()
+                   if not path.name.startswith(("special-", "memo-")))
+    entries = [name for name in names if not name.endswith(".used")]
+    assert [Path(name).suffix for name in entries] == [".marshal", ".npy", ".npy"]
+    assert sorted(set(names) - set(entries)) == [f"{name}.used" for name in entries]
 
 
 def test_similarity_docs_reports_match_in_fresh_processes(tmp_path):
@@ -71,7 +74,9 @@ def test_similarity_docs_reports_match_in_fresh_processes(tmp_path):
         specials[run] = {path.name: path.stat().st_mtime_ns for path in entries.iterdir()
                          if path.name.startswith("special-")}
     # one command tests two groups (by delivery method); its hit rewrote nothing
-    assert len(specials["miss"]) == 1
+    # and touched the entry's marker of last use
+    [name] = specials["miss"]
+    assert specials["hit"].pop(f"{name}.used")
     assert specials["hit"] == specials["miss"]
 
 
@@ -116,9 +121,9 @@ def test_two_trees_share_a_cache_without_evicting_each_other(tmp_path):
                     reports[tree.parent.name, report] = (out / report).read_bytes()
         return reports
 
-    def stored() -> dict[str, int]:
+    def stored() -> dict[str, int]:  # the entries, without the markers of their last use
         return {path.name: path.stat().st_mtime_ns for path in entries.iterdir()
-                if not path.name.startswith("memo-")}
+                if not path.name.startswith("memo-") and path.suffix != ".used"}
 
     first = run_round("first")
     after_first = stored()
@@ -126,6 +131,8 @@ def test_two_trees_share_a_cache_without_evicting_each_other(tmp_path):
     assert kinds == ["corpus"] * 2 + ["special"] * 2 + ["word_average"] * 2  # one per tree
     assert run_round("second") == first
     assert stored() == after_first
+    # every entry was hit, and so has its marker
+    assert all((entries / f"{name}.used").exists() for name in after_first)
     for record in records:
         for report, digest in record["outputs"].items():
             assert first["src", report] == first["other", report]
@@ -189,7 +196,8 @@ def test_a_cold_fixture_run_stores_the_entry_names_it_always_has(tmp_path, monke
     [(_, args)] = calls
     scipy = Path(find_spec("scipy").submodule_search_locations[0])
     build = (sha256((sha256((scipy / "version.py").read_bytes()),)), EXTENSION_SUFFIXES[0])
-    names = [path.name for path in (tmp_path / "cache" / "riskbench").iterdir()]
+    names = [path.name for path in (tmp_path / "cache" / "riskbench").iterdir()
+             if path.suffix != ".used"]  # each entry's marker is its name and ".used"
     assert sorted(name for name in names if not name.startswith("memo-")) == sorted([
         f"word_average-{sha256((embeddings / 'reference_word_vectors.txt').read_bytes())}"
         f".{source(vectorize, resources)}.npy",

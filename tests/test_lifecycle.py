@@ -900,9 +900,10 @@ def test_hotelling_critical_value_is_kept_for_a_fresh_process(tmp_path):
     assert fresh_value(H_CALL, tmp_path) == (expected, True)  # a miss stores the value
     [entry] = (tmp_path / "riskbench").iterdir()
     assert entry.name.startswith("special-")
-    # a hit does not import scipy.special
+    # a hit does not import scipy.special, and touches only the entry's marker of last use
     assert fresh_value(H_CALL, tmp_path) == (expected, False)
-    assert list((tmp_path / "riskbench").iterdir()) == [entry]
+    marker = entry.with_name(f"{entry.name}.used")
+    assert sorted((tmp_path / "riskbench").iterdir()) == [entry, marker]
 
 
 def test_unwritable_special_cache_still_computes_and_says_nothing(tmp_path, monkeypatch):

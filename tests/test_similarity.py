@@ -1054,7 +1054,9 @@ def test_t_test_p_value_is_kept_for_a_fresh_process(tmp_path):
     assert entry.name.startswith("special-")
     stored = entry.stat().st_mtime_ns
     assert fresh_value(call, tmp_path) == (expected, False)  # a hit does not import scipy.special
-    assert list((tmp_path / "riskbench").iterdir()) == [entry]
+    # and touches only the entry's marker of last use
+    marker = entry.with_name(f"{entry.name}.used")
+    assert sorted((tmp_path / "riskbench").iterdir()) == [entry, marker]
     assert entry.stat().st_mtime_ns == stored
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from riskbench.corpus import Assessment, RegisterSnapshot, load_corpus
+from riskbench.corpus import RegisterSnapshot, load_corpus
 from riskbench.errors import TemplateError
 from riskbench.template import (
     Category,
@@ -144,7 +144,9 @@ def _group_oracle(projects, backend, threshold, use_description=False):
 
     items = [(project.project_id, item) for project in projects for item in project.register.items]
     texts = [item.matching_text(use_description) for _, item in items]
-    members = [GroupMember(project_id, item.risk_id, normalize_sentence(text), item.assessment)
+    members = [GroupMember(project_id, item.risk_id, normalize_sentence(text),
+                           item.assessment.probability_band, item.assessment.cost_band,
+                           item.assessment.schedule_band)
                for (project_id, item), text in zip(items, texts)]
     keyed = unit_rows(backend, texts)
     assigned = [False] * len(members)
@@ -234,7 +236,9 @@ def _member(pid, rid, text, p=None, c=None, s=None):
         project_id=pid,
         risk_id=rid,
         text=text,
-        assessment=Assessment(probability_band=p, cost_band=c, schedule_band=s),
+        probability_band=p,
+        cost_band=c,
+        schedule_band=s,
     )
 
 
