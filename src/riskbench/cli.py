@@ -14,92 +14,49 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from . import __version__
+from . import (__version__, corpus, lifecycle, parallel, rbs, report, similarity, template,
+               vectorize)
 from .cache import file_digest
-from .corpus import (
-    Corpus,
-    ProjectRecord,
-    default_scale_config,
-    load_corpus,
-    load_register,
-    load_scale_config,
-)
 from .errors import EmptyReportError, LifecycleError, ParseError, RiskbenchError
-from .lifecycle import (
-    StyleThresholds,
-    classify_style,
-    corpus_ratios,
-    hotelling_t2,
-    read_lifecycle_csv,
-    tabulated_ratios,
-)
-from .parallel import parallel_map
-from .rbs import (
-    DEFAULT_COVERAGE_THRESHOLD,
-    cooccurrence,
-    coverage,
-    default_rbs,
-    load_covered_texts,
-    load_rbs,
-    summarize_coverage,
-)
-from .report import emit_report, write_csv, write_heatmap_csv
-from .resources import data_path, read_json_checked
-from .similarity import (
-    EVALUATION_THRESHOLDS,
-    document_similarity,
-    evaluation_level_report,
-    match_registers,
-    pooling_similarity,
-    risk_level_summary,
-)
-from .template import (
-    DEFAULT_LABEL_THRESHOLD,
-    DEFAULT_MATCH_THRESHOLD,
-    SORT_KEYS,
-    build_template,
-    classify_risk,
-    evaluate_template,
-    filter_projects,
-    group_risks,
-    load_categories,
-    load_template,
-    parse_filter,
-)
-from .vectorize import EmbeddingBackend, load_sentence_vectors, load_stopwords, load_word_vectors
+from .resources import (DEFAULT_COVERAGE_THRESHOLD, DEFAULT_LABEL_THRESHOLD,
+                        DEFAULT_MATCH_THRESHOLD, GROUP_FIELDS, SORT_KEYS, data_path,
+                        read_json_checked)
+
+# Each engine is a lazy module (see riskbench/__init__.py) and is called through
+# its module here, so a command runs only the engines it calls.
 
 
 # Each loader records the digest of every file it reads in `digests`, which
 # becomes the report's "inputs" map.
 
 
-def _corpus(args, digests: dict, scales: str | None = None) -> Corpus:
-    config = load_scale_config(scales) if scales else default_scale_config()
-    corpus = load_corpus(args.manifest, config)
-    digests.update(corpus.digests)
+def _corpus(args, digests: dict, scales: str | None = None) -> corpus.Corpus:
+    config = corpus.load_scale_config(scales) if scales else corpus.default_scale_config()
+    loaded = corpus.load_corpus(args.manifest, config)
+    digests.update(loaded.digests)
     if scales:
         digests["scales"] = file_digest(scales)
-    return corpus
+    return loaded
 
 
 def _stop_words(args, digests: dict) -> frozenset[str]:
     path = args.stopwords or data_path("stopwords_en.txt")
-    stop_words = load_stopwords(path)
+    stop_words = vectorize.load_stopwords(path)
     digests["stopwords"] = file_digest(path)
     return stop_words
 
 
-def _backend(args, digests: dict) -> EmbeddingBackend:
+def _backend(args, digests: dict) -> vectorize.EmbeddingBackend:
     """The sentence table with the word vectors as its fallback, or either
     alone; stop words are read only for the word vectors, which tokenize."""
     word = None
     if args.embeddings:
-        word = load_word_vectors(args.embeddings, _stop_words(args, digests))
+        word = vectorize.load_word_vectors(args.embeddings, _stop_words(args, digests))
         digests["embeddings"] = word.digest
     elif args.stopwords:
         raise RiskbenchError("--stopwords applies only to an --embeddings word-vector file")
     if args.sentence_embeddings:
-        sentence = load_sentence_vectors(args.sentence_embeddings)
+        sentence = vectorize.load_sentence_vectors(args.sentence_embeddings)
         digests["sentence_embeddings"] = sentence.digest
         return replace(sentence, fallback=word)
     if word is None:
@@ -113,10 +70,10 @@ def _backend(args, digests: dict) -> EmbeddingBackend:
 
 
 def _cmd_ingest(args, digests):
-    corpus = _corpus(args, digests, args.scales)
+    loaded = _corpus(args, digests, args.scales)
     projects = []
     total = 0
-    for project in corpus.projects:
+    for project in loaded.projects:
         sizes = [len(s.risk_ids) for s in project.snapshots]
         total += sum(sizes)
         projects.append(
@@ -129,7 +86,7 @@ def _cmd_ingest(args, digests):
                 "risks_per_snapshot": sizes,
             }
         )
-    return {}, {"project_count": len(corpus.projects), "total_rows": total, "projects": projects}
+    return {}, {"project_count": len(loaded.projects), "total_rows": total, "projects": projects}
 
 
 # ------------------------------------------------------------ similarity
@@ -145,44 +102,46 @@ def _similarity_config(mode: str, group_by=None, threshold=None, use_description
 
 
 def _cmd_similarity_docs(args, digests):
-    corpus = _corpus(args, digests)
+    loaded = _corpus(args, digests)
     stop_words = _stop_words(args, digests)
-    result = document_similarity(corpus, stop_words=stop_words, group_by=args.group_by)
+    result = similarity.document_similarity(loaded, stop_words=stop_words,
+                                            group_by=args.group_by)
     if args.heatmap:
         pairs = result["pairs"]
         matrix = [[1.0] * len(pairs.labels) for _ in pairs.labels]
         for a, b, score in zip(pairs.source_rows.tolist(), pairs.target_rows.tolist(),
                                pairs.scores.tolist()):
             matrix[a][b] = matrix[b][a] = score
-        write_heatmap_csv(args.heatmap, pairs.labels, pairs.labels, matrix)
+        report.write_heatmap_csv(args.heatmap, pairs.labels, pairs.labels, matrix)
     return _similarity_config("docs", args.group_by), result
 
 
 def _cmd_similarity_risks(args, digests):
-    corpus = _corpus(args, digests)
+    loaded = _corpus(args, digests)
     backend = _backend(args, digests)
-    result = risk_level_summary(corpus, backend, args.use_description, args.group_by)
+    result = similarity.risk_level_summary(loaded, backend, args.use_description, args.group_by)
     if args.heatmap:
         ids = result["projects"]
-        write_heatmap_csv(args.heatmap, ids, ids, result["directional_mean_matrix"])
+        report.write_heatmap_csv(args.heatmap, ids, ids, result["directional_mean_matrix"])
     config = _similarity_config("risks", args.group_by, use_description=args.use_description)
     return config, result
 
 
 def _cmd_similarity_pooling(args, digests):
-    corpus = _corpus(args, digests)
+    loaded = _corpus(args, digests)
     backend = _backend(args, digests)
-    result = pooling_similarity(corpus, backend, args.use_description)
+    result = similarity.pooling_similarity(loaded, backend, args.use_description)
     return _similarity_config("pooling", use_description=args.use_description), result
 
 
 def _cmd_similarity_evaluation(args, digests):
-    corpus = _corpus(args, digests, args.scales)
+    loaded = _corpus(args, digests, args.scales)
     backend = _backend(args, digests)
     base = args.threshold
-    thresholds = sorted({base} | {t for t in EVALUATION_THRESHOLDS if t >= base})
-    matches = match_registers(corpus, backend, min_score=base, use_description=args.use_description)
-    result = evaluation_level_report(matches, corpus, thresholds, args.group_by)
+    thresholds = sorted({base} | {t for t in similarity.EVALUATION_THRESHOLDS if t >= base})
+    matches = similarity.match_registers(loaded, backend, min_score=base,
+                                         use_description=args.use_description)
+    result = similarity.evaluation_level_report(matches, loaded, thresholds, args.group_by)
     config = _similarity_config("evaluation", args.group_by, base, args.use_description)
     return config, result
 
@@ -191,19 +150,19 @@ def _cmd_similarity_evaluation(args, digests):
 
 
 def _cmd_template_build(args, digests):
-    corpus = _corpus(args, digests, args.scales)
+    loaded = _corpus(args, digests, args.scales)
     backend = _backend(args, digests)
-    criteria = parse_filter(args.filter)
-    selected = filter_projects(corpus, criteria)
+    criteria = template.parse_filter(args.filter)
+    selected = template.filter_projects(loaded, criteria)
     if not selected:
         raise EmptyReportError("the filter selected zero projects")
     categories_path = args.categories or data_path("wsdot_categories.json")
-    categories = load_categories(categories_path)
+    categories = template.load_categories(categories_path)
     digests["categories"] = file_digest(categories_path)
-    groups = group_risks(selected, backend, args.match_threshold, args.use_description)
-    template = build_template(groups, args.sort, args.top, criteria, len(selected))
-    result = template.to_dict()
-    labels = classify_risk([entry.text for entry in template.entries], categories, backend)
+    groups = template.group_risks(selected, backend, args.match_threshold, args.use_description)
+    built = template.build_template(groups, args.sort, args.top, criteria, len(selected))
+    result = built.to_dict()
+    labels = template.classify_risk([entry.text for entry in built.entries], categories, backend)
     for entry, label in zip(result["entries"], labels):
         entry["category"] = label.label
     result["group_count"] = len(groups)
@@ -219,11 +178,11 @@ def _cmd_template_build(args, digests):
 
 def _cmd_template_eval(args, digests):
     backend = _backend(args, digests)
-    template = load_template(args.template)
+    saved = template.load_template(args.template)
     digests["template"] = file_digest(args.template)
-    register = load_register(args.register)
+    register = corpus.load_register(args.register)
     digests["register"] = file_digest(args.register)
-    counts = evaluate_template(template, register, backend, args.label_threshold)
+    counts = template.evaluate_template(saved, register, backend, args.label_threshold)
     return {"label_threshold": args.label_threshold}, counts.to_dict()
 
 
@@ -240,10 +199,11 @@ def _lifecycle_tables(args, digests):
             raise RiskbenchError(f"lifecycle csv not found: {path}") from exc
         digests["lifecycle_csv"] = hashlib.sha256(data).hexdigest()
         try:  # a ParseError of the CSV is not a LifecycleError: it names its row already
-            return *tabulated_ratios(read_lifecycle_csv(data, str(path))), {"source": "lifecycle_csv"}
+            return (*lifecycle.tabulated_ratios(lifecycle.read_lifecycle_csv(data, str(path))),
+                    {"source": "lifecycle_csv"})
         except LifecycleError as exc:
             raise LifecycleError(f"{path}: {exc}") from exc
-    return *corpus_ratios(_corpus(args, digests)), {"source": "manifest"}
+    return *lifecycle.corpus_ratios(_corpus(args, digests)), {"source": "manifest"}
 
 
 def _cmd_lifecycle_ratios(args, digests):
@@ -260,21 +220,21 @@ def _cmd_lifecycle_ratios(args, digests):
 
 def _cmd_lifecycle_styles(args, digests):
     per_project, pooled, config = _lifecycle_tables(args, digests)
-    thresholds = StyleThresholds()
+    thresholds = lifecycle.StyleThresholds()
     if args.thresholds:
-        names = [f.name for f in fields(StyleThresholds)]
+        names = [f.name for f in fields(lifecycle.StyleThresholds)]
         raw = read_json_checked(args.thresholds, "thresholds file",
                                 {f"{name}?": float for name in names})
         for key in raw:
             if key not in names:
                 raise ParseError(f"{args.thresholds}: unknown key {key!r} "
                                  f"(expected {' or '.join(map(repr, names))})")
-        thresholds = StyleThresholds(**raw)
+        thresholds = lifecycle.StyleThresholds(**raw)
         digests["thresholds"] = file_digest(args.thresholds)
     rows = []
     groups: dict[str, list[str]] = {}
     for project_id, ratios in per_project.items():
-        label = classify_style(ratios, thresholds)
+        label = lifecycle.classify_style(ratios, thresholds)
         if label is None:
             style = "unclassifiable"
             groups.setdefault("unclassifiable", []).append(project_id)
@@ -312,7 +272,7 @@ def _cmd_lifecycle_compare(args, digests):
                 raise ParseError(f"{path}: project {project_id!r} is missing metric {exc}") from exc
         return rows
 
-    outcome = hotelling_t2(points(names[0]), points(names[1]), alpha=args.alpha)
+    outcome = lifecycle.hotelling_t2(points(names[0]), points(names[1]), alpha=args.alpha)
     result = {"groups": names, "metrics": dims, **asdict(outcome)}
     return {"metric": args.metric, "alpha": args.alpha}, result
 
@@ -321,24 +281,24 @@ def _cmd_lifecycle_compare(args, digests):
 
 
 def _cmd_rbs_coverage(args, digests):
-    corpus = _corpus(args, digests, args.scales)
+    loaded = _corpus(args, digests, args.scales)
     backend = _backend(args, digests)
-    rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
+    structure = rbs.load_rbs(args.rbs) if args.rbs else rbs.default_rbs()
     digests["rbs"] = file_digest(args.rbs or data_path("rbs_table21.json"))
 
     def one(project):
-        return coverage(rbs, project.register, backend, threshold=args.threshold,
-                        project_id=project.project_id)
+        return rbs.coverage(structure, project.register, backend, threshold=args.threshold,
+                            project_id=project.project_id)
 
-    reports = parallel_map(one, list(corpus.projects), args.jobs)
-    return {"threshold": args.threshold}, summarize_coverage(rbs, reports, args.threshold)
+    reports = parallel.parallel_map(one, list(loaded.projects), args.jobs)
+    return {"threshold": args.threshold}, rbs.summarize_coverage(structure, reports, args.threshold)
 
 
 def _cmd_rbs_cooccur(args, digests) -> None:
-    covered = load_covered_texts(args.coverage)
-    rbs = load_rbs(args.rbs) if args.rbs else default_rbs()
-    rows = cooccurrence(covered, rbs)
-    write_csv(args.out, [("item_a", "item_b", "count"), *rows])
+    covered = rbs.load_covered_texts(args.coverage)
+    structure = rbs.load_rbs(args.rbs) if args.rbs else rbs.default_rbs()
+    rows = rbs.cooccurrence(covered, structure)
+    report.write_csv(args.out, [("item_a", "item_b", "count"), *rows])
 
 
 # ------------------------------------------------------------------ main
@@ -346,7 +306,7 @@ def _cmd_rbs_cooccur(args, digests) -> None:
 
 # --group-by takes a ProjectRecord field; "" groups nothing
 _GROUP_BY = dict(
-    choices=("", *(f.name for f in fields(ProjectRecord) if f.name != "snapshots")),
+    choices=("", *GROUP_FIELDS),
     metavar="FIELD",
     help="project field to group by",
 )
@@ -409,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ingest, scales=True)
     ingest.set_defaults(func=_cmd_ingest)
 
-    similarity = commands.add_parser("similarity", help="three-level similarity analysis")
-    modes = similarity.add_subparsers(dest="mode", required=True)
+    similarity_parser = commands.add_parser("similarity", help="three-level similarity analysis")
+    modes = similarity_parser.add_subparsers(dest="mode", required=True)
 
     docs = modes.add_parser("docs", help="document-level TF-IDF cosine")
     _add_common(docs, stopwords=True)
@@ -439,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluation.add_argument("--use-description", action="store_true")
     evaluation.set_defaults(func=_cmd_similarity_evaluation)
 
-    template = commands.add_parser("template", help="build and score risk templates")
-    template_modes = template.add_subparsers(dest="mode", required=True)
+    template_parser = commands.add_parser("template", help="build and score risk templates")
+    template_modes = template_parser.add_subparsers(dest="mode", required=True)
 
     build = template_modes.add_parser("build", help="generate a ranked risk template")
     _add_common(build, scales=True, backend=True)
@@ -459,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--label-threshold", type=_COSINE, default=DEFAULT_LABEL_THRESHOLD)
     evaluate.set_defaults(func=_cmd_template_eval)
 
-    lifecycle = commands.add_parser("lifecycle", help="risk lifecycle ratios and styles")
-    lifecycle_modes = lifecycle.add_subparsers(dest="mode", required=True)
+    lifecycle_parser = commands.add_parser("lifecycle", help="risk lifecycle ratios and styles")
+    lifecycle_modes = lifecycle_parser.add_subparsers(dest="mode", required=True)
 
     ratios = lifecycle_modes.add_parser("ratios", help="per-project and pooled ratios")
     _add_common(ratios, lifecycle_csv=True)
@@ -480,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--alpha", type=_ALPHA, default=0.05)
     compare.set_defaults(func=_cmd_lifecycle_compare)
 
-    rbs = commands.add_parser("rbs", help="risk breakdown structure coverage")
-    rbs_modes = rbs.add_subparsers(dest="mode", required=True)
+    rbs_parser = commands.add_parser("rbs", help="risk breakdown structure coverage")
+    rbs_modes = rbs_parser.add_subparsers(dest="mode", required=True)
 
     cover = rbs_modes.add_parser("coverage", help="semantic coverage of registers")
     _add_common(cover, scales=True, backend=True)
@@ -503,12 +463,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     digests: dict[str, str] = {}
     try:
-        report = args.func(args, digests)
-        if report is not None:
-            config, result = report
+        output = args.func(args, digests)
+        if output is not None:
+            config, result = output
             words = ("riskbench", args.command, getattr(args, "mode", None))
-            emit_report({"command": " ".join(filter(None, words)), "config": config,
-                         "version": __version__, "inputs": digests, "result": result}, args.out)
+            report.emit_report({"command": " ".join(filter(None, words)), "config": config,
+                                "version": __version__, "inputs": digests, "result": result},
+                               args.out)
     except (RiskbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

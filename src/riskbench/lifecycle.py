@@ -14,12 +14,14 @@ import functools
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import cache
-from .corpus import Corpus, ProjectRecord
 from .errors import LifecycleError, ParseError, StatTestError, TransitionError
 from .resources import csv_rows
+
+if TYPE_CHECKING:  # `lifecycle compare` and `--lifecycle-csv` never run corpus
+    from .corpus import Corpus, ProjectRecord
 
 
 class RiskState(str, Enum):

@@ -14,13 +14,10 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import RegisterSnapshot, band_mean
+# coverage reaches these engines at call time, so `rbs cooccur` loads none of them
+from . import corpus, similarity, vectorize
 from .errors import EmptyReportError, RbsError
-from .resources import data_path, read_json_checked, read_result
-from .similarity import score_histogram
-from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
-
-DEFAULT_COVERAGE_THRESHOLD = 0.6
+from .resources import DEFAULT_COVERAGE_THRESHOLD, data_path, read_json_checked, read_result
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,8 @@ class CoverageReport:
 
 def coverage(
     rbs: Rbs,
-    register: RegisterSnapshot,
-    backend: EmbeddingBackend,
+    register: corpus.RegisterSnapshot,
+    backend: vectorize.EmbeddingBackend,
     threshold: float = DEFAULT_COVERAGE_THRESHOLD,
     project_id: str = "",
 ) -> CoverageReport:
@@ -134,8 +131,7 @@ def coverage(
                                if project_id else "coverage needs a non-empty register")
     flat = rbs.flat_items()
     # the RBS items first, so that a miss names an item before any register text
-    keyed = unit_rows(backend, [*(item.text for _, item in flat),
-                                *register.names])
+    keyed = vectorize.unit_rows(backend, [*(item.text for _, item in flat), *register.names])
     items, risks = keyed.ids[:len(flat)], keyed.ids[len(flat):]
     best, scores = (column[:, 0] for column in keyed.best(risks, [items]))
     rows = [CoverageRow(risk_id=risk_id, best_item=flat[index][1].text,
@@ -145,11 +141,13 @@ def coverage(
                                                      scores.tolist(), keyed.missed[risks].tolist())]
 
     # rows are in register order, so each column pairs with the rows by position
-    agrees = [normalize_sentence(label) == normalize_sentence(row.best_category)
+    normalize = vectorize.normalize_sentence
+    agrees = [normalize(label) == normalize(row.best_category)
               for label, row in zip(register.category_labels, rows) if row.covered and label]
 
     def impact_means(covered: bool) -> dict:
-        return {name: band_mean(band for band, row in zip(bands, rows) if row.covered == covered)
+        return {name: corpus.band_mean(band for band, row in zip(bands, rows)
+                                       if row.covered == covered)
                 for name, bands in (("cost_band", register.cost_bands),
                                     ("schedule_band", register.schedule_bands))}
 
@@ -158,7 +156,7 @@ def coverage(
         threshold=threshold,
         rows=tuple(rows),
         coverage_fraction=sum(row.covered for row in rows) / len(rows),
-        histogram=score_histogram(row.score for row in rows),
+        histogram=similarity.score_histogram(row.score for row in rows),
         category_fractions=_category_fractions(rows),
         impact_means={"covered": impact_means(True), "not_covered": impact_means(False)},
         category_agreement=sum(agrees) / len(agrees) if agrees else None,

@@ -20,6 +20,16 @@ from .errors import ParseError
 
 _ENV_VAR = "RISKBENCH_DATA"
 
+# defaults and choices that the command line offers before it loads an engine
+DEFAULT_MATCH_THRESHOLD = 0.7  # template grouping
+DEFAULT_LABEL_THRESHOLD = 0.6  # template evaluation
+DEFAULT_COVERAGE_THRESHOLD = 0.6  # rbs coverage
+# each template sort key and the RiskGroup field it ranks by
+SORT_KEYS = {"prevalence": "prevalence", "cost": "avg_cost_band", "schedule": "avg_schedule_band"}
+# the ProjectRecord fields a report can group projects by
+GROUP_FIELDS = ("project_id", "jurisdiction", "delivery_method", "project_type", "size_band",
+                "contract_value_musd", "award_year")
+
 
 def data_root() -> Path:
     override = os.environ.get(_ENV_VAR)

@@ -18,15 +18,11 @@ from typing import Sequence
 
 from .corpus import Corpus, ProjectRecord, RegisterSnapshot, band_mean
 from .errors import RbsError, TemplateError
-from .resources import data_path, read_json_checked, read_result
+from .resources import (DEFAULT_LABEL_THRESHOLD, DEFAULT_MATCH_THRESHOLD, SORT_KEYS, data_path,
+                        read_json_checked, read_result)
 from .vectorize import EmbeddingBackend, normalize_sentence, unit_rows
 
-DEFAULT_MATCH_THRESHOLD = 0.7
-DEFAULT_LABEL_THRESHOLD = 0.6
 SMALL_SUBSET_WARNING = 5
-
-# each sort key and the RiskGroup field it ranks by
-SORT_KEYS = {"prevalence": "prevalence", "cost": "avg_cost_band", "schedule": "avg_schedule_band"}
 
 
 @dataclass(frozen=True)

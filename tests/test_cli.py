@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -412,8 +414,9 @@ def test_template_build_labels_kept_entries_as_labelling_every_group_did(
     labels = template_module.classify_risk([g.representative_text for g in groups],
                                            template_module.default_categories(), embedder)
     classified = []
-    monkeypatch.setattr(cli, "classify_risk", lambda texts, *rest: classified.append(len(texts))
-                        or template_module.classify_risk(texts, *rest))
+    classify = template_module.classify_risk
+    monkeypatch.setattr(template_module, "classify_risk",
+                        lambda texts, *rest: classified.append(len(texts)) or classify(texts, *rest))
     for sort, field in template_module.SORT_KEYS.items():
         def old_rank(index):
             value = getattr(groups[index], field)  # an unset band ranks last
@@ -554,7 +557,7 @@ def test_stopwords_need_a_word_vector_file(manifest, tmp_path, capsys):
 
 
 def test_a_sentence_table_alone_reads_and_records_no_stop_words(monkeypatch):
-    monkeypatch.setattr(cli, "load_stopwords", lambda path: pytest.fail(f"read {path}"))
+    monkeypatch.setattr(vectorize, "load_stopwords", lambda path: pytest.fail(f"read {path}"))
     digests = {}
     args = argparse.Namespace(embeddings=None, sentence_embeddings=SENTENCE_VECTORS,
                               stopwords=None)
@@ -929,6 +932,98 @@ def test_a_warm_similarity_docs_loads_no_scipy_and_no_futures(manifest, tmp_path
     warm = fresh_python("-c", code, json.dumps(argv), XDG_CACHE_HOME=cache)
     assert warm.returncode == 0, warm.stderr
     assert json.loads(warm.stdout) == [0, False, []]
+
+
+# Runs cli.main on the argv in sys.argv[1] and prints its exit code, the
+# riskbench modules that ran (a lazy module that has not run is no plain
+# ModuleType) and whether numpy was imported.
+_RAN_SCRIPT = (
+    "import json, sys, types\n"
+    "from riskbench.cli import main\n"
+    "try:\n"
+    "    code = main(json.loads(sys.argv[1]))\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "ran = sorted(name.split('.', 1)[1] for name, module in sys.modules.items()\n"
+    "             if name.startswith('riskbench.') and type(module) is types.ModuleType)\n"
+    "print(json.dumps([code, ran, 'numpy' in sys.modules]))\n"
+)
+ENGINES = {"corpus", "vectorize", "similarity", "template", "rbs", "lifecycle", "report",
+           "parallel"}
+
+
+def test_each_command_executes_only_its_engines(manifest, tmp_path):
+    def ran(*argv):
+        result = fresh_python("-c", _RAN_SCRIPT, json.dumps(argv))
+        assert result.returncode == 0, result.stderr
+        code, modules, numpy = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0, result.stderr
+        return set(modules) & ENGINES, numpy
+
+    assert ran("--version") == (set(), False)
+    ingest, _ = ran("ingest", "--manifest", manifest, "--out", str(tmp_path / "ingest.json"))
+    assert "corpus" in ingest
+    assert not ingest & {"lifecycle", "vectorize", "similarity", "rbs", "template"}
+    ratios, _ = ran("lifecycle", "ratios", "--manifest", manifest,
+                    "--out", str(tmp_path / "ratios.json"))
+    assert ratios == ingest | {"lifecycle"}
+    table = str(data_path("fixtures", "expost", "lifecycle_table19.csv"))
+    tabulated, _ = ran("lifecycle", "ratios", "--lifecycle-csv", table,
+                       "--out", str(tmp_path / "tabulated.json"))
+    assert tabulated == ratios - {"corpus"}
+    covered = tmp_path / "coverage.json"
+    assert run(["rbs", "coverage", "--manifest", manifest, "--embeddings", WORD_VECTORS,
+                "--out", str(covered)]) == 0
+    cooccur, _ = ran("rbs", "cooccur", "--coverage", str(covered),
+                     "--out", str(tmp_path / "pairs.csv"))
+    assert "rbs" in cooccur and not cooccur & {"corpus", "similarity", "vectorize"}
+
+
+def test_rbs_coverage_on_2_jobs_from_a_cold_start_writes_the_1_job_bytes(manifest, tmp_path):
+    # in a fresh process no worker may be the first to run an engine module,
+    # whose lazy load takes no lock
+    reports = []
+    for jobs in ("2", "1"):
+        reports.append(tmp_path / f"jobs{jobs}.json")
+        result = fresh_python("-m", "riskbench.cli", "rbs", "coverage", "--manifest", manifest,
+                              "--embeddings", WORD_VECTORS, "--jobs", jobs,
+                              "--out", str(reports[-1]), XDG_CACHE_HOME=str(tmp_path / jobs))
+        assert result.returncode == 0, result.stderr
+    assert_same_text(reports[0].read_bytes(), reports[1].read_bytes())
+    # the race above is rare, so pin its cause: a worker finds every module run
+    result = fresh_python("-c", (
+        "import sys, types\n"
+        "from riskbench.parallel import parallel_map\n"
+        "names = [name for name in sys.modules if name.startswith('riskbench.')]\n"
+        "print(parallel_map(lambda name: type(sys.modules[name]).__name__, names, 2))\n"))
+    assert result.returncode == 0, result.stderr
+    assert set(ast.literal_eval(result.stdout)) == {"module"}
+
+
+def test_every_public_name_is_its_engines_own_object():
+    import riskbench
+
+    assert riskbench.__all__
+    for name in riskbench.__all__:
+        value = getattr(riskbench, name)
+        assert value.__module__.split(".")[:1] == ["riskbench"], name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name in dir(riskbench)
+
+
+def test_group_by_choices_are_the_project_fields():
+    # the parser names the fields without loading corpus, so this pins them
+    fields = tuple(f.name for f in dataclasses.fields(corpus_module.ProjectRecord)
+                   if f.name != "snapshots")
+
+    def subcommands(parser):
+        return next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+
+    modes = subcommands(subcommands(build_parser())["similarity"])
+    for mode in ("docs", "risks", "evaluation"):
+        [group_by] = [action for action in modes[mode]._actions if action.dest == "group_by"]
+        assert tuple(group_by.choices) == ("", *fields), mode
 
 
 @pytest.mark.parametrize("cost, schedule, message", [

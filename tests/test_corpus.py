@@ -1261,10 +1261,10 @@ _PEAK_SCRIPT = """
 import hashlib
 import sys
 
-from riskbench import corpus
+from riskbench.corpus import load_corpus
 
 if len(sys.argv) > 1:
-    loaded = corpus.load_corpus(sys.argv[1])
+    loaded = load_corpus(sys.argv[1])
 with open("/proc/self/status", encoding="ascii") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """

@@ -833,18 +833,18 @@ def test_invalid_cache_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch, how)
 
 
 # Prints the process's peak resident set (VmHWM, in kB); with a word file
-# argument it first loads that file and embeds a few texts. numpy is imported
-# either way, so that both processes start alike.
+# argument it first loads that file and embeds a few texts. numpy and the
+# vectorize module are loaded either way, so that both processes start alike.
 _PEAK_SCRIPT = """
 import sys
 
 import numpy
 
-from riskbench import vectorize
+from riskbench.vectorize import load_word_vectors, unit_rows
 
 if len(sys.argv) > 1:
-    backend = vectorize.load_word_vectors(sys.argv[1])
-    vectorize.unit_rows(backend, ["tok1 tok2 tok3", "tok10 tok4000", "tok4999"])
+    backend = load_word_vectors(sys.argv[1])
+    unit_rows(backend, ["tok1 tok2 tok3", "tok10 tok4000", "tok4999"])
 with open("/proc/self/status", encoding="ascii") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
